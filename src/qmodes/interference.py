@@ -7,9 +7,12 @@ Gaussian "spot" of width sigma_xi centered at +/-b, ... correlated with the
 slit index.  Momentum-space amplitudes factor into Gaussian envelopes times
 the slit form factor
 
-    F(eta) = sin(m eta) / sin(eta),   eta = p_x a + p_xi b,
+    F(eta) = sin(m eta) / sin(eta) = sum_k cos((m - 1 - 2k) eta),
+    eta = p_x a + p_xi b.
 
-whose Schmidt structure the :mod:`qmodes.schmidt` module analyses.
+Expanding each cosine of the sum splits the state into m product terms,
+so slit joint states are stored as rank-m factor pairs, never as n x n
+matrices; :mod:`qmodes.schmidt` decomposes those factors directly.
 Normalization constants are always computed numerically rather than set
 to their well-separated-slit limit of 1.
 """
@@ -45,7 +48,6 @@ COORDINATE = "coordinate"
 MOMENTUM = "momentum"
 
 WELL_SEPARATED_OVERLAP = 0.01
-_SIN_SINGULARITY = 1e-6
 
 
 class WrongRepresentationError(ValueError):
@@ -94,32 +96,42 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class JointState:
-    """Two-particle amplitude psi(x, xi) sampled on a particle x detector grid.
+    """Two-particle amplitude psi(x, xi) on a particle x detector grid, in factored form.
 
-    ``amplitudes[i, j]`` is the value at (particle point i, detector point j).
-    The representation flag records whether the axes are coordinates or the
+    ``psi = left @ right.T``: column k of ``left`` (n_x x r) and of ``right``
+    (n_xi x r) sample one product term.  Omitting ``right`` takes it as the
+    identity, so ``left`` is then the dense amplitude matrix itself.  The
+    representation flag records whether the axes are coordinates or the
     conjugate momenta; the dtype may be real when the state carries no phase.
     """
 
     particle_grid: Grid1D
     detector_grid: Grid1D
-    amplitudes: np.ndarray
+    left: np.ndarray
     representation: str
+    right: np.ndarray | None = None
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes)
+        left = np.asarray(self.left)
+        if left.ndim != 2:
+            raise ValueError(f"left factor must be a matrix, got shape {left.shape}")
+        right = np.eye(left.shape[1]) if self.right is None else np.asarray(self.right)
         expected = (self.particle_grid.n_points, self.detector_grid.n_points)
-        if amp.shape != expected:
-            raise ValueError(f"amplitude shape {amp.shape} does not match grids {expected}")
+        if (left.shape[0], right.shape[0]) != expected or right.shape[1:] != left.shape[1:]:
+            raise ValueError(f"factor shapes {left.shape}, {right.shape} do not match grids {expected}")
         if self.representation not in (COORDINATE, MOMENTUM):
             raise ValueError(f"unknown representation {self.representation!r}")
-        object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Dense n_x x n_xi amplitude matrix (``amplitudes[i, j]`` at point i, j)."""
+        return self.left @ self.right.T
 
     def norm(self) -> float:
-        wx = trapezoid_weights(self.particle_grid)
-        wxi = trapezoid_weights(self.detector_grid)
-        total = wx @ (np.abs(self.amplitudes) ** 2) @ wxi
-        return float(np.sqrt(total))
+        total = np.sum(_gram(self.left, self.particle_grid) * _gram(self.right, self.detector_grid))
+        return float(np.sqrt(total.real))
 
 
 def single_slit_momentum_density(sigma_x: float, p_x) -> np.ndarray | float:
@@ -164,35 +176,29 @@ def spot_centers(m: int, b: float) -> np.ndarray:
 def form_factor(eta, m: int) -> np.ndarray | float:
     """Multi-slit amplitude factor sin(m eta) / sin(eta).
 
-    The removable singularities at eta = k pi evaluate to +/-m; near them a
-    quadratic expansion replaces the ratio for numerical continuity.
+    Evaluated as the cosine sum sum_k cos((m - 1 - 2k) eta), which has no
+    removable singularity and no cancellation near eta = k pi, where F = +/-m.
     |F| <= m everywhere and F(eta + pi) = (-1)^(m-1) F(eta).
     """
     if m < 1:
         raise ValueError(f"slit count must be >= 1, got {m}")
     eta_arr = np.asarray(eta, dtype=float)
-    sin_eta = np.sin(eta_arr)
-    near = np.abs(sin_eta) < _SIN_SINGULARITY
-    safe_sin = np.where(near, 1.0, sin_eta)
-    ratio = np.sin(m * eta_arr) / safe_sin
-    # expansion about the nearest multiple of pi: F = (+/-)m (1 - (m^2-1) d^2 / 6)
-    k = np.rint(eta_arr / np.pi)
-    delta = eta_arr - k * np.pi
-    sign = np.where((k.astype(np.int64) * (m - 1)) % 2 == 0, 1.0, -1.0)
-    series = sign * m * (1.0 - (m**2 - 1) * delta**2 / 6.0)
-    out = np.where(near, series, ratio)
+    out = sum(np.cos((m - 1 - 2 * k) * eta_arr) for k in range(m))
     return out if out.ndim else float(out)
 
 
+def _gram(factor: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Quadrature overlaps of the factor's columns: factor^T W conj(factor)."""
+    return factor.T @ (trapezoid_weights(grid)[:, None] * factor.conj())
+
+
 def _normalize_joint(
-    amp: np.ndarray, particle_grid: Grid1D, detector_grid: Grid1D, representation: str
+    left: np.ndarray, right: np.ndarray, particle_grid: Grid1D, detector_grid: Grid1D, representation: str
 ) -> JointState:
-    wx = trapezoid_weights(particle_grid)
-    wxi = trapezoid_weights(detector_grid)
-    total = wx @ (np.abs(amp) ** 2) @ wxi
-    if not total > 0:
+    norm = JointState(particle_grid, detector_grid, left, representation, right).norm()
+    if not norm > 0:
         raise ValueError("joint amplitude is identically zero")
-    return JointState(particle_grid, detector_grid, amp / np.sqrt(total), representation)
+    return JointState(particle_grid, detector_grid, left / norm, representation, right)
 
 
 def joint_state_momentum(
@@ -206,22 +212,27 @@ def joint_state_momentum(
     psi~(p_x, p_xi) = (C/sqrt(m)) sqrt(2 sigma_x) sqrt(2 sigma_xi) / sqrt(2 pi)
                       * exp(-sigma_x^2 p_x^2) exp(-sigma_xi^2 p_xi^2) F(p_x a + p_xi b)
 
-    with C fixed by numerical normalization on the supplied grids.  For b = 0
-    the form factor depends on p_x alone and the amplitude matrix factorizes
-    (no entanglement).
+    with C fixed by numerical normalization on the supplied grids.  Each
+    cosine pair cos(c eta) + cos(-c eta) of F expands into two product terms,
+    2 cos(c a p_x) cos(c b p_xi) - 2 sin(c a p_x) sin(c b p_xi), and odd m adds
+    the constant c = 0 term, which gives m factor columns.  For b = 0 the
+    sine terms vanish and the state is a product (no entanglement).
     """
     p = particle_grid.points
     q = detector_grid.points
-    env_x = np.exp(-slits.sigma_x**2 * p**2)
-    env_xi = np.exp(-det.sigma_xi**2 * q**2)
-    eta = slits.a * p[:, None] + det.b * q[None, :]
-    pref = (
-        np.sqrt(2.0 * slits.sigma_x)
-        * np.sqrt(2.0 * det.sigma_xi)
-        / (np.sqrt(2.0 * np.pi) * np.sqrt(slits.m))
+    env_x = np.exp(-slits.sigma_x**2 * p**2)[:, None]
+    env_xi = np.exp(-det.sigma_xi**2 * q**2)[:, None]
+    c = slits.m - 1 - 2 * np.arange(slits.m // 2)
+    cap = np.outer(p, c * slits.a)
+    cbq = np.outer(q, c * det.b)
+    left = [2.0 * np.cos(cap), -2.0 * np.sin(cap)]
+    right = [np.cos(cbq), np.sin(cbq)]
+    if slits.m % 2:  # the c = 0 term
+        left.append(np.ones((p.size, 1)))
+        right.append(np.ones((q.size, 1)))
+    return _normalize_joint(
+        env_x * np.hstack(left), env_xi * np.hstack(right), particle_grid, detector_grid, MOMENTUM
     )
-    amp = pref * env_x[:, None] * env_xi[None, :] * form_factor(eta, slits.m)
-    return _normalize_joint(amp, particle_grid, detector_grid, MOMENTUM)
 
 
 def joint_state_coordinate(
@@ -232,24 +243,24 @@ def joint_state_coordinate(
 ) -> JointState:
     """Entangled m-slit state in coordinate representation.
 
-    Superposition of m two-dimensional Gaussians, one per (slit, spot) pair,
-    normalized numerically.  The two-slit case reduces to a symmetric pair of
+    Superposition of m two-dimensional Gaussians, one per (slit, spot) pair:
+    the slit Gaussians are the left factor, the spot Gaussians the right one.
+    Normalized numerically.  The two-slit case reduces to a symmetric pair of
     Gaussians at (+/-a, +/-b) with
     C^2 = 1 / (1 + exp(-(a^2/sigma_x^2 + b^2/sigma_xi^2)/2)).
     """
-    x = particle_grid.points
-    xi = detector_grid.points
-    amp = np.zeros((particle_grid.n_points, detector_grid.n_points))
-    for xs, xis in zip(slit_centers(slits.m, slits.a), spot_centers(slits.m, det.b)):
-        gx = np.exp(-((x - xs) ** 2) / (4.0 * slits.sigma_x**2))
-        gxi = np.exp(-((xi - xis) ** 2) / (4.0 * det.sigma_xi**2))
-        amp += gx[:, None] * gxi[None, :]
-    return _normalize_joint(amp, particle_grid, detector_grid, COORDINATE)
+    x = particle_grid.points[:, None]
+    xi = detector_grid.points[:, None]
+    left = np.exp(-((x - slit_centers(slits.m, slits.a)) ** 2) / (4.0 * slits.sigma_x**2))
+    right = np.exp(-((xi - spot_centers(slits.m, det.b)) ** 2) / (4.0 * det.sigma_xi**2))
+    return _normalize_joint(left, right, particle_grid, detector_grid, COORDINATE)
 
 
 def _particle_marginal(state: JointState) -> SampledWave:
-    wxi = trapezoid_weights(state.detector_grid)
-    density = (np.abs(state.amplitudes) ** 2) @ wxi
+    # diagonal of left @ G @ left^H, G the Gram matrix of the right factor;
+    # the row sums go through a matmul, as np.sum over a short axis is slow
+    gram = _gram(state.right, state.detector_grid)
+    density = ((state.left @ gram) * state.left.conj()).real @ np.ones(gram.shape[0])
     return SampledWave(state.particle_grid, density)
 
 

@@ -8,11 +8,13 @@ particle and detector with weights
     lambda_1 = (1 - e_a - e_b + e_a e_b) / (2 (1 + e_a e_b))
 
 where e_a = exp(-a^2/2 sigma_x^2), e_b = exp(-b^2/2 sigma_xi^2).  Any
-sampled joint state is decomposed numerically through an SVD of the
-amplitude matrix scaled by the per-sample quadrature weights, which makes
-the recovered modes orthonormal under the continuum inner product and the
-weights sum to 1.  Measures: entropy S = -sum lambda log2 lambda, mode
-count K = 1/sum lambda^2, information I = log2 K.
+sampled joint state is decomposed numerically from its factor pair
+psi = left @ right.T: a thin QR of the quadrature-weighted particle factor
+and an SVD of the r x n_xi core left over, never of the n x n amplitude
+matrix.  The quadrature weights make the recovered modes orthonormal
+under the continuum inner product and the weights sum to 1.  Measures:
+entropy S = -sum lambda log2 lambda, mode count K = 1/sum lambda^2,
+information I = log2 K.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .interference import DetectorParams, JointState, SlitParams
 from .numerics import Grid1D, SampledWave, trapezoid_weights
@@ -42,10 +43,6 @@ __all__ = [
 DEFAULT_TRUNCATION = 1e-12
 DEGENERACY_TOL = 1e-10
 
-# amplitude matrices this large first go through a pivoted-QR rank reveal
-_QR_SHORTCUT_MIN = 512
-_QR_CUT = 1e-13
-
 
 class InvalidWeightsError(ValueError):
     """Weight vector is not a probability distribution."""
@@ -55,7 +52,8 @@ class InvalidWeightsError(ValueError):
 class SchmidtDecomposition:
     """Weights and paired particle/detector modes, weights descending.
 
-    Modes are orthonormal under trapezoid quadrature on their grids.  When
+    psi(x, xi) = sum_k sqrt(lambda_k) phi_k(x) chi_k(xi) up to the truncated
+    tail, and the modes are orthonormal under trapezoid quadrature.  When
     two retained weights coincide within ~1e-10 the individual modes are
     only defined up to rotations in the degenerate subspace and the
     ``degenerate`` flag is set.
@@ -148,57 +146,40 @@ def analytic_two_slit_schmidt(
     )
 
 
-def _amplitude_svd(b: np.ndarray):
-    """Economy SVD, with a pivoted-QR rank reveal for large low-rank matrices.
-
-    Slit states sampled on n x n grids have numerical rank m << n; QR with
-    column pivoting exposes that rank so only a thin R block needs the SVD.
-    Matrices that turn out not to be low rank fall back to the dense path.
-    """
-    n, k = b.shape
-    if min(n, k) < _QR_SHORTCUT_MIN:
-        return np.linalg.svd(b, full_matrices=False)
-    q, r, piv = scipy.linalg.qr(b, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag[0] == 0.0:
-        return np.linalg.svd(b, full_matrices=False)
-    keep = min(int(np.sum(diag > diag[0] * _QR_CUT)) + 8, min(n, k))
-    if keep > min(n, k) // 4:
-        return np.linalg.svd(b, full_matrices=False)
-    u_r, s, vh_r = np.linalg.svd(r[:keep, :], full_matrices=False)
-    u = q[:, :keep] @ u_r
-    vh = np.empty_like(vh_r)
-    vh[:, piv] = vh_r
-    return u, s, vh
+def _real_if_possible(factor: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(factor) and not np.any(factor.imag):
+        return factor.real
+    return factor
 
 
 def numerical_schmidt(state: JointState, threshold: float = DEFAULT_TRUNCATION) -> SchmidtDecomposition:
-    """Schmidt decomposition of a sampled joint state via SVD.
+    """Schmidt decomposition of a sampled joint state from its factor pair.
 
-    The amplitude matrix is scaled by sqrt of the per-sample quadrature
-    weights on both axes, so singular values squared are the weights and
-    the singular vectors, unscaled, are continuum-orthonormal modes.
-    Weights below ``threshold`` are dropped.  The free phase of every mode
-    pair is fixed by making the largest-magnitude particle-mode component
-    real and positive.
+    Both factors are scaled by sqrt of the per-sample quadrature weights,
+    and a thin QR of the particle factor, sqrt(W_x) left = Q_x T, leaves the
+    weighted state as Q_x (T right^T sqrt(W_xi)).  An SVD of that r x n_xi
+    core gives the singular values, whose squares are the weights, and its
+    singular vectors, unscaled, are continuum-orthonormal modes.  The cost
+    is O(n r^2), with r the factor rank (m for slit states).  Weights below
+    ``threshold`` are dropped.  The free phase of every mode pair is fixed
+    by making the largest-magnitude particle-mode component real and
+    positive.
     """
-    wx = trapezoid_weights(state.particle_grid)
-    wxi = trapezoid_weights(state.detector_grid)
-    scaled = state.amplitudes * np.sqrt(wx)[:, None] * np.sqrt(wxi)[None, :]
-    if np.iscomplexobj(scaled) and not np.any(scaled.imag):
-        scaled = scaled.real
-    u, s, vh = _amplitude_svd(scaled)
+    sqrt_wx = np.sqrt(trapezoid_weights(state.particle_grid))
+    sqrt_wxi = np.sqrt(trapezoid_weights(state.detector_grid))
+    q_x, t = np.linalg.qr(_real_if_possible(state.left) * sqrt_wx[:, None])
+    core = t @ (_real_if_possible(state.right) * sqrt_wxi[:, None]).T
+    u, s, vh = np.linalg.svd(core, full_matrices=False)
     lam = s**2
-    keep = int(np.sum(lam >= threshold))
-    keep = max(keep, 1)
+    keep = max(int(np.sum(lam >= threshold)), 1)
     weights = lam[:keep]
+    modes_x = (q_x @ u[:, :keep]) / sqrt_wx[:, None]
+    modes_xi = vh[:keep].T / sqrt_wxi[:, None]
     particle_modes: list[SampledWave] = []
     detector_modes: list[SampledWave] = []
-    sqrt_wx = np.sqrt(wx)
-    sqrt_wxi = np.sqrt(wxi)
     for k in range(keep):
-        mode_x = u[:, k] / sqrt_wx
-        mode_xi = vh[k, :].conj() / sqrt_wxi
+        mode_x = modes_x[:, k]
+        mode_xi = modes_xi[:, k]
         peak = np.argmax(np.abs(mode_x))
         if np.abs(mode_x[peak]) > 0:
             phase = mode_x[peak] / np.abs(mode_x[peak])

@@ -60,6 +60,9 @@ CONDITIONALLY_COMPLETE = "conditionally_complete"
 INCOMPLETE = "incomplete"
 
 DEFAULT_RANK_THRESHOLD = 1e-10
+# product-grid points a completion scan may visit (21 points per axis
+# allow u = 2 undefined factors; u = 3 would be 21^6 ~ 86M)
+MAX_SCAN_CANDIDATES = 10**7
 DEFAULT_ADEQUACY_TOL = 1e-8
 DEFAULT_CONDITIONAL_TOL = 1e-6
 
@@ -262,8 +265,8 @@ def scan_completions(
     The undefined factors are swept over a product grid inside the ball
     ||f_undef|| <= radius (radius 1 suffices: any density matrix has
     Frobenius norm at most 1).  Completions that are Hermitian, unit-trace
-    and positive within tolerance are retained.  Refuses more than 4
-    undefined complex dimensions.
+    and positive within tolerance are retained.  The grid is generated one
+    chunk at a time and may hold at most ``MAX_SCAN_CANDIDATES`` points.
     """
     report = reconstruct(analysis, p, tol)
     u_count = report.undefined_count
@@ -276,19 +279,22 @@ def scan_completions(
         lo = min(purities, default=np.nan)
         hi = max(purities, default=np.nan)
         return ScanResult(states, lo, hi)
-    if u_count > 4:
-        raise DimensionalityError(f"{u_count} undefined complex dimensions; scan refuses > 4")
+    shape = (grid.points_per_dim,) * (2 * u_count)
+    total = grid.points_per_dim ** (2 * u_count)
+    if total > MAX_SCAN_CANDIDATES:
+        raise DimensionalityError(
+            f"{u_count} undefined factors need {total} grid points; scan cap is {MAX_SCAN_CANDIDATES}"
+        )
 
     axis = np.linspace(-grid.radius, grid.radius, grid.points_per_dim)
-    mesh = np.meshgrid(*([axis] * (2 * u_count)), indexing="ij")
-    reals = np.stack([m.ravel() for m in mesh], axis=1)
-    candidates = reals[:, :u_count] + 1j * reals[:, u_count:]
-    candidates = candidates[np.linalg.norm(candidates, axis=1) <= grid.radius + 1e-12]
-
     null_basis = analysis.v[:, analysis.rank :]
     kept: list[np.ndarray] = []
-    for start in range(0, candidates.shape[0], grid.chunk):
-        block = candidates[start : start + grid.chunk]
+    for start in range(0, total, grid.chunk):
+        # this chunk's product-grid points, in meshgrid(..., indexing="ij") order
+        index = np.unravel_index(np.arange(start, min(start + grid.chunk, total)), shape)
+        reals = axis[np.stack(index, axis=1)]
+        block = reals[:, :u_count] + 1j * reals[:, u_count:]
+        block = block[np.linalg.norm(block, axis=1) <= grid.radius + 1e-12]
         vecs = rho_reg_vec[None, :] + block @ null_basis.T
         rhos = np.transpose(vecs.reshape(-1, s_dim, s_dim), (0, 2, 1))
         herm = np.max(np.abs(rhos - np.conj(np.transpose(rhos, (0, 2, 1)))), axis=(1, 2))

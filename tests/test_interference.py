@@ -158,6 +158,18 @@ class TestFormFactor:
         for m in range(1, 9):
             assert np.max(np.abs(form_factor(eta, m))) <= m + 1e-9
 
+    @pytest.mark.parametrize("m", (3, 5, 8))
+    @pytest.mark.parametrize("delta", (1.5e-6, 1e-5, 1e-3))
+    def test_full_precision_near_removable_singularities(self, m, delta):
+        # sin(m eta) / sin(eta) cancels here: m * eta rounds to ~|m eta| eps
+        # while sin(m eta) is only ~m delta
+        mpmath = pytest.importorskip("mpmath")
+        for k in (-3, 1, 2, 7):
+            eta = k * np.pi + delta
+            with mpmath.workdps(40):
+                exact = float(mpmath.sin(m * mpmath.mpf(eta)) / mpmath.sin(mpmath.mpf(eta)))
+            assert form_factor(eta, m) == pytest.approx(exact, rel=1e-14, abs=0)
+
 
 class TestJointStateMomentum:
     def test_no_coupling_factorizes(self):

@@ -5,6 +5,7 @@ import pytest
 
 from qmodes.interference import (
     DetectorParams,
+    JointState,
     SlitParams,
     joint_state_coordinate,
     joint_state_momentum,
@@ -12,7 +13,7 @@ from qmodes.interference import (
     slit_centers,
     spot_centers,
 )
-from qmodes.numerics import make_grid, quadrature
+from qmodes.numerics import make_grid, quadrature, trapezoid_weights
 from qmodes.schmidt import (
     InvalidWeightsError,
     analytic_two_slit_schmidt,
@@ -215,6 +216,46 @@ class TestNumericalSchmidt:
         dec = numerical_schmidt(joint_state_momentum(slits, det, *momentum_grids(512, half=12.0)))
         assert dec.degenerate
         assert np.allclose(dec.weights, 0.5, atol=1e-10)
+
+    @pytest.mark.parametrize("n", (1024, 8192))
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_gram_oracle_sweep(self, m, n):
+        pg, dg = momentum_grids(n)
+        slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
+        for b in (0.0, 0.3, 0.7, 1.5):
+            dec = numerical_schmidt(joint_state_momentum(slits, DetectorParams(b, 0.5), pg, dg))
+            rank = m if b > 0 else 1
+            assert len(dec.weights) == rank
+            oracle = gram_weights_oracle(m, A, SIGMA, b, 0.5)
+            assert np.max(np.abs(dec.weights - oracle[:rank])) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(40, 2, None), (40, 40, None), (40, 30, 3)])
+    def test_generic_complex_state_matches_dense_svd(self, shape):
+        """Dense states (identity right factor) and a complex factor pair."""
+        n_x, n_xi, rank = shape
+        rng = np.random.default_rng(n_xi)
+        pg, dg = make_grid(0.0, 3.0, n_x), make_grid(1.0, 2.0, n_xi)
+        cols = n_xi if rank is None else rank
+        left = rng.normal(size=(n_x, cols)) + 1j * rng.normal(size=(n_x, cols))
+        right = None if rank is None else rng.normal(size=(n_xi, rank)) + 1j * rng.normal(size=(n_xi, rank))
+        state = JointState(pg, dg, left, "momentum", right)
+        state = JointState(pg, dg, state.left / state.norm(), "momentum", state.right)
+        dec = numerical_schmidt(state, threshold=0.0)
+
+        kept = min(n_x, n_xi) if rank is None else rank
+        assert len(dec.weights) == kept
+        psi = state.amplitudes
+        wx, wxi = trapezoid_weights(pg), trapezoid_weights(dg)
+        s = np.linalg.svd(np.sqrt(wx)[:, None] * psi * np.sqrt(wxi), compute_uv=False)
+        assert np.max(np.abs(dec.weights - s[:kept] ** 2)) < 1e-13
+        assert dec.weights.sum() == pytest.approx(1.0, rel=1e-13)
+        phi = np.stack([mode.amplitudes for mode in dec.particle_modes], axis=1)
+        chi = np.stack([mode.amplitudes for mode in dec.detector_modes], axis=1)
+        for modes, w in ((phi, wx), (chi, wxi)):
+            overlaps = modes.T @ (w[:, None] * modes.conj())
+            assert np.max(np.abs(overlaps - np.eye(modes.shape[1]))) < 1e-12
+        rebuilt = (phi * np.sqrt(dec.weights)) @ chi.T
+        assert np.max(np.abs(rebuilt - psi)) < 1e-12 * np.max(np.abs(psi))
 
 
 class TestMeasures:
