@@ -1,11 +1,12 @@
 """Schmidt-mode analysis of interfering quantum states.
 
-Subpackages cover shared numerics (grids, quadrature, Fourier, SVD/eigh),
-multi-slit interference with a which-way detector, Schmidt decomposition
-and information measures, visibility/coherence coupling, double-well
-tunneling with the ammonia application, and SVD-based measurement-protocol
-analysis.  The ``qmodes`` command-line tool reproduces the reference
-figure data; see ``qmodes list``.
+Subpackages cover shared numerics (grids, quadrature, Fourier, Hermitian
+eigh), multi-slit interference with a which-way detector, Schmidt
+decomposition and information measures, visibility/coherence coupling,
+double-well tunneling with the ammonia application, and SVD-based
+measurement-protocol analysis.  The ``qmodes`` command-line tool reproduces
+the reference figure data; see ``qmodes list``.  The package needs numpy and
+the standard library only.
 """
 
 from . import coherence, interference, numerics, scenarios, schmidt, tomography, tunneling

@@ -71,24 +71,13 @@ class VisibilityReport:
     s: float
 
 
-def _parabolic_refine(y: np.ndarray, idx: int) -> float:
-    """Vertex value of the parabola through three samples around idx."""
-    if idx == 0 or idx == len(y) - 1:
-        return float(y[idx])
-    y0, y1, y2 = y[idx - 1], y[idx], y[idx + 1]
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return float(y1)
-    return float(y1 - (y2 - y0) ** 2 / (8.0 * denom))
-
-
 def visibility_from_intensity(density: SampledWave, a: float, sigma_x: float) -> float:
     """Fringe visibility (I_max - I_min) / (I_max + I_min) of a two-slit pattern.
 
-    The Gaussian envelope exp(-2 sigma_x^2 p^2) is divided out first; the
-    central extremum and its neighbours at |p| ~ pi/(2a) are then located
-    on the grid and refined parabolically.  Requires at least
-    16 samples per fringe period pi/a.
+    The Gaussian envelope exp(-2 sigma_x^2 p^2) is divided out and
+    A + B cos(2 a p) + C sin(2 a p) is fitted by linear least squares over
+    the central window |p| <= 3 pi/(4a); V = hypot(B, C) / A.  Requires at
+    least 16 samples per fringe period pi/a.
     """
     if not a > 0:
         raise ValueError(f"slit half-spacing must be positive, got {a}")
@@ -103,12 +92,14 @@ def visibility_from_intensity(density: SampledWave, a: float, sigma_x: float) ->
     window = np.abs(p) <= 0.75 * period
     if np.count_nonzero(window) < 5:
         raise UnresolvedFringesError("central fringe window not covered by the grid")
-    flat = np.real(density.amplitudes[window]) / np.exp(-2.0 * sigma_x**2 * p[window] ** 2)
-    i_max = _parabolic_refine(flat, int(np.argmax(flat)))
-    i_min = _parabolic_refine(flat, int(np.argmin(flat)))
-    if i_max + i_min <= 0:
+    p = p[window]
+    flat = np.real(density.amplitudes[window]) / np.exp(-2.0 * sigma_x**2 * p**2)
+    # normal equations: the three columns are far from dependent over 1.5 periods
+    basis = np.vstack((np.ones_like(p), np.cos(2.0 * a * p), np.sin(2.0 * a * p)))
+    mean, cos_part, sin_part = np.linalg.solve(basis @ basis.T, basis @ flat)
+    if mean <= 0:
         raise ValueError("intensity pattern is not positive on the central window")
-    return float(np.clip((i_max - i_min) / (i_max + i_min), 0.0, 1.0))
+    return float(np.clip(np.hypot(cos_part, sin_part) / mean, 0.0, 1.0))
 
 
 def qubit_coherence_state(model: CoherenceModel, particle_grid: Grid1D) -> JointState:

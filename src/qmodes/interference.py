@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Grid1D, SampledWave, quadrature, trapezoid_weights
+from .numerics import Grid1D, SampledWave, trapezoid_weights
 
 __all__ = [
     "COORDINATE",
@@ -281,8 +281,3 @@ def marginal_coordinate_density(state: JointState) -> SampledWave:
     if state.representation != COORDINATE:
         raise WrongRepresentationError("marginal_coordinate_density needs a coordinate-space state")
     return _particle_marginal(state)
-
-
-def marginal_integral(density: SampledWave) -> float:
-    """Trapezoid integral of a marginal density over its own grid."""
-    return float(quadrature(density.amplitudes, density.grid).real)

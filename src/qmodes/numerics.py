@@ -1,5 +1,5 @@
-"""Uniform grids, trapezoid quadrature, unitary Fourier transforms and
-dense linear-algebra wrappers shared by every other module.
+"""Uniform grids, trapezoid quadrature, unitary Fourier transforms and a
+checked Hermitian eigensolver shared by every other module.
 
 All quantities are dimensionless (hbar = 1).  The Fourier convention is
 the unitary one,
@@ -23,13 +23,11 @@ __all__ = [
     "GridLeakageError",
     "NonHermitianError",
     "make_grid",
-    "default_half_width",
     "trapezoid_weights",
     "quadrature",
     "conjugate_grid",
     "fourier_to_momentum",
     "fourier_to_position",
-    "svd",
     "eigh",
 ]
 
@@ -107,11 +105,6 @@ def make_grid(center: float, half_width: float, n_points: int) -> Grid1D:
     if not half_width > 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
     return Grid1D(n_points, center - half_width, center + half_width)
-
-
-def default_half_width(extent: float, sigma: float) -> float:
-    """Half-width covering features out to |x| = extent plus 8 sigma of tail."""
-    return abs(extent) + 8.0 * sigma
 
 
 def trapezoid_weights(grid: Grid1D) -> np.ndarray:
@@ -203,17 +196,6 @@ def fourier_to_position(
     back = np.fft.ifft(modulated) * n
     out = (pgrid.spacing / np.sqrt(2.0 * np.pi)) * np.exp(1j * pgrid.x_min * target.points) * back
     return SampledWave(target, out)
-
-
-def svd(matrix, full_matrices: bool = False):
-    """Singular value decomposition M = U diag(s) V^dagger.
-
-    Returns (U, s, V) with s non-negative and descending.  Note V, not its
-    conjugate transpose, is returned.
-    """
-    m = np.asarray(matrix)
-    u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
-    return u, s, vh.conj().T
 
 
 def eigh(matrix, hermiticity_tol: float = 1e-12):

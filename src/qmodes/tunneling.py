@@ -20,8 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .numerics import Grid1D, eigh
 
@@ -60,6 +58,21 @@ AMMONIA_EQUILIBRIUM = 0.699
 AMMONIA_SPLITTING = 0.00665
 
 OVERLAP_VALIDITY = 0.01
+
+# Shift-invert Lanczos for the finite-difference levels.  A Ritz pair is
+# converged when its residual is <= LANCZOS_TOL * mu.  A scan block of the
+# tridiagonal solves restarts once its running product has fallen by
+# e^-SCAN_LOG_DROP (about 1e-217), far above the float underflow threshold.
+# The closing Sturm count is taken STURM_MARGIN (relative) below the highest
+# level found, well outside the Ritz error of about LANCZOS_TOL.  The start
+# vector first takes START_POWER_STEPS inverse-power steps: each costs one
+# solve and saves about one Lanczos step with its reorthogonalisation and
+# Ritz check (16 -> 12 steps for the ammonia wells at n = 2048).
+_LANCZOS_TOL = 1e-13
+_LANCZOS_MAX_STEPS = 300
+_START_POWER_STEPS = 4
+_SCAN_LOG_DROP = 500.0
+_STURM_MARGIN = 1e-9
 
 
 class DegenerateWellError(ValueError):
@@ -102,6 +115,11 @@ class WellDerived:
     omega0: float
     sigma_x: float
     overlap: float
+
+    @property
+    def log_overlap(self) -> float:
+        """log of the overlap, -a^2/(2 sigma_x^2): finite where ``overlap`` underflows to 0."""
+        return -(self.a**2) / (2.0 * self.sigma_x**2)
 
 
 @dataclass(frozen=True)
@@ -208,7 +226,10 @@ def two_level_energies(derived: WellDerived, well: DoubleWell) -> TwoLevelEnergi
     alpha a^2 for sigma^2 = 1/(2 m omega0)), the bracket is
     alpha (3a^2/4 + 3 sigma^2/2), so
 
-        E1 - E0 = (3 alpha/2) eps (a^2 + 2 sigma^2) / (1 - eps^2) > 0.
+        E1 - E0 = (3 alpha/2) eps (a^2 + 2 sigma^2) / (1 - eps^2) > 0,
+
+    evaluated in log space from ``derived.log_overlap``, so a splitting in
+    the subnormal range keeps its value where eps itself underflows.
     """
     a, sx, m = derived.a, derived.sigma_x, well.mass
     eps = derived.overlap
@@ -226,19 +247,16 @@ def two_level_energies(derived: WellDerived, well: DoubleWell) -> TwoLevelEnergi
     cross = -well.alpha * sx**2 / 2.0 + 3.0 * well.beta * sx**4 / 4.0
     u0 = c0_sq * (base + eps * cross)
     u1 = c1_sq * (base - eps * cross)
-    splitting = 1.5 * well.alpha * eps * (a**2 + 2.0 * sx**2) / ((1.0 - eps) * (1.0 + eps))
+    splitting = math.exp(_log_splitting(well.alpha, a, sx**2, derived.log_overlap))
     return TwoLevelEnergies(c0_sq, c1_sq, t0, t1, u0, u1, u0 + t0, u1 + t1, splitting)
 
 
-def _log_splitting(alpha: float, a: float, mass: float) -> float:
-    """log(E1 - E0) of the well (alpha, alpha/a^2, mass), closed form as in
-    ``two_level_energies`` with log eps = -a^2/(2 sigma^2) taken analytically,
-    so it stays finite where eps underflows."""
-    sigma_sq = 1.0 / (2.0 * mass * math.sqrt(2.0 * alpha / mass))
-    log_eps = -(a**2) / (2.0 * sigma_sq)
+def _log_splitting(alpha: float, a: float, sigma_sq: float, log_eps: float) -> float:
+    """log(E1 - E0) = log eps + log(1.5 alpha (a^2 + 2 sigma^2)) - log1p(-eps^2),
+    the closed form of ``two_level_energies``, finite where eps underflows."""
     return (
-        math.log(1.5 * alpha * (a**2 + 2.0 * sigma_sq))
-        + log_eps
+        log_eps
+        + math.log(1.5 * alpha * (a**2 + 2.0 * sigma_sq))
         - math.log1p(-math.exp(2.0 * log_eps))
     )
 
@@ -252,8 +270,8 @@ def fit_potential(
     """Well parameters (alpha, beta) reproducing equilibrium a and splitting E1 - E0.
 
     The constraint beta = alpha / a^2 pins the equilibrium exactly and the
-    splitting is solved by 1-D bracketing and root refinement in alpha
-    (the splitting decreases monotonically with alpha at fixed a).  The
+    splitting is solved by bisection in alpha (the splitting decreases
+    monotonically with alpha at fixed a) down to adjacent floats.  The
     objective is log(E1 - E0) - log(target), from the closed-form splitting
     of ``two_level_energies``: it has no cancellation and stays finite where
     the overlap underflows.  The fitted well must satisfy the two-level
@@ -264,19 +282,29 @@ def fit_potential(
     log_target = math.log(delta_e_target)
 
     def objective(alpha: float) -> float:
-        return _log_splitting(alpha, a_target, mass) - log_target
+        sigma_sq = 1.0 / (2.0 * mass * math.sqrt(2.0 * alpha / mass))
+        log_eps = -(a_target**2) / (2.0 * sigma_sq)
+        return _log_splitting(alpha, a_target, sigma_sq, log_eps) - log_target
 
     lo = 1e-4
-    if objective(lo) < 0:
+    f_lo = objective(lo)
+    if f_lo < 0:
         raise FitError(f"splitting target {delta_e_target} unreachable: too large at alpha={lo}")
     hi = 1.0
     for _ in range(80):
-        if objective(hi) < 0:
+        f_hi = objective(hi)
+        if f_hi < 0:
             break
         hi *= 2.0
     else:
         raise FitError(f"no bracket found for splitting target {delta_e_target}")
-    alpha = brentq(objective, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = objective(mid)
+        if f_mid < 0:
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+    alpha = lo if f_lo <= -f_hi else hi
     well = DoubleWell(alpha, alpha / a_target**2, mass)
     derived = derive_well(well)
     if derived.overlap >= overlap_limit:
@@ -284,9 +312,11 @@ def fit_potential(
             f"fitted well has overlap {derived.overlap:.3g} >= {overlap_limit}; "
             "two-level model invalid"
         )
-    achieved = two_level_energies(derived, well).splitting
-    if abs(achieved - delta_e_target) > 1e-10 * delta_e_target:
-        raise FitError(f"root refinement stalled: achieved {achieved}, wanted {delta_e_target}")
+    achieved = _log_splitting(alpha, derived.a, derived.sigma_x**2, derived.log_overlap)
+    if abs(achieved - log_target) > 1e-10:
+        raise FitError(
+            f"bisection stalled: achieved {math.exp(achieved)}, wanted {delta_e_target}"
+        )
     return well
 
 
@@ -302,19 +332,161 @@ def splitting_to_frequency(delta_e: float) -> float:
     return delta_e * GHZ_PER_MODEL_UNIT
 
 
+def _running_products(c: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Running products q of (1, c_0, c_1, ...), restarted at each block edge.
+
+    The recurrence y_0 = b_0, y_i = b_i + c_{i-1} y_{i-1} has, in the block
+    [s, t), y_i = q_i (y_{s-1} + sum_{j=s..i} b_j / q_j): a cumprod/cumsum
+    scan.  With 0 < c <= 1 the product decays like the tunnelling factor of
+    the potential and would underflow over a wide box or for a heavy
+    particle, so a new block starts each time it has fallen by another
+    e^-SCAN_LOG_DROP.
+    """
+    c = np.concatenate(([1.0], c))
+    decay = np.cumsum(np.log(c))
+    cuts = np.flatnonzero(np.diff(np.floor(decay / -_SCAN_LOG_DROP))) + 1
+    edges = [0, *cuts.tolist(), c.size]
+    q = np.concatenate([np.cumprod(c[s:t]) for s, t in zip(edges[:-1], edges[1:])])
+    return q, edges
+
+
+def _accumulate(scaled: np.ndarray, q: np.ndarray, edges: list[int]) -> np.ndarray:
+    """In place, b_i / q_i -> y_i / q_i for the recurrence of ``_running_products``."""
+    for s, t in zip(edges[:-1], edges[1:]):
+        np.cumsum(scaled[s:t], out=scaled[s:t])
+        if s:
+            scaled[s:t] += q[s - 1] * scaled[s - 1]  # carry y_{s-1} into the block
+    return scaled
+
+
+def _pivots(excess: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """LDL^T pivots of A = diag(c_{i-1} + c_i + excess_i) - offdiag(c).
+
+    With p_i = c_i + r_i the recurrence reads r_{i+1} = excess_{i+1}
+    + c_i r_i / p_i (c_{-1} = c_{n-1} = 0).  Every term is non-negative, so
+    no digit of the O(1) excess is lost against the O(1/dx^2) coupling, as it
+    would be in d_{i+1} - c_i^2 / p_i.
+    """
+    pivots = []
+    r = c_prev = 0.0
+    p = 1.0
+    for h, c in zip(excess.tolist(), [*coupling.tolist(), 0.0]):
+        r = h + c_prev * r / p
+        p = c + r
+        pivots.append(p)
+        c_prev = c
+    return np.array(pivots)
+
+
+def _count_below(excess: np.ndarray, coupling: np.ndarray, x: float) -> int:
+    """Sturm count: eigenvalues of A below x, the negative pivots of A - x.
+
+    The recurrence of ``_pivots`` with excess - x; a pivot within pivmin of
+    zero is replaced by -pivmin, as in LAPACK's bisection.
+    """
+    pivmin = float(np.finfo(float).tiny) * max(1.0, float(np.max(coupling, initial=0.0)) ** 2)
+    count = 0
+    r = c_prev = 0.0
+    p = 1.0
+    for h, c in zip((excess - x).tolist(), [*coupling.tolist(), 0.0]):
+        r = h + c_prev * r / p
+        p = c + r
+        if p < pivmin:
+            if p > -pivmin:
+                p, r = -pivmin, -c
+            count += 1
+        c_prev = c
+    return count
+
+
+def _lowest_levels_above(excess: np.ndarray, coupling: np.ndarray, k: int) -> np.ndarray:
+    """k lowest eigenvalues of A = diag(c_{i-1} + c_i + excess_i) - offdiag(c).
+
+    A is a diagonally dominant tridiagonal matrix with coupling c > 0 and
+    excess >= 0 (a symmetric tridiagonal T shifted by its Gershgorin lower
+    bound sigma, the signs of its off-diagonal being immaterial), so it is
+    positive definite and its LDL^T multipliers l_i = -c_i / p_i satisfy
+    |l_i| <= 1.  Shift-invert Lanczos (Ericsson & Ruhe 1980): the largest
+    eigenvalues mu of A^-1 give lambda = 1/mu.  Each solve with A is two
+    first-order recurrences.  The fixed start vector is filtered by a few
+    inverse-power steps; the Lanczos basis is fully reorthogonalised twice
+    per step, and the iteration stops once the top-k Ritz residuals are
+    <= LANCZOS_TOL * mu.  A Sturm count then confirms that no level below
+    lambda_{k-1} was missed.
+    """
+    n = excess.size
+    p = _pivots(excess, coupling)
+    if not np.all(p > 0.0):
+        raise np.linalg.LinAlgError("shifted Hamiltonian is singular")
+    # L y = b runs forward and L^T x = y / p backward, both with c = coupling / p
+    c = coupling / p[:-1]
+    q_fwd, edges_fwd = _running_products(c)
+    q_bwd, edges_bwd = _running_products(c[::-1])
+    inv_q_fwd = 1.0 / q_fwd
+    between = (q_fwd / p)[::-1] / q_bwd
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        y_scaled = _accumulate(b * inv_q_fwd, q_fwd, edges_fwd)
+        x_scaled = _accumulate(y_scaled[::-1] * between, q_bwd, edges_bwd)
+        return (q_bwd * x_scaled)[::-1]
+
+    steps = min(n, _LANCZOS_MAX_STEPS)
+    # grown by doubling: a few dozen steps are typical, and every fresh page
+    # of an allocation costs a page fault
+    basis = np.empty((min(steps, 32), n))
+    ritz = np.zeros((len(basis), len(basis)))  # the projected tridiagonal
+    start = np.linspace(1.0, 2.0, n)  # fixed and not parity-symmetric: reruns are identical
+    for _ in range(_START_POWER_STEPS):
+        start = solve(start / np.linalg.norm(start))
+    basis[0] = start / np.linalg.norm(start)
+    for j in range(steps):
+        w = solve(basis[j])
+        for _ in range(2):
+            h = basis[: j + 1] @ w
+            w -= h @ basis[: j + 1]
+            ritz[j, j] += h[j]
+        beta = float(np.linalg.norm(w))
+        if j + 1 >= k:
+            mu, vectors = np.linalg.eigh(ritz[: j + 1, : j + 1])
+            if np.all(np.abs(beta * vectors[-1, -k:]) <= _LANCZOS_TOL * mu[-k:]):
+                break
+        if j + 1 == steps or beta == 0.0:
+            raise np.linalg.LinAlgError(f"Lanczos did not converge in {j + 1} steps")
+        if j + 1 == len(basis):
+            basis = np.concatenate((basis, np.empty_like(basis)))
+            ritz = np.pad(ritz, (0, len(ritz)))
+        ritz[j, j + 1] = ritz[j + 1, j] = beta
+        basis[j + 1] = w / beta
+    levels = 1.0 / mu[::-1][:k]
+    # below the top level by more than the Ritz and Sturm-count errors, so a
+    # numerically degenerate top pair is not mistaken for a missed level
+    below = levels[-1] * (1.0 - _STURM_MARGIN) - 64.0 * np.finfo(float).eps * float(np.max(excess))
+    if _count_below(excess, coupling, below) > k - 1:
+        raise np.linalg.LinAlgError("Lanczos missed a level below the highest one found")
+    return levels
+
+
 def lowest_levels(potential_values, mass: float, grid: Grid1D, n_levels: int = 2) -> np.ndarray:
     """Lowest eigenvalues of -(1/2m) d^2/dx^2 + U(x) by central differences.
 
     Dirichlet walls at the grid ends; the potential is sampled on the grid.
+    The tridiagonal Hamiltonian, diagonal 1/(m dx^2) + U and off-diagonal
+    -1/(2m dx^2), is shifted by its Gershgorin lower bound sigma and its
+    levels come from shift-invert Lanczos (``_lowest_levels_above``); no
+    eigenvector is formed.  Raises ``np.linalg.LinAlgError`` if the
+    iteration does not converge or misses a level.
     """
     u = np.asarray(potential_values, dtype=float)
     if u.shape[0] != grid.n_points:
         raise ValueError("potential samples do not match the grid")
-    dx = grid.spacing
-    diag = 1.0 / (mass * dx**2) + u
-    off = np.full(grid.n_points - 1, -1.0 / (2.0 * mass * dx**2))
-    values = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))[0]
-    return values
+    if not 1 <= n_levels <= grid.n_points:
+        raise ValueError(f"n_levels must lie in [1, {grid.n_points}], got {n_levels}")
+    coupling = np.full(grid.n_points - 1, 1.0 / (2.0 * mass * grid.spacing**2))
+    # the kinetic rows sum to zero except at the two walls
+    gershgorin = u.copy()
+    gershgorin[[0, -1]] += coupling[0]
+    sigma = float(np.min(gershgorin))
+    return sigma + _lowest_levels_above(gershgorin - sigma, coupling, n_levels)
 
 
 def grid_eigensolve(well: DoubleWell, grid: Grid1D) -> tuple[float, float]:

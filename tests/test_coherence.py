@@ -54,6 +54,25 @@ class TestVisibilityExtraction:
         v = visibility_from_intensity(SampledWave(g, pattern), A, SIGMA)
         assert v == pytest.approx(0.0, abs=1e-3)
 
+    @pytest.mark.parametrize("n", [1024, 2048])
+    @pytest.mark.parametrize("b", [0.3, 0.7])
+    def test_least_squares_fit_recovers_exact_modulation(self, n, b):
+        # the fig2 grids: the marginal is env * (1 + exp(-b^2/2 sigma_xi^2) cos 2ap)
+        # exactly, so the fit leaves only round-off
+        det = DetectorParams(b=b, sigma_xi=0.5)
+        grid = make_grid(0.0, 9.0, n)
+        state = joint_state_momentum(SLITS, det, grid, grid)
+        v = visibility_from_intensity(marginal_momentum_density(state), A, SIGMA)
+        assert v == pytest.approx(np.exp(-(b**2) / (2.0 * 0.5**2)), rel=0.0, abs=1e-12)
+
+    def test_fit_is_phase_blind(self):
+        # a shifted fringe keeps its visibility: the sine term carries the shift
+        g = fine_momentum_grid()
+        p = g.points
+        pattern = np.exp(-2 * SIGMA**2 * p**2) * (1.0 + 0.6 * np.cos(2.0 * A * p + 0.4))
+        v = visibility_from_intensity(SampledWave(g, pattern), A, SIGMA)
+        assert v == pytest.approx(0.6, abs=1e-12)
+
     def test_coarse_grid_rejected(self):
         g = make_grid(0.0, 10.0, 64)
         wave = SampledWave(g, two_slit_intensity(A, SIGMA, g.points))

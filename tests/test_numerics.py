@@ -14,7 +14,6 @@ from qmodes.numerics import (
     fourier_to_position,
     make_grid,
     quadrature,
-    svd,
     trapezoid_weights,
 )
 
@@ -159,38 +158,6 @@ class TestFourier:
         tilde = fourier_to_momentum(wave)
         with pytest.raises(ValueError):
             fourier_to_position(tilde, make_grid(0, 3, 512))
-
-
-class TestSvd:
-    def test_diagonal(self):
-        _, s, _ = svd(np.diag([3.0, 1.0]))
-        assert np.allclose(s, [3.0, 1.0])
-
-    def test_rank_one(self):
-        u = np.array([1.0, 1j]) / np.sqrt(2)
-        v = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
-        _, s, _ = svd(np.outer(u, v.conj()))
-        assert s[0] == pytest.approx(1.0, abs=1e-12)
-        assert s[1] < 1e-12
-
-    def test_reconstruction_random_complex(self):
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-        u, s, v = svd(m)
-        rebuilt = u @ np.diag(s) @ v.conj().T
-        assert np.linalg.norm(rebuilt - m) / np.linalg.norm(m) < 1e-10
-
-    def test_reconstruction_property(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            rows = int(rng.integers(1, 65))
-            cols = int(rng.integers(1, 65))
-            m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-            u, s, v = svd(m)
-            assert np.all(np.diff(s) <= 1e-12)
-            assert np.all(s >= 0)
-            rebuilt = u @ np.diag(s) @ v.conj().T
-            assert np.linalg.norm(rebuilt - m) <= 1e-10 * max(1.0, np.linalg.norm(m))
 
 
 class TestEigh:

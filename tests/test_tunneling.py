@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qmodes import tunneling
 from qmodes.numerics import make_grid
 from qmodes.tunneling import (
     AMMONIA_EQUILIBRIUM,
@@ -326,3 +327,92 @@ class TestTwoQubit:
             _, _, energies = paper_energies(AMMONIA_ISOTOPES[name].mass)
             splittings.append(energies.splitting)
         assert splittings[0] > splittings[1] > splittings[2]
+
+
+def lapack_levels(potential, mass, grid, n_levels):
+    """The same finite-difference levels from LAPACK, as an oracle."""
+    linalg = pytest.importorskip("scipy.linalg")
+    dx = grid.spacing
+    diag = 1.0 / (mass * dx**2) + potential
+    off = np.full(grid.n_points - 1, -1.0 / (2.0 * mass * dx**2))
+    return linalg.eigh_tridiagonal(
+        diag, off, select="i", select_range=(0, n_levels - 1), eigvals_only=True
+    )
+
+
+class TestLowestLevels:
+    @pytest.mark.parametrize("n", [2048, 8192])
+    @pytest.mark.parametrize("isotope", ["NH3", "ND3", "NT3"])
+    def test_ammonia_wells_match_lapack(self, isotope, n):
+        fitted = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, AMMONIA_ISOTOPES["NH3"].mass)
+        well = DoubleWell(fitted.alpha, fitted.beta, AMMONIA_ISOTOPES[isotope].mass)
+        grid = make_grid(0.0, 3.0 * derive_well(well).a, n)
+        u = well.potential(grid.points)
+        levels = lowest_levels(u, well.mass, grid)
+        np.testing.assert_allclose(levels, lapack_levels(u, well.mass, grid, 2), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "half_width, n",
+        [(12.0, 512), (12.0, 4096), (12.0, 8192), (40.0, 8192)],
+    )
+    def test_harmonic_levels_match_lapack(self, half_width, n):
+        # on +/-40 the running product of one unblocked scan falls far below
+        # the smallest float, so this case needs the restarted scan blocks
+        grid = make_grid(0.0, half_width, n)
+        u = 0.5 * 2.0 * grid.points**2
+        levels = lowest_levels(u, 1.0, grid, n_levels=4)
+        np.testing.assert_allclose(levels, lapack_levels(u, 1.0, grid, 4), rtol=0, atol=1e-10)
+
+    def test_numerically_degenerate_pair(self):
+        # splitting far below the float spacing of the levels: both copies
+        # are found and the Sturm check does not mistake them for a miss
+        well = DoubleWell(30.0, 10.0 / 3.0, 1.0)
+        grid = make_grid(0.0, 8.0, 2048)
+        u = well.potential(grid.points)
+        levels = lowest_levels(u, 1.0, grid)
+        assert levels[1] - levels[0] < 1e-12
+        np.testing.assert_allclose(levels, lapack_levels(u, 1.0, grid, 2), rtol=0, atol=1e-10)
+
+    def test_reruns_are_identical(self):
+        grid = make_grid(0.0, 2.5, 2048)
+        u = PAPER_WELL.potential(grid.points)
+        first = lowest_levels(u, PAPER_WELL.mass, grid)
+        assert np.array_equal(first, lowest_levels(u, PAPER_WELL.mass, grid))
+
+    def test_premature_stop_is_caught_by_the_sturm_count(self, monkeypatch):
+        monkeypatch.setattr(tunneling, "_LANCZOS_TOL", 1.0)
+        grid = make_grid(0.0, 12.0, 1024)
+        with pytest.raises(np.linalg.LinAlgError, match="missed a level"):
+            lowest_levels(grid.points**2, 1.0, grid, n_levels=4)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(tunneling, "_LANCZOS_MAX_STEPS", 3)
+        grid = make_grid(0.0, 12.0, 1024)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            lowest_levels(grid.points**2, 1.0, grid, n_levels=2)
+
+    def test_bad_level_count_rejected(self):
+        grid = make_grid(0.0, 12.0, 64)
+        with pytest.raises(ValueError):
+            lowest_levels(grid.points**2, 1.0, grid, n_levels=0)
+
+
+class TestUnderflowingOverlap:
+    def test_subnormal_splitting_target_fits(self):
+        well = fit_potential(5.0, 1e-320, 1.0)
+        derived = derive_well(well)
+        assert derived.overlap < 1e-300
+        assert np.isfinite(derived.log_overlap)
+
+    def test_log_overlap_stays_finite_where_overlap_underflows(self):
+        # true splitting 10^-372.5: 0.0 is the correct float
+        well = DoubleWell(50.0, 1.0, 3.0)
+        derived = derive_well(well)
+        assert derived.overlap == 0.0
+        assert derived.log_overlap == pytest.approx(-(derived.a**2) / (2.0 * derived.sigma_x**2))
+        assert np.isfinite(derived.log_overlap)
+        assert two_level_energies(derived, well).splitting == 0.0
+
+    def test_log_overlap_matches_overlap(self):
+        derived = derive_well(PAPER_WELL)
+        assert np.exp(derived.log_overlap) == pytest.approx(derived.overlap, rel=1e-15)
