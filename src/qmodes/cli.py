@@ -62,9 +62,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", type=Path, default=Path("qmodes-out"), help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="data file format")
     parser.add_argument("--grid-points", type=int, default=None, help="grid size (default 1024)")
-    parser.add_argument(
-        "--seed", type=int, default=None, help="reserved; all computations are deterministic"
-    )
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, names: list[str]):
@@ -78,7 +75,11 @@ def _add_param_flags(parser: argparse.ArgumentParser, names: list[str]):
             parser.add_argument(flag, type=float, default=None)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qmodes`` parser; for a named run ``command`` only its subparser
+    gets arguments, since argparse reads no other subparser's once the
+    command is chosen and building them all takes milliseconds."""
+    every = command != "figures" and command not in _PARAM_FLAGS
     parser = argparse.ArgumentParser(
         prog="qmodes",
         description="Interference, Schmidt-mode and tunneling scenario runner",
@@ -89,13 +90,15 @@ def _build_parser() -> argparse.ArgumentParser:
     list_p.set_defaults(scenario=None)
 
     figures = sub.add_parser("figures", help="run a named figure-data scenario")
-    figures.add_argument("name", help="scenario name, e.g. fig3 (see 'qmodes list')")
-    _add_common(figures)
+    if every or command == "figures":
+        figures.add_argument("name", help="scenario name, e.g. fig3 (see 'qmodes list')")
+        _add_common(figures)
 
-    for command, flags in _PARAM_FLAGS.items():
-        p = sub.add_parser(command, help=f"run the {command} scenario")
-        _add_common(p)
-        _add_param_flags(p, flags)
+    for name, flags in _PARAM_FLAGS.items():
+        p = sub.add_parser(name, help=f"run the {name} scenario")
+        if every or command == name:
+            _add_common(p)
+            _add_param_flags(p, flags)
     return parser
 
 
@@ -109,8 +112,8 @@ def _collect_params(args: argparse.Namespace, names: list[str]) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
 
     if args.command == "list":
         for name, summary in list_scenarios().items():
@@ -126,7 +129,6 @@ def main(argv: list[str] | None = None) -> int:
             config_values = parse_config(args.config)
             fmt = config_values.pop("format", fmt)
             grid_points = int(config_values.pop("grid_points", grid_points))
-            config_values.pop("seed", None)
             params.update(config_values)
         if args.command != "figures":
             params.update(_collect_params(args, _PARAM_FLAGS[args.command]))

@@ -5,6 +5,13 @@ Each scenario writes plot-ready two-column (or multi-column) CSV/JSON data
 files plus a JSON run report with the computed scalars.  Output is
 byte-identical across repeated runs with the same configuration; the wall
 time is echoed to the console but kept out of the serialized report.
+
+Data tables are float64 columns of equal length.  A CSV table is the
+comma-joined header line followed by one ``%.12g`` comma-separated line per
+row, every line ending in ``\\n``.  A JSON table is byte-equal to
+``json.dumps({"columns": names, "rows": rows}, indent=2, sort_keys=True)``
+plus ``\\n``, with ``NaN``, ``Infinity`` and ``-Infinity`` for non-finite
+values.  Reports and the other JSON files are written the same way.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from .numerics import Grid1D, make_grid, quadrature
 __all__ = ["ScenarioConfig", "RunReport", "run", "list_scenarios", "SCENARIOS"]
 
 FLOAT_FORMAT = "%.12g"
+# rows formatted per write: bounds the Python copy of a table at one block
+_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -73,19 +82,41 @@ class _Emitter:
         config.out_dir.mkdir(parents=True, exist_ok=True)
 
     def table(self, stem: str, names: list[str], columns: list[np.ndarray]) -> str:
-        if self.config.fmt == "csv":
-            name = f"{stem}.csv"
-            path = self.config.out_dir / name
-            rows = np.column_stack(columns)
-            lines = [",".join(names)]
-            for row in rows:
-                lines.append(",".join(FLOAT_FORMAT % v for v in row))
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        """Write equal-length real 1-D ``columns`` under ``names`` as one table."""
+        if len(names) != len(columns):
+            raise ValueError(f"table {stem!r}: {len(names)} names for {len(columns)} columns")
+        arrays = [np.asarray(c) for c in columns]
+        for label, col in zip(names, arrays):
+            if col.ndim != 1 or col.dtype.kind not in "biuf" or len(col) != len(arrays[0]):
+                raise ValueError(
+                    f"table {stem!r}: column {label!r} (shape {col.shape}, dtype {col.dtype}) "
+                    f"is not real, 1-D and as long as the first column {arrays[0].shape}"
+                )
+        table = np.column_stack(arrays).astype(np.float64, copy=False)
+        fmt = self.config.fmt
+        name = f"{stem}.{fmt}"
+        path = self.config.out_dir / name
+        if fmt == "json" and not (len(table) and np.isfinite(table).all()):
+            # json.dumps spells the empty list and NaN/Infinity
+            tomography.save_json(path, {"columns": names, "rows": table.tolist()})
         else:
-            name = f"{stem}.json"
-            path = self.config.out_dir / name
-            data = {"columns": names, "rows": [[float(v) for v in row] for row in zip(*columns)]}
-            tomography.save_json(path, data)
+            if fmt == "csv":
+                head, sep, tail = ",".join(names), "\n", "\n"
+                row = ",".join([FLOAT_FORMAT] * len(names))
+            else:
+                # repr(float) is the token json.dumps writes for a finite float
+                head = '{\n  "columns": ' + json.dumps(names, indent=2).replace("\n", "\n  ")
+                head += ',\n  "rows": ['
+                row = "    [\n      " + ",\n      ".join(["%r"] * len(names)) + "\n    ]"
+                sep, tail = ",\n", "\n  ]\n}\n"
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(head)
+                lead = "\n"
+                for start in range(0, len(table), _BLOCK_ROWS):
+                    block = table[start : start + _BLOCK_ROWS].tolist()
+                    fh.write(lead + sep.join([row % tuple(values) for values in block]))
+                    lead = sep
+                fh.write(tail)
         self.files.append(name)
         return name
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qmodes import scenarios
-from qmodes.cli import main
+from qmodes.cli import _PARAM_FLAGS, _build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -82,3 +82,61 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_seed_flag_is_rejected_by_argparse(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["figures", "fig3", "--seed", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_seed_config_line_is_an_unknown_parameter(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 1\n", encoding="utf-8")
+    assert main(["figures", "fig3", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown parameters for 'fig3': ['seed']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("slits", ["--m", "--a", "--sigma-x", "--sigma-xi"]),
+        ("ammonia", ["--isotope", "--mass"]),
+        ("figures", ["name"]),
+    ],
+)
+def test_command_help_lists_its_flags(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag in [*flags, "--config", "--out", "--format", "--grid-points"]:
+        assert flag in out, flag
+    assert "--seed" not in out
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    commands = ["list", "figures", *_PARAM_FLAGS]
+    assert len(commands) == 9
+    assert "{" + ",".join(commands) + "}" in out
+    for command in _PARAM_FLAGS:
+        assert f"run the {command} scenario" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figures", "fig3", "--grid-points", "64", "--format", "json"],
+        ["slits", "--m", "5", "--a", "2.5", "--out", "x"],
+        ["ammonia", "--isotope", "ND3", "--mass", "3"],
+        ["qubits", "--n-sweep", "5", "--g0-max", "1e-3"],
+        ["tomography", "--n-points", "8", "--config", "c.cfg"],
+    ],
+)
+def test_single_command_parser_parses_as_the_full_parser(argv):
+    assert _build_parser(argv[0]).parse_args(argv) == _build_parser().parse_args(argv)

@@ -51,3 +51,36 @@ def test_repeated_runs_are_byte_identical(tmp_path):
 def test_unknown_parameter_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown parameters"):
         run("fig3", tmp_path, bogus=1.0)
+
+
+# golden scalars of the remaining catalog scenarios at the CLI's default grid
+def run_1024(name, out_dir):
+    return scenarios.run(scenarios.ScenarioConfig(name, out_dir, "json", 1024)).scalars
+
+
+def test_ammonia_two_level_splittings(tmp_path):
+    s = run_1024("ammonia", tmp_path)
+    assert s["frequency_ghz_NH3"] == pytest.approx(24.0, abs=0.05)
+    assert s["frequency_ghz_ND3"] == pytest.approx(1.50, abs=0.005)
+    assert s["frequency_ghz_NT3"] == pytest.approx(0.278, abs=0.0005)
+
+
+def test_fig7_schmidt_number_at_zero_and_quarter_source(tmp_path):
+    s = run_1024("fig7", tmp_path)
+    assert s["schmidt_number_y0"] == pytest.approx(1.0, abs=1e-12)
+    assert s["schmidt_number_y025"] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_fig10_uncoupled_qubits_are_a_product_state(tmp_path):
+    assert run_1024("fig10", tmp_path)["schmidt_number_g0_0"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tomography_demo_completeness(tmp_path):
+    s = run_1024("tomography-demo", tmp_path)
+    assert s["pure_k_max"] == 1.0
+    assert s["scan_purity_min"] == pytest.approx(0.5, abs=1e-12)
+    assert s["scan_purity_max"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_coherence_visibility_schmidt_coupling_is_exact(tmp_path):
+    assert run_1024("coherence", tmp_path)["max_coupling_gap"] <= 1e-12
