@@ -3,8 +3,9 @@
 Subpackages cover shared numerics (grids, quadrature, Fourier, Hermitian
 eigh), multi-slit interference with a which-way detector, Schmidt
 decomposition and information measures, visibility/coherence coupling,
-double-well tunneling with the ammonia application, and SVD-based
-measurement-protocol analysis.  The ``qmodes`` command-line tool reproduces
+double-well tunneling with the ammonia application (two-level closed forms
+checked against sinc-DVR levels), and SVD-based measurement-protocol
+analysis with the closed-form range of qubit completions.  The ``qmodes`` command-line tool reproduces
 the reference figure data; see ``qmodes list``.  The package needs numpy and
 the standard library only.
 """

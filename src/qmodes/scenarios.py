@@ -344,7 +344,7 @@ def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
     }
 
 
-def _ammonia_rows(isotopes, fit_mass: float, n_grid: int):
+def _ammonia_rows(isotopes, fit_mass: float):
     well = tunneling.fit_potential(
         tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, fit_mass
     )
@@ -353,8 +353,7 @@ def _ammonia_rows(isotopes, fit_mass: float, n_grid: int):
         iso_well = tunneling.DoubleWell(well.alpha, well.beta, iso.mass)
         derived = tunneling.derive_well(iso_well)
         energies = tunneling.two_level_energies(derived, iso_well)
-        grid = make_grid(0.0, 3.0 * derived.a, n_grid)
-        fd_e0, fd_e1 = tunneling.grid_eigensolve(iso_well, grid)
+        fd_e0, fd_e1 = tunneling.grid_eigensolve(iso_well)
         rows.append(
             {
                 "isotope": iso.name,
@@ -381,16 +380,10 @@ def _run_ammonia(config: ScenarioConfig, emit: _Emitter) -> dict:
     else:
         isotopes = [table[k] for k in ("NH3", "ND3", "NT3")]
     fit_mass = params.get("mass", table["NH3"].mass)
-    well, rows = _ammonia_rows(isotopes, fit_mass, max(config.grid_points, 2048))
+    well, rows = _ammonia_rows(isotopes, fit_mass)
     names = list(rows[0])
     names.remove("isotope")
     cols = [np.array([float(r[k]) for r in rows]) for k in names]
-    emit.json_file(
-        f"{config.name}_table",
-        {"isotopes": [r["isotope"] for r in rows], "columns": names, "rows": [
-            [float(r[k]) for k in names] for r in rows
-        ]},
-    )
     emit.table(f"{config.name}_splittings", names, cols)
     scalars = {"alpha": well.alpha, "beta": well.beta, "fit_mass": fit_mass}
     for r in rows:
@@ -450,7 +443,7 @@ def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
     analysis = tomography.analyze(populations)
     pure = tomography.reconstruct(analysis, np.array([1.0, 0.0]))
     mixed = tomography.reconstruct(analysis, np.array([0.5, 0.5]))
-    scan = tomography.scan_completions(analysis, np.array([0.5, 0.5]))
+    purity_min, purity_max = tomography.completion_purity_range(analysis, np.array([0.5, 0.5]))
     emit.json_file(f"{config.name}_populations_protocol", tomography.protocol_to_dict(populations))
     emit.json_file(f"{config.name}_populations_pure_report", tomography.report_to_dict(pure))
     emit.json_file(f"{config.name}_populations_mixed_report", tomography.report_to_dict(mixed))
@@ -470,9 +463,8 @@ def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
         "pure_k_max": pure.k_max,
         "pure_class": pure.completeness_class,
         "mixed_k_max": mixed.k_max,
-        "scan_purity_min": scan.purity_min,
-        "scan_purity_max": scan.purity_max,
-        "scan_count": float(scan.count),
+        "scan_purity_min": purity_min,
+        "scan_purity_max": purity_max,
         "interference_rank": float(ianalysis.rank),
         "interference_k_max": ireport.k_max,
         "interference_residual": ireport.residual,

@@ -13,8 +13,13 @@ on the Schmidt number of any entanglement between the system and its
 environment consistent with the data.  K_max = 1 certifies a pure state
 even from an incomplete protocol ("conditional completeness").
 
-Protocol matrices, measurement vectors and reports round-trip through
-JSON with complex numbers encoded as [re, im] pairs.
+For a qubit the physical completions of the data have a closed form: with
+rho = (I + r.sigma)/2 the data fix r to an affine subspace, and the
+completions are its intersection with the unit Bloch ball
+(``completion_purity_range``).
+
+Protocol matrices, measurement vectors and reports are written as JSON
+with complex numbers encoded as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -34,25 +39,20 @@ __all__ = [
     "ProtocolMatrix",
     "ProtocolAnalysis",
     "ReconstructionReport",
-    "CompletionGrid",
-    "ScanResult",
     "InadequateDataError",
     "ZeroFactorsError",
-    "DimensionalityError",
+    "QubitOnlyError",
     "vectorize",
     "devectorize",
     "analyze",
     "check_adequacy",
     "reconstruct",
-    "scan_completions",
+    "completion_purity_range",
     "interference_protocol",
     "protocol_to_dict",
-    "protocol_from_dict",
     "measurements_to_dict",
-    "measurements_from_dict",
     "report_to_dict",
     "save_json",
-    "load_json",
 ]
 
 UNCONDITIONALLY_COMPLETE = "unconditionally_complete"
@@ -60,9 +60,6 @@ CONDITIONALLY_COMPLETE = "conditionally_complete"
 INCOMPLETE = "incomplete"
 
 DEFAULT_RANK_THRESHOLD = 1e-10
-# product-grid points a completion scan may visit (21 points per axis
-# allow u = 2 undefined factors; u = 3 would be 21^6 ~ 86M)
-MAX_SCAN_CANDIDATES = 10**7
 DEFAULT_ADEQUACY_TOL = 1e-8
 DEFAULT_CONDITIONAL_TOL = 1e-6
 
@@ -83,8 +80,8 @@ class ZeroFactorsError(ValueError):
     """All defined factors vanish; K_max = 1/(f+ f) is undefined."""
 
 
-class DimensionalityError(ValueError):
-    """Too many undefined factors to scan exhaustively."""
+class QubitOnlyError(ValueError):
+    """The completion range is implemented for qubit protocols (s = 2) only."""
 
 
 @dataclass(frozen=True)
@@ -132,30 +129,6 @@ class ReconstructionReport:
     rho_regularized: np.ndarray
     k_max: float
     physical: bool
-
-
-@dataclass(frozen=True)
-class CompletionGrid:
-    """Scan grid over undefined factors: points per real axis on [-radius, radius]."""
-
-    points_per_dim: int = 21
-    radius: float = 1.0
-    eig_tol: float = EIGENVALUE_TOL
-    hermiticity_tol: float = HERMITICITY_TOL
-    chunk: int = 65536
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Physical completions found by scanning the undefined factors."""
-
-    states: np.ndarray
-    purity_min: float
-    purity_max: float
-
-    @property
-    def count(self) -> int:
-        return self.states.shape[0]
 
 
 def vectorize(rho) -> np.ndarray:
@@ -209,6 +182,16 @@ def _physical(rho: np.ndarray) -> bool:
     return bool(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) >= -EIGENVALUE_TOL)
 
 
+def _defined_factors(analysis: ProtocolAnalysis, p, tol: float) -> tuple[np.ndarray, float]:
+    """Defined factors Q_j / S_j, j <= rank, of adequate data, and the adequacy residual."""
+    adequate, residual = check_adequacy(analysis, p, tol)
+    if not adequate:
+        raise InadequateDataError(residual)
+    r = analysis.rank
+    q = analysis.u.conj().T @ np.asarray(p)
+    return q[:r] / analysis.singular_values[:r], residual
+
+
 def reconstruct(
     analysis: ProtocolAnalysis,
     p,
@@ -224,13 +207,10 @@ def reconstruct(
     complete; otherwise |K_max - 1| <= conditional_tol is conditionally
     complete, else incomplete.
     """
-    adequate, residual = check_adequacy(analysis, p, tol)
-    if not adequate:
-        raise InadequateDataError(residual)
+    defined, residual = _defined_factors(analysis, p, tol)
     r = analysis.rank
-    q = analysis.u.conj().T @ np.asarray(p)
     f = np.zeros(analysis.model_dim, dtype=complex)
-    f[:r] = q[:r] / analysis.singular_values[:r]
+    f[:r] = defined
     ff = float(np.real(f.conj() @ f))
     if ff <= 0.0:
         raise ZeroFactorsError("defined factors all vanish; K_max undefined")
@@ -254,64 +234,44 @@ def reconstruct(
     )
 
 
-def scan_completions(
-    analysis: ProtocolAnalysis,
-    p,
-    grid: CompletionGrid = CompletionGrid(),
-    tol: float = DEFAULT_ADEQUACY_TOL,
-) -> ScanResult:
-    """All physical states consistent with the data, on a factor-space grid.
+# column-stacked (I + r.sigma)/2 = _BLOCH_OFFSET + _BLOCH_MAP @ (x, y, z)
+_BLOCH_OFFSET = np.array([0.5, 0.0, 0.0, 0.5])
+_BLOCH_MAP = 0.5 * np.array([[0, 0, 1], [1, 1j, 0], [1, -1j, 0], [0, 0, -1]])
 
-    The undefined factors are swept over a product grid inside the ball
-    ||f_undef|| <= radius (radius 1 suffices: any density matrix has
-    Frobenius norm at most 1).  Completions that are Hermitian, unit-trace
-    and positive within tolerance are retained.  The grid is generated one
-    chunk at a time and may hold at most ``MAX_SCAN_CANDIDATES`` points.
+
+def completion_purity_range(
+    analysis: ProtocolAnalysis, p, tol: float = DEFAULT_ADEQUACY_TOL
+) -> tuple[float, float]:
+    """Least and greatest purity tr rho^2 of the physical qubit states fitting the data.
+
+    With rho = (I + r.sigma)/2, every Hermitian unit-trace state, the
+    defined factors V_r+ vec(rho) = f of ``reconstruct`` are a real affine
+    system in r, taken in real and imaginary rows.  Its least-norm solution
+    r0 is the completion nearest the maximally mixed state, d = |r0|, and
+    its eigenvalues are (1 -/+ d)/2.  The system's singular values lie in
+    [0, 1/sqrt 2], so those at most ``analysis.rank_threshold`` count as 0.
+    If the system leaves r free along some direction, the completions run
+    from purity (1 + d^2)/2 at r0 to 1 on the Bloch sphere; if it fixes r,
+    both ends are (1 + d^2)/2.  NaN, NaN means no completion: no Hermitian
+    unit-trace state fits within ``TRACE_TOL``, or the nearest one has an
+    eigenvalue below -``EIGENVALUE_TOL``.
     """
-    report = reconstruct(analysis, p, tol)
-    u_count = report.undefined_count
-    s_dim = int(round(np.sqrt(analysis.model_dim)))
-    rho_reg_vec = vectorize(report.rho_regularized)
-    if u_count == 0:
-        rho = report.rho_regularized
-        states = rho[None, :, :] if _physical(rho) else np.empty((0, s_dim, s_dim), complex)
-        purities = [float(np.sum(np.abs(rho) ** 2))] if states.shape[0] else []
-        lo = min(purities, default=np.nan)
-        hi = max(purities, default=np.nan)
-        return ScanResult(states, lo, hi)
-    shape = (grid.points_per_dim,) * (2 * u_count)
-    total = grid.points_per_dim ** (2 * u_count)
-    if total > MAX_SCAN_CANDIDATES:
-        raise DimensionalityError(
-            f"{u_count} undefined factors need {total} grid points; scan cap is {MAX_SCAN_CANDIDATES}"
-        )
-
-    axis = np.linspace(-grid.radius, grid.radius, grid.points_per_dim)
-    null_basis = analysis.v[:, analysis.rank :]
-    kept: list[np.ndarray] = []
-    for start in range(0, total, grid.chunk):
-        # this chunk's product-grid points, in meshgrid(..., indexing="ij") order
-        index = np.unravel_index(np.arange(start, min(start + grid.chunk, total)), shape)
-        reals = axis[np.stack(index, axis=1)]
-        block = reals[:, :u_count] + 1j * reals[:, u_count:]
-        block = block[np.linalg.norm(block, axis=1) <= grid.radius + 1e-12]
-        vecs = rho_reg_vec[None, :] + block @ null_basis.T
-        rhos = np.transpose(vecs.reshape(-1, s_dim, s_dim), (0, 2, 1))
-        herm = np.max(np.abs(rhos - np.conj(np.transpose(rhos, (0, 2, 1)))), axis=(1, 2))
-        traces = np.trace(rhos, axis1=1, axis2=2)
-        ok = (herm <= grid.hermiticity_tol) & (np.abs(traces - 1.0) <= TRACE_TOL)
-        if np.any(ok):
-            sub = rhos[ok]
-            sym = 0.5 * (sub + np.conj(np.transpose(sub, (0, 2, 1))))
-            evals = np.linalg.eigvalsh(sym)
-            ok2 = evals.min(axis=1) >= -grid.eig_tol
-            if np.any(ok2):
-                kept.append(sub[ok2])
-    if kept:
-        states = np.concatenate(kept, axis=0)
-        purities = np.sum(np.abs(states) ** 2, axis=(1, 2)).real
-        return ScanResult(states, float(purities.min()), float(purities.max()))
-    return ScanResult(np.empty((0, s_dim, s_dim), complex), np.nan, np.nan)
+    if analysis.model_dim != 4:
+        raise QubitOnlyError(f"completion range needs s = 2, got s^2 = {analysis.model_dim}")
+    factors, _ = _defined_factors(analysis, p, tol)
+    defined = analysis.v[:, : analysis.rank].conj().T
+    coeffs = defined @ _BLOCH_MAP
+    rhs = factors - defined @ _BLOCH_OFFSET
+    a = np.concatenate((coeffs.real, coeffs.imag))
+    b = np.concatenate((rhs.real, rhs.imag))
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    keep = sv > analysis.rank_threshold
+    r0 = vt[keep].T @ (u[:, keep].T @ b / sv[keep])
+    d = float(np.linalg.norm(r0))
+    if np.linalg.norm(a @ r0 - b) > TRACE_TOL or (1.0 - d) / 2.0 < -EIGENVALUE_TOL:
+        return np.nan, np.nan
+    least = (1.0 + d**2) / 2.0
+    return least, (max(least, 1.0) if np.count_nonzero(keep) < 3 else least)
 
 
 def two_slit_basis_functions(slits: SlitParams, x: np.ndarray, p: np.ndarray):
@@ -367,20 +327,13 @@ def interference_protocol(slits: SlitParams, n_points: int) -> ProtocolMatrix:
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange: complex numbers as [re, im] pairs.
+# JSON output: complex numbers as [re, im] pairs.
 
 
 def _complex_to_pairs(arr: np.ndarray):
     arr = np.asarray(arr, dtype=complex)
     stacked = np.stack([arr.real, arr.imag], axis=-1)
     return stacked.tolist()
-
-
-def _pairs_to_complex(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != 2:
-        raise ValueError("complex entries must be [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def protocol_to_dict(protocol: ProtocolMatrix) -> dict:
@@ -391,16 +344,8 @@ def protocol_to_dict(protocol: ProtocolMatrix) -> dict:
     }
 
 
-def protocol_from_dict(data: dict) -> ProtocolMatrix:
-    return ProtocolMatrix(_pairs_to_complex(data["b"]), int(data["s"]))
-
-
 def measurements_to_dict(p) -> dict:
     return {"p": np.asarray(p, dtype=float).tolist()}
-
-
-def measurements_from_dict(data: dict) -> np.ndarray:
-    return np.asarray(data["p"], dtype=float)
 
 
 def report_to_dict(report: ReconstructionReport) -> dict:
@@ -418,7 +363,3 @@ def report_to_dict(report: ReconstructionReport) -> dict:
 
 def save_json(path, data: dict):
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def load_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -5,7 +5,11 @@ The well U(x) = -alpha x^2/2 + beta x^4/4 has minima at +/-a with
 a = sqrt(alpha/beta); Gaussian states of width sigma_x^2 = 1/(2 m omega_0)
 sit in each, with omega_0 = sqrt(2 alpha / m).  Symmetric/antisymmetric
 combinations give ground and excited levels whose splitting E1 - E0 is the
-tunnel (inversion) frequency.
+tunnel (inversion) frequency.  ``grid_eigensolve`` gives the exact levels of
+the same well, converged in a sinc discrete variable representation, against
+which the two-level ones are compared.  The ammonia report keys
+``fd_delta_e``/``fd_frequency_ghz_*`` hold these grid levels; "fd" is kept from
+the finite-difference solver they once came from.
 
 Ammonia units: masses in atomic mass units (1.66e-27 kg), lengths in Bohr
 radii (0.529 Angstrom), so one model energy unit is hbar^2/(m0 a0^2) =
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Grid1D, eigh
+from .numerics import Grid1D, eigh, make_grid
 
 __all__ = [
     "DoubleWell",
@@ -36,6 +40,7 @@ __all__ = [
     "GHZ_PER_MODEL_UNIT",
     "DegenerateWellError",
     "InsufficientGridError",
+    "UnresolvedSplittingError",
     "FitError",
     "derive_well",
     "two_level_energies",
@@ -59,20 +64,15 @@ AMMONIA_SPLITTING = 0.00665
 
 OVERLAP_VALIDITY = 0.01
 
-# Shift-invert Lanczos for the finite-difference levels.  A Ritz pair is
-# converged when its residual is <= LANCZOS_TOL * mu.  A scan block of the
-# tridiagonal solves restarts once its running product has fallen by
-# e^-SCAN_LOG_DROP (about 1e-217), far above the float underflow threshold.
-# The closing Sturm count is taken STURM_MARGIN (relative) below the highest
-# level found, well outside the Ritz error of about LANCZOS_TOL.  The start
-# vector first takes START_POWER_STEPS inverse-power steps: each costs one
-# solve and saves about one Lanczos step with its reorthogonalisation and
-# Ritz check (16 -> 12 steps for the ammonia wells at n = 2048).
-_LANCZOS_TOL = 1e-13
-_LANCZOS_MAX_STEPS = 300
-_START_POWER_STEPS = 4
-_SCAN_LOG_DROP = 500.0
-_STURM_MARGIN = 1e-9
+# Sinc-DVR levels: the Hamiltonian is dense, so its size is capped.  The
+# grid grows from _DVR_START_POINTS in steps of _DVR_STEP_POINTS until two
+# successive splittings agree to _DVR_CONVERGENCE (relative); a splitting
+# below _MIN_RELATIVE_SPLITTING of the levels is rounding noise.
+MAX_DVR_POINTS = 1024
+_DVR_START_POINTS = 64
+_DVR_STEP_POINTS = 32
+_DVR_CONVERGENCE = 1e-9
+_MIN_RELATIVE_SPLITTING = 1e-10
 
 
 class DegenerateWellError(ValueError):
@@ -80,7 +80,11 @@ class DegenerateWellError(ValueError):
 
 
 class InsufficientGridError(ValueError):
-    """Eigensolver grid too narrow or too coarse."""
+    """Eigensolver grid larger than the dense solve allows, or not converged within it."""
+
+
+class UnresolvedSplittingError(ValueError):
+    """Splitting too small against the levels for a dense eigensolve to resolve."""
 
 
 class FitError(ValueError):
@@ -332,179 +336,57 @@ def splitting_to_frequency(delta_e: float) -> float:
     return delta_e * GHZ_PER_MODEL_UNIT
 
 
-def _running_products(c: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Running products q of (1, c_0, c_1, ...), restarted at each block edge.
-
-    The recurrence y_0 = b_0, y_i = b_i + c_{i-1} y_{i-1} has, in the block
-    [s, t), y_i = q_i (y_{s-1} + sum_{j=s..i} b_j / q_j): a cumprod/cumsum
-    scan.  With 0 < c <= 1 the product decays like the tunnelling factor of
-    the potential and would underflow over a wide box or for a heavy
-    particle, so a new block starts each time it has fallen by another
-    e^-SCAN_LOG_DROP.
-    """
-    c = np.concatenate(([1.0], c))
-    decay = np.cumsum(np.log(c))
-    cuts = np.flatnonzero(np.diff(np.floor(decay / -_SCAN_LOG_DROP))) + 1
-    edges = [0, *cuts.tolist(), c.size]
-    q = np.concatenate([np.cumprod(c[s:t]) for s, t in zip(edges[:-1], edges[1:])])
-    return q, edges
-
-
-def _accumulate(scaled: np.ndarray, q: np.ndarray, edges: list[int]) -> np.ndarray:
-    """In place, b_i / q_i -> y_i / q_i for the recurrence of ``_running_products``."""
-    for s, t in zip(edges[:-1], edges[1:]):
-        np.cumsum(scaled[s:t], out=scaled[s:t])
-        if s:
-            scaled[s:t] += q[s - 1] * scaled[s - 1]  # carry y_{s-1} into the block
-    return scaled
-
-
-def _pivots(excess: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """LDL^T pivots of A = diag(c_{i-1} + c_i + excess_i) - offdiag(c).
-
-    With p_i = c_i + r_i the recurrence reads r_{i+1} = excess_{i+1}
-    + c_i r_i / p_i (c_{-1} = c_{n-1} = 0).  Every term is non-negative, so
-    no digit of the O(1) excess is lost against the O(1/dx^2) coupling, as it
-    would be in d_{i+1} - c_i^2 / p_i.
-    """
-    pivots = []
-    r = c_prev = 0.0
-    p = 1.0
-    for h, c in zip(excess.tolist(), [*coupling.tolist(), 0.0]):
-        r = h + c_prev * r / p
-        p = c + r
-        pivots.append(p)
-        c_prev = c
-    return np.array(pivots)
-
-
-def _count_below(excess: np.ndarray, coupling: np.ndarray, x: float) -> int:
-    """Sturm count: eigenvalues of A below x, the negative pivots of A - x.
-
-    The recurrence of ``_pivots`` with excess - x; a pivot within pivmin of
-    zero is replaced by -pivmin, as in LAPACK's bisection.
-    """
-    pivmin = float(np.finfo(float).tiny) * max(1.0, float(np.max(coupling, initial=0.0)) ** 2)
-    count = 0
-    r = c_prev = 0.0
-    p = 1.0
-    for h, c in zip((excess - x).tolist(), [*coupling.tolist(), 0.0]):
-        r = h + c_prev * r / p
-        p = c + r
-        if p < pivmin:
-            if p > -pivmin:
-                p, r = -pivmin, -c
-            count += 1
-        c_prev = c
-    return count
-
-
-def _lowest_levels_above(excess: np.ndarray, coupling: np.ndarray, k: int) -> np.ndarray:
-    """k lowest eigenvalues of A = diag(c_{i-1} + c_i + excess_i) - offdiag(c).
-
-    A is a diagonally dominant tridiagonal matrix with coupling c > 0 and
-    excess >= 0 (a symmetric tridiagonal T shifted by its Gershgorin lower
-    bound sigma, the signs of its off-diagonal being immaterial), so it is
-    positive definite and its LDL^T multipliers l_i = -c_i / p_i satisfy
-    |l_i| <= 1.  Shift-invert Lanczos (Ericsson & Ruhe 1980): the largest
-    eigenvalues mu of A^-1 give lambda = 1/mu.  Each solve with A is two
-    first-order recurrences.  The fixed start vector is filtered by a few
-    inverse-power steps; the Lanczos basis is fully reorthogonalised twice
-    per step, and the iteration stops once the top-k Ritz residuals are
-    <= LANCZOS_TOL * mu.  A Sturm count then confirms that no level below
-    lambda_{k-1} was missed.
-    """
-    n = excess.size
-    p = _pivots(excess, coupling)
-    if not np.all(p > 0.0):
-        raise np.linalg.LinAlgError("shifted Hamiltonian is singular")
-    # L y = b runs forward and L^T x = y / p backward, both with c = coupling / p
-    c = coupling / p[:-1]
-    q_fwd, edges_fwd = _running_products(c)
-    q_bwd, edges_bwd = _running_products(c[::-1])
-    inv_q_fwd = 1.0 / q_fwd
-    between = (q_fwd / p)[::-1] / q_bwd
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        y_scaled = _accumulate(b * inv_q_fwd, q_fwd, edges_fwd)
-        x_scaled = _accumulate(y_scaled[::-1] * between, q_bwd, edges_bwd)
-        return (q_bwd * x_scaled)[::-1]
-
-    steps = min(n, _LANCZOS_MAX_STEPS)
-    # grown by doubling: a few dozen steps are typical, and every fresh page
-    # of an allocation costs a page fault
-    basis = np.empty((min(steps, 32), n))
-    ritz = np.zeros((len(basis), len(basis)))  # the projected tridiagonal
-    start = np.linspace(1.0, 2.0, n)  # fixed and not parity-symmetric: reruns are identical
-    for _ in range(_START_POWER_STEPS):
-        start = solve(start / np.linalg.norm(start))
-    basis[0] = start / np.linalg.norm(start)
-    for j in range(steps):
-        w = solve(basis[j])
-        for _ in range(2):
-            h = basis[: j + 1] @ w
-            w -= h @ basis[: j + 1]
-            ritz[j, j] += h[j]
-        beta = float(np.linalg.norm(w))
-        if j + 1 >= k:
-            mu, vectors = np.linalg.eigh(ritz[: j + 1, : j + 1])
-            if np.all(np.abs(beta * vectors[-1, -k:]) <= _LANCZOS_TOL * mu[-k:]):
-                break
-        if j + 1 == steps or beta == 0.0:
-            raise np.linalg.LinAlgError(f"Lanczos did not converge in {j + 1} steps")
-        if j + 1 == len(basis):
-            basis = np.concatenate((basis, np.empty_like(basis)))
-            ritz = np.pad(ritz, (0, len(ritz)))
-        ritz[j, j + 1] = ritz[j + 1, j] = beta
-        basis[j + 1] = w / beta
-    levels = 1.0 / mu[::-1][:k]
-    # below the top level by more than the Ritz and Sturm-count errors, so a
-    # numerically degenerate top pair is not mistaken for a missed level
-    below = levels[-1] * (1.0 - _STURM_MARGIN) - 64.0 * np.finfo(float).eps * float(np.max(excess))
-    if _count_below(excess, coupling, below) > k - 1:
-        raise np.linalg.LinAlgError("Lanczos missed a level below the highest one found")
-    return levels
-
-
 def lowest_levels(potential_values, mass: float, grid: Grid1D, n_levels: int = 2) -> np.ndarray:
-    """Lowest eigenvalues of -(1/2m) d^2/dx^2 + U(x) by central differences.
+    """Lowest eigenvalues of -(1/2m) d^2/dx^2 + U(x) in the sinc DVR of the grid.
 
-    Dirichlet walls at the grid ends; the potential is sampled on the grid.
-    The tridiagonal Hamiltonian, diagonal 1/(m dx^2) + U and off-diagonal
-    -1/(2m dx^2), is shifted by its Gershgorin lower bound sigma and its
-    levels come from shift-invert Lanczos (``_lowest_levels_above``); no
-    eigenvector is formed.  Raises ``np.linalg.LinAlgError`` if the
-    iteration does not converge or misses a level.
+    The Colbert-Miller sinc discrete variable representation (J. Chem. Phys.
+    96, 1982 (1992)) on the uniform grid: U sampled on the diagonal and the
+    Toeplitz kinetic row pi^2/3 at k = 0, 2(-1)^k/k^2 at k != 0, over
+    2 m dx^2.  It converges exponentially in the spacing while the wave
+    functions vanish at the grid ends.  The dense Hamiltonian is n x n, so
+    grids of more than ``MAX_DVR_POINTS`` points raise
+    ``InsufficientGridError``.
     """
     u = np.asarray(potential_values, dtype=float)
-    if u.shape[0] != grid.n_points:
+    n = grid.n_points
+    if u.shape[0] != n:
         raise ValueError("potential samples do not match the grid")
-    if not 1 <= n_levels <= grid.n_points:
-        raise ValueError(f"n_levels must lie in [1, {grid.n_points}], got {n_levels}")
-    coupling = np.full(grid.n_points - 1, 1.0 / (2.0 * mass * grid.spacing**2))
-    # the kinetic rows sum to zero except at the two walls
-    gershgorin = u.copy()
-    gershgorin[[0, -1]] += coupling[0]
-    sigma = float(np.min(gershgorin))
-    return sigma + _lowest_levels_above(gershgorin - sigma, coupling, n_levels)
+    if not 1 <= n_levels <= n:
+        raise ValueError(f"n_levels must lie in [1, {n}], got {n_levels}")
+    if n > MAX_DVR_POINTS:
+        raise InsufficientGridError(f"the dense DVR takes at most {MAX_DVR_POINTS} points, got {n}")
+    k = np.arange(1, n)
+    row = np.concatenate(([np.pi**2 / 3.0], 2.0 * (-1.0) ** k / k**2)) / (2.0 * mass * grid.spacing**2)
+    h = row[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+    h[np.diag_indices(n)] += u
+    return np.linalg.eigvalsh(h)[:n_levels]
 
 
-def grid_eigensolve(well: DoubleWell, grid: Grid1D) -> tuple[float, float]:
-    """Two lowest double-well levels from the finite-difference Hamiltonian.
+def grid_eigensolve(well: DoubleWell) -> tuple[float, float]:
+    """Two lowest double-well levels from the sinc DVR, converged in the grid.
 
-    Independent of the two-level closed forms; the grid must span at least
-    [-2a, 2a] with at least 512 points.
+    Independent of the two-level closed forms.  The box is [-3a, 3a]; the
+    grid grows from 64 points in steps of 32 until the splittings at n and
+    n + 32 agree to 1e-9 relative, and the finer pair is returned.  Raises
+    ``UnresolvedSplittingError`` once E1 - E0 falls below 1e-10 of the
+    larger |E|, where the dense eigensolve's rounding swamps the splitting,
+    and ``InsufficientGridError`` if ``MAX_DVR_POINTS`` do not converge.
     """
-    a = np.sqrt(well.alpha / well.beta)
-    if grid.x_min > -2.0 * a or grid.x_max < 2.0 * a:
-        raise InsufficientGridError(
-            f"grid [{grid.x_min:.3g}, {grid.x_max:.3g}] does not span [-2a, 2a] = "
-            f"[{-2 * a:.3g}, {2 * a:.3g}]"
-        )
-    if grid.n_points < 512:
-        raise InsufficientGridError(f"need at least 512 points, got {grid.n_points}")
-    e0, e1 = lowest_levels(well.potential(grid.points), well.mass, grid, n_levels=2)
-    return float(e0), float(e1)
+    a = math.sqrt(well.alpha / well.beta)
+    previous = None
+    for n in range(_DVR_START_POINTS, MAX_DVR_POINTS + 1, _DVR_STEP_POINTS):
+        grid = make_grid(0.0, 3.0 * a, n)
+        e0, e1 = lowest_levels(well.potential(grid.points), well.mass, grid)
+        splitting = e1 - e0
+        if splitting < _MIN_RELATIVE_SPLITTING * max(abs(e0), abs(e1)):
+            raise UnresolvedSplittingError(
+                f"splitting {splitting:.3g} is below {_MIN_RELATIVE_SPLITTING:g} of the "
+                f"levels {e0:.6g}, {e1:.6g}: a dense eigensolve cannot resolve it"
+            )
+        if previous is not None and abs(splitting - previous) <= _DVR_CONVERGENCE * splitting:
+            return float(e0), float(e1)
+        previous = splitting
+    raise InsufficientGridError(f"splitting did not converge within {MAX_DVR_POINTS} points")
 
 
 def build_two_qubit(energies: TwoLevelEnergies, derived: WellDerived, g0: float) -> TwoQubitSystem:

@@ -1,12 +1,49 @@
-"""Completion scan: chunked candidate generation and its size cap."""
-
-import tracemalloc
+"""Closed-form qubit completion range, checked against a factor-space grid scan."""
 
 import numpy as np
 import pytest
 
 from qmodes import tomography
-from qmodes.tomography import CompletionGrid, DimensionalityError, ProtocolMatrix, analyze, scan_completions
+from qmodes.interference import SlitParams
+from qmodes.tomography import (
+    ProtocolMatrix,
+    QubitOnlyError,
+    analyze,
+    completion_purity_range,
+    reconstruct,
+    vectorize,
+)
+
+
+def grid_scan(analysis, p, points=21):
+    """Physical completions on a product grid over the undefined factors.
+
+    Every undefined factor runs over a square grid on [-1, 1]^2 inside the
+    unit ball; the kept completions are Hermitian, unit-trace and positive
+    within the module's tolerances.  Returns (count, purity_min, purity_max).
+    """
+    report = reconstruct(analysis, p)
+    u_count = report.undefined_count
+    if u_count == 0:
+        purity = float(np.sum(np.abs(report.rho_regularized) ** 2))
+        return (1, purity, purity) if report.physical else (0, np.nan, np.nan)
+    axis = np.linspace(-1.0, 1.0, points)
+    reals = np.stack(np.meshgrid(*[axis] * (2 * u_count), indexing="ij"), -1).reshape(-1, 2 * u_count)
+    block = reals[:, :u_count] + 1j * reals[:, u_count:]
+    block = block[np.linalg.norm(block, axis=1) <= 1.0 + 1e-12]
+    vecs = vectorize(report.rho_regularized)[None, :] + block @ analysis.v[:, analysis.rank :].T
+    rhos = np.transpose(vecs.reshape(-1, 2, 2), (0, 2, 1))
+    adjoint = np.conj(np.transpose(rhos, (0, 2, 1)))
+    herm = np.max(np.abs(rhos - adjoint), axis=(1, 2))
+    traces = np.trace(rhos, axis1=1, axis2=2)
+    ok = (herm <= tomography.HERMITICITY_TOL) & (np.abs(traces - 1.0) <= tomography.TRACE_TOL)
+    sub = rhos[ok]
+    ok = np.linalg.eigvalsh(0.5 * (sub + np.conj(np.transpose(sub, (0, 2, 1))))).min(axis=1)
+    kept = sub[ok >= -tomography.EIGENVALUE_TOL]
+    if not len(kept):
+        return 0, np.nan, np.nan
+    purities = np.sum(np.abs(kept) ** 2, axis=(1, 2))
+    return len(kept), float(purities.min()), float(purities.max())
 
 
 def populations():
@@ -14,32 +51,98 @@ def populations():
     return analyze(ProtocolMatrix(b, s=2))
 
 
-def test_scan_is_independent_of_chunk_size():
-    analysis = populations()
-    whole = scan_completions(analysis, np.array([0.5, 0.5]))
-    chunked = scan_completions(analysis, np.array([0.5, 0.5]), CompletionGrid(chunk=1000))
-    assert whole.count > 0
-    assert np.array_equal(whole.states, chunked.states)
-    assert (whole.purity_min, whole.purity_max) == (chunked.purity_min, chunked.purity_max)
+def observable_protocol(observables):
+    """Rows conj(vec(E)), so that B vec(rho) = tr(E rho) for Hermitian E."""
+    return analyze(ProtocolMatrix(np.array([vectorize(e).conj() for e in observables]), s=2))
 
 
 def test_mixed_populations_span_half_to_full_purity():
-    scan = scan_completions(populations(), np.array([0.5, 0.5]))
-    assert scan.count == 81
-    assert scan.purity_min == pytest.approx(0.5, abs=1e-12)
-    assert scan.purity_max == pytest.approx(1.0, abs=1e-12)
+    count, scan_min, scan_max = grid_scan(populations(), np.array([0.5, 0.5]))
+    assert count == 81
+    assert scan_min == pytest.approx(0.5, abs=1e-12)
+    assert scan_max == pytest.approx(1.0, abs=1e-12)
+    lo, hi = completion_purity_range(populations(), np.array([0.5, 0.5]))
+    assert (lo, hi) == pytest.approx((scan_min, scan_max), abs=1e-12)
 
 
-def test_candidate_cap_refuses_before_allocating():
-    # a trace-only protocol leaves 3 undefined factors: 21^6 ~ 86M grid points
-    trace_only = analyze(ProtocolMatrix(np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex), s=2))
-    assert trace_only.model_dim - trace_only.rank == 3
-    assert 21**6 > tomography.MAX_SCAN_CANDIDATES
-    tracemalloc.start()
-    try:
-        with pytest.raises(DimensionalityError, match="scan cap"):
-            scan_completions(trace_only, np.array([1.0]))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+def test_interference_protocol_fixes_a_single_point():
+    protocol = tomography.interference_protocol(SlitParams(a=5.0, sigma_x=0.5, m=2), 32)
+    analysis = analyze(protocol)
+    assert analysis.rank == 4
+    p = np.real(protocol.b @ vectorize(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)))
+    count, scan_min, scan_max = grid_scan(analysis, p)
+    assert count == 1
+    lo, hi = completion_purity_range(analysis, p)
+    assert lo == hi
+    assert (lo, hi) == pytest.approx((scan_min, scan_max), abs=1e-12)
+    assert lo == pytest.approx(1.0, abs=1e-12)
+
+
+def test_trace_only_protocol_has_the_full_range():
+    # three undefined factors: 21^6 grid points, beyond an exhaustive scan
+    analysis = observable_protocol([np.eye(2)])
+    assert analysis.model_dim - analysis.rank == 3
+    assert completion_purity_range(analysis, np.array([1.0])) == pytest.approx((0.5, 1.0), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        [1.5, -0.5],  # consistent populations outside the Bloch ball: d = 2
+        [0.5, 0.6],  # no unit-trace state fits
+    ],
+)
+def test_no_completion_gives_nan(p):
+    assert grid_scan(populations(), np.array(p))[0] == 0
+    lo, hi = completion_purity_range(populations(), np.array(p))
+    assert np.isnan(lo) and np.isnan(hi)
+
+
+def test_non_qubit_protocol_rejected():
+    analysis = analyze(ProtocolMatrix(np.eye(9, dtype=complex)[:2], s=3))
+    with pytest.raises(QubitOnlyError, match="s = 2"):
+        completion_purity_range(analysis, np.array([0.5, 0.5]))
+
+
+def test_inadequate_data_still_raises():
+    with pytest.raises(tomography.InadequateDataError):
+        completion_purity_range(observable_protocol([np.eye(2), np.eye(2)]), np.array([1.0, 0.5]))
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_unit = st.floats(-1.0, 1.0)
+
+
+def _bloch_operator(e0, e):
+    return e0 * np.eye(2) + np.einsum("k,kij->ij", e, _PAULI)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    direction=st.tuples(_unit, _unit, _unit).filter(lambda r: np.linalg.norm(r) > 1e-3),
+    radius=st.floats(0.0, 1.0),
+    frame=st.lists(_unit, min_size=9, max_size=9),
+    offsets=st.tuples(_unit, _unit, _unit),
+    scales=st.tuples(*[st.floats(0.2, 1.0)] * 3),
+    k=st.integers(2, 3),
+)
+def test_true_purity_lies_in_the_range(direction, radius, frame, offsets, scales, k):
+    r = radius * np.asarray(direction) / np.linalg.norm(direction)
+    rho = 0.5 * _bloch_operator(1.0, r)
+    # k observables whose Bloch parts are orthogonal: rank k, and r is fixed when k = 3
+    axes = np.linalg.qr(np.reshape(frame, (3, 3)))[0].T
+    observables = [_bloch_operator(offsets[j], scales[j] * axes[j]) for j in range(k)]
+    analysis = observable_protocol(observables)
+    assert analysis.rank == k
+    p = np.array([np.trace(e @ rho).real for e in observables])
+    lo, hi = completion_purity_range(analysis, p)
+    purity = (1.0 + r @ r) / 2.0
+    assert lo - 1e-12 <= purity <= hi + 1e-12
+    if k == 3:
+        assert lo == pytest.approx(purity, abs=1e-12)
+        assert hi == pytest.approx(purity, abs=1e-12)
+    else:
+        assert hi == 1.0
