@@ -68,7 +68,7 @@ OVERLAP_VALIDITY = 0.01
 # grid grows from _DVR_START_POINTS in steps of _DVR_STEP_POINTS until two
 # successive splittings agree to _DVR_CONVERGENCE (relative); a splitting
 # below _MIN_RELATIVE_SPLITTING of the levels is rounding noise.
-MAX_DVR_POINTS = 1024
+MAX_DVR_POINTS = 2048
 _DVR_START_POINTS = 64
 _DVR_STEP_POINTS = 32
 _DVR_CONVERGENCE = 1e-9
@@ -357,7 +357,8 @@ def lowest_levels(potential_values, mass: float, grid: Grid1D, n_levels: int = 2
         raise InsufficientGridError(f"the dense DVR takes at most {MAX_DVR_POINTS} points, got {n}")
     k = np.arange(1, n)
     row = np.concatenate(([np.pi**2 / 3.0], 2.0 * (-1.0) ** k / k**2)) / (2.0 * mass * grid.spacing**2)
-    h = row[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+    # window i of [row[n-1], ..., row[1], row[0], ..., row[n-1]] is H's row n-1-i
+    h = np.lib.stride_tricks.sliding_window_view(np.concatenate((row[:0:-1], row)), n)[::-1].copy()
     h[np.diag_indices(n)] += u
     return np.linalg.eigvalsh(h)[:n_levels]
 

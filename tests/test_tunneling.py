@@ -345,7 +345,34 @@ def ammonia_well(isotope):
     return DoubleWell(fitted.alpha, fitted.beta, AMMONIA_ISOTOPES[isotope].mass)
 
 
+def lapack_levels(u, mass, grid, n_levels):
+    """Reference: the sinc-DVR matrix written out entry by entry, solved by LAPACK's dsyevr."""
+    from scipy.linalg import eigh
+
+    j = np.arange(grid.n_points)
+    k = j[:, None] - j[None, :]
+    off_diagonal = 2.0 * (-1.0) ** k / np.where(k == 0, 1, k) ** 2
+    kinetic = np.where(k == 0, np.pi**2 / 3.0, off_diagonal) / (2.0 * mass * grid.spacing**2)
+    return eigh(kinetic + np.diag(u), eigvals_only=True, subset_by_index=[0, n_levels - 1], driver="evr")
+
+
 class TestLowestLevels:
+    @pytest.mark.parametrize("n", [2048])
+    @pytest.mark.parametrize("isotope", ["NH3", "ND3", "NT3"])
+    def test_ammonia_wells_match_lapack(self, isotope, n):
+        well = ammonia_well(isotope)
+        grid = make_grid(0.0, 3.0 * derive_well(well).a, n)
+        u = well.potential(grid.points)
+        levels = lowest_levels(u, well.mass, grid)
+        np.testing.assert_allclose(levels, lapack_levels(u, well.mass, grid, 2), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("half_width, n", [(12.0, 512)])
+    def test_harmonic_levels_match_lapack(self, half_width, n):
+        grid = make_grid(0.0, half_width, n)
+        u = 0.5 * 2.0 * grid.points**2
+        levels = lowest_levels(u, 1.0, grid, n_levels=4)
+        np.testing.assert_allclose(levels, lapack_levels(u, 1.0, grid, 4), rtol=0, atol=1e-10)
+
     @pytest.mark.parametrize("n", [64, 96, 128])
     def test_harmonic_levels_exact(self, n):
         grid = make_grid(0.0, 12.0, n)
