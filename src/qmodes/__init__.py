@@ -1,7 +1,7 @@
 """Schmidt-mode analysis of interfering quantum states.
 
-Subpackages cover shared numerics (grids, quadrature, Fourier, Hermitian
-eigh), multi-slit interference with a which-way detector, Schmidt
+Subpackages cover shared numerics (grids, quadrature, Hermitian eigh),
+multi-slit interference with a which-way detector, Schmidt
 decomposition and information measures, visibility/coherence coupling,
 double-well tunneling with the ammonia application (two-level closed forms
 checked against sinc-DVR levels), and SVD-based measurement-protocol

@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands map onto the scenario catalog; ``figures <name>`` runs the
-named preset, ``list`` prints the catalog.  Parameter precedence is
-scenario defaults < config file < explicit command-line flags.  The config
-file is flat ``key = value`` text with ``#`` comments.
+named preset, ``list`` prints the catalog.  Each parametric subcommand has
+one flag per key of its scenario's defaults, typed like that default
+(``--sigma-x`` sets ``sigma_x``); ``--g0-max 0``, the qubits default, means
+auto, the coupling range derived from the fitted well.  Parameter
+precedence is scenario defaults < config file < explicit command-line
+flags.  The config file is flat ``key = value`` text with ``#`` comments.
 """
 
 from __future__ import annotations
@@ -14,22 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenarios import ScenarioConfig, list_scenarios, run
+from .scenarios import SCENARIOS, ScenarioConfig, list_scenarios, run
 
 __all__ = ["main", "parse_config"]
 
-_PARAM_FLAGS = {
-    "slits": ["m", "a", "sigma_x", "sigma_xi"],
-    "entangled": ["m", "a", "b", "sigma_x", "sigma_xi"],
-    "schmidt": ["m", "a", "b", "sigma_x", "sigma_xi"],
-    "coherence": ["a", "sigma_x", "phi"],
-    "ammonia": ["isotope", "mass"],
-    "qubits": ["mass", "g0_max", "n_sweep"],
-    "tomography": ["a", "sigma_x", "n_points"],
-}
-
-_INT_PARAMS = {"m", "n_sweep", "n_points"}
-_STR_PARAMS = {"isotope"}
+# scenarios with a subcommand of their own
+_COMMANDS = ("slits", "entangled", "schmidt", "coherence", "ammonia", "qubits", "tomography")
 
 
 def parse_config(path: Path) -> dict:
@@ -64,22 +57,16 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--grid-points", type=int, default=None, help="grid size (default 1024)")
 
 
-def _add_param_flags(parser: argparse.ArgumentParser, names: list[str]):
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        if name in _STR_PARAMS:
-            parser.add_argument(flag, type=str, default=None)
-        elif name in _INT_PARAMS:
-            parser.add_argument(flag, type=int, default=None)
-        else:
-            parser.add_argument(flag, type=float, default=None)
+def _add_param_flags(parser: argparse.ArgumentParser, defaults: dict):
+    for name, default in defaults.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=None)
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``qmodes`` parser; for a named run ``command`` only its subparser
     gets arguments, since argparse reads no other subparser's once the
     command is chosen and building them all takes milliseconds."""
-    every = command != "figures" and command not in _PARAM_FLAGS
+    every = command != "figures" and command not in _COMMANDS
     parser = argparse.ArgumentParser(
         prog="qmodes",
         description="Interference, Schmidt-mode and tunneling scenario runner",
@@ -94,21 +81,12 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         figures.add_argument("name", help="scenario name, e.g. fig3 (see 'qmodes list')")
         _add_common(figures)
 
-    for name, flags in _PARAM_FLAGS.items():
+    for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
         if every or command == name:
             _add_common(p)
-            _add_param_flags(p, flags)
+            _add_param_flags(p, SCENARIOS[name].defaults)
     return parser
-
-
-def _collect_params(args: argparse.Namespace, names: list[str]) -> dict:
-    out = {}
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None:
-            out[name] = value
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,7 +109,8 @@ def main(argv: list[str] | None = None) -> int:
             grid_points = int(config_values.pop("grid_points", grid_points))
             params.update(config_values)
         if args.command != "figures":
-            params.update(_collect_params(args, _PARAM_FLAGS[args.command]))
+            defaults = SCENARIOS[args.command].defaults
+            params.update({k: getattr(args, k) for k in defaults if getattr(args, k) is not None})
         if args.format is not None:
             fmt = args.format
         if args.grid_points is not None:

@@ -32,9 +32,7 @@ __all__ = [
     "DetectorParams",
     "JointState",
     "WrongRepresentationError",
-    "single_slit_momentum_density",
     "two_slit_norm",
-    "two_slit_intensity",
     "slit_centers",
     "spot_centers",
     "form_factor",
@@ -134,28 +132,11 @@ class JointState:
         return float(np.sqrt(total.real))
 
 
-def single_slit_momentum_density(sigma_x: float, p_x) -> np.ndarray | float:
-    """Far-field density of one Gaussian slit: sqrt(1/2pi) 2 sigma_x exp(-2 sigma_x^2 p^2).
-
-    Gaussian with variance 1/(4 sigma_x^2), independent of the slit center.
-    """
-    if not sigma_x > 0:
-        raise ValueError(f"sigma_x must be positive, got {sigma_x}")
-    return np.sqrt(1.0 / (2.0 * np.pi)) * 2.0 * sigma_x * np.exp(-2.0 * sigma_x**2 * np.asarray(p_x) ** 2)
-
-
 def two_slit_norm(a: float, sigma_x: float) -> float:
     """Normalization C^2 = 1 / (1 + exp(-a^2 / 2 sigma_x^2)) of the symmetric pair."""
     if not sigma_x > 0:
         raise ValueError(f"sigma_x must be positive, got {sigma_x}")
     return 1.0 / (1.0 + np.exp(-(a**2) / (2.0 * sigma_x**2)))
-
-
-def two_slit_intensity(a: float, sigma_x: float, p_x) -> np.ndarray | float:
-    """Two-slit interference pattern 4 C^2 sqrt(1/2pi) sigma_x exp(-2 sigma_x^2 p^2) cos^2(p a)."""
-    c2 = two_slit_norm(a, sigma_x)
-    p = np.asarray(p_x)
-    return 4.0 * c2 * np.sqrt(1.0 / (2.0 * np.pi)) * sigma_x * np.exp(-2.0 * sigma_x**2 * p**2) * np.cos(p * a) ** 2
 
 
 def slit_centers(m: int, a: float) -> np.ndarray:

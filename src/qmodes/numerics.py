@@ -1,14 +1,10 @@
-"""Uniform grids, trapezoid quadrature, unitary Fourier transforms and a
-checked Hermitian eigensolver shared by every other module.
+"""Uniform grids, trapezoid quadrature and a checked Hermitian eigensolver
+shared by every other module.
 
-All quantities are dimensionless (hbar = 1).  The Fourier convention is
-the unitary one,
+All quantities are dimensionless (hbar = 1).  Momentum-space amplitudes
+follow the unitary convention
 
-    psi~(p) = (1/sqrt(2 pi)) * Integral psi(x) exp(-i p x) dx,
-
-realised on uniform grids through an FFT with explicit phase corrections
-for the grid offset, so the discrete result approximates the continuous
-transform and Parseval's identity holds to quadrature accuracy.
+    psi~(p) = (1/sqrt(2 pi)) * Integral psi(x) exp(-i p x) dx.
 """
 
 from __future__ import annotations
@@ -20,24 +16,12 @@ import numpy as np
 __all__ = [
     "Grid1D",
     "SampledWave",
-    "GridLeakageError",
     "NonHermitianError",
     "make_grid",
     "trapezoid_weights",
     "quadrature",
-    "conjugate_grid",
-    "fourier_to_momentum",
-    "fourier_to_position",
     "eigh",
 ]
-
-DEFAULT_GRID_POINTS = 1024
-DEFAULT_LEAK_TOL = 1e-8
-
-
-class GridLeakageError(ValueError):
-    """Wave amplitude at a grid boundary is too large for a faithful transform."""
-
 
 class NonHermitianError(ValueError):
     """Matrix handed to a Hermitian eigensolver is not Hermitian."""
@@ -94,9 +78,6 @@ class SampledWave:
         """sqrt of the trapezoid integral of |psi|^2."""
         return float(np.sqrt(quadrature(np.abs(self.amplitudes) ** 2, self.grid).real))
 
-    def normalized(self) -> "SampledWave":
-        return SampledWave(self.grid, self.amplitudes / self.norm())
-
 
 def make_grid(center: float, half_width: float, n_points: int) -> Grid1D:
     """Symmetric grid [center - half_width, center + half_width]."""
@@ -124,78 +105,6 @@ def quadrature(values, grid: Grid1D):
             f"{grid.n_points} points"
         )
     return trapezoid_weights(grid) @ values
-
-
-def conjugate_grid(grid: Grid1D) -> Grid1D:
-    """Momentum grid conjugate to a position grid: dp = 2 pi / (n dx), centered at 0."""
-    n = grid.n_points
-    dp = 2.0 * np.pi / (n * grid.spacing)
-    h = n // 2
-    return Grid1D(n, -h * dp, (n - 1 - h) * dp)
-
-
-def _check_leakage(amplitudes: np.ndarray, tol: float):
-    edge = max(abs(amplitudes[0]), abs(amplitudes[-1]))
-    if edge > tol:
-        raise GridLeakageError(
-            f"boundary amplitude {edge:.3e} exceeds {tol:.1e}; widen the grid"
-        )
-
-
-def fourier_to_momentum(psi: SampledWave, leak_tol: float = DEFAULT_LEAK_TOL) -> SampledWave:
-    """Unitary transform of a position-space wave onto the conjugate momentum grid.
-
-    The FFT is corrected for the grid offset so that
-
-        psi~(p_k) = (dx / sqrt(2 pi)) * sum_j psi(x_j) exp(-i p_k x_j)
-
-    holds exactly on the returned grid.  Requires the wave to have decayed
-    below ``leak_tol`` at both grid ends.
-    """
-    grid = psi.grid
-    _check_leakage(psi.amplitudes, leak_tol)
-    n = grid.n_points
-    h = n // 2
-    pgrid = conjugate_grid(grid)
-    j = np.arange(n)
-    modulated = psi.amplitudes * np.exp(2j * np.pi * h * j / n)
-    spectrum = np.fft.fft(modulated)
-    phases = np.exp(-1j * pgrid.points * grid.x_min)
-    out = (grid.spacing / np.sqrt(2.0 * np.pi)) * phases * spectrum
-    return SampledWave(pgrid, out)
-
-
-def fourier_to_position(
-    psi_momentum: SampledWave,
-    target: Grid1D | None = None,
-    leak_tol: float = DEFAULT_LEAK_TOL,
-) -> SampledWave:
-    """Inverse unitary transform back to position space.
-
-    ``target`` may be any grid whose spacing equals 2 pi / (n dp); by default
-    the zero-centered conjugate grid is used.  Composed with
-    :func:`fourier_to_momentum` this reproduces the input samples.
-    """
-    pgrid = psi_momentum.grid
-    _check_leakage(psi_momentum.amplitudes, leak_tol)
-    n = pgrid.n_points
-    dx = 2.0 * np.pi / (n * pgrid.spacing)
-    if target is None:
-        h = n // 2
-        target = Grid1D(n, -h * dx, (n - 1 - h) * dx)
-    else:
-        if target.n_points != n:
-            raise ValueError("target grid size does not match the momentum grid")
-        if abs(target.spacing - dx) > 1e-9 * dx:
-            raise ValueError(
-                f"target spacing {target.spacing:.6e} incompatible with conjugate "
-                f"spacing {dx:.6e}"
-            )
-    k = np.arange(n)
-    modulated = psi_momentum.amplitudes * np.exp(1j * k * pgrid.spacing * target.x_min)
-    back = np.fft.ifft(modulated) * n
-    out = (pgrid.spacing / np.sqrt(2.0 * np.pi)) * np.exp(1j * pgrid.x_min * target.points) * back
-    return SampledWave(target, out)
 
 
 def eigh(matrix, hermiticity_tol: float = 1e-12):

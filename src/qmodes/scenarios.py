@@ -75,6 +75,10 @@ def _sig6(value: float) -> float:
     return float(f"{float(value):.6g}")
 
 
+def _save_json(path: Path, data: dict):
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 class _Emitter:
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -98,7 +102,7 @@ class _Emitter:
         path = self.config.out_dir / name
         if fmt == "json" and not (len(table) and np.isfinite(table).all()):
             # json.dumps spells the empty list and NaN/Infinity
-            tomography.save_json(path, {"columns": names, "rows": table.tolist()})
+            _save_json(path, {"columns": names, "rows": table.tolist()})
         else:
             if fmt == "csv":
                 head, sep, tail = ",".join(names), "\n", "\n"
@@ -122,7 +126,7 @@ class _Emitter:
 
     def json_file(self, stem: str, data: dict) -> str:
         name = f"{stem}.json"
-        tomography.save_json(self.config.out_dir / name, data)
+        _save_json(self.config.out_dir / name, data)
         self.files.append(name)
         return name
 
@@ -138,9 +142,7 @@ def _coordinate_grid(m: int, a: float, sigma: float, n: int) -> Grid1D:
 
 
 def _slit_config(params: dict) -> tuple[interference.SlitParams, interference.DetectorParams]:
-    slits = interference.SlitParams(
-        a=params["a"], sigma_x=params["sigma_x"], m=int(params["m"])
-    )
+    slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
     det = interference.DetectorParams(b=params["b"], sigma_xi=params["sigma_xi"])
     return slits, det
 
@@ -159,7 +161,7 @@ def _decompose(params: dict, n: int):
 
 def _run_slits(config: ScenarioConfig, emit: _Emitter) -> dict:
     params = config.params
-    slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=int(params["m"]))
+    slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
     det = interference.DetectorParams(b=0.0, sigma_xi=params["sigma_xi"])
     n = config.grid_points
     pgrid = _momentum_grid(slits.sigma_x, n)
@@ -251,7 +253,7 @@ def _run_fig4(config: ScenarioConfig, emit: _Emitter) -> dict:
     params = config.params
     n = config.grid_points
     b_values = (0.0, 0.3, 0.7, 1.5)
-    slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=int(params["m"]))
+    slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
     pgrid = _momentum_grid(slits.sigma_x, n)
     names = ["p_x"]
     cols = [pgrid.points]
@@ -328,7 +330,7 @@ def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
         [np.asarray(rows[k]) for k in rows],
     )
     gap = max(abs(a - b) for a, b in zip(rows["schmidt_number"], rows["schmidt_from_v"]))
-    phi0 = params.get("phi", np.pi / 8.0)
+    phi0 = params["phi"]
     state = coherence.qubit_coherence_state(coherence.CoherenceModel(phi0, slits), pgrid)
     marg = interference.marginal_momentum_density(state)
     v0 = coherence.visibility_from_intensity(marg, slits.a, slits.sigma_x)
@@ -371,7 +373,7 @@ def _ammonia_rows(isotopes, fit_mass: float):
 
 def _run_ammonia(config: ScenarioConfig, emit: _Emitter) -> dict:
     params = config.params
-    choice = str(params.get("isotope", "all"))
+    choice = params["isotope"]
     table = tunneling.AMMONIA_ISOTOPES
     if choice != "all":
         if choice not in table:
@@ -379,7 +381,7 @@ def _run_ammonia(config: ScenarioConfig, emit: _Emitter) -> dict:
         isotopes = [table[choice]]
     else:
         isotopes = [table[k] for k in ("NH3", "ND3", "NT3")]
-    fit_mass = params.get("mass", table["NH3"].mass)
+    fit_mass = params["mass"]
     well, rows = _ammonia_rows(isotopes, fit_mass)
     names = list(rows[0])
     names.remove("isotope")
@@ -398,15 +400,17 @@ def _run_ammonia(config: ScenarioConfig, emit: _Emitter) -> dict:
 
 def _run_qubits(config: ScenarioConfig, emit: _Emitter) -> dict:
     params = config.params
-    fit_mass = params.get("mass", tunneling.AMMONIA_ISOTOPES["NH3"].mass)
+    n_sweep = params["n_sweep"]
+    if n_sweep < 3 or n_sweep % 2 == 0:
+        # the middle sample is the uncoupled point g0 = 0
+        raise ValueError(f"n_sweep must be odd and at least 3, got {n_sweep}")
     well = tunneling.fit_potential(
-        tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, fit_mass
+        tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, params["mass"]
     )
     derived = tunneling.derive_well(well)
     energies = tunneling.two_level_energies(derived, well)
     contact = 4.0 * np.sqrt(np.pi) * derived.sigma_x
-    g_max = params.get("g0_max", 300.0 * energies.splitting * contact)
-    n_sweep = int(params.get("n_sweep", 101))
+    g_max = params["g0_max"] or 300.0 * energies.splitting * contact
     g_values = np.linspace(-g_max, g_max, n_sweep)
     k_values = np.array(
         [
@@ -421,12 +425,11 @@ def _run_qubits(config: ScenarioConfig, emit: _Emitter) -> dict:
         ["g0", "reduced_coupling", "schmidt_number"],
         [g_values, g_values / contact / energies.splitting, k_values],
     )
-    mid = n_sweep // 2
     return {
         "delta_e": energies.splitting,
         "sigma_x": derived.sigma_x,
         "g0_max": g_max,
-        "schmidt_number_g0_0": k_values[mid],
+        "schmidt_number_g0_0": k_values[n_sweep // 2],
         "schmidt_number_attraction_max": k_values[-1],
         "schmidt_number_repulsion_max": k_values[0],
     }
@@ -434,7 +437,6 @@ def _run_qubits(config: ScenarioConfig, emit: _Emitter) -> dict:
 
 def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
     params = config.params
-    n_points = int(params.get("n_points", 32))
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=2)
 
     populations = tomography.ProtocolMatrix(
@@ -448,7 +450,7 @@ def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
     emit.json_file(f"{config.name}_populations_pure_report", tomography.report_to_dict(pure))
     emit.json_file(f"{config.name}_populations_mixed_report", tomography.report_to_dict(mixed))
 
-    protocol = tomography.interference_protocol(slits, n_points)
+    protocol = tomography.interference_protocol(slits, params["n_points"])
     ianalysis = tomography.analyze(protocol)
     rho_sym = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     p_data = np.real(protocol.b @ tomography.vectorize(rho_sym))
@@ -472,9 +474,15 @@ def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# catalog
+# catalog: each scenario's defaults name every parameter it takes, and a
+# default's type is the parameter's type (flags and config values included)
 
+_SLIT_DEFAULTS = {"m": 2, "a": 5.0, "sigma_x": 0.5, "sigma_xi": 0.5}
 _TWO_SLIT_DEFAULTS = {"m": 2, "a": 5.0, "b": 0.5, "sigma_x": 0.5, "sigma_xi": 0.5}
+_NH3_MASS = tunneling.AMMONIA_ISOTOPES["NH3"].mass
+# g0_max = 0 (auto) sweeps the reduced coupling g0 / (contact * splitting) over +/-300
+_QUBIT_DEFAULTS = {"mass": _NH3_MASS, "g0_max": 0.0, "n_sweep": 101}
+_TOMOGRAPHY_DEFAULTS = {"a": 5.0, "sigma_x": 0.5, "n_points": 32}
 
 
 @dataclass(frozen=True)
@@ -488,7 +496,7 @@ SCENARIOS: dict[str, _Scenario] = {
     "fig1": _Scenario(
         "two-slit coordinate and momentum densities (a=5, sigma_x=0.5)",
         _run_slits,
-        {"m": 2, "a": 5.0, "sigma_x": 0.5, "sigma_xi": 0.5},
+        _SLIT_DEFAULTS,
     ),
     "fig2": _Scenario(
         "which-way damping of the two-slit fringes (b=0.7 marginal)",
@@ -498,12 +506,12 @@ SCENARIOS: dict[str, _Scenario] = {
     "fig3": _Scenario(
         "two-slit Schmidt modes and weights (a=5, b=0.5 reference case)",
         _run_schmidt,
-        dict(_TWO_SLIT_DEFAULTS),
+        _TWO_SLIT_DEFAULTS,
     ),
     "fig4": _Scenario(
         "four-slit fringes at several particle-detector couplings",
         _run_fig4,
-        {"m": 4, "a": 5.0, "sigma_x": 0.5, "sigma_xi": 0.5},
+        {**_SLIT_DEFAULTS, "m": 4},
     ),
     "fig5": _Scenario(
         "five-slit Schmidt modes and weights (a=5, b=0.5 reference case)",
@@ -523,32 +531,32 @@ SCENARIOS: dict[str, _Scenario] = {
     "fig10": _Scenario(
         "ground-state entanglement versus contact coupling g0 (ammonia qubits)",
         _run_qubits,
-        {},
+        _QUBIT_DEFAULTS,
     ),
     "ammonia": _Scenario(
         "inversion splittings of NH3/ND3/NT3 from the fitted double well",
         _run_ammonia,
-        {"isotope": "all"},
+        {"isotope": "all", "mass": _NH3_MASS},
     ),
     "tomography-demo": _Scenario(
         "population-only and coordinate+momentum protocols with K_max bounds",
         _run_tomography,
-        {"a": 5.0, "sigma_x": 0.5, "n_points": 32},
+        _TOMOGRAPHY_DEFAULTS,
     ),
     "slits": _Scenario(
         "m-slit densities without which-way coupling (parametric)",
         _run_slits,
-        {"m": 2, "a": 5.0, "sigma_x": 0.5, "sigma_xi": 0.5},
+        _SLIT_DEFAULTS,
     ),
     "entangled": _Scenario(
         "entangled particle-detector marginals (parametric)",
         _run_entangled,
-        dict(_TWO_SLIT_DEFAULTS),
+        _TWO_SLIT_DEFAULTS,
     ),
     "schmidt": _Scenario(
         "Schmidt decomposition of the m-slit state (parametric)",
         _run_schmidt,
-        dict(_TWO_SLIT_DEFAULTS),
+        _TWO_SLIT_DEFAULTS,
     ),
     "coherence": _Scenario(
         "qubit coherence model: visibility-Schmidt coupling sweep",
@@ -558,12 +566,12 @@ SCENARIOS: dict[str, _Scenario] = {
     "qubits": _Scenario(
         "two-qubit ground-state entanglement sweep (parametric)",
         _run_qubits,
-        {},
+        _QUBIT_DEFAULTS,
     ),
     "tomography": _Scenario(
         "measurement-protocol adequacy/completeness demo (parametric)",
         _run_tomography,
-        {"a": 5.0, "sigma_x": 0.5, "n_points": 32},
+        _TOMOGRAPHY_DEFAULTS,
     ),
 }
 
@@ -573,27 +581,40 @@ def list_scenarios() -> dict[str, str]:
     return {name: sc.summary for name, sc in SCENARIOS.items()}
 
 
+def _convert(key: str, value, default):
+    kind = type(default)
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if converted is None or (kind is int and converted != value):
+        raise ValueError(f"parameter {key!r} takes a {kind.__name__}, got {value!r}")
+    return converted
+
+
 def run(config: ScenarioConfig) -> RunReport:
-    """Execute a scenario: write its data files and the JSON run report."""
+    """Execute a scenario: write its data files and the JSON run report.
+
+    ``config.params`` override the scenario's defaults and are converted to
+    the type of the default they replace; an integer parameter takes only
+    integral values.
+    """
     if config.name not in SCENARIOS:
         raise ValueError(f"unknown scenario {config.name!r}; see list_scenarios()")
-    scenario = SCENARIOS[config.name]
-    params = dict(scenario.defaults)
-    unknown = set(config.params) - set(params)
-    allowed_extra = {"isotope", "mass", "g0_max", "n_sweep", "phi", "n_points"}
-    bad = {k for k in unknown if k not in allowed_extra}
-    if bad:
-        raise ValueError(f"unknown parameters for {config.name!r}: {sorted(bad)}")
-    params.update(config.params)
+    defaults = SCENARIOS[config.name].defaults
+    unknown = sorted(set(config.params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown parameters for {config.name!r}: {unknown}")
+    params = {**defaults, **{k: _convert(k, v, defaults[k]) for k, v in config.params.items()}}
     config = ScenarioConfig(config.name, config.out_dir, config.fmt, config.grid_points, params)
 
     start = time.perf_counter()
     emit = _Emitter(config)
-    scalars = scenario.runner(config, emit)
+    scalars = SCENARIOS[config.name].runner(config, emit)
     wall = time.perf_counter() - start
 
     clean_params = {k: (v if isinstance(v, str) else _sig6(v)) for k, v in params.items()}
     clean_scalars = {k: (v if isinstance(v, str) else _sig6(v)) for k, v in scalars.items()}
     report = RunReport(config.name, clean_params, clean_scalars, emit.files, wall)
-    tomography.save_json(config.out_dir / f"{config.name}_report.json", report.to_dict())
+    _save_json(config.out_dir / f"{config.name}_report.json", report.to_dict())
     return report

@@ -1,8 +1,8 @@
 """Schmidt decomposition of bipartite joint states and the derived
 information measures.
 
-The two-slit entangled state admits closed forms: cosine/sine modes for
-particle and detector with weights
+The two-slit entangled state has cosine/sine Schmidt modes for particle
+and detector, with the closed-form weights
 
     lambda_0 = (1 + e_a + e_b + e_a e_b) / (2 (1 + e_a e_b))
     lambda_1 = (1 - e_a - e_b + e_a e_b) / (2 (1 + e_a e_b))
@@ -24,20 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interference import DetectorParams, JointState, SlitParams
-from .numerics import Grid1D, SampledWave, trapezoid_weights
+from .numerics import SampledWave, trapezoid_weights
 
 __all__ = [
     "SchmidtDecomposition",
-    "ReducedDensity",
     "InvalidWeightsError",
-    "analytic_two_slit_schmidt",
+    "analytic_two_slit_weights",
     "numerical_schmidt",
     "entropy",
     "schmidt_number",
     "information",
     "reconstruct_marginal",
-    "reduced_density",
-    "density_eigensystem",
 ]
 
 DEFAULT_TRUNCATION = 1e-12
@@ -72,18 +69,6 @@ class SchmidtDecomposition:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
-class ReducedDensity:
-    """Single-particle density-matrix kernel rho(x, x') on a grid."""
-
-    grid: Grid1D
-    matrix: np.ndarray
-
-    def trace(self) -> float:
-        w = trapezoid_weights(self.grid)
-        return float(np.real(np.sum(np.diag(self.matrix) * w)))
-
-
 def _validate_weights(weights, tol: float = 1e-6) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -103,47 +88,6 @@ def analytic_two_slit_weights(slits: SlitParams, det: DetectorParams) -> tuple[f
     lam0 = (1.0 + e_a + e_b + e_a * e_b) / denom
     lam1 = (1.0 - e_a - e_b + e_a * e_b) / denom
     return float(lam0), float(lam1)
-
-
-def _cos_sin_mode(grid: Grid1D, sigma: float, center: float, kind: str) -> SampledWave:
-    p = grid.points
-    overlap = np.exp(-(center**2) / (2.0 * sigma**2))
-    if kind == "cos":
-        norm = np.sqrt(2.0 * np.sqrt(2.0) * sigma / (np.sqrt(np.pi) * (1.0 + overlap)))
-        values = norm * np.exp(-(sigma**2) * p**2) * np.cos(p * center)
-    else:
-        norm = np.sqrt(2.0 * np.sqrt(2.0) * sigma / (np.sqrt(np.pi) * (1.0 - overlap)))
-        values = norm * np.exp(-(sigma**2) * p**2) * np.sin(p * center)
-    return SampledWave(grid, values)
-
-
-def analytic_two_slit_schmidt(
-    slits: SlitParams,
-    det: DetectorParams,
-    particle_grid: Grid1D,
-    detector_grid: Grid1D,
-) -> SchmidtDecomposition:
-    """Closed-form two-mode decomposition of the two-slit state.
-
-    Mode 0 is the cosine (symmetric) pair, mode 1 the sine (antisymmetric)
-    pair, sampled in momentum representation on the supplied grids.  At
-    b = 0 the full weight sits in mode 0 and the particle state is pure.
-    """
-    if slits.m != 2:
-        raise ValueError(f"closed forms exist for two slits only, got m={slits.m}")
-    lam0, lam1 = analytic_two_slit_weights(slits, det)
-    modes_x = [
-        _cos_sin_mode(particle_grid, slits.sigma_x, slits.a, "cos"),
-        _cos_sin_mode(particle_grid, slits.sigma_x, slits.a, "sin"),
-    ]
-    modes_xi = [
-        _cos_sin_mode(detector_grid, det.sigma_xi, det.b, "cos"),
-        _cos_sin_mode(detector_grid, det.sigma_xi, det.b, "sin"),
-    ]
-    degenerate = abs(lam0 - lam1) < DEGENERACY_TOL
-    return SchmidtDecomposition(
-        np.array([lam0, lam1]), modes_x, modes_xi, 0.0, degenerate
-    )
 
 
 def _real_if_possible(factor: np.ndarray) -> np.ndarray:
@@ -220,29 +164,3 @@ def reconstruct_marginal(decomp: SchmidtDecomposition) -> SampledWave:
     for lam, mode in zip(decomp.weights, decomp.particle_modes):
         density += lam * np.abs(mode.amplitudes) ** 2
     return SampledWave(grid, density)
-
-
-def reduced_density(decomp: SchmidtDecomposition) -> ReducedDensity:
-    """Particle density-matrix kernel sum_k lambda_k psi_k(x) psi_k*(x')."""
-    grid = decomp.particle_modes[0].grid
-    modes = np.stack([m.amplitudes for m in decomp.particle_modes])
-    matrix = np.einsum("k,ki,kj->ij", decomp.weights, modes, modes.conj())
-    return ReducedDensity(grid, matrix)
-
-
-def density_eigensystem(rd: ReducedDensity) -> tuple[np.ndarray, list[SampledWave]]:
-    """Eigenweights (descending) and eigenmodes of a reduced density kernel.
-
-    Solves the continuum eigenproblem Integral rho(x, x') psi(x') dx' =
-    lambda psi(x) by symmetrizing the kernel with quadrature weights, so
-    the returned modes are orthonormal under trapezoid quadrature.
-    """
-    w = trapezoid_weights(rd.grid)
-    sqrt_w = np.sqrt(w)
-    sym = sqrt_w[:, None] * rd.matrix * sqrt_w[None, :]
-    sym = 0.5 * (sym + sym.conj().T)
-    values, vectors = np.linalg.eigh(sym)
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    modes = [SampledWave(rd.grid, vectors[:, k] / sqrt_w) for k in order]
-    return values, modes

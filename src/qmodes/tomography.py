@@ -18,15 +18,13 @@ rho = (I + r.sigma)/2 the data fix r to an affine subspace, and the
 completions are its intersection with the unit Bloch ball
 (``completion_purity_range``).
 
-Protocol matrices, measurement vectors and reports are written as JSON
-with complex numbers encoded as [re, im] pairs.
+Protocol matrices, measurement vectors and reports convert to
+JSON-ready dicts with complex numbers encoded as [re, im] pairs.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -52,7 +50,6 @@ __all__ = [
     "protocol_to_dict",
     "measurements_to_dict",
     "report_to_dict",
-    "save_json",
 ]
 
 UNCONDITIONALLY_COMPLETE = "unconditionally_complete"
@@ -327,7 +324,7 @@ def interference_protocol(slits: SlitParams, n_points: int) -> ProtocolMatrix:
 
 
 # ---------------------------------------------------------------------------
-# JSON output: complex numbers as [re, im] pairs.
+# JSON-ready dicts: complex numbers as [re, im] pairs.
 
 
 def _complex_to_pairs(arr: np.ndarray):
@@ -359,7 +356,3 @@ def report_to_dict(report: ReconstructionReport) -> dict:
         "k_max": report.k_max,
         "physical": report.physical,
     }
-
-
-def save_json(path, data: dict):
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")

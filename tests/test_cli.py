@@ -1,5 +1,6 @@
 """Command-line entry point: exit codes, parameter precedence, catalog and formats."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from qmodes import scenarios
-from qmodes.cli import _PARAM_FLAGS, _build_parser, main
+from qmodes.cli import _build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+COMMANDS = ["slits", "entangled", "schmidt", "coherence", "ammonia", "qubits", "tomography"]
 
 
 def report(out_dir, name):
@@ -121,10 +123,10 @@ def test_top_level_help_lists_every_subcommand(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    commands = ["list", "figures", *_PARAM_FLAGS]
+    commands = ["list", "figures", *COMMANDS]
     assert len(commands) == 9
     assert "{" + ",".join(commands) + "}" in out
-    for command in _PARAM_FLAGS:
+    for command in COMMANDS:
         assert f"run the {command} scenario" in out
 
 
@@ -140,3 +142,57 @@ def test_top_level_help_lists_every_subcommand(capsys):
 )
 def test_single_command_parser_parses_as_the_full_parser(argv):
     assert _build_parser(argv[0]).parse_args(argv) == _build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_subcommand_flags_are_its_defaults_with_their_types(command):
+    parser = _build_parser(command)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    common = {"help", "config", "out", "format", "grid_points"}
+    flags = {a.dest: (a.option_strings, a.type) for a in sub._actions if a.dest not in common}
+    defaults = scenarios.SCENARIOS[command].defaults
+    assert flags == {k: (["--" + k.replace("_", "-")], type(v)) for k, v in defaults.items()}
+
+
+def test_config_keys_a_scenario_does_not_take_are_rejected(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("isotope = XX\nn_sweep = 7\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["figures", "fig3", "--config", str(config), "--out", str(out)]) == 2
+    assert "unknown parameters for 'fig3': ['isotope', 'n_sweep']" in capsys.readouterr().err
+    assert not (out / "fig3_report.json").exists()
+
+
+@pytest.mark.parametrize("line", ["m = 2.5", "m = nan", "m = inf", "a = wide"])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, line):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    assert main(["slits", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    key = line.split()[0]
+    assert f"parameter {key!r} takes a" in capsys.readouterr().err
+
+
+def test_integral_config_values_take_the_default_type(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("m = 3.0\na = 4\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["slits", "--grid-points", "256", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    parameters = report(out, "slits")["parameters"]
+    assert (parameters["m"], parameters["a"]) == (3.0, 4.0)
+    assert "c_squared" not in report(out, "slits")["scalars"]
+
+
+@pytest.mark.parametrize("n_sweep", ["4", "0", "1", "-3"])
+def test_qubit_sweep_needs_an_odd_count_of_at_least_3(tmp_path, capsys, n_sweep):
+    assert main(["qubits", "--n-sweep", n_sweep, "--out", str(tmp_path / "out")]) == 2
+    assert f"n_sweep must be odd and at least 3, got {n_sweep}" in capsys.readouterr().err
+
+
+def test_zero_g0_max_is_the_default_auto_range(tmp_path, capsys):
+    assert main(["qubits", "--out", str(tmp_path / "default")]) == 0
+    assert main(["qubits", "--g0-max", "0", "--out", str(tmp_path / "zero")]) == 0
+    capsys.readouterr()
+    for name in ("qubits_report.json", "qubits_sweep.csv"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "zero" / name).read_bytes()
+    assert report(tmp_path / "zero", "qubits")["scalars"]["g0_max"] > 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import two_slit_intensity
 from qmodes.coherence import (
     QUBIT_GRID,
     CoherenceModel,
@@ -21,7 +22,6 @@ from qmodes.interference import (
     SlitParams,
     joint_state_momentum,
     marginal_momentum_density,
-    two_slit_intensity,
 )
 from qmodes.numerics import SampledWave, make_grid, quadrature
 from qmodes.schmidt import analytic_two_slit_weights, numerical_schmidt, schmidt_number

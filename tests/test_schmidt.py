@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import two_slit_schmidt
 from qmodes.interference import (
     DetectorParams,
     JointState,
@@ -16,14 +17,11 @@ from qmodes.interference import (
 from qmodes.numerics import make_grid, quadrature, trapezoid_weights
 from qmodes.schmidt import (
     InvalidWeightsError,
-    analytic_two_slit_schmidt,
     analytic_two_slit_weights,
-    density_eigensystem,
     entropy,
     information,
     numerical_schmidt,
     reconstruct_marginal,
-    reduced_density,
     schmidt_number,
 )
 
@@ -82,7 +80,7 @@ class TestAnalyticTwoSlit:
 
     def test_modes_orthonormal(self):
         pg, dg = momentum_grids()
-        dec = analytic_two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
+        dec = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
         for modes in (dec.particle_modes, dec.detector_modes):
             for i in range(2):
                 for j in range(2):
@@ -90,12 +88,6 @@ class TestAnalyticTwoSlit:
                         modes[i].amplitudes.conj() * modes[j].amplitudes, modes[i].grid
                     )
                     assert abs(inner - (1.0 if i == j else 0.0)) < 1e-6
-
-    def test_requires_two_slits(self):
-        with pytest.raises(ValueError):
-            analytic_two_slit_schmidt(
-                SlitParams(a=A, sigma_x=SIGMA, m=3), FIG3_DET, *momentum_grids()
-            )
 
 
 class TestNumericalSchmidt:
@@ -159,7 +151,7 @@ class TestNumericalSchmidt:
     def test_modes_match_analytic(self):
         pg, dg = momentum_grids()
         dec = numerical_schmidt(fig3_state())
-        ana = analytic_two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
+        ana = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
         for k in range(2):
             overlap = quadrature(
                 np.conj(dec.particle_modes[k].amplitudes) * ana.particle_modes[k].amplitudes, pg
@@ -301,28 +293,7 @@ class TestMixtureAndDensity:
 
     def test_mixture_combines_cos_and_sin_densities(self):
         pg, dg = momentum_grids()
-        ana = analytic_two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
+        ana = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
         mixture = reconstruct_marginal(ana)
         direct = marginal_momentum_density(fig3_state())
         assert np.max(np.abs(mixture.amplitudes - direct.amplitudes)) < 1e-8
-
-    def test_reduced_density_reference_eigenvalues(self):
-        dec = numerical_schmidt(fig3_state())
-        rd = reduced_density(dec)
-        assert rd.trace() == pytest.approx(1.0, abs=1e-8)
-        assert np.max(np.abs(rd.matrix - rd.matrix.conj().T)) < 1e-10
-        values, modes = density_eigensystem(rd)
-        assert values[0] == pytest.approx(0.8033, abs=1e-4)
-        assert values[1] == pytest.approx(0.1967, abs=1e-4)
-        for k in range(2):
-            overlap = quadrature(
-                np.conj(modes[k].amplitudes) * dec.particle_modes[k].amplitudes, rd.grid
-            )
-            assert abs(overlap) > 1.0 - 1e-6
-
-    def test_pure_reduced_density_is_rank_one(self):
-        state = joint_state_momentum(FIG3_SLITS, DetectorParams(0.0, 0.5), *momentum_grids())
-        rd = reduced_density(numerical_schmidt(state))
-        values, _ = density_eigensystem(rd)
-        assert values[0] == pytest.approx(1.0, abs=1e-8)
-        assert np.max(np.abs(values[1:])) < 1e-10

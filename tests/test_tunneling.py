@@ -233,20 +233,6 @@ class TestGridEigensolve:
             assert energies.e1 == pytest.approx(e1, rel=0.10)
             assert (e1 - e0) > energies.splitting
 
-    def test_parity_and_node_structure(self):
-        from scipy.linalg import eigh_tridiagonal
-
-        well = PAPER_WELL
-        grid = make_grid(0.0, 2.5, 1025)
-        dx = grid.spacing
-        diag = 1.0 / (well.mass * dx**2) + well.potential(grid.points)
-        off = np.full(grid.n_points - 1, -1.0 / (2.0 * well.mass * dx**2))
-        _, vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
-        for state, expected_nodes in ((vectors[:, 0], 0), (vectors[:, 1], 1)):
-            trimmed = state[np.abs(state) > 1e-8 * np.max(np.abs(state))]
-            nodes = int(np.sum(np.diff(np.sign(trimmed)) != 0))
-            assert nodes == expected_nodes
-
     def test_grid_preconditions(self):
         # the dense Hamiltonian is n x n: a larger grid is refused before it is built
         grid = make_grid(0.0, 2.5, tunneling.MAX_DVR_POINTS + 1)
