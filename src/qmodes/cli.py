@@ -64,8 +64,9 @@ def _add_param_flags(parser: argparse.ArgumentParser, defaults: dict):
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``qmodes`` parser; for a named run ``command`` only its subparser
-    gets arguments, since argparse reads no other subparser's once the
-    command is chosen and building them all takes milliseconds."""
+    is built, since argparse reads no other subparser once the command is
+    chosen and building them all takes milliseconds.  Any other first
+    argument (``list``, ``-h``, none or an unknown one) gets every subparser."""
     every = command != "figures" and command not in _COMMANDS
     parser = argparse.ArgumentParser(
         prog="qmodes",
@@ -73,17 +74,16 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    list_p = sub.add_parser("list", help="print the scenario catalog")
-    list_p.set_defaults(scenario=None)
-
-    figures = sub.add_parser("figures", help="run a named figure-data scenario")
+    if every:
+        sub.add_parser("list", help="print the scenario catalog")
     if every or command == "figures":
+        figures = sub.add_parser("figures", help="run a named figure-data scenario")
         figures.add_argument("name", help="scenario name, e.g. fig3 (see 'qmodes list')")
         _add_common(figures)
 
     for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} scenario")
         if every or command == name:
+            p = sub.add_parser(name, help=f"run the {name} scenario")
             _add_common(p)
             _add_param_flags(p, SCENARIOS[name].defaults)
     return parser
@@ -106,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             config_values = parse_config(args.config)
             fmt = config_values.pop("format", fmt)
-            grid_points = int(config_values.pop("grid_points", grid_points))
+            grid_points = config_values.pop("grid_points", grid_points)
             params.update(config_values)
         if args.command != "figures":
             defaults = SCENARIOS[args.command].defaults

@@ -161,15 +161,23 @@ def visibility_report(v: float) -> VisibilityReport:
     )
 
 
-def source_visibility(y: float) -> float:
-    """Visibility from a uniform source of dimensionless size y: |sinc(4 y)|."""
-    if y < 0:
-        raise ValueError(f"source size must be non-negative, got {y}")
-    return float(np.abs(np.sinc(4.0 * y)))
+def source_visibility(y):
+    """Visibility from a uniform source of dimensionless size y: |sinc(4 y)|.
+
+    Elementwise over an array of sizes; a scalar y gives a float.  Raises
+    ``ValueError`` if any size is negative.
+    """
+    y = np.asarray(y, dtype=float)
+    if np.any(y < 0):
+        raise ValueError(f"source size must be non-negative, got {np.min(y[y < 0])}")
+    v = np.abs(np.sinc(4.0 * y))
+    return v if v.ndim else float(v)
 
 
-def source_schmidt(y: float) -> float:
-    """Schmidt number from a uniform source of size y: 2 / (1 + sinc^2(4 y))."""
-    if y < 0:
-        raise ValueError(f"source size must be non-negative, got {y}")
-    return float(2.0 / (1.0 + np.sinc(4.0 * y) ** 2))
+def source_schmidt(y):
+    """Schmidt number from a uniform source of size y: 2 / (1 + sinc^2(4 y)).
+
+    Elementwise over an array of sizes, like ``source_visibility``.
+    """
+    k = 2.0 / (1.0 + np.square(source_visibility(y)))
+    return k if k.ndim else float(k)

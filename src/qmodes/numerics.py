@@ -110,16 +110,20 @@ def quadrature(values, grid: Grid1D):
 def eigh(matrix, hermiticity_tol: float = 1e-12):
     """Eigendecomposition of a Hermitian matrix, values ascending.
 
-    Raises :class:`NonHermitianError` when the input deviates from its
-    conjugate transpose by more than ``hermiticity_tol`` (relative to the
-    largest entry).
+    Takes one matrix or a stack of shape (..., n, n), decomposed in one
+    call; ``vectors[..., :, k]`` belongs to ``values[..., k]``.  Raises
+    :class:`NonHermitianError` when any matrix deviates from its conjugate
+    transpose by more than ``hermiticity_tol`` (relative to its own largest
+    entry, at least 1).
     """
     h = np.asarray(matrix)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
-    dev = float(np.max(np.abs(h - h.conj().T)))
-    if dev > hermiticity_tol * scale:
-        raise NonHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
-    values, vectors = np.linalg.eigh(h)
-    return values, vectors
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
+    axes = (-2, -1)
+    scale = np.maximum(1.0, np.max(np.abs(h), axis=axes, initial=0.0))
+    dev = np.max(np.abs(h - np.swapaxes(h, -2, -1).conj()), axis=axes, initial=0.0)
+    bad = np.flatnonzero(dev > hermiticity_tol * scale)
+    if bad.size:
+        where = f" {bad[0]} (flat index) of the stack" if dev.ndim else ""
+        raise NonHermitianError(f"matrix{where} deviates from Hermitian by {dev.flat[bad[0]]:.3e}")
+    return np.linalg.eigh(h)

@@ -45,6 +45,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
+        self.grid_points = _convert("grid_points", self.grid_points, 0)
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.grid_points < 16:
@@ -297,8 +298,8 @@ def _run_source(config: ScenarioConfig, emit: _Emitter) -> dict:
 
 def _run_coupling_curve(config: ScenarioConfig, emit: _Emitter) -> dict:
     y = np.linspace(0.0, 0.5, 257)
-    v = np.array([coherence.source_visibility(t) for t in y])
-    k = np.array([coherence.source_schmidt(t) for t in y])
+    v = coherence.source_visibility(y)
+    k = coherence.source_schmidt(y)
     emit.table(f"{config.name}_curve", ["y", "visibility", "schmidt_number"], [y, v, k])
     return {
         "visibility_y0": v[0],
@@ -404,22 +405,20 @@ def _run_qubits(config: ScenarioConfig, emit: _Emitter) -> dict:
     if n_sweep < 3 or n_sweep % 2 == 0:
         # the middle sample is the uncoupled point g0 = 0
         raise ValueError(f"n_sweep must be odd and at least 3, got {n_sweep}")
+    g0_max = params["g0_max"]
+    if not 0.0 <= g0_max < np.inf:
+        # the sweep runs from -g0_max to g0_max, so a negative one would swap its ends
+        raise ValueError(f"g0_max must be finite and non-negative (0 means auto), got {g0_max}")
     well = tunneling.fit_potential(
         tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, params["mass"]
     )
     derived = tunneling.derive_well(well)
     energies = tunneling.two_level_energies(derived, well)
     contact = 4.0 * np.sqrt(np.pi) * derived.sigma_x
-    g_max = params["g0_max"] or 300.0 * energies.splitting * contact
+    g_max = g0_max or 300.0 * energies.splitting * contact
     g_values = np.linspace(-g_max, g_max, n_sweep)
-    k_values = np.array(
-        [
-            tunneling.ground_state_entanglement(
-                tunneling.build_two_qubit(energies, derived, g)
-            ).k
-            for g in g_values
-        ]
-    )
+    system = tunneling.build_two_qubit(energies, derived, g_values)
+    k_values = tunneling.ground_state_entanglement(system).k
     emit.table(
         f"{config.name}_sweep",
         ["g0", "reduced_coupling", "schmidt_number"],

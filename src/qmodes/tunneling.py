@@ -154,14 +154,17 @@ class TwoQubitSystem:
 
     g0 > 0 is attraction, g0 < 0 repulsion.  Basis order (00, 01, 10, 11);
     the interaction fills the corners with h1/h3, the corner anti-diagonal
-    and the whole middle 2x2 block with h2.
+    and the whole middle 2x2 block with h2.  For an array of couplings,
+    ``g0`` and ``h1``-``h3`` are arrays of its shape and ``h_matrix`` is the
+    (..., 4, 4) stack of Hamiltonians; for one coupling they are floats and
+    a 4x4 matrix.
     """
 
     energies: TwoLevelEnergies
-    g0: float
-    h1: float
-    h2: float
-    h3: float
+    g0: float | np.ndarray
+    h1: float | np.ndarray
+    h2: float | np.ndarray
+    h3: float | np.ndarray
     h_matrix: np.ndarray = field(repr=False)
 
 
@@ -171,11 +174,14 @@ class GroundStateEntanglement:
 
     When the two lowest levels are degenerate the ground vector is not
     unique; both candidate values are reported and ``degenerate`` is set.
+    For a stack of Hamiltonians ``k`` and ``degenerate`` are arrays over the
+    stack, and ``k_pair``, set when any matrix is degenerate, holds two
+    arrays whose entries agree where that matrix's ground state is unique.
     """
 
-    k: float
-    degenerate: bool = False
-    k_pair: tuple[float, float] | None = None
+    k: float | np.ndarray
+    degenerate: bool | np.ndarray = False
+    k_pair: tuple[float, float] | tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -390,7 +396,7 @@ def grid_eigensolve(well: DoubleWell) -> tuple[float, float]:
     raise InsufficientGridError(f"splitting did not converge within {MAX_DVR_POINTS} points")
 
 
-def build_two_qubit(energies: TwoLevelEnergies, derived: WellDerived, g0: float) -> TwoQubitSystem:
+def build_two_qubit(energies: TwoLevelEnergies, derived: WellDerived, g0) -> TwoQubitSystem:
     """Hamiltonian of two delta-coupled double-well qubits.
 
     H = diag(2E0, E0+E1, E0+E1, 2E1) + h with
@@ -400,9 +406,11 @@ def build_two_qubit(energies: TwoLevelEnergies, derived: WellDerived, g0: float)
         h3 = -C1^4 g0/(4 sqrt(pi) sigma) (1 - 4 e3 + 3 e4)
 
     where e3 = exp(-3a^2/4 sigma^2), e4 = exp(-a^2/sigma^2).  As the
-    overlap vanishes all three tend to -g0/(4 sqrt(pi) sigma).
+    overlap vanishes all three tend to -g0/(4 sqrt(pi) sigma).  An array of
+    couplings g0 gives a (..., 4, 4) stack, one Hamiltonian per coupling.
     """
     a, sx = derived.a, derived.sigma_x
+    g0 = np.asarray(g0, dtype=float)
     e3 = np.exp(-3.0 * a**2 / (4.0 * sx**2))
     e4 = np.exp(-(a**2) / sx**2)
     scale = g0 / (4.0 * np.sqrt(np.pi) * sx)
@@ -410,21 +418,20 @@ def build_two_qubit(energies: TwoLevelEnergies, derived: WellDerived, g0: float)
     h2 = -energies.c0_sq * energies.c1_sq * scale * (1.0 - e4)
     h3 = -energies.c1_sq**2 * scale * (1.0 - 4.0 * e3 + 3.0 * e4)
     e0, e1 = energies.e0, energies.e1
-    h = np.array(
-        [
-            [2.0 * e0 + h1, 0.0, 0.0, h2],
-            [0.0, e0 + e1 + h2, h2, 0.0],
-            [0.0, h2, e0 + e1 + h2, 0.0],
-            [h2, 0.0, 0.0, 2.0 * e1 + h3],
-        ]
-    )
-    return TwoQubitSystem(energies, g0, float(h1), float(h2), float(h3), h)
+    h = np.zeros(g0.shape + (4, 4))
+    h[..., 0, 0] = 2.0 * e0 + h1
+    h[..., 1, 1] = h[..., 2, 2] = e0 + e1 + h2
+    h[..., 3, 3] = 2.0 * e1 + h3
+    h[..., 0, 3] = h[..., 3, 0] = h[..., 1, 2] = h[..., 2, 1] = h2
+    if g0.ndim:
+        return TwoQubitSystem(energies, g0, h1, h2, h3, h)
+    return TwoQubitSystem(energies, float(g0), float(h1), float(h2), float(h3), h)
 
 
-def _pair_schmidt_number(vector: np.ndarray) -> float:
-    c = vector.reshape(2, 2)
-    delta = abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) ** 2
-    return float(1.0 / (1.0 - 2.0 * delta))
+def _pair_schmidt_number(vector: np.ndarray) -> np.ndarray:
+    c = vector.reshape(vector.shape[:-1] + (2, 2))
+    delta = np.square(np.abs(c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]))
+    return 1.0 / (1.0 - 2.0 * delta)
 
 
 def ground_state_entanglement(
@@ -433,12 +440,18 @@ def ground_state_entanglement(
     """Schmidt number K = 1/(1 - 2 Delta) of the two-qubit ground state.
 
     Delta = |c00 c11 - c01 c10|^2 from the lowest eigenvector of H.  K runs
-    from 1 (product state) to 2 (Bell-like state).
+    from 1 (product state) to 2 (Bell-like state).  A stack of Hamiltonians
+    is solved in one ``eigh`` call and gives K and the degeneracy flag per
+    matrix; one matrix gives floats.
     """
     values, vectors = eigh(system.h_matrix)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    k0 = _pair_schmidt_number(vectors[:, 0])
-    if values[1] - values[0] < degeneracy_tol * scale:
-        k1 = _pair_schmidt_number(vectors[:, 1])
-        return GroundStateEntanglement(k0, degenerate=True, k_pair=(k0, k1))
-    return GroundStateEntanglement(k0)
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=-1))
+    degenerate = values[..., 1] - values[..., 0] < degeneracy_tol * scale
+    k0 = _pair_schmidt_number(vectors[..., :, 0])
+    k_pair = None
+    if np.any(degenerate):
+        k1 = np.where(degenerate, _pair_schmidt_number(vectors[..., :, 1]), k0)
+        k_pair = (k0, k1) if degenerate.ndim else (float(k0), float(k1))
+    if degenerate.ndim:
+        return GroundStateEntanglement(k0, degenerate, k_pair)
+    return GroundStateEntanglement(float(k0), bool(degenerate), k_pair)

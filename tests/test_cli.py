@@ -196,3 +196,40 @@ def test_zero_g0_max_is_the_default_auto_range(tmp_path, capsys):
     for name in ("qubits_report.json", "qubits_sweep.csv"):
         assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "zero" / name).read_bytes()
     assert report(tmp_path / "zero", "qubits")["scalars"]["g0_max"] > 0
+
+
+@pytest.mark.parametrize("command", ["figures", *COMMANDS])
+def test_single_command_parser_help_is_the_full_parsers(command):
+    def subparsers(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    single = subparsers(_build_parser(command))
+    assert list(single) == [command]
+    assert single[command].format_help() == subparsers(_build_parser())[command].format_help()
+
+
+@pytest.mark.parametrize("value", ["300.7", "many"])
+def test_config_grid_points_must_be_an_integer(tmp_path, capsys, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"grid_points = {value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["figures", "fig1", "--config", str(config), "--out", str(out)]) == 2
+    assert "parameter 'grid_points' takes a int" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_config_grid_points_is_taken(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("grid_points = 300.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["figures", "fig1", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len((out / "fig1_momentum.csv").read_text(encoding="utf-8").splitlines()) == 301
+
+
+@pytest.mark.parametrize("g0_max", ["-0.05", "-1e-300", "inf", "nan"])
+def test_negative_or_non_finite_g0_max_exits_2(tmp_path, capsys, g0_max):
+    out = tmp_path / "out"
+    assert main(["qubits", f"--g0-max={g0_max}", "--n-sweep", "5", "--out", str(out)]) == 2
+    assert "g0_max must be finite and non-negative" in capsys.readouterr().err
+    assert not (out / "qubits_report.json").exists()

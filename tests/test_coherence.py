@@ -201,6 +201,22 @@ class TestSourceModel:
         with pytest.raises(ValueError):
             source_schmidt(-1.0)
 
+    def test_array_form_is_the_scalar_form_bitwise(self):
+        y = np.linspace(0.0, 0.5, 257)  # the fig7 grid
+        v, k = source_visibility(y), source_schmidt(y)
+        assert v.shape == k.shape == y.shape
+        assert v.tobytes() == np.array([source_visibility(float(t)) for t in y]).tobytes()
+        assert k.tobytes() == np.array([source_schmidt(float(t)) for t in y]).tobytes()
+        assert isinstance(source_visibility(0.1), float) and isinstance(source_schmidt(0.1), float)
+
+    def test_negative_entry_in_array_rejected(self):
+        y = np.linspace(0.0, 0.5, 257)
+        y[100] = -1e-9
+        with pytest.raises(ValueError, match="-1e-09"):
+            source_visibility(y)
+        with pytest.raises(ValueError):
+            source_schmidt(y.reshape(1, -1))
+
     def test_consistency_with_coupling(self):
         for y in np.linspace(0.0, 1.0, 41):
             v = source_visibility(float(y))

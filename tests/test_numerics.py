@@ -153,6 +153,14 @@ class TestEigh:
         with pytest.raises(NonHermitianError):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_non_hermitian_matrix_in_a_stack_rejected(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]), np.eye(3)])
+        values, vectors = eigh(stack)
+        assert values.shape == (3, 3) and vectors.shape == (3, 3, 3)
+        stack[1, 0, 2] = 1e-6
+        with pytest.raises(NonHermitianError, match="matrix 1 "):
+            eigh(stack)
+
     def test_residuals_property(self):
         rng = np.random.default_rng(13)
         for _ in range(100):

@@ -314,6 +314,32 @@ class TestTwoQubit:
         assert result.degenerate
         assert result.k_pair is not None
 
+    def test_stacked_sweep_is_the_scalar_loop_bitwise(self):
+        well = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, AMMONIA_ISOTOPES["NH3"].mass)
+        derived = derive_well(well)
+        energies = two_level_energies(derived, well)
+        g_max = 300.0 * energies.splitting * 4.0 * np.sqrt(np.pi) * derived.sigma_x
+        g_values = np.linspace(-g_max, g_max, 101)  # the fig10 sweep
+        stack = build_two_qubit(energies, derived, g_values)
+        systems = [build_two_qubit(energies, derived, float(g)) for g in g_values]
+        assert stack.h_matrix.shape == (101, 4, 4)
+        assert stack.h_matrix.tobytes() == np.stack([s.h_matrix for s in systems]).tobytes()
+        result = ground_state_entanglement(stack)
+        loop = [ground_state_entanglement(s) for s in systems]
+        assert result.k.tobytes() == np.array([r.k for r in loop]).tobytes()
+        assert not result.degenerate.any() and result.k_pair is None
+        assert isinstance(loop[0].k, float) and loop[0].degenerate is False
+
+    def test_degeneracy_flag_per_matrix(self):
+        _, derived, energies = paper_energies(2.47)
+        h = np.stack([np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([1.0, 1.0, 2.0, 3.0])])
+        result = ground_state_entanglement(TwoQubitSystem(energies, 0.0, 0.0, 0.0, 0.0, h))
+        assert result.degenerate.tolist() == [False, True]
+        single = ground_state_entanglement(TwoQubitSystem(energies, 0.0, 0.0, 0.0, 0.0, h[1]))
+        assert single.degenerate and single.k_pair is not None
+        assert result.k_pair[0][1] == single.k_pair[0] and result.k_pair[1][1] == single.k_pair[1]
+        assert result.k_pair[0][0] == result.k_pair[1][0] == result.k[0]
+
     def test_isotope_chain_ordering(self):
         splittings = []
         for name in ("NH3", "ND3", "NT3"):
