@@ -1,17 +1,33 @@
 """Command-line entry point.
 
-Subcommands map onto the scenario catalog; ``figures <name>`` runs the
-named preset, ``list`` prints the catalog.  Each parametric subcommand has
-one flag per key of its scenario's defaults, typed like that default
-(``--sigma-x`` sets ``sigma_x``); ``--g0-max 0``, the qubits default, means
-auto, the coupling range derived from the fitted well.  Parameter
-precedence is scenario defaults < config file < explicit command-line
-flags.  The config file is flat ``key = value`` text with ``#`` comments.
+Grammar::
+
+    qmodes list
+    qmodes figures NAME [--key value | --key=value]...
+    qmodes <command> [--key value | --key=value]...
+
+``figures NAME`` runs the named catalog preset, ``list`` prints the
+catalog, and each other command runs the scenario of that name.  Every run
+takes the flags ``--config``, ``--out``, ``--format`` and
+``--grid-points``; a scenario command also takes one flag per key of its
+scenario's defaults.  A flag is its key's exact long name with ``-`` for
+``_`` (``--sigma-x`` sets ``sigma_x``; abbreviations are not accepted),
+and the token after it is always its value, so ``--phi -1e-3`` works.
+NAME may stand before or after the flags; ``-h`` or ``--help`` anywhere
+prints help.  ``--g0-max 0``, the qubits default, means auto, the coupling
+range derived from the fitted well.
+
+The config file is flat ``key = value`` text with ``#`` comments.  Flag
+values are read like config values (int, else float, else text) and both
+are then checked against the type of the default they replace, so
+``--m 5`` and the line ``m = 5`` take one path.  Parameter precedence is
+scenario defaults < config file < flags.  ``main`` returns 0 on success
+and on help, and 2 after printing one ``qmodes: error: ...`` line for a
+usage error or bad input.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -21,8 +37,30 @@ from .scenarios import SCENARIOS, ScenarioConfig, list_scenarios, run
 
 __all__ = ["main", "parse_config"]
 
-# scenarios with a subcommand of their own
+# scenarios with a command of their own
 _COMMANDS = ("slits", "entangled", "schmidt", "coherence", "ammonia", "qubits", "tomography")
+_SUMMARIES = {
+    "list": "print the scenario catalog",
+    "figures": "run a named figure-data scenario",
+    **{name: f"run the {name} scenario" for name in _COMMANDS},
+}
+# flags every run takes: key -> (default, help)
+_COMMON = {
+    "config": (None, "flat key = value config file"),
+    "out": ("qmodes-out", "output directory"),
+    "format": ("csv", "data file format, csv or json"),
+    "grid_points": (1024, "grid size"),
+}
+
+
+def _value(text: str):
+    """A config or flag value: int, else float, else the text itself."""
+    for caster in (int, float):
+        try:
+            return caster(text)
+        except ValueError:
+            continue
+    return text
 
 
 def parse_config(path: Path) -> dict:
@@ -36,93 +74,96 @@ def parse_config(path: Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip()
-        text = text.strip()
         if not key:
             raise ValueError(f"{path}:{lineno}: empty key")
-        for caster in (int, float):
-            try:
-                values[key] = caster(text)
-                break
-            except ValueError:
-                continue
-        else:
-            values[key] = text
+        values[key] = _value(text.strip())
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", type=Path, default=None, help="flat key = value config file")
-    parser.add_argument("--out", type=Path, default=Path("qmodes-out"), help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default=None, help="data file format")
-    parser.add_argument("--grid-points", type=int, default=None, help="grid size (default 1024)")
+def _flags(command: str) -> dict:
+    """Flag name -> (key, default, help) of the flags ``command`` takes."""
+    table = {} if command == "list" else dict(_COMMON)
+    if command in _COMMANDS:
+        table.update({key: (default, "") for key, default in SCENARIOS[command].defaults.items()})
+    return {"--" + key.replace("_", "-"): (key, *entry) for key, entry in table.items()}
 
 
-def _add_param_flags(parser: argparse.ArgumentParser, defaults: dict):
-    for name, default in defaults.items():
-        parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=None)
+def _help(command: str | None) -> str:
+    if command is None:
+        rows = [f"  {name:12s}{summary}" for name, summary in _SUMMARIES.items()]
+        return "\n".join(
+            [
+                "usage: qmodes {" + ",".join(_SUMMARIES) + "} ...",
+                "",
+                "Interference, Schmidt-mode and tunneling scenario runner",
+                "",
+                "commands:",
+                *rows,
+                "",
+                "'qmodes <command> --help' lists the flags of a command.",
+            ]
+        )
+    name = " NAME" if command == "figures" else ""
+    flags = " [--key value | --key=value]..." if command != "list" else ""
+    rows = ["  NAME           scenario name, e.g. fig3 (see 'qmodes list')"] if name else []
+    for flag, (_, default, text) in _flags(command).items():
+        rows.append(f"  {flag:14s} {text + ' ' if text else ''}(default: {default})")
+    return "\n".join([f"usage: qmodes {command}{name}{flags}", "", _SUMMARIES[command], "", *rows])
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qmodes`` parser; for a named run ``command`` only its subparser
-    is built, since argparse reads no other subparser once the command is
-    chosen and building them all takes milliseconds.  Any other first
-    argument (``list``, ``-h``, none or an unknown one) gets every subparser."""
-    every = command != "figures" and command not in _COMMANDS
-    parser = argparse.ArgumentParser(
-        prog="qmodes",
-        description="Interference, Schmidt-mode and tunneling scenario runner",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    if every:
-        sub.add_parser("list", help="print the scenario catalog")
-    if every or command == "figures":
-        figures = sub.add_parser("figures", help="run a named figure-data scenario")
-        figures.add_argument("name", help="scenario name, e.g. fig3 (see 'qmodes list')")
-        _add_common(figures)
-
-    for name in _COMMANDS:
-        if every or command == name:
-            p = sub.add_parser(name, help=f"run the {name} scenario")
-            _add_common(p)
-            _add_param_flags(p, SCENARIOS[name].defaults)
-    return parser
+def _parse(argv: list[str]) -> tuple[str, str, dict]:
+    """The command, the scenario it runs and its flags' key -> text."""
+    if not argv or argv[0] not in _SUMMARIES:
+        got = repr(argv[0]) if argv else "none"
+        raise ValueError(f"expected a command, one of {{{','.join(_SUMMARIES)}}}; got {got}")
+    command, *rest = argv
+    flags = _flags(command)
+    names: list[str] = []
+    values: dict = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            names.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            raise ValueError(f"unknown flag {flag!r} for {command!r}; see 'qmodes {command} --help'")
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise ValueError(f"flag {flag!r} expects a value")
+        values[flags[flag][0]] = text
+    wanted = 1 if command == "figures" else 0
+    if len(names) > wanted:
+        raise ValueError(f"unexpected argument {names[wanted]!r} for {command!r}")
+    if len(names) < wanted:
+        raise ValueError("figures expects a scenario NAME; see 'qmodes list'")
+    return command, names[0] if wanted else command, values
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
-
-    if args.command == "list":
-        for name, summary in list_scenarios().items():
-            print(f"{name:16s} {summary}")
+    if "-h" in argv or "--help" in argv:
+        print(_help(argv[0] if argv[0] in _SUMMARIES else None))
         return 0
-
-    scenario_name = args.name if args.command == "figures" else args.command
-    params: dict = {}
-    fmt = "csv"
-    grid_points = 1024
     try:
-        if args.config is not None:
-            config_values = parse_config(args.config)
-            fmt = config_values.pop("format", fmt)
-            grid_points = config_values.pop("grid_points", grid_points)
-            params.update(config_values)
-        if args.command != "figures":
-            defaults = SCENARIOS[args.command].defaults
-            params.update({k: getattr(args, k) for k in defaults if getattr(args, k) is not None})
-        if args.format is not None:
-            fmt = args.format
-        if args.grid_points is not None:
-            grid_points = args.grid_points
-
-        config = ScenarioConfig(scenario_name, args.out, fmt, grid_points, params)
-        report = run(config)
+        command, scenario_name, flags = _parse(argv)
+        if command == "list":
+            for name, summary in list_scenarios().items():
+                print(f"{name:16s} {summary}")
+            return 0
+        config_path = flags.pop("config", None)
+        out = Path(flags.pop("out", _COMMON["out"][0]))
+        params = parse_config(config_path) if config_path is not None else {}
+        params.update({key: _value(text) for key, text in flags.items()})
+        fmt = params.pop("format", _COMMON["format"][0])
+        grid_points = params.pop("grid_points", _COMMON["grid_points"][0])
+        report = run(ScenarioConfig(scenario_name, out, fmt, grid_points, params))
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"qmodes: error: {exc}", file=sys.stderr)
         return 2
 
-    print(f"scenario {report.scenario}: wrote {len(report.files)} file(s) to {args.out}")
+    print(f"scenario {report.scenario}: wrote {len(report.files)} file(s) to {out}")
     for key, value in report.scalars.items():
         if isinstance(value, float):
             print(f"  {key} = {value:.6g}")

@@ -23,6 +23,11 @@ __all__ = [
     "eigh",
 ]
 
+# largest sample count a user parameter may set (grid points, sweep and
+# protocol samples): bounds the arrays that such a count sizes
+MAX_COUNT = 1 << 16
+
+
 class NonHermitianError(ValueError):
     """Matrix handed to a Hermitian eigensolver is not Hermitian."""
 

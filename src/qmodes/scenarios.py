@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coherence, interference, schmidt, tomography, tunneling
-from .numerics import Grid1D, make_grid, quadrature
+from .numerics import MAX_COUNT, Grid1D, make_grid, quadrature
 
 __all__ = ["ScenarioConfig", "RunReport", "run", "list_scenarios", "SCENARIOS"]
 
@@ -50,6 +50,8 @@ class ScenarioConfig:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.grid_points < 16:
             raise ValueError(f"grid_points too small: {self.grid_points}")
+        if self.grid_points > MAX_COUNT:
+            raise ValueError(f"grid_points must be at most {MAX_COUNT}, got {self.grid_points}")
 
 
 @dataclass
@@ -405,6 +407,8 @@ def _run_qubits(config: ScenarioConfig, emit: _Emitter) -> dict:
     if n_sweep < 3 or n_sweep % 2 == 0:
         # the middle sample is the uncoupled point g0 = 0
         raise ValueError(f"n_sweep must be odd and at least 3, got {n_sweep}")
+    if n_sweep > MAX_COUNT:
+        raise ValueError(f"n_sweep must be at most {MAX_COUNT}, got {n_sweep}")
     g0_max = params["g0_max"]
     if not 0.0 <= g0_max < np.inf:
         # the sweep runs from -g0_max to g0_max, so a negative one would swap its ends

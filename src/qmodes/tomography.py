@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .interference import SlitParams
+from .numerics import MAX_COUNT
 
 __all__ = [
     "UNCONDITIONALLY_COMPLETE",
@@ -306,6 +307,8 @@ def interference_protocol(slits: SlitParams, n_points: int) -> ProtocolMatrix:
         raise ValueError(f"protocol is defined on the two-slit space, got m={slits.m}")
     if n_points < 2:
         raise ValueError(f"need at least 2 sample points per space, got {n_points}")
+    if n_points > MAX_COUNT:
+        raise ValueError(f"n_points must be at most {MAX_COUNT}, got {n_points}")
     a, sx = slits.a, slits.sigma_x
     x = np.linspace(-(a + 5.0 * sx), a + 5.0 * sx, n_points)
     p_max = min(2.0 / sx, n_points * np.pi / (8.0 * a))

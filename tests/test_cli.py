@@ -1,6 +1,5 @@
 """Command-line entry point: exit codes, parameter precedence, catalog and formats."""
 
-import argparse
 import json
 import os
 import subprocess
@@ -10,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from qmodes import scenarios
-from qmodes.cli import _build_parser, main
+from qmodes.cli import main
+from qmodes.numerics import MAX_COUNT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = ["slits", "entangled", "schmidt", "coherence", "ammonia", "qubits", "tomography"]
@@ -76,21 +76,28 @@ def test_json_format_writes_json_tables(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_import_loads_no_scipy():
-    # a fresh interpreter: the test session itself may have imported scipy
-    code = "import sys, qmodes.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_cli_import_loads_no_scipy(tmp_path):
+    # a fresh interpreter, as each user run starts (this test session has
+    # imported all four): scipy is a test extra only, and argparse with the
+    # gettext and locale it pulls in costs a fresh run about 3 ms of set-up
+    code = (
+        "import sys, qmodes.cli\n"
+        f"assert qmodes.cli.main(['figures', 'fig7', '--out', {str(tmp_path)!r}]) == 0\n"
+        "roots = ('scipy', 'argparse', 'gettext', 'locale')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in roots))"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
-def test_seed_flag_is_rejected_by_argparse(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["figures", "fig3", "--seed", "1", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+def test_seed_flag_is_an_unknown_flag(tmp_path, capsys):
+    assert main(["figures", "fig3", "--seed", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qmodes: error: unknown flag '--seed'")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_seed_config_line_is_an_unknown_parameter(tmp_path, capsys):
@@ -109,9 +116,7 @@ def test_seed_config_line_is_an_unknown_parameter(tmp_path, capsys):
     ],
 )
 def test_command_help_lists_its_flags(capsys, command, flags):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--help"])
-    assert exc.value.code == 0
+    assert main([command, "--help"]) == 0
     out = capsys.readouterr().out
     for flag in [*flags, "--config", "--out", "--format", "--grid-points"]:
         assert flag in out, flag
@@ -119,9 +124,7 @@ def test_command_help_lists_its_flags(capsys, command, flags):
 
 
 def test_top_level_help_lists_every_subcommand(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
+    assert main(["--help"]) == 0
     out = capsys.readouterr().out
     commands = ["list", "figures", *COMMANDS]
     assert len(commands) == 9
@@ -130,28 +133,32 @@ def test_top_level_help_lists_every_subcommand(capsys):
         assert f"run the {command} scenario" in out
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["figures", "fig3", "--grid-points", "64", "--format", "json"],
-        ["slits", "--m", "5", "--a", "2.5", "--out", "x"],
-        ["ammonia", "--isotope", "ND3", "--mass", "3"],
-        ["qubits", "--n-sweep", "5", "--g0-max", "1e-3"],
-        ["tomography", "--n-points", "8", "--config", "c.cfg"],
-    ],
-)
-def test_single_command_parser_parses_as_the_full_parser(argv):
-    assert _build_parser(argv[0]).parse_args(argv) == _build_parser().parse_args(argv)
-
-
 @pytest.mark.parametrize("command", COMMANDS)
-def test_subcommand_flags_are_its_defaults_with_their_types(command):
-    parser = _build_parser(command)
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
-    common = {"help", "config", "out", "format", "grid_points"}
-    flags = {a.dest: (a.option_strings, a.type) for a in sub._actions if a.dest not in common}
+def test_subcommand_flags_are_its_defaults_with_their_types(tmp_path, capsys, command):
     defaults = scenarios.SCENARIOS[command].defaults
-    assert flags == {k: (["--" + k.replace("_", "-")], type(v)) for k, v in defaults.items()}
+    config = tmp_path / "empty.cfg"
+    config.write_text("", encoding="utf-8")
+    # every flag the command takes, each given its default's text
+    argv = [command, "--config", str(config), "--format", "csv", "--grid-points", "1024"]
+    for key, value in defaults.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    assert main([*argv, "--out", str(tmp_path / "flags")]) == 0
+    assert main([command, "--out", str(tmp_path / "plain")]) == 0
+    name = f"{command}_report.json"
+    assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    capsys.readouterr()
+
+    for key, value in defaults.items():
+        if not isinstance(value, str):
+            assert main([command, "--" + key.replace("_", "-"), "wide", "--out", str(tmp_path / "x")]) == 2
+            assert f"parameter {key!r} takes a {type(value).__name__}" in capsys.readouterr().err
+    # no other flag: an unknown key, a prefix, the key's own spelling, another command's key
+    foreign = sorted({k for c in COMMANDS for k in scenarios.SCENARIOS[c].defaults} - set(defaults))
+    for flag in ["--seed", "--grid", "--grid_points", "--" + foreign[0].replace("_", "-")]:
+        assert main([command, flag, "1", "--out", str(tmp_path / "x")]) == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith(f"qmodes: error: unknown flag {flag!r}"), err
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_keys_a_scenario_does_not_take_are_rejected(tmp_path, capsys):
@@ -198,16 +205,6 @@ def test_zero_g0_max_is_the_default_auto_range(tmp_path, capsys):
     assert report(tmp_path / "zero", "qubits")["scalars"]["g0_max"] > 0
 
 
-@pytest.mark.parametrize("command", ["figures", *COMMANDS])
-def test_single_command_parser_help_is_the_full_parsers(command):
-    def subparsers(parser):
-        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-
-    single = subparsers(_build_parser(command))
-    assert list(single) == [command]
-    assert single[command].format_help() == subparsers(_build_parser())[command].format_help()
-
-
 @pytest.mark.parametrize("value", ["300.7", "many"])
 def test_config_grid_points_must_be_an_integer(tmp_path, capsys, value):
     config = tmp_path / "run.cfg"
@@ -233,3 +230,114 @@ def test_negative_or_non_finite_g0_max_exits_2(tmp_path, capsys, g0_max):
     assert main(["qubits", f"--g0-max={g0_max}", "--n-sweep", "5", "--out", str(out)]) == 2
     assert "g0_max must be finite and non-negative" in capsys.readouterr().err
     assert not (out / "qubits_report.json").exists()
+
+
+# a value other than the default for every key of a parametric command
+FLAG_VALUES = {
+    "m": "3",
+    "a": "4.5",
+    "b": "0.3",
+    "sigma_x": "0.6",
+    "sigma_xi": "0.4",
+    "phi": "-1e-3",
+    "isotope": "ND3",
+    "mass": "2.5",
+    "g0_max": "0.01",
+    "n_sweep": "7",
+    "n_points": "16",
+}
+
+
+@pytest.mark.parametrize(
+    "command, key", [(c, k) for c in COMMANDS for k in scenarios.SCENARIOS[c].defaults]
+)
+def test_flag_and_config_line_give_the_same_parameters(tmp_path, capsys, command, key):
+    value = FLAG_VALUES[key]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    flag = "--" + key.replace("_", "-")
+    assert main([command, flag, value, "--out", str(tmp_path / "flag")]) == 0
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "config")]) == 0
+    capsys.readouterr()
+    parameters = report(tmp_path / "flag", command)["parameters"]
+    assert parameters == report(tmp_path / "config", command)["parameters"]
+    assert parameters[key] != scenarios.SCENARIOS[command].defaults[key]
+
+
+def test_negative_exponent_flag_values_are_values(tmp_path, capsys):
+    assert main(["coherence", "--phi", "-1e-3", "--out", str(tmp_path / "c")]) == 0
+    assert "  phi = -0.001\n" in capsys.readouterr().out
+    assert report(tmp_path / "c", "coherence")["parameters"]["phi"] == -0.001
+
+    out = tmp_path / "q"
+    assert main(["qubits", "--g0-max", "-1e-3", "--n-sweep", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qmodes: error: g0_max must be finite and non-negative")
+    assert not (out / "qubits_report.json").exists()
+
+
+def test_equals_form_and_name_after_the_flags_give_the_same_run(tmp_path, capsys):
+    spaced = ["figures", "fig1", "--grid-points", "256", "--format", "json", "--out", str(tmp_path / "a")]
+    joined = ["figures", "--grid-points=256", "--format=json", f"--out={tmp_path / 'b'}", "fig1"]
+    assert main(spaced) == 0
+    assert main(joined) == 0
+    capsys.readouterr()
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_help_after_other_flags_is_the_commands_help(capsys):
+    assert main(["slits", "--help"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["slits", "--m", "3", "--sigma-x=0.6", "-h"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["slits", "--no-such-flag", "-h"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["slits", "--m"], "'--m'"),
+        (["figures", "--format", "json"], "NAME"),
+        (["figures", "fig3", "fig5"], "'fig5'"),
+        (["list", "--out", "x"], "'--out'"),
+        (["no-such-command"], "'no-such-command'"),
+        ([], "command"),
+    ],
+    ids=["no-value", "no-name", "two-names", "list-flag", "unknown-command", "empty"],
+)
+def test_usage_errors_exit_2_naming_the_token(tmp_path, capsys, argv, token):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qmodes: error: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert token in captured.err
+
+
+def test_integral_flag_values_take_the_default_type(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["slits", "--m", "3.0", "--a", "4", "--grid-points", "256", "--out", str(out)]) == 0
+    capsys.readouterr()
+    parameters = report(out, "slits")["parameters"]
+    assert (parameters["m"], parameters["a"]) == (3, 4.0)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["figures", "fig1", "--grid-points"], "grid_points"),
+        (["qubits", "--n-sweep"], "n_sweep"),
+        (["tomography", "--n-points"], "n_points"),
+    ],
+)
+def test_counts_above_the_cap_exit_2(tmp_path, capsys, argv, key):
+    assert MAX_COUNT == 1 << 16
+    out = tmp_path / "out"
+    assert main([*argv, str(MAX_COUNT + 1), "--out", str(out)]) == 2
+    assert f"{key} must be at most {MAX_COUNT}, got {MAX_COUNT + 1}" in capsys.readouterr().err
+    if key == "grid_points":
+        assert not out.exists()
