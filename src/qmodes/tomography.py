@@ -268,8 +268,9 @@ def completion_purity_range(
     d = float(np.linalg.norm(r0))
     if np.linalg.norm(a @ r0 - b) > TRACE_TOL or (1.0 - d) / 2.0 < -EIGENVALUE_TOL:
         return np.nan, np.nan
-    least = (1.0 + d**2) / 2.0
-    return least, (max(least, 1.0) if np.count_nonzero(keep) < 3 else least)
+    # a pure-state fit may round to d just above 1; no state is purer than 1
+    least = min((1.0 + d**2) / 2.0, 1.0)
+    return least, (1.0 if np.count_nonzero(keep) < 3 else least)
 
 
 def two_slit_basis_functions(slits: SlitParams, x: np.ndarray, p: np.ndarray):

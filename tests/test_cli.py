@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qmodes import scenarios
-from qmodes.cli import main
+from qmodes.cli import _parse, main
 from qmodes.numerics import MAX_COUNT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -131,6 +131,52 @@ def test_top_level_help_lists_every_subcommand(capsys):
     assert "{" + ",".join(commands) + "}" in out
     for command in COMMANDS:
         assert f"run the {command} scenario" in out
+
+
+# the parser reads only the table of the command in argv[0]; these are the
+# flags the argparse parser built for every command read from the same argv
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["figures", "fig3", "--grid-points", "64", "--format", "json"],
+            ("figures", "fig3", {"grid_points": "64", "format": "json"}),
+        ),
+        (
+            ["slits", "--m", "5", "--a", "2.5", "--out", "x"],
+            ("slits", "slits", {"m": "5", "a": "2.5", "out": "x"}),
+        ),
+        (
+            ["ammonia", "--isotope", "ND3", "--mass", "3"],
+            ("ammonia", "ammonia", {"isotope": "ND3", "mass": "3"}),
+        ),
+        (
+            ["qubits", "--n-sweep", "5", "--g0-max", "1e-3"],
+            ("qubits", "qubits", {"n_sweep": "5", "g0_max": "1e-3"}),
+        ),
+        (
+            ["tomography", "--n-points", "8", "--config", "c.cfg"],
+            ("tomography", "tomography", {"n_points": "8", "config": "c.cfg"}),
+        ),
+    ],
+    ids=[f"argv{i}" for i in range(5)],
+)
+def test_single_command_parser_parses_as_the_full_parser(argv, expected):
+    assert _parse(argv) == expected
+
+
+@pytest.mark.parametrize("command", ["figures", *COMMANDS])
+def test_single_command_parser_help_is_the_full_parsers(capsys, command):
+    # a command's help lists every flag it takes, each with its default
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    defaults = {"config": None, "out": "qmodes-out", "format": "csv", "grid_points": 1024}
+    if command != "figures":
+        defaults.update(scenarios.SCENARIOS[command].defaults)
+    rows = [line.split() for line in out.splitlines() if line.startswith("  --")]
+    assert {row[0]: " ".join(row[-2:]) for row in rows} == {
+        "--" + key.replace("_", "-"): f"(default: {value})" for key, value in defaults.items()
+    }
 
 
 @pytest.mark.parametrize("command", COMMANDS)
