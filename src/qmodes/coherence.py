@@ -3,8 +3,11 @@ qubit-entanglement model of partially coherent illumination.
 
 A source point displaced from the optical axis advances one slit's phase
 by phi relative to the other; entangling the sign of that shift with an
-auxiliary qubit reproduces classical partial coherence.  For any two-mode
-decomposition,
+auxiliary qubit reproduces classical partial coherence.  The qubit takes
+the place of the which-way detector: the model is the two-slit state of
+:mod:`qmodes.interference` whose detector states overlap by cos 2 phi, so
+its marginals and Schmidt weights come from the same m x m overlap
+matrices as every slit state.  For any two-mode decomposition,
 
     K = 2 / (1 + V^2),   lambda_0 = (1 + V)/2,   lambda_1 = (1 - V)/2,
 
@@ -19,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import MOMENTUM, JointState, SlitParams
-from .numerics import Grid1D, SampledWave, trapezoid_weights
+from .interference import SlitParams, SlitState
+from .numerics import SampledWave
 
 __all__ = [
     "CoherenceModel",
     "VisibilityReport",
     "UnresolvedFringesError",
-    "QUBIT_GRID",
     "visibility_from_intensity",
     "qubit_coherence_state",
     "k_from_v",
@@ -38,10 +40,6 @@ __all__ = [
 ]
 
 MIN_SAMPLES_PER_PERIOD = 16
-
-# Two-point "grid" for a qubit axis: [0, 2] makes both trapezoid weights
-# exactly 1, so quadrature over the detector axis is a plain sum.
-QUBIT_GRID = Grid1D(2, 0.0, 2.0)
 
 
 class UnresolvedFringesError(ValueError):
@@ -56,6 +54,8 @@ class CoherenceModel:
     slits: SlitParams
 
     def __post_init__(self):
+        if not np.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         if self.slits.m != 2:
             raise ValueError("coherence model is defined for two slits")
 
@@ -102,25 +102,21 @@ def visibility_from_intensity(density: SampledWave, a: float, sigma_x: float) ->
     return float(np.clip(np.hypot(cos_part, sin_part) / mean, 0.0, 1.0))
 
 
-def qubit_coherence_state(model: CoherenceModel, particle_grid: Grid1D) -> JointState:
+def qubit_coherence_state(model: CoherenceModel) -> SlitState:
     """Particle entangled with an auxiliary qubit carrying the phase-shift sign.
 
-    In momentum representation the qubit branches are real cosine fringes
+    In momentum representation the qubit branches are cosine fringes
     shifted by +/-phi:
 
-        branch |0>: env(p) cos(p a + phi),   branch |1>: env(p) cos(p a - phi),
+        branch |0>: env(p) cos(p a + phi),   branch |1>: env(p) cos(p a - phi).
 
-    normalized numerically.  The detector axis is the two-point qubit grid,
-    so marginals and Schmidt decompositions treat it as a plain sum.
+    With u~_0, u~_1 proportional to env(p) exp(+/-i p a), the two momentum
+    slit functions, the state is N (u~_0 v_0 + u~_1 v_1) with the qubit
+    vectors v_0 = (e^(i phi), e^(-i phi))/sqrt 2 and v_1 = conj(v_0), whose
+    overlap is cos 2 phi.
     """
-    p = particle_grid.points
-    env = np.exp(-model.slits.sigma_x**2 * p**2)
-    amp = np.stack(
-        [env * np.cos(p * model.slits.a + model.phi), env * np.cos(p * model.slits.a - model.phi)],
-        axis=1,
-    )
-    total = trapezoid_weights(particle_grid) @ (np.abs(amp) ** 2) @ trapezoid_weights(QUBIT_GRID)
-    return JointState(particle_grid, QUBIT_GRID, amp / np.sqrt(total), MOMENTUM)
+    c = np.cos(2.0 * model.phi)
+    return SlitState(model.slits, np.array([[1.0, c], [c, 1.0]]))
 
 
 def k_from_v(v: float) -> float:

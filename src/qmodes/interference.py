@@ -1,20 +1,29 @@
-"""Gaussian slit wavefunctions, multi-slit geometry and the entangled
-particle-detector joint state.
+"""Gaussian slit functions, multi-slit geometry and the entangled
+particle-detector state.
 
 A particle passes a screen with m Gauss-type slits of width parameter
 sigma_x spaced 2a apart; a detecting degree of freedom xi responds with a
 Gaussian "spot" of width sigma_xi centered at +/-b, ... correlated with the
-slit index.  Momentum-space amplitudes factor into Gaussian envelopes times
-the slit form factor
+slit index.  Slits and spots are described by one basis, the
+unit-normalized slit functions
+
+    u_j(x)  = (2 pi sigma^2)^(-1/4) exp(-(x - c_j)^2 / 4 sigma^2),
+    u~_j(p) = (2 sigma^2 / pi)^(1/4) exp(-sigma^2 p^2) exp(-i p c_j),
+
+the second the Fourier transform of the first under the
+:mod:`qmodes.numerics` convention, with c_j the centers of
+:func:`slit_centers`.  Their overlaps are closed forms,
+S[j, k] = q^((j - k)^2) with q = exp(-a^2 / 2 sigma^2) the overlap of
+neighbours.  The entangled state N sum_j u_j(x) v_j(xi) is thus fixed by
+the slits and the detector overlap matrix S_xi, with
+N^2 = 1 / sum(S_x o S_xi) exactly; its particle marginal in either
+representation is the diagonal of U (N^2 S_xi) U^H, with U the slit basis
+sampled on the particle grid, so no detector axis is ever sampled.  In
+momentum space the joint amplitude is the product of the two Gaussian
+envelopes and the slit form factor
 
     F(eta) = sin(m eta) / sin(eta) = sum_k cos((m - 1 - 2k) eta),
     eta = p_x a + p_xi b.
-
-Expanding each cosine of the sum splits the state into m product terms,
-so slit joint states are stored as rank-m factor pairs, never as n x n
-matrices; :mod:`qmodes.schmidt` decomposes those factors directly.
-Normalization constants are always computed numerically rather than set
-to their well-separated-slit limit of 1.
 """
 
 from __future__ import annotations
@@ -23,33 +32,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Grid1D, SampledWave, trapezoid_weights
+from .numerics import MAX_SLITS
 
 __all__ = [
     "COORDINATE",
     "MOMENTUM",
     "SlitParams",
     "DetectorParams",
-    "JointState",
-    "WrongRepresentationError",
+    "SlitState",
     "two_slit_norm",
     "slit_centers",
-    "spot_centers",
     "form_factor",
-    "joint_state_momentum",
-    "joint_state_coordinate",
-    "marginal_momentum_density",
-    "marginal_coordinate_density",
+    "slit_state",
+    "slit_basis",
+    "basis_density",
 ]
 
 COORDINATE = "coordinate"
 MOMENTUM = "momentum"
 
 WELL_SEPARATED_OVERLAP = 0.01
-
-
-class WrongRepresentationError(ValueError):
-    """Operation applied to a joint state in the wrong representation."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,9 @@ class SlitParams:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError(f"slit count must be >= 1, got {self.m}")
+            raise ValueError(f"slit count m must be >= 1, got {self.m}")
+        if self.m > MAX_SLITS:
+            raise ValueError(f"slit count m must be at most {MAX_SLITS}, got {self.m}")
         if not self.sigma_x > 0:
             raise ValueError(f"sigma_x must be positive, got {self.sigma_x}")
         if self.m >= 2 and not self.a > 0:
@@ -91,45 +95,46 @@ class DetectorParams:
         if not self.sigma_xi > 0:
             raise ValueError(f"sigma_xi must be positive, got {self.sigma_xi}")
 
+    @property
+    def overlap(self) -> float:
+        """Gaussian overlap exp(-b^2 / 2 sigma_xi^2) of neighbouring spots.
+
+        It damps the fringes cos(2 p_x a) of the two-slit momentum marginal.
+        """
+        return float(np.exp(-self.b**2 / (2.0 * self.sigma_xi**2)))
+
 
 @dataclass(frozen=True)
-class JointState:
-    """Two-particle amplitude psi(x, xi) on a particle x detector grid, in factored form.
+class SlitState:
+    """Particle-detector state N sum_j u_j(x) v_j(xi) over the slits of ``slits``.
 
-    ``psi = left @ right.T``: column k of ``left`` (n_x x r) and of ``right``
-    (n_xi x r) sample one product term.  Omitting ``right`` takes it as the
-    identity, so ``left`` is then the dense amplitude matrix itself.  The
-    representation flag records whether the axes are coordinates or the
-    conjugate momenta; the dtype may be real when the state carries no phase.
+    The detector states v_j enter only through their real symmetric overlap
+    matrix ``detector_overlaps``, S_xi[j, k] = <v_j|v_k>.
     """
 
-    particle_grid: Grid1D
-    detector_grid: Grid1D
-    left: np.ndarray
-    representation: str
-    right: np.ndarray | None = None
+    slits: SlitParams
+    detector_overlaps: np.ndarray
 
     def __post_init__(self):
-        left = np.asarray(self.left)
-        if left.ndim != 2:
-            raise ValueError(f"left factor must be a matrix, got shape {left.shape}")
-        right = np.eye(left.shape[1]) if self.right is None else np.asarray(self.right)
-        expected = (self.particle_grid.n_points, self.detector_grid.n_points)
-        if (left.shape[0], right.shape[0]) != expected or right.shape[1:] != left.shape[1:]:
-            raise ValueError(f"factor shapes {left.shape}, {right.shape} do not match grids {expected}")
-        if self.representation not in (COORDINATE, MOMENTUM):
-            raise ValueError(f"unknown representation {self.representation!r}")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        s_xi = np.asarray(self.detector_overlaps, dtype=float)
+        m = self.slits.m
+        if s_xi.shape != (m, m):
+            raise ValueError(f"detector overlaps must be {m} x {m}, got shape {s_xi.shape}")
+        object.__setattr__(self, "detector_overlaps", s_xi)
 
     @property
-    def amplitudes(self) -> np.ndarray:
-        """Dense n_x x n_xi amplitude matrix (``amplitudes[i, j]`` at point i, j)."""
-        return self.left @ self.right.T
+    def particle_overlaps(self) -> np.ndarray:
+        """S_x[j, k] = <u_j|u_k>."""
+        return _overlap_matrix(self.slits.overlap, self.slits.m)
 
-    def norm(self) -> float:
-        total = np.sum(_gram(self.left, self.particle_grid) * _gram(self.right, self.detector_grid))
-        return float(np.sqrt(total.real))
+    @property
+    def density_matrix(self) -> np.ndarray:
+        """Particle reduced density matrix in the slit basis, D = N^2 S_xi:
+        rho_x = sum_jk D[j, k] |u_j><u_k|, with N^2 = 1 / sum(S_x o S_xi)."""
+        total = float(np.sum(self.particle_overlaps * self.detector_overlaps))
+        if not total > 0:
+            raise ValueError("joint amplitude is identically zero")
+        return self.detector_overlaps / total
 
 
 def two_slit_norm(a: float, sigma_x: float) -> float:
@@ -149,11 +154,6 @@ def slit_centers(m: int, a: float) -> np.ndarray:
     return (2.0 * np.arange(m) - (m - 1)) * a
 
 
-def spot_centers(m: int, b: float) -> np.ndarray:
-    """Detector spot centers, same layout as the slits with spacing 2b."""
-    return slit_centers(m, b)
-
-
 def form_factor(eta, m: int) -> np.ndarray | float:
     """Multi-slit amplitude factor sin(m eta) / sin(eta).
 
@@ -168,97 +168,44 @@ def form_factor(eta, m: int) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _gram(factor: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Quadrature overlaps of the factor's columns: factor^T W conj(factor)."""
-    return factor.T @ (trapezoid_weights(grid)[:, None] * factor.conj())
+def _overlap_matrix(overlap: float, m: int) -> np.ndarray:
+    """Overlaps overlap^((j - k)^2) of m unit Gaussians laid out like the slits."""
+    j = np.arange(m)
+    return overlap ** (np.subtract.outer(j, j) ** 2)
 
 
-def _normalize_joint(
-    left: np.ndarray, right: np.ndarray, particle_grid: Grid1D, detector_grid: Grid1D, representation: str
-) -> JointState:
-    norm = JointState(particle_grid, detector_grid, left, representation, right).norm()
-    if not norm > 0:
-        raise ValueError("joint amplitude is identically zero")
-    return JointState(particle_grid, detector_grid, left / norm, representation, right)
+def slit_state(slits: SlitParams, det: DetectorParams) -> SlitState:
+    """Entangled m-slit state: slit j paired with the spot at ``slit_centers(m, b)[j]``.
 
-
-def joint_state_momentum(
-    slits: SlitParams,
-    det: DetectorParams,
-    particle_grid: Grid1D,
-    detector_grid: Grid1D,
-) -> JointState:
-    """Entangled m-slit state in momentum representation.
-
-    psi~(p_x, p_xi) = (C/sqrt(m)) sqrt(2 sigma_x) sqrt(2 sigma_xi) / sqrt(2 pi)
-                      * exp(-sigma_x^2 p_x^2) exp(-sigma_xi^2 p_xi^2) F(p_x a + p_xi b)
-
-    with C fixed by numerical normalization on the supplied grids.  Each
-    cosine pair cos(c eta) + cos(-c eta) of F expands into two product terms,
-    2 cos(c a p_x) cos(c b p_xi) - 2 sin(c a p_x) sin(c b p_xi), and odd m adds
-    the constant c = 0 term, which gives m factor columns.  For b = 0 the
-    sine terms vanish and the state is a product (no entanglement).
+    The spots overlap like the slits, S_xi[j, k] = exp(-b^2 / 2 sigma_xi^2)^((j - k)^2);
+    for b = 0 every spot is the same state and the particle is not entangled.
     """
-    p = particle_grid.points
-    q = detector_grid.points
-    env_x = np.exp(-slits.sigma_x**2 * p**2)[:, None]
-    env_xi = np.exp(-det.sigma_xi**2 * q**2)[:, None]
-    c = slits.m - 1 - 2 * np.arange(slits.m // 2)
-    cap = np.outer(p, c * slits.a)
-    cbq = np.outer(q, c * det.b)
-    left = [2.0 * np.cos(cap), -2.0 * np.sin(cap)]
-    right = [np.cos(cbq), np.sin(cbq)]
-    if slits.m % 2:  # the c = 0 term
-        left.append(np.ones((p.size, 1)))
-        right.append(np.ones((q.size, 1)))
-    return _normalize_joint(
-        env_x * np.hstack(left), env_xi * np.hstack(right), particle_grid, detector_grid, MOMENTUM
-    )
+    return SlitState(slits, _overlap_matrix(det.overlap, slits.m))
 
 
-def joint_state_coordinate(
-    slits: SlitParams,
-    det: DetectorParams,
-    particle_grid: Grid1D,
-    detector_grid: Grid1D,
-) -> JointState:
-    """Entangled m-slit state in coordinate representation.
+def slit_basis(slits: SlitParams, points, representation: str) -> np.ndarray:
+    """The unit slit functions at ``points``, one column each: u_j(x) or u~_j(p)."""
+    t = np.asarray(points, dtype=float)[:, None]
+    c = slit_centers(slits.m, slits.a)
+    s = slits.sigma_x
+    if representation == COORDINATE:
+        return (2.0 * np.pi * s**2) ** -0.25 * np.exp(-((t - c) ** 2) / (4.0 * s**2))
+    if representation == MOMENTUM:
+        tc = t * c
+        return (2.0 * s**2 / np.pi) ** 0.25 * np.exp(-(s**2) * t**2) * (np.cos(tc) - 1j * np.sin(tc))
+    raise ValueError(f"unknown representation {representation!r}")
 
-    Superposition of m two-dimensional Gaussians, one per (slit, spot) pair:
-    the slit Gaussians are the left factor, the spot Gaussians the right one.
-    Normalized numerically.  The two-slit case reduces to a symmetric pair of
-    Gaussians at (+/-a, +/-b) with
-    C^2 = 1 / (1 + exp(-(a^2/sigma_x^2 + b^2/sigma_xi^2)/2)).
+
+def basis_density(basis: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Density sum_jk u_j A[j, k] conj(u_k) at each sample of the basis U.
+
+    With A a density matrix in the slit basis this is the density of that
+    state where U was sampled: ``basis_density(basis, state.density_matrix)``
+    is the particle marginal P_x(x) = Integral |psi(x, xi)|^2 dxi for a
+    coordinate basis and P~_x(p_x) for a momentum one.  A is real symmetric,
+    so the density is the sum over the real and the imaginary part V of U of
+    the row sums of (V A) o V, all in real arithmetic; the row sums go
+    through a matmul, as np.sum over a short axis is slow.
     """
-    x = particle_grid.points[:, None]
-    xi = detector_grid.points[:, None]
-    left = np.exp(-((x - slit_centers(slits.m, slits.a)) ** 2) / (4.0 * slits.sigma_x**2))
-    right = np.exp(-((xi - spot_centers(slits.m, det.b)) ** 2) / (4.0 * det.sigma_xi**2))
-    return _normalize_joint(left, right, particle_grid, detector_grid, COORDINATE)
-
-
-def _particle_marginal(state: JointState) -> SampledWave:
-    # diagonal of left @ G @ left^H, G the Gram matrix of the right factor;
-    # the row sums go through a matmul, as np.sum over a short axis is slow
-    gram = _gram(state.right, state.detector_grid)
-    density = ((state.left @ gram) * state.left.conj()).real @ np.ones(gram.shape[0])
-    return SampledWave(state.particle_grid, density)
-
-
-def marginal_momentum_density(state: JointState) -> SampledWave:
-    """Particle momentum density P~_x(p_x) = Integral |psi~(p_x, p_xi)|^2 dp_xi.
-
-    For the two-slit state this carries the fringe modulation factor
-    exp(-b^2 / 2 sigma_xi^2) on cos(2 p_x a); at b = 0 it equals the ideal
-    two-slit pattern.
-    """
-    if state.representation != MOMENTUM:
-        raise WrongRepresentationError("marginal_momentum_density needs a momentum-space state")
-    return _particle_marginal(state)
-
-
-def marginal_coordinate_density(state: JointState) -> SampledWave:
-    """Particle coordinate density P_x(x) = Integral |psi(x, xi)|^2 dxi."""
-    if state.representation != COORDINATE:
-        raise WrongRepresentationError("marginal_coordinate_density needs a coordinate-space state")
-    return _particle_marginal(state)
+    parts = (basis.real, basis.imag) if np.iscomplexobj(basis) else (basis,)
+    return sum((part @ matrix) * part for part in parts) @ np.ones(basis.shape[1])

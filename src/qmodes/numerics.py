@@ -26,6 +26,9 @@ __all__ = [
 # largest sample count a user parameter may set (grid points, sweep and
 # protocol samples): bounds the arrays that such a count sizes
 MAX_COUNT = 1 << 16
+# largest slit count: the m x m overlap matrices and the n x m slit basis
+# grow with it
+MAX_SLITS = 64
 
 
 class NonHermitianError(ValueError):

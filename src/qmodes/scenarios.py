@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coherence, interference, schmidt, tomography, tunneling
-from .numerics import MAX_COUNT, Grid1D, make_grid, quadrature
+from .numerics import MAX_COUNT, Grid1D, SampledWave, make_grid, quadrature
 
 __all__ = ["ScenarioConfig", "RunReport", "run", "list_scenarios", "SCENARIOS"]
 
@@ -144,18 +144,16 @@ def _coordinate_grid(m: int, a: float, sigma: float, n: int) -> Grid1D:
     return make_grid(0.0, extent + 8.0 * sigma, n)
 
 
-def _slit_config(params: dict) -> tuple[interference.SlitParams, interference.DetectorParams]:
+def _marginal(state: interference.SlitState, grid: Grid1D, representation: str) -> np.ndarray:
+    basis = interference.slit_basis(state.slits, grid.points, representation)
+    return interference.basis_density(basis, state.density_matrix)
+
+
+def _decompose(params: dict):
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
     det = interference.DetectorParams(b=params["b"], sigma_xi=params["sigma_xi"])
-    return slits, det
-
-
-def _decompose(params: dict, n: int):
-    slits, det = _slit_config(params)
-    pgrid = _momentum_grid(slits.sigma_x, n)
-    dgrid = _momentum_grid(det.sigma_xi, n)
-    state = interference.joint_state_momentum(slits, det, pgrid, dgrid)
-    return slits, det, state, schmidt.numerical_schmidt(state)
+    state = interference.slit_state(slits, det)
+    return slits, det, state, schmidt.schmidt(state)
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +164,17 @@ def _run_slits(config: ScenarioConfig, emit: _Emitter) -> dict:
     params = config.params
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
     det = interference.DetectorParams(b=0.0, sigma_xi=params["sigma_xi"])
+    state = interference.slit_state(slits, det)
     n = config.grid_points
     pgrid = _momentum_grid(slits.sigma_x, n)
     xgrid = _coordinate_grid(slits.m, slits.a, slits.sigma_x, n)
-    mom = interference.marginal_momentum_density(
-        interference.joint_state_momentum(slits, det, pgrid, _momentum_grid(det.sigma_xi, n))
-    )
-    coord = interference.marginal_coordinate_density(
-        interference.joint_state_coordinate(slits, det, xgrid, _coordinate_grid(1, 0.0, det.sigma_xi, n))
-    )
-    emit.table(f"{config.name}_momentum", ["p_x", "density"], [pgrid.points, mom.amplitudes])
-    emit.table(f"{config.name}_coordinate", ["x", "density"], [xgrid.points, coord.amplitudes])
+    mom = _marginal(state, pgrid, interference.MOMENTUM)
+    coord = _marginal(state, xgrid, interference.COORDINATE)
+    emit.table(f"{config.name}_momentum", ["p_x", "density"], [pgrid.points, mom])
+    emit.table(f"{config.name}_coordinate", ["x", "density"], [xgrid.points, coord])
     scalars = {
-        "momentum_integral": quadrature(mom.amplitudes, pgrid),
-        "coordinate_integral": quadrature(coord.amplitudes, xgrid),
+        "momentum_integral": quadrature(mom, pgrid),
+        "coordinate_integral": quadrature(coord, xgrid),
     }
     if slits.m == 2:
         scalars["c_squared"] = interference.two_slit_norm(slits.a, slits.sigma_x)
@@ -187,47 +182,40 @@ def _run_slits(config: ScenarioConfig, emit: _Emitter) -> dict:
 
 
 def _run_entangled(config: ScenarioConfig, emit: _Emitter) -> dict:
-    params = config.params
-    slits, det, state, decomp = _decompose(params, config.grid_points)
-    marg = interference.marginal_momentum_density(state)
-    emit.table(
-        f"{config.name}_marginal_momentum",
-        ["p_x", "density"],
-        [state.particle_grid.points, marg.amplitudes],
-    )
+    slits, det, state, decomp = _decompose(config.params)
+    pgrid = _momentum_grid(slits.sigma_x, config.grid_points)
+    marg = _marginal(state, pgrid, interference.MOMENTUM)
+    emit.table(f"{config.name}_marginal_momentum", ["p_x", "density"], [pgrid.points, marg])
     xgrid = _coordinate_grid(slits.m, slits.a, slits.sigma_x, config.grid_points)
-    dxgrid = _coordinate_grid(slits.m, det.b, det.sigma_xi, config.grid_points)
-    coord = interference.marginal_coordinate_density(
-        interference.joint_state_coordinate(slits, det, xgrid, dxgrid)
-    )
-    emit.table(
-        f"{config.name}_marginal_coordinate", ["x", "density"], [xgrid.points, coord.amplitudes]
-    )
+    coord = _marginal(state, xgrid, interference.COORDINATE)
+    emit.table(f"{config.name}_marginal_coordinate", ["x", "density"], [xgrid.points, coord])
     scalars = {
         "schmidt_number": schmidt.schmidt_number(decomp.weights),
         "entropy": schmidt.entropy(decomp.weights),
-        "fringe_modulation": np.exp(-det.b**2 / (2.0 * det.sigma_xi**2)),
-        "visibility": coherence.visibility_from_intensity(marg, slits.a, slits.sigma_x)
+        "fringe_modulation": det.overlap,
+        "visibility": coherence.visibility_from_intensity(
+            SampledWave(pgrid, marg), slits.a, slits.sigma_x
+        )
         if slits.m == 2
         else None,
-        "marginal_integral": quadrature(marg.amplitudes, state.particle_grid),
+        "marginal_integral": quadrature(marg, pgrid),
     }
     return {k: v for k, v in scalars.items() if v is not None}
 
 
 def _run_schmidt(config: ScenarioConfig, emit: _Emitter) -> dict:
-    params = config.params
-    slits, det, state, decomp = _decompose(params, config.grid_points)
-    pgrid = state.particle_grid
-    marg = interference.marginal_momentum_density(state)
-    mixture = schmidt.reconstruct_marginal(decomp)
+    slits, det, state, decomp = _decompose(config.params)
+    pgrid = _momentum_grid(slits.sigma_x, config.grid_points)
+    basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
+    marg = interference.basis_density(basis, state.density_matrix)
+    mixture = schmidt.reconstruct_marginal(decomp, basis)
     names = ["p_x"] + [f"mode{k}_density" for k in range(len(decomp.weights))]
-    cols = [pgrid.points] + [np.abs(m.amplitudes) ** 2 for m in decomp.particle_modes]
-    emit.table(f"{config.name}_modes", names, cols)
+    modes = [interference.basis_density(basis, np.outer(c, c)) for c in decomp.coefficients.T]
+    emit.table(f"{config.name}_modes", names, [pgrid.points] + modes)
     emit.table(
         f"{config.name}_marginal",
         ["p_x", "marginal", "mode_mixture"],
-        [pgrid.points, marg.amplitudes, mixture.amplitudes],
+        [pgrid.points, marg, mixture],
     )
     emit.table(
         f"{config.name}_weights",
@@ -258,18 +246,15 @@ def _run_fig4(config: ScenarioConfig, emit: _Emitter) -> dict:
     b_values = (0.0, 0.3, 0.7, 1.5)
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
     pgrid = _momentum_grid(slits.sigma_x, n)
+    basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
     names = ["p_x"]
     cols = [pgrid.points]
     scalars = {}
     for b in b_values:
-        det = interference.DetectorParams(b=b, sigma_xi=params["sigma_xi"])
-        state = interference.joint_state_momentum(
-            slits, det, pgrid, _momentum_grid(det.sigma_xi, n)
-        )
-        marg = interference.marginal_momentum_density(state)
+        state = interference.slit_state(slits, interference.DetectorParams(b, params["sigma_xi"]))
         names.append(f"density_b_{b:g}")
-        cols.append(marg.amplitudes)
-        decomp = schmidt.numerical_schmidt(state)
+        cols.append(interference.basis_density(basis, state.density_matrix))
+        decomp = schmidt.schmidt(state)
         scalars[f"schmidt_number_b_{b:g}"] = schmidt.schmidt_number(decomp.weights)
     emit.table(f"{config.name}_intensity", names, cols)
     return scalars
@@ -315,17 +300,22 @@ def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
     params = config.params
     n = config.grid_points
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=2)
+    model = coherence.CoherenceModel(params["phi"], slits)
     pgrid = _momentum_grid(slits.sigma_x, n)
+    basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
+
+    def visibility(state):
+        marg = SampledWave(pgrid, interference.basis_density(basis, state.density_matrix))
+        return coherence.visibility_from_intensity(marg, slits.a, slits.sigma_x)
+
     phis = np.linspace(0.0, np.pi / 2.0, 17)
     rows = {"phi": [], "visibility": [], "schmidt_number": [], "schmidt_from_v": []}
     for phi in phis:
-        state = coherence.qubit_coherence_state(coherence.CoherenceModel(phi, slits), pgrid)
-        marg = interference.marginal_momentum_density(state)
-        v = coherence.visibility_from_intensity(marg, slits.a, slits.sigma_x)
-        k = schmidt.schmidt_number(schmidt.numerical_schmidt(state).weights)
+        state = coherence.qubit_coherence_state(coherence.CoherenceModel(phi, slits))
+        v = visibility(state)
         rows["phi"].append(phi)
         rows["visibility"].append(v)
-        rows["schmidt_number"].append(k)
+        rows["schmidt_number"].append(schmidt.schmidt_number(schmidt.schmidt(state).weights))
         rows["schmidt_from_v"].append(coherence.k_from_v(v))
     emit.table(
         f"{config.name}_sweep",
@@ -333,13 +323,9 @@ def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
         [np.asarray(rows[k]) for k in rows],
     )
     gap = max(abs(a - b) for a, b in zip(rows["schmidt_number"], rows["schmidt_from_v"]))
-    phi0 = params["phi"]
-    state = coherence.qubit_coherence_state(coherence.CoherenceModel(phi0, slits), pgrid)
-    marg = interference.marginal_momentum_density(state)
-    v0 = coherence.visibility_from_intensity(marg, slits.a, slits.sigma_x)
-    report = coherence.visibility_report(v0)
+    report = coherence.visibility_report(visibility(coherence.qubit_coherence_state(model)))
     return {
-        "phi": phi0,
+        "phi": model.phi,
         "visibility": report.v,
         "schmidt_number": report.k,
         "lambda0": report.lambda0,

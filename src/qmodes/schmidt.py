@@ -1,18 +1,25 @@
-"""Schmidt decomposition of bipartite joint states and the derived
-information measures.
+"""Schmidt decomposition of slit states and the derived information
+measures.
 
-The two-slit entangled state has cosine/sine Schmidt modes for particle
-and detector, with the closed-form weights
+A slit state N sum_j u_j(x) v_j(xi) (:class:`qmodes.interference.SlitState`)
+has rank at most m, and every inner product it needs is a closed-form
+overlap, so its decomposition is an m x m eigenproblem with the quadrature
+done exactly (the known-range case of Halko, Martinsson & Tropp 2011).
+With S_x = E diag(mu) E^T, the functions U E diag(mu)^(-1/2) are
+orthonormal, and in them the particle density operator is the matrix
+N^2 W^T S_xi W, W = E diag(mu)^(1/2).  Its eigenvalues are the Schmidt
+weights; its eigenvectors, mapped back through E diag(mu)^(-1/2), are the
+particle modes' coefficients in the slit basis, so the modes sampled on any
+grid are ``basis @ coefficients``.  Eigenvalues of S_x below
+``DEFAULT_TRUNCATION`` times the largest are dropped, which keeps
+overlapping slits well posed.
+
+For two slits the weights have the closed form
 
     lambda_0 = (1 + e_a + e_b + e_a e_b) / (2 (1 + e_a e_b))
     lambda_1 = (1 - e_a - e_b + e_a e_b) / (2 (1 + e_a e_b))
 
-where e_a = exp(-a^2/2 sigma_x^2), e_b = exp(-b^2/2 sigma_xi^2).  Any
-sampled joint state is decomposed numerically from its factor pair
-psi = left @ right.T: a thin QR of the quadrature-weighted particle factor
-and an SVD of the r x n_xi core left over, never of the n x n amplitude
-matrix.  The quadrature weights make the recovered modes orthonormal
-under the continuum inner product and the weights sum to 1.  Measures:
+where e_a = exp(-a^2/2 sigma_x^2), e_b = exp(-b^2/2 sigma_xi^2).  Measures:
 entropy S = -sum lambda log2 lambda, mode count K = 1/sum lambda^2,
 information I = log2 K.
 """
@@ -23,14 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import DetectorParams, JointState, SlitParams
-from .numerics import SampledWave, trapezoid_weights
+from .interference import DetectorParams, SlitParams, SlitState, basis_density
+from .numerics import eigh
 
 __all__ = [
     "SchmidtDecomposition",
     "InvalidWeightsError",
     "analytic_two_slit_weights",
-    "numerical_schmidt",
+    "schmidt",
     "entropy",
     "schmidt_number",
     "information",
@@ -47,24 +54,22 @@ class InvalidWeightsError(ValueError):
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
-    """Weights and paired particle/detector modes, weights descending.
+    """Weights, descending, and the particle modes in the slit basis.
 
-    psi(x, xi) = sum_k sqrt(lambda_k) phi_k(x) chi_k(xi) up to the truncated
-    tail, and the modes are orthonormal under trapezoid quadrature.  When
-    two retained weights coincide within ~1e-10 the individual modes are
-    only defined up to rotations in the degenerate subspace and the
-    ``degenerate`` flag is set.
+    Particle mode k is sum_j coefficients[j, k] u_j, and the modes are
+    orthonormal.  When two retained weights coincide within ~1e-10 the
+    individual modes are only defined up to rotations in the degenerate
+    subspace and the ``degenerate`` flag is set.
     """
 
     weights: np.ndarray
-    particle_modes: list[SampledWave]
-    detector_modes: list[SampledWave]
+    coefficients: np.ndarray
     truncation_threshold: float
     degenerate: bool = False
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if len(self.particle_modes) != w.size or len(self.detector_modes) != w.size:
+        if np.ndim(self.coefficients) != 2 or np.shape(self.coefficients)[1] != w.size:
             raise ValueError("mode count does not match the number of weights")
         object.__setattr__(self, "weights", w)
 
@@ -82,57 +87,29 @@ def _validate_weights(weights, tol: float = 1e-6) -> np.ndarray:
 
 def analytic_two_slit_weights(slits: SlitParams, det: DetectorParams) -> tuple[float, float]:
     """Closed-form (lambda_0, lambda_1) for the two-slit entangled state."""
-    e_a = np.exp(-slits.a**2 / (2.0 * slits.sigma_x**2))
-    e_b = np.exp(-det.b**2 / (2.0 * det.sigma_xi**2))
+    e_a, e_b = slits.overlap, det.overlap
     denom = 2.0 * (1.0 + e_a * e_b)
     lam0 = (1.0 + e_a + e_b + e_a * e_b) / denom
     lam1 = (1.0 - e_a - e_b + e_a * e_b) / denom
     return float(lam0), float(lam1)
 
 
-def _real_if_possible(factor: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(factor) and not np.any(factor.imag):
-        return factor.real
-    return factor
+def schmidt(state: SlitState, threshold: float = DEFAULT_TRUNCATION) -> SchmidtDecomposition:
+    """Schmidt decomposition of a slit state from its m x m overlap matrices.
 
-
-def numerical_schmidt(state: JointState, threshold: float = DEFAULT_TRUNCATION) -> SchmidtDecomposition:
-    """Schmidt decomposition of a sampled joint state from its factor pair.
-
-    Both factors are scaled by sqrt of the per-sample quadrature weights,
-    and a thin QR of the particle factor, sqrt(W_x) left = Q_x T, leaves the
-    weighted state as Q_x (T right^T sqrt(W_xi)).  An SVD of that r x n_xi
-    core gives the singular values, whose squares are the weights, and its
-    singular vectors, unscaled, are continuum-orthonormal modes.  The cost
-    is O(n r^2), with r the factor rank (m for slit states).  Weights below
-    ``threshold`` are dropped.  The free phase of every mode pair is fixed
-    by making the largest-magnitude particle-mode component real and
-    positive.
+    Weights below ``threshold`` are dropped, but the largest is always kept.
     """
-    sqrt_wx = np.sqrt(trapezoid_weights(state.particle_grid))
-    sqrt_wxi = np.sqrt(trapezoid_weights(state.detector_grid))
-    q_x, t = np.linalg.qr(_real_if_possible(state.left) * sqrt_wx[:, None])
-    core = t @ (_real_if_possible(state.right) * sqrt_wxi[:, None]).T
-    u, s, vh = np.linalg.svd(core, full_matrices=False)
-    lam = s**2
+    mu, e = eigh(state.particle_overlaps)
+    kept = mu > DEFAULT_TRUNCATION * mu[-1]
+    mu, e = mu[kept], e[:, kept]
+    half = e * np.sqrt(mu)
+    lam, vecs = eigh(half.T @ state.density_matrix @ half)
+    lam, vecs = lam[::-1], vecs[:, ::-1]
     keep = max(int(np.sum(lam >= threshold)), 1)
     weights = lam[:keep]
-    modes_x = (q_x @ u[:, :keep]) / sqrt_wx[:, None]
-    modes_xi = vh[:keep].T / sqrt_wxi[:, None]
-    particle_modes: list[SampledWave] = []
-    detector_modes: list[SampledWave] = []
-    for k in range(keep):
-        mode_x = modes_x[:, k]
-        mode_xi = modes_xi[:, k]
-        peak = np.argmax(np.abs(mode_x))
-        if np.abs(mode_x[peak]) > 0:
-            phase = mode_x[peak] / np.abs(mode_x[peak])
-            mode_x = mode_x / phase
-            mode_xi = mode_xi * phase
-        particle_modes.append(SampledWave(state.particle_grid, mode_x))
-        detector_modes.append(SampledWave(state.detector_grid, mode_xi))
+    coefficients = (e / np.sqrt(mu)) @ vecs[:, :keep]
     degenerate = bool(np.any(np.abs(np.diff(weights)) < DEGENERACY_TOL)) if keep > 1 else False
-    return SchmidtDecomposition(weights, particle_modes, detector_modes, threshold, degenerate)
+    return SchmidtDecomposition(weights, coefficients, threshold, degenerate)
 
 
 def entropy(weights) -> float:
@@ -153,14 +130,12 @@ def information(weights) -> float:
     return float(np.log2(schmidt_number(weights)))
 
 
-def reconstruct_marginal(decomp: SchmidtDecomposition) -> SampledWave:
+def reconstruct_marginal(decomp: SchmidtDecomposition, basis: np.ndarray) -> np.ndarray:
     """Particle marginal as the mode mixture sum_k lambda_k |psi_k|^2.
 
-    Equals the directly marginalized density of the decomposed state,
-    point by point, up to the truncation threshold.
+    ``basis`` is the slit basis sampled on a grid (``slit_basis``).  The
+    mixture equals the marginal density of the decomposed state on that
+    grid, point by point, up to the truncation threshold.
     """
-    grid = decomp.particle_modes[0].grid
-    density = np.zeros(grid.n_points)
-    for lam, mode in zip(decomp.weights, decomp.particle_modes):
-        density += lam * np.abs(mode.amplitudes) ** 2
-    return SampledWave(grid, density)
+    c = decomp.coefficients
+    return basis_density(basis, (c * decomp.weights) @ c.T)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interference import SlitParams
+from .interference import COORDINATE, MOMENTUM, SlitParams, slit_basis
 from .numerics import MAX_COUNT
 
 __all__ = [
@@ -273,36 +273,16 @@ def completion_purity_range(
     return least, (1.0 if np.count_nonzero(keep) < 3 else least)
 
 
-def two_slit_basis_functions(slits: SlitParams, x: np.ndarray, p: np.ndarray):
-    """Symmetric/antisymmetric two-slit states sampled in both representations.
-
-    Returns (psi0(x), psi1(x), psi0~(p), psi1~(p)); the antisymmetric
-    momentum wave carries the factor i that makes its coordinate form real.
-    """
-    a, sx = slits.a, slits.sigma_x
-    overlap = slits.overlap
-    c0 = 1.0 / np.sqrt(1.0 + overlap)
-    c1 = 1.0 / np.sqrt(1.0 - overlap)
-    norm_x = (1.0 / (np.sqrt(2.0 * np.pi) * 2.0 * sx)) ** 0.5
-    gp = np.exp(-((x - a) ** 2) / (4.0 * sx**2))
-    gm = np.exp(-((x + a) ** 2) / (4.0 * sx**2))
-    psi0 = c0 * norm_x * (gp + gm)
-    psi1 = c1 * norm_x * (gp - gm)
-    norm_p = (1.0 / (2.0 * np.pi)) ** 0.25 * np.sqrt(sx)
-    env = np.exp(-(sx**2) * p**2)
-    psi0_t = 2.0 * c0 * norm_p * env * np.cos(p * a)
-    psi1_t = 2.0j * c1 * norm_p * env * np.sin(p * a)
-    return psi0, psi1, psi0_t, psi1_t
-
-
 def interference_protocol(slits: SlitParams, n_points: int) -> ProtocolMatrix:
     """Coordinate + momentum density sampling of the two-slit qubit space.
 
     The state space is spanned by the symmetric and antisymmetric two-slit
-    states.  The first n_points rows sample the coordinate density on a
-    uniform grid over +/-(a + 5 sigma_x); the next n_points rows sample the
-    momentum density over +/-min(2/sigma_x, n pi / 8a).  Each row is scaled
-    by its bin width, so B rho yields integrated bin probabilities.
+    states (u_0 + u_1) / sqrt(2 (1 + q)) and (u_1 - u_0) / sqrt(2 (1 - q)),
+    with u_j the slit basis and q the slit overlap.  The first n_points rows
+    sample the coordinate density on a uniform grid over +/-(a + 5 sigma_x);
+    the next n_points rows sample the momentum density over
+    +/-min(2/sigma_x, n pi / 8a).  Each row is scaled by its bin width, so
+    B rho yields integrated bin probabilities.
     """
     if slits.m != 2:
         raise ValueError(f"protocol is defined on the two-slit space, got m={slits.m}")
@@ -314,17 +294,18 @@ def interference_protocol(slits: SlitParams, n_points: int) -> ProtocolMatrix:
     x = np.linspace(-(a + 5.0 * sx), a + 5.0 * sx, n_points)
     p_max = min(2.0 / sx, n_points * np.pi / (8.0 * a))
     p = np.linspace(-p_max, p_max, n_points)
-    psi0, psi1, psi0_t, psi1_t = two_slit_basis_functions(slits, x, p)
-    dx = x[1] - x[0]
-    dp = p[1] - p[0]
-    rows = np.empty((2 * n_points, 4), dtype=complex)
-    for i in range(n_points):
-        phi = np.array([psi0[i], psi1[i]])
-        rows[i] = np.outer(phi, phi.conj()).ravel(order="F") * dx
-    for i in range(n_points):
-        phi = np.array([psi0_t[i], psi1_t[i]])
-        rows[n_points + i] = np.outer(phi, phi.conj()).ravel(order="F") * dp
-    return ProtocolMatrix(rows, s=2)
+    q = slits.overlap
+    norms = np.sqrt([2.0 * (1.0 + q), 2.0 * (1.0 - q)])
+    blocks = []
+    for points, representation in ((x, COORDINATE), (p, MOMENTUM)):
+        u = slit_basis(slits, points, representation)
+        # combined by hand: a complex matmul would load BLAS's complex
+        # kernels (0.3 MB resident) for a 2 x 2 product
+        phi = np.stack((u[:, 0] + u[:, 1], u[:, 1] - u[:, 0]), axis=1) / norms
+        # row i is vec(phi_i phi_i^H) times the bin width, column-stacked
+        outer = phi.conj()[:, :, None] * phi[:, None, :]
+        blocks.append(outer.reshape(n_points, 4) * (points[1] - points[0]))
+    return ProtocolMatrix(np.vstack(blocks).astype(complex), s=2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
-"""Independent references for the tests: an offset-corrected FFT and the
-two-slit closed forms."""
+"""Independent references for the tests: an offset-corrected FFT, the
+two-slit closed forms, and the grid reference for slit states.
+
+The grid reference samples the joint state psi(x, xi) on a particle x
+detector grid as a factor pair psi = left @ right.T, normalizes it by
+trapezoid quadrature, and decomposes it by a thin QR of the weighted
+particle factor and an SVD of the small core left over.  It shares no code
+with the closed-form overlap path of ``qmodes.schmidt``.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from qmodes.interference import two_slit_norm
-from qmodes.numerics import Grid1D, SampledWave
-from qmodes.schmidt import SchmidtDecomposition, analytic_two_slit_weights
+from qmodes.interference import slit_centers, two_slit_norm
+from qmodes.numerics import Grid1D, SampledWave, trapezoid_weights
+from qmodes.schmidt import analytic_two_slit_weights
 
 
 def conjugate_grid(grid):
@@ -43,6 +52,108 @@ def cos_sin_mode(grid, sigma, center, trig):
 
 
 def two_slit_schmidt(slits, det, particle_grid, detector_grid):
+    """Closed-form two-slit (weights, particle modes, detector modes)."""
     modes_x = [cos_sin_mode(particle_grid, slits.sigma_x, slits.a, trig) for trig in (np.cos, np.sin)]
     modes_xi = [cos_sin_mode(detector_grid, det.sigma_xi, det.b, trig) for trig in (np.cos, np.sin)]
-    return SchmidtDecomposition(np.array(analytic_two_slit_weights(slits, det)), modes_x, modes_xi, 0.0)
+    return np.array(analytic_two_slit_weights(slits, det)), modes_x, modes_xi
+
+
+# ---------------------------------------------------------------------------
+# grid reference
+
+
+@dataclass(frozen=True)
+class GridState:
+    """Sampled joint amplitude ``left @ right.T`` on a particle x detector grid."""
+
+    particle_grid: Grid1D
+    detector_grid: Grid1D
+    left: np.ndarray
+    right: np.ndarray
+
+    @property
+    def amplitudes(self):
+        return self.left @ self.right.T
+
+    def norm(self):
+        total = np.sum(_gram(self.left, self.particle_grid) * _gram(self.right, self.detector_grid))
+        return float(np.sqrt(total.real))
+
+
+def _gram(factor, grid):
+    return factor.T @ (trapezoid_weights(grid)[:, None] * factor.conj())
+
+
+def _normalized(particle_grid, detector_grid, left, right):
+    norm = GridState(particle_grid, detector_grid, left, right).norm()
+    return GridState(particle_grid, detector_grid, left / norm, right)
+
+
+def grid_state_momentum(slits, det, particle_grid, detector_grid):
+    """Momentum amplitude env(p) env(q) F(p a + q b), F the form factor.
+
+    Each cosine pair cos(c eta) + cos(-c eta) of F expands into
+    2 cos(c a p) cos(c b q) - 2 sin(c a p) sin(c b q); odd m adds the c = 0
+    term.
+    """
+    p = particle_grid.points
+    q = detector_grid.points
+    env_x = np.exp(-slits.sigma_x**2 * p**2)[:, None]
+    env_xi = np.exp(-det.sigma_xi**2 * q**2)[:, None]
+    c = slits.m - 1 - 2 * np.arange(slits.m // 2)
+    cap = np.outer(p, c * slits.a)
+    cbq = np.outer(q, c * det.b)
+    left = [2.0 * np.cos(cap), -2.0 * np.sin(cap)]
+    right = [np.cos(cbq), np.sin(cbq)]
+    if slits.m % 2:
+        left.append(np.ones((p.size, 1)))
+        right.append(np.ones((q.size, 1)))
+    return _normalized(particle_grid, detector_grid, env_x * np.hstack(left), env_xi * np.hstack(right))
+
+
+def grid_state_coordinate(slits, det, particle_grid, detector_grid):
+    """Coordinate amplitude: one 2-D Gaussian per (slit, spot) pair."""
+    x = particle_grid.points[:, None]
+    xi = detector_grid.points[:, None]
+    left = np.exp(-((x - slit_centers(slits.m, slits.a)) ** 2) / (4.0 * slits.sigma_x**2))
+    right = np.exp(-((xi - slit_centers(slits.m, det.b)) ** 2) / (4.0 * det.sigma_xi**2))
+    return _normalized(particle_grid, detector_grid, left, right)
+
+
+def grid_marginal(state):
+    """Particle marginal: diagonal of left @ G @ left^H, G the right factor's Gram matrix."""
+    return np.real(np.sum((state.left @ _gram(state.right, state.detector_grid)) * state.left.conj(), axis=1))
+
+
+def grid_schmidt(state, threshold=1e-12):
+    """(weights, particle modes, detector modes) from a thin QR and a core SVD.
+
+    The modes are the columns of two arrays, orthonormal under trapezoid
+    quadrature.
+    """
+    sqrt_wx = np.sqrt(trapezoid_weights(state.particle_grid))
+    sqrt_wxi = np.sqrt(trapezoid_weights(state.detector_grid))
+    q_x, t = np.linalg.qr(state.left * sqrt_wx[:, None])
+    u, s, vh = np.linalg.svd(t @ (state.right * sqrt_wxi[:, None]).T, full_matrices=False)
+    keep = max(int(np.sum(s**2 >= threshold)), 1)
+    return s[:keep] ** 2, (q_x @ u[:, :keep]) / sqrt_wx[:, None], vh[:keep].T / sqrt_wxi[:, None]
+
+
+def gram_weights_oracle(m, a, sigma_x, b, sigma_xi):
+    """Schmidt weights from the m x m slit-overlap problem.
+
+    The state is (1/sqrt m) sum_j u_j (x) v_j with Gaussian slit/spot modes
+    whose overlaps are closed-form.  Orthogonalizing with the symmetric
+    square root W of the slit Gram matrix reduces the particle density
+    operator to the m x m matrix N^2 W S_xi W whose eigenvalues are the
+    weights.  Entirely independent of grids and SVD.
+    """
+    cx = slit_centers(m, a)
+    cxi = slit_centers(m, b)
+    s_x = np.exp(-np.subtract.outer(cx, cx) ** 2 / (8.0 * sigma_x**2))
+    s_xi = np.exp(-np.subtract.outer(cxi, cxi) ** 2 / (8.0 * sigma_xi**2))
+    vals, vecs = np.linalg.eigh(s_x)
+    w_half = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    norm_sq = 1.0 / np.sum(s_x * s_xi)
+    lam = np.linalg.eigvalsh(norm_sq * w_half @ s_xi @ w_half)
+    return np.sort(lam)[::-1]

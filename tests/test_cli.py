@@ -10,7 +10,7 @@ import pytest
 
 from qmodes import scenarios
 from qmodes.cli import _parse, main
-from qmodes.numerics import MAX_COUNT
+from qmodes.numerics import MAX_COUNT, MAX_SLITS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = ["slits", "entangled", "schmidt", "coherence", "ammonia", "qubits", "tomography"]
@@ -387,3 +387,21 @@ def test_counts_above_the_cap_exit_2(tmp_path, capsys, argv, key):
     assert f"{key} must be at most {MAX_COUNT}, got {MAX_COUNT + 1}" in capsys.readouterr().err
     if key == "grid_points":
         assert not out.exists()
+
+
+def test_slit_count_above_the_cap_exits_2(tmp_path, capsys):
+    assert MAX_SLITS == 64
+    out = tmp_path / "out"
+    assert main(["slits", "--m", "65536", "--grid-points", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"qmodes: error: slit count m must be at most {MAX_SLITS}, got 65536"]
+    assert not (out / "slits_report.json").exists()
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+def test_non_finite_phi_exits_2(tmp_path, capsys, phi):
+    out = tmp_path / "out"
+    assert main(["coherence", f"--phi={phi}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("qmodes: error: phi must be finite")
+    assert not (out / "coherence_sweep.csv").exists()

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import two_slit_intensity
+from oracles import GridState, grid_schmidt, two_slit_intensity
 from qmodes.coherence import (
-    QUBIT_GRID,
     CoherenceModel,
     UnresolvedFringesError,
     entropy_from_v,
@@ -18,13 +17,15 @@ from qmodes.coherence import (
     visibility_report,
 )
 from qmodes.interference import (
+    MOMENTUM,
     DetectorParams,
     SlitParams,
-    joint_state_momentum,
-    marginal_momentum_density,
+    basis_density,
+    slit_basis,
+    slit_state,
 )
 from qmodes.numerics import SampledWave, make_grid, quadrature
-from qmodes.schmidt import analytic_two_slit_weights, numerical_schmidt, schmidt_number
+from qmodes.schmidt import analytic_two_slit_weights, schmidt, schmidt_number
 
 A, SIGMA = 5.0, 0.5
 SLITS = SlitParams(a=A, sigma_x=SIGMA, m=2)
@@ -32,6 +33,22 @@ SLITS = SlitParams(a=A, sigma_x=SIGMA, m=2)
 
 def fine_momentum_grid(n=4001, half=10.0):
     return make_grid(0.0, half, n)
+
+
+def momentum_marginal(state, grid):
+    basis = slit_basis(state.slits, grid.points, MOMENTUM)
+    return SampledWave(grid, basis_density(basis, state.density_matrix))
+
+
+def qubit_grid_state(phi, grid):
+    """The qubit branches env(p) cos(p a +/- phi) sampled on the grid, normalized
+    by quadrature; the qubit axis is a two-point grid whose weights are both 1."""
+    p = grid.points
+    env = np.exp(-(SIGMA**2) * p**2)
+    amp = np.stack([env * np.cos(p * A + phi), env * np.cos(p * A - phi)], axis=1)
+    qubit = make_grid(1.0, 1.0, 2)
+    state = GridState(grid, qubit, amp, np.eye(2))
+    return GridState(grid, qubit, amp / state.norm(), np.eye(2))
 
 
 class TestVisibilityExtraction:
@@ -42,8 +59,8 @@ class TestVisibilityExtraction:
 
     def test_damped_marginal(self):
         det = DetectorParams(b=0.5, sigma_xi=0.5)
-        state = joint_state_momentum(SLITS, det, fine_momentum_grid(), fine_momentum_grid(513))
-        v = visibility_from_intensity(marginal_momentum_density(state), A, SIGMA)
+        marg = momentum_marginal(slit_state(SLITS, det), fine_momentum_grid())
+        v = visibility_from_intensity(marg, A, SIGMA)
         assert v == pytest.approx(np.exp(-0.5), abs=1e-3)
 
     def test_balanced_phase_mixture_washes_out(self):
@@ -61,8 +78,7 @@ class TestVisibilityExtraction:
         # exactly, so the fit leaves only round-off
         det = DetectorParams(b=b, sigma_xi=0.5)
         grid = make_grid(0.0, 9.0, n)
-        state = joint_state_momentum(SLITS, det, grid, grid)
-        v = visibility_from_intensity(marginal_momentum_density(state), A, SIGMA)
+        v = visibility_from_intensity(momentum_marginal(slit_state(SLITS, det), grid), A, SIGMA)
         assert v == pytest.approx(np.exp(-(b**2) / (2.0 * 0.5**2)), rel=0.0, abs=1e-12)
 
     def test_fit_is_phase_blind(self):
@@ -82,42 +98,50 @@ class TestVisibilityExtraction:
 
 class TestQubitCoherenceState:
     def test_zero_phase_is_product(self):
-        state = qubit_coherence_state(CoherenceModel(0.0, SLITS), fine_momentum_grid())
-        assert state.detector_grid == QUBIT_GRID
-        dec = numerical_schmidt(state)
-        assert schmidt_number(dec.weights) == pytest.approx(1.0, abs=1e-6)
+        state = qubit_coherence_state(CoherenceModel(0.0, SLITS))
+        assert np.array_equal(state.detector_overlaps, np.ones((2, 2)))
+        dec = schmidt(state)
+        assert schmidt_number(dec.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_phase_is_maximally_mixed(self):
-        state = qubit_coherence_state(CoherenceModel(np.pi / 4.0, SLITS), fine_momentum_grid())
-        dec = numerical_schmidt(state)
-        assert schmidt_number(dec.weights) == pytest.approx(2.0, abs=1e-6)
+        dec = schmidt(qubit_coherence_state(CoherenceModel(np.pi / 4.0, SLITS)))
+        assert schmidt_number(dec.weights) == pytest.approx(2.0, abs=1e-12)
 
     def test_normalization(self):
-        state = qubit_coherence_state(CoherenceModel(0.3, SLITS), fine_momentum_grid())
-        assert state.norm() == pytest.approx(1.0, abs=1e-10)
+        # N (u_0 v_0 + u_1 v_1) sampled from the slit basis is the pair of
+        # branches env cos(p a +/- phi), normalized
+        phi, grid = 0.3, fine_momentum_grid()
+        state = qubit_coherence_state(CoherenceModel(phi, SLITS))
+        v0 = np.array([np.exp(1j * phi), np.exp(-1j * phi)]) / np.sqrt(2.0)
+        qubit = np.stack([v0, v0.conj()])
+        norm_sq = 1.0 / (2.0 + 2.0 * SLITS.overlap * np.cos(2.0 * phi))
+        amp = np.sqrt(norm_sq) * slit_basis(SLITS, grid.points, MOMENTUM) @ qubit
+        assert quadrature(np.sum(np.abs(amp) ** 2, axis=1), grid) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(amp - qubit_grid_state(phi, grid).amplitudes)) < 1e-12
 
     def test_universal_coupling_sweep(self):
         grid = fine_momentum_grid(8193)
         worst = 0.0
         for phi in np.linspace(0.0, np.pi / 2.0, 9):
-            state = qubit_coherence_state(CoherenceModel(float(phi), SLITS), grid)
-            marg = marginal_momentum_density(state)
-            v = visibility_from_intensity(marg, A, SIGMA)
-            k = schmidt_number(numerical_schmidt(state).weights)
+            state = qubit_coherence_state(CoherenceModel(float(phi), SLITS))
+            v = visibility_from_intensity(momentum_marginal(state, grid), A, SIGMA)
+            k = schmidt_number(schmidt(state).weights)
+            weights, _, _ = grid_schmidt(qubit_grid_state(float(phi), grid))
+            assert schmidt_number(weights) == pytest.approx(k, abs=1e-12)
             worst = max(worst, abs(k - k_from_v(v)))
         assert worst < 1e-6
 
     def test_ensemble_visibility_is_cos_two_phi(self):
         grid = fine_momentum_grid(8193)
         for phi in np.linspace(0.0, np.pi / 2.0, 13):
-            state = qubit_coherence_state(CoherenceModel(float(phi), SLITS), grid)
-            v = visibility_from_intensity(marginal_momentum_density(state), A, SIGMA)
+            state = qubit_coherence_state(CoherenceModel(float(phi), SLITS))
+            v = visibility_from_intensity(momentum_marginal(state, grid), A, SIGMA)
             assert v == pytest.approx(abs(np.cos(2.0 * phi)), abs=1e-4)
 
     def test_marginal_normalized_over_qubit_axis(self):
-        state = qubit_coherence_state(CoherenceModel(0.7, SLITS), fine_momentum_grid())
-        marg = marginal_momentum_density(state)
-        assert quadrature(marg.amplitudes, marg.grid) == pytest.approx(1.0, abs=1e-8)
+        state = qubit_coherence_state(CoherenceModel(0.7, SLITS))
+        marg = momentum_marginal(state, fine_momentum_grid())
+        assert quadrature(marg.amplitudes, marg.grid) == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_two_slits(self):
         with pytest.raises(ValueError):

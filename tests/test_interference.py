@@ -1,24 +1,32 @@
-"""Slit wavefunctions, form factors, joint states and their marginals."""
+"""Slit functions, form factors, the slit-basis joint state and its marginals."""
 
 import numpy as np
 import pytest
 
-from oracles import conjugate_grid, fourier_to_momentum, single_slit_momentum_density, two_slit_intensity
+from oracles import (
+    conjugate_grid,
+    fourier_to_momentum,
+    grid_marginal,
+    grid_state_coordinate,
+    grid_state_momentum,
+    single_slit_momentum_density,
+    two_slit_intensity,
+)
 from qmodes.interference import (
+    COORDINATE,
+    MOMENTUM,
     DetectorParams,
-    JointState,
     SlitParams,
-    WrongRepresentationError,
+    SlitState,
+    basis_density,
     form_factor,
-    joint_state_coordinate,
-    joint_state_momentum,
-    marginal_coordinate_density,
-    marginal_momentum_density,
+    slit_basis,
     slit_centers,
-    spot_centers,
+    slit_state,
     two_slit_norm,
 )
-from qmodes.numerics import SampledWave, make_grid, quadrature
+from qmodes.numerics import MAX_SLITS, SampledWave, make_grid, quadrature
+from qmodes.schmidt import schmidt
 
 A, SIGMA = 5.0, 0.5
 
@@ -27,11 +35,34 @@ def momentum_grid(n=512, half=10.0):
     return make_grid(0.0, half, n)
 
 
-def two_slit_state_pair(b, n=512):
+def two_slit_state_pair(b):
     slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
     det = DetectorParams(b=b, sigma_xi=0.5)
-    state = joint_state_momentum(slits, det, momentum_grid(n), momentum_grid(n))
-    return slits, det, state
+    return slits, det, slit_state(slits, det)
+
+
+def momentum_marginal(state, grid):
+    basis = slit_basis(state.slits, grid.points, MOMENTUM)
+    return SampledWave(grid, basis_density(basis, state.density_matrix))
+
+
+def coordinate_marginal(state, grid):
+    basis = slit_basis(state.slits, grid.points, COORDINATE)
+    return SampledWave(grid, basis_density(basis, state.density_matrix))
+
+
+def sampled_state(slits, det, particle_grid, detector_grid, representation):
+    """N sum_j u_j(x) v_j(xi) sampled on both axes from the slit basis.
+
+    The spots are slit functions too: centers slit_centers(m, b), width sigma_xi.
+    """
+    spots = SlitParams(a=det.b, sigma_x=det.sigma_xi, m=slits.m)
+    u = slit_basis(slits, particle_grid.points, representation)
+    v = slit_basis(spots, detector_grid.points, representation)
+    # N^2 = 1 / sum_jk <u_j|u_k> <v_j|v_k>, the overlaps of the Gaussians
+    d = np.subtract.outer(slit_centers(slits.m, 1.0), slit_centers(slits.m, 1.0)) ** 2
+    overlaps = np.exp(-d * (slits.a**2 / slits.sigma_x**2 + det.b**2 / det.sigma_xi**2) / 8.0)
+    return (u @ v.T) / np.sqrt(np.sum(overlaps))
 
 
 class TestSingleSlit:
@@ -114,7 +145,12 @@ class TestCenters:
                 assert np.allclose(np.diff(c), 5.0)
 
     def test_spots_match_slit_layout(self):
-        assert np.allclose(spot_centers(3, 0.5), [-1.0, 0.0, 1.0])
+        # the detector overlaps are those of Gaussians of width sigma_xi at slit_centers(m, b)
+        det = DetectorParams(b=0.5, sigma_xi=0.4)
+        d = slit_centers(3, det.b)
+        gaussian = np.exp(-np.subtract.outer(d, d) ** 2 / (8.0 * det.sigma_xi**2))
+        s_xi = slit_state(SlitParams(a=A, sigma_x=SIGMA, m=3), det).detector_overlaps
+        assert np.allclose(s_xi, gaussian, rtol=1e-14, atol=0.0)
 
 
 class TestFormFactor:
@@ -162,14 +198,20 @@ class TestFormFactor:
 
 class TestJointStateMomentum:
     def test_no_coupling_factorizes(self):
-        _, _, state = two_slit_state_pair(b=0.0)
-        s = np.linalg.svd(state.amplitudes, compute_uv=False)
-        assert s[1] / s[0] < 1e-10
+        # b = 0: one Schmidt mode, the normalized sum of the slit functions
+        slits, _, state = two_slit_state_pair(b=0.0)
+        dec = schmidt(state)
+        assert dec.weights == pytest.approx([1.0], abs=1e-14)
+        grid = momentum_grid()
+        mode = slit_basis(slits, grid.points, MOMENTUM) @ dec.coefficients[:, 0]
+        marg = momentum_marginal(state, grid)
+        assert np.max(np.abs(np.abs(mode) ** 2 - marg.amplitudes)) < 1e-14
 
     def test_matches_two_slit_closed_form(self):
-        slits, det, state = two_slit_state_pair(b=0.5)
-        p = state.particle_grid.points[:, None]
-        q = state.detector_grid.points[None, :]
+        slits, det, _ = two_slit_state_pair(b=0.5)
+        pg, qg = momentum_grid(), momentum_grid()
+        p = pg.points[:, None]
+        q = qg.points[None, :]
         c2 = 1.0 / (1.0 + np.exp(-0.5 * (A**2 / SIGMA**2 + det.b**2 / det.sigma_xi**2)))
         closed = (
             2.0
@@ -182,14 +224,15 @@ class TestJointStateMomentum:
             * np.exp(-(det.sigma_xi**2) * q**2)
             * np.cos(p * A + q * det.b)
         )
-        assert np.max(np.abs(state.amplitudes - closed)) < 1e-10
+        assert np.max(np.abs(sampled_state(slits, det, pg, qg, MOMENTUM) - closed)) < 1e-12
 
     def test_normalized(self):
+        grid = momentum_grid()
         for m in (1, 2, 3, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
             det = DetectorParams(b=0.5, sigma_xi=0.5)
-            state = joint_state_momentum(slits, det, momentum_grid(), momentum_grid())
-            assert state.norm() == pytest.approx(1.0, abs=1e-8)
+            psi = sampled_state(slits, det, grid, grid, MOMENTUM)
+            assert quadrature(quadrature(np.abs(psi) ** 2, grid), grid) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestJointStateCoordinate:
@@ -203,7 +246,6 @@ class TestJointStateCoordinate:
         slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
         det = DetectorParams(b=0.5, sigma_xi=0.5)
         xg, dg = self.grids()
-        state = joint_state_coordinate(slits, det, xg, dg)
         x = xg.points[:, None]
         xi = dg.points[None, :]
         c2 = 1.0 / (1.0 + np.exp(-0.5 * (A**2 / SIGMA**2 + det.b**2 / det.sigma_xi**2)))
@@ -215,30 +257,29 @@ class TestJointStateCoordinate:
                 + np.exp(-((x + A) ** 2) / (4 * SIGMA**2) - (xi + det.b) ** 2 / (4 * det.sigma_xi**2))
             )
         )
-        assert np.max(np.abs(state.amplitudes - closed)) < 1e-10
+        assert np.max(np.abs(sampled_state(slits, det, xg, dg, COORDINATE) - closed)) < 1e-12
 
     def test_transform_matches_momentum_state(self):
         slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
         det = DetectorParams(b=0.5, sigma_xi=0.5)
         xg, dg = self.grids(n=512)
-        coord = joint_state_coordinate(slits, det, xg, dg)
+        coord = sampled_state(slits, det, xg, dg, COORDINATE)
         # transform the detector axis, then the particle axis
-        half = np.empty(coord.amplitudes.shape, dtype=complex)
+        half = np.empty(coord.shape, dtype=complex)
         for i in range(xg.n_points):
-            half[i] = fourier_to_momentum(SampledWave(dg, coord.amplitudes[i].astype(complex))).amplitudes
+            half[i] = fourier_to_momentum(SampledWave(dg, coord[i].astype(complex))).amplitudes
         full = np.empty_like(half)
         for j in range(dg.n_points):
             full[:, j] = fourier_to_momentum(SampledWave(xg, half[:, j])).amplitudes
-        mom = joint_state_momentum(slits, det, conjugate_grid(xg), conjugate_grid(dg))
-        assert np.max(np.abs(full - mom.amplitudes)) < 1e-6
+        mom = sampled_state(slits, det, conjugate_grid(xg), conjugate_grid(dg), MOMENTUM)
+        assert np.max(np.abs(full - mom)) < 1e-6
 
     def test_zero_separation_is_product(self):
+        # coincident slits: S_x is all ones, and its zero eigenvalue is dropped
         slits = SlitParams(a=1e-12, sigma_x=SIGMA, m=2)
-        det = DetectorParams(b=0.0, sigma_xi=0.5)
-        xg, dg = self.grids()
-        state = joint_state_coordinate(slits, det, xg, dg)
-        s = np.linalg.svd(state.amplitudes, compute_uv=False)
-        assert s[1] / s[0] < 1e-10
+        dec = schmidt(slit_state(slits, DetectorParams(b=0.5, sigma_xi=0.5)))
+        assert dec.weights == pytest.approx([1.0], abs=1e-14)
+        assert dec.coefficients.shape == (2, 1)
 
 
 class TestMarginals:
@@ -255,29 +296,41 @@ class TestMarginals:
 
     def test_uncoupled_marginal_is_ideal_pattern(self):
         _, _, state = two_slit_state_pair(b=0.0)
-        marg = marginal_momentum_density(state)
-        expected = two_slit_intensity(A, SIGMA, state.particle_grid.points)
-        assert np.max(np.abs(marg.amplitudes - expected)) < 1e-10
+        marg = momentum_marginal(state, momentum_grid())
+        expected = two_slit_intensity(A, SIGMA, marg.grid.points)
+        assert np.max(np.abs(marg.amplitudes - expected)) < 1e-14
 
     def test_closed_form_vs_numerical_integration(self):
         for b in (0.3, 0.7, 1.2):
-            det = DetectorParams(b=b, sigma_xi=0.5)
-            slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
-            state = joint_state_momentum(slits, det, momentum_grid(), momentum_grid())
-            marg = marginal_momentum_density(state)
-            expected = self.closed_momentum_marginal(det, state.particle_grid.points)
-            assert np.max(np.abs(marg.amplitudes - expected)) < 1e-8
+            _, det, state = two_slit_state_pair(b)
+            marg = momentum_marginal(state, momentum_grid())
+            expected = self.closed_momentum_marginal(det, marg.grid.points)
+            assert np.max(np.abs(marg.amplitudes - expected)) < 1e-14
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 5))
+    def test_matches_the_grid_reference(self, m):
+        # the detector axis integrated by quadrature on a sampled joint state
+        slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
+        det = DetectorParams(b=0.7, sigma_xi=0.5)
+        state = slit_state(slits, det)
+        pg, qg = make_grid(0.0, 9.0, 1024), make_grid(0.0, 9.0, 1024)
+        mom = momentum_marginal(state, pg).amplitudes
+        ref = grid_marginal(grid_state_momentum(slits, det, pg, qg))
+        assert np.max(np.abs(mom - ref)) < 1e-12 * np.max(ref)
+        xg = make_grid(0.0, (m - 1) * A + 8.0 * SIGMA, 1024)
+        dg = make_grid(0.0, (m - 1) * det.b + 8.0 * det.sigma_xi, 1024)
+        coord = coordinate_marginal(state, xg).amplitudes
+        ref = grid_marginal(grid_state_coordinate(slits, det, xg, dg))
+        assert np.max(np.abs(coord - ref)) < 1e-12 * np.max(ref)
 
     def test_fig2_modulation_factor(self):
         det = DetectorParams(b=0.7, sigma_xi=0.5)
-        assert np.exp(-det.b**2 / (2 * det.sigma_xi**2)) == pytest.approx(
-            np.exp(-0.98), rel=1e-12
-        )
+        assert det.overlap == pytest.approx(np.exp(-0.98), rel=1e-15)
         slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
-        state = joint_state_momentum(slits, det, momentum_grid(1024), momentum_grid(1024))
-        marg = marginal_momentum_density(state)
-        flat = marg.amplitudes / np.exp(-2 * SIGMA**2 * state.particle_grid.points**2)
-        window = np.abs(state.particle_grid.points) < 2.0
+        grid = momentum_grid(1024)
+        marg = momentum_marginal(slit_state(slits, det), grid)
+        flat = marg.amplitudes / np.exp(-2 * SIGMA**2 * grid.points**2)
+        window = np.abs(grid.points) < 2.0
         contrast = (flat[window].max() - flat[window].min()) / (
             flat[window].max() + flat[window].min()
         )
@@ -286,26 +339,19 @@ class TestMarginals:
     def test_marginals_normalized(self):
         for b in (0.0, 0.5, 1.5):
             _, _, state = two_slit_state_pair(b=b)
-            marg = marginal_momentum_density(state)
-            assert quadrature(marg.amplitudes, marg.grid) == pytest.approx(1.0, abs=1e-8)
+            marg = momentum_marginal(state, momentum_grid())
+            assert quadrature(marg.amplitudes, marg.grid) == pytest.approx(1.0, abs=1e-12)
             assert np.all(marg.amplitudes >= -1e-15)
 
     def test_representation_enforced(self):
-        _, _, state = two_slit_state_pair(b=0.5)
-        with pytest.raises(WrongRepresentationError):
-            marginal_coordinate_density(state)
         slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
-        det = DetectorParams(b=0.5, sigma_xi=0.5)
-        coord = joint_state_coordinate(slits, det, make_grid(0, 9, 256), make_grid(0, 5, 256))
-        with pytest.raises(WrongRepresentationError):
-            marginal_momentum_density(coord)
+        with pytest.raises(ValueError, match="fourier"):
+            slit_basis(slits, np.zeros(3), "fourier")
 
     def test_coordinate_marginal_is_two_gaussians(self):
-        slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
-        det = DetectorParams(b=0.5, sigma_xi=0.5)
+        _, _, state = two_slit_state_pair(b=0.5)
         xg = make_grid(0, 9, 1024)
-        dg = make_grid(0, 5, 512)
-        marg = marginal_coordinate_density(joint_state_coordinate(slits, det, xg, dg))
+        marg = coordinate_marginal(state, xg)
         x = xg.points
         halves = 0.5 * (
             np.exp(-((x - A) ** 2) / (2 * SIGMA**2)) + np.exp(-((x + A) ** 2) / (2 * SIGMA**2))
@@ -314,15 +360,9 @@ class TestMarginals:
         assert quadrature(marg.amplitudes, xg) == pytest.approx(1.0, abs=1e-8)
 
     def test_coordinate_marginal_insensitive_to_b(self):
-        slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
         xg = make_grid(0, 9, 512)
-        dg = make_grid(0, 22, 512)
-        small = marginal_coordinate_density(
-            joint_state_coordinate(slits, DetectorParams(0.0, 0.5), xg, dg)
-        )
-        large = marginal_coordinate_density(
-            joint_state_coordinate(slits, DetectorParams(2.5, 0.5), xg, dg)
-        )
+        small = coordinate_marginal(two_slit_state_pair(0.0)[2], xg)
+        large = coordinate_marginal(two_slit_state_pair(2.5)[2], xg)
         assert np.max(np.abs(small.amplitudes - large.amplitudes)) < 1e-10
 
 
@@ -331,28 +371,26 @@ class TestInvariants:
         from qmodes.coherence import visibility_from_intensity
 
         for b in (0.0, 0.5, 1.0):
-            det = DetectorParams(b=b, sigma_xi=0.5)
-            slits = SlitParams(a=A, sigma_x=SIGMA, m=2)  # a / sigma_x = 10 >= 8
-            state = joint_state_momentum(slits, det, momentum_grid(2048), momentum_grid(512))
-            v = visibility_from_intensity(marginal_momentum_density(state), A, SIGMA)
-            assert v == pytest.approx(np.exp(-b**2 / (2 * det.sigma_xi**2)), abs=1e-4)
+            _, det, state = two_slit_state_pair(b)  # a / sigma_x = 10 >= 8
+            v = visibility_from_intensity(momentum_marginal(state, momentum_grid(2048)), A, SIGMA)
+            assert v == pytest.approx(det.overlap, abs=1e-4)
 
     def test_principal_maxima_scale_m_squared(self):
         # at b = 0 the peak at p = 0 carries F^2 = m^2 over the per-slit envelope
+        grid = momentum_grid(4097)
         for m in (2, 3, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            det = DetectorParams(b=0.0, sigma_xi=0.5)
-            state = joint_state_momentum(slits, det, momentum_grid(4097), momentum_grid(257))
-            marg = marginal_momentum_density(state)
-            peak = marg.amplitudes[np.argmin(np.abs(state.particle_grid.points))]
+            marg = momentum_marginal(slit_state(slits, DetectorParams(b=0.0, sigma_xi=0.5)), grid)
+            peak = marg.amplitudes[np.argmin(np.abs(grid.points))]
             per_slit = single_slit_momentum_density(SIGMA, 0.0) / m
             assert peak / per_slit == pytest.approx(m**2, rel=1e-6)
 
     def test_joint_state_shape_validation(self):
-        with pytest.raises(ValueError):
-            JointState(make_grid(0, 1, 4), make_grid(0, 1, 4), np.zeros((4, 3)), "momentum")
-        with pytest.raises(ValueError):
-            JointState(make_grid(0, 1, 4), make_grid(0, 1, 4), np.zeros((4, 4)), "fourier")
+        slits = SlitParams(a=A, sigma_x=SIGMA, m=3)
+        with pytest.raises(ValueError, match="3 x 3"):
+            SlitState(slits, np.eye(2))
+        with pytest.raises(ValueError, match="3 x 3"):
+            SlitState(slits, np.ones(3))
 
     def test_slit_param_validation(self):
         with pytest.raises(ValueError):
@@ -365,3 +403,8 @@ class TestInvariants:
             DetectorParams(b=-0.1, sigma_xi=0.5)
         assert SlitParams(a=5.0, sigma_x=0.5, m=2).well_separated
         assert not SlitParams(a=0.5, sigma_x=0.5, m=2).well_separated
+
+    def test_slit_count_is_capped(self):
+        assert SlitParams(a=1.0, sigma_x=0.5, m=MAX_SLITS).m == 64
+        with pytest.raises(ValueError, match=r"slit count m must be at most 64, got 65\b"):
+            SlitParams(a=1.0, sigma_x=0.5, m=MAX_SLITS + 1)

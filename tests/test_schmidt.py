@@ -1,27 +1,26 @@
-"""Analytic and numerical Schmidt decompositions, measures, marginals."""
+"""Schmidt decompositions of slit states: the m x m overlap path against the
+two-slit closed forms, the overlap oracle and the grid reference."""
 
 import numpy as np
 import pytest
 
-from oracles import two_slit_schmidt
-from qmodes.interference import (
-    DetectorParams,
-    JointState,
-    SlitParams,
-    joint_state_coordinate,
-    joint_state_momentum,
-    marginal_momentum_density,
-    slit_centers,
-    spot_centers,
+from oracles import (
+    GridState,
+    gram_weights_oracle,
+    grid_schmidt,
+    grid_state_coordinate,
+    grid_state_momentum,
+    two_slit_schmidt,
 )
-from qmodes.numerics import make_grid, quadrature, trapezoid_weights
+from qmodes.interference import MOMENTUM, DetectorParams, SlitParams, basis_density, slit_basis, slit_state
+from qmodes.numerics import SampledWave, make_grid, quadrature, trapezoid_weights
 from qmodes.schmidt import (
     InvalidWeightsError,
     analytic_two_slit_weights,
     entropy,
     information,
-    numerical_schmidt,
     reconstruct_marginal,
+    schmidt,
     schmidt_number,
 )
 
@@ -34,29 +33,13 @@ def momentum_grids(n=512, half=10.0):
     return make_grid(0, half, n), make_grid(0, half, n)
 
 
-def fig3_state(n=512):
-    pg, dg = momentum_grids(n)
-    return joint_state_momentum(FIG3_SLITS, FIG3_DET, pg, dg)
+def modes_on(grid, slits, dec):
+    return slit_basis(slits, grid.points, MOMENTUM) @ dec.coefficients
 
 
-def gram_weights_oracle(m, a, sigma_x, b, sigma_xi):
-    """Schmidt weights from the m x m slit-overlap problem.
-
-    The state is (1/sqrt m) sum_j u_j (x) v_j with Gaussian slit/spot modes
-    whose overlaps are closed-form.  Orthogonalizing with the symmetric
-    square root W of the slit Gram matrix reduces the particle density
-    operator to the m x m matrix N^2 W S_xi W whose eigenvalues are the
-    weights.  Entirely independent of grids and SVD.
-    """
-    cx = slit_centers(m, a)
-    cxi = spot_centers(m, b)
-    s_x = np.exp(-np.subtract.outer(cx, cx) ** 2 / (8.0 * sigma_x**2))
-    s_xi = np.exp(-np.subtract.outer(cxi, cxi) ** 2 / (8.0 * sigma_xi**2))
-    vals, vecs = np.linalg.eigh(s_x)
-    w_half = (vecs * np.sqrt(vals)) @ vecs.T
-    norm_sq = 1.0 / np.sum(s_x * s_xi)
-    lam = np.linalg.eigvalsh(norm_sq * w_half @ s_xi @ w_half)
-    return np.sort(lam)[::-1]
+def momentum_marginal(state, grid):
+    basis = slit_basis(state.slits, grid.points, MOMENTUM)
+    return SampledWave(grid, basis_density(basis, state.density_matrix))
 
 
 class TestAnalyticTwoSlit:
@@ -80,8 +63,8 @@ class TestAnalyticTwoSlit:
 
     def test_modes_orthonormal(self):
         pg, dg = momentum_grids()
-        dec = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
-        for modes in (dec.particle_modes, dec.detector_modes):
+        _, modes_x, modes_xi = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
+        for modes in (modes_x, modes_xi):
             for i in range(2):
                 for j in range(2):
                     inner = quadrature(
@@ -91,22 +74,26 @@ class TestAnalyticTwoSlit:
 
 
 class TestNumericalSchmidt:
+    """The m x m path, checked against the closed forms, the overlap oracle
+    and the grid reference's QR + SVD of a sampled joint state."""
+
     def test_two_slit_reference_case(self):
-        dec = numerical_schmidt(fig3_state())
+        dec = schmidt(slit_state(FIG3_SLITS, FIG3_DET))
         lam0, lam1 = analytic_two_slit_weights(FIG3_SLITS, FIG3_DET)
         assert len(dec.weights) == 2
-        assert abs(dec.weights[0] - lam0) < 1e-6
-        assert abs(dec.weights[1] - lam1) < 1e-6
+        assert abs(dec.weights[0] - lam0) < 1e-14
+        assert abs(dec.weights[1] - lam1) < 1e-14
         assert schmidt_number(dec.weights) == pytest.approx(1.4621, abs=5e-5)
         assert entropy(dec.weights) == pytest.approx(0.7153, abs=5e-5)
 
     def test_five_slit_reference_case(self):
         slits = SlitParams(a=A, sigma_x=SIGMA, m=5)
-        pg, dg = momentum_grids(512)
-        dec = numerical_schmidt(joint_state_momentum(slits, FIG3_DET, pg, dg))
+        dec = schmidt(slit_state(slits, FIG3_DET))
         oracle = gram_weights_oracle(5, A, SIGMA, 0.5, 0.5)
         assert len(dec.weights) == 5
-        assert np.max(np.abs(dec.weights - oracle)) < 1e-8
+        assert np.max(np.abs(dec.weights - oracle)) < 1e-14
+        grid, _, _ = grid_schmidt(grid_state_momentum(slits, FIG3_DET, *momentum_grids(512)))
+        assert np.max(np.abs(dec.weights - grid)) < 1e-8
         reported = np.array([0.4434, 0.3063, 0.1640, 0.0666, 0.0197])
         assert np.max(np.abs(dec.weights - reported)) < 1e-4
         assert schmidt_number(dec.weights) == pytest.approx(3.1043, abs=2e-4)
@@ -116,72 +103,68 @@ class TestNumericalSchmidt:
         for m, b in ((2, 0.3), (3, 0.5), (4, 0.8), (6, 0.25)):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
             det = DetectorParams(b=b, sigma_xi=0.5)
-            pg, dg = momentum_grids(384)
-            dec = numerical_schmidt(joint_state_momentum(slits, det, pg, dg))
+            dec = schmidt(slit_state(slits, det))
+            grid, _, _ = grid_schmidt(grid_state_momentum(slits, det, *momentum_grids(384)))
             oracle = gram_weights_oracle(m, A, SIGMA, b, 0.5)
-            assert np.max(np.abs(dec.weights - oracle[: len(dec.weights)])) < 1e-8
+            assert np.max(np.abs(dec.weights - oracle[: len(dec.weights)])) < 1e-14
+            assert np.max(np.abs(dec.weights - grid)) < 1e-8
 
     def test_uncoupled_state_single_weight(self):
         for m in (2, 3, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            state = joint_state_momentum(slits, DetectorParams(0.0, 0.5), *momentum_grids(384))
-            dec = numerical_schmidt(state)
+            dec = schmidt(slit_state(slits, DetectorParams(0.0, 0.5)))
             assert len(dec.weights) == 1
             assert dec.weights[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_weight_count_is_m_for_coupled_states(self):
         for m in (2, 3, 4, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            state = joint_state_momentum(slits, FIG3_DET, *momentum_grids(384))
-            dec = numerical_schmidt(state, threshold=1e-10)
+            dec = schmidt(slit_state(slits, FIG3_DET), threshold=1e-10)
             assert len(dec.weights) == m
 
     def test_weights_sum_to_one_and_modes_orthonormal(self):
-        dec = numerical_schmidt(fig3_state())
-        assert dec.weights.sum() == pytest.approx(1.0, abs=1e-8)
-        for modes in (dec.particle_modes, dec.detector_modes):
-            n = len(modes)
-            for i in range(n):
-                for j in range(n):
-                    inner = quadrature(
-                        np.conj(modes[i].amplitudes) * modes[j].amplitudes, modes[i].grid
-                    )
-                    assert abs(inner - (1.0 if i == j else 0.0)) < 1e-6
+        for m in (2, 5):
+            slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
+            state = slit_state(slits, FIG3_DET)
+            dec = schmidt(state)
+            assert dec.weights.sum() == pytest.approx(1.0, abs=1e-14)
+            c = dec.coefficients
+            assert np.max(np.abs(c.T @ state.particle_overlaps @ c - np.eye(m))) < 1e-13
+            pg, _ = momentum_grids()
+            modes = modes_on(pg, slits, dec)
+            overlaps = modes.conj().T @ (trapezoid_weights(pg)[:, None] * modes)
+            assert np.max(np.abs(overlaps - np.eye(m))) < 1e-12
 
     def test_modes_match_analytic(self):
         pg, dg = momentum_grids()
-        dec = numerical_schmidt(fig3_state())
-        ana = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
+        dec = schmidt(slit_state(FIG3_SLITS, FIG3_DET))
+        _, modes_x, _ = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
+        modes = modes_on(pg, FIG3_SLITS, dec)
         for k in range(2):
-            overlap = quadrature(
-                np.conj(dec.particle_modes[k].amplitudes) * ana.particle_modes[k].amplitudes, pg
-            )
-            assert abs(overlap) > 1.0 - 1e-6
-            overlap_xi = quadrature(
-                np.conj(dec.detector_modes[k].amplitudes) * ana.detector_modes[k].amplitudes, dg
-            )
-            assert abs(overlap_xi) > 1.0 - 1e-6
+            overlap = quadrature(np.conj(modes[:, k]) * modes_x[k].amplitudes, pg)
+            assert abs(overlap) > 1.0 - 1e-12
 
     def test_analytic_agreement_sweep(self):
-        worst = 0.0
+        worst = worst_grid = 0.0
+        pg, dg = momentum_grids(256, half=11.0)
         for a in range(1, 9):
             for b in np.arange(0.0, 2.01, 0.25):
                 slits = SlitParams(a=float(a), sigma_x=0.5, m=2)
                 det = DetectorParams(b=float(b), sigma_xi=0.5)
-                pg, dg = momentum_grids(256, half=11.0)
-                dec = numerical_schmidt(joint_state_momentum(slits, det, pg, dg))
-                lam = np.array(analytic_two_slit_weights(slits, det))
-                gap = np.max(np.abs(dec.weights[:2] - lam[: len(dec.weights)][:2]))
-                worst = max(worst, gap)
-        assert worst < 1e-6
+                weights = schmidt(slit_state(slits, det)).weights
+                lam = np.array(analytic_two_slit_weights(slits, det))[: len(weights)]
+                grid, _, _ = grid_schmidt(grid_state_momentum(slits, det, pg, dg))
+                worst = max(worst, np.max(np.abs(weights - lam)))
+                worst_grid = max(worst_grid, np.max(np.abs(grid[:2] - lam[: len(grid)][:2])))
+        assert worst < 1e-14
+        assert worst_grid < 1e-6
 
     def test_measures_bounded_and_monotone_in_b(self):
         for m in (2, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
             previous_k, previous_s = None, None
             for b in np.arange(0.0, 3.01, 0.5):
-                det = DetectorParams(b=float(b), sigma_xi=0.5)
-                dec = numerical_schmidt(joint_state_momentum(slits, det, *momentum_grids(256)))
+                dec = schmidt(slit_state(slits, DetectorParams(b=float(b), sigma_xi=0.5)))
                 k = schmidt_number(dec.weights)
                 s = entropy(dec.weights)
                 assert k <= m + 1e-9
@@ -192,20 +175,19 @@ class TestNumericalSchmidt:
                 previous_k, previous_s = k, s
 
     def test_representation_invariance(self):
-        slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
-        det = DetectorParams(b=0.5, sigma_xi=0.5)
-        mom = numerical_schmidt(joint_state_momentum(slits, det, *momentum_grids(512)))
-        coord_state = joint_state_coordinate(
-            slits, det, make_grid(0, 10, 512), make_grid(0, 5.5, 512)
-        )
-        coord = numerical_schmidt(coord_state)
-        assert abs(schmidt_number(mom.weights) - schmidt_number(coord.weights)) < 1e-6
-        assert abs(entropy(mom.weights) - entropy(coord.weights)) < 1e-6
+        # the grid reference gives the same weights from either representation
+        dec = schmidt(slit_state(FIG3_SLITS, FIG3_DET))
+        mom, _, _ = grid_schmidt(grid_state_momentum(FIG3_SLITS, FIG3_DET, *momentum_grids(512)))
+        xg, dg = make_grid(0, 10, 512), make_grid(0, 5.5, 512)
+        coord, _, _ = grid_schmidt(grid_state_coordinate(FIG3_SLITS, FIG3_DET, xg, dg))
+        for weights in (mom, coord):
+            assert abs(schmidt_number(weights) - schmidt_number(dec.weights)) < 1e-6
+            assert abs(entropy(weights) - entropy(dec.weights)) < 1e-6
 
     def test_degenerate_weights_flagged(self):
         slits = SlitParams(a=8.0, sigma_x=0.5, m=2)
         det = DetectorParams(b=8.0, sigma_xi=0.5)
-        dec = numerical_schmidt(joint_state_momentum(slits, det, *momentum_grids(512, half=12.0)))
+        dec = schmidt(slit_state(slits, det))
         assert dec.degenerate
         assert np.allclose(dec.weights, 0.5, atol=1e-10)
 
@@ -215,38 +197,42 @@ class TestNumericalSchmidt:
         pg, dg = momentum_grids(n)
         slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
         for b in (0.0, 0.3, 0.7, 1.5):
-            dec = numerical_schmidt(joint_state_momentum(slits, DetectorParams(b, 0.5), pg, dg))
+            det = DetectorParams(b, 0.5)
+            dec = schmidt(slit_state(slits, det))
+            grid, _, _ = grid_schmidt(grid_state_momentum(slits, det, pg, dg))
             rank = m if b > 0 else 1
-            assert len(dec.weights) == rank
+            assert len(dec.weights) == len(grid) == rank
             oracle = gram_weights_oracle(m, A, SIGMA, b, 0.5)
             assert np.max(np.abs(dec.weights - oracle[:rank])) < 1e-12
+            assert np.max(np.abs(dec.weights - grid)) < 1e-12
 
     @pytest.mark.parametrize("shape", [(40, 2, None), (40, 40, None), (40, 30, 3)])
     def test_generic_complex_state_matches_dense_svd(self, shape):
-        """Dense states (identity right factor) and a complex factor pair."""
+        """The grid reference on dense states (identity right factor) and a complex factor pair."""
         n_x, n_xi, rank = shape
         rng = np.random.default_rng(n_xi)
         pg, dg = make_grid(0.0, 3.0, n_x), make_grid(1.0, 2.0, n_xi)
         cols = n_xi if rank is None else rank
         left = rng.normal(size=(n_x, cols)) + 1j * rng.normal(size=(n_x, cols))
-        right = None if rank is None else rng.normal(size=(n_xi, rank)) + 1j * rng.normal(size=(n_xi, rank))
-        state = JointState(pg, dg, left, "momentum", right)
-        state = JointState(pg, dg, state.left / state.norm(), "momentum", state.right)
-        dec = numerical_schmidt(state, threshold=0.0)
+        if rank is None:
+            right = np.eye(n_xi)
+        else:
+            right = rng.normal(size=(n_xi, rank)) + 1j * rng.normal(size=(n_xi, rank))
+        state = GridState(pg, dg, left, right)
+        state = GridState(pg, dg, state.left / state.norm(), state.right)
+        weights, phi, chi = grid_schmidt(state, threshold=0.0)
 
         kept = min(n_x, n_xi) if rank is None else rank
-        assert len(dec.weights) == kept
+        assert len(weights) == kept
         psi = state.amplitudes
         wx, wxi = trapezoid_weights(pg), trapezoid_weights(dg)
         s = np.linalg.svd(np.sqrt(wx)[:, None] * psi * np.sqrt(wxi), compute_uv=False)
-        assert np.max(np.abs(dec.weights - s[:kept] ** 2)) < 1e-13
-        assert dec.weights.sum() == pytest.approx(1.0, rel=1e-13)
-        phi = np.stack([mode.amplitudes for mode in dec.particle_modes], axis=1)
-        chi = np.stack([mode.amplitudes for mode in dec.detector_modes], axis=1)
+        assert np.max(np.abs(weights - s[:kept] ** 2)) < 1e-13
+        assert weights.sum() == pytest.approx(1.0, rel=1e-13)
         for modes, w in ((phi, wx), (chi, wxi)):
             overlaps = modes.T @ (w[:, None] * modes.conj())
             assert np.max(np.abs(overlaps - np.eye(modes.shape[1]))) < 1e-12
-        rebuilt = (phi * np.sqrt(dec.weights)) @ chi.T
+        rebuilt = (phi * np.sqrt(weights)) @ chi.T
         assert np.max(np.abs(rebuilt - psi)) < 1e-12 * np.max(np.abs(psi))
 
 
@@ -278,22 +264,24 @@ class TestMeasures:
 
 class TestMixtureAndDensity:
     def test_mixture_identity(self):
-        state = fig3_state()
-        dec = numerical_schmidt(state)
-        mixture = reconstruct_marginal(dec)
-        direct = marginal_momentum_density(state)
-        assert np.max(np.abs(mixture.amplitudes - direct.amplitudes)) < 1e-8
+        pg, _ = momentum_grids()
+        for m in (2, 5):
+            slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
+            state = slit_state(slits, FIG3_DET)
+            mixture = reconstruct_marginal(schmidt(state), slit_basis(slits, pg.points, MOMENTUM))
+            direct = momentum_marginal(state, pg)
+            assert np.max(np.abs(mixture - direct.amplitudes)) < 1e-14
 
     def test_single_mode_mixture(self):
-        state = joint_state_momentum(FIG3_SLITS, DetectorParams(0.0, 0.5), *momentum_grids())
-        dec = numerical_schmidt(state)
-        mixture = reconstruct_marginal(dec)
-        mode_sq = np.abs(dec.particle_modes[0].amplitudes) ** 2
-        assert np.max(np.abs(mixture.amplitudes - mode_sq * dec.weights[0])) < 1e-12
+        pg, _ = momentum_grids()
+        dec = schmidt(slit_state(FIG3_SLITS, DetectorParams(0.0, 0.5)))
+        mixture = reconstruct_marginal(dec, slit_basis(FIG3_SLITS, pg.points, MOMENTUM))
+        mode_sq = np.abs(modes_on(pg, FIG3_SLITS, dec)[:, 0]) ** 2
+        assert np.max(np.abs(mixture - mode_sq * dec.weights[0])) < 1e-12
 
     def test_mixture_combines_cos_and_sin_densities(self):
         pg, dg = momentum_grids()
-        ana = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
-        mixture = reconstruct_marginal(ana)
-        direct = marginal_momentum_density(fig3_state())
-        assert np.max(np.abs(mixture.amplitudes - direct.amplitudes)) < 1e-8
+        weights, modes_x, _ = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
+        mixture = sum(lam * np.abs(mode.amplitudes) ** 2 for lam, mode in zip(weights, modes_x))
+        direct = momentum_marginal(slit_state(FIG3_SLITS, FIG3_DET), pg)
+        assert np.max(np.abs(mixture - direct.amplitudes)) < 1e-8

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import conjugate_grid, fourier_to_momentum
 from qmodes import tomography
-from qmodes.interference import SlitParams
+from qmodes.interference import COORDINATE, MOMENTUM, SlitParams, slit_basis
+from qmodes.numerics import Grid1D, SampledWave, make_grid
 from qmodes.tomography import (
     ProtocolMatrix,
     QubitOnlyError,
@@ -76,6 +78,48 @@ def test_interference_protocol_fixes_a_single_point():
     assert lo == hi
     assert (lo, hi) == pytest.approx((scan_min, scan_max), abs=1e-12)
     assert lo == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_momentum_basis_is_the_fft_of_the_coordinate_basis(m):
+    slits = SlitParams(a=1.0, sigma_x=0.5, m=m)
+    grid = make_grid(0.0, 20.0, 1024)
+    coordinate = slit_basis(slits, grid.points, COORDINATE)
+    momentum = slit_basis(slits, conjugate_grid(grid).points, MOMENTUM)
+    for j in range(m):
+        transformed = fourier_to_momentum(SampledWave(grid, coordinate[:, j].astype(complex)))
+        assert np.max(np.abs(transformed.amplitudes - momentum[:, j])) < 1e-12
+
+
+def test_protocol_rows_give_the_densities_of_a_complex_superposition():
+    # (psi0 + i psi1)/sqrt 2 is not its own complex conjugate, so momentum
+    # rows built for the conjugate state predict the wrong momentum density
+    a, sigma, n = 1.0, 0.5, 32
+    protocol = tomography.interference_protocol(SlitParams(a=a, sigma_x=sigma, m=2), n)
+    v = np.array([1.0, 1j]) / np.sqrt(2.0)
+    predicted = np.real(protocol.b @ vectorize(np.outer(v, v.conj())))
+
+    x = np.linspace(-(a + 5.0 * sigma), a + 5.0 * sigma, n)
+    p_max = min(2.0 / sigma, n * np.pi / (8.0 * a))
+    p = np.linspace(-p_max, p_max, n)
+    # an FFT grid on which every protocol momentum is a sample point:
+    # p_i = (2i - (n - 1)) dp/2 with dp the protocol's momentum step
+    big = 1024
+    length = 4.0 * np.pi / (p[1] - p[0])
+    grid = Grid1D(big, -length / 2.0, -length / 2.0 + (big - 1) * length / big)
+
+    def psi(t):
+        g = lambda c: (2.0 * np.pi * sigma**2) ** -0.25 * np.exp(-((t - c) ** 2) / (4.0 * sigma**2))
+        q = np.exp(-(a**2) / (2.0 * sigma**2))
+        psi0 = (g(-a) + g(a)) / np.sqrt(2.0 * (1.0 + q))
+        psi1 = (g(a) - g(-a)) / np.sqrt(2.0 * (1.0 - q))
+        return (psi0 + 1j * psi1) / np.sqrt(2.0)
+
+    assert np.max(np.abs(predicted[:n] / (x[1] - x[0]) - np.abs(psi(x)) ** 2)) < 1e-12
+    spectrum = fourier_to_momentum(SampledWave(grid, psi(grid.points)))
+    rows = big // 2 + 2 * np.arange(n) - (n - 1)
+    assert np.max(np.abs(spectrum.grid.points[rows] - p)) < 1e-12
+    assert np.max(np.abs(predicted[n:] / (p[1] - p[0]) - np.abs(spectrum.amplitudes[rows]) ** 2)) < 1e-9
 
 
 def test_trace_only_protocol_has_the_full_range():
