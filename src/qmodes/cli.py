@@ -159,8 +159,8 @@ def main(argv: list[str] | None = None) -> int:
         fmt = params.pop("format", _COMMON["format"][0])
         grid_points = params.pop("grid_points", _COMMON["grid_points"][0])
         report = run(ScenarioConfig(scenario_name, out, fmt, grid_points, params))
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
-        print(f"qmodes: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"qmodes: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
     print(f"scenario {report.scenario}: wrote {len(report.files)} file(s) to {out}")

@@ -8,7 +8,10 @@ time is echoed to the console but kept out of the serialized report.
 
 Data tables are float64 columns of equal length.  A CSV table is the
 comma-joined header line followed by one ``%.12g`` comma-separated line per
-row, every line ending in ``\\n``.  A JSON table is byte-equal to
+row, every line ending in ``\\n``.  :func:`qmodes.g12.g12_rows` formats the
+values in numpy blocks; it hands every non-finite value, and the rare
+near-tie that float64 arithmetic cannot round with certainty, to Python.
+A JSON table is byte-equal to
 ``json.dumps({"columns": names, "rows": rows}, indent=2, sort_keys=True)``
 plus ``\\n``, with ``NaN``, ``Infinity`` and ``-Infinity`` for non-finite
 values.  Reports and the other JSON files are written the same way.
@@ -24,13 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from . import coherence, interference, schmidt, tomography, tunneling
+from .g12 import g12_rows
 from .numerics import MAX_COUNT, Grid1D, SampledWave, make_grid, quadrature
 
 __all__ = ["ScenarioConfig", "RunReport", "run", "list_scenarios", "SCENARIOS"]
 
-FLOAT_FORMAT = "%.12g"
-# rows formatted per write: bounds the Python copy of a table at one block
+# rows formatted per JSON write: bounds the Python copy of a table at one block
 _BLOCK_ROWS = 512
+# values formatted per CSV write: bounds the kernel's temporaries (about 150 bytes a value)
+_BLOCK_VALUES = 2048
 
 
 @dataclass
@@ -79,7 +84,10 @@ def _sig6(value: float) -> float:
 
 
 def _save_json(path: Path, data: dict):
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # streamed: the encoded text of a large protocol would be several times its size
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class _Emitter:
@@ -106,16 +114,18 @@ class _Emitter:
         if fmt == "json" and not (len(table) and np.isfinite(table).all()):
             # json.dumps spells the empty list and NaN/Infinity
             _save_json(path, {"columns": names, "rows": table.tolist()})
+        elif fmt == "csv":
+            step = max(1, _BLOCK_VALUES // len(names))
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(",".join(names) + "\n")
+                for start in range(0, len(table), step):
+                    fh.write(g12_rows(table[start : start + step]))
         else:
-            if fmt == "csv":
-                head, sep, tail = ",".join(names), "\n", "\n"
-                row = ",".join([FLOAT_FORMAT] * len(names))
-            else:
-                # repr(float) is the token json.dumps writes for a finite float
-                head = '{\n  "columns": ' + json.dumps(names, indent=2).replace("\n", "\n  ")
-                head += ',\n  "rows": ['
-                row = "    [\n      " + ",\n      ".join(["%r"] * len(names)) + "\n    ]"
-                sep, tail = ",\n", "\n  ]\n}\n"
+            # repr(float) is the token json.dumps writes for a finite float
+            head = '{\n  "columns": ' + json.dumps(names, indent=2).replace("\n", "\n  ")
+            head += ',\n  "rows": ['
+            row = "    [\n      " + ",\n      ".join(["%r"] * len(names)) + "\n    ]"
+            sep, tail = ",\n", "\n  ]\n}\n"
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(head)
                 lead = "\n"

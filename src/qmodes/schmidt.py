@@ -86,11 +86,17 @@ def _validate_weights(weights, tol: float = 1e-6) -> np.ndarray:
 
 
 def analytic_two_slit_weights(slits: SlitParams, det: DetectorParams) -> tuple[float, float]:
-    """Closed-form (lambda_0, lambda_1) for the two-slit entangled state."""
+    """Closed-form (lambda_0, lambda_1) for the two-slit entangled state.
+
+    lambda_1 = (1 - e_a)(1 - e_b) / 2(1 + e_a e_b) takes both factors from
+    expm1, so it keeps its relative accuracy as either overlap nears 1.
+    """
     e_a, e_b = slits.overlap, det.overlap
     denom = 2.0 * (1.0 + e_a * e_b)
     lam0 = (1.0 + e_a + e_b + e_a * e_b) / denom
-    lam1 = (1.0 - e_a - e_b + e_a * e_b) / denom
+    gap_a = -np.expm1(-(slits.a**2) / (2.0 * slits.sigma_x**2))
+    gap_b = -np.expm1(-(det.b**2) / (2.0 * det.sigma_xi**2))
+    lam1 = gap_a * gap_b / denom
     return float(lam0), float(lam1)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interference import COORDINATE, MOMENTUM, SlitParams, slit_basis
+from .interference import SlitParams
 from .numerics import MAX_COUNT
 
 __all__ = [
@@ -104,7 +104,7 @@ class ProtocolMatrix:
 
 @dataclass(frozen=True)
 class ProtocolAnalysis:
-    """Full SVD B = U diag(s) V+ with the numerical rank."""
+    """SVD B = U diag(s) V+ with the numerical rank: V square, U with min(N, s^2) columns."""
 
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
@@ -148,27 +148,31 @@ def devectorize(vec) -> np.ndarray:
 
 def analyze(protocol: ProtocolMatrix, rank_threshold: float = DEFAULT_RANK_THRESHOLD) -> ProtocolAnalysis:
     """SVD of the protocol matrix with rank counted above threshold x s_max."""
-    u, s, vh = np.linalg.svd(protocol.b, full_matrices=True)
+    n, model_dim = protocol.b.shape
+    # thin in U (N may be large); V stays square, its columns past the rank
+    # span the undefined factors
+    u, s, vh = np.linalg.svd(protocol.b, full_matrices=n < model_dim)
     rank = int(np.sum(s > rank_threshold * s[0])) if s.size and s[0] > 0 else 0
     return ProtocolAnalysis(u, vh.conj().T, s, rank, rank_threshold)
 
 
 def check_adequacy(analysis: ProtocolAnalysis, p, tol: float = DEFAULT_ADEQUACY_TOL):
-    """Relative norm of the rotated data beyond the model rank.
+    """Relative norm of the data outside the protocol's column space.
 
-    Q = U+ P; components r+1..N must vanish for the linear system to be
-    consistent.  Returns (adequate, residual).
+    With U_r the first r = rank columns of U, the part P - U_r U_r+ P (the
+    rotated data Q = U+ P beyond component r) must vanish for the linear
+    system to be consistent.  Returns (adequate, residual).
     """
     p = np.asarray(p)
     if p.shape[0] != analysis.u.shape[0]:
         raise ValueError(
             f"data length {p.shape[0]} does not match {analysis.u.shape[0]} measurements"
         )
-    q = analysis.u.conj().T @ p
-    total = float(np.linalg.norm(q))
+    total = float(np.linalg.norm(p))
     if total == 0.0:
         return True, 0.0
-    residual = float(np.linalg.norm(q[analysis.rank :]) / total)
+    u_r = analysis.u[:, : analysis.rank]
+    residual = float(np.linalg.norm(p - u_r @ (u_r.conj().T @ p)) / total)
     return residual <= tol, residual
 
 
@@ -186,8 +190,8 @@ def _defined_factors(analysis: ProtocolAnalysis, p, tol: float) -> tuple[np.ndar
     if not adequate:
         raise InadequateDataError(residual)
     r = analysis.rank
-    q = analysis.u.conj().T @ np.asarray(p)
-    return q[:r] / analysis.singular_values[:r], residual
+    q = analysis.u[:, :r].conj().T @ np.asarray(p)
+    return q / analysis.singular_values[:r], residual
 
 
 def reconstruct(
@@ -283,6 +287,11 @@ def interference_protocol(slits: SlitParams, n_points: int) -> ProtocolMatrix:
     the next n_points rows sample the momentum density over
     +/-min(2/sigma_x, n pi / 8a).  Each row is scaled by its bin width, so
     B rho yields integrated bin probabilities.
+
+    The states are evaluated without cancellation at any spacing a > 0: in
+    coordinates u_1 -/+ u_0 = 2 A exp(-(x^2 + a^2) / 4 sigma^2) sinh/cosh(x a
+    / 2 sigma^2), in momentum u~_0 + u~_1 = 2 env(p) cos(p a) and u~_1 - u~_0
+    = -2i env(p) sin(p a), and 1 - q = -expm1(-a^2 / 2 sigma^2).
     """
     if slits.m != 2:
         raise ValueError(f"protocol is defined on the two-slit space, got m={slits.m}")
@@ -294,14 +303,17 @@ def interference_protocol(slits: SlitParams, n_points: int) -> ProtocolMatrix:
     x = np.linspace(-(a + 5.0 * sx), a + 5.0 * sx, n_points)
     p_max = min(2.0 / sx, n_points * np.pi / (8.0 * a))
     p = np.linspace(-p_max, p_max, n_points)
-    q = slits.overlap
-    norms = np.sqrt([2.0 * (1.0 + q), 2.0 * (1.0 - q)])
+    norms = np.sqrt([2.0 * (1.0 + slits.overlap), -2.0 * np.expm1(-(a**2) / (2.0 * sx**2))])
+    # with g = u_1(|x|) and h = exp(-|x| a / sigma^2) = u_0(|x|) / g, the
+    # cosh and sinh forms are g (1 + h) and sign(x) g (1 - h), which neither
+    # overflow nor cancel
+    g = (2.0 * np.pi * sx**2) ** -0.25 * np.exp(-((np.abs(x) - a) ** 2) / (4.0 * sx**2))
+    h_minus_1 = np.expm1(-np.abs(x) * a / sx**2)
+    coordinate = np.stack((g * (2.0 + h_minus_1), -np.sign(x) * g * h_minus_1), axis=1)
+    env = 2.0 * (2.0 * sx**2 / np.pi) ** 0.25 * np.exp(-(sx**2) * p**2)
+    momentum = np.stack((env * np.cos(p * a), -1j * env * np.sin(p * a)), axis=1)
     blocks = []
-    for points, representation in ((x, COORDINATE), (p, MOMENTUM)):
-        u = slit_basis(slits, points, representation)
-        # combined by hand: a complex matmul would load BLAS's complex
-        # kernels (0.3 MB resident) for a 2 x 2 product
-        phi = np.stack((u[:, 0] + u[:, 1], u[:, 1] - u[:, 0]), axis=1) / norms
+    for points, phi in ((x, coordinate / norms), (p, momentum / norms)):
         # row i is vec(phi_i phi_i^H) times the bin width, column-stacked
         outer = phi.conj()[:, :, None] * phi[:, None, :]
         blocks.append(outer.reshape(n_points, 4) * (points[1] - points[0]))

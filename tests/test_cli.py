@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from qmodes import scenarios
+from qmodes import cli, scenarios
 from qmodes.cli import _parse, main
 from qmodes.numerics import MAX_COUNT, MAX_SLITS
 
@@ -405,3 +406,23 @@ def test_non_finite_phi_exits_2(tmp_path, capsys, phi):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("qmodes: error: phi must be finite")
     assert not (out / "coherence_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 1.00 TiB for an array"])
+def test_memory_error_exits_2_with_an_error_line(tmp_path, capsys, monkeypatch, message):
+    def exhausted(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    assert main(["figures", "fig3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"qmodes: error: {message or 'MemoryError'}\n"
+
+
+def test_tiny_slit_spacing_runs_without_warnings(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["tomography", "--a", "1e-9", "--out", str(tmp_path)]) == 0
+    scalars = report(tmp_path, "tomography")["scalars"]
+    assert scalars["interference_rank"] == 4
+    assert scalars["interference_k_max"] == pytest.approx(1.0, abs=1e-6)
+    capsys.readouterr()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qmodes import scenarios
+from qmodes.g12 import g12_rows
 
 FORMATS = ("csv", "json")
 
@@ -104,3 +105,43 @@ def test_catalog_files_load_with_the_right_shape(tmp_path, scenario):
         np.testing.assert_allclose(rows, table["rows"], rtol=1e-11, atol=0.0, err_msg=path.stem)
         shapes[path.stem] = rows.shape
     assert shapes == TABLE_SHAPES[scenario]
+
+
+def reference_rows(block):
+    """Python's ``%.12g`` of every value, joined as the CSV writer joins them."""
+    return "".join(",".join("%.12g" % v for v in row) + "\n" for row in block.tolist())
+
+
+def near_ties():
+    # (10 D + 5) 10^q: exact 13th-digit ties for q = 0, 1, 2, the nearest floats otherwise
+    from fractions import Fraction
+
+    d = [100000000000, 123456789012, 555555555555, 999999999999]
+    return [float(Fraction(10 * k + 5) * Fraction(10) ** q) for k in d for q in range(-30, 31)]
+
+
+def powers_of_ten_and_neighbours():
+    return [
+        float(f"1e{k}") * (1.0 + sign * j * 2.0**-52)
+        for k in range(-323, 309)
+        for j in range(4)
+        for sign in (1.0, -1.0)
+    ]
+
+
+EDGES = [9.9999999999995e-5, 999999999999.5, 1234567890125.0, 0.0, -0.0, np.nan, np.inf, -np.inf]
+EDGES += [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e23, 0.1, 1.0 / 3.0]
+KERNEL_CASES = {
+    "near-ties": near_ties(),
+    "powers-of-ten": powers_of_ten_and_neighbours(),
+    "edges": EDGES,
+}
+
+
+@pytest.mark.parametrize("cols", [1, 3, 4])
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_g12_rows_is_pythons_formatting(case, cols):
+    values = np.array(KERNEL_CASES[case])
+    block = np.resize(values, (-(-values.size // cols), cols))
+    assert g12_rows(block) == reference_rows(block)
+    assert g12_rows(-block) == reference_rows(-block)

@@ -1,15 +1,18 @@
-"""Property tests of the m x m Schmidt path over random slit states."""
+"""Property tests over random inputs: the m x m Schmidt path over slit
+states, and the CSV writer's value kernel over float64 bit patterns."""
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, seed, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from oracles import gram_weights_oracle, grid_schmidt, grid_state_momentum  # noqa: E402
 from qmodes.interference import DetectorParams, SlitParams, slit_state  # noqa: E402
 from qmodes.numerics import make_grid  # noqa: E402
 from qmodes.schmidt import schmidt, schmidt_number  # noqa: E402
+from qmodes.g12 import g12_rows  # noqa: E402
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,3 +92,19 @@ def test_separated_slits_reach_m_modes(m, separation, sigma_xi, bs):
     assert all(k2 >= k1 - 1e-9 for k1, k2 in zip(ks, ks[1:]))
     k_far = schmidt_number(schmidt(slit_state(slits, DetectorParams(20.0 * sigma_xi, sigma_xi))).weights)
     assert m * (1.0 - 1e-3) <= k_far <= m + 1e-12
+
+
+# every float64: random bit patterns reach every exponent, subnormals and
+# NaN payloads; floats() adds the edges (+/-0, +/-inf, nan, extremes)
+FLOAT64 = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, np.uint64).view(np.float64))),
+    st.floats(width=64),
+)
+
+
+@seed(812_4808)
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(block=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)), elements=FLOAT64))
+def test_g12_rows_is_pythons_formatting_of_any_float64(block):
+    expected = "".join(",".join("%.12g" % v for v in row) + "\n" for row in block.tolist())
+    assert g12_rows(block) == expected

@@ -61,6 +61,17 @@ class TestAnalyticTwoSlit:
         assert lam0 == pytest.approx(0.5, abs=1e-12)
         assert lam1 == pytest.approx(0.5, abs=1e-12)
 
+    def test_small_weight_keeps_its_relative_accuracy(self):
+        # 1 - e_a - e_b + e_a e_b loses lambda_1 ~ 1e-14 to rounding in e_b
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        lam0, lam1 = analytic_two_slit_weights(FIG3_SLITS, DetectorParams(1e-7, 0.5))
+        e_a = mpmath.exp(-mpmath.mpf(A) ** 2 / (2 * mpmath.mpf(SIGMA) ** 2))
+        e_b = mpmath.exp(-mpmath.mpf(1e-7) ** 2 / (2 * mpmath.mpf(0.5) ** 2))
+        denom = 2 * (1 + e_a * e_b)
+        assert lam1 == pytest.approx(float((1 - e_a) * (1 - e_b) / denom), rel=1e-14, abs=0.0)
+        assert lam0 == pytest.approx(float((1 + e_a) * (1 + e_b) / denom), rel=1e-15, abs=0.0)
+
     def test_modes_orthonormal(self):
         pg, dg = momentum_grids()
         _, modes_x, modes_xi = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)

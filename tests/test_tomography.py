@@ -190,3 +190,47 @@ def test_true_purity_lies_in_the_range(direction, radius, frame, offsets, scales
         assert hi == pytest.approx(purity, abs=1e-12)
     else:
         assert hi == 1.0
+
+
+@pytest.mark.parametrize("a", [1e-9, 1e-4, 1.0])
+def test_protocol_rows_match_high_precision_states(a):
+    # the antisymmetric state (u_1 - u_0) / sqrt(2 (1 - q)) is 0/0 as a -> 0
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    sigma, n = 0.5, 16
+    protocol = tomography.interference_protocol(SlitParams(a=a, sigma_x=sigma, m=2), n)
+    x = np.linspace(-(a + 5.0 * sigma), a + 5.0 * sigma, n)
+    p_max = min(2.0 / sigma, n * np.pi / (8.0 * a))
+    p = np.linspace(-p_max, p_max, n)
+    s, c = mpmath.mpf(sigma), mpmath.mpf(a)
+    q = mpmath.exp(-(c**2) / (2 * s**2))
+    norms = (mpmath.sqrt(2 * (1 + q)), mpmath.sqrt(2 * (1 - q)))
+
+    def coordinate(t):
+        g = lambda centre: (2 * mpmath.pi * s**2) ** -0.25 * mpmath.exp(-((t - centre) ** 2) / (4 * s**2))
+        return g(-c) + g(c), g(c) - g(-c)
+
+    def momentum(t):
+        g = lambda centre: (2 * s**2 / mpmath.pi) ** 0.25 * mpmath.exp(-(s**2) * t**2 - 1j * t * centre)
+        return g(-c) + g(c), g(c) - g(-c)
+
+    rows = []
+    for points, states in ((x, coordinate), (p, momentum)):
+        width = mpmath.mpf(points[1] - points[0])
+        for t in points:
+            phi = [u / norm for u, norm in zip(states(mpmath.mpf(t)), norms)]
+            rows.append([mpmath.conj(phi[j]) * phi[k] * width for j in (0, 1) for k in (0, 1)])
+    expected = np.array([[complex(v) for v in row] for row in rows])
+    assert np.max(np.abs(protocol.b - expected)) < 1e-13 * np.max(np.abs(expected))
+    assert analyze(protocol).rank == 4
+
+
+def test_analysis_keeps_u_thin_and_the_residual_of_the_full_svd():
+    protocol = tomography.interference_protocol(SlitParams(a=5.0, sigma_x=0.5, m=2), 64)
+    analysis = analyze(protocol)
+    assert analysis.u.shape == (128, 4) and analysis.v.shape == (4, 4)
+    u_full = np.linalg.svd(protocol.b, full_matrices=True)[0]
+    p = np.random.default_rng(3).standard_normal(128)
+    q = u_full.conj().T @ p
+    full_residual = np.linalg.norm(q[analysis.rank :]) / np.linalg.norm(q)
+    assert tomography.check_adequacy(analysis, p)[1] == pytest.approx(full_residual, rel=1e-12)
