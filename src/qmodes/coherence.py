@@ -1,40 +1,35 @@
-"""Fringe visibility, its universal coupling to the Schmidt number, and a
-qubit-entanglement model of partially coherent illumination.
+"""Fringe visibility, its universal coupling to the Schmidt number, and the
+partial-coherence models that reduce to a detector overlap.
 
 A source point displaced from the optical axis advances one slit's phase
 by phi relative to the other; entangling the sign of that shift with an
 auxiliary qubit reproduces classical partial coherence.  The qubit takes
-the place of the which-way detector: the model is the two-slit state of
-:mod:`qmodes.interference` whose detector states overlap by cos 2 phi, so
-its marginals and Schmidt weights come from the same m x m overlap
-matrices as every slit state.  For any two-mode decomposition,
+the place of the which-way detector: its branch states
+v_0 = (e^(i phi), e^(-i phi))/sqrt 2 and v_1 = conj(v_0) overlap by
+cos 2 phi, so the model is ``interference.slit_state(slits, cos 2 phi)``.
+A uniform source of dimensionless size y is the same two-slit state with
+the overlap gamma(y) = sinc(4 y) of van Cittert-Zernike (Born & Wolf,
+Principles of Optics, ch. 10), in the normalized convention
+sinc(x) = sin(pi x)/(pi x) of numpy.  gamma is signed: for y in
+(1/4, 1/2) it is negative and the fringes reverse their contrast.  For any
+two-mode decomposition with visibility V = |gamma|,
 
-    K = 2 / (1 + V^2),   lambda_0 = (1 + V)/2,   lambda_1 = (1 - V)/2,
-
-and a uniform source of dimensionless size y gives V(y) = |sinc(4 y)| with
-the normalized sinc convention sinc(x) = sin(pi x)/(pi x) (note: pi inside,
-as in numpy).
+    K = 2 / (1 + V^2),   lambda_0 = (1 + V)/2,   lambda_1 = (1 - V)/2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .interference import SlitParams, SlitState
 from .numerics import SampledWave
 
 __all__ = [
-    "CoherenceModel",
-    "VisibilityReport",
     "UnresolvedFringesError",
     "visibility_from_intensity",
-    "qubit_coherence_state",
     "k_from_v",
     "v_from_k",
     "entropy_from_v",
-    "visibility_report",
+    "source_coherence",
     "source_visibility",
     "source_schmidt",
 ]
@@ -44,31 +39,6 @@ MIN_SAMPLES_PER_PERIOD = 16
 
 class UnresolvedFringesError(ValueError):
     """Momentum grid too coarse to resolve the fringe period pi/a."""
-
-
-@dataclass(frozen=True)
-class CoherenceModel:
-    """Phase shift phi = 2 pi a y / (lambda F) applied with opposite signs per qubit branch."""
-
-    phi: float
-    slits: SlitParams
-
-    def __post_init__(self):
-        if not np.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
-        if self.slits.m != 2:
-            raise ValueError("coherence model is defined for two slits")
-
-
-@dataclass(frozen=True)
-class VisibilityReport:
-    """Visibility with the equivalent two-mode Schmidt quantities."""
-
-    v: float
-    k: float
-    lambda0: float
-    lambda1: float
-    s: float
 
 
 def visibility_from_intensity(density: SampledWave, a: float, sigma_x: float) -> float:
@@ -102,23 +72,6 @@ def visibility_from_intensity(density: SampledWave, a: float, sigma_x: float) ->
     return float(np.clip(np.hypot(cos_part, sin_part) / mean, 0.0, 1.0))
 
 
-def qubit_coherence_state(model: CoherenceModel) -> SlitState:
-    """Particle entangled with an auxiliary qubit carrying the phase-shift sign.
-
-    In momentum representation the qubit branches are cosine fringes
-    shifted by +/-phi:
-
-        branch |0>: env(p) cos(p a + phi),   branch |1>: env(p) cos(p a - phi).
-
-    With u~_0, u~_1 proportional to env(p) exp(+/-i p a), the two momentum
-    slit functions, the state is N (u~_0 v_0 + u~_1 v_1) with the qubit
-    vectors v_0 = (e^(i phi), e^(-i phi))/sqrt 2 and v_1 = conj(v_0), whose
-    overlap is cos 2 phi.
-    """
-    c = np.cos(2.0 * model.phi)
-    return SlitState(model.slits, np.array([[1.0, c], [c, 1.0]]))
-
-
 def k_from_v(v: float) -> float:
     """Schmidt number of a two-mode state with visibility v: K = 2/(1 + v^2)."""
     if not -1e-12 <= v <= 1.0 + 1e-12:
@@ -146,27 +99,23 @@ def entropy_from_v(v: float) -> float:
     return float(s)
 
 
-def visibility_report(v: float) -> VisibilityReport:
-    """All two-mode quantities implied by a visibility value."""
-    return VisibilityReport(
-        v=v,
-        k=k_from_v(v),
-        lambda0=(1.0 + v) / 2.0,
-        lambda1=(1.0 - v) / 2.0,
-        s=entropy_from_v(v),
-    )
+def source_coherence(y):
+    """Overlap gamma = sinc(4 y) of a uniform source of dimensionless size y.
 
-
-def source_visibility(y):
-    """Visibility from a uniform source of dimensionless size y: |sinc(4 y)|.
-
-    Elementwise over an array of sizes; a scalar y gives a float.  Raises
-    ``ValueError`` if any size is negative.
+    Signed: negative for y in (1/4, 1/2), where the fringes reverse their
+    contrast.  Elementwise over an array of sizes; a scalar y gives a float.
+    Raises ``ValueError`` if any size is negative.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise ValueError(f"source size must be non-negative, got {np.min(y[y < 0])}")
-    v = np.abs(np.sinc(4.0 * y))
+    gamma = np.sinc(4.0 * y)
+    return gamma if gamma.ndim else float(gamma)
+
+
+def source_visibility(y):
+    """Visibility |sinc(4 y)| from a uniform source of size y, like ``source_coherence``."""
+    v = np.abs(source_coherence(y))
     return v if v.ndim else float(v)
 
 

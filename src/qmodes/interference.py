@@ -15,8 +15,13 @@ the second the Fourier transform of the first under the
 :func:`slit_centers`.  Their overlaps are closed forms,
 S[j, k] = q^((j - k)^2) with q = exp(-a^2 / 2 sigma^2) the overlap of
 neighbours.  The entangled state N sum_j u_j(x) v_j(xi) is thus fixed by
-the slits and the detector overlap matrix S_xi, with
-N^2 = 1 / sum(S_x o S_xi) exactly; its particle marginal in either
+the slits and the detector overlap matrix S_xi[j, k] = gamma^((j - k)^2),
+with N^2 = 1 / sum(S_x o S_xi) exactly.  For two separated slits one
+number, the overlap gamma of neighbouring detector (or environment)
+states, sets the fringe visibility |gamma| and K = 2 / (1 + gamma^2): a
+which-way detector gives gamma = exp(-b^2 / 2 sigma_xi^2), the coherence
+qubit gamma = cos 2 phi, and a uniform source of size y gamma = sinc(4 y)
+(:mod:`qmodes.coherence`).  The particle marginal in either
 representation is the diagonal of U (N^2 S_xi) U^H, with U the slit basis
 sampled on the particle grid, so no detector axis is ever sampled.  In
 momentum space the joint amplitude is the product of the two Gaussian
@@ -51,8 +56,6 @@ __all__ = [
 COORDINATE = "coordinate"
 MOMENTUM = "momentum"
 
-WELL_SEPARATED_OVERLAP = 0.01
-
 
 @dataclass(frozen=True)
 class SlitParams:
@@ -76,10 +79,6 @@ class SlitParams:
     def overlap(self) -> float:
         """Gaussian overlap exp(-a^2 / 2 sigma_x^2) of neighbouring slits."""
         return float(np.exp(-self.a**2 / (2.0 * self.sigma_x**2)))
-
-    @property
-    def well_separated(self) -> bool:
-        return self.overlap < WELL_SEPARATED_OVERLAP
 
 
 @dataclass(frozen=True)
@@ -174,13 +173,18 @@ def _overlap_matrix(overlap: float, m: int) -> np.ndarray:
     return overlap ** (np.subtract.outer(j, j) ** 2)
 
 
-def slit_state(slits: SlitParams, det: DetectorParams) -> SlitState:
-    """Entangled m-slit state: slit j paired with the spot at ``slit_centers(m, b)[j]``.
+def slit_state(slits: SlitParams, overlap: float) -> SlitState:
+    """m-slit state whose neighbouring detector states overlap by gamma = ``overlap``.
 
-    The spots overlap like the slits, S_xi[j, k] = exp(-b^2 / 2 sigma_xi^2)^((j - k)^2);
-    for b = 0 every spot is the same state and the particle is not entangled.
+    The detector states overlap like the slits, S_xi[j, k] = gamma^((j - k)^2).
+    gamma is ``DetectorParams.overlap`` for a which-way detector, cos 2 phi
+    for the coherence qubit and the signed ``coherence.source_coherence(y)``
+    for a uniform source; gamma = 1 leaves the particle unentangled.
+    Raises ``ValueError`` unless -1 <= gamma <= 1.
     """
-    return SlitState(slits, _overlap_matrix(det.overlap, slits.m))
+    if not -1.0 <= overlap <= 1.0:
+        raise ValueError(f"detector overlap must lie in [-1, 1], got {overlap}")
+    return SlitState(slits, _overlap_matrix(overlap, slits.m))
 
 
 def slit_basis(slits: SlitParams, points, representation: str) -> np.ndarray:

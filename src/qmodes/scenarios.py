@@ -162,7 +162,7 @@ def _marginal(state: interference.SlitState, grid: Grid1D, representation: str) 
 def _decompose(params: dict):
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
     det = interference.DetectorParams(b=params["b"], sigma_xi=params["sigma_xi"])
-    state = interference.slit_state(slits, det)
+    state = interference.slit_state(slits, det.overlap)
     return slits, det, state, schmidt.schmidt(state)
 
 
@@ -173,8 +173,7 @@ def _decompose(params: dict):
 def _run_slits(config: ScenarioConfig, emit: _Emitter) -> dict:
     params = config.params
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
-    det = interference.DetectorParams(b=0.0, sigma_xi=params["sigma_xi"])
-    state = interference.slit_state(slits, det)
+    state = interference.slit_state(slits, 1.0)
     n = config.grid_points
     pgrid = _momentum_grid(slits.sigma_x, n)
     xgrid = _coordinate_grid(slits.m, slits.a, slits.sigma_x, n)
@@ -261,7 +260,8 @@ def _run_fig4(config: ScenarioConfig, emit: _Emitter) -> dict:
     cols = [pgrid.points]
     scalars = {}
     for b in b_values:
-        state = interference.slit_state(slits, interference.DetectorParams(b, params["sigma_xi"]))
+        det = interference.DetectorParams(b, params["sigma_xi"])
+        state = interference.slit_state(slits, det.overlap)
         names.append(f"density_b_{b:g}")
         cols.append(interference.basis_density(basis, state.density_matrix))
         decomp = schmidt.schmidt(state)
@@ -275,19 +275,16 @@ def _run_source(config: ScenarioConfig, emit: _Emitter) -> dict:
     n = config.grid_points
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=2)
     pgrid = _momentum_grid(slits.sigma_x, n)
-    p = pgrid.points
-    env_sq = np.exp(-2.0 * slits.sigma_x**2 * p**2)
+    basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
     y_values = (0.0, 0.0625, 0.125, 0.1875, 0.25)
     names = ["p_x"]
-    cols = [p]
+    cols = [pgrid.points]
     scalars = {}
     for y in y_values:
-        v = coherence.source_visibility(y)
-        pattern = env_sq * (1.0 + v * np.cos(2.0 * p * slits.a))
-        pattern = pattern / quadrature(pattern, pgrid)
+        state = interference.slit_state(slits, coherence.source_coherence(y))
         names.append(f"density_y_{y:g}")
-        cols.append(pattern)
-        scalars[f"visibility_y_{y:g}"] = v
+        cols.append(interference.basis_density(basis, state.density_matrix))
+        scalars[f"visibility_y_{y:g}"] = coherence.source_visibility(y)
         scalars[f"schmidt_number_y_{y:g}"] = coherence.source_schmidt(y)
     emit.table(f"{config.name}_intensity", names, cols)
     return scalars
@@ -309,8 +306,10 @@ def _run_coupling_curve(config: ScenarioConfig, emit: _Emitter) -> dict:
 def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
     params = config.params
     n = config.grid_points
+    phi = params["phi"]
+    if not np.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=2)
-    model = coherence.CoherenceModel(params["phi"], slits)
     pgrid = _momentum_grid(slits.sigma_x, n)
     basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
 
@@ -318,12 +317,11 @@ def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
         marg = SampledWave(pgrid, interference.basis_density(basis, state.density_matrix))
         return coherence.visibility_from_intensity(marg, slits.a, slits.sigma_x)
 
-    phis = np.linspace(0.0, np.pi / 2.0, 17)
     rows = {"phi": [], "visibility": [], "schmidt_number": [], "schmidt_from_v": []}
-    for phi in phis:
-        state = coherence.qubit_coherence_state(coherence.CoherenceModel(phi, slits))
+    for phi_k in np.linspace(0.0, np.pi / 2.0, 17):
+        state = interference.slit_state(slits, np.cos(2.0 * phi_k))
         v = visibility(state)
-        rows["phi"].append(phi)
+        rows["phi"].append(phi_k)
         rows["visibility"].append(v)
         rows["schmidt_number"].append(schmidt.schmidt_number(schmidt.schmidt(state).weights))
         rows["schmidt_from_v"].append(coherence.k_from_v(v))
@@ -333,14 +331,14 @@ def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
         [np.asarray(rows[k]) for k in rows],
     )
     gap = max(abs(a - b) for a, b in zip(rows["schmidt_number"], rows["schmidt_from_v"]))
-    report = coherence.visibility_report(visibility(coherence.qubit_coherence_state(model)))
+    v = visibility(interference.slit_state(slits, np.cos(2.0 * phi)))
     return {
-        "phi": model.phi,
-        "visibility": report.v,
-        "schmidt_number": report.k,
-        "lambda0": report.lambda0,
-        "lambda1": report.lambda1,
-        "entropy": report.s,
+        "phi": phi,
+        "visibility": v,
+        "schmidt_number": coherence.k_from_v(v),
+        "lambda0": (1.0 + v) / 2.0,
+        "lambda1": (1.0 - v) / 2.0,
+        "entropy": coherence.entropy_from_v(v),
         "max_coupling_gap": gap,
     }
 
@@ -476,7 +474,7 @@ def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
 # catalog: each scenario's defaults name every parameter it takes, and a
 # default's type is the parameter's type (flags and config values included)
 
-_SLIT_DEFAULTS = {"m": 2, "a": 5.0, "sigma_x": 0.5, "sigma_xi": 0.5}
+_SLIT_DEFAULTS = {"m": 2, "a": 5.0, "sigma_x": 0.5}
 _TWO_SLIT_DEFAULTS = {"m": 2, "a": 5.0, "b": 0.5, "sigma_x": 0.5, "sigma_xi": 0.5}
 _NH3_MASS = tunneling.AMMONIA_ISOTOPES["NH3"].mass
 # g0_max = 0 (auto) sweeps the reduced coupling g0 / (contact * splitting) over +/-300
@@ -510,7 +508,7 @@ SCENARIOS: dict[str, _Scenario] = {
     "fig4": _Scenario(
         "four-slit fringes at several particle-detector couplings",
         _run_fig4,
-        {**_SLIT_DEFAULTS, "m": 4},
+        {**_SLIT_DEFAULTS, "m": 4, "sigma_xi": 0.5},
     ),
     "fig5": _Scenario(
         "five-slit Schmidt modes and weights (a=5, b=0.5 reference case)",

@@ -1,5 +1,6 @@
 """Independent references for the tests: an offset-corrected FFT, the
-two-slit closed forms, and the grid reference for slit states.
+two-slit closed forms, the uniform-source fringe pattern, and the grid
+reference for slit states.
 
 The grid reference samples the joint state psi(x, xi) on a particle x
 detector grid as a factor pair psi = left @ right.T, normalizes it by
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qmodes.interference import slit_centers, two_slit_norm
-from qmodes.numerics import Grid1D, SampledWave, trapezoid_weights
+from qmodes.numerics import Grid1D, SampledWave, quadrature, trapezoid_weights
 from qmodes.schmidt import analytic_two_slit_weights
 
 
@@ -41,6 +42,14 @@ def two_slit_intensity(a, sigma_x, p_x):
     p = np.asarray(p_x)
     envelope = np.sqrt(1.0 / (2.0 * np.pi)) * sigma_x * np.exp(-2.0 * sigma_x**2 * p**2)
     return 4.0 * c2 * envelope * np.cos(p * a) ** 2
+
+
+def source_pattern(a, sigma_x, grid, v):
+    """Two-slit momentum pattern of visibility v, env^2 (1 + v cos 2 p a),
+    normalized by trapezoid quadrature on ``grid``."""
+    p = grid.points
+    pattern = np.exp(-2.0 * sigma_x**2 * p**2) * (1.0 + v * np.cos(2.0 * p * a))
+    return pattern / quadrature(pattern, grid)
 
 
 def cos_sin_mode(grid, sigma, center, trig):

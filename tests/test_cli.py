@@ -111,7 +111,7 @@ def test_seed_config_line_is_an_unknown_parameter(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, flags",
     [
-        ("slits", ["--m", "--a", "--sigma-x", "--sigma-xi"]),
+        ("slits", ["--m", "--a", "--sigma-x"]),
         ("ammonia", ["--isotope", "--mass"]),
         ("figures", ["name"]),
     ],
@@ -397,6 +397,13 @@ def test_slit_count_above_the_cap_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"qmodes: error: slit count m must be at most {MAX_SLITS}, got 65536"]
     assert not (out / "slits_report.json").exists()
+
+
+def test_slits_take_no_detector_width(tmp_path, capsys):
+    # fig1 and slits build the uncoupled state (detector overlap 1), which no sigma_xi changes
+    assert main(["slits", "--sigma-xi", "0.4", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("qmodes: error: unknown flag '--sigma-xi'")
+    assert not (tmp_path / "slits_report.json").exists()
 
 
 @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])

@@ -1,20 +1,18 @@
-"""Visibility extraction, qubit coherence model and the source-size curves."""
+"""Visibility extraction, the coherence qubit and the uniform-source model."""
 
 import numpy as np
 import pytest
 
 from oracles import GridState, grid_schmidt, two_slit_intensity
 from qmodes.coherence import (
-    CoherenceModel,
     UnresolvedFringesError,
     entropy_from_v,
     k_from_v,
-    qubit_coherence_state,
+    source_coherence,
     source_schmidt,
     source_visibility,
     v_from_k,
     visibility_from_intensity,
-    visibility_report,
 )
 from qmodes.interference import (
     MOMENTUM,
@@ -29,6 +27,8 @@ from qmodes.schmidt import analytic_two_slit_weights, schmidt, schmidt_number
 
 A, SIGMA = 5.0, 0.5
 SLITS = SlitParams(a=A, sigma_x=SIGMA, m=2)
+# the source sizes of the fig6-data scenario
+CATALOG_Y = (0.0, 0.0625, 0.125, 0.1875, 0.25)
 
 
 def fine_momentum_grid(n=4001, half=10.0):
@@ -38,6 +38,11 @@ def fine_momentum_grid(n=4001, half=10.0):
 def momentum_marginal(state, grid):
     basis = slit_basis(state.slits, grid.points, MOMENTUM)
     return SampledWave(grid, basis_density(basis, state.density_matrix))
+
+
+def qubit_state(phi):
+    """The coherence qubit: the two-slit state whose qubit states overlap by cos 2 phi."""
+    return slit_state(SLITS, np.cos(2.0 * phi))
 
 
 def qubit_grid_state(phi, grid):
@@ -59,7 +64,7 @@ class TestVisibilityExtraction:
 
     def test_damped_marginal(self):
         det = DetectorParams(b=0.5, sigma_xi=0.5)
-        marg = momentum_marginal(slit_state(SLITS, det), fine_momentum_grid())
+        marg = momentum_marginal(slit_state(SLITS, det.overlap), fine_momentum_grid())
         v = visibility_from_intensity(marg, A, SIGMA)
         assert v == pytest.approx(np.exp(-0.5), abs=1e-3)
 
@@ -78,7 +83,7 @@ class TestVisibilityExtraction:
         # exactly, so the fit leaves only round-off
         det = DetectorParams(b=b, sigma_xi=0.5)
         grid = make_grid(0.0, 9.0, n)
-        v = visibility_from_intensity(momentum_marginal(slit_state(SLITS, det), grid), A, SIGMA)
+        v = visibility_from_intensity(momentum_marginal(slit_state(SLITS, det.overlap), grid), A, SIGMA)
         assert v == pytest.approx(np.exp(-(b**2) / (2.0 * 0.5**2)), rel=0.0, abs=1e-12)
 
     def test_fit_is_phase_blind(self):
@@ -98,20 +103,20 @@ class TestVisibilityExtraction:
 
 class TestQubitCoherenceState:
     def test_zero_phase_is_product(self):
-        state = qubit_coherence_state(CoherenceModel(0.0, SLITS))
+        state = qubit_state(0.0)
         assert np.array_equal(state.detector_overlaps, np.ones((2, 2)))
         dec = schmidt(state)
         assert schmidt_number(dec.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_phase_is_maximally_mixed(self):
-        dec = schmidt(qubit_coherence_state(CoherenceModel(np.pi / 4.0, SLITS)))
+        dec = schmidt(qubit_state(np.pi / 4.0))
         assert schmidt_number(dec.weights) == pytest.approx(2.0, abs=1e-12)
 
     def test_normalization(self):
         # N (u_0 v_0 + u_1 v_1) sampled from the slit basis is the pair of
         # branches env cos(p a +/- phi), normalized
         phi, grid = 0.3, fine_momentum_grid()
-        state = qubit_coherence_state(CoherenceModel(phi, SLITS))
+        state = qubit_state(phi)
         v0 = np.array([np.exp(1j * phi), np.exp(-1j * phi)]) / np.sqrt(2.0)
         qubit = np.stack([v0, v0.conj()])
         norm_sq = 1.0 / (2.0 + 2.0 * SLITS.overlap * np.cos(2.0 * phi))
@@ -123,7 +128,7 @@ class TestQubitCoherenceState:
         grid = fine_momentum_grid(8193)
         worst = 0.0
         for phi in np.linspace(0.0, np.pi / 2.0, 9):
-            state = qubit_coherence_state(CoherenceModel(float(phi), SLITS))
+            state = qubit_state(float(phi))
             v = visibility_from_intensity(momentum_marginal(state, grid), A, SIGMA)
             k = schmidt_number(schmidt(state).weights)
             weights, _, _ = grid_schmidt(qubit_grid_state(float(phi), grid))
@@ -134,18 +139,14 @@ class TestQubitCoherenceState:
     def test_ensemble_visibility_is_cos_two_phi(self):
         grid = fine_momentum_grid(8193)
         for phi in np.linspace(0.0, np.pi / 2.0, 13):
-            state = qubit_coherence_state(CoherenceModel(float(phi), SLITS))
+            state = qubit_state(float(phi))
             v = visibility_from_intensity(momentum_marginal(state, grid), A, SIGMA)
             assert v == pytest.approx(abs(np.cos(2.0 * phi)), abs=1e-4)
 
     def test_marginal_normalized_over_qubit_axis(self):
-        state = qubit_coherence_state(CoherenceModel(0.7, SLITS))
+        state = qubit_state(0.7)
         marg = momentum_marginal(state, fine_momentum_grid())
         assert quadrature(marg.amplitudes, marg.grid) == pytest.approx(1.0, abs=1e-12)
-
-    def test_requires_two_slits(self):
-        with pytest.raises(ValueError):
-            CoherenceModel(0.1, SlitParams(a=A, sigma_x=SIGMA, m=3))
 
 
 class TestCouplingFormulas:
@@ -176,14 +177,6 @@ class TestCouplingFormulas:
 
     def test_entropy_reference(self):
         assert entropy_from_v(np.exp(-0.5)) == pytest.approx(0.7153, abs=5e-5)
-
-    def test_report_invariants(self):
-        for v in np.linspace(0.0, 1.0, 21):
-            report = visibility_report(float(v))
-            assert report.k == pytest.approx(2.0 / (1.0 + v**2), abs=1e-10)
-            assert report.lambda0 + report.lambda1 == pytest.approx(1.0, rel=1e-14)
-            assert report.lambda0 == pytest.approx((1.0 + v) / 2.0, rel=1e-14)
-            assert report.s == pytest.approx(entropy_from_v(float(v)), rel=1e-12)
 
     def test_weight_matches_slit_model(self):
         # lambda_0 = (1 + V)/2 with V = exp(-b^2/2 sigma_xi^2) for separated slits
@@ -221,6 +214,8 @@ class TestSourceModel:
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
+            source_coherence(-0.1)
+        with pytest.raises(ValueError):
             source_visibility(-0.1)
         with pytest.raises(ValueError):
             source_schmidt(-1.0)
@@ -245,3 +240,31 @@ class TestSourceModel:
         for y in np.linspace(0.0, 1.0, 41):
             v = source_visibility(float(y))
             assert source_schmidt(float(y)) == pytest.approx(k_from_v(v), rel=1e-12)
+
+
+class TestSourceState:
+    """The uniform source as the two-slit state of overlap source_coherence(y)."""
+
+    def test_coherence_is_signed_and_visibility_its_magnitude(self):
+        y = np.linspace(0.0, 0.5, 257)  # the fig7 grid
+        assert np.array_equal(source_visibility(y), np.abs(source_coherence(y)))
+        assert source_coherence(0.375) < 0.0
+        assert source_coherence(0.375) == pytest.approx(-2.0 / (3.0 * np.pi), rel=1e-12)
+
+    @pytest.mark.parametrize("y", CATALOG_Y)
+    def test_schmidt_number_is_the_closed_form(self, y):
+        k = schmidt_number(schmidt(slit_state(SLITS, source_coherence(y))).weights)
+        assert k == pytest.approx(source_schmidt(y), rel=0.0, abs=1e-12)
+
+    def test_contrast_reversal_puts_a_minimum_at_the_centre(self):
+        # gamma < 0 for y in (1/4, 1/2): the central fringe turns dark
+        grid = fine_momentum_grid(8193)
+        density = momentum_marginal(slit_state(SLITS, source_coherence(0.375)), grid).amplitudes
+        centre = grid.n_points // 2
+        assert grid.points[centre] == 0.0
+        assert density[centre] < min(density[centre - 1], density[centre + 1])
+        bright = np.abs(np.abs(grid.points) - np.pi / (2.0 * A)).argsort()[:2]
+        assert np.all(density[bright] > density[centre])
+        assert visibility_from_intensity(
+            SampledWave(grid, density), A, SIGMA
+        ) == pytest.approx(source_visibility(0.375), abs=1e-4)

@@ -38,7 +38,7 @@ def momentum_grid(n=512, half=10.0):
 def two_slit_state_pair(b):
     slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
     det = DetectorParams(b=b, sigma_xi=0.5)
-    return slits, det, slit_state(slits, det)
+    return slits, det, slit_state(slits, det.overlap)
 
 
 def momentum_marginal(state, grid):
@@ -149,7 +149,7 @@ class TestCenters:
         det = DetectorParams(b=0.5, sigma_xi=0.4)
         d = slit_centers(3, det.b)
         gaussian = np.exp(-np.subtract.outer(d, d) ** 2 / (8.0 * det.sigma_xi**2))
-        s_xi = slit_state(SlitParams(a=A, sigma_x=SIGMA, m=3), det).detector_overlaps
+        s_xi = slit_state(SlitParams(a=A, sigma_x=SIGMA, m=3), det.overlap).detector_overlaps
         assert np.allclose(s_xi, gaussian, rtol=1e-14, atol=0.0)
 
 
@@ -277,7 +277,7 @@ class TestJointStateCoordinate:
     def test_zero_separation_is_product(self):
         # coincident slits: S_x is all ones, and its zero eigenvalue is dropped
         slits = SlitParams(a=1e-12, sigma_x=SIGMA, m=2)
-        dec = schmidt(slit_state(slits, DetectorParams(b=0.5, sigma_xi=0.5)))
+        dec = schmidt(slit_state(slits, DetectorParams(b=0.5, sigma_xi=0.5).overlap))
         assert dec.weights == pytest.approx([1.0], abs=1e-14)
         assert dec.coefficients.shape == (2, 1)
 
@@ -312,7 +312,7 @@ class TestMarginals:
         # the detector axis integrated by quadrature on a sampled joint state
         slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
         det = DetectorParams(b=0.7, sigma_xi=0.5)
-        state = slit_state(slits, det)
+        state = slit_state(slits, det.overlap)
         pg, qg = make_grid(0.0, 9.0, 1024), make_grid(0.0, 9.0, 1024)
         mom = momentum_marginal(state, pg).amplitudes
         ref = grid_marginal(grid_state_momentum(slits, det, pg, qg))
@@ -328,7 +328,7 @@ class TestMarginals:
         assert det.overlap == pytest.approx(np.exp(-0.98), rel=1e-15)
         slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
         grid = momentum_grid(1024)
-        marg = momentum_marginal(slit_state(slits, det), grid)
+        marg = momentum_marginal(slit_state(slits, det.overlap), grid)
         flat = marg.amplitudes / np.exp(-2 * SIGMA**2 * grid.points**2)
         window = np.abs(grid.points) < 2.0
         contrast = (flat[window].max() - flat[window].min()) / (
@@ -380,7 +380,7 @@ class TestInvariants:
         grid = momentum_grid(4097)
         for m in (2, 3, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            marg = momentum_marginal(slit_state(slits, DetectorParams(b=0.0, sigma_xi=0.5)), grid)
+            marg = momentum_marginal(slit_state(slits, DetectorParams(b=0.0, sigma_xi=0.5).overlap), grid)
             peak = marg.amplitudes[np.argmin(np.abs(grid.points))]
             per_slit = single_slit_momentum_density(SIGMA, 0.0) / m
             assert peak / per_slit == pytest.approx(m**2, rel=1e-6)
@@ -401,8 +401,18 @@ class TestInvariants:
             SlitParams(a=1.0, sigma_x=0.5, m=0)
         with pytest.raises(ValueError):
             DetectorParams(b=-0.1, sigma_xi=0.5)
-        assert SlitParams(a=5.0, sigma_x=0.5, m=2).well_separated
-        assert not SlitParams(a=0.5, sigma_x=0.5, m=2).well_separated
+
+    @pytest.mark.parametrize("overlap", [1.5, -1.5, np.nan])
+    def test_detector_overlap_outside_unit_interval_rejected(self, overlap):
+        with pytest.raises(ValueError, match="detector overlap must lie in"):
+            slit_state(SlitParams(a=A, sigma_x=SIGMA, m=2), overlap)
+
+    def test_detector_overlap_sets_the_overlap_matrix(self):
+        # S_xi[j, k] = gamma^((j - k)^2), a signed gamma included
+        for gamma in (-1.0, -0.3, 0.0, 0.7, 1.0):
+            s_xi = slit_state(SlitParams(a=A, sigma_x=SIGMA, m=3), gamma).detector_overlaps
+            expected = [[1.0, gamma, gamma**4], [gamma, 1.0, gamma], [gamma**4, gamma, 1.0]]
+            np.testing.assert_allclose(s_xi, expected, rtol=1e-15, atol=0.0)
 
     def test_slit_count_is_capped(self):
         assert SlitParams(a=1.0, sigma_x=0.5, m=MAX_SLITS).m == 64

@@ -25,7 +25,7 @@ from qmodes.g12 import g12_rows  # noqa: E402
 def test_weights_are_the_oracle_distribution(m, a, b, sigma_xi):
     slits = SlitParams(a=a, sigma_x=0.5, m=m)
     det = DetectorParams(b=b, sigma_xi=sigma_xi)
-    weights = schmidt(slit_state(slits, det)).weights
+    weights = schmidt(slit_state(slits, det.overlap)).weights
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert 1.0 - 1e-12 <= schmidt_number(weights) <= m + 1e-12
     oracle = gram_weights_oracle(m, a, 0.5, b, sigma_xi)
@@ -50,7 +50,7 @@ def test_overlapping_slits_match_the_grid_reference(m, a, b, sigma_xi):
     # eigenvalues are dropped
     slits = SlitParams(a=a, sigma_x=0.5, m=m)
     det = DetectorParams(b=b, sigma_xi=sigma_xi)
-    weights = schmidt(slit_state(slits, det)).weights
+    weights = schmidt(slit_state(slits, det.overlap)).weights
     assert weights.sum() == pytest.approx(1.0, abs=1e-10)
     assert 1.0 - 1e-12 <= schmidt_number(weights) <= m + 1e-12
     oracle = gram_weights_oracle(m, a, 0.5, b, sigma_xi)
@@ -72,7 +72,7 @@ def test_overlapping_slits_match_the_grid_reference(m, a, b, sigma_xi):
 )
 def test_schmidt_number_grows_with_coupling(m, a, sigma_xi, bs):
     slits = SlitParams(a=a, sigma_x=0.5, m=m)
-    ks = [schmidt_number(schmidt(slit_state(slits, DetectorParams(b, sigma_xi))).weights) for b in sorted(bs)]
+    ks = [schmidt_number(schmidt(slit_state(slits, DetectorParams(b, sigma_xi).overlap)).weights) for b in sorted(bs)]
     assert all(k2 >= k1 - 1e-9 for k1, k2 in zip(ks, ks[1:]))
     assert all(1.0 - 1e-12 <= k <= m + 1e-12 for k in ks)
 
@@ -88,9 +88,9 @@ def test_separated_slits_reach_m_modes(m, separation, sigma_xi, bs):
     # a >= 6 sigma_x: the slit overlaps are <= exp(-4.5), so the weights
     # approach 1/m once the detector states are orthogonal
     slits = SlitParams(a=separation * 0.5, sigma_x=0.5, m=m)
-    ks = [schmidt_number(schmidt(slit_state(slits, DetectorParams(b, sigma_xi))).weights) for b in sorted(bs)]
+    ks = [schmidt_number(schmidt(slit_state(slits, DetectorParams(b, sigma_xi).overlap)).weights) for b in sorted(bs)]
     assert all(k2 >= k1 - 1e-9 for k1, k2 in zip(ks, ks[1:]))
-    k_far = schmidt_number(schmidt(slit_state(slits, DetectorParams(20.0 * sigma_xi, sigma_xi))).weights)
+    k_far = schmidt_number(schmidt(slit_state(slits, DetectorParams(20.0 * sigma_xi, sigma_xi).overlap)).weights)
     assert m * (1.0 - 1e-3) <= k_far <= m + 1e-12
 
 

@@ -1,8 +1,14 @@
 """Catalog scenarios: golden report scalars and byte-stable output."""
 
+import json
+
+import numpy as np
 import pytest
 
+from oracles import source_pattern
 from qmodes import scenarios
+from qmodes.coherence import entropy_from_v, source_visibility
+from qmodes.numerics import make_grid
 
 N = 2048
 
@@ -84,3 +90,36 @@ def test_tomography_demo_completeness(tmp_path):
 
 def test_coherence_visibility_schmidt_coupling_is_exact(tmp_path):
     assert run_1024("coherence", tmp_path)["max_coupling_gap"] <= 1e-12
+
+
+def test_coherence_two_mode_scalars(tmp_path):
+    # the default phi = pi/8 gives the qubit overlap cos(pi/4); the report keeps six figures
+    s = run_1024("coherence", tmp_path)
+    v = s["visibility"]
+    assert v == pytest.approx(np.cos(np.pi / 4.0), abs=1e-6)
+    assert s["lambda0"] + s["lambda1"] == pytest.approx(1.0, abs=1e-6)
+    assert s["lambda0"] == pytest.approx((1.0 + v) / 2.0, abs=1e-6)
+    assert s["schmidt_number"] == pytest.approx(2.0 / (1.0 + v**2), abs=1e-5)
+    assert s["entropy"] == pytest.approx(entropy_from_v(v), abs=1e-5)
+
+
+def test_fig6_data_source_scalars(tmp_path):
+    s = run_1024("fig6-data", tmp_path)
+    assert s["visibility_y_0"] == 1.0
+    assert s["schmidt_number_y_0.25"] == pytest.approx(2.0, abs=1e-12)
+    # 2 / (1 + 4/pi^2) = 1.423199..., which the report keeps to six significant figures
+    assert s["schmidt_number_y_0.125"] == 1.4232
+
+
+@pytest.mark.parametrize("n", [1024, 8192])
+def test_fig6_data_densities_are_the_normalized_fringe_pattern(tmp_path, n):
+    scenarios.run(scenarios.ScenarioConfig("fig6-data", tmp_path, "json", n))
+    table = json.loads((tmp_path / "fig6-data_intensity.json").read_text(encoding="utf-8"))
+    rows = np.array(table["rows"])
+    grid = make_grid(0.0, 9.0, n)  # 9 momentum sigmas at sigma_x = 0.5
+    assert np.array_equal(rows[:, 0], grid.points)
+    y_values = (0.0, 0.0625, 0.125, 0.1875, 0.25)
+    assert table["columns"] == ["p_x"] + [f"density_y_{y:g}" for y in y_values]
+    for column, y in zip(rows[:, 1:].T, y_values):
+        reference = source_pattern(5.0, 0.5, grid, source_visibility(y))
+        assert np.max(np.abs(column - reference)) <= 1e-15, y
