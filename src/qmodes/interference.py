@@ -56,6 +56,16 @@ __all__ = [
 COORDINATE = "coordinate"
 MOMENTUM = "momentum"
 
+# lengths up to this and widths down to its reciprocal keep every square
+# and every grid a width sets in the float64 range, so an overlap such as
+# exp(-a^2 / 2 sigma^2) underflows to 0 where a / sigma is large
+_SCALE = 1e150
+
+
+def _check_scale(name: str, value: float, low: float):
+    if not low <= value <= _SCALE:
+        raise ValueError(f"{name} must be finite and in [{low:g}, {_SCALE:g}], got {value}")
+
 
 @dataclass(frozen=True)
 class SlitParams:
@@ -70,8 +80,8 @@ class SlitParams:
             raise ValueError(f"slit count m must be >= 1, got {self.m}")
         if self.m > MAX_SLITS:
             raise ValueError(f"slit count m must be at most {MAX_SLITS}, got {self.m}")
-        if not self.sigma_x > 0:
-            raise ValueError(f"sigma_x must be positive, got {self.sigma_x}")
+        _check_scale("sigma_x", self.sigma_x, 1.0 / _SCALE)
+        _check_scale("slit half-spacing a", self.a, 0.0)
         if self.m >= 2 and not self.a > 0:
             raise ValueError(f"slit half-spacing must be positive, got {self.a}")
 
@@ -89,10 +99,8 @@ class DetectorParams:
     sigma_xi: float
 
     def __post_init__(self):
-        if self.b < 0:
-            raise ValueError(f"spot half-spacing must be non-negative, got {self.b}")
-        if not self.sigma_xi > 0:
-            raise ValueError(f"sigma_xi must be positive, got {self.sigma_xi}")
+        _check_scale("spot half-spacing b", self.b, 0.0)
+        _check_scale("sigma_xi", self.sigma_xi, 1.0 / _SCALE)
 
     @property
     def overlap(self) -> float:
@@ -193,7 +201,9 @@ def slit_basis(slits: SlitParams, points, representation: str) -> np.ndarray:
     c = slit_centers(slits.m, slits.a)
     s = slits.sigma_x
     if representation == COORDINATE:
-        return (2.0 * np.pi * s**2) ** -0.25 * np.exp(-((t - c) ** 2) / (4.0 * s**2))
+        # far from every slit the exponent may overflow to -inf: the value is 0
+        with np.errstate(over="ignore"):
+            return (2.0 * np.pi * s**2) ** -0.25 * np.exp(-((t - c) ** 2) / (4.0 * s**2))
     if representation == MOMENTUM:
         tc = t * c
         return (2.0 * s**2 / np.pi) ** 0.25 * np.exp(-(s**2) * t**2) * (np.cos(tc) - 1j * np.sin(tc))

@@ -14,7 +14,12 @@ near-tie that float64 arithmetic cannot round with certainty, to Python.
 A JSON table is byte-equal to
 ``json.dumps({"columns": names, "rows": rows}, indent=2, sort_keys=True)``
 plus ``\\n``, with ``NaN``, ``Infinity`` and ``-Infinity`` for non-finite
-values.  Reports and the other JSON files are written the same way.
+values.  Reports and the other JSON files are written the same way.  A
+finite, non-empty JSON table, and a measurement protocol's matrix, is
+streamed in blocks of rows: :func:`qmodes.shortest.repr_rows` writes each
+value as its ``repr``, the token ``json.dumps`` writes, in numpy blocks,
+and the separators between values spell out ``json.dumps``' indentation.
+Empty and non-finite tables go through ``json.dump``.
 """
 
 from __future__ import annotations
@@ -29,13 +34,14 @@ import numpy as np
 from . import coherence, interference, schmidt, tomography, tunneling
 from .g12 import g12_rows
 from .numerics import MAX_COUNT, Grid1D, SampledWave, make_grid, quadrature
+from .shortest import repr_rows
 
 __all__ = ["ScenarioConfig", "RunReport", "run", "list_scenarios", "SCENARIOS"]
 
-# rows formatted per JSON write: bounds the Python copy of a table at one block
-_BLOCK_ROWS = 512
 # values formatted per CSV write: bounds the kernel's temporaries (about 150 bytes a value)
 _BLOCK_VALUES = 2048
+# values formatted per JSON write: bounds the kernel's temporaries (about 300 bytes a value)
+_JSON_BLOCK_VALUES = 1024
 
 
 @dataclass
@@ -84,10 +90,22 @@ def _sig6(value: float) -> float:
 
 
 def _save_json(path: Path, data: dict):
-    # streamed: the encoded text of a large protocol would be several times its size
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _save_values(path: Path, head: str, table: np.ndarray, seps: list[bytes], tail: str):
+    """Write ``head``, then each value of the finite 2-D ``table`` as json.dumps
+    writes it (its repr) followed by its column's separator from ``seps``, with
+    ``tail`` in place of the last separator; streamed in blocks of rows."""
+    step = max(1, _JSON_BLOCK_VALUES // table.shape[1])
+    with open(path, "wb") as fh:
+        fh.write(head.encode("ascii"))
+        for start in range(0, len(table), step):
+            text = repr_rows(table[start : start + step], seps)
+            fh.write(text if start + step < len(table) else text[: -len(seps[-1])])
+        fh.write(tail.encode("ascii"))
 
 
 class _Emitter:
@@ -121,19 +139,29 @@ class _Emitter:
                 for start in range(0, len(table), step):
                     fh.write(g12_rows(table[start : start + step]))
         else:
-            # repr(float) is the token json.dumps writes for a finite float
             head = '{\n  "columns": ' + json.dumps(names, indent=2).replace("\n", "\n  ")
-            head += ',\n  "rows": ['
-            row = "    [\n      " + ",\n      ".join(["%r"] * len(names)) + "\n    ]"
-            sep, tail = ",\n", "\n  ]\n}\n"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(head)
-                lead = "\n"
-                for start in range(0, len(table), _BLOCK_ROWS):
-                    block = table[start : start + _BLOCK_ROWS].tolist()
-                    fh.write(lead + sep.join([row % tuple(values) for values in block]))
-                    lead = sep
-                fh.write(tail)
+            head += ',\n  "rows": [\n    [\n      '
+            seps = [b",\n      "] * (len(names) - 1) + [b"\n    ],\n    [\n      "]
+            _save_values(path, head, table, seps, "\n    ]\n  ]\n}\n")
+        self.files.append(name)
+        return name
+
+    def protocol(self, stem: str, protocol: tomography.ProtocolMatrix) -> str:
+        """Write ``tomography.protocol_to_dict(protocol)`` as JSON, streamed
+        from the matrix without the dict's nested lists."""
+        name = f"{stem}.json"
+        path = self.config.out_dir / name
+        # each row of B as its entries' (real, imaginary) pairs
+        table = np.ascontiguousarray(protocol.b, dtype=complex).view(np.float64)
+        if not (len(table) and np.isfinite(table).all()):
+            _save_json(path, tomography.protocol_to_dict(protocol))
+        else:
+            # json.dumps indents the rows of B by 4, the pairs by 6 and the numbers by 8
+            pair = [b",\n        ", b"\n      ],\n      [\n        "]
+            row_end = b"\n      ]\n    ],\n    [\n      [\n        "
+            seps = pair * (protocol.s**2 - 1) + [pair[0], row_end]
+            tail = f'\n      ]\n    ]\n  ],\n  "n_measurements": {len(table)},\n  "s": {protocol.s}\n}}\n'
+            _save_values(path, '{\n  "b": [\n    [\n      [\n        ', table, seps, tail)
         self.files.append(name)
         return name
 
@@ -243,9 +271,9 @@ def _run_schmidt(config: ScenarioConfig, emit: _Emitter) -> dict:
         lam0, lam1 = schmidt.analytic_two_slit_weights(slits, det)
         scalars["lambda0_analytic"] = lam0
         scalars["lambda1_analytic"] = lam1
-        scalars["analytic_numeric_gap"] = max(
-            abs(lam0 - decomp.weights[0]), abs(lam1 - decomp.weights[1])
-        )
+        # a weight below the truncation is dropped, so compare it as 0
+        kept0, kept1 = np.append(decomp.weights, 0.0)[:2]
+        scalars["analytic_numeric_gap"] = max(abs(lam0 - kept0), abs(lam1 - kept1))
     return scalars
 
 
@@ -443,7 +471,7 @@ def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
     pure = tomography.reconstruct(analysis, np.array([1.0, 0.0]))
     mixed = tomography.reconstruct(analysis, np.array([0.5, 0.5]))
     purity_min, purity_max = tomography.completion_purity_range(analysis, np.array([0.5, 0.5]))
-    emit.json_file(f"{config.name}_populations_protocol", tomography.protocol_to_dict(populations))
+    emit.protocol(f"{config.name}_populations_protocol", populations)
     emit.json_file(f"{config.name}_populations_pure_report", tomography.report_to_dict(pure))
     emit.json_file(f"{config.name}_populations_mixed_report", tomography.report_to_dict(mixed))
 
@@ -452,7 +480,7 @@ def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
     rho_sym = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     p_data = np.real(protocol.b @ tomography.vectorize(rho_sym))
     ireport = tomography.reconstruct(ianalysis, p_data)
-    emit.json_file(f"{config.name}_interference_protocol", tomography.protocol_to_dict(protocol))
+    emit.protocol(f"{config.name}_interference_protocol", protocol)
     emit.json_file(
         f"{config.name}_interference_measurements", tomography.measurements_to_dict(p_data)
     )

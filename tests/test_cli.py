@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qmodes import cli, scenarios
@@ -433,3 +434,97 @@ def test_tiny_slit_spacing_runs_without_warnings(tmp_path, capsys):
     assert scalars["interference_rank"] == 4
     assert scalars["interference_k_max"] == pytest.approx(1.0, abs=1e-6)
     capsys.readouterr()
+
+
+def data_values(path):
+    if path.suffix == ".csv":
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).ravel()
+    values = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            for item in node:
+                walk(item)
+        elif isinstance(node, float):
+            values.append(node)
+
+    walk(json.loads(path.read_text(encoding="utf-8")))
+    return np.array(values)
+
+
+EXTREME_GEOMETRY = [
+    ["slits", "--a", "inf"],
+    ["slits", "--a", "nan", "--m", "1"],
+    ["slits", "--sigma-x", "1e-300"],
+    ["slits", "--sigma-x", "inf"],
+    ["entangled", "--a", "1e300"],
+    ["slits", "--a", "1e200", "--format", "json"],
+    ["slits", "--a", "1e150", "--sigma-x", "1e-150", "--m", "64", "--format", "json"],
+    ["entangled", "--b", "1e150"],
+    ["entangled", "--b", "nan"],
+    ["schmidt", "--sigma-xi", "inf"],
+    ["schmidt", "--b", "0"],
+    ["schmidt", "--b", "1e-9", "--format", "json"],
+    ["tomography", "--a", "1e150"],
+]
+
+
+@pytest.mark.parametrize("argv", EXTREME_GEOMETRY, ids=" ".join)
+def test_extreme_geometry_writes_finite_data_or_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith("qmodes: error: ")
+        assert not out.exists() or not any(out.iterdir())
+    else:
+        assert code == 0 and err == []
+        files = sorted(out.iterdir())
+        assert files
+        for path in files:
+            assert np.isfinite(data_values(path)).all(), path.name
+
+
+def test_schmidt_without_coupling_keeps_one_mode(tmp_path):
+    assert main(["schmidt", "--b", "0", "--out", str(tmp_path)]) == 0
+    scalars = report(tmp_path, "schmidt")["scalars"]
+    assert scalars["lambda0"] == 1.0 and scalars["mode_count"] == 1.0
+    assert scalars["analytic_numeric_gap"] <= 1e-12
+
+
+FIG3_REPORT = """{
+  "files": [
+    "fig3_modes.json",
+    "fig3_marginal.json",
+    "fig3_weights.json"
+  ],
+  "parameters": {
+    "a": 5.0,
+    "b": 0.5,
+    "m": 2.0,
+    "sigma_x": 0.5,
+    "sigma_xi": 0.5
+  },
+  "scalars": {
+    "analytic_numeric_gap": 0.0,
+    "entropy": 0.715349,
+    "information": 0.548059,
+    "lambda0": 0.803265,
+    "lambda0_analytic": 0.803265,
+    "lambda1": 0.196735,
+    "lambda1_analytic": 0.196735,
+    "mode_count": 2.0,
+    "schmidt_number": 1.46212
+  },
+  "scenario": "fig3"
+}
+"""
+
+
+def test_fig3_report_bytes(tmp_path):
+    assert main(["figures", "fig3", "--format", "json", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fig3_report.json").read_text(encoding="utf-8") == FIG3_REPORT

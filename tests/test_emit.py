@@ -1,12 +1,14 @@
 """Scenario data tables: exact output bytes, input validation and loadable files."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from qmodes import scenarios
+from qmodes import scenarios, tomography
 from qmodes.g12 import g12_rows
+from qmodes.shortest import repr_rows
 
 FORMATS = ("csv", "json")
 
@@ -45,6 +47,10 @@ TABLES = {
     # more rows than one write block, so block boundaries are crossed
     "multi-block": (["p", "q"], [np.linspace(-3.0, 3.0, 1500), rng.random(1500)]),
     "non-finite": (["x", "y"], [np.array([np.nan, 1.0, np.inf]), np.array([-np.inf, 0.0, 2.0])]),
+    # every notation repr and %.12g switch between, both signs
+    "decades": (["x", "neg"], [1.2345678901234567 * 10.0 ** np.arange(-30, 31), -(10.0 ** np.arange(-30, 31))]),
+    # more values than one JSON write block, ending inside a block
+    "long": (["p", "q", "r"], [np.linspace(0.0, 7.0, 700), rng.random(700), rng.standard_normal(700) * 1e-7]),
 }
 
 
@@ -145,3 +151,84 @@ def test_g12_rows_is_pythons_formatting(case, cols):
     block = np.resize(values, (-(-values.size // cols), cols))
     assert g12_rows(block) == reference_rows(block)
     assert g12_rows(-block) == reference_rows(-block)
+
+
+def reference_repr(block, seps):
+    """Python's repr of every value, each followed by its column's separator."""
+    return b"".join(repr(v).encode() + sep for row in block.tolist() for v, sep in zip(row, seps))
+
+
+def repr_edges():
+    powers_of_two = [2.0**k for k in range(-1074, 1024)]
+    switches = [1e16, 9999999999999998.0, 1.0000000000000002e16, 1e-4, 1e-5, 9.999999999999999e-05]
+    switches += [9.999999999999999e-06, 1e99, 1e100, 1e-99, 1e-100, 1e-289, 1e290, 1e-290, 1e291]
+    neighbours = [np.nextafter(v, t) for v in switches for t in (0.0, np.inf)]
+    specials = [5e-324, 2.0**-1022, sys.float_info.max, 0.1 + 0.2, 0.0, -0.0, np.nan, np.inf, -np.inf]
+    # integers above 2^53, whose rounding intervals end on integers
+    integers = [float(2**53 + 2 * i) for i in range(40)] + [float(10**17 + 16 * i) for i in range(40)]
+    return powers_of_two + switches + neighbours + specials + integers
+
+
+def repr_ties():
+    # x = m 2^-(k + 1), m odd: x 10^k = m 5^k / 2 lies halfway between two 17-digit integers
+    ties = []
+    for k in range(1, 22):
+        low = 2 * 10**16 // 5**k | 1
+        ties += [m / 2 ** (k + 1) for m in (low, low + 24690, 4 * low + 1) if m < 2**53]
+    return ties
+
+
+def repr_near_ties():
+    # x = m 2^-(j + k) with m 5^k = 2^(j - 1) +/- delta (mod 2^j): x 10^k = m 5^k / 2^j lies
+    # delta 2^-j from a half-integer, closer than the kernel's arithmetic can resolve
+    near = []
+    for k in range(24, 60, 3):
+        j = int(k * 2.3219) - 2
+        inverse = pow(5**k, -1, 2**j)
+        for delta in range(1, 100):
+            for m in ((2 ** (j - 1) + sign * delta) * inverse % 2**j for sign in (1, -1)):
+                if 2**52 <= m < 2**53 and 10**16 <= m * 5**k // 2**j < 10**17:
+                    near.append(m / 2 ** (j + k))
+    return near
+
+
+REPR_CASES = {**KERNEL_CASES, "edges": EDGES + repr_edges(), "ties": repr_ties(), "near-ties": repr_near_ties()}
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("case", list(REPR_CASES))
+def test_repr_rows_is_pythons_repr(case, cols):
+    values = np.array(REPR_CASES[case])
+    block = np.resize(values, (-(-values.size // cols), cols))
+    seps = [b",\n  "] * (cols - 1) + [b"]\n"]
+    for signed in (block, -block):
+        assert repr_rows(signed, seps) == reference_repr(signed, seps)
+
+
+def protocol(rows, s, seed=0):
+    values = np.random.default_rng(seed).standard_normal((rows, s * s, 2)) * [1e-3, 1.0]
+    return tomography.ProtocolMatrix(values[..., 0] + 1j * values[..., 1], s)
+
+
+@pytest.mark.parametrize("rows, s", [(1, 1), (2, 2), (3, 3), (700, 2)])
+def test_protocol_file_is_json_dumps_of_the_protocol(tmp_path, rows, s):
+    matrix = protocol(rows, s)
+    name = emitter(tmp_path, "json").protocol("p", matrix)
+    expected = json.dumps(tomography.protocol_to_dict(matrix), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / name).read_text(encoding="utf-8") == expected
+
+
+def test_protocol_with_non_finite_entries_is_written_by_json(tmp_path):
+    matrix = protocol(2, 2)
+    matrix.b[1, 2] = complex(np.nan, np.inf)
+    name = emitter(tmp_path, "json").protocol("p", matrix)
+    expected = json.dumps(tomography.protocol_to_dict(matrix), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / name).read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("scenario", list(scenarios.SCENARIOS))
+def test_catalog_json_files_are_json_dumps_of_their_contents(tmp_path, scenario):
+    scenarios.run(scenarios.ScenarioConfig(scenario, tmp_path, "json"))
+    for path in tmp_path.glob("*.json"):
+        text = path.read_text(encoding="utf-8")
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text, path.name

@@ -1,5 +1,6 @@
 """Property tests over random inputs: the m x m Schmidt path over slit
-states, and the CSV writer's value kernel over float64 bit patterns."""
+states, and the CSV and JSON writers' value kernels over float64 bit
+patterns."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qmodes.interference import DetectorParams, SlitParams, slit_state  # noqa: 
 from qmodes.numerics import make_grid  # noqa: E402
 from qmodes.schmidt import schmidt, schmidt_number  # noqa: E402
 from qmodes.g12 import g12_rows  # noqa: E402
+from qmodes.shortest import repr_rows  # noqa: E402
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,3 +110,12 @@ FLOAT64 = st.one_of(
 def test_g12_rows_is_pythons_formatting_of_any_float64(block):
     expected = "".join(",".join("%.12g" % v for v in row) + "\n" for row in block.tolist())
     assert g12_rows(block) == expected
+
+
+@seed(812_4808)
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(block=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)), elements=FLOAT64))
+def test_repr_rows_is_pythons_repr_of_any_float64(block):
+    seps = [b","] * (block.shape[1] - 1) + [b";\n"]
+    expected = "".join(",".join(repr(v) for v in row) + ";\n" for row in block.tolist())
+    assert repr_rows(block, seps) == expected.encode("ascii")
