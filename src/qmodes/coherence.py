@@ -66,7 +66,13 @@ def visibility_from_intensity(density: SampledWave, a: float, sigma_x: float) ->
     flat = np.real(density.amplitudes[window]) / np.exp(-2.0 * sigma_x**2 * p**2)
     # normal equations: the three columns are far from dependent over 1.5 periods
     basis = np.vstack((np.ones_like(p), np.cos(2.0 * a * p), np.sin(2.0 * a * p)))
-    mean, cos_part, sin_part = np.linalg.solve(basis @ basis.T, basis @ flat)
+    try:
+        mean, cos_part, sin_part = np.linalg.solve(basis @ basis.T, basis @ flat)
+    except np.linalg.LinAlgError:
+        # cos(2 a p) = 1 over the whole grid: the slits coincide in floating point
+        raise UnresolvedFringesError(
+            f"no fringe across the grid: slits a={a:g} apart coincide at width sigma_x={sigma_x:g}"
+        ) from None
     if mean <= 0:
         raise ValueError("intensity pattern is not positive on the central window")
     return float(np.clip(np.hypot(cos_part, sin_part) / mean, 0.0, 1.0))

@@ -8,18 +8,17 @@ time is echoed to the console but kept out of the serialized report.
 
 Data tables are float64 columns of equal length.  A CSV table is the
 comma-joined header line followed by one ``%.12g`` comma-separated line per
-row, every line ending in ``\\n``.  :func:`qmodes.g12.g12_rows` formats the
-values in numpy blocks; it hands every non-finite value, and the rare
-near-tie that float64 arithmetic cannot round with certainty, to Python.
-A JSON table is byte-equal to
+row, every line ending in ``\\n``.  A JSON table is byte-equal to
 ``json.dumps({"columns": names, "rows": rows}, indent=2, sort_keys=True)``
 plus ``\\n``, with ``NaN``, ``Infinity`` and ``-Infinity`` for non-finite
-values.  Reports and the other JSON files are written the same way.  A
-finite, non-empty JSON table, and a measurement protocol's matrix, is
-streamed in blocks of rows: :func:`qmodes.shortest.repr_rows` writes each
-value as its ``repr``, the token ``json.dumps`` writes, in numpy blocks,
-and the separators between values spell out ``json.dumps``' indentation.
-Empty and non-finite tables go through ``json.dump``.
+values.  Reports and the other JSON files are written the same way.  Every
+data table, and a measurement protocol's matrix, is streamed in blocks of
+rows through one kernel, :func:`qmodes.text.format_rows`, which writes each
+value as Python does (``%.12g``, or the token ``json.dumps`` writes) and
+hands the rare value float64 arithmetic cannot settle to Python; the
+separators between values spell out the CSV commas and newlines or
+``json.dumps``' indentation.  Only an empty JSON table goes through
+``json.dump``.
 """
 
 from __future__ import annotations
@@ -32,16 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from . import coherence, interference, schmidt, tomography, tunneling
-from .g12 import g12_rows
 from .numerics import MAX_COUNT, Grid1D, SampledWave, make_grid, quadrature
-from .shortest import repr_rows
+from .text import format_rows
 
 __all__ = ["ScenarioConfig", "RunReport", "run", "list_scenarios", "SCENARIOS"]
 
-# values formatted per CSV write: bounds the kernel's temporaries (about 150 bytes a value)
-_BLOCK_VALUES = 2048
-# values formatted per JSON write: bounds the kernel's temporaries (about 300 bytes a value)
-_JSON_BLOCK_VALUES = 1024
+# values formatted per write: bounds the kernel's temporaries, about 150
+# bytes a value for CSV and 300 for JSON
+_BLOCK_VALUES = {"csv": 2048, "json": 1024}
 
 
 @dataclass
@@ -95,17 +92,19 @@ def _save_json(path: Path, data: dict):
         fh.write("\n")
 
 
-def _save_values(path: Path, head: str, table: np.ndarray, seps: list[bytes], tail: str):
-    """Write ``head``, then each value of the finite 2-D ``table`` as json.dumps
-    writes it (its repr) followed by its column's separator from ``seps``, with
-    ``tail`` in place of the last separator; streamed in blocks of rows."""
-    step = max(1, _JSON_BLOCK_VALUES // table.shape[1])
+def _save_values(path: Path, fmt: str, head: str, table: np.ndarray, seps: list[bytes], tail: str):
+    """Write ``head``, then each value of the 2-D ``table`` as ``fmt`` writes
+    it followed by its column's separator from ``seps``, with ``tail`` in
+    place of the last separator; streamed in blocks of rows.  An empty table
+    writes ``head`` alone."""
+    step = max(1, _BLOCK_VALUES[fmt] // table.shape[1])
     with open(path, "wb") as fh:
-        fh.write(head.encode("ascii"))
+        fh.write(head.encode("utf-8"))
         for start in range(0, len(table), step):
-            text = repr_rows(table[start : start + step], seps)
-            fh.write(text if start + step < len(table) else text[: -len(seps[-1])])
-        fh.write(tail.encode("ascii"))
+            text = format_rows(table[start : start + step], seps, fmt)
+            if start + step >= len(table):
+                text = text[: -len(seps[-1])] + tail.encode("ascii")
+            fh.write(text)
 
 
 class _Emitter:
@@ -129,39 +128,33 @@ class _Emitter:
         fmt = self.config.fmt
         name = f"{stem}.{fmt}"
         path = self.config.out_dir / name
-        if fmt == "json" and not (len(table) and np.isfinite(table).all()):
-            # json.dumps spells the empty list and NaN/Infinity
-            _save_json(path, {"columns": names, "rows": table.tolist()})
+        if fmt == "json" and not len(table):
+            # json.dumps spells the empty row list
+            _save_json(path, {"columns": names, "rows": []})
         elif fmt == "csv":
-            step = max(1, _BLOCK_VALUES // len(names))
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(",".join(names) + "\n")
-                for start in range(0, len(table), step):
-                    fh.write(g12_rows(table[start : start + step]))
+            seps = [b","] * (len(names) - 1) + [b"\n"]
+            _save_values(path, fmt, ",".join(names) + "\n", table, seps, "\n")
         else:
             head = '{\n  "columns": ' + json.dumps(names, indent=2).replace("\n", "\n  ")
             head += ',\n  "rows": [\n    [\n      '
             seps = [b",\n      "] * (len(names) - 1) + [b"\n    ],\n    [\n      "]
-            _save_values(path, head, table, seps, "\n    ]\n  ]\n}\n")
+            _save_values(path, fmt, head, table, seps, "\n    ]\n  ]\n}\n")
         self.files.append(name)
         return name
 
     def protocol(self, stem: str, protocol: tomography.ProtocolMatrix) -> str:
-        """Write ``tomography.protocol_to_dict(protocol)`` as JSON, streamed
-        from the matrix without the dict's nested lists."""
+        """Write ``{"b": B as [real, imaginary] pairs, "n_measurements": N,
+        "s": s}`` as JSON, streamed from the matrix without nested lists."""
         name = f"{stem}.json"
         path = self.config.out_dir / name
         # each row of B as its entries' (real, imaginary) pairs
         table = np.ascontiguousarray(protocol.b, dtype=complex).view(np.float64)
-        if not (len(table) and np.isfinite(table).all()):
-            _save_json(path, tomography.protocol_to_dict(protocol))
-        else:
-            # json.dumps indents the rows of B by 4, the pairs by 6 and the numbers by 8
-            pair = [b",\n        ", b"\n      ],\n      [\n        "]
-            row_end = b"\n      ]\n    ],\n    [\n      [\n        "
-            seps = pair * (protocol.s**2 - 1) + [pair[0], row_end]
-            tail = f'\n      ]\n    ]\n  ],\n  "n_measurements": {len(table)},\n  "s": {protocol.s}\n}}\n'
-            _save_values(path, '{\n  "b": [\n    [\n      [\n        ', table, seps, tail)
+        # json.dumps indents the rows of B by 4, the pairs by 6 and the numbers by 8
+        pair = [b",\n        ", b"\n      ],\n      [\n        "]
+        row_end = b"\n      ]\n    ],\n    [\n      [\n        "
+        seps = pair * (protocol.s**2 - 1) + [pair[0], row_end]
+        tail = f'\n      ]\n    ]\n  ],\n  "n_measurements": {len(table)},\n  "s": {protocol.s}\n}}\n'
+        _save_values(path, "json", '{\n  "b": [\n    [\n      [\n        ', table, seps, tail)
         self.files.append(name)
         return name
 
@@ -463,7 +456,8 @@ def _run_qubits(config: ScenarioConfig, emit: _Emitter) -> dict:
 def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
     params = config.params
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=2)
-
+    # built first, so that a geometry it rejects leaves no file behind
+    protocol = tomography.interference_protocol(slits, params["n_points"])
     populations = tomography.ProtocolMatrix(
         np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], dtype=complex), s=2
     )
@@ -475,7 +469,6 @@ def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
     emit.json_file(f"{config.name}_populations_pure_report", tomography.report_to_dict(pure))
     emit.json_file(f"{config.name}_populations_mixed_report", tomography.report_to_dict(mixed))
 
-    protocol = tomography.interference_protocol(slits, params["n_points"])
     ianalysis = tomography.analyze(protocol)
     rho_sym = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     p_data = np.real(protocol.b @ tomography.vectorize(rho_sym))

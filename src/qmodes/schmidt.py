@@ -122,7 +122,8 @@ def entropy(weights) -> float:
     """Entanglement entropy S = -sum lambda_k log2 lambda_k, with 0 log 0 = 0."""
     w = _validate_weights(weights)
     nz = w[w > 0]
-    return float(-np.sum(nz * np.log2(nz)))
+    # 0 - sum, not -sum: a single weight of 1 gives +0.0
+    return float(0.0 - np.sum(nz * np.log2(nz)))
 
 
 def schmidt_number(weights) -> float:

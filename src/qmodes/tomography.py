@@ -18,8 +18,8 @@ rho = (I + r.sigma)/2 the data fix r to an affine subspace, and the
 completions are its intersection with the unit Bloch ball
 (``completion_purity_range``).
 
-Protocol matrices, measurement vectors and reports convert to
-JSON-ready dicts with complex numbers encoded as [re, im] pairs.
+Measurement vectors and reports convert to JSON-ready dicts with complex
+numbers encoded as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "reconstruct",
     "completion_purity_range",
     "interference_protocol",
-    "protocol_to_dict",
     "measurements_to_dict",
     "report_to_dict",
 ]
@@ -291,7 +290,8 @@ def interference_protocol(slits: SlitParams, n_points: int) -> ProtocolMatrix:
     The states are evaluated without cancellation at any spacing a > 0: in
     coordinates u_1 -/+ u_0 = 2 A exp(-(x^2 + a^2) / 4 sigma^2) sinh/cosh(x a
     / 2 sigma^2), in momentum u~_0 + u~_1 = 2 env(p) cos(p a) and u~_1 - u~_0
-    = -2i env(p) sin(p a), and 1 - q = -expm1(-a^2 / 2 sigma^2).
+    = -2i env(p) sin(p a), and 1 - q = -expm1(-a^2 / 2 sigma^2).  Raises
+    ``ValueError`` unless a and a / sigma_x lie within [1e-152, 1e152].
     """
     if slits.m != 2:
         raise ValueError(f"protocol is defined on the two-slit space, got m={slits.m}")
@@ -300,6 +300,13 @@ def interference_protocol(slits: SlitParams, n_points: int) -> ProtocolMatrix:
     if n_points > MAX_COUNT:
         raise ValueError(f"n_points must be at most {MAX_COUNT}, got {n_points}")
     a, sx = slits.a, slits.sigma_x
+    # the states' exponents hold a^2 and (a / sigma_x)^2, and the data's norm
+    # sums the squares of B's entries, each at most 1.6 (a / sigma_x + 5):
+    # within these bounds all of them stay normal and finite
+    if not (a >= 1e-152 and 1e-152 <= a / sx <= 1e152):
+        raise ValueError(
+            f"a and a/sigma_x must lie within [1e-152, 1e152], got a={a:g}, sigma_x={sx:g}"
+        )
     x = np.linspace(-(a + 5.0 * sx), a + 5.0 * sx, n_points)
     p_max = min(2.0 / sx, n_points * np.pi / (8.0 * a))
     p = np.linspace(-p_max, p_max, n_points)
@@ -328,14 +335,6 @@ def _complex_to_pairs(arr: np.ndarray):
     arr = np.asarray(arr, dtype=complex)
     stacked = np.stack([arr.real, arr.imag], axis=-1)
     return stacked.tolist()
-
-
-def protocol_to_dict(protocol: ProtocolMatrix) -> dict:
-    return {
-        "s": protocol.s,
-        "n_measurements": protocol.n_measurements,
-        "b": _complex_to_pairs(protocol.b),
-    }
 
 
 def measurements_to_dict(p) -> dict:

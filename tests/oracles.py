@@ -1,6 +1,6 @@
 """Independent references for the tests: an offset-corrected FFT, the
-two-slit closed forms, the uniform-source fringe pattern, and the grid
-reference for slit states.
+two-slit closed forms, the uniform-source fringe pattern, the grid
+reference for slit states, and Python's text of data tables and protocols.
 
 The grid reference samples the joint state psi(x, xi) on a particle x
 detector grid as a factor pair psi = left @ right.T, normalizes it by
@@ -9,6 +9,7 @@ particle factor and an SVD of the small core left over.  It shares no code
 with the closed-form overlap path of ``qmodes.schmidt``.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,3 +167,17 @@ def gram_weights_oracle(m, a, sigma_x, b, sigma_xi):
     norm_sq = 1.0 / np.sum(s_x * s_xi)
     lam = np.linalg.eigvalsh(norm_sq * w_half @ s_xi @ w_half)
     return np.sort(lam)[::-1]
+
+
+def python_text(block, seps, fmt):
+    """Python's text of every value of a 2-D block, each followed by its
+    column's separator: ``%.12g`` for csv, the ``json.dumps`` token for json."""
+    spell = (lambda v: "%.12g" % v) if fmt == "csv" else json.dumps
+    return b"".join(spell(v).encode() + sep for row in block.tolist() for v, sep in zip(row, seps))
+
+
+def protocol_to_dict(protocol):
+    """The JSON content of a protocol file: B's entries as [real, imaginary] pairs."""
+    b = np.asarray(protocol.b, dtype=complex)
+    pairs = np.stack([b.real, b.imag], axis=-1).tolist()
+    return {"s": protocol.s, "n_measurements": b.shape[0], "b": pairs}

@@ -468,6 +468,9 @@ EXTREME_GEOMETRY = [
     ["schmidt", "--b", "0"],
     ["schmidt", "--b", "1e-9", "--format", "json"],
     ["tomography", "--a", "1e150"],
+    ["tomography", "--a", "1e150", "--sigma-x", "1e-150"],
+    ["tomography", "--a", "1e-150", "--sigma-x", "1e150"],
+    ["tomography", "--a", "1e-175", "--sigma-x", "1e-75"],
 ]
 
 
@@ -494,6 +497,55 @@ def test_schmidt_without_coupling_keeps_one_mode(tmp_path):
     scalars = report(tmp_path, "schmidt")["scalars"]
     assert scalars["lambda0"] == 1.0 and scalars["mode_count"] == 1.0
     assert scalars["analytic_numeric_gap"] <= 1e-12
+    assert '"entropy": 0.0,' in (tmp_path / "schmidt_report.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entangled", "--a", "1e-150", "--sigma-x", "1e150"],
+        ["coherence", "--a", "1e-150", "--sigma-x", "1e150"],
+        ["tomography", "--a", "1e-150", "--sigma-x", "1e150"],
+        ["tomography", "--a", "1e150", "--sigma-x", "1e-150"],
+    ],
+    ids=" ".join,
+)
+def test_unresolvable_slit_ratio_exits_2_naming_a_and_sigma_x(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("qmodes: error: ")
+    assert f"a={float(argv[2]):g}" in err[0] and f"sigma_x={float(argv[4]):g}" in err[0]
+
+
+ENTANGLED_REPORT = """{
+  "files": [
+    "entangled_marginal_momentum.csv",
+    "entangled_marginal_coordinate.csv"
+  ],
+  "parameters": {
+    "a": 0.2,
+    "b": 0.5,
+    "m": 2.0,
+    "sigma_x": 0.5,
+    "sigma_xi": 0.5
+  },
+  "scalars": {
+    "entropy": 0.0787749,
+    "fringe_modulation": 0.606531,
+    "marginal_integral": 1.0,
+    "schmidt_number": 1.01958,
+    "visibility": 0.606531
+  },
+  "scenario": "entangled"
+}
+"""
+
+
+def test_close_slits_still_fit_their_fringes(tmp_path):
+    assert main(["entangled", "--a", "0.2", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "entangled_report.json").read_text(encoding="utf-8") == ENTANGLED_REPORT
 
 
 FIG3_REPORT = """{

@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import protocol_to_dict, python_text
 from qmodes import scenarios, tomography
-from qmodes.g12 import g12_rows
-from qmodes.shortest import repr_rows
+from qmodes.text import format_rows
 
 FORMATS = ("csv", "json")
 
@@ -113,11 +113,6 @@ def test_catalog_files_load_with_the_right_shape(tmp_path, scenario):
     assert shapes == TABLE_SHAPES[scenario]
 
 
-def reference_rows(block):
-    """Python's ``%.12g`` of every value, joined as the CSV writer joins them."""
-    return "".join(",".join("%.12g" % v for v in row) + "\n" for row in block.tolist())
-
-
 def near_ties():
     # (10 D + 5) 10^q: exact 13th-digit ties for q = 0, 1, 2, the nearest floats otherwise
     from fractions import Fraction
@@ -137,25 +132,6 @@ def powers_of_ten_and_neighbours():
 
 EDGES = [9.9999999999995e-5, 999999999999.5, 1234567890125.0, 0.0, -0.0, np.nan, np.inf, -np.inf]
 EDGES += [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e23, 0.1, 1.0 / 3.0]
-KERNEL_CASES = {
-    "near-ties": near_ties(),
-    "powers-of-ten": powers_of_ten_and_neighbours(),
-    "edges": EDGES,
-}
-
-
-@pytest.mark.parametrize("cols", [1, 3, 4])
-@pytest.mark.parametrize("case", list(KERNEL_CASES))
-def test_g12_rows_is_pythons_formatting(case, cols):
-    values = np.array(KERNEL_CASES[case])
-    block = np.resize(values, (-(-values.size // cols), cols))
-    assert g12_rows(block) == reference_rows(block)
-    assert g12_rows(-block) == reference_rows(-block)
-
-
-def reference_repr(block, seps):
-    """Python's repr of every value, each followed by its column's separator."""
-    return b"".join(repr(v).encode() + sep for row in block.tolist() for v, sep in zip(row, seps))
 
 
 def repr_edges():
@@ -192,17 +168,35 @@ def repr_near_ties():
     return near
 
 
-REPR_CASES = {**KERNEL_CASES, "edges": EDGES + repr_edges(), "ties": repr_ties(), "near-ties": repr_near_ties()}
+# every case runs in both formats: the ties and near-ties of one digit rule
+# are ordinary values for the other
+KERNEL_CASES = {
+    "near-ties": near_ties() + repr_near_ties(),
+    "powers-of-ten": powers_of_ten_and_neighbours(),
+    "edges": EDGES + repr_edges(),
+    "ties": repr_ties(),
+}
 
 
-@pytest.mark.parametrize("cols", [1, 3])
-@pytest.mark.parametrize("case", list(REPR_CASES))
-def test_repr_rows_is_pythons_repr(case, cols):
-    values = np.array(REPR_CASES[case])
+def check_kernel(fmt, case, cols):
+    values = np.array(KERNEL_CASES[case])
     block = np.resize(values, (-(-values.size // cols), cols))
     seps = [b",\n  "] * (cols - 1) + [b"]\n"]
     for signed in (block, -block):
-        assert repr_rows(signed, seps) == reference_repr(signed, seps)
+        assert format_rows(signed, seps, fmt) == python_text(signed, seps, fmt)
+
+
+@pytest.mark.parametrize("cols", [1, 3, 4])
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_g12_rows_is_pythons_formatting(case, cols):
+    check_kernel("csv", case, cols)
+
+
+@pytest.mark.parametrize("cols", [1, 3, 4])
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_repr_rows_is_pythons_repr(case, cols):
+    # non-finite values as json.dumps spells them: NaN, Infinity, -Infinity
+    check_kernel("json", case, cols)
 
 
 def protocol(rows, s, seed=0):
@@ -214,7 +208,7 @@ def protocol(rows, s, seed=0):
 def test_protocol_file_is_json_dumps_of_the_protocol(tmp_path, rows, s):
     matrix = protocol(rows, s)
     name = emitter(tmp_path, "json").protocol("p", matrix)
-    expected = json.dumps(tomography.protocol_to_dict(matrix), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(protocol_to_dict(matrix), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / name).read_text(encoding="utf-8") == expected
 
 
@@ -222,7 +216,7 @@ def test_protocol_with_non_finite_entries_is_written_by_json(tmp_path):
     matrix = protocol(2, 2)
     matrix.b[1, 2] = complex(np.nan, np.inf)
     name = emitter(tmp_path, "json").protocol("p", matrix)
-    expected = json.dumps(tomography.protocol_to_dict(matrix), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(protocol_to_dict(matrix), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / name).read_text(encoding="utf-8") == expected
 
 
@@ -232,3 +226,16 @@ def test_catalog_json_files_are_json_dumps_of_their_contents(tmp_path, scenario)
     for path in tmp_path.glob("*.json"):
         text = path.read_text(encoding="utf-8")
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text, path.name
+
+
+@pytest.mark.parametrize("scenario", list(scenarios.SCENARIOS))
+def test_catalog_csv_files_are_g12_of_their_values(tmp_path, scenario):
+    # twelve significant digits survive float64, so re-rendering is exact
+    scenarios.run(scenarios.ScenarioConfig(scenario, tmp_path, "csv"))
+    for path in tmp_path.glob("*.csv"):
+        header, *lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[-1] == "", path.name
+        rows = [[float(v) for v in line.split(",")] for line in lines[:-1]]
+        assert all(len(row) == header.count(",") + 1 for row in rows), path.name
+        expected = "".join(",".join("%.12g" % v for v in row) + "\n" for row in rows)
+        assert "\n".join(lines) == expected, path.name

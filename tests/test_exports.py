@@ -1,5 +1,6 @@
-"""Every name a ``qmodes`` module exports in ``__all__`` exists on it, and
-every exported function or class of a layer module is used by the package."""
+"""Every name a ``qmodes`` module exports in ``__all__`` exists on it,
+every exported function or class of a layer module is used by the package,
+and every definition of the text kernel serves its one entry point."""
 
 import ast
 import importlib
@@ -48,9 +49,22 @@ def definitions(tree):
             out[node.name] = identifiers(node)
         elif isinstance(node, ast.Assign):
             for target in node.targets:
-                if isinstance(target, ast.Name):
-                    out[target.id] = identifiers(node.value)
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        out[name.id] = identifiers(node.value)
     return out
+
+
+def reachable(defs, roots):
+    """The definitions in ``defs`` that ``roots`` use, directly or through others."""
+    used = set()
+    todo = list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in used:
+            used.add(name)
+            todo += [n for n in defs[name] if n in defs]
+    return used
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -59,14 +73,13 @@ def test_every_exported_function_and_class_is_used_by_the_package(layer):
     # module (a result type, an exception raised or a helper called there)
     defs = definitions(SOURCES[layer])
     elsewhere = set().union(*(identifiers(tree) for name, tree in SOURCES.items() if name != layer))
-    used = set()
-    todo = [name for name in defs if name in elsewhere]
-    while todo:
-        name = todo.pop()
-        if name not in used:
-            used.add(name)
-            todo += [n for n in defs[name] if n in defs]
+    used = reachable(defs, [name for name in defs if name in elsewhere])
     module = importlib.import_module(f"qmodes.{layer}")
     objects = {n: getattr(module, n) for n in module.__all__}
     exported = {n for n, obj in objects.items() if inspect.isfunction(obj) or inspect.isclass(obj)}
     assert sorted(exported - used - PAPER_FORMULAS) == []
+
+
+def test_every_definition_of_the_text_kernel_serves_format_rows():
+    defs = definitions(SOURCES["text"])
+    assert sorted(set(defs) - reachable(defs, ["format_rows"]) - {"__all__"}) == []

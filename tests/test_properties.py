@@ -1,5 +1,5 @@
 """Property tests over random inputs: the m x m Schmidt path over slit
-states, and the CSV and JSON writers' value kernels over float64 bit
+states, and the CSV and JSON text of the value kernel over float64 bit
 patterns."""
 
 import numpy as np
@@ -9,12 +9,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from oracles import gram_weights_oracle, grid_schmidt, grid_state_momentum  # noqa: E402
+from oracles import gram_weights_oracle, grid_schmidt, grid_state_momentum, python_text  # noqa: E402
 from qmodes.interference import DetectorParams, SlitParams, slit_state  # noqa: E402
 from qmodes.numerics import make_grid  # noqa: E402
 from qmodes.schmidt import schmidt, schmidt_number  # noqa: E402
-from qmodes.g12 import g12_rows  # noqa: E402
-from qmodes.shortest import repr_rows  # noqa: E402
+from qmodes.text import format_rows  # noqa: E402
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,18 +103,23 @@ FLOAT64 = st.one_of(
 )
 
 
+BLOCKS = hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)), elements=FLOAT64)
+
+
+def check_text(block, fmt, last):
+    seps = [b","] * (block.shape[1] - 1) + [last]
+    assert format_rows(block, seps, fmt) == python_text(block, seps, fmt)
+
+
 @seed(812_4808)
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(block=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)), elements=FLOAT64))
+@given(block=BLOCKS)
 def test_g12_rows_is_pythons_formatting_of_any_float64(block):
-    expected = "".join(",".join("%.12g" % v for v in row) + "\n" for row in block.tolist())
-    assert g12_rows(block) == expected
+    check_text(block, "csv", b"\n")
 
 
 @seed(812_4808)
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(block=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)), elements=FLOAT64))
+@given(block=BLOCKS)
 def test_repr_rows_is_pythons_repr_of_any_float64(block):
-    seps = [b","] * (block.shape[1] - 1) + [b";\n"]
-    expected = "".join(",".join(repr(v) for v in row) + ";\n" for row in block.tolist())
-    assert repr_rows(block, seps) == expected.encode("ascii")
+    check_text(block, "json", b";\n")
