@@ -1,6 +1,14 @@
 """Fringe visibility, its universal coupling to the Schmidt number, and the
 partial-coherence models that reduce to a detector overlap.
 
+A two-slit state with particle density matrix D in the slit basis
+(:class:`qmodes.interference.SlitState`) has the momentum pattern
+env(p)^2 (D_00 + D_11 + 2 D_01 cos 2ap), env the Gaussian envelope of one
+slit.  Its visibility, the modulation left once the envelope is divided
+out, is read from the state, V = 2|D_01| / (D_00 + D_11), at any slit
+spacing and with no pattern sampled; for the state of detector overlap
+gamma it is |gamma|.
+
 A source point displaced from the optical axis advances one slit's phase
 by phi relative to the other; entangling the sign of that shift with an
 auxiliary qubit reproduces classical partial coherence.  The qubit takes
@@ -21,11 +29,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import SampledWave
+from .interference import SlitParams
+from .schmidt import DEFAULT_TRUNCATION
 
 __all__ = [
     "UnresolvedFringesError",
-    "visibility_from_intensity",
+    "check_fringes",
+    "visibility",
     "k_from_v",
     "v_from_k",
     "entropy_from_v",
@@ -34,48 +44,33 @@ __all__ = [
     "source_schmidt",
 ]
 
-MIN_SAMPLES_PER_PERIOD = 16
-
 
 class UnresolvedFringesError(ValueError):
-    """Momentum grid too coarse to resolve the fringe period pi/a."""
+    """Two slits coincide within the Schmidt truncation: S_x has lost an
+    eigenvalue, so the state has no two orthonormal paths to interfere."""
 
 
-def visibility_from_intensity(density: SampledWave, a: float, sigma_x: float) -> float:
-    """Fringe visibility (I_max - I_min) / (I_max + I_min) of a two-slit pattern.
+def check_fringes(slits: SlitParams) -> None:
+    """Raise :class:`UnresolvedFringesError` when two slits are unresolved in S_x.
 
-    The Gaussian envelope exp(-2 sigma_x^2 p^2) is divided out and
-    A + B cos(2 a p) + C sin(2 a p) is fitted by linear least squares over
-    the central window |p| <= 3 pi/(4a); V = hypot(B, C) / A.  Requires at
-    least 16 samples per fringe period pi/a.
+    S_x has the eigenvalues 1 -/+ q, q = exp(-a^2 / 2 sigma_x^2), and the
+    Schmidt truncation drops the smaller once their ratio
+    (1 - q)/(1 + q) = tanh(a^2 / 4 sigma_x^2) falls to ``DEFAULT_TRUNCATION``.
     """
-    if not a > 0:
-        raise ValueError(f"slit half-spacing must be positive, got {a}")
-    grid = density.grid
-    period = np.pi / a
-    if grid.spacing > period / MIN_SAMPLES_PER_PERIOD:
+    if np.tanh(slits.a**2 / (4.0 * slits.sigma_x**2)) <= DEFAULT_TRUNCATION:
         raise UnresolvedFringesError(
-            f"grid spacing {grid.spacing:.4g} exceeds {period / MIN_SAMPLES_PER_PERIOD:.4g} "
-            f"(need >= {MIN_SAMPLES_PER_PERIOD} samples per period pi/a)"
+            f"no fringes: slits a={slits.a:g} apart coincide at width sigma_x={slits.sigma_x:g}"
         )
-    p = grid.points
-    window = np.abs(p) <= 0.75 * period
-    if np.count_nonzero(window) < 5:
-        raise UnresolvedFringesError("central fringe window not covered by the grid")
-    p = p[window]
-    flat = np.real(density.amplitudes[window]) / np.exp(-2.0 * sigma_x**2 * p**2)
-    # normal equations: the three columns are far from dependent over 1.5 periods
-    basis = np.vstack((np.ones_like(p), np.cos(2.0 * a * p), np.sin(2.0 * a * p)))
-    try:
-        mean, cos_part, sin_part = np.linalg.solve(basis @ basis.T, basis @ flat)
-    except np.linalg.LinAlgError:
-        # cos(2 a p) = 1 over the whole grid: the slits coincide in floating point
-        raise UnresolvedFringesError(
-            f"no fringe across the grid: slits a={a:g} apart coincide at width sigma_x={sigma_x:g}"
-        ) from None
-    if mean <= 0:
-        raise ValueError("intensity pattern is not positive on the central window")
-    return float(np.clip(np.hypot(cos_part, sin_part) / mean, 0.0, 1.0))
+
+
+def visibility(density):
+    """Fringe visibility 2|D_01| / (D_00 + D_11) of a two-slit density matrix D.
+
+    Elementwise over a stack of matrices; one matrix gives a float.
+    """
+    d = np.asarray(density)
+    v = 2.0 * np.abs(d[..., 0, 1]) / (d[..., 0, 0] + d[..., 1, 1])
+    return v if v.ndim else float(v)
 
 
 def k_from_v(v: float) -> float:

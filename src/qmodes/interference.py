@@ -90,6 +90,11 @@ class SlitParams:
         """Gaussian overlap exp(-a^2 / 2 sigma_x^2) of neighbouring slits."""
         return float(np.exp(-self.a**2 / (2.0 * self.sigma_x**2)))
 
+    @property
+    def overlaps(self) -> np.ndarray:
+        """Slit overlap matrix S_x[j, k] = <u_j|u_k> = overlap^((j - k)^2)."""
+        return _overlap_matrix(self.overlap, self.m)
+
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -130,15 +135,10 @@ class SlitState:
         object.__setattr__(self, "detector_overlaps", s_xi)
 
     @property
-    def particle_overlaps(self) -> np.ndarray:
-        """S_x[j, k] = <u_j|u_k>."""
-        return _overlap_matrix(self.slits.overlap, self.slits.m)
-
-    @property
     def density_matrix(self) -> np.ndarray:
         """Particle reduced density matrix in the slit basis, D = N^2 S_xi:
         rho_x = sum_jk D[j, k] |u_j><u_k|, with N^2 = 1 / sum(S_x o S_xi)."""
-        total = float(np.sum(self.particle_overlaps * self.detector_overlaps))
+        total = float(np.sum(self.slits.overlaps * self.detector_overlaps))
         if not total > 0:
             raise ValueError("joint amplitude is identically zero")
         return self.detector_overlaps / total

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "Grid1D",
-    "SampledWave",
     "NonHermitianError",
     "make_grid",
     "trapezoid_weights",
@@ -60,31 +59,6 @@ class Grid1D:
     @property
     def half_width(self) -> float:
         return 0.5 * (self.x_max - self.x_min)
-
-
-@dataclass(frozen=True)
-class SampledWave:
-    """Amplitudes sampled on a 1-D grid.
-
-    Carries either a complex wavefunction or a real density; dtype follows
-    the data.  A wave is "normalized" when quadrature(|psi|^2) = 1.
-    """
-
-    grid: Grid1D
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes)
-        if amp.ndim != 1 or amp.shape[0] != self.grid.n_points:
-            raise ValueError(
-                f"amplitude length {amp.shape} does not match grid with "
-                f"{self.grid.n_points} points"
-            )
-        object.__setattr__(self, "amplitudes", amp)
-
-    def norm(self) -> float:
-        """sqrt of the trapezoid integral of |psi|^2."""
-        return float(np.sqrt(quadrature(np.abs(self.amplitudes) ** 2, self.grid).real))
 
 
 def make_grid(center: float, half_width: float, n_points: int) -> Grid1D:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coherence, interference, schmidt, tomography, tunneling
-from .numerics import MAX_COUNT, Grid1D, SampledWave, make_grid, quadrature
+from .numerics import MAX_COUNT, Grid1D, make_grid, quadrature
 from .text import format_rows
 
 __all__ = ["ScenarioConfig", "RunReport", "run", "list_scenarios", "SCENARIOS"]
@@ -212,7 +212,11 @@ def _run_slits(config: ScenarioConfig, emit: _Emitter) -> dict:
 
 
 def _run_entangled(config: ScenarioConfig, emit: _Emitter) -> dict:
+    """Momentum and coordinate marginals of the entangled state; for two
+    slits the fringe visibility is read from its density matrix."""
     slits, det, state, decomp = _decompose(config.params)
+    if slits.m == 2:
+        coherence.check_fringes(slits)
     pgrid = _momentum_grid(slits.sigma_x, config.grid_points)
     marg = _marginal(state, pgrid, interference.MOMENTUM)
     emit.table(f"{config.name}_marginal_momentum", ["p_x", "density"], [pgrid.points, marg])
@@ -223,11 +227,7 @@ def _run_entangled(config: ScenarioConfig, emit: _Emitter) -> dict:
         "schmidt_number": schmidt.schmidt_number(decomp.weights),
         "entropy": schmidt.entropy(decomp.weights),
         "fringe_modulation": det.overlap,
-        "visibility": coherence.visibility_from_intensity(
-            SampledWave(pgrid, marg), slits.a, slits.sigma_x
-        )
-        if slits.m == 2
-        else None,
+        "visibility": coherence.visibility(state.density_matrix) if slits.m == 2 else None,
         "marginal_integral": quadrature(marg, pgrid),
     }
     return {k: v for k, v in scalars.items() if v is not None}
@@ -271,21 +271,21 @@ def _run_schmidt(config: ScenarioConfig, emit: _Emitter) -> dict:
 
 
 def _run_fig4(config: ScenarioConfig, emit: _Emitter) -> dict:
+    """Momentum marginals at four detector offsets b, decomposed in one stack."""
     params = config.params
     n = config.grid_points
     b_values = (0.0, 0.3, 0.7, 1.5)
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
     pgrid = _momentum_grid(slits.sigma_x, n)
     basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
+    overlaps = [interference.DetectorParams(b, params["sigma_xi"]).overlap for b in b_values]
+    densities = np.stack([interference.slit_state(slits, g).density_matrix for g in overlaps])
     names = ["p_x"]
     cols = [pgrid.points]
     scalars = {}
-    for b in b_values:
-        det = interference.DetectorParams(b, params["sigma_xi"])
-        state = interference.slit_state(slits, det.overlap)
+    for b, density, decomp in zip(b_values, densities, schmidt.schmidt_stack(slits, densities)):
         names.append(f"density_b_{b:g}")
-        cols.append(interference.basis_density(basis, state.density_matrix))
-        decomp = schmidt.schmidt(state)
+        cols.append(interference.basis_density(basis, density))
         scalars[f"schmidt_number_b_{b:g}"] = schmidt.schmidt_number(decomp.weights)
     emit.table(f"{config.name}_intensity", names, cols)
     return scalars
@@ -325,34 +325,27 @@ def _run_coupling_curve(config: ScenarioConfig, emit: _Emitter) -> dict:
 
 
 def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
+    """The coherence qubit swept over 17 phases in [0, pi/2], and its scalars
+    at ``phi``: each visibility is read from the state's density matrix, and
+    the sweep's Schmidt numbers come from one stacked decomposition."""
     params = config.params
-    n = config.grid_points
     phi = params["phi"]
     if not np.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=2)
-    pgrid = _momentum_grid(slits.sigma_x, n)
-    basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
-
-    def visibility(state):
-        marg = SampledWave(pgrid, interference.basis_density(basis, state.density_matrix))
-        return coherence.visibility_from_intensity(marg, slits.a, slits.sigma_x)
-
-    rows = {"phi": [], "visibility": [], "schmidt_number": [], "schmidt_from_v": []}
-    for phi_k in np.linspace(0.0, np.pi / 2.0, 17):
-        state = interference.slit_state(slits, np.cos(2.0 * phi_k))
-        v = visibility(state)
-        rows["phi"].append(phi_k)
-        rows["visibility"].append(v)
-        rows["schmidt_number"].append(schmidt.schmidt_number(schmidt.schmidt(state).weights))
-        rows["schmidt_from_v"].append(coherence.k_from_v(v))
+    # before any state: coincident slits have no norm at gamma = -1
+    coherence.check_fringes(slits)
+    phis = np.linspace(0.0, np.pi / 2.0, 17)
+    densities = np.stack([interference.slit_state(slits, np.cos(2.0 * p)).density_matrix for p in phis])
+    visibility = coherence.visibility(densities)
+    k = [schmidt.schmidt_number(d.weights) for d in schmidt.schmidt_stack(slits, densities)]
+    k_v = [coherence.k_from_v(v) for v in visibility]
     emit.table(
         f"{config.name}_sweep",
-        list(rows),
-        [np.asarray(rows[k]) for k in rows],
+        ["phi", "visibility", "schmidt_number", "schmidt_from_v"],
+        [phis, visibility, k, k_v],
     )
-    gap = max(abs(a - b) for a, b in zip(rows["schmidt_number"], rows["schmidt_from_v"]))
-    v = visibility(interference.slit_state(slits, np.cos(2.0 * phi)))
+    v = coherence.visibility(interference.slit_state(slits, np.cos(2.0 * phi)).density_matrix)
     return {
         "phi": phi,
         "visibility": v,
@@ -360,7 +353,7 @@ def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
         "lambda0": (1.0 + v) / 2.0,
         "lambda1": (1.0 - v) / 2.0,
         "entropy": coherence.entropy_from_v(v),
-        "max_coupling_gap": gap,
+        "max_coupling_gap": max(abs(a - b) for a, b in zip(k, k_v)),
     }
 
 

@@ -12,7 +12,9 @@ weights; its eigenvectors, mapped back through E diag(mu)^(-1/2), are the
 particle modes' coefficients in the slit basis, so the modes sampled on any
 grid are ``basis @ coefficients``.  Eigenvalues of S_x below
 ``DEFAULT_TRUNCATION`` times the largest are dropped, which keeps
-overlapping slits well posed.
+overlapping slits well posed.  States of one slit geometry share S_x, so
+``schmidt_stack`` decomposes a sweep of them with one eigensolve of S_x and
+one stacked eigensolve of their reduced matrices.
 
 For two slits the weights have the closed form
 
@@ -37,6 +39,7 @@ __all__ = [
     "SchmidtDecomposition",
     "InvalidWeightsError",
     "analytic_two_slit_weights",
+    "schmidt_stack",
     "schmidt",
     "entropy",
     "schmidt_number",
@@ -100,22 +103,36 @@ def analytic_two_slit_weights(slits: SlitParams, det: DetectorParams) -> tuple[f
     return float(lam0), float(lam1)
 
 
-def schmidt(state: SlitState, threshold: float = DEFAULT_TRUNCATION) -> SchmidtDecomposition:
-    """Schmidt decomposition of a slit state from its m x m overlap matrices.
+def schmidt_stack(
+    slits: SlitParams, densities, threshold: float = DEFAULT_TRUNCATION
+) -> list[SchmidtDecomposition]:
+    """Schmidt decompositions of k states of one slit geometry, from their
+    particle density matrices D, a (k, m, m) stack.
 
-    Weights below ``threshold`` are dropped, but the largest is always kept.
+    One eigensolve of S_x serves the stack, and the k reduced matrices are
+    solved in one stacked call.  LAPACK solves each matrix of a stack on its
+    own, so a state's decomposition does not depend on the others in the
+    stack.  Per state, weights below ``threshold`` are dropped, but the
+    largest is always kept.
     """
-    mu, e = eigh(state.particle_overlaps)
+    mu, e = eigh(slits.overlaps)
     kept = mu > DEFAULT_TRUNCATION * mu[-1]
     mu, e = mu[kept], e[:, kept]
     half = e * np.sqrt(mu)
-    lam, vecs = eigh(half.T @ state.density_matrix @ half)
-    lam, vecs = lam[::-1], vecs[:, ::-1]
-    keep = max(int(np.sum(lam >= threshold)), 1)
-    weights = lam[:keep]
-    coefficients = (e / np.sqrt(mu)) @ vecs[:, :keep]
-    degenerate = bool(np.any(np.abs(np.diff(weights)) < DEGENERACY_TOL)) if keep > 1 else False
-    return SchmidtDecomposition(weights, coefficients, threshold, degenerate)
+    lams, vecs = eigh(half.T @ np.asarray(densities) @ half)
+    back = e / np.sqrt(mu)
+    decompositions = []
+    for lam, vec in zip(lams[:, ::-1], vecs[:, :, ::-1]):
+        keep = max(int(np.sum(lam >= threshold)), 1)
+        weights = lam[:keep]
+        degenerate = bool(np.any(np.abs(np.diff(weights)) < DEGENERACY_TOL))
+        decompositions.append(SchmidtDecomposition(weights, back @ vec[:, :keep], threshold, degenerate))
+    return decompositions
+
+
+def schmidt(state: SlitState, threshold: float = DEFAULT_TRUNCATION) -> SchmidtDecomposition:
+    """Schmidt decomposition of one slit state: ``schmidt_stack`` of a stack of one."""
+    return schmidt_stack(state.slits, state.density_matrix[None], threshold)[0]
 
 
 def entropy(weights) -> float:

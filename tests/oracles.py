@@ -1,5 +1,6 @@
-"""Independent references for the tests: an offset-corrected FFT, the
-two-slit closed forms, the uniform-source fringe pattern, the grid
+"""Independent references for the tests: sampled waves and an
+offset-corrected FFT, the two-slit closed forms, the uniform-source fringe
+pattern, a least-squares fit of a pattern's fringe visibility, the grid
 reference for slit states, and Python's text of data tables and protocols.
 
 The grid reference samples the joint state psi(x, xi) on a particle x
@@ -15,8 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from qmodes.interference import slit_centers, two_slit_norm
-from qmodes.numerics import Grid1D, SampledWave, quadrature, trapezoid_weights
+from qmodes.numerics import Grid1D, quadrature, trapezoid_weights
 from qmodes.schmidt import analytic_two_slit_weights
+
+
+@dataclass(frozen=True)
+class SampledWave:
+    """Amplitudes sampled on a 1-D grid: a complex wavefunction or a real density."""
+
+    grid: Grid1D
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amp = np.asarray(self.amplitudes)
+        if amp.shape != (self.grid.n_points,):
+            raise ValueError(f"amplitude shape {amp.shape} does not match {self.grid.n_points} grid points")
+        object.__setattr__(self, "amplitudes", amp)
 
 
 def conjugate_grid(grid):
@@ -51,6 +66,34 @@ def source_pattern(a, sigma_x, grid, v):
     p = grid.points
     pattern = np.exp(-2.0 * sigma_x**2 * p**2) * (1.0 + v * np.cos(2.0 * p * a))
     return pattern / quadrature(pattern, grid)
+
+
+MIN_SAMPLES_PER_PERIOD = 16
+
+
+def visibility_from_intensity(density, a, sigma_x):
+    """Fringe visibility of a sampled two-slit momentum pattern by a fit.
+
+    The Gaussian envelope exp(-2 sigma_x^2 p^2) is divided out and
+    A + B cos(2 a p) + C sin(2 a p) is fitted by linear least squares over
+    the central window |p| <= 3 pi/(4a); V = hypot(B, C) / A.  Needs at
+    least 16 samples per fringe period pi/a, and a grid that spans the
+    window.
+    """
+    grid = density.grid
+    period = np.pi / a
+    if grid.spacing > period / MIN_SAMPLES_PER_PERIOD:
+        raise ValueError(f"grid spacing {grid.spacing:.4g}: need {MIN_SAMPLES_PER_PERIOD} samples per period pi/a")
+    if grid.half_width < 0.75 * period:
+        raise ValueError("central fringe window not covered by the grid")
+    p = grid.points
+    window = np.abs(p) <= 0.75 * period
+    p = p[window]
+    flat = np.real(density.amplitudes[window]) / np.exp(-2.0 * sigma_x**2 * p**2)
+    # normal equations: the three columns are far from dependent over 1.5 periods
+    basis = np.vstack((np.ones_like(p), np.cos(2.0 * a * p), np.sin(2.0 * a * p)))
+    mean, cos_part, sin_part = np.linalg.solve(basis @ basis.T, basis @ flat)
+    return float(np.clip(np.hypot(cos_part, sin_part) / mean, 0.0, 1.0))
 
 
 def cos_sin_mode(grid, sigma, center, trig):

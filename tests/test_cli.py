@@ -519,6 +519,28 @@ def test_unresolvable_slit_ratio_exits_2_naming_a_and_sigma_x(tmp_path, capsys, 
     assert f"a={float(argv[2]):g}" in err[0] and f"sigma_x={float(argv[4]):g}" in err[0]
 
 
+def test_near_coincident_slits_read_the_visibility_from_the_state(tmp_path):
+    # slits far closer than their width: no fringe period fits the momentum
+    # grid, but the state still fixes the modulation
+    assert main(["entangled", "--a", "1e-4", "--out", str(tmp_path)]) == 0
+    scalars = report(tmp_path, "entangled")["scalars"]
+    assert scalars["visibility"] == scalars["fringe_modulation"] == 0.606531
+
+
+@pytest.mark.parametrize("command", ["entangled", "coherence"])
+@pytest.mark.parametrize("a", ["1e-6", "1e-8"])
+def test_slits_within_the_schmidt_truncation_exit_2_naming_a_and_sigma_x(tmp_path, capsys, command, a):
+    # (1 - q)/(1 + q) <= 1e-12: S_x loses an eigenvalue, and no file is written
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--a", a, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("qmodes: error: ")
+    assert f"a={float(a):g}" in err[0] and "sigma_x=0.5" in err[0]
+    assert not out.exists() or not any(out.iterdir())
+
+
 ENTANGLED_REPORT = """{
   "files": [
     "entangled_marginal_momentum.csv",

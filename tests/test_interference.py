@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    SampledWave,
     conjugate_grid,
     fourier_to_momentum,
     grid_marginal,
@@ -11,6 +12,7 @@ from oracles import (
     grid_state_momentum,
     single_slit_momentum_density,
     two_slit_intensity,
+    visibility_from_intensity,
 )
 from qmodes.interference import (
     COORDINATE,
@@ -25,7 +27,7 @@ from qmodes.interference import (
     slit_state,
     two_slit_norm,
 )
-from qmodes.numerics import MAX_SLITS, SampledWave, make_grid, quadrature
+from qmodes.numerics import MAX_SLITS, make_grid, quadrature
 from qmodes.schmidt import schmidt
 
 A, SIGMA = 5.0, 0.5
@@ -368,8 +370,6 @@ class TestMarginals:
 
 class TestInvariants:
     def test_visibility_equals_modulation_factor(self):
-        from qmodes.coherence import visibility_from_intensity
-
         for b in (0.0, 0.5, 1.0):
             _, det, state = two_slit_state_pair(b)  # a / sigma_x = 10 >= 8
             v = visibility_from_intensity(momentum_marginal(state, momentum_grid(2048)), A, SIGMA)

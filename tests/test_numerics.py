@@ -4,11 +4,10 @@ that the interference tests cross-check joint states with."""
 import numpy as np
 import pytest
 
-from oracles import conjugate_grid, fourier_to_momentum, two_slit_intensity
+from oracles import SampledWave, conjugate_grid, fourier_to_momentum, two_slit_intensity
 from qmodes.numerics import (
     Grid1D,
     NonHermitianError,
-    SampledWave,
     eigh,
     make_grid,
     quadrature,

@@ -1,6 +1,6 @@
 """Property tests over random inputs: the m x m Schmidt path over slit
-states, and the CSV and JSON text of the value kernel over float64 bit
-patterns."""
+states, its stacked form against one state at a time, and the CSV and JSON
+text of the value kernel over float64 bit patterns."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,14 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from oracles import gram_weights_oracle, grid_schmidt, grid_state_momentum, python_text  # noqa: E402
 from qmodes.interference import DetectorParams, SlitParams, slit_state  # noqa: E402
-from qmodes.numerics import make_grid  # noqa: E402
-from qmodes.schmidt import schmidt, schmidt_number  # noqa: E402
+from qmodes.numerics import MAX_SLITS, NonHermitianError, make_grid  # noqa: E402
+from qmodes.schmidt import (  # noqa: E402
+    DEFAULT_TRUNCATION,
+    InvalidWeightsError,
+    schmidt,
+    schmidt_number,
+    schmidt_stack,
+)
 from qmodes.text import format_rows  # noqa: E402
 
 
@@ -93,6 +99,60 @@ def test_separated_slits_reach_m_modes(m, separation, sigma_xi, bs):
     assert all(k2 >= k1 - 1e-9 for k1, k2 in zip(ks, ks[1:]))
     k_far = schmidt_number(schmidt(slit_state(slits, DetectorParams(20.0 * sigma_xi, sigma_xi).overlap)).weights)
     assert m * (1.0 - 1e-3) <= k_far <= m + 1e-12
+
+
+def one_state_weights(state):
+    """Schmidt weights of one state from 2-D products and eigensolves only."""
+    mu, e = np.linalg.eigh(state.slits.overlaps)
+    kept = mu > DEFAULT_TRUNCATION * mu[-1]
+    half = e[:, kept] * np.sqrt(mu[kept])
+    lam = np.linalg.eigh(half.T @ state.density_matrix @ half)[0][::-1]
+    return lam[: max(int(np.sum(lam >= DEFAULT_TRUNCATION)), 1)]
+
+
+def decomposes(state):
+    try:
+        schmidt(state)
+    except NonHermitianError:
+        return False
+    return True
+
+
+def number_or_invalid(weights):
+    try:
+        return schmidt_number(weights)
+    except InvalidWeightsError:
+        return "invalid"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.one_of(st.integers(2, 8), st.just(MAX_SLITS)),
+    # a / sigma_x: below about 2 the slits overlap and S_x loses eigenvalues
+    ratio=st.floats(1e-4, 12.0),
+    gammas=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+)
+def test_stacked_decompositions_are_each_states_bit_for_bit(m, ratio, gammas):
+    slits = SlitParams(a=0.5 * ratio, sigma_x=0.5, m=m)
+    states = [slit_state(slits, g) for g in gammas]
+    densities = np.stack([s.density_matrix for s in states])
+    # twice a density matrix has weights that sum to 2: invalid in the stack too
+    densities = np.concatenate([densities, 2.0 * densities[:1]])
+    if not all(map(decomposes, states)):
+        # near gamma = -1 overlapping slits leave a state of tiny norm, whose
+        # reduced matrix rounds too far from symmetric; the stack says so too
+        with pytest.raises(NonHermitianError):
+            schmidt_stack(slits, densities)
+        return
+    stacked = schmidt_stack(slits, densities)
+    for state, dec in zip(states, stacked):
+        single = schmidt(state)
+        assert dec.weights.tobytes() == single.weights.tobytes() == one_state_weights(state).tobytes()
+        assert dec.coefficients.tobytes() == single.coefficients.tobytes()
+        assert dec.degenerate == single.degenerate
+        assert number_or_invalid(dec.weights) == number_or_invalid(single.weights)
+    with pytest.raises(InvalidWeightsError):
+        schmidt_number(stacked[-1].weights)
 
 
 # every float64: random bit patterns reach every exponent, subnormals and

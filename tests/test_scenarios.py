@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from oracles import source_pattern
+from oracles import SampledWave, source_pattern, visibility_from_intensity
 from qmodes import scenarios
-from qmodes.coherence import entropy_from_v, source_visibility
+from qmodes.coherence import entropy_from_v, source_coherence, source_visibility
+from qmodes.interference import MOMENTUM, DetectorParams, SlitParams, basis_density, slit_basis, slit_state
 from qmodes.numerics import make_grid
+from qmodes.schmidt import schmidt, schmidt_number
 
 N = 2048
 
@@ -123,3 +125,50 @@ def test_fig6_data_densities_are_the_normalized_fringe_pattern(tmp_path, n):
     for column, y in zip(rows[:, 1:].T, y_values):
         reference = source_pattern(5.0, 0.5, grid, source_visibility(y))
         assert np.max(np.abs(column - reference)) <= 1e-15, y
+
+
+def table_rows(out_dir, stem):
+    return np.array(json.loads((out_dir / f"{stem}.json").read_text(encoding="utf-8"))["rows"])
+
+
+def test_coherence_sweep_is_each_states_schmidt_number_and_visibility(tmp_path):
+    run_1024("coherence", tmp_path)
+    rows = table_rows(tmp_path, "coherence_sweep")
+    slits = SlitParams(a=5.0, sigma_x=0.5, m=2)
+    gammas = np.cos(2.0 * rows[:, 0])
+    k = [schmidt_number(schmidt(slit_state(slits, g)).weights) for g in gammas]
+    assert rows[:, 2].tobytes() == np.array(k).tobytes()
+    assert np.max(np.abs(rows[:, 1] - np.abs(gammas))) <= 2.3e-16
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_written_patterns_fit_to_their_states_visibility(tmp_path, n):
+    # the fit needs a grid that spans the central fringe period pi/a; the
+    # catalog's momentum grid does at a = 5, sigma_x = 0.5
+    grid = make_grid(0.0, 9.0, n)
+    assert grid.half_width >= np.pi / 5.0
+
+    def fitted(column):
+        return visibility_from_intensity(SampledWave(grid, column), 5.0, 0.5)
+
+    fig2 = scenarios.run(scenarios.ScenarioConfig("fig2", tmp_path, "json", n)).scalars
+    rows = table_rows(tmp_path, "fig2_marginal_momentum")
+    assert np.array_equal(rows[:, 0], grid.points)
+    gamma = DetectorParams(0.7, 0.5).overlap
+    assert abs(fitted(rows[:, 1]) - gamma) <= 1e-4
+    assert fig2["visibility"] == fig2["fringe_modulation"] == float(f"{gamma:.6g}")
+
+    scenarios.run(scenarios.ScenarioConfig("fig6-data", tmp_path, "json", n))
+    rows = table_rows(tmp_path, "fig6-data_intensity")
+    for column, y in zip(rows[:, 1:].T, (0.0, 0.0625, 0.125, 0.1875, 0.25)):
+        assert abs(fitted(column) - abs(source_coherence(y))) <= 1e-4, y
+
+    # the coherence scenario writes its visibility column, not the patterns:
+    # sample each qubit state on the catalog grid
+    scenarios.run(scenarios.ScenarioConfig("coherence", tmp_path, "json", n))
+    rows = table_rows(tmp_path, "coherence_sweep")
+    slits = SlitParams(a=5.0, sigma_x=0.5, m=2)
+    basis = slit_basis(slits, grid.points, MOMENTUM)
+    for phi, v in rows[:, :2]:
+        pattern = basis_density(basis, slit_state(slits, np.cos(2.0 * phi)).density_matrix)
+        assert abs(fitted(pattern) - v) <= 1e-4, phi

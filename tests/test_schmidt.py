@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     GridState,
+    SampledWave,
     gram_weights_oracle,
     grid_schmidt,
     grid_state_coordinate,
@@ -13,7 +14,7 @@ from oracles import (
     two_slit_schmidt,
 )
 from qmodes.interference import MOMENTUM, DetectorParams, SlitParams, basis_density, slit_basis, slit_state
-from qmodes.numerics import SampledWave, make_grid, quadrature, trapezoid_weights
+from qmodes.numerics import make_grid, quadrature, trapezoid_weights
 from qmodes.schmidt import (
     InvalidWeightsError,
     analytic_two_slit_weights,
@@ -140,7 +141,7 @@ class TestNumericalSchmidt:
             dec = schmidt(state)
             assert dec.weights.sum() == pytest.approx(1.0, abs=1e-14)
             c = dec.coefficients
-            assert np.max(np.abs(c.T @ state.particle_overlaps @ c - np.eye(m))) < 1e-13
+            assert np.max(np.abs(c.T @ state.slits.overlaps @ c - np.eye(m))) < 1e-13
             pg, _ = momentum_grids()
             modes = modes_on(pg, slits, dec)
             overlaps = modes.conj().T @ (trapezoid_weights(pg)[:, None] * modes)

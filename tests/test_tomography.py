@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from oracles import conjugate_grid, fourier_to_momentum
+from oracles import SampledWave, conjugate_grid, fourier_to_momentum
 from qmodes import tomography
 from qmodes.interference import COORDINATE, MOMENTUM, SlitParams, slit_basis
-from qmodes.numerics import Grid1D, SampledWave, make_grid
+from qmodes.numerics import Grid1D, make_grid
 from qmodes.tomography import (
     ProtocolMatrix,
     QubitOnlyError,

@@ -66,7 +66,9 @@ class TestDeriveWell:
         assert derived.u_min == pytest.approx(-(69.29**2) / (4 * 141.73), rel=1e-12)
 
     def test_simple_values(self):
-        derived = derive_well(DoubleWell(2.0, 2.0, 1.0))
+        # a shallow well: its overlap 0.135 is past the two-level regime
+        with pytest.warns(UserWarning, match="overlap 0.135"):
+            derived = derive_well(DoubleWell(2.0, 2.0, 1.0))
         assert derived.a == pytest.approx(1.0, rel=1e-12)
         assert derived.omega0 == pytest.approx(2.0, rel=1e-12)
         assert derived.sigma_x**2 == pytest.approx(0.25, rel=1e-12)
