@@ -24,6 +24,7 @@ separators between values spell out the CSV commas and newlines or
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -357,31 +358,6 @@ def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
     }
 
 
-def _ammonia_rows(isotopes, fit_mass: float):
-    well = tunneling.fit_potential(
-        tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, fit_mass
-    )
-    rows = []
-    for iso in isotopes:
-        iso_well = tunneling.DoubleWell(well.alpha, well.beta, iso.mass)
-        derived = tunneling.derive_well(iso_well)
-        energies = tunneling.two_level_energies(derived, iso_well)
-        fd_e0, fd_e1 = tunneling.grid_eigensolve(iso_well)
-        rows.append(
-            {
-                "isotope": iso.name,
-                "mass": iso.mass,
-                "overlap": derived.overlap,
-                "delta_e": energies.splitting,
-                "frequency_ghz": tunneling.splitting_to_frequency(energies.splitting),
-                "fd_delta_e": fd_e1 - fd_e0,
-                "fd_frequency_ghz": tunneling.splitting_to_frequency(fd_e1 - fd_e0),
-                "experimental_ghz": iso.experimental_ghz,
-            }
-        )
-    return well, rows
-
-
 def _run_ammonia(config: ScenarioConfig, emit: _Emitter) -> dict:
     params = config.params
     choice = params["isotope"]
@@ -393,19 +369,26 @@ def _run_ammonia(config: ScenarioConfig, emit: _Emitter) -> dict:
     else:
         isotopes = [table[k] for k in ("NH3", "ND3", "NT3")]
     fit_mass = params["mass"]
-    well, rows = _ammonia_rows(isotopes, fit_mass)
-    names = list(rows[0])
-    names.remove("isotope")
-    cols = [np.array([float(r[k]) for r in rows]) for k in names]
-    emit.table(f"{config.name}_splittings", names, cols)
+    well = tunneling.fit_potential(
+        tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, fit_mass
+    )
+    wells = [tunneling.DoubleWell(well.alpha, well.beta, iso.mass) for iso in isotopes]
+    delta_e = np.array([tunneling.two_level_energies(w).splitting for w in wells])
+    fd_delta_e = np.array([e1 - e0 for e0, e1 in map(tunneling.grid_eigensolve, wells)])
+    columns = {
+        "mass": np.array([iso.mass for iso in isotopes]),
+        "overlap": np.array([w.overlap for w in wells]),
+        "delta_e": delta_e,
+        "frequency_ghz": tunneling.splitting_to_frequency(delta_e),
+        "fd_delta_e": fd_delta_e,
+        "fd_frequency_ghz": tunneling.splitting_to_frequency(fd_delta_e),
+        "experimental_ghz": np.array([iso.experimental_ghz for iso in isotopes], dtype=float),
+    }
+    emit.table(f"{config.name}_splittings", list(columns), list(columns.values()))
     scalars = {"alpha": well.alpha, "beta": well.beta, "fit_mass": fit_mass}
-    for r in rows:
-        tag = r["isotope"]
-        scalars[f"frequency_ghz_{tag}"] = r["frequency_ghz"]
-        scalars[f"overlap_{tag}"] = r["overlap"]
-        scalars[f"fd_frequency_ghz_{tag}"] = r["fd_frequency_ghz"]
-        if r["experimental_ghz"] is not None:
-            scalars[f"experimental_ghz_{tag}"] = r["experimental_ghz"]
+    for i, iso in enumerate(isotopes):
+        for key in ("frequency_ghz", "overlap", "fd_frequency_ghz", "experimental_ghz"):
+            scalars[f"{key}_{iso.name}"] = columns[key][i]
     return scalars
 
 
@@ -424,13 +407,16 @@ def _run_qubits(config: ScenarioConfig, emit: _Emitter) -> dict:
     well = tunneling.fit_potential(
         tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, params["mass"]
     )
-    derived = tunneling.derive_well(well)
-    energies = tunneling.two_level_energies(derived, well)
-    contact = 4.0 * np.sqrt(np.pi) * derived.sigma_x
+    energies = tunneling.two_level_energies(well)
+    contact = 4.0 * math.sqrt(math.pi) * well.sigma_x
     g_max = g0_max or 300.0 * energies.splitting * contact
+    if not (math.isfinite(2.0 * g_max) and math.isfinite(g_max / contact / energies.splitting)):
+        # the sweep spans 2 g0_max, and each g0 is also written as g0 / (contact * splitting)
+        raise ValueError(f"g0_max {g0_max} overflows the coupling sweep; pick a smaller one")
     g_values = np.linspace(-g_max, g_max, n_sweep)
-    system = tunneling.build_two_qubit(energies, derived, g_values)
-    k_values = tunneling.ground_state_entanglement(system).k
+    k_values, _ = tunneling.ground_state_entanglement(
+        tunneling.build_two_qubit(energies, well, g_values)
+    )
     emit.table(
         f"{config.name}_sweep",
         ["g0", "reduced_coupling", "schmidt_number"],
@@ -438,7 +424,7 @@ def _run_qubits(config: ScenarioConfig, emit: _Emitter) -> dict:
     )
     return {
         "delta_e": energies.splitting,
-        "sigma_x": derived.sigma_x,
+        "sigma_x": well.sigma_x,
         "g0_max": g_max,
         "schmidt_number_g0_0": k_values[n_sweep // 2],
         "schmidt_number_attraction_max": k_values[-1],

@@ -67,7 +67,6 @@ class SchmidtDecomposition:
 
     weights: np.ndarray
     coefficients: np.ndarray
-    truncation_threshold: float
     degenerate: bool = False
 
     def __post_init__(self):
@@ -126,7 +125,7 @@ def schmidt_stack(
         keep = max(int(np.sum(lam >= threshold)), 1)
         weights = lam[:keep]
         degenerate = bool(np.any(np.abs(np.diff(weights)) < DEGENERACY_TOL))
-        decompositions.append(SchmidtDecomposition(weights, back @ vec[:, :keep], threshold, degenerate))
+        decompositions.append(SchmidtDecomposition(weights, back @ vec[:, :keep], degenerate))
     return decompositions
 
 

@@ -96,10 +96,6 @@ class ProtocolMatrix:
             )
         object.__setattr__(self, "b", b)
 
-    @property
-    def n_measurements(self) -> int:
-        return self.b.shape[0]
-
 
 @dataclass(frozen=True)
 class ProtocolAnalysis:

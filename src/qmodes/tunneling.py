@@ -3,13 +3,19 @@ delta-coupled pair of such qubits, and the ammonia-inversion application.
 
 The well U(x) = -alpha x^2/2 + beta x^4/4 has minima at +/-a with
 a = sqrt(alpha/beta); Gaussian states of width sigma_x^2 = 1/(2 m omega_0)
-sit in each, with omega_0 = sqrt(2 alpha / m).  Symmetric/antisymmetric
-combinations give ground and excited levels whose splitting E1 - E0 is the
-tunnel (inversion) frequency.  ``grid_eigensolve`` gives the exact levels of
-the same well, converged in a sinc discrete variable representation, against
-which the two-level ones are compared.  The ammonia report keys
-``fd_delta_e``/``fd_frequency_ghz_*`` hold these grid levels; "fd" is kept from
-the finite-difference solver they once came from.
+sit in each, with omega_0 = sqrt(2 alpha / m).  ``DoubleWell`` holds
+(alpha, beta, m) and gives a, sigma_x and the inter-well overlap as
+properties.  Symmetric/antisymmetric combinations give ground and excited
+levels whose splitting E1 - E0 is the tunnel (inversion) frequency.  A pair
+of delta-coupled qubits is a (..., 4, 4) stack of Hamiltonians, one per
+coupling (``build_two_qubit``), and ``ground_state_entanglement`` reads the
+Schmidt number of each ground state from the stack.
+
+``grid_eigensolve`` gives the exact levels of the same well, converged in a
+sinc discrete variable representation, against which the two-level ones are
+compared.  The ammonia report keys ``fd_delta_e``/``fd_frequency_ghz_*``
+hold these grid levels; "fd" is kept from the finite-difference solver they
+once came from.
 
 Ammonia units: masses in atomic mass units (1.66e-27 kg), lengths in Bohr
 radii (0.529 Angstrom), so one model energy unit is hbar^2/(m0 a0^2) =
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +35,7 @@ from .numerics import Grid1D, eigh, make_grid
 
 __all__ = [
     "DoubleWell",
-    "WellDerived",
     "TwoLevelEnergies",
-    "TwoQubitSystem",
-    "GroundStateEntanglement",
     "Isotope",
     "AMMONIA_ISOTOPES",
     "AMMONIA_EQUILIBRIUM",
@@ -42,7 +45,6 @@ __all__ = [
     "InsufficientGridError",
     "UnresolvedSplittingError",
     "FitError",
-    "derive_well",
     "two_level_energies",
     "fit_potential",
     "reduced_mass",
@@ -63,6 +65,9 @@ AMMONIA_EQUILIBRIUM = 0.699
 AMMONIA_SPLITTING = 0.00665
 
 OVERLAP_VALIDITY = 0.01
+# two lowest two-qubit levels closer than this, relative to the largest
+# |level| (at least 1), leave the ground state and its K undetermined
+DEGENERACY_TOL = 1e-12
 
 # Sinc-DVR levels: the Hamiltonian is dense, so its size is capped.  The
 # grid grows from _DVR_START_POINTS in steps of _DVR_STEP_POINTS until two
@@ -104,21 +109,23 @@ class DoubleWell:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
-    def potential(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        out = -self.alpha * x**2 / 2.0 + self.beta * x**4 / 4.0
-        return out if out.ndim else float(out)
+    def potential(self, x: np.ndarray) -> np.ndarray:
+        return -self.alpha * x**2 / 2.0 + self.beta * x**4 / 4.0
 
+    @property
+    def a(self) -> float:
+        """Equilibrium position of either minimum, sqrt(alpha/beta)."""
+        return float(np.sqrt(self.alpha / self.beta))
 
-@dataclass(frozen=True)
-class WellDerived:
-    """Equilibrium geometry and local-oscillator parameters of a double well."""
+    @property
+    def sigma_x(self) -> float:
+        """Gaussian width, sigma_x^2 = 1/(2 m omega0) with omega0 = sqrt(2 alpha/m)."""
+        return float(np.sqrt(1.0 / (2.0 * self.mass * np.sqrt(2.0 * self.alpha / self.mass))))
 
-    a: float
-    u_min: float
-    omega0: float
-    sigma_x: float
-    overlap: float
+    @property
+    def overlap(self) -> float:
+        """Inter-well overlap exp(-a^2/(2 sigma_x^2)); the two-level model needs it below 0.01."""
+        return float(np.exp(self.log_overlap))
 
     @property
     def log_overlap(self) -> float:
@@ -149,42 +156,6 @@ class TwoLevelEnergies:
 
 
 @dataclass(frozen=True)
-class TwoQubitSystem:
-    """Two double-well qubits with contact interaction -g0 delta(x - xi).
-
-    g0 > 0 is attraction, g0 < 0 repulsion.  Basis order (00, 01, 10, 11);
-    the interaction fills the corners with h1/h3, the corner anti-diagonal
-    and the whole middle 2x2 block with h2.  For an array of couplings,
-    ``g0`` and ``h1``-``h3`` are arrays of its shape and ``h_matrix`` is the
-    (..., 4, 4) stack of Hamiltonians; for one coupling they are floats and
-    a 4x4 matrix.
-    """
-
-    energies: TwoLevelEnergies
-    g0: float | np.ndarray
-    h1: float | np.ndarray
-    h2: float | np.ndarray
-    h3: float | np.ndarray
-    h_matrix: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class GroundStateEntanglement:
-    """Schmidt number of the two-qubit ground state.
-
-    When the two lowest levels are degenerate the ground vector is not
-    unique; both candidate values are reported and ``degenerate`` is set.
-    For a stack of Hamiltonians ``k`` and ``degenerate`` are arrays over the
-    stack, and ``k_pair``, set when any matrix is degenerate, holds two
-    arrays whose entries agree where that matrix's ground state is unique.
-    """
-
-    k: float | np.ndarray
-    degenerate: bool | np.ndarray = False
-    k_pair: tuple[float, float] | tuple[np.ndarray, np.ndarray] | None = None
-
-
-@dataclass(frozen=True)
 class Isotope:
     """Named reduced mass, with the measured inversion frequency when known."""
 
@@ -200,33 +171,13 @@ AMMONIA_ISOTOPES = {
 }
 
 
-def derive_well(well: DoubleWell) -> WellDerived:
-    """Equilibrium +/-a, well depth, oscillator frequency and Gaussian width.
-
-    a = sqrt(alpha/beta), U_min = -alpha^2/(4 beta), omega0 = sqrt(2 alpha/m),
-    sigma_x^2 = 1/(2 m omega0).  Warns when the inter-well overlap
-    exp(-a^2/2 sigma_x^2) exceeds 0.01, outside two-level validity.
-    """
-    a = np.sqrt(well.alpha / well.beta)
-    u_min = -well.alpha**2 / (4.0 * well.beta)
-    omega0 = np.sqrt(2.0 * well.alpha / well.mass)
-    sigma_x = np.sqrt(1.0 / (2.0 * well.mass * omega0))
-    overlap = np.exp(-(a**2) / (2.0 * sigma_x**2))
-    if overlap > OVERLAP_VALIDITY:
-        warnings.warn(
-            f"inter-well overlap {overlap:.3g} > {OVERLAP_VALIDITY}; "
-            "two-level results are unreliable",
-            stacklevel=2,
-        )
-    return WellDerived(float(a), float(u_min), float(omega0), float(sigma_x), float(overlap))
-
-
-def two_level_energies(derived: WellDerived, well: DoubleWell) -> TwoLevelEnergies:
+def two_level_energies(well: DoubleWell) -> TwoLevelEnergies:
     """Closed-form energies of the symmetric (0) and antisymmetric (1) states.
 
     T0 = C0^2/(8 m sigma^2) [1 - (a^2/sigma^2 - 1) eps]  (eps = overlap),
     T1 with C1^2 and +, and the quartic-well potential expectations U0/U1
-    evaluated over the same Gaussian pair.  E = U + T.
+    evaluated over the same Gaussian pair.  E = U + T.  Warns when eps
+    exceeds 0.01, outside two-level validity.
 
     The splitting is taken in closed form, free of cancellation:
 
@@ -238,13 +189,18 @@ def two_level_energies(derived: WellDerived, well: DoubleWell) -> TwoLevelEnergi
 
         E1 - E0 = (3 alpha/2) eps (a^2 + 2 sigma^2) / (1 - eps^2) > 0,
 
-    evaluated in log space from ``derived.log_overlap``, so a splitting in
+    evaluated in log space from ``well.log_overlap``, so a splitting in
     the subnormal range keeps its value where eps itself underflows.
     """
-    a, sx, m = derived.a, derived.sigma_x, well.mass
-    eps = derived.overlap
+    a, sx, m = well.a, well.sigma_x, well.mass
+    eps = well.overlap
     if eps >= 1.0 or a == 0.0:
         raise DegenerateWellError("wells coincide; antisymmetric state undefined")
+    if eps > OVERLAP_VALIDITY:
+        warnings.warn(
+            f"inter-well overlap {eps:.3g} > {OVERLAP_VALIDITY}; two-level results are unreliable",
+            stacklevel=2,
+        )
     c0_sq = 1.0 / (1.0 + eps)
     c1_sq = 1.0 / (1.0 - eps)
     q = a**2 / sx**2
@@ -257,7 +213,7 @@ def two_level_energies(derived: WellDerived, well: DoubleWell) -> TwoLevelEnergi
     cross = -well.alpha * sx**2 / 2.0 + 3.0 * well.beta * sx**4 / 4.0
     u0 = c0_sq * (base + eps * cross)
     u1 = c1_sq * (base - eps * cross)
-    splitting = math.exp(_log_splitting(well.alpha, a, sx**2, derived.log_overlap))
+    splitting = math.exp(_log_splitting(well.alpha, a, sx**2, well.log_overlap))
     return TwoLevelEnergies(c0_sq, c1_sq, t0, t1, u0, u1, u0 + t0, u1 + t1, splitting)
 
 
@@ -271,12 +227,7 @@ def _log_splitting(alpha: float, a: float, sigma_sq: float, log_eps: float) -> f
     )
 
 
-def fit_potential(
-    a_target: float,
-    delta_e_target: float,
-    mass: float,
-    overlap_limit: float = OVERLAP_VALIDITY,
-) -> DoubleWell:
+def fit_potential(a_target: float, delta_e_target: float, mass: float) -> DoubleWell:
     """Well parameters (alpha, beta) reproducing equilibrium a and splitting E1 - E0.
 
     The constraint beta = alpha / a^2 pins the equilibrium exactly and the
@@ -285,14 +236,26 @@ def fit_potential(
     objective is log(E1 - E0) - log(target), from the closed-form splitting
     of ``two_level_energies``: it has no cancellation and stays finite where
     the overlap underflows.  The fitted well must satisfy the two-level
-    validity overlap < 0.01.
+    validity overlap < 0.01; a mass (or equilibrium) too small for any
+    alpha of the search to meet it raises ``FitError`` before the search.
     """
     if not (a_target > 0 and delta_e_target > 0 and mass > 0):
         raise ValueError("targets and mass must be positive")
+    # the overlap exp(-a^2 sqrt(2 alpha m)) falls as alpha grows: if it is
+    # still past the validity limit at the last alpha the bracket search
+    # tries, no alpha fits, and at smaller alphas it can round to 1
+    alpha_max = 2.0**79
+    if a_target**2 * math.sqrt(2.0 * alpha_max * mass) <= -math.log(OVERLAP_VALIDITY):
+        raise FitError(
+            f"mass {mass} too small for equilibrium {a_target}: the inter-well overlap "
+            f"exceeds {OVERLAP_VALIDITY} at every alpha the fit tries"
+        )
     log_target = math.log(delta_e_target)
 
     def objective(alpha: float) -> float:
         sigma_sq = 1.0 / (2.0 * mass * math.sqrt(2.0 * alpha / mass))
+        if sigma_sq == 0.0:
+            return -math.inf  # a mass so large that the Gaussians are points: no splitting
         log_eps = -(a_target**2) / (2.0 * sigma_sq)
         return _log_splitting(alpha, a_target, sigma_sq, log_eps) - log_target
 
@@ -316,13 +279,12 @@ def fit_potential(
             lo, f_lo = mid, f_mid
     alpha = lo if f_lo <= -f_hi else hi
     well = DoubleWell(alpha, alpha / a_target**2, mass)
-    derived = derive_well(well)
-    if derived.overlap >= overlap_limit:
+    if well.overlap >= OVERLAP_VALIDITY:
         raise FitError(
-            f"fitted well has overlap {derived.overlap:.3g} >= {overlap_limit}; "
+            f"fitted well has overlap {well.overlap:.3g} >= {OVERLAP_VALIDITY}; "
             "two-level model invalid"
         )
-    achieved = _log_splitting(alpha, derived.a, derived.sigma_x**2, derived.log_overlap)
+    achieved = _log_splitting(alpha, well.a, well.sigma_x**2, well.log_overlap)
     if abs(achieved - log_target) > 1e-10:
         raise FitError(
             f"bisection stalled: achieved {math.exp(achieved)}, wanted {delta_e_target}"
@@ -379,7 +341,7 @@ def grid_eigensolve(well: DoubleWell) -> tuple[float, float]:
     larger |E|, where the dense eigensolve's rounding swamps the splitting,
     and ``InsufficientGridError`` if ``MAX_DVR_POINTS`` do not converge.
     """
-    a = math.sqrt(well.alpha / well.beta)
+    a = well.a
     previous = None
     for n in range(_DVR_START_POINTS, MAX_DVR_POINTS + 1, _DVR_STEP_POINTS):
         grid = make_grid(0.0, 3.0 * a, n)
@@ -396,21 +358,26 @@ def grid_eigensolve(well: DoubleWell) -> tuple[float, float]:
     raise InsufficientGridError(f"splitting did not converge within {MAX_DVR_POINTS} points")
 
 
-def build_two_qubit(energies: TwoLevelEnergies, derived: WellDerived, g0) -> TwoQubitSystem:
-    """Hamiltonian of two delta-coupled double-well qubits.
+def build_two_qubit(energies: TwoLevelEnergies, well: DoubleWell, g0: np.ndarray) -> np.ndarray:
+    """Hamiltonians of two double-well qubits with contact interaction -g0 delta(x - xi).
 
-    H = diag(2E0, E0+E1, E0+E1, 2E1) + h with
+    g0 > 0 is attraction, g0 < 0 repulsion.  An array of couplings gives a
+    (..., 4, 4) stack, one Hamiltonian per coupling, in the basis order
+    (00, 01, 10, 11):
+
+        H = diag(2E0, E0+E1, E0+E1, 2E1) + h
+
+    where h has h1 at [0, 0], h3 at [3, 3], and h2 at [1, 1], [2, 2] and on
+    the anti-diagonal ([0, 3], [1, 2], [2, 1], [3, 0]), with
 
         h1 = -C0^4 g0/(4 sqrt(pi) sigma) (1 + 4 e3 + 3 e4)
         h2 = -C0^2 C1^2 g0/(4 sqrt(pi) sigma) (1 - e4)
         h3 = -C1^4 g0/(4 sqrt(pi) sigma) (1 - 4 e3 + 3 e4)
 
-    where e3 = exp(-3a^2/4 sigma^2), e4 = exp(-a^2/sigma^2).  As the
-    overlap vanishes all three tend to -g0/(4 sqrt(pi) sigma).  An array of
-    couplings g0 gives a (..., 4, 4) stack, one Hamiltonian per coupling.
+    and e3 = exp(-3a^2/4 sigma^2), e4 = exp(-a^2/sigma^2).  As the overlap
+    vanishes all three tend to -g0/(4 sqrt(pi) sigma).
     """
-    a, sx = derived.a, derived.sigma_x
-    g0 = np.asarray(g0, dtype=float)
+    a, sx = well.a, well.sigma_x
     e3 = np.exp(-3.0 * a**2 / (4.0 * sx**2))
     e4 = np.exp(-(a**2) / sx**2)
     scale = g0 / (4.0 * np.sqrt(np.pi) * sx)
@@ -418,40 +385,27 @@ def build_two_qubit(energies: TwoLevelEnergies, derived: WellDerived, g0) -> Two
     h2 = -energies.c0_sq * energies.c1_sq * scale * (1.0 - e4)
     h3 = -energies.c1_sq**2 * scale * (1.0 - 4.0 * e3 + 3.0 * e4)
     e0, e1 = energies.e0, energies.e1
-    h = np.zeros(g0.shape + (4, 4))
+    h = np.zeros(np.shape(g0) + (4, 4))
     h[..., 0, 0] = 2.0 * e0 + h1
     h[..., 1, 1] = h[..., 2, 2] = e0 + e1 + h2
     h[..., 3, 3] = 2.0 * e1 + h3
     h[..., 0, 3] = h[..., 3, 0] = h[..., 1, 2] = h[..., 2, 1] = h2
-    if g0.ndim:
-        return TwoQubitSystem(energies, g0, h1, h2, h3, h)
-    return TwoQubitSystem(energies, float(g0), float(h1), float(h2), float(h3), h)
+    return h
 
 
-def _pair_schmidt_number(vector: np.ndarray) -> np.ndarray:
-    c = vector.reshape(vector.shape[:-1] + (2, 2))
-    delta = np.square(np.abs(c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]))
-    return 1.0 / (1.0 - 2.0 * delta)
-
-
-def ground_state_entanglement(
-    system: TwoQubitSystem, degeneracy_tol: float = 1e-12
-) -> GroundStateEntanglement:
-    """Schmidt number K = 1/(1 - 2 Delta) of the two-qubit ground state.
+def ground_state_entanglement(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Schmidt number K = 1/(1 - 2 Delta) of each two-qubit ground state, and
+    whether it is degenerate.
 
     Delta = |c00 c11 - c01 c10|^2 from the lowest eigenvector of H.  K runs
-    from 1 (product state) to 2 (Bell-like state).  A stack of Hamiltonians
-    is solved in one ``eigh`` call and gives K and the degeneracy flag per
-    matrix; one matrix gives floats.
+    from 1 (product state) to 2 (Bell-like state).  The (..., 4, 4) stack is
+    solved in one ``eigh`` call.  Where the two lowest levels lie within
+    ``DEGENERACY_TOL`` the ground vector, and so K, is not unique, and the
+    flag is set.
     """
-    values, vectors = eigh(system.h_matrix)
+    values, vectors = eigh(h)
     scale = np.maximum(1.0, np.max(np.abs(values), axis=-1))
-    degenerate = values[..., 1] - values[..., 0] < degeneracy_tol * scale
-    k0 = _pair_schmidt_number(vectors[..., :, 0])
-    k_pair = None
-    if np.any(degenerate):
-        k1 = np.where(degenerate, _pair_schmidt_number(vectors[..., :, 1]), k0)
-        k_pair = (k0, k1) if degenerate.ndim else (float(k0), float(k1))
-    if degenerate.ndim:
-        return GroundStateEntanglement(k0, degenerate, k_pair)
-    return GroundStateEntanglement(float(k0), bool(degenerate), k_pair)
+    degenerate = values[..., 1] - values[..., 0] < DEGENERACY_TOL * scale
+    c = vectors[..., :, 0].reshape(vectors.shape[:-2] + (2, 2))
+    delta = np.square(np.abs(c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]))
+    return 1.0 / (1.0 - 2.0 * delta), degenerate

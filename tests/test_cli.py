@@ -280,6 +280,30 @@ def test_negative_or_non_finite_g0_max_exits_2(tmp_path, capsys, g0_max):
     assert not (out / "qubits_report.json").exists()
 
 
+def exits_2_with_one_error_line(argv, out, capsys):
+    """Run argv, which must fail without a warning: exit 2, one error line, no file in out."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("qmodes: error: ")
+    assert not out.exists() or not any(out.iterdir())
+    return err[0]
+
+
+@pytest.mark.parametrize("g0_max", ["1e307", "1e308"])
+def test_g0_max_that_overflows_the_sweep_exits_2(tmp_path, capsys, g0_max):
+    # 1e307 / (contact * splitting) overflows; at 1e308 so does the span 2 g0_max
+    err = exits_2_with_one_error_line(["qubits", "--g0-max", g0_max], tmp_path / "out", capsys)
+    assert f"g0_max {float(g0_max)} overflows" in err
+
+
+@pytest.mark.parametrize("command", ["ammonia", "qubits"])
+def test_tiny_mass_exits_2_naming_it(tmp_path, capsys, command):
+    err = exits_2_with_one_error_line([command, "--mass", "1e-30"], tmp_path / "out", capsys)
+    assert "mass 1e-30 too small" in err
+
+
 # a value other than the default for every key of a parametric command
 FLAG_VALUES = {
     "m": "3",

@@ -132,19 +132,11 @@ class TestEigh:
         assert np.allclose(np.abs(vectors), np.full((2, 2), 1 / np.sqrt(2)))
 
     def test_uncoupled_two_qubit_spectrum(self):
-        from qmodes.tunneling import (
-            AMMONIA_ISOTOPES,
-            DoubleWell,
-            build_two_qubit,
-            derive_well,
-            two_level_energies,
-        )
+        from qmodes.tunneling import AMMONIA_ISOTOPES, DoubleWell, build_two_qubit, two_level_energies
 
         well = DoubleWell(69.29, 141.73, AMMONIA_ISOTOPES["NH3"].mass)
-        derived = derive_well(well)
-        energies = two_level_energies(derived, well)
-        system = build_two_qubit(energies, derived, g0=0.0)
-        values, _ = eigh(system.h_matrix)
+        energies = two_level_energies(well)
+        values, _ = eigh(build_two_qubit(energies, well, g0=0.0))
         e0, e1 = energies.e0, energies.e1
         assert np.allclose(np.sort(values), np.sort([2 * e0, e0 + e1, e0 + e1, 2 * e1]), atol=1e-12)
 

@@ -16,11 +16,8 @@ from qmodes.tunneling import (
     DoubleWell,
     FitError,
     InsufficientGridError,
-    TwoQubitSystem,
     UnresolvedSplittingError,
-    WellDerived,
     build_two_qubit,
-    derive_well,
     fit_potential,
     grid_eigensolve,
     ground_state_entanglement,
@@ -35,15 +32,14 @@ PAPER_WELL = DoubleWell(69.29, 141.73, 2.47)
 
 def paper_energies(mass):
     well = DoubleWell(69.29, 141.73, mass)
-    derived = derive_well(well)
-    return well, derived, two_level_energies(derived, well)
+    return well, two_level_energies(well)
 
 
-def high_precision_splitting(derived, well, digits=60):
+def high_precision_splitting(well, digits=60):
     """E1 - E0 from the U + T expressions of two_level_energies, in mpmath."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(digits):
-        a, sx, eps = (mpmath.mpf(v) for v in (derived.a, derived.sigma_x, derived.overlap))
+        a, sx, eps = (mpmath.mpf(v) for v in (well.a, well.sigma_x, well.overlap))
         alpha, beta, m = (mpmath.mpf(v) for v in (well.alpha, well.beta, well.mass))
         c0_sq, c1_sq = 1 / (1 + eps), 1 / (1 - eps)
         q = a**2 / sx**2
@@ -57,29 +53,47 @@ def high_precision_splitting(derived, well, digits=60):
         return float(e1 - e0)
 
 
+def step_by_step_geometry(well):
+    """a, sigma_x (through omega0), overlap and log_overlap, one numpy float64 step at a time."""
+    a = np.sqrt(well.alpha / well.beta)
+    omega0 = np.sqrt(2.0 * well.alpha / well.mass)
+    sigma_x = np.sqrt(1.0 / (2.0 * well.mass * omega0))
+    overlap = np.exp(-(a**2) / (2.0 * sigma_x**2))
+    return float(a), float(sigma_x), float(overlap), -(float(a) ** 2) / (2.0 * float(sigma_x) ** 2)
+
+
 class TestDeriveWell:
+    """The geometry a ``DoubleWell`` derives from (alpha, beta, m)."""
+
     def test_ammonia_geometry(self):
-        derived = derive_well(PAPER_WELL)
-        assert derived.a == pytest.approx(0.699, abs=5e-4)
-        assert derived.sigma_x == pytest.approx(0.164, abs=5e-4)
-        assert derived.overlap == pytest.approx(1.18e-4, rel=0.02)
-        assert derived.u_min == pytest.approx(-(69.29**2) / (4 * 141.73), rel=1e-12)
+        assert PAPER_WELL.a == pytest.approx(0.699, abs=5e-4)
+        assert PAPER_WELL.sigma_x == pytest.approx(0.164, abs=5e-4)
+        assert PAPER_WELL.overlap == pytest.approx(1.18e-4, rel=0.02)
+        # the well depth U(+/-a) = -alpha^2/(4 beta)
+        depth = PAPER_WELL.potential(np.array([-PAPER_WELL.a, PAPER_WELL.a]))
+        np.testing.assert_allclose(depth, -(69.29**2) / (4 * 141.73), rtol=1e-12, atol=0)
 
     def test_simple_values(self):
         # a shallow well: its overlap 0.135 is past the two-level regime
+        well = DoubleWell(2.0, 2.0, 1.0)
         with pytest.warns(UserWarning, match="overlap 0.135"):
-            derived = derive_well(DoubleWell(2.0, 2.0, 1.0))
-        assert derived.a == pytest.approx(1.0, rel=1e-12)
-        assert derived.omega0 == pytest.approx(2.0, rel=1e-12)
-        assert derived.sigma_x**2 == pytest.approx(0.25, rel=1e-12)
+            two_level_energies(well)
+        assert well.a == pytest.approx(1.0, rel=1e-12)
+        # sigma_x^2 = 1/(2 m omega0) with omega0 = sqrt(2 alpha/m) = 2
+        assert well.sigma_x**2 == pytest.approx(0.25, rel=1e-12)
 
     def test_heavy_isotope_overlap(self):
-        derived = derive_well(DoubleWell(69.29, 141.73, 4.2))
-        assert derived.overlap == pytest.approx(7.5e-6, rel=0.02)
+        assert DoubleWell(69.29, 141.73, 4.2).overlap == pytest.approx(7.5e-6, rel=0.02)
 
     def test_validity_warning(self):
         with pytest.warns(UserWarning):
-            derive_well(DoubleWell(1.0, 10.0, 1.0))
+            two_level_energies(DoubleWell(1.0, 10.0, 1.0))
+
+    @pytest.mark.parametrize("isotope", [None, "NH3", "ND3", "NT3"])
+    def test_geometry_is_the_step_by_step_formula_bitwise(self, isotope):
+        well = PAPER_WELL if isotope is None else ammonia_well(isotope)
+        got = (well.a, well.sigma_x, well.overlap, well.log_overlap)
+        assert [v.hex() for v in got] == [v.hex() for v in step_by_step_geometry(well)]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -90,19 +104,24 @@ class TestDeriveWell:
 
 class TestTwoLevelEnergies:
     def test_coincident_well_kinetic_limit(self):
-        # a -> 0: T0 tends to the single-Gaussian kinetic energy 1/(8 m sigma^2)
-        derived = WellDerived(a=1e-7, u_min=0.0, omega0=1.0, sigma_x=1.0, overlap=1.0 - 1e-14)
-        well = DoubleWell(1e-30, 1e-16, 1.0)
-        energies = two_level_energies(derived, well)
+        # a -> 0: T0 tends to the single-Gaussian kinetic energy 1/(8 m sigma^2).
+        # sigma_x = 1 at alpha = 1/8, m = 1, and beta puts a at 1e-7
+        well = DoubleWell(0.125, 0.125e14, 1.0)
+        assert well.sigma_x == 1.0 and well.a == pytest.approx(1e-7, rel=1e-12)
+        assert 1.0 - 1e-14 < well.overlap < 1.0
+        with pytest.warns(UserWarning, match="overlap 1 > 0.01"):
+            energies = two_level_energies(well)
         assert energies.t0 == pytest.approx(1.0 / 8.0, rel=1e-6)
 
     def test_degenerate_well_rejected(self):
-        derived = WellDerived(a=0.0, u_min=0.0, omega0=1.0, sigma_x=1.0, overlap=1.0)
-        with pytest.raises(DegenerateWellError):
-            two_level_energies(derived, DoubleWell(1.0, 1.0, 1.0))
+        # alpha/beta underflows to a = 0; a/sigma_x = 5e-15 rounds the overlap to 1
+        for well in (DoubleWell(1e-200, 1e200, 1.0), DoubleWell(1e-30, 1e-16, 1.0)):
+            assert well.overlap == 1.0
+            with pytest.raises(DegenerateWellError):
+                two_level_energies(well)
 
     def test_nh3_splitting(self):
-        _, _, energies = paper_energies(2.47)
+        _, energies = paper_energies(2.47)
         assert energies.splitting == pytest.approx(0.00665, rel=0.02)
         assert energies.e0 == energies.u0 + energies.t0
         assert energies.e1 == energies.u1 + energies.t1
@@ -118,14 +137,13 @@ class TestTwoLevelEnergies:
         ],
     )
     def test_splitting_matches_high_precision_difference(self, well):
-        derived = derive_well(well)
-        energies = two_level_energies(derived, well)
-        exact = high_precision_splitting(derived, well)
+        energies = two_level_energies(well)
+        exact = high_precision_splitting(well)
         assert exact > 0.0
         assert energies.splitting == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_nd3_splitting(self):
-        _, _, energies = paper_energies(4.2)
+        _, energies = paper_energies(4.2)
         assert energies.splitting == pytest.approx(0.000416, rel=0.02)
 
     def test_splitting_shrinks_with_separation(self):
@@ -133,7 +151,7 @@ class TestTwoLevelEnergies:
         previous = None
         for beta in (80.0, 120.0, 160.0, 240.0):
             well = DoubleWell(69.29, beta, 2.47)
-            energies = two_level_energies(derive_well(well), well)
+            energies = two_level_energies(well)
             if previous is not None:
                 assert energies.splitting > previous  # larger beta => smaller a => more tunneling
             previous = energies.splitting
@@ -147,22 +165,21 @@ class TestFit:
 
     def test_round_trip(self):
         well = fit_potential(0.8, 0.003, 3.0)
-        derived = derive_well(well)
-        assert derived.a == pytest.approx(0.8, rel=1e-12)
-        energies = two_level_energies(derived, well)
+        assert well.a == pytest.approx(0.8, rel=1e-12)
+        energies = two_level_energies(well)
         assert energies.splitting == pytest.approx(0.003, rel=1e-8)
 
     @pytest.mark.parametrize("target", [1e-6, 1e-10, 1e-14])
     def test_round_trip_small_splittings(self, target):
         well = fit_potential(5.0, target, 1.0)
-        energies = two_level_energies(derive_well(well), well)
+        energies = two_level_energies(well)
         assert energies.splitting == pytest.approx(target, rel=1e-10, abs=0.0)
 
     def test_forward_map_monotone(self):
         # larger alpha at fixed a gives a smaller splitting
         def splitting(alpha):
             well = DoubleWell(alpha, alpha / 0.699**2, 2.47)
-            return two_level_energies(derive_well(well), well).splitting
+            return two_level_energies(well).splitting
 
         values = [splitting(alpha) for alpha in (40.0, 60.0, 80.0, 120.0, 200.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -174,6 +191,19 @@ class TestFit:
     def test_bad_targets_rejected(self):
         with pytest.raises(ValueError):
             fit_potential(-1.0, 0.01, 1.0)
+
+    @pytest.mark.parametrize("mass", [1e-23, 1e-30, 1e-300, 5e-324])
+    def test_too_light_a_mass_is_named(self, mass):
+        # the overlap rounds to 1 at alpha = 1e-4 from m = 1e-29 down, and the
+        # fit's 2 alpha/m overflows for the lightest masses
+        with pytest.raises(FitError, match=f"mass {mass} too small"):
+            fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, mass)
+
+    @pytest.mark.parametrize("mass", [1e305, 1e308])
+    def test_too_heavy_a_mass_leaves_the_target_unreachable(self, mass):
+        # at m = 1e308 the Gaussian width 1/(2 m omega0) rounds to 0
+        with pytest.raises(FitError, match=f"target {AMMONIA_SPLITTING} unreachable"):
+            fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, mass)
 
 
 class TestUnits:
@@ -208,11 +238,11 @@ class TestGridEigensolve:
 
     def test_nh3_well_against_spectral_oracle(self):
         # independent oracle: diagonalize in a harmonic-oscillator basis
-        well, derived, energies = paper_energies(2.47)
+        well, _ = paper_energies(2.47)
         e0, e1 = grid_eigensolve(well)
         n_basis = 200
         n = np.arange(n_basis)
-        w = derived.omega0
+        w = np.sqrt(2.0 * well.alpha / well.mass)
         xmat = np.diag(np.sqrt((n[:-1] + 1) / (2.0 * well.mass * w)), 1)
         xmat = xmat + xmat.T
         x2 = xmat @ xmat
@@ -227,7 +257,7 @@ class TestGridEigensolve:
         # exact levels from above, and its splitting underestimates the
         # exact one (the ansatz decays too fast inside the barrier)
         for mass in (2.47, 4.2, 5.48):
-            well, derived, energies = paper_energies(mass)
+            well, energies = paper_energies(mass)
             e0, e1 = grid_eigensolve(well)
             assert e0 < energies.e0
             assert e1 < energies.e1
@@ -250,102 +280,93 @@ class TestGridEigensolve:
 
 class TestTwoQubit:
     def test_no_interaction_is_diagonal(self):
-        _, derived, energies = paper_energies(2.47)
-        system = build_two_qubit(energies, derived, g0=0.0)
+        well, energies = paper_energies(2.47)
+        h = build_two_qubit(energies, well, g0=0.0)
         e0, e1 = energies.e0, energies.e1
         expected = np.diag([2 * e0, e0 + e1, e0 + e1, 2 * e1])
-        assert np.max(np.abs(system.h_matrix - expected)) == 0.0
+        assert np.max(np.abs(h - expected)) == 0.0
 
     def test_separated_limit_of_matrix_elements(self):
         well = fit_potential(5.0, 1e-10, 1.0)  # very separated wells
-        derived = derive_well(well)
-        energies = two_level_energies(derived, well)
-        system = build_two_qubit(energies, derived, g0=0.3)
-        limit = -0.3 / (4.0 * np.sqrt(np.pi) * derived.sigma_x)
-        for h in (system.h1, system.h2, system.h3):
-            assert h == pytest.approx(limit, rel=1e-6)
+        energies = two_level_energies(well)
+        h = build_two_qubit(energies, well, g0=0.3)
+        limit = -0.3 / (4.0 * np.sqrt(np.pi) * well.sigma_x)
+        h1 = h[0, 0] - 2.0 * energies.e0
+        h3 = h[3, 3] - 2.0 * energies.e1
+        assert h[1, 1] - (energies.e0 + energies.e1) == pytest.approx(h[1, 2], rel=1e-12)
+        for element in (h1, h[1, 2], h3):
+            assert element == pytest.approx(limit, rel=1e-6)
 
     def test_attraction_lowers_ground_state(self):
-        _, derived, energies = paper_energies(2.47)
-        system = build_two_qubit(energies, derived, g0=0.05)
-        values = np.linalg.eigvalsh(system.h_matrix)
+        well, energies = paper_energies(2.47)
+        h = build_two_qubit(energies, well, g0=0.05)
+        values = np.linalg.eigvalsh(h)
         assert values[0] < 2.0 * energies.e0
-        assert np.max(np.abs(system.h_matrix - system.h_matrix.T)) == 0.0
+        assert np.max(np.abs(h - h.T)) == 0.0
 
     def test_product_ground_state(self):
-        _, derived, energies = paper_energies(2.47)
-        result = ground_state_entanglement(build_two_qubit(energies, derived, 0.0))
-        assert result.k == pytest.approx(1.0, abs=1e-10)
-        assert not result.degenerate
+        well, energies = paper_energies(2.47)
+        k, degenerate = ground_state_entanglement(build_two_qubit(energies, well, 0.0))
+        assert k == pytest.approx(1.0, abs=1e-10)
+        assert not degenerate
 
     def test_bell_like_state(self):
-        _, derived, energies = paper_energies(2.47)
         h = np.zeros((4, 4))
         h[0, 3] = h[3, 0] = -1.0
-        system = TwoQubitSystem(energies, 1.0, 0.0, 0.0, 0.0, h)
-        result = ground_state_entanglement(system)
-        assert result.k == pytest.approx(2.0, rel=1e-12)
+        k, _ = ground_state_entanglement(h)
+        assert k == pytest.approx(2.0, rel=1e-12)
 
     def test_entanglement_monotone_and_saturating(self):
-        _, derived, energies = paper_energies(2.47)
-        contact = 4.0 * np.sqrt(np.pi) * derived.sigma_x
+        well, energies = paper_energies(2.47)
+        contact = 4.0 * np.sqrt(np.pi) * well.sigma_x
         g_values = np.linspace(0.0, 120.0 * energies.splitting * contact, 50)
-        k_values = [
-            ground_state_entanglement(build_two_qubit(energies, derived, float(g))).k
-            for g in g_values
-        ]
+        k_values = [ground_state_entanglement(build_two_qubit(energies, well, g))[0] for g in g_values]
         assert all(b >= a - 1e-9 for a, b in zip(k_values, k_values[1:]))
         assert all(1.0 - 1e-12 <= k <= 2.0 + 1e-12 for k in k_values)
-        strong = ground_state_entanglement(
-            build_two_qubit(energies, derived, 100.0 * energies.splitting * contact)
+        strong, _ = ground_state_entanglement(
+            build_two_qubit(energies, well, 100.0 * energies.splitting * contact)
         )
-        assert strong.k > 1.9
+        assert strong > 1.9
 
     def test_repulsion_also_entangles(self):
-        _, derived, energies = paper_energies(2.47)
-        contact = 4.0 * np.sqrt(np.pi) * derived.sigma_x
-        result = ground_state_entanglement(
-            build_two_qubit(energies, derived, -100.0 * energies.splitting * contact)
+        well, energies = paper_energies(2.47)
+        contact = 4.0 * np.sqrt(np.pi) * well.sigma_x
+        k, _ = ground_state_entanglement(
+            build_two_qubit(energies, well, -100.0 * energies.splitting * contact)
         )
-        assert result.k > 1.9
+        assert k > 1.9
 
     def test_degenerate_ground_state_flagged(self):
-        _, derived, energies = paper_energies(2.47)
-        system = TwoQubitSystem(energies, 0.0, 0.0, 0.0, 0.0, np.diag([1.0, 1.0, 2.0, 3.0]))
-        result = ground_state_entanglement(system)
-        assert result.degenerate
-        assert result.k_pair is not None
+        _, degenerate = ground_state_entanglement(np.diag([1.0, 1.0, 2.0, 3.0]))
+        assert degenerate
 
     def test_stacked_sweep_is_the_scalar_loop_bitwise(self):
         well = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, AMMONIA_ISOTOPES["NH3"].mass)
-        derived = derive_well(well)
-        energies = two_level_energies(derived, well)
-        g_max = 300.0 * energies.splitting * 4.0 * np.sqrt(np.pi) * derived.sigma_x
+        energies = two_level_energies(well)
+        g_max = 300.0 * energies.splitting * 4.0 * np.sqrt(np.pi) * well.sigma_x
         g_values = np.linspace(-g_max, g_max, 101)  # the fig10 sweep
-        stack = build_two_qubit(energies, derived, g_values)
-        systems = [build_two_qubit(energies, derived, float(g)) for g in g_values]
-        assert stack.h_matrix.shape == (101, 4, 4)
-        assert stack.h_matrix.tobytes() == np.stack([s.h_matrix for s in systems]).tobytes()
-        result = ground_state_entanglement(stack)
-        loop = [ground_state_entanglement(s) for s in systems]
-        assert result.k.tobytes() == np.array([r.k for r in loop]).tobytes()
-        assert not result.degenerate.any() and result.k_pair is None
-        assert isinstance(loop[0].k, float) and loop[0].degenerate is False
+        stack = build_two_qubit(energies, well, g_values)
+        matrices = [build_two_qubit(energies, well, g) for g in g_values]
+        assert stack.shape == (101, 4, 4) and matrices[0].shape == (4, 4)
+        assert stack.tobytes() == np.stack(matrices).tobytes()
+        k, degenerate = ground_state_entanglement(stack)
+        loop = [ground_state_entanglement(h) for h in matrices]
+        assert k.tobytes() == np.array([k_one for k_one, _ in loop]).tobytes()
+        assert degenerate.shape == (101,) and not degenerate.any()
+        assert not any(flag for _, flag in loop)
 
     def test_degeneracy_flag_per_matrix(self):
-        _, derived, energies = paper_energies(2.47)
         h = np.stack([np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([1.0, 1.0, 2.0, 3.0])])
-        result = ground_state_entanglement(TwoQubitSystem(energies, 0.0, 0.0, 0.0, 0.0, h))
-        assert result.degenerate.tolist() == [False, True]
-        single = ground_state_entanglement(TwoQubitSystem(energies, 0.0, 0.0, 0.0, 0.0, h[1]))
-        assert single.degenerate and single.k_pair is not None
-        assert result.k_pair[0][1] == single.k_pair[0] and result.k_pair[1][1] == single.k_pair[1]
-        assert result.k_pair[0][0] == result.k_pair[1][0] == result.k[0]
+        k, degenerate = ground_state_entanglement(h)
+        assert degenerate.tolist() == [False, True]
+        k_single, degenerate_single = ground_state_entanglement(h[1])
+        assert degenerate_single and k[1] == k_single
+        assert k[0] == ground_state_entanglement(h[0])[0]
 
     def test_isotope_chain_ordering(self):
         splittings = []
         for name in ("NH3", "ND3", "NT3"):
-            _, _, energies = paper_energies(AMMONIA_ISOTOPES[name].mass)
+            _, energies = paper_energies(AMMONIA_ISOTOPES[name].mass)
             splittings.append(energies.splitting)
         assert splittings[0] > splittings[1] > splittings[2]
 
@@ -375,7 +396,7 @@ class TestLowestLevels:
     @pytest.mark.parametrize("isotope", ["NH3", "ND3", "NT3"])
     def test_ammonia_wells_match_lapack(self, isotope, n):
         well = ammonia_well(isotope)
-        grid = make_grid(0.0, 3.0 * derive_well(well).a, n)
+        grid = make_grid(0.0, 3.0 * well.a, n)
         u = well.potential(grid.points)
         levels = lowest_levels(u, well.mass, grid)
         np.testing.assert_allclose(levels, lapack_levels(u, well.mass, grid, 2), rtol=0, atol=1e-10)
@@ -403,7 +424,7 @@ class TestLowestLevels:
     @pytest.mark.parametrize("isotope", ["NH3", "ND3", "NT3"])
     def test_splittings_at_n_and_n_plus_32_agree(self, isotope):
         well = ammonia_well(isotope)
-        box = 3.0 * derive_well(well).a
+        box = 3.0 * well.a
 
         def splitting(n):
             grid = make_grid(0.0, box, n)
@@ -444,19 +465,16 @@ class TestLowestLevels:
 class TestUnderflowingOverlap:
     def test_subnormal_splitting_target_fits(self):
         well = fit_potential(5.0, 1e-320, 1.0)
-        derived = derive_well(well)
-        assert derived.overlap < 1e-300
-        assert np.isfinite(derived.log_overlap)
+        assert well.overlap < 1e-300
+        assert np.isfinite(well.log_overlap)
 
     def test_log_overlap_stays_finite_where_overlap_underflows(self):
         # true splitting 10^-372.5: 0.0 is the correct float
         well = DoubleWell(50.0, 1.0, 3.0)
-        derived = derive_well(well)
-        assert derived.overlap == 0.0
-        assert derived.log_overlap == pytest.approx(-(derived.a**2) / (2.0 * derived.sigma_x**2))
-        assert np.isfinite(derived.log_overlap)
-        assert two_level_energies(derived, well).splitting == 0.0
+        assert well.overlap == 0.0
+        assert well.log_overlap == pytest.approx(-(well.a**2) / (2.0 * well.sigma_x**2))
+        assert np.isfinite(well.log_overlap)
+        assert two_level_energies(well).splitting == 0.0
 
     def test_log_overlap_matches_overlap(self):
-        derived = derive_well(PAPER_WELL)
-        assert np.exp(derived.log_overlap) == pytest.approx(derived.overlap, rel=1e-15)
+        assert np.exp(PAPER_WELL.log_overlap) == pytest.approx(PAPER_WELL.overlap, rel=1e-15)
