@@ -23,12 +23,15 @@ are then checked against the type of the default they replace, so
 ``--m 5`` and the line ``m = 5`` take one path.  Parameter precedence is
 scenario defaults < config file < flags.  ``main`` returns 0 on success
 and on help, and 2 after printing one ``qmodes: error: ...`` line for a
-usage error or bad input.
+usage error or bad input.  A warning the run raises, such as the two-level
+model's overlap warning, is printed as one ``qmodes: warning: ...`` line
+and leaves the exit code as it is.
 """
 
 from __future__ import annotations
 
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,27 +144,35 @@ def _parse(argv: list[str]) -> tuple[str, str, dict]:
     return command, names[0] if wanted else command, values
 
 
+def _warning_line(message, *_):
+    """``warnings.showwarning`` for a run: the message alone, on one line."""
+    print(f"qmodes: warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if "-h" in argv or "--help" in argv:
         print(_help(argv[0] if argv[0] in _SUMMARIES else None))
         return 0
-    try:
-        command, scenario_name, flags = _parse(argv)
-        if command == "list":
-            for name, summary in list_scenarios().items():
-                print(f"{name:16s} {summary}")
-            return 0
-        config_path = flags.pop("config", None)
-        out = Path(flags.pop("out", _COMMON["out"][0]))
-        params = parse_config(config_path) if config_path is not None else {}
-        params.update({key: _value(text) for key, text in flags.items()})
-        fmt = params.pop("format", _COMMON["format"][0])
-        grid_points = params.pop("grid_points", _COMMON["grid_points"][0])
-        report = run(ScenarioConfig(scenario_name, out, fmt, grid_points, params))
-    except (ValueError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
-        print(f"qmodes: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 2
+    # the warning filters stay as they are: only how a shown warning is written changes
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            command, scenario_name, flags = _parse(argv)
+            if command == "list":
+                for name, summary in list_scenarios().items():
+                    print(f"{name:16s} {summary}")
+                return 0
+            config_path = flags.pop("config", None)
+            out = Path(flags.pop("out", _COMMON["out"][0]))
+            params = parse_config(config_path) if config_path is not None else {}
+            params.update({key: _value(text) for key, text in flags.items()})
+            fmt = params.pop("format", _COMMON["format"][0])
+            grid_points = params.pop("grid_points", _COMMON["grid_points"][0])
+            report = run(ScenarioConfig(scenario_name, out, fmt, grid_points, params))
+        except (ValueError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
+            print(f"qmodes: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return 2
 
     print(f"scenario {report.scenario}: wrote {len(report.files)} file(s) to {out}")
     for key, value in report.scalars.items():

@@ -2,7 +2,7 @@
 partial-coherence models that reduce to a detector overlap.
 
 A two-slit state with particle density matrix D in the slit basis
-(:class:`qmodes.interference.SlitState`) has the momentum pattern
+(:func:`qmodes.interference.slit_state`) has the momentum pattern
 env(p)^2 (D_00 + D_11 + 2 D_01 cos 2ap), env the Gaussian envelope of one
 slit.  Its visibility, the modulation left once the envelope is divided
 out, is read from the state, V = 2|D_01| / (D_00 + D_11), at any slit

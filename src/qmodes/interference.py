@@ -16,13 +16,15 @@ the second the Fourier transform of the first under the
 S[j, k] = q^((j - k)^2) with q = exp(-a^2 / 2 sigma^2) the overlap of
 neighbours.  The entangled state N sum_j u_j(x) v_j(xi) is thus fixed by
 the slits and the detector overlap matrix S_xi[j, k] = gamma^((j - k)^2),
-with N^2 = 1 / sum(S_x o S_xi) exactly.  For two separated slits one
+with N^2 = 1 / sum(S_x o S_xi) exactly, and it enters every result through
+one m x m array, its particle density matrix D = N^2 S_xi in the slit basis
+(:func:`slit_state`).  For two separated slits one
 number, the overlap gamma of neighbouring detector (or environment)
 states, sets the fringe visibility |gamma| and K = 2 / (1 + gamma^2): a
 which-way detector gives gamma = exp(-b^2 / 2 sigma_xi^2), the coherence
 qubit gamma = cos 2 phi, and a uniform source of size y gamma = sinc(4 y)
 (:mod:`qmodes.coherence`).  The particle marginal in either
-representation is the diagonal of U (N^2 S_xi) U^H, with U the slit basis
+representation is the diagonal of U D U^H, with U the slit basis
 sampled on the particle grid, so no detector axis is ever sampled.  In
 momentum space the joint amplitude is the product of the two Gaussian
 envelopes and the slit form factor
@@ -44,7 +46,6 @@ __all__ = [
     "MOMENTUM",
     "SlitParams",
     "DetectorParams",
-    "SlitState",
     "two_slit_norm",
     "slit_centers",
     "form_factor",
@@ -116,34 +117,6 @@ class DetectorParams:
         return float(np.exp(-self.b**2 / (2.0 * self.sigma_xi**2)))
 
 
-@dataclass(frozen=True)
-class SlitState:
-    """Particle-detector state N sum_j u_j(x) v_j(xi) over the slits of ``slits``.
-
-    The detector states v_j enter only through their real symmetric overlap
-    matrix ``detector_overlaps``, S_xi[j, k] = <v_j|v_k>.
-    """
-
-    slits: SlitParams
-    detector_overlaps: np.ndarray
-
-    def __post_init__(self):
-        s_xi = np.asarray(self.detector_overlaps, dtype=float)
-        m = self.slits.m
-        if s_xi.shape != (m, m):
-            raise ValueError(f"detector overlaps must be {m} x {m}, got shape {s_xi.shape}")
-        object.__setattr__(self, "detector_overlaps", s_xi)
-
-    @property
-    def density_matrix(self) -> np.ndarray:
-        """Particle reduced density matrix in the slit basis, D = N^2 S_xi:
-        rho_x = sum_jk D[j, k] |u_j><u_k|, with N^2 = 1 / sum(S_x o S_xi)."""
-        total = float(np.sum(self.slits.overlaps * self.detector_overlaps))
-        if not total > 0:
-            raise ValueError("joint amplitude is identically zero")
-        return self.detector_overlaps / total
-
-
 def two_slit_norm(a: float, sigma_x: float) -> float:
     """Normalization C^2 = 1 / (1 + exp(-a^2 / 2 sigma_x^2)) of the symmetric pair."""
     if not sigma_x > 0:
@@ -181,18 +154,26 @@ def _overlap_matrix(overlap: float, m: int) -> np.ndarray:
     return overlap ** (np.subtract.outer(j, j) ** 2)
 
 
-def slit_state(slits: SlitParams, overlap: float) -> SlitState:
-    """m-slit state whose neighbouring detector states overlap by gamma = ``overlap``.
+def slit_state(slits: SlitParams, overlap: float) -> np.ndarray:
+    """Particle density matrix D of the m-slit state whose neighbouring
+    detector states overlap by gamma = ``overlap``, an (m, m) array.
 
-    The detector states overlap like the slits, S_xi[j, k] = gamma^((j - k)^2).
-    gamma is ``DetectorParams.overlap`` for a which-way detector, cos 2 phi
-    for the coherence qubit and the signed ``coherence.source_coherence(y)``
-    for a uniform source; gamma = 1 leaves the particle unentangled.
-    Raises ``ValueError`` unless -1 <= gamma <= 1.
+    The state is N sum_j u_j(x) v_j(xi) with detector overlaps
+    S_xi[j, k] = <v_j|v_k> = gamma^((j - k)^2), and its particle reduced
+    density matrix in the slit basis is D = N^2 S_xi, N^2 = 1 / sum(S_x o S_xi):
+    rho_x = sum_jk D[j, k] |u_j><u_k|.  gamma is ``DetectorParams.overlap``
+    for a which-way detector, cos 2 phi for the coherence qubit and the
+    signed ``coherence.source_coherence(y)`` for a uniform source; gamma = 1
+    leaves the particle unentangled.  Raises ``ValueError`` unless
+    -1 <= gamma <= 1, and when the joint amplitude vanishes.
     """
     if not -1.0 <= overlap <= 1.0:
         raise ValueError(f"detector overlap must lie in [-1, 1], got {overlap}")
-    return SlitState(slits, _overlap_matrix(overlap, slits.m))
+    s_xi = _overlap_matrix(overlap, slits.m)
+    total = float(np.sum(slits.overlaps * s_xi))
+    if not total > 0:
+        raise ValueError("joint amplitude is identically zero")
+    return s_xi / total
 
 
 def slit_basis(slits: SlitParams, points, representation: str) -> np.ndarray:
@@ -214,7 +195,7 @@ def basis_density(basis: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Density sum_jk u_j A[j, k] conj(u_k) at each sample of the basis U.
 
     With A a density matrix in the slit basis this is the density of that
-    state where U was sampled: ``basis_density(basis, state.density_matrix)``
+    state where U was sampled: ``basis_density(basis, slit_state(slits, gamma))``
     is the particle marginal P_x(x) = Integral |psi(x, xi)|^2 dxi for a
     coordinate basis and P~_x(p_x) for a momentum one.  A is real symmetric,
     so the density is the sum over the real and the imaginary part V of U of

@@ -28,6 +28,9 @@ MAX_COUNT = 1 << 16
 # largest slit count: the m x m overlap matrices and the n x m slit basis
 # grow with it
 MAX_SLITS = 64
+# largest deviation of a matrix handed to ``eigh`` from its conjugate
+# transpose, relative to its largest entry (at least 1)
+HERMITICITY_TOL = 1e-12
 
 
 class NonHermitianError(ValueError):
@@ -89,13 +92,13 @@ def quadrature(values, grid: Grid1D):
     return trapezoid_weights(grid) @ values
 
 
-def eigh(matrix, hermiticity_tol: float = 1e-12):
+def eigh(matrix):
     """Eigendecomposition of a Hermitian matrix, values ascending.
 
     Takes one matrix or a stack of shape (..., n, n), decomposed in one
     call; ``vectors[..., :, k]`` belongs to ``values[..., k]``.  Raises
     :class:`NonHermitianError` when any matrix deviates from its conjugate
-    transpose by more than ``hermiticity_tol`` (relative to its own largest
+    transpose by more than ``HERMITICITY_TOL`` (relative to its own largest
     entry, at least 1).
     """
     h = np.asarray(matrix)
@@ -104,7 +107,7 @@ def eigh(matrix, hermiticity_tol: float = 1e-12):
     axes = (-2, -1)
     scale = np.maximum(1.0, np.max(np.abs(h), axis=axes, initial=0.0))
     dev = np.max(np.abs(h - np.swapaxes(h, -2, -1).conj()), axis=axes, initial=0.0)
-    bad = np.flatnonzero(dev > hermiticity_tol * scale)
+    bad = np.flatnonzero(dev > HERMITICITY_TOL * scale)
     if bad.size:
         where = f" {bad[0]} (flat index) of the stack" if dev.ndim else ""
         raise NonHermitianError(f"matrix{where} deviates from Hermitian by {dev.flat[bad[0]]:.3e}")

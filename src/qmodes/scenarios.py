@@ -143,18 +143,20 @@ class _Emitter:
         self.files.append(name)
         return name
 
-    def protocol(self, stem: str, protocol: tomography.ProtocolMatrix) -> str:
-        """Write ``{"b": B as [real, imaginary] pairs, "n_measurements": N,
-        "s": s}`` as JSON, streamed from the matrix without nested lists."""
+    def protocol(self, stem: str, b: np.ndarray) -> str:
+        """Write the (N, s^2) protocol matrix B as the JSON ``{"b": B as
+        [real, imaginary] pairs, "n_measurements": N, "s": s}``, streamed
+        from the matrix without nested lists."""
         name = f"{stem}.json"
         path = self.config.out_dir / name
+        s = math.isqrt(b.shape[1])
         # each row of B as its entries' (real, imaginary) pairs
-        table = np.ascontiguousarray(protocol.b, dtype=complex).view(np.float64)
+        table = np.ascontiguousarray(b, dtype=complex).view(np.float64)
         # json.dumps indents the rows of B by 4, the pairs by 6 and the numbers by 8
         pair = [b",\n        ", b"\n      ],\n      [\n        "]
         row_end = b"\n      ]\n    ],\n    [\n      [\n        "
-        seps = pair * (protocol.s**2 - 1) + [pair[0], row_end]
-        tail = f'\n      ]\n    ]\n  ],\n  "n_measurements": {len(table)},\n  "s": {protocol.s}\n}}\n'
+        seps = pair * (s**2 - 1) + [pair[0], row_end]
+        tail = f'\n      ]\n    ]\n  ],\n  "n_measurements": {len(table)},\n  "s": {s}\n}}\n'
         _save_values(path, "json", '{\n  "b": [\n    [\n      [\n        ', table, seps, tail)
         self.files.append(name)
         return name
@@ -176,16 +178,18 @@ def _coordinate_grid(m: int, a: float, sigma: float, n: int) -> Grid1D:
     return make_grid(0.0, extent + 8.0 * sigma, n)
 
 
-def _marginal(state: interference.SlitState, grid: Grid1D, representation: str) -> np.ndarray:
-    basis = interference.slit_basis(state.slits, grid.points, representation)
-    return interference.basis_density(basis, state.density_matrix)
+def _marginal(
+    slits: interference.SlitParams, density: np.ndarray, grid: Grid1D, representation: str
+) -> np.ndarray:
+    basis = interference.slit_basis(slits, grid.points, representation)
+    return interference.basis_density(basis, density)
 
 
 def _decompose(params: dict):
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
     det = interference.DetectorParams(b=params["b"], sigma_xi=params["sigma_xi"])
-    state = interference.slit_state(slits, det.overlap)
-    return slits, det, state, schmidt.schmidt(state)
+    density = interference.slit_state(slits, det.overlap)
+    return slits, det, density, schmidt.schmidt(slits, density)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +199,12 @@ def _decompose(params: dict):
 def _run_slits(config: ScenarioConfig, emit: _Emitter) -> dict:
     params = config.params
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
-    state = interference.slit_state(slits, 1.0)
+    density = interference.slit_state(slits, 1.0)
     n = config.grid_points
     pgrid = _momentum_grid(slits.sigma_x, n)
     xgrid = _coordinate_grid(slits.m, slits.a, slits.sigma_x, n)
-    mom = _marginal(state, pgrid, interference.MOMENTUM)
-    coord = _marginal(state, xgrid, interference.COORDINATE)
+    mom = _marginal(slits, density, pgrid, interference.MOMENTUM)
+    coord = _marginal(slits, density, xgrid, interference.COORDINATE)
     emit.table(f"{config.name}_momentum", ["p_x", "density"], [pgrid.points, mom])
     emit.table(f"{config.name}_coordinate", ["x", "density"], [xgrid.points, coord])
     scalars = {
@@ -215,30 +219,30 @@ def _run_slits(config: ScenarioConfig, emit: _Emitter) -> dict:
 def _run_entangled(config: ScenarioConfig, emit: _Emitter) -> dict:
     """Momentum and coordinate marginals of the entangled state; for two
     slits the fringe visibility is read from its density matrix."""
-    slits, det, state, decomp = _decompose(config.params)
+    slits, det, density, decomp = _decompose(config.params)
     if slits.m == 2:
         coherence.check_fringes(slits)
     pgrid = _momentum_grid(slits.sigma_x, config.grid_points)
-    marg = _marginal(state, pgrid, interference.MOMENTUM)
+    marg = _marginal(slits, density, pgrid, interference.MOMENTUM)
     emit.table(f"{config.name}_marginal_momentum", ["p_x", "density"], [pgrid.points, marg])
     xgrid = _coordinate_grid(slits.m, slits.a, slits.sigma_x, config.grid_points)
-    coord = _marginal(state, xgrid, interference.COORDINATE)
+    coord = _marginal(slits, density, xgrid, interference.COORDINATE)
     emit.table(f"{config.name}_marginal_coordinate", ["x", "density"], [xgrid.points, coord])
     scalars = {
         "schmidt_number": schmidt.schmidt_number(decomp.weights),
         "entropy": schmidt.entropy(decomp.weights),
         "fringe_modulation": det.overlap,
-        "visibility": coherence.visibility(state.density_matrix) if slits.m == 2 else None,
+        "visibility": coherence.visibility(density) if slits.m == 2 else None,
         "marginal_integral": quadrature(marg, pgrid),
     }
     return {k: v for k, v in scalars.items() if v is not None}
 
 
 def _run_schmidt(config: ScenarioConfig, emit: _Emitter) -> dict:
-    slits, det, state, decomp = _decompose(config.params)
+    slits, det, density, decomp = _decompose(config.params)
     pgrid = _momentum_grid(slits.sigma_x, config.grid_points)
     basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
-    marg = interference.basis_density(basis, state.density_matrix)
+    marg = interference.basis_density(basis, density)
     mixture = schmidt.reconstruct_marginal(decomp, basis)
     names = ["p_x"] + [f"mode{k}_density" for k in range(len(decomp.weights))]
     modes = [interference.basis_density(basis, np.outer(c, c)) for c in decomp.coefficients.T]
@@ -280,7 +284,7 @@ def _run_fig4(config: ScenarioConfig, emit: _Emitter) -> dict:
     pgrid = _momentum_grid(slits.sigma_x, n)
     basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
     overlaps = [interference.DetectorParams(b, params["sigma_xi"]).overlap for b in b_values]
-    densities = np.stack([interference.slit_state(slits, g).density_matrix for g in overlaps])
+    densities = np.stack([interference.slit_state(slits, g) for g in overlaps])
     names = ["p_x"]
     cols = [pgrid.points]
     scalars = {}
@@ -303,9 +307,9 @@ def _run_source(config: ScenarioConfig, emit: _Emitter) -> dict:
     cols = [pgrid.points]
     scalars = {}
     for y in y_values:
-        state = interference.slit_state(slits, coherence.source_coherence(y))
+        density = interference.slit_state(slits, coherence.source_coherence(y))
         names.append(f"density_y_{y:g}")
-        cols.append(interference.basis_density(basis, state.density_matrix))
+        cols.append(interference.basis_density(basis, density))
         scalars[f"visibility_y_{y:g}"] = coherence.source_visibility(y)
         scalars[f"schmidt_number_y_{y:g}"] = coherence.source_schmidt(y)
     emit.table(f"{config.name}_intensity", names, cols)
@@ -331,13 +335,14 @@ def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
     the sweep's Schmidt numbers come from one stacked decomposition."""
     params = config.params
     phi = params["phi"]
-    if not np.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
+    if not math.isfinite(2.0 * phi):
+        # the qubit overlap is cos 2 phi
+        raise ValueError(f"phi must be finite, and so must 2 phi, got {phi}")
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=2)
     # before any state: coincident slits have no norm at gamma = -1
     coherence.check_fringes(slits)
     phis = np.linspace(0.0, np.pi / 2.0, 17)
-    densities = np.stack([interference.slit_state(slits, np.cos(2.0 * p)).density_matrix for p in phis])
+    densities = np.stack([interference.slit_state(slits, np.cos(2.0 * p)) for p in phis])
     visibility = coherence.visibility(densities)
     k = [schmidt.schmidt_number(d.weights) for d in schmidt.schmidt_stack(slits, densities)]
     k_v = [coherence.k_from_v(v) for v in visibility]
@@ -346,7 +351,7 @@ def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
         ["phi", "visibility", "schmidt_number", "schmidt_from_v"],
         [phis, visibility, k, k_v],
     )
-    v = coherence.visibility(interference.slit_state(slits, np.cos(2.0 * phi)).density_matrix)
+    v = coherence.visibility(interference.slit_state(slits, np.cos(2.0 * phi)))
     return {
         "phi": phi,
         "visibility": v,
@@ -437,9 +442,7 @@ def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=2)
     # built first, so that a geometry it rejects leaves no file behind
     protocol = tomography.interference_protocol(slits, params["n_points"])
-    populations = tomography.ProtocolMatrix(
-        np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], dtype=complex), s=2
-    )
+    populations = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], dtype=complex)
     analysis = tomography.analyze(populations)
     pure = tomography.reconstruct(analysis, np.array([1.0, 0.0]))
     mixed = tomography.reconstruct(analysis, np.array([0.5, 0.5]))
@@ -450,7 +453,7 @@ def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
 
     ianalysis = tomography.analyze(protocol)
     rho_sym = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    p_data = np.real(protocol.b @ tomography.vectorize(rho_sym))
+    p_data = np.real(protocol @ tomography.vectorize(rho_sym))
     ireport = tomography.reconstruct(ianalysis, p_data)
     emit.protocol(f"{config.name}_interference_protocol", protocol)
     emit.json_file(

@@ -1,18 +1,20 @@
 """Schmidt decomposition of slit states and the derived information
 measures.
 
-A slit state N sum_j u_j(x) v_j(xi) (:class:`qmodes.interference.SlitState`)
-has rank at most m, and every inner product it needs is a closed-form
-overlap, so its decomposition is an m x m eigenproblem with the quadrature
-done exactly (the known-range case of Halko, Martinsson & Tropp 2011).
-With S_x = E diag(mu) E^T, the functions U E diag(mu)^(-1/2) are
-orthonormal, and in them the particle density operator is the matrix
-N^2 W^T S_xi W, W = E diag(mu)^(1/2).  Its eigenvalues are the Schmidt
-weights; its eigenvectors, mapped back through E diag(mu)^(-1/2), are the
-particle modes' coefficients in the slit basis, so the modes sampled on any
-grid are ``basis @ coefficients``.  Eigenvalues of S_x below
-``DEFAULT_TRUNCATION`` times the largest are dropped, which keeps
-overlapping slits well posed.  States of one slit geometry share S_x, so
+A slit state N sum_j u_j(x) v_j(xi), given by its slit geometry and its
+particle density matrix D = N^2 S_xi in the slit basis
+(:func:`qmodes.interference.slit_state`), has rank at most m, and every
+inner product it needs is a closed-form overlap, so its decomposition is
+an m x m eigenproblem with the quadrature done exactly (the known-range
+case of Halko, Martinsson & Tropp 2011).  With S_x = E diag(mu) E^T, the
+functions U E diag(mu)^(-1/2) are orthonormal, and in them the particle
+density operator is the matrix W^T D W, W = E diag(mu)^(1/2).  Its
+eigenvalues are the Schmidt weights; its eigenvectors, mapped back through
+E diag(mu)^(-1/2), are the particle modes' coefficients in the slit basis,
+so the modes sampled on any grid are ``basis @ coefficients``.
+Eigenvalues of S_x below ``DEFAULT_TRUNCATION`` times the largest are
+dropped, which keeps overlapping slits well posed, and so are weights
+below ``DEFAULT_TRUNCATION``.  States of one slit geometry share S_x, so
 ``schmidt_stack`` decomposes a sweep of them with one eigensolve of S_x and
 one stacked eigensolve of their reduced matrices.
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import DetectorParams, SlitParams, SlitState, basis_density
+from .interference import DetectorParams, SlitParams, basis_density
 from .numerics import eigh
 
 __all__ = [
@@ -49,6 +51,8 @@ __all__ = [
 
 DEFAULT_TRUNCATION = 1e-12
 DEGENERACY_TOL = 1e-10
+# a weight vector must sum to 1 within this
+WEIGHT_SUM_TOL = 1e-6
 
 
 class InvalidWeightsError(ValueError):
@@ -76,13 +80,13 @@ class SchmidtDecomposition:
         object.__setattr__(self, "weights", w)
 
 
-def _validate_weights(weights, tol: float = 1e-6) -> np.ndarray:
+def _validate_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InvalidWeightsError(f"expected a non-empty 1-D weight vector, got shape {w.shape}")
     if np.any(w < -1e-12):
         raise InvalidWeightsError(f"negative weight {w.min():.3e}")
-    if abs(w.sum() - 1.0) > tol:
+    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise InvalidWeightsError(f"weights sum to {w.sum():.8f}, expected 1")
     return np.clip(w, 0.0, None)
 
@@ -102,17 +106,15 @@ def analytic_two_slit_weights(slits: SlitParams, det: DetectorParams) -> tuple[f
     return float(lam0), float(lam1)
 
 
-def schmidt_stack(
-    slits: SlitParams, densities, threshold: float = DEFAULT_TRUNCATION
-) -> list[SchmidtDecomposition]:
+def schmidt_stack(slits: SlitParams, densities) -> list[SchmidtDecomposition]:
     """Schmidt decompositions of k states of one slit geometry, from their
     particle density matrices D, a (k, m, m) stack.
 
     One eigensolve of S_x serves the stack, and the k reduced matrices are
     solved in one stacked call.  LAPACK solves each matrix of a stack on its
     own, so a state's decomposition does not depend on the others in the
-    stack.  Per state, weights below ``threshold`` are dropped, but the
-    largest is always kept.
+    stack.  Per state, weights below ``DEFAULT_TRUNCATION`` are dropped, but
+    the largest is always kept.
     """
     mu, e = eigh(slits.overlaps)
     kept = mu > DEFAULT_TRUNCATION * mu[-1]
@@ -122,16 +124,17 @@ def schmidt_stack(
     back = e / np.sqrt(mu)
     decompositions = []
     for lam, vec in zip(lams[:, ::-1], vecs[:, :, ::-1]):
-        keep = max(int(np.sum(lam >= threshold)), 1)
+        keep = max(int(np.sum(lam >= DEFAULT_TRUNCATION)), 1)
         weights = lam[:keep]
         degenerate = bool(np.any(np.abs(np.diff(weights)) < DEGENERACY_TOL))
         decompositions.append(SchmidtDecomposition(weights, back @ vec[:, :keep], degenerate))
     return decompositions
 
 
-def schmidt(state: SlitState, threshold: float = DEFAULT_TRUNCATION) -> SchmidtDecomposition:
-    """Schmidt decomposition of one slit state: ``schmidt_stack`` of a stack of one."""
-    return schmidt_stack(state.slits, state.density_matrix[None], threshold)[0]
+def schmidt(slits: SlitParams, density) -> SchmidtDecomposition:
+    """Schmidt decomposition of the slit state of density matrix D =
+    ``density`` (``slit_state``): ``schmidt_stack`` of a stack of one."""
+    return schmidt_stack(slits, density[None])[0]
 
 
 def entropy(weights) -> float:

@@ -1,11 +1,12 @@
 """SVD analysis of linear measurement protocols: adequacy, completeness
 classification, regularized reconstruction and the entanglement bound.
 
-A protocol is a matrix B acting on column-stacked density matrices,
-B rho = P.  With B = U S V+ the rotated data Q = U+ P must vanish beyond
-the model rank r (adequacy); factors f = V+ rho split into r defined
-values f_j = Q_j / S_j and s^2 - r undefined ones.  Setting the undefined
-factors to zero gives the regularized solution and the bound
+A protocol is its matrix B, an (N, s^2) array acting on column-stacked
+s x s density matrices, B rho = P.  With B = U S V+ the rotated data
+Q = U+ P must vanish beyond the model rank r (adequacy); factors f = V+ rho
+split into r defined values f_j = Q_j / S_j and s^2 - r undefined ones.
+Setting the undefined factors to zero gives the regularized solution and
+the bound
 
     K <= K_max = 1 / (f+ f)
 
@@ -24,6 +25,7 @@ numbers encoded as [re, im] pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +37,6 @@ __all__ = [
     "UNCONDITIONALLY_COMPLETE",
     "CONDITIONALLY_COMPLETE",
     "INCOMPLETE",
-    "ProtocolMatrix",
     "ProtocolAnalysis",
     "ReconstructionReport",
     "InadequateDataError",
@@ -82,22 +83,6 @@ class QubitOnlyError(ValueError):
 
 
 @dataclass(frozen=True)
-class ProtocolMatrix:
-    """Measurement matrix B (N rows x s^2 columns) over column-stacked rho."""
-
-    b: np.ndarray
-    s: int
-
-    def __post_init__(self):
-        b = np.asarray(self.b)
-        if b.ndim != 2 or b.shape[1] != self.s**2:
-            raise ValueError(
-                f"matrix shape {b.shape} inconsistent with Hilbert dimension {self.s}"
-            )
-        object.__setattr__(self, "b", b)
-
-
-@dataclass(frozen=True)
 class ProtocolAnalysis:
     """SVD B = U diag(s) V+ with the numerical rank: V square, U with min(N, s^2) columns."""
 
@@ -105,7 +90,6 @@ class ProtocolAnalysis:
     v: np.ndarray = field(repr=False)
     singular_values: np.ndarray
     rank: int
-    rank_threshold: float
 
     @property
     def model_dim(self) -> int:
@@ -141,22 +125,31 @@ def devectorize(vec) -> np.ndarray:
     return vec.reshape(s, s, order="F")
 
 
-def analyze(protocol: ProtocolMatrix, rank_threshold: float = DEFAULT_RANK_THRESHOLD) -> ProtocolAnalysis:
-    """SVD of the protocol matrix with rank counted above threshold x s_max."""
-    n, model_dim = protocol.b.shape
+def analyze(b) -> ProtocolAnalysis:
+    """SVD of the protocol matrix B, rank counted above ``DEFAULT_RANK_THRESHOLD`` x s_max.
+
+    B has one row per measurement and s^2 columns, one per entry of the
+    column-stacked s x s density matrix; raises ``ValueError`` unless it is
+    2-D with a perfect-square column count.
+    """
+    b = np.asarray(b)
+    if b.ndim != 2 or math.isqrt(b.shape[1]) ** 2 != b.shape[1]:
+        raise ValueError(f"a protocol matrix has N rows and s^2 columns, got shape {b.shape}")
+    n, model_dim = b.shape
     # thin in U (N may be large); V stays square, its columns past the rank
     # span the undefined factors
-    u, s, vh = np.linalg.svd(protocol.b, full_matrices=n < model_dim)
-    rank = int(np.sum(s > rank_threshold * s[0])) if s.size and s[0] > 0 else 0
-    return ProtocolAnalysis(u, vh.conj().T, s, rank, rank_threshold)
+    u, s, vh = np.linalg.svd(b, full_matrices=n < model_dim)
+    rank = int(np.sum(s > DEFAULT_RANK_THRESHOLD * s[0])) if s.size and s[0] > 0 else 0
+    return ProtocolAnalysis(u, vh.conj().T, s, rank)
 
 
-def check_adequacy(analysis: ProtocolAnalysis, p, tol: float = DEFAULT_ADEQUACY_TOL):
+def check_adequacy(analysis: ProtocolAnalysis, p):
     """Relative norm of the data outside the protocol's column space.
 
     With U_r the first r = rank columns of U, the part P - U_r U_r+ P (the
     rotated data Q = U+ P beyond component r) must vanish for the linear
-    system to be consistent.  Returns (adequate, residual).
+    system to be consistent, within ``DEFAULT_ADEQUACY_TOL``.  Returns
+    (adequate, residual).
     """
     p = np.asarray(p)
     if p.shape[0] != analysis.u.shape[0]:
@@ -168,7 +161,7 @@ def check_adequacy(analysis: ProtocolAnalysis, p, tol: float = DEFAULT_ADEQUACY_
         return True, 0.0
     u_r = analysis.u[:, : analysis.rank]
     residual = float(np.linalg.norm(p - u_r @ (u_r.conj().T @ p)) / total)
-    return residual <= tol, residual
+    return residual <= DEFAULT_ADEQUACY_TOL, residual
 
 
 def _physical(rho: np.ndarray) -> bool:
@@ -179,9 +172,9 @@ def _physical(rho: np.ndarray) -> bool:
     return bool(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) >= -EIGENVALUE_TOL)
 
 
-def _defined_factors(analysis: ProtocolAnalysis, p, tol: float) -> tuple[np.ndarray, float]:
+def _defined_factors(analysis: ProtocolAnalysis, p) -> tuple[np.ndarray, float]:
     """Defined factors Q_j / S_j, j <= rank, of adequate data, and the adequacy residual."""
-    adequate, residual = check_adequacy(analysis, p, tol)
+    adequate, residual = check_adequacy(analysis, p)
     if not adequate:
         raise InadequateDataError(residual)
     r = analysis.rank
@@ -189,22 +182,17 @@ def _defined_factors(analysis: ProtocolAnalysis, p, tol: float) -> tuple[np.ndar
     return q / analysis.singular_values[:r], residual
 
 
-def reconstruct(
-    analysis: ProtocolAnalysis,
-    p,
-    tol: float = DEFAULT_ADEQUACY_TOL,
-    conditional_tol: float = DEFAULT_CONDITIONAL_TOL,
-) -> ReconstructionReport:
+def reconstruct(analysis: ProtocolAnalysis, p) -> ReconstructionReport:
     """Regularized linear inversion with completeness classification.
 
     Defined factors are Q_j / S_j for j <= rank; undefined factors are set
     to zero, giving the minimum-norm solution rho = V f.  K_max = 1/(f+ f)
     bounds the Schmidt number of any system-environment entanglement
     consistent with the data.  Classes: rank = s^2 is unconditionally
-    complete; otherwise |K_max - 1| <= conditional_tol is conditionally
-    complete, else incomplete.
+    complete; otherwise |K_max - 1| <= ``DEFAULT_CONDITIONAL_TOL`` is
+    conditionally complete, else incomplete.
     """
-    defined, residual = _defined_factors(analysis, p, tol)
+    defined, residual = _defined_factors(analysis, p)
     r = analysis.rank
     f = np.zeros(analysis.model_dim, dtype=complex)
     f[:r] = defined
@@ -215,7 +203,7 @@ def reconstruct(
     rho = devectorize(analysis.v @ f)
     if r == analysis.model_dim:
         completeness = UNCONDITIONALLY_COMPLETE
-    elif abs(k_max - 1.0) <= conditional_tol:
+    elif abs(k_max - 1.0) <= DEFAULT_CONDITIONAL_TOL:
         completeness = CONDITIONALLY_COMPLETE
     else:
         completeness = INCOMPLETE
@@ -236,9 +224,7 @@ _BLOCH_OFFSET = np.array([0.5, 0.0, 0.0, 0.5])
 _BLOCH_MAP = 0.5 * np.array([[0, 0, 1], [1, 1j, 0], [1, -1j, 0], [0, 0, -1]])
 
 
-def completion_purity_range(
-    analysis: ProtocolAnalysis, p, tol: float = DEFAULT_ADEQUACY_TOL
-) -> tuple[float, float]:
+def completion_purity_range(analysis: ProtocolAnalysis, p) -> tuple[float, float]:
     """Least and greatest purity tr rho^2 of the physical qubit states fitting the data.
 
     With rho = (I + r.sigma)/2, every Hermitian unit-trace state, the
@@ -246,7 +232,7 @@ def completion_purity_range(
     system in r, taken in real and imaginary rows.  Its least-norm solution
     r0 is the completion nearest the maximally mixed state, d = |r0|, and
     its eigenvalues are (1 -/+ d)/2.  The system's singular values lie in
-    [0, 1/sqrt 2], so those at most ``analysis.rank_threshold`` count as 0.
+    [0, 1/sqrt 2], so those at most ``DEFAULT_RANK_THRESHOLD`` count as 0.
     If the system leaves r free along some direction, the completions run
     from purity (1 + d^2)/2 at r0 to 1 on the Bloch sphere; if it fixes r,
     both ends are (1 + d^2)/2.  NaN, NaN means no completion: no Hermitian
@@ -255,14 +241,14 @@ def completion_purity_range(
     """
     if analysis.model_dim != 4:
         raise QubitOnlyError(f"completion range needs s = 2, got s^2 = {analysis.model_dim}")
-    factors, _ = _defined_factors(analysis, p, tol)
+    factors, _ = _defined_factors(analysis, p)
     defined = analysis.v[:, : analysis.rank].conj().T
     coeffs = defined @ _BLOCH_MAP
     rhs = factors - defined @ _BLOCH_OFFSET
     a = np.concatenate((coeffs.real, coeffs.imag))
     b = np.concatenate((rhs.real, rhs.imag))
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
-    keep = sv > analysis.rank_threshold
+    keep = sv > DEFAULT_RANK_THRESHOLD
     r0 = vt[keep].T @ (u[:, keep].T @ b / sv[keep])
     d = float(np.linalg.norm(r0))
     if np.linalg.norm(a @ r0 - b) > TRACE_TOL or (1.0 - d) / 2.0 < -EIGENVALUE_TOL:
@@ -272,8 +258,9 @@ def completion_purity_range(
     return least, (1.0 if np.count_nonzero(keep) < 3 else least)
 
 
-def interference_protocol(slits: SlitParams, n_points: int) -> ProtocolMatrix:
-    """Coordinate + momentum density sampling of the two-slit qubit space.
+def interference_protocol(slits: SlitParams, n_points: int) -> np.ndarray:
+    """Coordinate + momentum density sampling of the two-slit qubit space:
+    the protocol matrix B, (2 n_points, 4) complex.
 
     The state space is spanned by the symmetric and antisymmetric two-slit
     states (u_0 + u_1) / sqrt(2 (1 + q)) and (u_1 - u_0) / sqrt(2 (1 - q)),
@@ -320,7 +307,7 @@ def interference_protocol(slits: SlitParams, n_points: int) -> ProtocolMatrix:
         # row i is vec(phi_i phi_i^H) times the bin width, column-stacked
         outer = phi.conj()[:, :, None] * phi[:, None, :]
         blocks.append(outer.reshape(n_points, 4) * (points[1] - points[0]))
-    return ProtocolMatrix(np.vstack(blocks).astype(complex), s=2)
+    return np.vstack(blocks).astype(complex)
 
 
 # ---------------------------------------------------------------------------

@@ -334,17 +334,21 @@ def lowest_levels(potential_values, mass: float, grid: Grid1D, n_levels: int = 2
 def grid_eigensolve(well: DoubleWell) -> tuple[float, float]:
     """Two lowest double-well levels from the sinc DVR, converged in the grid.
 
-    Independent of the two-level closed forms.  The box is [-3a, 3a]; the
-    grid grows from 64 points in steps of 32 until the splittings at n and
-    n + 32 agree to 1e-9 relative, and the finer pair is returned.  Raises
-    ``UnresolvedSplittingError`` once E1 - E0 falls below 1e-10 of the
-    larger |E|, where the dense eigensolve's rounding swamps the splitting,
-    and ``InsufficientGridError`` if ``MAX_DVR_POINTS`` do not converge.
+    Independent of the two-level closed forms.  The box is [-H, H] with
+    H = max(3a, a + 8 sigma_x): the DVR converges exponentially only while
+    the wave functions vanish at the box edges, and a light, shallow well
+    still holds amplitude 1e-2 at 3a, where its splitting converges only
+    algebraically in the grid.  The grid grows from 64 points in steps of
+    32 until the splittings at n and n + 32 agree to 1e-9 relative, and the
+    finer pair is returned.  Raises ``UnresolvedSplittingError`` once
+    E1 - E0 falls below 1e-10 of the larger |E|, where the dense
+    eigensolve's rounding swamps the splitting, and
+    ``InsufficientGridError`` if ``MAX_DVR_POINTS`` do not converge.
     """
-    a = well.a
+    half_width = max(3.0 * well.a, well.a + 8.0 * well.sigma_x)
     previous = None
     for n in range(_DVR_START_POINTS, MAX_DVR_POINTS + 1, _DVR_STEP_POINTS):
-        grid = make_grid(0.0, 3.0 * a, n)
+        grid = make_grid(0.0, half_width, n)
         e0, e1 = lowest_levels(well.potential(grid.points), well.mass, grid)
         splitting = e1 - e0
         if splitting < _MIN_RELATIVE_SPLITTING * max(abs(e0), abs(e1)):

@@ -11,6 +11,7 @@ with the closed-form overlap path of ``qmodes.schmidt``.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,7 +221,8 @@ def python_text(block, seps, fmt):
 
 
 def protocol_to_dict(protocol):
-    """The JSON content of a protocol file: B's entries as [real, imaginary] pairs."""
-    b = np.asarray(protocol.b, dtype=complex)
+    """The JSON content of a protocol file of the (N, s^2) matrix B: B's
+    entries as [real, imaginary] pairs."""
+    b = np.asarray(protocol, dtype=complex)
     pairs = np.stack([b.real, b.imag], axis=-1).tolist()
-    return {"s": protocol.s, "n_measurements": b.shape[0], "b": pairs}
+    return {"s": math.isqrt(b.shape[1]), "n_measurements": b.shape[0], "b": pairs}

@@ -4,15 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmodes import cli, scenarios
+from qmodes import cli, scenarios, tunneling
 from qmodes.cli import _parse, main
-from qmodes.numerics import MAX_COUNT, MAX_SLITS
+from qmodes.numerics import MAX_COUNT, MAX_SLITS, make_grid
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = ["slits", "entangled", "schmidt", "coherence", "ammonia", "qubits", "tomography"]
@@ -431,13 +432,48 @@ def test_slits_take_no_detector_width(tmp_path, capsys):
     assert not (tmp_path / "slits_report.json").exists()
 
 
-@pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf", "1e308"])
 def test_non_finite_phi_exits_2(tmp_path, capsys, phi):
+    # the qubit overlap is cos 2 phi: at 1e308, 2 phi overflows to inf
     out = tmp_path / "out"
     assert main(["coherence", f"--phi={phi}", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("qmodes: error: phi must be finite")
     assert not (out / "coherence_sweep.csv").exists()
+
+
+# the two-level model warns past overlap 0.01; a run prints each warning as a line
+@pytest.mark.filterwarnings("always::UserWarning")
+def test_run_warnings_are_qmodes_warning_lines(tmp_path, capsys):
+    assert main(["ammonia", "--mass", "14", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"qmodes: warning: inter-well overlap {overlap} > 0.01; two-level results are unreliable"
+        for overlap in ("0.0584", "0.0246", "0.0145")
+    ]
+
+
+@pytest.mark.filterwarnings("always::UserWarning")
+def test_light_ammonia_fit_converges_fast(tmp_path, capsys):
+    # at --mass 20 the NH3 well still holds amplitude 1e-2 at 3a, where the
+    # DVR splitting converges only algebraically: 2048 points did not reach 1e-9
+    start = time.perf_counter()
+    assert main(["ammonia", "--mass", "20", "--out", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.filterwarnings("always::UserWarning")
+def test_ammonia_dvr_splittings_are_converged_in_their_box(tmp_path, capsys):
+    # the box [-H, H], H = max(3a, a + 8 sigma_x), solved once on 512 points
+    assert main(["ammonia", "--mass", "14", "--format", "json", "--out", str(tmp_path)]) == 0
+    table = json.loads((tmp_path / "ammonia_splittings.json").read_text(encoding="utf-8"))
+    columns = dict(zip(table["columns"], np.array(table["rows"]).T))
+    fitted = tunneling.fit_potential(tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, 14.0)
+    for mass, delta_e, ghz in zip(columns["mass"], columns["fd_delta_e"], columns["fd_frequency_ghz"]):
+        well = tunneling.DoubleWell(fitted.alpha, fitted.beta, mass)
+        grid = make_grid(0.0, max(3.0 * well.a, well.a + 8.0 * well.sigma_x), 512)
+        e0, e1 = tunneling.lowest_levels(well.potential(grid.points), mass, grid)
+        assert delta_e == pytest.approx(e1 - e0, rel=1e-9, abs=0.0)
+        assert ghz == pytest.approx(tunneling.splitting_to_frequency(e1 - e0), rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("message", ["", "Unable to allocate 1.00 TiB for an array"])

@@ -33,13 +33,15 @@ def fine_momentum_grid(n=4001, half=10.0):
     return make_grid(0.0, half, n)
 
 
-def momentum_marginal(state, grid):
-    basis = slit_basis(state.slits, grid.points, MOMENTUM)
-    return SampledWave(grid, basis_density(basis, state.density_matrix))
+def momentum_marginal(density, grid):
+    """The momentum marginal of the two-slit state of density matrix D = ``density``."""
+    basis = slit_basis(SLITS, grid.points, MOMENTUM)
+    return SampledWave(grid, basis_density(basis, density))
 
 
 def qubit_state(phi):
-    """The coherence qubit: the two-slit state whose qubit states overlap by cos 2 phi."""
+    """The coherence qubit's density matrix: the two-slit state whose qubit
+    states overlap by cos 2 phi."""
     return slit_state(SLITS, np.cos(2.0 * phi))
 
 
@@ -101,13 +103,14 @@ class TestVisibilityExtraction:
 
 class TestQubitCoherenceState:
     def test_zero_phase_is_product(self):
-        state = qubit_state(0.0)
-        assert np.array_equal(state.detector_overlaps, np.ones((2, 2)))
-        dec = schmidt(state)
+        density = qubit_state(0.0)
+        # the qubit states coincide: S_xi is all ones, and D = S_xi / sum(S_x o S_xi)
+        assert np.array_equal(density / density[0, 0], np.ones((2, 2)))
+        dec = schmidt(SLITS, density)
         assert schmidt_number(dec.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_phase_is_maximally_mixed(self):
-        dec = schmidt(qubit_state(np.pi / 4.0))
+        dec = schmidt(SLITS, qubit_state(np.pi / 4.0))
         assert schmidt_number(dec.weights) == pytest.approx(2.0, abs=1e-12)
 
     def test_normalization(self):
@@ -128,7 +131,7 @@ class TestQubitCoherenceState:
         for phi in np.linspace(0.0, np.pi / 2.0, 9):
             state = qubit_state(float(phi))
             v = visibility_from_intensity(momentum_marginal(state, grid), A, SIGMA)
-            k = schmidt_number(schmidt(state).weights)
+            k = schmidt_number(schmidt(SLITS, state).weights)
             weights, _, _ = grid_schmidt(qubit_grid_state(float(phi), grid))
             assert schmidt_number(weights) == pytest.approx(k, abs=1e-12)
             worst = max(worst, abs(k - k_from_v(v)))
@@ -251,7 +254,7 @@ class TestSourceState:
 
     @pytest.mark.parametrize("y", CATALOG_Y)
     def test_schmidt_number_is_the_closed_form(self, y):
-        k = schmidt_number(schmidt(slit_state(SLITS, source_coherence(y))).weights)
+        k = schmidt_number(schmidt(SLITS, slit_state(SLITS, source_coherence(y))).weights)
         assert k == pytest.approx(source_schmidt(y), rel=0.0, abs=1e-12)
 
     def test_contrast_reversal_puts_a_minimum_at_the_centre(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import protocol_to_dict, python_text
-from qmodes import scenarios, tomography
+from qmodes import scenarios
 from qmodes.text import format_rows
 
 FORMATS = ("csv", "json")
@@ -201,7 +201,7 @@ def test_repr_rows_is_pythons_repr(case, cols):
 
 def protocol(rows, s, seed=0):
     values = np.random.default_rng(seed).standard_normal((rows, s * s, 2)) * [1e-3, 1.0]
-    return tomography.ProtocolMatrix(values[..., 0] + 1j * values[..., 1], s)
+    return values[..., 0] + 1j * values[..., 1]
 
 
 @pytest.mark.parametrize("rows, s", [(1, 1), (2, 2), (3, 3), (700, 2)])
@@ -214,7 +214,7 @@ def test_protocol_file_is_json_dumps_of_the_protocol(tmp_path, rows, s):
 
 def test_protocol_with_non_finite_entries_is_written_by_json(tmp_path):
     matrix = protocol(2, 2)
-    matrix.b[1, 2] = complex(np.nan, np.inf)
+    matrix[1, 2] = complex(np.nan, np.inf)
     name = emitter(tmp_path, "json").protocol("p", matrix)
     expected = json.dumps(protocol_to_dict(matrix), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / name).read_text(encoding="utf-8") == expected

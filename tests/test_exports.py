@@ -1,6 +1,7 @@
 """Every name a ``qmodes`` module exports in ``__all__`` exists on it,
 every exported function or class of a layer module is used by the package,
-and every definition of the text kernel serves its one entry point."""
+every definition of the text kernel serves its one entry point, and every
+default of an exported function is set by some call in the package."""
 
 import ast
 import importlib
@@ -83,3 +84,55 @@ def test_every_exported_function_and_class_is_used_by_the_package(layer):
 def test_every_definition_of_the_text_kernel_serves_format_rows():
     defs = definitions(SOURCES["text"])
     assert sorted(set(defs) - reachable(defs, ["format_rows"]) - {"__all__"}) == []
+
+
+# defaults no call in the package sets: the console entry point's argv, and
+# the level count that tests read beyond the two levels the package uses
+UNSET_DEFAULTS = {"cli.main(argv)", "tunneling.lowest_levels(n_levels)"}
+
+
+def calls(node, forwarded=frozenset()):
+    """(call, the parameter names of the function it is made in) under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            args = child.args
+            yield from calls(child, frozenset(a.arg for a in args.posonlyargs + args.args + args.kwonlyargs))
+            continue
+        if isinstance(child, ast.Call):
+            yield child, forwarded
+        yield from calls(child, forwarded)
+
+
+CALLS = [entry for tree in SOURCES.values() for entry in calls(tree)]
+
+
+def called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def sets(call, forwarded, index, parameter):
+    """Whether ``call`` passes ``parameter``, its function's ``index``-th, a
+    value of its own: forwarding a parameter of the calling function is not."""
+    values = [k.value for k in call.keywords if k.arg == parameter.name]
+    if parameter.kind in (parameter.POSITIONAL_ONLY, parameter.POSITIONAL_OR_KEYWORD):
+        values += call.args[index : index + 1]
+    return any(not (isinstance(v, ast.Name) and v.id in forwarded) for v in values)
+
+
+def test_every_default_of_a_public_function_is_set_by_some_call_in_the_package():
+    # a default that no call sets is a knob: a second way to run the code that nothing runs
+    unset = set()
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        for function_name in module.__all__:
+            function = getattr(module, function_name)
+            if not inspect.isfunction(function):
+                continue
+            named = [(call, forwarded) for call, forwarded in CALLS if called_name(call) == function_name]
+            for index, parameter in enumerate(inspect.signature(function).parameters.values()):
+                if parameter.default is not parameter.empty and not any(
+                    sets(call, forwarded, index, parameter) for call, forwarded in named
+                ):
+                    unset.add(f"{name.removeprefix('qmodes.')}.{function_name}({parameter.name})")
+    assert sorted(unset - UNSET_DEFAULTS) == []

@@ -19,7 +19,6 @@ from qmodes.interference import (
     MOMENTUM,
     DetectorParams,
     SlitParams,
-    SlitState,
     basis_density,
     form_factor,
     slit_basis,
@@ -43,14 +42,14 @@ def two_slit_state_pair(b):
     return slits, det, slit_state(slits, det.overlap)
 
 
-def momentum_marginal(state, grid):
-    basis = slit_basis(state.slits, grid.points, MOMENTUM)
-    return SampledWave(grid, basis_density(basis, state.density_matrix))
+def momentum_marginal(slits, density, grid):
+    basis = slit_basis(slits, grid.points, MOMENTUM)
+    return SampledWave(grid, basis_density(basis, density))
 
 
-def coordinate_marginal(state, grid):
-    basis = slit_basis(state.slits, grid.points, COORDINATE)
-    return SampledWave(grid, basis_density(basis, state.density_matrix))
+def coordinate_marginal(slits, density, grid):
+    basis = slit_basis(slits, grid.points, COORDINATE)
+    return SampledWave(grid, basis_density(basis, density))
 
 
 def sampled_state(slits, det, particle_grid, detector_grid, representation):
@@ -151,7 +150,9 @@ class TestCenters:
         det = DetectorParams(b=0.5, sigma_xi=0.4)
         d = slit_centers(3, det.b)
         gaussian = np.exp(-np.subtract.outer(d, d) ** 2 / (8.0 * det.sigma_xi**2))
-        s_xi = slit_state(SlitParams(a=A, sigma_x=SIGMA, m=3), det.overlap).detector_overlaps
+        slits = SlitParams(a=A, sigma_x=SIGMA, m=3)
+        # D = S_xi / sum(S_x o S_xi)
+        s_xi = slit_state(slits, det.overlap) * np.sum(slits.overlaps * gaussian)
         assert np.allclose(s_xi, gaussian, rtol=1e-14, atol=0.0)
 
 
@@ -201,12 +202,12 @@ class TestFormFactor:
 class TestJointStateMomentum:
     def test_no_coupling_factorizes(self):
         # b = 0: one Schmidt mode, the normalized sum of the slit functions
-        slits, _, state = two_slit_state_pair(b=0.0)
-        dec = schmidt(state)
+        slits, _, density = two_slit_state_pair(b=0.0)
+        dec = schmidt(slits, density)
         assert dec.weights == pytest.approx([1.0], abs=1e-14)
         grid = momentum_grid()
         mode = slit_basis(slits, grid.points, MOMENTUM) @ dec.coefficients[:, 0]
-        marg = momentum_marginal(state, grid)
+        marg = momentum_marginal(slits, density, grid)
         assert np.max(np.abs(np.abs(mode) ** 2 - marg.amplitudes)) < 1e-14
 
     def test_matches_two_slit_closed_form(self):
@@ -279,7 +280,7 @@ class TestJointStateCoordinate:
     def test_zero_separation_is_product(self):
         # coincident slits: S_x is all ones, and its zero eigenvalue is dropped
         slits = SlitParams(a=1e-12, sigma_x=SIGMA, m=2)
-        dec = schmidt(slit_state(slits, DetectorParams(b=0.5, sigma_xi=0.5).overlap))
+        dec = schmidt(slits, slit_state(slits, DetectorParams(b=0.5, sigma_xi=0.5).overlap))
         assert dec.weights == pytest.approx([1.0], abs=1e-14)
         assert dec.coefficients.shape == (2, 1)
 
@@ -297,15 +298,15 @@ class TestMarginals:
         )
 
     def test_uncoupled_marginal_is_ideal_pattern(self):
-        _, _, state = two_slit_state_pair(b=0.0)
-        marg = momentum_marginal(state, momentum_grid())
+        slits, _, density = two_slit_state_pair(b=0.0)
+        marg = momentum_marginal(slits, density, momentum_grid())
         expected = two_slit_intensity(A, SIGMA, marg.grid.points)
         assert np.max(np.abs(marg.amplitudes - expected)) < 1e-14
 
     def test_closed_form_vs_numerical_integration(self):
         for b in (0.3, 0.7, 1.2):
-            _, det, state = two_slit_state_pair(b)
-            marg = momentum_marginal(state, momentum_grid())
+            slits, det, density = two_slit_state_pair(b)
+            marg = momentum_marginal(slits, density, momentum_grid())
             expected = self.closed_momentum_marginal(det, marg.grid.points)
             assert np.max(np.abs(marg.amplitudes - expected)) < 1e-14
 
@@ -314,14 +315,14 @@ class TestMarginals:
         # the detector axis integrated by quadrature on a sampled joint state
         slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
         det = DetectorParams(b=0.7, sigma_xi=0.5)
-        state = slit_state(slits, det.overlap)
+        density = slit_state(slits, det.overlap)
         pg, qg = make_grid(0.0, 9.0, 1024), make_grid(0.0, 9.0, 1024)
-        mom = momentum_marginal(state, pg).amplitudes
+        mom = momentum_marginal(slits, density, pg).amplitudes
         ref = grid_marginal(grid_state_momentum(slits, det, pg, qg))
         assert np.max(np.abs(mom - ref)) < 1e-12 * np.max(ref)
         xg = make_grid(0.0, (m - 1) * A + 8.0 * SIGMA, 1024)
         dg = make_grid(0.0, (m - 1) * det.b + 8.0 * det.sigma_xi, 1024)
-        coord = coordinate_marginal(state, xg).amplitudes
+        coord = coordinate_marginal(slits, density, xg).amplitudes
         ref = grid_marginal(grid_state_coordinate(slits, det, xg, dg))
         assert np.max(np.abs(coord - ref)) < 1e-12 * np.max(ref)
 
@@ -330,7 +331,7 @@ class TestMarginals:
         assert det.overlap == pytest.approx(np.exp(-0.98), rel=1e-15)
         slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
         grid = momentum_grid(1024)
-        marg = momentum_marginal(slit_state(slits, det.overlap), grid)
+        marg = momentum_marginal(slits, slit_state(slits, det.overlap), grid)
         flat = marg.amplitudes / np.exp(-2 * SIGMA**2 * grid.points**2)
         window = np.abs(grid.points) < 2.0
         contrast = (flat[window].max() - flat[window].min()) / (
@@ -340,8 +341,8 @@ class TestMarginals:
 
     def test_marginals_normalized(self):
         for b in (0.0, 0.5, 1.5):
-            _, _, state = two_slit_state_pair(b=b)
-            marg = momentum_marginal(state, momentum_grid())
+            slits, _, density = two_slit_state_pair(b=b)
+            marg = momentum_marginal(slits, density, momentum_grid())
             assert quadrature(marg.amplitudes, marg.grid) == pytest.approx(1.0, abs=1e-12)
             assert np.all(marg.amplitudes >= -1e-15)
 
@@ -351,9 +352,9 @@ class TestMarginals:
             slit_basis(slits, np.zeros(3), "fourier")
 
     def test_coordinate_marginal_is_two_gaussians(self):
-        _, _, state = two_slit_state_pair(b=0.5)
+        slits, _, density = two_slit_state_pair(b=0.5)
         xg = make_grid(0, 9, 1024)
-        marg = coordinate_marginal(state, xg)
+        marg = coordinate_marginal(slits, density, xg)
         x = xg.points
         halves = 0.5 * (
             np.exp(-((x - A) ** 2) / (2 * SIGMA**2)) + np.exp(-((x + A) ** 2) / (2 * SIGMA**2))
@@ -363,16 +364,17 @@ class TestMarginals:
 
     def test_coordinate_marginal_insensitive_to_b(self):
         xg = make_grid(0, 9, 512)
-        small = coordinate_marginal(two_slit_state_pair(0.0)[2], xg)
-        large = coordinate_marginal(two_slit_state_pair(2.5)[2], xg)
+        slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
+        small = coordinate_marginal(slits, two_slit_state_pair(0.0)[2], xg)
+        large = coordinate_marginal(slits, two_slit_state_pair(2.5)[2], xg)
         assert np.max(np.abs(small.amplitudes - large.amplitudes)) < 1e-10
 
 
 class TestInvariants:
     def test_visibility_equals_modulation_factor(self):
         for b in (0.0, 0.5, 1.0):
-            _, det, state = two_slit_state_pair(b)  # a / sigma_x = 10 >= 8
-            v = visibility_from_intensity(momentum_marginal(state, momentum_grid(2048)), A, SIGMA)
+            slits, det, density = two_slit_state_pair(b)  # a / sigma_x = 10 >= 8
+            v = visibility_from_intensity(momentum_marginal(slits, density, momentum_grid(2048)), A, SIGMA)
             assert v == pytest.approx(det.overlap, abs=1e-4)
 
     def test_principal_maxima_scale_m_squared(self):
@@ -380,17 +382,10 @@ class TestInvariants:
         grid = momentum_grid(4097)
         for m in (2, 3, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            marg = momentum_marginal(slit_state(slits, DetectorParams(b=0.0, sigma_xi=0.5).overlap), grid)
+            marg = momentum_marginal(slits, slit_state(slits, DetectorParams(b=0.0, sigma_xi=0.5).overlap), grid)
             peak = marg.amplitudes[np.argmin(np.abs(grid.points))]
             per_slit = single_slit_momentum_density(SIGMA, 0.0) / m
             assert peak / per_slit == pytest.approx(m**2, rel=1e-6)
-
-    def test_joint_state_shape_validation(self):
-        slits = SlitParams(a=A, sigma_x=SIGMA, m=3)
-        with pytest.raises(ValueError, match="3 x 3"):
-            SlitState(slits, np.eye(2))
-        with pytest.raises(ValueError, match="3 x 3"):
-            SlitState(slits, np.ones(3))
 
     def test_slit_param_validation(self):
         with pytest.raises(ValueError):
@@ -408,11 +403,37 @@ class TestInvariants:
             slit_state(SlitParams(a=A, sigma_x=SIGMA, m=2), overlap)
 
     def test_detector_overlap_sets_the_overlap_matrix(self):
-        # S_xi[j, k] = gamma^((j - k)^2), a signed gamma included
+        # S_xi[j, k] = gamma^((j - k)^2), a signed gamma included, read from
+        # D = S_xi / sum(S_x o S_xi)
+        slits = SlitParams(a=A, sigma_x=SIGMA, m=3)
         for gamma in (-1.0, -0.3, 0.0, 0.7, 1.0):
-            s_xi = slit_state(SlitParams(a=A, sigma_x=SIGMA, m=3), gamma).detector_overlaps
-            expected = [[1.0, gamma, gamma**4], [gamma, 1.0, gamma], [gamma**4, gamma, 1.0]]
+            expected = np.array([[1.0, gamma, gamma**4], [gamma, 1.0, gamma], [gamma**4, gamma, 1.0]])
+            s_xi = slit_state(slits, gamma) * np.sum(slits.overlaps * expected)
             np.testing.assert_allclose(s_xi, expected, rtol=1e-15, atol=0.0)
+
+    def test_state_of_zero_norm_rejected(self):
+        # coincident slits (q rounds to 1) and opposite detector states cancel
+        with pytest.raises(ValueError, match="identically zero"):
+            slit_state(SlitParams(a=1e-12, sigma_x=SIGMA, m=2), -1.0)
+
+    @pytest.mark.parametrize(
+        "m, gammas",
+        [
+            (2, [1.0]),  # fig1
+            (2, [DetectorParams(b, 0.5).overlap for b in (0.5, 0.7)]),  # fig2, fig3
+            (4, [DetectorParams(b, 0.5).overlap for b in (0.0, 0.3, 0.7, 1.5)]),  # fig4
+            (5, [DetectorParams(0.5, 0.5).overlap]),  # fig5
+            (2, [float(np.sinc(4.0 * y)) for y in (0.0, 0.0625, 0.125, 0.1875, 0.25)]),  # fig6-data
+            (2, list(np.cos(2.0 * np.linspace(0.0, np.pi / 2.0, 17)))),  # coherence
+        ],
+    )
+    def test_density_matrix_is_the_normalized_detector_overlaps_bit_for_bit(self, m, gammas):
+        slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
+        j = np.arange(m)
+        for gamma in gammas:
+            s_xi = gamma ** (np.subtract.outer(j, j) ** 2)
+            expected = s_xi / np.sum(slits.overlaps * s_xi)
+            assert slit_state(slits, gamma).tobytes() == expected.tobytes()
 
     def test_slit_count_is_capped(self):
         assert SlitParams(a=1.0, sigma_x=0.5, m=MAX_SLITS).m == 64

@@ -32,7 +32,7 @@ from qmodes.text import format_rows  # noqa: E402
 def test_weights_are_the_oracle_distribution(m, a, b, sigma_xi):
     slits = SlitParams(a=a, sigma_x=0.5, m=m)
     det = DetectorParams(b=b, sigma_xi=sigma_xi)
-    weights = schmidt(slit_state(slits, det.overlap)).weights
+    weights = schmidt(slits, slit_state(slits, det.overlap)).weights
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert 1.0 - 1e-12 <= schmidt_number(weights) <= m + 1e-12
     oracle = gram_weights_oracle(m, a, 0.5, b, sigma_xi)
@@ -57,7 +57,7 @@ def test_overlapping_slits_match_the_grid_reference(m, a, b, sigma_xi):
     # eigenvalues are dropped
     slits = SlitParams(a=a, sigma_x=0.5, m=m)
     det = DetectorParams(b=b, sigma_xi=sigma_xi)
-    weights = schmidt(slit_state(slits, det.overlap)).weights
+    weights = schmidt(slits, slit_state(slits, det.overlap)).weights
     assert weights.sum() == pytest.approx(1.0, abs=1e-10)
     assert 1.0 - 1e-12 <= schmidt_number(weights) <= m + 1e-12
     oracle = gram_weights_oracle(m, a, 0.5, b, sigma_xi)
@@ -79,7 +79,7 @@ def test_overlapping_slits_match_the_grid_reference(m, a, b, sigma_xi):
 )
 def test_schmidt_number_grows_with_coupling(m, a, sigma_xi, bs):
     slits = SlitParams(a=a, sigma_x=0.5, m=m)
-    ks = [schmidt_number(schmidt(slit_state(slits, DetectorParams(b, sigma_xi).overlap)).weights) for b in sorted(bs)]
+    ks = [schmidt_number(schmidt(slits, slit_state(slits, DetectorParams(b, sigma_xi).overlap)).weights) for b in sorted(bs)]
     assert all(k2 >= k1 - 1e-9 for k1, k2 in zip(ks, ks[1:]))
     assert all(1.0 - 1e-12 <= k <= m + 1e-12 for k in ks)
 
@@ -95,24 +95,24 @@ def test_separated_slits_reach_m_modes(m, separation, sigma_xi, bs):
     # a >= 6 sigma_x: the slit overlaps are <= exp(-4.5), so the weights
     # approach 1/m once the detector states are orthogonal
     slits = SlitParams(a=separation * 0.5, sigma_x=0.5, m=m)
-    ks = [schmidt_number(schmidt(slit_state(slits, DetectorParams(b, sigma_xi).overlap)).weights) for b in sorted(bs)]
+    ks = [schmidt_number(schmidt(slits, slit_state(slits, DetectorParams(b, sigma_xi).overlap)).weights) for b in sorted(bs)]
     assert all(k2 >= k1 - 1e-9 for k1, k2 in zip(ks, ks[1:]))
-    k_far = schmidt_number(schmidt(slit_state(slits, DetectorParams(20.0 * sigma_xi, sigma_xi).overlap)).weights)
+    k_far = schmidt_number(schmidt(slits, slit_state(slits, DetectorParams(20.0 * sigma_xi, sigma_xi).overlap)).weights)
     assert m * (1.0 - 1e-3) <= k_far <= m + 1e-12
 
 
-def one_state_weights(state):
+def one_state_weights(slits, density):
     """Schmidt weights of one state from 2-D products and eigensolves only."""
-    mu, e = np.linalg.eigh(state.slits.overlaps)
+    mu, e = np.linalg.eigh(slits.overlaps)
     kept = mu > DEFAULT_TRUNCATION * mu[-1]
     half = e[:, kept] * np.sqrt(mu[kept])
-    lam = np.linalg.eigh(half.T @ state.density_matrix @ half)[0][::-1]
+    lam = np.linalg.eigh(half.T @ density @ half)[0][::-1]
     return lam[: max(int(np.sum(lam >= DEFAULT_TRUNCATION)), 1)]
 
 
-def decomposes(state):
+def decomposes(slits, density):
     try:
-        schmidt(state)
+        schmidt(slits, density)
     except NonHermitianError:
         return False
     return True
@@ -134,20 +134,19 @@ def number_or_invalid(weights):
 )
 def test_stacked_decompositions_are_each_states_bit_for_bit(m, ratio, gammas):
     slits = SlitParams(a=0.5 * ratio, sigma_x=0.5, m=m)
-    states = [slit_state(slits, g) for g in gammas]
-    densities = np.stack([s.density_matrix for s in states])
+    states = np.stack([slit_state(slits, g) for g in gammas])
     # twice a density matrix has weights that sum to 2: invalid in the stack too
-    densities = np.concatenate([densities, 2.0 * densities[:1]])
-    if not all(map(decomposes, states)):
+    densities = np.concatenate([states, 2.0 * states[:1]])
+    if not all(decomposes(slits, density) for density in states):
         # near gamma = -1 overlapping slits leave a state of tiny norm, whose
         # reduced matrix rounds too far from symmetric; the stack says so too
         with pytest.raises(NonHermitianError):
             schmidt_stack(slits, densities)
         return
     stacked = schmidt_stack(slits, densities)
-    for state, dec in zip(states, stacked):
-        single = schmidt(state)
-        assert dec.weights.tobytes() == single.weights.tobytes() == one_state_weights(state).tobytes()
+    for density, dec in zip(states, stacked):
+        single = schmidt(slits, density)
+        assert dec.weights.tobytes() == single.weights.tobytes() == one_state_weights(slits, density).tobytes()
         assert dec.coefficients.tobytes() == single.coefficients.tobytes()
         assert dec.degenerate == single.degenerate
         assert number_or_invalid(dec.weights) == number_or_invalid(single.weights)

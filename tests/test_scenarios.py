@@ -136,7 +136,7 @@ def test_coherence_sweep_is_each_states_schmidt_number_and_visibility(tmp_path):
     rows = table_rows(tmp_path, "coherence_sweep")
     slits = SlitParams(a=5.0, sigma_x=0.5, m=2)
     gammas = np.cos(2.0 * rows[:, 0])
-    k = [schmidt_number(schmidt(slit_state(slits, g)).weights) for g in gammas]
+    k = [schmidt_number(schmidt(slits, slit_state(slits, g)).weights) for g in gammas]
     assert rows[:, 2].tobytes() == np.array(k).tobytes()
     assert np.max(np.abs(rows[:, 1] - np.abs(gammas))) <= 2.3e-16
 
@@ -170,5 +170,5 @@ def test_written_patterns_fit_to_their_states_visibility(tmp_path, n):
     slits = SlitParams(a=5.0, sigma_x=0.5, m=2)
     basis = slit_basis(slits, grid.points, MOMENTUM)
     for phi, v in rows[:, :2]:
-        pattern = basis_density(basis, slit_state(slits, np.cos(2.0 * phi)).density_matrix)
+        pattern = basis_density(basis, slit_state(slits, np.cos(2.0 * phi)))
         assert abs(fitted(pattern) - v) <= 1e-4, phi

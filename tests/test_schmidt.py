@@ -38,9 +38,9 @@ def modes_on(grid, slits, dec):
     return slit_basis(slits, grid.points, MOMENTUM) @ dec.coefficients
 
 
-def momentum_marginal(state, grid):
-    basis = slit_basis(state.slits, grid.points, MOMENTUM)
-    return SampledWave(grid, basis_density(basis, state.density_matrix))
+def momentum_marginal(slits, density, grid):
+    basis = slit_basis(slits, grid.points, MOMENTUM)
+    return SampledWave(grid, basis_density(basis, density))
 
 
 class TestAnalyticTwoSlit:
@@ -90,7 +90,7 @@ class TestNumericalSchmidt:
     and the grid reference's QR + SVD of a sampled joint state."""
 
     def test_two_slit_reference_case(self):
-        dec = schmidt(slit_state(FIG3_SLITS, FIG3_DET.overlap))
+        dec = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, FIG3_DET.overlap))
         lam0, lam1 = analytic_two_slit_weights(FIG3_SLITS, FIG3_DET)
         assert len(dec.weights) == 2
         assert abs(dec.weights[0] - lam0) < 1e-14
@@ -100,7 +100,7 @@ class TestNumericalSchmidt:
 
     def test_five_slit_reference_case(self):
         slits = SlitParams(a=A, sigma_x=SIGMA, m=5)
-        dec = schmidt(slit_state(slits, FIG3_DET.overlap))
+        dec = schmidt(slits, slit_state(slits, FIG3_DET.overlap))
         oracle = gram_weights_oracle(5, A, SIGMA, 0.5, 0.5)
         assert len(dec.weights) == 5
         assert np.max(np.abs(dec.weights - oracle)) < 1e-14
@@ -115,7 +115,7 @@ class TestNumericalSchmidt:
         for m, b in ((2, 0.3), (3, 0.5), (4, 0.8), (6, 0.25)):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
             det = DetectorParams(b=b, sigma_xi=0.5)
-            dec = schmidt(slit_state(slits, det.overlap))
+            dec = schmidt(slits, slit_state(slits, det.overlap))
             grid, _, _ = grid_schmidt(grid_state_momentum(slits, det, *momentum_grids(384)))
             oracle = gram_weights_oracle(m, A, SIGMA, b, 0.5)
             assert np.max(np.abs(dec.weights - oracle[: len(dec.weights)])) < 1e-14
@@ -124,24 +124,23 @@ class TestNumericalSchmidt:
     def test_uncoupled_state_single_weight(self):
         for m in (2, 3, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            dec = schmidt(slit_state(slits, DetectorParams(0.0, 0.5).overlap))
+            dec = schmidt(slits, slit_state(slits, DetectorParams(0.0, 0.5).overlap))
             assert len(dec.weights) == 1
             assert dec.weights[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_weight_count_is_m_for_coupled_states(self):
         for m in (2, 3, 4, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            dec = schmidt(slit_state(slits, FIG3_DET.overlap), threshold=1e-10)
+            dec = schmidt(slits, slit_state(slits, FIG3_DET.overlap))
             assert len(dec.weights) == m
 
     def test_weights_sum_to_one_and_modes_orthonormal(self):
         for m in (2, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            state = slit_state(slits, FIG3_DET.overlap)
-            dec = schmidt(state)
+            dec = schmidt(slits, slit_state(slits, FIG3_DET.overlap))
             assert dec.weights.sum() == pytest.approx(1.0, abs=1e-14)
             c = dec.coefficients
-            assert np.max(np.abs(c.T @ state.slits.overlaps @ c - np.eye(m))) < 1e-13
+            assert np.max(np.abs(c.T @ slits.overlaps @ c - np.eye(m))) < 1e-13
             pg, _ = momentum_grids()
             modes = modes_on(pg, slits, dec)
             overlaps = modes.conj().T @ (trapezoid_weights(pg)[:, None] * modes)
@@ -149,7 +148,7 @@ class TestNumericalSchmidt:
 
     def test_modes_match_analytic(self):
         pg, dg = momentum_grids()
-        dec = schmidt(slit_state(FIG3_SLITS, FIG3_DET.overlap))
+        dec = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, FIG3_DET.overlap))
         _, modes_x, _ = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
         modes = modes_on(pg, FIG3_SLITS, dec)
         for k in range(2):
@@ -163,7 +162,7 @@ class TestNumericalSchmidt:
             for b in np.arange(0.0, 2.01, 0.25):
                 slits = SlitParams(a=float(a), sigma_x=0.5, m=2)
                 det = DetectorParams(b=float(b), sigma_xi=0.5)
-                weights = schmidt(slit_state(slits, det.overlap)).weights
+                weights = schmidt(slits, slit_state(slits, det.overlap)).weights
                 lam = np.array(analytic_two_slit_weights(slits, det))[: len(weights)]
                 grid, _, _ = grid_schmidt(grid_state_momentum(slits, det, pg, dg))
                 worst = max(worst, np.max(np.abs(weights - lam)))
@@ -176,7 +175,7 @@ class TestNumericalSchmidt:
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
             previous_k, previous_s = None, None
             for b in np.arange(0.0, 3.01, 0.5):
-                dec = schmidt(slit_state(slits, DetectorParams(b=float(b), sigma_xi=0.5).overlap))
+                dec = schmidt(slits, slit_state(slits, DetectorParams(b=float(b), sigma_xi=0.5).overlap))
                 k = schmidt_number(dec.weights)
                 s = entropy(dec.weights)
                 assert k <= m + 1e-9
@@ -188,7 +187,7 @@ class TestNumericalSchmidt:
 
     def test_representation_invariance(self):
         # the grid reference gives the same weights from either representation
-        dec = schmidt(slit_state(FIG3_SLITS, FIG3_DET.overlap))
+        dec = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, FIG3_DET.overlap))
         mom, _, _ = grid_schmidt(grid_state_momentum(FIG3_SLITS, FIG3_DET, *momentum_grids(512)))
         xg, dg = make_grid(0, 10, 512), make_grid(0, 5.5, 512)
         coord, _, _ = grid_schmidt(grid_state_coordinate(FIG3_SLITS, FIG3_DET, xg, dg))
@@ -199,7 +198,7 @@ class TestNumericalSchmidt:
     def test_degenerate_weights_flagged(self):
         slits = SlitParams(a=8.0, sigma_x=0.5, m=2)
         det = DetectorParams(b=8.0, sigma_xi=0.5)
-        dec = schmidt(slit_state(slits, det.overlap))
+        dec = schmidt(slits, slit_state(slits, det.overlap))
         assert dec.degenerate
         assert np.allclose(dec.weights, 0.5, atol=1e-10)
 
@@ -210,7 +209,7 @@ class TestNumericalSchmidt:
         slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
         for b in (0.0, 0.3, 0.7, 1.5):
             det = DetectorParams(b, 0.5)
-            dec = schmidt(slit_state(slits, det.overlap))
+            dec = schmidt(slits, slit_state(slits, det.overlap))
             grid, _, _ = grid_schmidt(grid_state_momentum(slits, det, pg, dg))
             rank = m if b > 0 else 1
             assert len(dec.weights) == len(grid) == rank
@@ -279,14 +278,14 @@ class TestMixtureAndDensity:
         pg, _ = momentum_grids()
         for m in (2, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            state = slit_state(slits, FIG3_DET.overlap)
-            mixture = reconstruct_marginal(schmidt(state), slit_basis(slits, pg.points, MOMENTUM))
-            direct = momentum_marginal(state, pg)
+            density = slit_state(slits, FIG3_DET.overlap)
+            mixture = reconstruct_marginal(schmidt(slits, density), slit_basis(slits, pg.points, MOMENTUM))
+            direct = momentum_marginal(slits, density, pg)
             assert np.max(np.abs(mixture - direct.amplitudes)) < 1e-14
 
     def test_single_mode_mixture(self):
         pg, _ = momentum_grids()
-        dec = schmidt(slit_state(FIG3_SLITS, DetectorParams(0.0, 0.5).overlap))
+        dec = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, DetectorParams(0.0, 0.5).overlap))
         mixture = reconstruct_marginal(dec, slit_basis(FIG3_SLITS, pg.points, MOMENTUM))
         mode_sq = np.abs(modes_on(pg, FIG3_SLITS, dec)[:, 0]) ** 2
         assert np.max(np.abs(mixture - mode_sq * dec.weights[0])) < 1e-12
@@ -295,5 +294,5 @@ class TestMixtureAndDensity:
         pg, dg = momentum_grids()
         weights, modes_x, _ = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
         mixture = sum(lam * np.abs(mode.amplitudes) ** 2 for lam, mode in zip(weights, modes_x))
-        direct = momentum_marginal(slit_state(FIG3_SLITS, FIG3_DET.overlap), pg)
+        direct = momentum_marginal(FIG3_SLITS, slit_state(FIG3_SLITS, FIG3_DET.overlap), pg)
         assert np.max(np.abs(mixture - direct.amplitudes)) < 1e-8

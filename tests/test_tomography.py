@@ -8,7 +8,6 @@ from qmodes import tomography
 from qmodes.interference import COORDINATE, MOMENTUM, SlitParams, slit_basis
 from qmodes.numerics import Grid1D, make_grid
 from qmodes.tomography import (
-    ProtocolMatrix,
     QubitOnlyError,
     analyze,
     completion_purity_range,
@@ -50,12 +49,12 @@ def grid_scan(analysis, p, points=21):
 
 def populations():
     b = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], dtype=complex)
-    return analyze(ProtocolMatrix(b, s=2))
+    return analyze(b)
 
 
 def observable_protocol(observables):
     """Rows conj(vec(E)), so that B vec(rho) = tr(E rho) for Hermitian E."""
-    return analyze(ProtocolMatrix(np.array([vectorize(e).conj() for e in observables]), s=2))
+    return analyze(np.array([vectorize(e).conj() for e in observables]))
 
 
 def test_mixed_populations_span_half_to_full_purity():
@@ -71,7 +70,7 @@ def test_interference_protocol_fixes_a_single_point():
     protocol = tomography.interference_protocol(SlitParams(a=5.0, sigma_x=0.5, m=2), 32)
     analysis = analyze(protocol)
     assert analysis.rank == 4
-    p = np.real(protocol.b @ vectorize(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)))
+    p = np.real(protocol @ vectorize(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)))
     count, scan_min, scan_max = grid_scan(analysis, p)
     assert count == 1
     lo, hi = completion_purity_range(analysis, p)
@@ -97,7 +96,7 @@ def test_protocol_rows_give_the_densities_of_a_complex_superposition():
     a, sigma, n = 1.0, 0.5, 32
     protocol = tomography.interference_protocol(SlitParams(a=a, sigma_x=sigma, m=2), n)
     v = np.array([1.0, 1j]) / np.sqrt(2.0)
-    predicted = np.real(protocol.b @ vectorize(np.outer(v, v.conj())))
+    predicted = np.real(protocol @ vectorize(np.outer(v, v.conj())))
 
     x = np.linspace(-(a + 5.0 * sigma), a + 5.0 * sigma, n)
     p_max = min(2.0 / sigma, n * np.pi / (8.0 * a))
@@ -143,9 +142,15 @@ def test_no_completion_gives_nan(p):
 
 
 def test_non_qubit_protocol_rejected():
-    analysis = analyze(ProtocolMatrix(np.eye(9, dtype=complex)[:2], s=3))
+    analysis = analyze(np.eye(9, dtype=complex)[:2])
     with pytest.raises(QubitOnlyError, match="s = 2"):
         completion_purity_range(analysis, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("b", [np.ones(4), np.ones((3, 5))], ids=["1-D", "3x5"])
+def test_protocol_matrix_must_be_2d_with_square_column_count(b):
+    with pytest.raises(ValueError, match="s\\^2 columns"):
+        analyze(b)
 
 
 def test_inadequate_data_still_raises():
@@ -221,7 +226,7 @@ def test_protocol_rows_match_high_precision_states(a):
             phi = [u / norm for u, norm in zip(states(mpmath.mpf(t)), norms)]
             rows.append([mpmath.conj(phi[j]) * phi[k] * width for j in (0, 1) for k in (0, 1)])
     expected = np.array([[complex(v) for v in row] for row in rows])
-    assert np.max(np.abs(protocol.b - expected)) < 1e-13 * np.max(np.abs(expected))
+    assert np.max(np.abs(protocol - expected)) < 1e-13 * np.max(np.abs(expected))
     assert analyze(protocol).rank == 4
 
 
@@ -229,7 +234,7 @@ def test_analysis_keeps_u_thin_and_the_residual_of_the_full_svd():
     protocol = tomography.interference_protocol(SlitParams(a=5.0, sigma_x=0.5, m=2), 64)
     analysis = analyze(protocol)
     assert analysis.u.shape == (128, 4) and analysis.v.shape == (4, 4)
-    u_full = np.linalg.svd(protocol.b, full_matrices=True)[0]
+    u_full = np.linalg.svd(protocol, full_matrices=True)[0]
     p = np.random.default_rng(3).standard_normal(128)
     q = u_full.conj().T @ p
     full_residual = np.linalg.norm(q[analysis.rank :]) / np.linalg.norm(q)
