@@ -6,26 +6,27 @@ Grammar::
     qmodes figures NAME [--key value | --key=value]...
     qmodes <command> [--key value | --key=value]...
 
-``figures NAME`` runs the named catalog preset, ``list`` prints the
-catalog, and each other command runs the scenario of that name.  Every run
-takes the flags ``--config``, ``--out``, ``--format`` and
-``--grid-points``; a scenario command also takes one flag per key of its
-scenario's defaults.  A flag is its key's exact long name with ``-`` for
-``_`` (``--sigma-x`` sets ``sigma_x``; abbreviations are not accepted),
-and the token after it is always its value, so ``--phi -1e-3`` works.
-NAME may stand before or after the flags; ``-h`` or ``--help`` anywhere
-prints help.  ``--g0-max 0``, the qubits default, means auto, the coupling
-range derived from the fitted well.
+``list`` prints the catalog: the figure presets, then the commands.
+``figures NAME`` runs the preset or command NAME, and each other command
+runs the computation of that name (``scenarios.FIGURES`` and
+``scenarios.COMPUTATIONS``).  Every run takes the flags ``--config``,
+``--out``, ``--format`` and ``--grid-points``; a command also takes one
+flag per key of its computation's defaults.  A flag is its key's exact long
+name with ``-`` for ``_`` (``--sigma-x`` sets ``sigma_x``; abbreviations
+are not accepted), and the token after it is always its value, so ``--phi
+-1e-3`` works.  NAME may stand before or after the flags; ``-h`` or
+``--help`` anywhere prints help.  ``--g0-max 0``, the qubits default, means
+auto, the coupling range derived from the fitted well.
 
 The config file is flat ``key = value`` text with ``#`` comments.  Flag
 values are read like config values (int, else float, else text) and both
 are then checked against the type of the default they replace, so
 ``--m 5`` and the line ``m = 5`` take one path.  Parameter precedence is
-scenario defaults < config file < flags.  ``main`` returns 0 on success
-and on help, and 2 after printing one ``qmodes: error: ...`` line for a
-usage error or bad input.  A warning the run raises, such as the two-level
-model's overlap warning, is printed as one ``qmodes: warning: ...`` line
-and leaves the exit code as it is.
+computation defaults < a preset's overrides < config file < flags.
+``main`` returns 0 on success and on help, and 2 after printing one
+``qmodes: error: ...`` line for a usage error or bad input.  A warning the
+run raises, such as the two-level model's overlap warning, is printed as
+one ``qmodes: warning: ...`` line and leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -36,16 +37,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenarios import SCENARIOS, ScenarioConfig, list_scenarios, run
+from .scenarios import COMPUTATIONS, ScenarioConfig, list_scenarios, run
 
 __all__ = ["main", "parse_config"]
 
-# scenarios with a command of their own
-_COMMANDS = ("slits", "entangled", "schmidt", "coherence", "ammonia", "qubits", "tomography")
 _SUMMARIES = {
     "list": "print the scenario catalog",
     "figures": "run a named figure-data scenario",
-    **{name: f"run the {name} scenario" for name in _COMMANDS},
+    # the commands: the computations with a `qmodes list` summary
+    **{name: f"run the {name} scenario" for name, (*_, summary) in COMPUTATIONS.items() if summary},
 }
 # flags every run takes: key -> (default, help)
 _COMMON = {
@@ -86,8 +86,8 @@ def parse_config(path: Path) -> dict:
 def _flags(command: str) -> dict:
     """Flag name -> (key, default, help) of the flags ``command`` takes."""
     table = {} if command == "list" else dict(_COMMON)
-    if command in _COMMANDS:
-        table.update({key: (default, "") for key, default in SCENARIOS[command].defaults.items()})
+    if command in COMPUTATIONS:
+        table.update({key: (default, "") for key, default in COMPUTATIONS[command][1].items()})
     return {"--" + key.replace("_", "-"): (key, *entry) for key, entry in table.items()}
 
 

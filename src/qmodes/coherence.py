@@ -37,7 +37,6 @@ __all__ = [
     "check_fringes",
     "visibility",
     "k_from_v",
-    "v_from_k",
     "entropy_from_v",
     "source_coherence",
     "source_visibility",
@@ -78,14 +77,6 @@ def k_from_v(v: float) -> float:
     if not -1e-12 <= v <= 1.0 + 1e-12:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
     return 2.0 / (1.0 + min(max(v, 0.0), 1.0) ** 2)
-
-
-def v_from_k(k: float) -> float:
-    """Visibility of a two-mode state with Schmidt number k: V = sqrt((2-k)/k)."""
-    if not 1.0 - 1e-12 <= k <= 2.0 + 1e-12:
-        raise ValueError(f"two-mode Schmidt number must lie in [1, 2], got {k}")
-    k = min(max(k, 1.0), 2.0)
-    return float(np.sqrt((2.0 - k) / k))
 
 
 def entropy_from_v(v: float) -> float:

@@ -48,7 +48,6 @@ __all__ = [
     "DetectorParams",
     "two_slit_norm",
     "slit_centers",
-    "form_factor",
     "slit_state",
     "slit_basis",
     "basis_density",
@@ -132,20 +131,6 @@ def slit_centers(m: int, a: float) -> np.ndarray:
     if m < 1:
         raise ValueError(f"slit count must be >= 1, got {m}")
     return (2.0 * np.arange(m) - (m - 1)) * a
-
-
-def form_factor(eta, m: int) -> np.ndarray | float:
-    """Multi-slit amplitude factor sin(m eta) / sin(eta).
-
-    Evaluated as the cosine sum sum_k cos((m - 1 - 2k) eta), which has no
-    removable singularity and no cancellation near eta = k pi, where F = +/-m.
-    |F| <= m everywhere and F(eta + pi) = (-1)^(m-1) F(eta).
-    """
-    if m < 1:
-        raise ValueError(f"slit count must be >= 1, got {m}")
-    eta_arr = np.asarray(eta, dtype=float)
-    out = sum(np.cos((m - 1 - 2 * k) * eta_arr) for k in range(m))
-    return out if out.ndim else float(out)
 
 
 def _overlap_matrix(overlap: float, m: int) -> np.ndarray:

@@ -1,10 +1,16 @@
 """Scenario catalog: deterministic reproduction of the reference figure
 data and parametric runs of every subsystem.
 
-Each scenario writes plot-ready two-column (or multi-column) CSV/JSON data
-files plus a JSON run report with the computed scalars.  Output is
-byte-identical across repeated runs with the same configuration; the wall
-time is echoed to the console but kept out of the serialized report.
+The catalog is two tables.  ``COMPUTATIONS`` holds the ten computations,
+each with its runner and defaults; the seven with a ``qmodes list`` summary
+are commands, run under their own name.  ``FIGURES`` holds the figure
+presets, each a computation with overrides of its defaults (``fig5`` is
+``schmidt`` with ``m = 5``).  :func:`run` takes a preset's or a command's
+name and writes plot-ready two-column (or multi-column) CSV/JSON data files
+plus a JSON run report with the computed scalars, all named after it.
+Output is byte-identical across repeated runs with the same configuration;
+the wall time is echoed to the console but kept out of the serialized
+report.
 
 Data tables are float64 columns of equal length.  A CSV table is the
 comma-joined header line followed by one ``%.12g`` comma-separated line per
@@ -26,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +42,7 @@ from . import coherence, interference, schmidt, tomography, tunneling
 from .numerics import MAX_COUNT, Grid1D, make_grid, quadrature
 from .text import format_rows
 
-__all__ = ["ScenarioConfig", "RunReport", "run", "list_scenarios", "SCENARIOS"]
+__all__ = ["ScenarioConfig", "RunReport", "run", "list_scenarios", "COMPUTATIONS", "FIGURES"]
 
 # values formatted per write: bounds the kernel's temporaries, about 150
 # bytes a value for CSV and 300 for JSON
@@ -275,7 +282,7 @@ def _run_schmidt(config: ScenarioConfig, emit: _Emitter) -> dict:
     return scalars
 
 
-def _run_fig4(config: ScenarioConfig, emit: _Emitter) -> dict:
+def _run_detector_sweep(config: ScenarioConfig, emit: _Emitter) -> dict:
     """Momentum marginals at four detector offsets b, decomposed in one stack."""
     params = config.params
     n = config.grid_points
@@ -474,111 +481,93 @@ def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# catalog: each scenario's defaults name every parameter it takes, and a
+# catalog: each computation's defaults name every parameter it takes, and a
 # default's type is the parameter's type (flags and config values included)
 
 _SLIT_DEFAULTS = {"m": 2, "a": 5.0, "sigma_x": 0.5}
 _TWO_SLIT_DEFAULTS = {"m": 2, "a": 5.0, "b": 0.5, "sigma_x": 0.5, "sigma_xi": 0.5}
 _NH3_MASS = tunneling.AMMONIA_ISOTOPES["NH3"].mass
-# g0_max = 0 (auto) sweeps the reduced coupling g0 / (contact * splitting) over +/-300
-_QUBIT_DEFAULTS = {"mass": _NH3_MASS, "g0_max": 0.0, "n_sweep": 101}
-_TOMOGRAPHY_DEFAULTS = {"a": 5.0, "sigma_x": 0.5, "n_points": 32}
 
-
-@dataclass(frozen=True)
-class _Scenario:
-    summary: str
-    runner: object
-    defaults: dict
-
-
-SCENARIOS: dict[str, _Scenario] = {
-    "fig1": _Scenario(
-        "two-slit coordinate and momentum densities (a=5, sigma_x=0.5)",
+# name -> (runner, defaults, `qmodes list` summary).  A computation with a
+# summary is a command: `qmodes <name>` runs it with one flag per default.
+COMPUTATIONS: dict[str, tuple[Callable, dict, str | None]] = {
+    "slits": (
         _run_slits,
         _SLIT_DEFAULTS,
-    ),
-    "fig2": _Scenario(
-        "which-way damping of the two-slit fringes (b=0.7 marginal)",
-        _run_entangled,
-        {**_TWO_SLIT_DEFAULTS, "b": 0.7},
-    ),
-    "fig3": _Scenario(
-        "two-slit Schmidt modes and weights (a=5, b=0.5 reference case)",
-        _run_schmidt,
-        _TWO_SLIT_DEFAULTS,
-    ),
-    "fig4": _Scenario(
-        "four-slit fringes at several particle-detector couplings",
-        _run_fig4,
-        {**_SLIT_DEFAULTS, "m": 4, "sigma_xi": 0.5},
-    ),
-    "fig5": _Scenario(
-        "five-slit Schmidt modes and weights (a=5, b=0.5 reference case)",
-        _run_schmidt,
-        {**_TWO_SLIT_DEFAULTS, "m": 5},
-    ),
-    "fig6-data": _Scenario(
-        "fringe patterns for finite source sizes y (uniform-source model)",
-        _run_source,
-        {"a": 5.0, "sigma_x": 0.5},
-    ),
-    "fig7": _Scenario(
-        "visibility and Schmidt number versus source size y",
-        _run_coupling_curve,
-        {},
-    ),
-    "fig10": _Scenario(
-        "ground-state entanglement versus contact coupling g0 (ammonia qubits)",
-        _run_qubits,
-        _QUBIT_DEFAULTS,
-    ),
-    "ammonia": _Scenario(
-        "inversion splittings of NH3/ND3/NT3 from the fitted double well",
-        _run_ammonia,
-        {"isotope": "all", "mass": _NH3_MASS},
-    ),
-    "tomography-demo": _Scenario(
-        "population-only and coordinate+momentum protocols with K_max bounds",
-        _run_tomography,
-        _TOMOGRAPHY_DEFAULTS,
-    ),
-    "slits": _Scenario(
         "m-slit densities without which-way coupling (parametric)",
-        _run_slits,
-        _SLIT_DEFAULTS,
     ),
-    "entangled": _Scenario(
-        "entangled particle-detector marginals (parametric)",
+    "entangled": (
         _run_entangled,
         _TWO_SLIT_DEFAULTS,
+        "entangled particle-detector marginals (parametric)",
     ),
-    "schmidt": _Scenario(
-        "Schmidt decomposition of the m-slit state (parametric)",
+    "schmidt": (
         _run_schmidt,
         _TWO_SLIT_DEFAULTS,
+        "Schmidt decomposition of the m-slit state (parametric)",
     ),
-    "coherence": _Scenario(
-        "qubit coherence model: visibility-Schmidt coupling sweep",
+    "detector-sweep": (_run_detector_sweep, {**_SLIT_DEFAULTS, "m": 4, "sigma_xi": 0.5}, None),
+    "source-sweep": (_run_source, {"a": 5.0, "sigma_x": 0.5}, None),
+    "coupling-curve": (_run_coupling_curve, {}, None),
+    "coherence": (
         _run_coherence,
         {"a": 5.0, "sigma_x": 0.5, "phi": np.pi / 8.0},
+        "qubit coherence model: visibility-Schmidt coupling sweep",
     ),
-    "qubits": _Scenario(
-        "two-qubit ground-state entanglement sweep (parametric)",
+    "ammonia": (
+        _run_ammonia,
+        {"isotope": "all", "mass": _NH3_MASS},
+        "inversion splittings of NH3/ND3/NT3 from the fitted double well",
+    ),
+    "qubits": (
         _run_qubits,
-        _QUBIT_DEFAULTS,
+        # g0_max = 0 (auto) sweeps the reduced coupling g0 / (contact * splitting) over +/-300
+        {"mass": _NH3_MASS, "g0_max": 0.0, "n_sweep": 101},
+        "two-qubit ground-state entanglement sweep (parametric)",
     ),
-    "tomography": _Scenario(
-        "measurement-protocol adequacy/completeness demo (parametric)",
+    "tomography": (
         _run_tomography,
-        _TOMOGRAPHY_DEFAULTS,
+        {"a": 5.0, "sigma_x": 0.5, "n_points": 32},
+        "measurement-protocol adequacy/completeness demo (parametric)",
+    ),
+}
+
+# name -> (`qmodes list` summary, computation, overrides of its defaults).
+# ammonia is a command and a figure, listed among the figures.
+FIGURES: dict[str, tuple[str, str, dict]] = {
+    "fig1": ("two-slit coordinate and momentum densities (a=5, sigma_x=0.5)", "slits", {}),
+    "fig2": ("which-way damping of the two-slit fringes (b=0.7 marginal)", "entangled", {"b": 0.7}),
+    "fig3": ("two-slit Schmidt modes and weights (a=5, b=0.5 reference case)", "schmidt", {}),
+    "fig4": ("four-slit fringes at several particle-detector couplings", "detector-sweep", {}),
+    "fig5": ("five-slit Schmidt modes and weights (a=5, b=0.5 reference case)", "schmidt", {"m": 5}),
+    "fig6-data": (
+        "fringe patterns for finite source sizes y (uniform-source model)",
+        "source-sweep",
+        {},
+    ),
+    "fig7": ("visibility and Schmidt number versus source size y", "coupling-curve", {}),
+    "fig10": (
+        "ground-state entanglement versus contact coupling g0 (ammonia qubits)",
+        "qubits",
+        {},
+    ),
+    "ammonia": (COMPUTATIONS["ammonia"][2], "ammonia", {}),
+    "tomography-demo": (
+        "population-only and coordinate+momentum protocols with K_max bounds",
+        "tomography",
+        {},
     ),
 }
 
 
 def list_scenarios() -> dict[str, str]:
-    """Scenario names with one-line summaries."""
-    return {name: sc.summary for name, sc in SCENARIOS.items()}
+    """Every name :func:`run` takes, with its one-line summary: the figure
+    presets, then the commands that are not one."""
+    names = {name: summary for name, (summary, _, _) in FIGURES.items()}
+    for name, (_, _, summary) in COMPUTATIONS.items():
+        if summary:
+            names.setdefault(name, summary)
+    return names
 
 
 def _convert(key: str, value, default):
@@ -593,15 +582,18 @@ def _convert(key: str, value, default):
 
 
 def run(config: ScenarioConfig) -> RunReport:
-    """Execute a scenario: write its data files and the JSON run report.
+    """Run a figure preset or a command: write its data files and the JSON
+    run report, each named after ``config.name``.
 
-    ``config.params`` override the scenario's defaults and are converted to
-    the type of the default they replace; an integer parameter takes only
-    integral values.
+    Parameters are the computation's defaults, then a preset's overrides,
+    then ``config.params``, each converted to the type of the default it
+    replaces; an integer parameter takes only integral values.
     """
-    if config.name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {config.name!r}; see list_scenarios()")
-    defaults = SCENARIOS[config.name].defaults
+    if config.name not in list_scenarios():
+        raise ValueError(f"unknown scenario {config.name!r}; see 'qmodes list'")
+    _, computation, overrides = FIGURES.get(config.name, (None, config.name, {}))
+    runner, defaults, _ = COMPUTATIONS[computation]
+    defaults = {**defaults, **overrides}
     unknown = sorted(set(config.params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown parameters for {config.name!r}: {unknown}")
@@ -610,7 +602,7 @@ def run(config: ScenarioConfig) -> RunReport:
 
     start = time.perf_counter()
     emit = _Emitter(config)
-    scalars = SCENARIOS[config.name].runner(config, emit)
+    scalars = runner(config, emit)
     wall = time.perf_counter() - start
 
     clean_params = {k: (v if isinstance(v, str) else _sig6(v)) for k, v in params.items()}

@@ -47,7 +47,6 @@ __all__ = [
     "FitError",
     "two_level_energies",
     "fit_potential",
-    "reduced_mass",
     "splitting_to_frequency",
     "lowest_levels",
     "grid_eigensolve",
@@ -290,13 +289,6 @@ def fit_potential(a_target: float, delta_e_target: float, mass: float) -> Double
             f"bisection stalled: achieved {math.exp(achieved)}, wanted {delta_e_target}"
         )
     return well
-
-
-def reduced_mass(m_a: float, m_b: float) -> float:
-    """m_a m_b / (m_a + m_b)."""
-    if not (m_a > 0 and m_b > 0):
-        raise ValueError("masses must be positive")
-    return m_a * m_b / (m_a + m_b)
 
 
 def splitting_to_frequency(delta_e: float) -> float:

@@ -1,5 +1,5 @@
 """Independent references for the tests: sampled waves and an
-offset-corrected FFT, the two-slit closed forms, the uniform-source fringe
+offset-corrected FFT, the two-slit closed forms, the multi-slit form factor, the uniform-source fringe
 pattern, a least-squares fit of a pattern's fringe visibility, the grid
 reference for slit states, and Python's text of data tables and protocols.
 
@@ -48,6 +48,20 @@ def fourier_to_momentum(psi):
     spectrum = np.fft.fft(psi.amplitudes * np.exp(2j * np.pi * (n // 2) * np.arange(n) / n))
     phases = np.exp(-1j * pgrid.points * grid.x_min)
     return SampledWave(pgrid, (grid.spacing / np.sqrt(2.0 * np.pi)) * phases * spectrum)
+
+
+def form_factor(eta, m: int):
+    """Multi-slit amplitude factor sin(m eta) / sin(eta).
+
+    Evaluated as the cosine sum sum_k cos((m - 1 - 2k) eta), which has no
+    removable singularity and no cancellation near eta = k pi, where F = +/-m.
+    |F| <= m everywhere and F(eta + pi) = (-1)^(m-1) F(eta).
+    """
+    if m < 1:
+        raise ValueError(f"slit count must be >= 1, got {m}")
+    eta_arr = np.asarray(eta, dtype=float)
+    out = sum(np.cos((m - 1 - 2 * k) * eta_arr) for k in range(m))
+    return out if out.ndim else float(out)
 
 
 def single_slit_momentum_density(sigma_x, p_x):

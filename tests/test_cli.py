@@ -64,8 +64,52 @@ def test_precedence_defaults_then_config_then_flags(tmp_path, capsys):
 def test_list_prints_every_scenario(capsys):
     assert main(["list"]) == 0
     names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    assert names == list(scenarios.SCENARIOS)
+    # the figure presets, then the commands that are not one
+    commands = [name for name, (*_, summary) in scenarios.COMPUTATIONS.items() if summary]
+    assert commands == COMMANDS
+    assert names == [*scenarios.FIGURES, *(c for c in commands if c not in scenarios.FIGURES)]
     assert len(names) == 16
+
+
+@pytest.mark.parametrize("name", ["nope", "detector-sweep"])
+def test_unknown_figure_name_points_at_qmodes_list(tmp_path, capsys, name):
+    # a computation that is not a command has no name of its own
+    out = tmp_path / "out"
+    assert main(["figures", name, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"qmodes: error: unknown scenario {name!r}; see 'qmodes list'\n"
+    assert not out.exists()
+
+
+PRESETS_OF_COMMANDS = [
+    (preset, computation, overrides)
+    for preset, (_, computation, overrides) in scenarios.FIGURES.items()
+    if scenarios.COMPUTATIONS[computation][2]
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "preset, command, overrides", PRESETS_OF_COMMANDS, ids=[p for p, *_ in PRESETS_OF_COMMANDS]
+)
+def test_a_preset_is_its_command_with_its_overrides_as_flags(tmp_path, capsys, preset, command, overrides, fmt):
+    flags = [text for key, value in overrides.items() for text in ("--" + key.replace("_", "-"), str(value))]
+    assert main(["figures", preset, "--format", fmt, "--out", str(tmp_path / "preset")]) == 0
+    assert main([command, *flags, "--format", fmt, "--out", str(tmp_path / "command")]) == 0
+    capsys.readouterr()
+    mine, theirs = report(tmp_path / "preset", preset), report(tmp_path / "command", command)
+    # the data files are byte-equal; the reports differ in the scenario and the file names alone
+    assert [command + name.removeprefix(preset) for name in mine["files"]] == theirs["files"]
+    for name, same in zip(mine["files"], theirs["files"]):
+        assert (tmp_path / "preset" / name).read_bytes() == (tmp_path / "command" / same).read_bytes()
+    assert {**mine, "scenario": command, "files": theirs["files"]} == theirs
+
+
+def test_every_preset_runs_a_computation_with_defaults_it_overrides():
+    for summary, computation, overrides in scenarios.FIGURES.values():
+        assert summary
+        assert set(overrides) <= set(scenarios.COMPUTATIONS[computation][1])
+    # each computation is run by a command or a preset
+    assert {*COMMANDS, *(c for _, c, _ in scenarios.FIGURES.values())} == set(scenarios.COMPUTATIONS)
 
 
 def test_json_format_writes_json_tables(tmp_path, capsys):
@@ -175,7 +219,7 @@ def test_single_command_parser_help_is_the_full_parsers(capsys, command):
     out = capsys.readouterr().out
     defaults = {"config": None, "out": "qmodes-out", "format": "csv", "grid_points": 1024}
     if command != "figures":
-        defaults.update(scenarios.SCENARIOS[command].defaults)
+        defaults.update(scenarios.COMPUTATIONS[command][1])
     rows = [line.split() for line in out.splitlines() if line.startswith("  --")]
     assert {row[0]: " ".join(row[-2:]) for row in rows} == {
         "--" + key.replace("_", "-"): f"(default: {value})" for key, value in defaults.items()
@@ -184,7 +228,7 @@ def test_single_command_parser_help_is_the_full_parsers(capsys, command):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_subcommand_flags_are_its_defaults_with_their_types(tmp_path, capsys, command):
-    defaults = scenarios.SCENARIOS[command].defaults
+    defaults = scenarios.COMPUTATIONS[command][1]
     config = tmp_path / "empty.cfg"
     config.write_text("", encoding="utf-8")
     # every flag the command takes, each given its default's text
@@ -202,7 +246,7 @@ def test_subcommand_flags_are_its_defaults_with_their_types(tmp_path, capsys, co
             assert main([command, "--" + key.replace("_", "-"), "wide", "--out", str(tmp_path / "x")]) == 2
             assert f"parameter {key!r} takes a {type(value).__name__}" in capsys.readouterr().err
     # no other flag: an unknown key, a prefix, the key's own spelling, another command's key
-    foreign = sorted({k for c in COMMANDS for k in scenarios.SCENARIOS[c].defaults} - set(defaults))
+    foreign = sorted({k for c in COMMANDS for k in scenarios.COMPUTATIONS[c][1]} - set(defaults))
     for flag in ["--seed", "--grid", "--grid_points", "--" + foreign[0].replace("_", "-")]:
         assert main([command, flag, "1", "--out", str(tmp_path / "x")]) == 2, flag
         err = capsys.readouterr().err
@@ -322,7 +366,7 @@ FLAG_VALUES = {
 
 
 @pytest.mark.parametrize(
-    "command, key", [(c, k) for c in COMMANDS for k in scenarios.SCENARIOS[c].defaults]
+    "command, key", [(c, k) for c in COMMANDS for k in scenarios.COMPUTATIONS[c][1]]
 )
 def test_flag_and_config_line_give_the_same_parameters(tmp_path, capsys, command, key):
     value = FLAG_VALUES[key]
@@ -334,7 +378,7 @@ def test_flag_and_config_line_give_the_same_parameters(tmp_path, capsys, command
     capsys.readouterr()
     parameters = report(tmp_path / "flag", command)["parameters"]
     assert parameters == report(tmp_path / "config", command)["parameters"]
-    assert parameters[key] != scenarios.SCENARIOS[command].defaults[key]
+    assert parameters[key] != scenarios.COMPUTATIONS[command][1][key]
 
 
 def test_negative_exponent_flag_values_are_values(tmp_path, capsys):

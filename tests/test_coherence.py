@@ -10,7 +10,6 @@ from qmodes.coherence import (
     source_coherence,
     source_schmidt,
     source_visibility,
-    v_from_k,
 )
 from qmodes.interference import (
     MOMENTUM,
@@ -154,23 +153,19 @@ class TestCouplingFormulas:
     def test_endpoints(self):
         assert k_from_v(1.0) == pytest.approx(1.0, rel=1e-15)
         assert k_from_v(0.0) == pytest.approx(2.0, rel=1e-15)
-        assert v_from_k(1.0) == pytest.approx(1.0, rel=1e-15)
-        assert v_from_k(2.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_reference_value(self):
         assert k_from_v(np.exp(-0.5)) == pytest.approx(1.4621, abs=5e-5)
 
     def test_round_trip(self):
+        # V = sqrt((2 - K) / K) inverts K = 2 / (1 + V^2)
         for v in np.linspace(0.0, 1.0, 101):
-            assert v_from_k(k_from_v(float(v))) == pytest.approx(v, abs=1e-12)
+            k = k_from_v(float(v))
+            assert np.sqrt((2.0 - k) / k) == pytest.approx(v, abs=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             k_from_v(1.5)
-        with pytest.raises(ValueError):
-            v_from_k(0.5)
-        with pytest.raises(ValueError):
-            v_from_k(2.5)
 
     def test_entropy_endpoints(self):
         assert entropy_from_v(1.0) == pytest.approx(0.0, abs=1e-15)

@@ -220,7 +220,7 @@ def test_protocol_with_non_finite_entries_is_written_by_json(tmp_path):
     assert (tmp_path / name).read_text(encoding="utf-8") == expected
 
 
-@pytest.mark.parametrize("scenario", list(scenarios.SCENARIOS))
+@pytest.mark.parametrize("scenario", list(scenarios.list_scenarios()))
 def test_catalog_json_files_are_json_dumps_of_their_contents(tmp_path, scenario):
     scenarios.run(scenarios.ScenarioConfig(scenario, tmp_path, "json"))
     for path in tmp_path.glob("*.json"):
@@ -228,7 +228,7 @@ def test_catalog_json_files_are_json_dumps_of_their_contents(tmp_path, scenario)
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text, path.name
 
 
-@pytest.mark.parametrize("scenario", list(scenarios.SCENARIOS))
+@pytest.mark.parametrize("scenario", list(scenarios.list_scenarios()))
 def test_catalog_csv_files_are_g12_of_their_values(tmp_path, scenario):
     # twelve significant digits survive float64, so re-rendering is exact
     scenarios.run(scenarios.ScenarioConfig(scenario, tmp_path, "csv"))

@@ -25,8 +25,6 @@ def test_all_names_exist(name):
 
 
 LAYERS = ["numerics", "interference", "schmidt", "coherence", "tunneling", "tomography"]
-# closed forms of the paper, exported for readers whether or not the code calls them
-PAPER_FORMULAS = {"form_factor", "v_from_k", "reduced_mass", "analytic_two_slit_weights", "two_slit_norm"}
 SOURCES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in Path(qmodes.__file__).parent.glob("*.py")}
 
 
@@ -78,7 +76,7 @@ def test_every_exported_function_and_class_is_used_by_the_package(layer):
     module = importlib.import_module(f"qmodes.{layer}")
     objects = {n: getattr(module, n) for n in module.__all__}
     exported = {n for n, obj in objects.items() if inspect.isfunction(obj) or inspect.isclass(obj)}
-    assert sorted(exported - used - PAPER_FORMULAS) == []
+    assert sorted(exported - used) == []
 
 
 def test_every_definition_of_the_text_kernel_serves_format_rows():

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     SampledWave,
     conjugate_grid,
+    form_factor,
     fourier_to_momentum,
     grid_marginal,
     grid_state_coordinate,
@@ -20,7 +21,6 @@ from qmodes.interference import (
     DetectorParams,
     SlitParams,
     basis_density,
-    form_factor,
     slit_basis,
     slit_centers,
     slit_state,

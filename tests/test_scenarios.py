@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import SampledWave, source_pattern, visibility_from_intensity
+from oracles import SampledWave, form_factor, source_pattern, visibility_from_intensity
 from qmodes import scenarios
 from qmodes.coherence import entropy_from_v, source_coherence, source_visibility
 from qmodes.interference import MOMENTUM, DetectorParams, SlitParams, basis_density, slit_basis, slit_state
@@ -35,7 +35,24 @@ def test_fig4_schmidt_number_grows_with_coupling(tmp_path):
     ks = [s[f"schmidt_number_b_{b:g}"] for b in (0.0, 0.3, 0.7, 1.5)]
     assert ks[0] == pytest.approx(1.0, abs=1e-5)
     assert all(k1 <= k2 for k1, k2 in zip(ks, ks[1:]))
-    assert max(ks) <= scenarios.SCENARIOS["fig4"].defaults["m"]
+    _, computation, overrides = scenarios.FIGURES["fig4"]
+    assert max(ks) <= {**scenarios.COMPUTATIONS[computation][1], **overrides}["m"]
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 4096])
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_unentangled_momentum_marginal_is_the_form_factor_pattern(tmp_path, m, n):
+    # gamma = 1 gives D = 1 / sum(S_x) in every entry, so the marginal is
+    # (2 sigma^2 / pi)^(1/2) exp(-2 sigma^2 p^2) F(p a, m)^2 / sum(S_x)
+    a, sigma = 5.0, 0.5
+    scenarios.run(scenarios.ScenarioConfig("slits", tmp_path, "json", n, {"m": m, "a": a, "sigma_x": sigma}))
+    table = json.loads((tmp_path / "slits_momentum.json").read_text(encoding="utf-8"))
+    p, density = np.array(table["rows"]).T
+    j = np.arange(m)
+    s_x = np.exp(-(a**2) / (2.0 * sigma**2)) ** (np.subtract.outer(j, j) ** 2)
+    pattern = np.sqrt(2.0 * sigma**2 / np.pi) * np.exp(-2.0 * sigma**2 * p**2) * form_factor(p * a, m) ** 2
+    expected = pattern / s_x.sum()
+    assert np.max(np.abs(density - expected)) <= 1e-12 * np.max(expected)
 
 
 def test_marginals_integrate_to_one(tmp_path):

@@ -22,7 +22,6 @@ from qmodes.tunneling import (
     grid_eigensolve,
     ground_state_entanglement,
     lowest_levels,
-    reduced_mass,
     splitting_to_frequency,
     two_level_energies,
 )
@@ -207,13 +206,6 @@ class TestFit:
 
 
 class TestUnits:
-    def test_reduced_masses(self):
-        assert reduced_mass(3, 14) == pytest.approx(2.47, abs=5e-3)
-        assert reduced_mass(6, 14) == pytest.approx(4.2, rel=1e-12)
-        assert reduced_mass(9, 14) == pytest.approx(5.48, abs=5e-3)
-        with pytest.raises(ValueError):
-            reduced_mass(-1.0, 2.0)
-
     def test_isotope_presets(self):
         assert set(AMMONIA_ISOTOPES) == {"NH3", "ND3", "NT3"}
         assert AMMONIA_ISOTOPES["NH3"].mass == pytest.approx(42.0 / 17.0, rel=1e-14)
