@@ -10,23 +10,29 @@ Grammar::
 ``figures NAME`` runs the preset or command NAME, and each other command
 runs the computation of that name (``scenarios.FIGURES`` and
 ``scenarios.COMPUTATIONS``).  Every run takes the flags ``--config``,
-``--out``, ``--format`` and ``--grid-points``; a command also takes one
-flag per key of its computation's defaults.  A flag is its key's exact long
-name with ``-`` for ``_`` (``--sigma-x`` sets ``sigma_x``; abbreviations
-are not accepted), and the token after it is always its value, so ``--phi
--1e-3`` works.  NAME may stand before or after the flags; ``-h`` or
-``--help`` anywhere prints help.  ``--g0-max 0``, the qubits default, means
-auto, the coupling range derived from the fitted well.
+``--out``, ``--format`` and ``--grid-points``, whose defaults live in
+``_COMMON`` alone; a command also takes one flag per key of its
+computation's defaults.  A flag is its key's exact long name with ``-`` for
+``_`` (``--sigma-x`` sets ``sigma_x``; abbreviations are not accepted), and
+the token after it is always its value, so ``--phi -1e-3`` works.  NAME may
+stand before or after the flags; ``-h`` or ``--help`` anywhere prints help.
+``--g0-max 0``, the qubits default, means auto, the coupling range derived
+from the fitted well.
 
-The config file is flat ``key = value`` text with ``#`` comments.  Flag
-values are read like config values (int, else float, else text) and both
-are then checked against the type of the default they replace, so
-``--m 5`` and the line ``m = 5`` take one path.  Parameter precedence is
-computation defaults < a preset's overrides < config file < flags.
-``main`` returns 0 on success and on help, and 2 after printing one
-``qmodes: error: ...`` line for a usage error or bad input.  A warning the
-run raises, such as the two-level model's overlap warning, is printed as
-one ``qmodes: warning: ...`` line and leaves the exit code as it is.
+The config file is flat ``key = value`` text with ``#`` comments.  Its
+lines set what the flags set: ``out``, ``format``, ``grid_points`` and the
+computation's keys, and a flag wins over a line.  The output directory is
+taken as text; every other value, from a line or a flag, is read as an
+int, else a float, else text, and is then checked by ``scenarios.run``
+against the type of the default it replaces, so ``--m 5`` and the line
+``m = 5`` take one path.  Parameter precedence is computation defaults < a
+preset's overrides < config file < flags.  The output formats are
+``scenarios``' alone.  ``main`` returns 0 on success and on help, and 2
+after printing one ``qmodes: error: ...`` line for a usage error or bad
+input; a run that fails before its first file makes no output directory.
+A warning the run raises, such as the two-level model's overlap warning,
+is printed as one ``qmodes: warning: ...`` line and leaves the exit code
+as it is.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenarios import COMPUTATIONS, ScenarioConfig, list_scenarios, run
+from .scenarios import COMPUTATIONS, list_scenarios, run
 
 __all__ = ["main", "parse_config"]
 
@@ -67,7 +73,7 @@ def _value(text: str):
 
 
 def parse_config(path: Path) -> dict:
-    """Flat key = value file; values become int, float or str."""
+    """Flat key = value file: key -> the value's text."""
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -79,7 +85,7 @@ def parse_config(path: Path) -> dict:
         key = key.strip()
         if not key:
             raise ValueError(f"{path}:{lineno}: empty key")
-        values[key] = _value(text.strip())
+        values[key] = text.strip()
     return values
 
 
@@ -164,23 +170,25 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{name:16s} {summary}")
                 return 0
             config_path = flags.pop("config", None)
-            out = Path(flags.pop("out", _COMMON["out"][0]))
-            params = parse_config(config_path) if config_path is not None else {}
-            params.update({key: _value(text) for key, text in flags.items()})
+            texts = parse_config(config_path) if config_path is not None else {}
+            texts.update(flags)
+            out = Path(texts.pop("out", _COMMON["out"][0]))
+            params = {key: _value(text) for key, text in texts.items()}
             fmt = params.pop("format", _COMMON["format"][0])
             grid_points = params.pop("grid_points", _COMMON["grid_points"][0])
-            report = run(ScenarioConfig(scenario_name, out, fmt, grid_points, params))
+            # through this module's `run`, which a tracer may wrap
+            report, wall = run(scenario_name, out, fmt, grid_points, params)
         except (ValueError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
             print(f"qmodes: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return 2
 
-    print(f"scenario {report.scenario}: wrote {len(report.files)} file(s) to {out}")
-    for key, value in report.scalars.items():
+    print(f"scenario {report['scenario']}: wrote {len(report['files'])} file(s) to {out}")
+    for key, value in report["scalars"].items():
         if isinstance(value, float):
             print(f"  {key} = {value:.6g}")
         else:
             print(f"  {key} = {value}")
-    print(f"  wall time: {report.wall_time_s:.3f} s")
+    print(f"  wall time: {wall:.3f} s")
     return 0
 
 

@@ -7,24 +7,26 @@ are commands, run under their own name.  ``FIGURES`` holds the figure
 presets, each a computation with overrides of its defaults (``fig5`` is
 ``schmidt`` with ``m = 5``).  :func:`run` takes a preset's or a command's
 name and writes plot-ready two-column (or multi-column) CSV/JSON data files
-plus a JSON run report with the computed scalars, all named after it.
-Output is byte-identical across repeated runs with the same configuration;
-the wall time is echoed to the console but kept out of the serialized
-report.
+plus a JSON run report with the computed scalars, all named after it: the
+runner names each file by its stem, and ``momentum`` in a ``fig1`` run is
+``fig1_momentum.csv``.  Output is byte-identical across repeated runs with
+the same configuration; the wall time is returned to the caller but kept
+out of the serialized report.
 
-Data tables are float64 columns of equal length.  A CSV table is the
-comma-joined header line followed by one ``%.12g`` comma-separated line per
-row, every line ending in ``\\n``.  A JSON table is byte-equal to
-``json.dumps({"columns": names, "rows": rows}, indent=2, sort_keys=True)``
-plus ``\\n``, with ``NaN``, ``Infinity`` and ``-Infinity`` for non-finite
-values.  Reports and the other JSON files are written the same way.  Every
-data table, and a measurement protocol's matrix, is streamed in blocks of
-rows through one kernel, :func:`qmodes.text.format_rows`, which writes each
-value as Python does (``%.12g``, or the token ``json.dumps`` writes) and
-hands the rare value float64 arithmetic cannot settle to Python; the
-separators between values spell out the CSV commas and newlines or
-``json.dumps``' indentation.  Only an empty JSON table goes through
-``json.dump``.
+This module alone knows the output formats.  Data tables are float64
+columns of equal length.  A CSV table is the comma-joined header line
+followed by one ``%.12g`` comma-separated line per row, every line ending
+in ``\\n``.  A JSON table is byte-equal to ``json.dumps({"columns": names,
+"rows": rows}, indent=2, sort_keys=True)`` plus ``\\n``, with ``NaN``,
+``Infinity`` and ``-Infinity`` for non-finite values.  Reports and the
+other JSON files are written the same way, with an array as its nested
+lists and a complex entry as its ``[re, im]`` pair.  Every data table, and
+a measurement protocol's matrix, is streamed in blocks of rows through one
+kernel, :func:`qmodes.text.format_rows`, which writes each value as Python
+does (``%.12g``, or the token ``json.dumps`` writes) and hands the rare
+value float64 arithmetic cannot settle to Python; the separators between
+values spell out the CSV commas and newlines or ``json.dumps``'
+indentation.  Only an empty JSON table goes through ``json.dump``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,61 +43,30 @@ from . import coherence, interference, schmidt, tomography, tunneling
 from .numerics import MAX_COUNT, Grid1D, make_grid, quadrature
 from .text import format_rows
 
-__all__ = ["ScenarioConfig", "RunReport", "run", "list_scenarios", "COMPUTATIONS", "FIGURES"]
+__all__ = ["run", "list_scenarios", "COMPUTATIONS", "FIGURES"]
 
 # values formatted per write: bounds the kernel's temporaries, about 150
 # bytes a value for CSV and 300 for JSON
 _BLOCK_VALUES = {"csv": 2048, "json": 1024}
 
 
-@dataclass
-class ScenarioConfig:
-    """A scenario name plus its numeric parameters and output destination."""
-
-    name: str
-    out_dir: Path
-    fmt: str = "csv"
-    grid_points: int = 1024
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.out_dir = Path(self.out_dir)
-        self.grid_points = _convert("grid_points", self.grid_points, 0)
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-        if self.grid_points < 16:
-            raise ValueError(f"grid_points too small: {self.grid_points}")
-        if self.grid_points > MAX_COUNT:
-            raise ValueError(f"grid_points must be at most {MAX_COUNT}, got {self.grid_points}")
-
-
-@dataclass
-class RunReport:
-    """Echo of the run: scalars traceable to module operations, file manifest."""
-
-    scenario: str
-    parameters: dict
-    scalars: dict
-    files: list
-    wall_time_s: float
-
-    def to_dict(self) -> dict:
-        # wall time deliberately excluded: reports must be byte-stable
-        return {
-            "scenario": self.scenario,
-            "parameters": self.parameters,
-            "scalars": self.scalars,
-            "files": self.files,
-        }
-
-
 def _sig6(value: float) -> float:
     return float(f"{float(value):.6g}")
 
 
+def _array_lists(value):
+    """``json.dump``'s ``default``: an ndarray as its nested lists, each
+    complex entry as its [re, im] pair."""
+    if not isinstance(value, np.ndarray):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if np.iscomplexobj(value):
+        value = np.stack([value.real, value.imag], axis=-1)
+    return value.tolist()
+
+
 def _save_json(path: Path, data: dict):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, default=_array_lists)
         fh.write("\n")
 
 
@@ -116,10 +86,19 @@ def _save_values(path: Path, fmt: str, head: str, table: np.ndarray, seps: list[
 
 
 class _Emitter:
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
+    """Writes a run's files, each named ``<name>_<stem>.<ext>`` in
+    ``out_dir``, and lists the names of its data files."""
+
+    def __init__(self, out_dir: Path, name: str, fmt: str):
+        self.out_dir = out_dir
+        self.name = name
+        self.fmt = fmt
         self.files: list[str] = []
-        config.out_dir.mkdir(parents=True, exist_ok=True)
+
+    def _path(self, stem: str, ext: str) -> Path:
+        # the directory comes with the first file, so a run that fails before it leaves none
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / f"{self.name}_{stem}.{ext}"
 
     def table(self, stem: str, names: list[str], columns: list[np.ndarray]) -> str:
         """Write equal-length real 1-D ``columns`` under ``names`` as one table."""
@@ -133,9 +112,8 @@ class _Emitter:
                     f"is not real, 1-D and as long as the first column {arrays[0].shape}"
                 )
         table = np.column_stack(arrays).astype(np.float64, copy=False)
-        fmt = self.config.fmt
-        name = f"{stem}.{fmt}"
-        path = self.config.out_dir / name
+        fmt = self.fmt
+        path = self._path(stem, fmt)
         if fmt == "json" and not len(table):
             # json.dumps spells the empty row list
             _save_json(path, {"columns": names, "rows": []})
@@ -147,15 +125,14 @@ class _Emitter:
             head += ',\n  "rows": [\n    [\n      '
             seps = [b",\n      "] * (len(names) - 1) + [b"\n    ],\n    [\n      "]
             _save_values(path, fmt, head, table, seps, "\n    ]\n  ]\n}\n")
-        self.files.append(name)
-        return name
+        self.files.append(path.name)
+        return path.name
 
     def protocol(self, stem: str, b: np.ndarray) -> str:
         """Write the (N, s^2) protocol matrix B as the JSON ``{"b": B as
         [real, imaginary] pairs, "n_measurements": N, "s": s}``, streamed
         from the matrix without nested lists."""
-        name = f"{stem}.json"
-        path = self.config.out_dir / name
+        path = self._path(stem, "json")
         s = math.isqrt(b.shape[1])
         # each row of B as its entries' (real, imaginary) pairs
         table = np.ascontiguousarray(b, dtype=complex).view(np.float64)
@@ -165,14 +142,14 @@ class _Emitter:
         seps = pair * (s**2 - 1) + [pair[0], row_end]
         tail = f'\n      ]\n    ]\n  ],\n  "n_measurements": {len(table)},\n  "s": {s}\n}}\n'
         _save_values(path, "json", '{\n  "b": [\n    [\n      [\n        ', table, seps, tail)
-        self.files.append(name)
-        return name
+        self.files.append(path.name)
+        return path.name
 
     def json_file(self, stem: str, data: dict) -> str:
-        name = f"{stem}.json"
-        _save_json(self.config.out_dir / name, data)
-        self.files.append(name)
-        return name
+        path = self._path(stem, "json")
+        _save_json(path, data)
+        self.files.append(path.name)
+        return path.name
 
 
 def _momentum_grid(sigma: float, n: int) -> Grid1D:
@@ -203,17 +180,15 @@ def _decompose(params: dict):
 # runners
 
 
-def _run_slits(config: ScenarioConfig, emit: _Emitter) -> dict:
-    params = config.params
+def _run_slits(params: dict, n: int, emit: _Emitter) -> dict:
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
     density = interference.slit_state(slits, 1.0)
-    n = config.grid_points
     pgrid = _momentum_grid(slits.sigma_x, n)
     xgrid = _coordinate_grid(slits.m, slits.a, slits.sigma_x, n)
     mom = _marginal(slits, density, pgrid, interference.MOMENTUM)
     coord = _marginal(slits, density, xgrid, interference.COORDINATE)
-    emit.table(f"{config.name}_momentum", ["p_x", "density"], [pgrid.points, mom])
-    emit.table(f"{config.name}_coordinate", ["x", "density"], [xgrid.points, coord])
+    emit.table("momentum", ["p_x", "density"], [pgrid.points, mom])
+    emit.table("coordinate", ["x", "density"], [xgrid.points, coord])
     scalars = {
         "momentum_integral": quadrature(mom, pgrid),
         "coordinate_integral": quadrature(coord, xgrid),
@@ -223,18 +198,18 @@ def _run_slits(config: ScenarioConfig, emit: _Emitter) -> dict:
     return scalars
 
 
-def _run_entangled(config: ScenarioConfig, emit: _Emitter) -> dict:
+def _run_entangled(params: dict, n: int, emit: _Emitter) -> dict:
     """Momentum and coordinate marginals of the entangled state; for two
     slits the fringe visibility is read from its density matrix."""
-    slits, det, density, decomp = _decompose(config.params)
+    slits, det, density, decomp = _decompose(params)
     if slits.m == 2:
         coherence.check_fringes(slits)
-    pgrid = _momentum_grid(slits.sigma_x, config.grid_points)
+    pgrid = _momentum_grid(slits.sigma_x, n)
     marg = _marginal(slits, density, pgrid, interference.MOMENTUM)
-    emit.table(f"{config.name}_marginal_momentum", ["p_x", "density"], [pgrid.points, marg])
-    xgrid = _coordinate_grid(slits.m, slits.a, slits.sigma_x, config.grid_points)
+    emit.table("marginal_momentum", ["p_x", "density"], [pgrid.points, marg])
+    xgrid = _coordinate_grid(slits.m, slits.a, slits.sigma_x, n)
     coord = _marginal(slits, density, xgrid, interference.COORDINATE)
-    emit.table(f"{config.name}_marginal_coordinate", ["x", "density"], [xgrid.points, coord])
+    emit.table("marginal_coordinate", ["x", "density"], [xgrid.points, coord])
     scalars = {
         "schmidt_number": schmidt.schmidt_number(decomp.weights),
         "entropy": schmidt.entropy(decomp.weights),
@@ -245,22 +220,22 @@ def _run_entangled(config: ScenarioConfig, emit: _Emitter) -> dict:
     return {k: v for k, v in scalars.items() if v is not None}
 
 
-def _run_schmidt(config: ScenarioConfig, emit: _Emitter) -> dict:
-    slits, det, density, decomp = _decompose(config.params)
-    pgrid = _momentum_grid(slits.sigma_x, config.grid_points)
+def _run_schmidt(params: dict, n: int, emit: _Emitter) -> dict:
+    slits, det, density, decomp = _decompose(params)
+    pgrid = _momentum_grid(slits.sigma_x, n)
     basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
     marg = interference.basis_density(basis, density)
     mixture = schmidt.reconstruct_marginal(decomp, basis)
     names = ["p_x"] + [f"mode{k}_density" for k in range(len(decomp.weights))]
     modes = [interference.basis_density(basis, np.outer(c, c)) for c in decomp.coefficients.T]
-    emit.table(f"{config.name}_modes", names, [pgrid.points] + modes)
+    emit.table("modes", names, [pgrid.points] + modes)
     emit.table(
-        f"{config.name}_marginal",
+        "marginal",
         ["p_x", "marginal", "mode_mixture"],
         [pgrid.points, marg, mixture],
     )
     emit.table(
-        f"{config.name}_weights",
+        "weights",
         ["k", "weight"],
         [np.arange(len(decomp.weights), dtype=float), decomp.weights],
     )
@@ -282,10 +257,8 @@ def _run_schmidt(config: ScenarioConfig, emit: _Emitter) -> dict:
     return scalars
 
 
-def _run_detector_sweep(config: ScenarioConfig, emit: _Emitter) -> dict:
+def _run_detector_sweep(params: dict, n: int, emit: _Emitter) -> dict:
     """Momentum marginals at four detector offsets b, decomposed in one stack."""
-    params = config.params
-    n = config.grid_points
     b_values = (0.0, 0.3, 0.7, 1.5)
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
     pgrid = _momentum_grid(slits.sigma_x, n)
@@ -299,13 +272,11 @@ def _run_detector_sweep(config: ScenarioConfig, emit: _Emitter) -> dict:
         names.append(f"density_b_{b:g}")
         cols.append(interference.basis_density(basis, density))
         scalars[f"schmidt_number_b_{b:g}"] = schmidt.schmidt_number(decomp.weights)
-    emit.table(f"{config.name}_intensity", names, cols)
+    emit.table("intensity", names, cols)
     return scalars
 
 
-def _run_source(config: ScenarioConfig, emit: _Emitter) -> dict:
-    params = config.params
-    n = config.grid_points
+def _run_source(params: dict, n: int, emit: _Emitter) -> dict:
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=2)
     pgrid = _momentum_grid(slits.sigma_x, n)
     basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
@@ -319,15 +290,15 @@ def _run_source(config: ScenarioConfig, emit: _Emitter) -> dict:
         cols.append(interference.basis_density(basis, density))
         scalars[f"visibility_y_{y:g}"] = coherence.source_visibility(y)
         scalars[f"schmidt_number_y_{y:g}"] = coherence.source_schmidt(y)
-    emit.table(f"{config.name}_intensity", names, cols)
+    emit.table("intensity", names, cols)
     return scalars
 
 
-def _run_coupling_curve(config: ScenarioConfig, emit: _Emitter) -> dict:
+def _run_coupling_curve(params: dict, n: int, emit: _Emitter) -> dict:
     y = np.linspace(0.0, 0.5, 257)
     v = coherence.source_visibility(y)
     k = coherence.source_schmidt(y)
-    emit.table(f"{config.name}_curve", ["y", "visibility", "schmidt_number"], [y, v, k])
+    emit.table("curve", ["y", "visibility", "schmidt_number"], [y, v, k])
     return {
         "visibility_y0": v[0],
         "schmidt_number_y0": k[0],
@@ -336,11 +307,10 @@ def _run_coupling_curve(config: ScenarioConfig, emit: _Emitter) -> dict:
     }
 
 
-def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
+def _run_coherence(params: dict, n: int, emit: _Emitter) -> dict:
     """The coherence qubit swept over 17 phases in [0, pi/2], and its scalars
     at ``phi``: each visibility is read from the state's density matrix, and
     the sweep's Schmidt numbers come from one stacked decomposition."""
-    params = config.params
     phi = params["phi"]
     if not math.isfinite(2.0 * phi):
         # the qubit overlap is cos 2 phi
@@ -354,7 +324,7 @@ def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
     k = [schmidt.schmidt_number(d.weights) for d in schmidt.schmidt_stack(slits, densities)]
     k_v = [coherence.k_from_v(v) for v in visibility]
     emit.table(
-        f"{config.name}_sweep",
+        "sweep",
         ["phi", "visibility", "schmidt_number", "schmidt_from_v"],
         [phis, visibility, k, k_v],
     )
@@ -370,8 +340,7 @@ def _run_coherence(config: ScenarioConfig, emit: _Emitter) -> dict:
     }
 
 
-def _run_ammonia(config: ScenarioConfig, emit: _Emitter) -> dict:
-    params = config.params
+def _run_ammonia(params: dict, n: int, emit: _Emitter) -> dict:
     choice = params["isotope"]
     table = tunneling.AMMONIA_ISOTOPES
     if choice != "all":
@@ -394,9 +363,9 @@ def _run_ammonia(config: ScenarioConfig, emit: _Emitter) -> dict:
         "frequency_ghz": tunneling.splitting_to_frequency(delta_e),
         "fd_delta_e": fd_delta_e,
         "fd_frequency_ghz": tunneling.splitting_to_frequency(fd_delta_e),
-        "experimental_ghz": np.array([iso.experimental_ghz for iso in isotopes], dtype=float),
+        "experimental_ghz": np.array([iso.experimental_ghz for iso in isotopes]),
     }
-    emit.table(f"{config.name}_splittings", list(columns), list(columns.values()))
+    emit.table("splittings", list(columns), list(columns.values()))
     scalars = {"alpha": well.alpha, "beta": well.beta, "fit_mass": fit_mass}
     for i, iso in enumerate(isotopes):
         for key in ("frequency_ghz", "overlap", "fd_frequency_ghz", "experimental_ghz"):
@@ -404,8 +373,7 @@ def _run_ammonia(config: ScenarioConfig, emit: _Emitter) -> dict:
     return scalars
 
 
-def _run_qubits(config: ScenarioConfig, emit: _Emitter) -> dict:
-    params = config.params
+def _run_qubits(params: dict, n: int, emit: _Emitter) -> dict:
     n_sweep = params["n_sweep"]
     if n_sweep < 3 or n_sweep % 2 == 0:
         # the middle sample is the uncoupled point g0 = 0
@@ -430,7 +398,7 @@ def _run_qubits(config: ScenarioConfig, emit: _Emitter) -> dict:
         tunneling.build_two_qubit(energies, well, g_values)
     )
     emit.table(
-        f"{config.name}_sweep",
+        "sweep",
         ["g0", "reduced_coupling", "schmidt_number"],
         [g_values, g_values / contact / energies.splitting, k_values],
     )
@@ -444,8 +412,7 @@ def _run_qubits(config: ScenarioConfig, emit: _Emitter) -> dict:
     }
 
 
-def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
-    params = config.params
+def _run_tomography(params: dict, n: int, emit: _Emitter) -> dict:
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=2)
     # built first, so that a geometry it rejects leaves no file behind
     protocol = tomography.interference_protocol(slits, params["n_points"])
@@ -454,19 +421,17 @@ def _run_tomography(config: ScenarioConfig, emit: _Emitter) -> dict:
     pure = tomography.reconstruct(analysis, np.array([1.0, 0.0]))
     mixed = tomography.reconstruct(analysis, np.array([0.5, 0.5]))
     purity_min, purity_max = tomography.completion_purity_range(analysis, np.array([0.5, 0.5]))
-    emit.protocol(f"{config.name}_populations_protocol", populations)
-    emit.json_file(f"{config.name}_populations_pure_report", tomography.report_to_dict(pure))
-    emit.json_file(f"{config.name}_populations_mixed_report", tomography.report_to_dict(mixed))
+    emit.protocol("populations_protocol", populations)
+    emit.json_file("populations_pure_report", vars(pure))
+    emit.json_file("populations_mixed_report", vars(mixed))
 
     ianalysis = tomography.analyze(protocol)
     rho_sym = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     p_data = np.real(protocol @ tomography.vectorize(rho_sym))
     ireport = tomography.reconstruct(ianalysis, p_data)
-    emit.protocol(f"{config.name}_interference_protocol", protocol)
-    emit.json_file(
-        f"{config.name}_interference_measurements", tomography.measurements_to_dict(p_data)
-    )
-    emit.json_file(f"{config.name}_interference_report", tomography.report_to_dict(ireport))
+    emit.protocol("interference_protocol", protocol)
+    emit.json_file("interference_measurements", {"p": p_data})
+    emit.json_file("interference_report", vars(ireport))
     return {
         "populations_rank": float(analysis.rank),
         "pure_k_max": pure.k_max,
@@ -581,32 +546,45 @@ def _convert(key: str, value, default):
     return converted
 
 
-def run(config: ScenarioConfig) -> RunReport:
+def run(name: str, out_dir: Path, fmt: str, grid_points: int, params: dict) -> tuple[dict, float]:
     """Run a figure preset or a command: write its data files and the JSON
-    run report, each named after ``config.name``.
+    run report into ``out_dir``, each named after ``name``, and return the
+    report and the run's wall time in seconds.
 
-    Parameters are the computation's defaults, then a preset's overrides,
-    then ``config.params``, each converted to the type of the default it
-    replaces; an integer parameter takes only integral values.
+    ``fmt`` (csv or json), ``grid_points`` and ``params`` are all checked
+    before any file or directory is made.  Parameters are the computation's
+    defaults, then a preset's overrides, then ``params``, each converted to
+    the type of the default it replaces; an integer parameter, and
+    ``grid_points``, take only integral values.
     """
-    if config.name not in list_scenarios():
-        raise ValueError(f"unknown scenario {config.name!r}; see 'qmodes list'")
-    _, computation, overrides = FIGURES.get(config.name, (None, config.name, {}))
+    grid_points = _convert("grid_points", grid_points, 0)
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    if grid_points < 16:
+        raise ValueError(f"grid_points too small: {grid_points}")
+    if grid_points > MAX_COUNT:
+        raise ValueError(f"grid_points must be at most {MAX_COUNT}, got {grid_points}")
+    if name not in list_scenarios():
+        raise ValueError(f"unknown scenario {name!r}; see 'qmodes list'")
+    _, computation, overrides = FIGURES.get(name, (None, name, {}))
     runner, defaults, _ = COMPUTATIONS[computation]
     defaults = {**defaults, **overrides}
-    unknown = sorted(set(config.params) - set(defaults))
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
-        raise ValueError(f"unknown parameters for {config.name!r}: {unknown}")
-    params = {**defaults, **{k: _convert(k, v, defaults[k]) for k, v in config.params.items()}}
-    config = ScenarioConfig(config.name, config.out_dir, config.fmt, config.grid_points, params)
+        raise ValueError(f"unknown parameters for {name!r}: {unknown}")
+    params = {**defaults, **{k: _convert(k, v, defaults[k]) for k, v in params.items()}}
 
     start = time.perf_counter()
-    emit = _Emitter(config)
-    scalars = runner(config, emit)
+    emit = _Emitter(out_dir, name, fmt)
+    scalars = runner(params, grid_points, emit)
     wall = time.perf_counter() - start
 
-    clean_params = {k: (v if isinstance(v, str) else _sig6(v)) for k, v in params.items()}
-    clean_scalars = {k: (v if isinstance(v, str) else _sig6(v)) for k, v in scalars.items()}
-    report = RunReport(config.name, clean_params, clean_scalars, emit.files, wall)
-    _save_json(config.out_dir / f"{config.name}_report.json", report.to_dict())
-    return report
+    # the wall time stays out: reports are byte-stable
+    report = {
+        "scenario": name,
+        "parameters": {k: (v if isinstance(v, str) else _sig6(v)) for k, v in params.items()},
+        "scalars": {k: (v if isinstance(v, str) else _sig6(v)) for k, v in scalars.items()},
+        "files": emit.files,
+    }
+    _save_json(emit._path("report", "json"), report)
+    return report, wall

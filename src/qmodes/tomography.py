@@ -19,8 +19,8 @@ rho = (I + r.sigma)/2 the data fix r to an affine subspace, and the
 completions are its intersection with the unit Bloch ball
 (``completion_purity_range``).
 
-Measurement vectors and reports convert to JSON-ready dicts with complex
-numbers encoded as [re, im] pairs.
+A ``ReconstructionReport``'s fields are plain values and numpy arrays; the
+scenario runner writes them, and this module knows no output format.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ __all__ = [
     "reconstruct",
     "completion_purity_range",
     "interference_protocol",
-    "measurements_to_dict",
-    "report_to_dict",
 ]
 
 UNCONDITIONALLY_COMPLETE = "unconditionally_complete"
@@ -308,30 +306,3 @@ def interference_protocol(slits: SlitParams, n_points: int) -> np.ndarray:
         outer = phi.conj()[:, :, None] * phi[:, None, :]
         blocks.append(outer.reshape(n_points, 4) * (points[1] - points[0]))
     return np.vstack(blocks).astype(complex)
-
-
-# ---------------------------------------------------------------------------
-# JSON-ready dicts: complex numbers as [re, im] pairs.
-
-
-def _complex_to_pairs(arr: np.ndarray):
-    arr = np.asarray(arr, dtype=complex)
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    return stacked.tolist()
-
-
-def measurements_to_dict(p) -> dict:
-    return {"p": np.asarray(p, dtype=float).tolist()}
-
-
-def report_to_dict(report: ReconstructionReport) -> dict:
-    return {
-        "adequate": report.adequate,
-        "residual": report.residual,
-        "completeness_class": report.completeness_class,
-        "factors": _complex_to_pairs(report.factors),
-        "undefined_count": report.undefined_count,
-        "rho_regularized": _complex_to_pairs(report.rho_regularized),
-        "k_max": report.k_max,
-        "physical": report.physical,
-    }

@@ -156,11 +156,11 @@ class TwoLevelEnergies:
 
 @dataclass(frozen=True)
 class Isotope:
-    """Named reduced mass, with the measured inversion frequency when known."""
+    """Named reduced mass, with the measured inversion frequency."""
 
     name: str
     mass: float
-    experimental_ghz: float | None = None
+    experimental_ghz: float
 
 
 AMMONIA_ISOTOPES = {

@@ -25,7 +25,7 @@ SMALL_MODELS = ["ammonia", "fig10", "coherence", "fig6-data", "fig7", "tomograph
 
 @pytest.mark.parametrize("name", SMALL_MODELS)
 def test_small_models_pass_the_benchmark_checks(name, tmp_path):
-    scenarios.run(scenarios.ScenarioConfig(name, tmp_path, "json", 1024))
+    scenarios.run(name, tmp_path, "json", 1024, {})
     results = checks.evaluate(name, tmp_path)
     assert len(results) > 1
     assert [c for c in results if not c.ok] == []

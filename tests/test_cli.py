@@ -30,8 +30,19 @@ def report(out_dir, name):
         (["ammonia", "--isotope", "XX3"], None),
         (["figures", "fig3", "--config", "{config}"], "b = 0.3\nthis line has no equals sign\n"),
         (["figures", "fig3", "--config", "{missing}"], None),
+        (["figures", "fig3", "--format", "xml"], None),
+        (["figures", "fig3", "--grid-points", "15"], None),
+        (["figures", "fig3", "--config", "{config}"], "b = 0.3\nseed = 7\n"),
     ],
-    ids=["unknown-scenario", "unknown-isotope", "malformed-config", "missing-config"],
+    ids=[
+        "unknown-scenario",
+        "unknown-isotope",
+        "malformed-config",
+        "missing-config",
+        "unknown-format",
+        "too-few-grid-points",
+        "unknown-config-key",
+    ],
 )
 def test_bad_input_exits_2_with_an_error_line(tmp_path, capsys, argv, config_text):
     config = tmp_path / "run.cfg"
@@ -42,11 +53,15 @@ def test_bad_input_exits_2_with_an_error_line(tmp_path, capsys, argv, config_tex
     err = capsys.readouterr().err
     assert err.startswith("qmodes: error: ")
     assert len(err.strip().splitlines()) == 1
+    # every input is checked before the output directory is made
+    assert not (tmp_path / "out").exists()
 
 
-def test_precedence_defaults_then_config_then_flags(tmp_path, capsys):
+def test_precedence_defaults_then_config_then_flags(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     config = tmp_path / "run.cfg"
-    config.write_text("# coupling override\nb = 0.3\n", encoding="utf-8")
+    # the output directory is text: read as a number, 1e3 would be 1000.0
+    config.write_text("# coupling override\nb = 0.3\nout = 1e3\n", encoding="utf-8")
     common = ["--grid-points", "256"]
 
     assert main(["schmidt", *common, "--out", str(tmp_path / "d")]) == 0
@@ -58,6 +73,10 @@ def test_precedence_defaults_then_config_then_flags(tmp_path, capsys):
     argv = ["schmidt", *common, "--config", str(config), "--b", "0.7", "--out", str(tmp_path / "f")]
     assert main(argv) == 0
     assert report(tmp_path / "f", "schmidt")["parameters"]["b"] == 0.7
+    assert not (tmp_path / "1e3").exists()
+
+    assert main(["schmidt", *common, "--config", str(config)]) == 0
+    assert report(tmp_path / "1e3", "schmidt")["parameters"]["b"] == 0.3
     capsys.readouterr()
 
 
@@ -522,7 +541,7 @@ def test_ammonia_dvr_splittings_are_converged_in_their_box(tmp_path, capsys):
 
 @pytest.mark.parametrize("message", ["", "Unable to allocate 1.00 TiB for an array"])
 def test_memory_error_exits_2_with_an_error_line(tmp_path, capsys, monkeypatch, message):
-    def exhausted(config):
+    def exhausted(name, out_dir, fmt, grid_points, params):
         raise MemoryError(message)
 
     monkeypatch.setattr(cli, "run", exhausted)

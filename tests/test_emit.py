@@ -30,8 +30,9 @@ def reference_json(names, columns):
 REFERENCE = {"csv": reference_csv, "json": reference_json}
 
 
-def emitter(tmp_path, fmt):
-    return scenarios._Emitter(scenarios.ScenarioConfig("t", tmp_path, fmt))
+def emitter(out_dir, fmt):
+    """The emitter of a run called ``r``."""
+    return scenarios._Emitter(out_dir, "r", fmt)
 
 
 rng = np.random.default_rng(7)
@@ -59,7 +60,7 @@ TABLES = {
 def test_table_bytes_match_the_reference_writer(tmp_path, fmt, case):
     names, columns = TABLES[case]
     name = emitter(tmp_path, fmt).table("t", names, columns)
-    assert name == f"t.{fmt}"
+    assert name == f"r_t.{fmt}"
     expected = REFERENCE[fmt](names, columns).encode("utf-8")
     assert (tmp_path / name).read_bytes() == expected
 
@@ -79,11 +80,11 @@ BAD_TABLES = {
 @pytest.mark.parametrize("case", list(BAD_TABLES))
 def test_malformed_tables_raise_and_write_nothing(tmp_path, fmt, case):
     names, columns = BAD_TABLES[case]
-    emit = emitter(tmp_path, fmt)
+    emit = emitter(tmp_path / "out", fmt)
     with pytest.raises(ValueError, match="table 't'"):
         emit.table("t", names, columns)
     assert emit.files == []
-    assert not (tmp_path / f"t.{fmt}").exists()
+    assert not (tmp_path / "out").exists()
 
 
 N = 256
@@ -98,7 +99,7 @@ TABLE_SHAPES = {
 @pytest.mark.parametrize("scenario", list(TABLE_SHAPES))
 def test_catalog_files_load_with_the_right_shape(tmp_path, scenario):
     for fmt in FORMATS:
-        scenarios.run(scenarios.ScenarioConfig(scenario, tmp_path / fmt, fmt, N))
+        scenarios.run(scenario, tmp_path / fmt, fmt, N, {})
         for path in (tmp_path / fmt).glob("*.json"):
             json.loads(path.read_text(encoding="utf-8"))
     shapes = {}
@@ -199,6 +200,32 @@ def test_repr_rows_is_pythons_repr(case, cols):
     check_kernel("json", case, cols)
 
 
+# an ndarray in a JSON file, and the lists json.dumps writes for it
+SAVED_ARRAYS = {
+    "real-1d": (np.array([1.0, -2.5, 1e-300]), [1.0, -2.5, 1e-300]),
+    "real-2d": (np.array([[0.5, np.nan], [-0.0, np.inf]]), [[0.5, float("nan")], [-0.0, float("inf")]]),
+    "integer": (np.arange(3), [0, 1, 2]),
+    "complex-1d": (np.array([complex(1.0, 2.0), complex(0.0, -0.5)]), [[1.0, 2.0], [0.0, -0.5]]),
+    "complex-2d": (
+        np.array([[complex(3.0, 0.0), complex(-1e-7, np.inf)]]),
+        [[[3.0, 0.0], [-1e-7, float("inf")]]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SAVED_ARRAYS))
+def test_save_json_writes_an_array_as_lists_and_a_complex_entry_as_its_pair(tmp_path, case):
+    array, lists = SAVED_ARRAYS[case]
+    scenarios._save_json(tmp_path / "a.json", {"x": array, "n": 2})
+    expected = json.dumps({"x": lists, "n": 2}, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "a.json").read_text(encoding="utf-8") == expected
+
+
+def test_save_json_refuses_what_is_neither_json_nor_an_array(tmp_path):
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        scenarios._save_json(tmp_path / "a.json", {"x": {1, 2}})
+
+
 def protocol(rows, s, seed=0):
     values = np.random.default_rng(seed).standard_normal((rows, s * s, 2)) * [1e-3, 1.0]
     return values[..., 0] + 1j * values[..., 1]
@@ -222,7 +249,7 @@ def test_protocol_with_non_finite_entries_is_written_by_json(tmp_path):
 
 @pytest.mark.parametrize("scenario", list(scenarios.list_scenarios()))
 def test_catalog_json_files_are_json_dumps_of_their_contents(tmp_path, scenario):
-    scenarios.run(scenarios.ScenarioConfig(scenario, tmp_path, "json"))
+    scenarios.run(scenario, tmp_path, "json", 1024, {})
     for path in tmp_path.glob("*.json"):
         text = path.read_text(encoding="utf-8")
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text, path.name
@@ -231,7 +258,7 @@ def test_catalog_json_files_are_json_dumps_of_their_contents(tmp_path, scenario)
 @pytest.mark.parametrize("scenario", list(scenarios.list_scenarios()))
 def test_catalog_csv_files_are_g12_of_their_values(tmp_path, scenario):
     # twelve significant digits survive float64, so re-rendering is exact
-    scenarios.run(scenarios.ScenarioConfig(scenario, tmp_path, "csv"))
+    scenarios.run(scenario, tmp_path, "csv", 1024, {})
     for path in tmp_path.glob("*.csv"):
         header, *lines = path.read_text(encoding="utf-8").split("\n")
         assert lines[-1] == "", path.name

@@ -1,9 +1,11 @@
 """Every name a ``qmodes`` module exports in ``__all__`` exists on it,
 every exported function or class of a layer module is used by the package,
 every definition of the text kernel serves its one entry point, and every
-default of an exported function is set by some call in the package."""
+default of an exported function or dataclass is set by some call in the
+package."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -119,13 +121,14 @@ def sets(call, forwarded, index, parameter):
 
 
 def test_every_default_of_a_public_function_is_set_by_some_call_in_the_package():
-    # a default that no call sets is a knob: a second way to run the code that nothing runs
+    # a default that no call sets is a knob: a second way to run the code that nothing runs;
+    # a dataclass's constructor takes its fields, so a field's default is one too
     unset = set()
     for name in MODULES[1:]:
         module = importlib.import_module(name)
         for function_name in module.__all__:
             function = getattr(module, function_name)
-            if not inspect.isfunction(function):
+            if not (inspect.isfunction(function) or dataclasses.is_dataclass(function)):
                 continue
             named = [(call, forwarded) for call, forwarded in CALLS if called_name(call) == function_name]
             for index, parameter in enumerate(inspect.signature(function).parameters.values()):

@@ -16,7 +16,8 @@ N = 2048
 
 
 def run(name, out_dir, **params):
-    return scenarios.run(scenarios.ScenarioConfig(name, out_dir, "json", N, params)).scalars
+    report, _ = scenarios.run(name, out_dir, "json", N, params)
+    return report["scalars"]
 
 
 def test_fig3_reference_weights(tmp_path):
@@ -45,7 +46,7 @@ def test_unentangled_momentum_marginal_is_the_form_factor_pattern(tmp_path, m, n
     # gamma = 1 gives D = 1 / sum(S_x) in every entry, so the marginal is
     # (2 sigma^2 / pi)^(1/2) exp(-2 sigma^2 p^2) F(p a, m)^2 / sum(S_x)
     a, sigma = 5.0, 0.5
-    scenarios.run(scenarios.ScenarioConfig("slits", tmp_path, "json", n, {"m": m, "a": a, "sigma_x": sigma}))
+    scenarios.run("slits", tmp_path, "json", n, {"m": m, "a": a, "sigma_x": sigma})
     table = json.loads((tmp_path / "slits_momentum.json").read_text(encoding="utf-8"))
     p, density = np.array(table["rows"]).T
     j = np.arange(m)
@@ -80,7 +81,8 @@ def test_unknown_parameter_rejected(tmp_path):
 
 # golden scalars of the remaining catalog scenarios at the CLI's default grid
 def run_1024(name, out_dir):
-    return scenarios.run(scenarios.ScenarioConfig(name, out_dir, "json", 1024)).scalars
+    report, _ = scenarios.run(name, out_dir, "json", 1024, {})
+    return report["scalars"]
 
 
 def test_ammonia_two_level_splittings(tmp_path):
@@ -132,7 +134,7 @@ def test_fig6_data_source_scalars(tmp_path):
 
 @pytest.mark.parametrize("n", [1024, 8192])
 def test_fig6_data_densities_are_the_normalized_fringe_pattern(tmp_path, n):
-    scenarios.run(scenarios.ScenarioConfig("fig6-data", tmp_path, "json", n))
+    scenarios.run("fig6-data", tmp_path, "json", n, {})
     table = json.loads((tmp_path / "fig6-data_intensity.json").read_text(encoding="utf-8"))
     rows = np.array(table["rows"])
     grid = make_grid(0.0, 9.0, n)  # 9 momentum sigmas at sigma_x = 0.5
@@ -168,21 +170,21 @@ def test_written_patterns_fit_to_their_states_visibility(tmp_path, n):
     def fitted(column):
         return visibility_from_intensity(SampledWave(grid, column), 5.0, 0.5)
 
-    fig2 = scenarios.run(scenarios.ScenarioConfig("fig2", tmp_path, "json", n)).scalars
+    fig2 = scenarios.run("fig2", tmp_path, "json", n, {})[0]["scalars"]
     rows = table_rows(tmp_path, "fig2_marginal_momentum")
     assert np.array_equal(rows[:, 0], grid.points)
     gamma = DetectorParams(0.7, 0.5).overlap
     assert abs(fitted(rows[:, 1]) - gamma) <= 1e-4
     assert fig2["visibility"] == fig2["fringe_modulation"] == float(f"{gamma:.6g}")
 
-    scenarios.run(scenarios.ScenarioConfig("fig6-data", tmp_path, "json", n))
+    scenarios.run("fig6-data", tmp_path, "json", n, {})
     rows = table_rows(tmp_path, "fig6-data_intensity")
     for column, y in zip(rows[:, 1:].T, (0.0, 0.0625, 0.125, 0.1875, 0.25)):
         assert abs(fitted(column) - abs(source_coherence(y))) <= 1e-4, y
 
     # the coherence scenario writes its visibility column, not the patterns:
     # sample each qubit state on the catalog grid
-    scenarios.run(scenarios.ScenarioConfig("coherence", tmp_path, "json", n))
+    scenarios.run("coherence", tmp_path, "json", n, {})
     rows = table_rows(tmp_path, "coherence_sweep")
     slits = SlitParams(a=5.0, sigma_x=0.5, m=2)
     basis = slit_basis(slits, grid.points, MOMENTUM)
