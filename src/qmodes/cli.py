@@ -172,7 +172,11 @@ def main(argv: list[str] | None = None) -> int:
             config_path = flags.pop("config", None)
             texts = parse_config(config_path) if config_path is not None else {}
             texts.update(flags)
-            out = Path(texts.pop("out", _COMMON["out"][0]))
+            out = texts.pop("out", _COMMON["out"][0])
+            if not out:
+                # Path("") is the working directory
+                raise ValueError("output directory must not be empty")
+            out = Path(out)
             params = {key: _value(text) for key, text in texts.items()}
             fmt = params.pop("format", _COMMON["format"][0])
             grid_points = params.pop("grid_points", _COMMON["grid_points"][0])

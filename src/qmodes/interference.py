@@ -21,7 +21,8 @@ one m x m array, its particle density matrix D = N^2 S_xi in the slit basis
 (:func:`slit_state`).  For two separated slits one
 number, the overlap gamma of neighbouring detector (or environment)
 states, sets the fringe visibility |gamma| and K = 2 / (1 + gamma^2): a
-which-way detector gives gamma = exp(-b^2 / 2 sigma_xi^2), the coherence
+which-way detector with spots of width sigma_xi at +/-b gives
+gamma = exp(-b^2 / 2 sigma_xi^2) (:func:`detector_overlap`), the coherence
 qubit gamma = cos 2 phi, and a uniform source of size y gamma = sinc(4 y)
 (:mod:`qmodes.coherence`).  The particle marginal in either
 representation is the diagonal of U D U^H, with U the slit basis
@@ -45,8 +46,7 @@ __all__ = [
     "COORDINATE",
     "MOMENTUM",
     "SlitParams",
-    "DetectorParams",
-    "two_slit_norm",
+    "detector_overlap",
     "slit_centers",
     "slit_state",
     "slit_basis",
@@ -96,31 +96,15 @@ class SlitParams:
         return _overlap_matrix(self.overlap, self.m)
 
 
-@dataclass(frozen=True)
-class DetectorParams:
-    """Detector response: spots of width sigma_xi, half-spacing b (b = 0: no coupling)."""
+def detector_overlap(b: float, sigma_xi: float) -> float:
+    """Overlap gamma = exp(-b^2 / 2 sigma_xi^2) of neighbouring detector
+    spots of width sigma_xi centered 2b apart (b = 0: no coupling).
 
-    b: float
-    sigma_xi: float
-
-    def __post_init__(self):
-        _check_scale("spot half-spacing b", self.b, 0.0)
-        _check_scale("sigma_xi", self.sigma_xi, 1.0 / _SCALE)
-
-    @property
-    def overlap(self) -> float:
-        """Gaussian overlap exp(-b^2 / 2 sigma_xi^2) of neighbouring spots.
-
-        It damps the fringes cos(2 p_x a) of the two-slit momentum marginal.
-        """
-        return float(np.exp(-self.b**2 / (2.0 * self.sigma_xi**2)))
-
-
-def two_slit_norm(a: float, sigma_x: float) -> float:
-    """Normalization C^2 = 1 / (1 + exp(-a^2 / 2 sigma_x^2)) of the symmetric pair."""
-    if not sigma_x > 0:
-        raise ValueError(f"sigma_x must be positive, got {sigma_x}")
-    return 1.0 / (1.0 + np.exp(-(a**2) / (2.0 * sigma_x**2)))
+    It damps the fringes cos(2 p_x a) of the two-slit momentum marginal.
+    """
+    _check_scale("spot half-spacing b", b, 0.0)
+    _check_scale("sigma_xi", sigma_xi, 1.0 / _SCALE)
+    return float(np.exp(-(b**2) / (2.0 * sigma_xi**2)))
 
 
 def slit_centers(m: int, a: float) -> np.ndarray:
@@ -146,7 +130,7 @@ def slit_state(slits: SlitParams, overlap: float) -> np.ndarray:
     The state is N sum_j u_j(x) v_j(xi) with detector overlaps
     S_xi[j, k] = <v_j|v_k> = gamma^((j - k)^2), and its particle reduced
     density matrix in the slit basis is D = N^2 S_xi, N^2 = 1 / sum(S_x o S_xi):
-    rho_x = sum_jk D[j, k] |u_j><u_k|.  gamma is ``DetectorParams.overlap``
+    rho_x = sum_jk D[j, k] |u_j><u_k|.  gamma is ``detector_overlap(b, sigma_xi)``
     for a which-way detector, cos 2 phi for the coherence qubit and the
     signed ``coherence.source_coherence(y)`` for a uniform source; gamma = 1
     leaves the particle unentangled.  Raises ``ValueError`` unless

@@ -169,11 +169,11 @@ def _marginal(
     return interference.basis_density(basis, density)
 
 
-def _decompose(params: dict):
+def _entangled_state(params: dict):
+    """The slits, the detector overlap gamma and the density matrix D of the state."""
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
-    det = interference.DetectorParams(b=params["b"], sigma_xi=params["sigma_xi"])
-    density = interference.slit_state(slits, det.overlap)
-    return slits, det, density, schmidt.schmidt(slits, density)
+    gamma = interference.detector_overlap(params["b"], params["sigma_xi"])
+    return slits, gamma, interference.slit_state(slits, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +194,16 @@ def _run_slits(params: dict, n: int, emit: _Emitter) -> dict:
         "coordinate_integral": quadrature(coord, xgrid),
     }
     if slits.m == 2:
-        scalars["c_squared"] = interference.two_slit_norm(slits.a, slits.sigma_x)
+        # C^2 = 1 / (1 + q) normalizes the symmetric pair C (u_0 + u_1) / sqrt 2
+        scalars["c_squared"] = 1.0 / (1.0 + slits.overlap)
     return scalars
 
 
 def _run_entangled(params: dict, n: int, emit: _Emitter) -> dict:
     """Momentum and coordinate marginals of the entangled state; for two
     slits the fringe visibility is read from its density matrix."""
-    slits, det, density, decomp = _decompose(params)
+    slits, gamma, density = _entangled_state(params)
+    weights, _ = schmidt.schmidt(slits, density)
     if slits.m == 2:
         coherence.check_fringes(slits)
     pgrid = _momentum_grid(slits.sigma_x, n)
@@ -211,9 +213,9 @@ def _run_entangled(params: dict, n: int, emit: _Emitter) -> dict:
     coord = _marginal(slits, density, xgrid, interference.COORDINATE)
     emit.table("marginal_coordinate", ["x", "density"], [xgrid.points, coord])
     scalars = {
-        "schmidt_number": schmidt.schmidt_number(decomp.weights),
-        "entropy": schmidt.entropy(decomp.weights),
-        "fringe_modulation": det.overlap,
+        "schmidt_number": schmidt.schmidt_number(weights),
+        "entropy": schmidt.entropy(weights),
+        "fringe_modulation": gamma,
         "visibility": coherence.visibility(density) if slits.m == 2 else None,
         "marginal_integral": quadrature(marg, pgrid),
     }
@@ -221,13 +223,14 @@ def _run_entangled(params: dict, n: int, emit: _Emitter) -> dict:
 
 
 def _run_schmidt(params: dict, n: int, emit: _Emitter) -> dict:
-    slits, det, density, decomp = _decompose(params)
+    slits, _, density = _entangled_state(params)
+    weights, coefficients = schmidt.schmidt(slits, density)
     pgrid = _momentum_grid(slits.sigma_x, n)
     basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
     marg = interference.basis_density(basis, density)
-    mixture = schmidt.reconstruct_marginal(decomp, basis)
-    names = ["p_x"] + [f"mode{k}_density" for k in range(len(decomp.weights))]
-    modes = [interference.basis_density(basis, np.outer(c, c)) for c in decomp.coefficients.T]
+    mixture = schmidt.reconstruct_marginal(weights, coefficients, basis)
+    names = ["p_x"] + [f"mode{k}_density" for k in range(len(weights))]
+    modes = [interference.basis_density(basis, np.outer(c, c)) for c in coefficients.T]
     emit.table("modes", names, [pgrid.points] + modes)
     emit.table(
         "marginal",
@@ -237,22 +240,22 @@ def _run_schmidt(params: dict, n: int, emit: _Emitter) -> dict:
     emit.table(
         "weights",
         ["k", "weight"],
-        [np.arange(len(decomp.weights), dtype=float), decomp.weights],
+        [np.arange(len(weights), dtype=float), weights],
     )
     scalars = {
-        "schmidt_number": schmidt.schmidt_number(decomp.weights),
-        "entropy": schmidt.entropy(decomp.weights),
-        "information": schmidt.information(decomp.weights),
-        "mode_count": float(len(decomp.weights)),
+        "schmidt_number": schmidt.schmidt_number(weights),
+        "entropy": schmidt.entropy(weights),
+        "information": schmidt.information(weights),
+        "mode_count": float(len(weights)),
     }
-    for k, lam in enumerate(decomp.weights[:8]):
+    for k, lam in enumerate(weights[:8]):
         scalars[f"lambda{k}"] = lam
     if slits.m == 2:
-        lam0, lam1 = schmidt.analytic_two_slit_weights(slits, det)
+        lam0, lam1 = schmidt.analytic_two_slit_weights(slits, params["b"], params["sigma_xi"])
         scalars["lambda0_analytic"] = lam0
         scalars["lambda1_analytic"] = lam1
         # a weight below the truncation is dropped, so compare it as 0
-        kept0, kept1 = np.append(decomp.weights, 0.0)[:2]
+        kept0, kept1 = np.append(weights, 0.0)[:2]
         scalars["analytic_numeric_gap"] = max(abs(lam0 - kept0), abs(lam1 - kept1))
     return scalars
 
@@ -263,15 +266,15 @@ def _run_detector_sweep(params: dict, n: int, emit: _Emitter) -> dict:
     slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
     pgrid = _momentum_grid(slits.sigma_x, n)
     basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
-    overlaps = [interference.DetectorParams(b, params["sigma_xi"]).overlap for b in b_values]
+    overlaps = [interference.detector_overlap(b, params["sigma_xi"]) for b in b_values]
     densities = np.stack([interference.slit_state(slits, g) for g in overlaps])
     names = ["p_x"]
     cols = [pgrid.points]
     scalars = {}
-    for b, density, decomp in zip(b_values, densities, schmidt.schmidt_stack(slits, densities)):
+    for b, density, (weights, _) in zip(b_values, densities, schmidt.schmidt_stack(slits, densities)):
         names.append(f"density_b_{b:g}")
         cols.append(interference.basis_density(basis, density))
-        scalars[f"schmidt_number_b_{b:g}"] = schmidt.schmidt_number(decomp.weights)
+        scalars[f"schmidt_number_b_{b:g}"] = schmidt.schmidt_number(weights)
     emit.table("intensity", names, cols)
     return scalars
 
@@ -321,7 +324,7 @@ def _run_coherence(params: dict, n: int, emit: _Emitter) -> dict:
     phis = np.linspace(0.0, np.pi / 2.0, 17)
     densities = np.stack([interference.slit_state(slits, np.cos(2.0 * p)) for p in phis])
     visibility = coherence.visibility(densities)
-    k = [schmidt.schmidt_number(d.weights) for d in schmidt.schmidt_stack(slits, densities)]
+    k = [schmidt.schmidt_number(w) for w, _ in schmidt.schmidt_stack(slits, densities)]
     k_v = [coherence.k_from_v(v) for v in visibility]
     emit.table(
         "sweep",
@@ -343,33 +346,31 @@ def _run_coherence(params: dict, n: int, emit: _Emitter) -> dict:
 def _run_ammonia(params: dict, n: int, emit: _Emitter) -> dict:
     choice = params["isotope"]
     table = tunneling.AMMONIA_ISOTOPES
-    if choice != "all":
-        if choice not in table:
-            raise ValueError(f"unknown isotope {choice!r}; pick one of {sorted(table)} or all")
-        isotopes = [table[choice]]
-    else:
-        isotopes = [table[k] for k in ("NH3", "ND3", "NT3")]
+    if choice != "all" and choice not in table:
+        raise ValueError(f"unknown isotope {choice!r}; pick one of {sorted(table)} or all")
+    isotopes = list(table) if choice == "all" else [choice]
+    masses, measured = zip(*(table[name] for name in isotopes))
     fit_mass = params["mass"]
     well = tunneling.fit_potential(
         tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, fit_mass
     )
-    wells = [tunneling.DoubleWell(well.alpha, well.beta, iso.mass) for iso in isotopes]
+    wells = [tunneling.DoubleWell(well.alpha, well.beta, mass) for mass in masses]
     delta_e = np.array([tunneling.two_level_energies(w).splitting for w in wells])
     fd_delta_e = np.array([e1 - e0 for e0, e1 in map(tunneling.grid_eigensolve, wells)])
     columns = {
-        "mass": np.array([iso.mass for iso in isotopes]),
+        "mass": np.array(masses),
         "overlap": np.array([w.overlap for w in wells]),
         "delta_e": delta_e,
         "frequency_ghz": tunneling.splitting_to_frequency(delta_e),
         "fd_delta_e": fd_delta_e,
         "fd_frequency_ghz": tunneling.splitting_to_frequency(fd_delta_e),
-        "experimental_ghz": np.array([iso.experimental_ghz for iso in isotopes]),
+        "experimental_ghz": np.array(measured),
     }
     emit.table("splittings", list(columns), list(columns.values()))
     scalars = {"alpha": well.alpha, "beta": well.beta, "fit_mass": fit_mass}
-    for i, iso in enumerate(isotopes):
+    for i, name in enumerate(isotopes):
         for key in ("frequency_ghz", "overlap", "fd_frequency_ghz", "experimental_ghz"):
-            scalars[f"{key}_{iso.name}"] = columns[key][i]
+            scalars[f"{key}_{name}"] = columns[key][i]
     return scalars
 
 
@@ -422,8 +423,8 @@ def _run_tomography(params: dict, n: int, emit: _Emitter) -> dict:
     mixed = tomography.reconstruct(analysis, np.array([0.5, 0.5]))
     purity_min, purity_max = tomography.completion_purity_range(analysis, np.array([0.5, 0.5]))
     emit.protocol("populations_protocol", populations)
-    emit.json_file("populations_pure_report", vars(pure))
-    emit.json_file("populations_mixed_report", vars(mixed))
+    emit.json_file("populations_pure_report", pure)
+    emit.json_file("populations_mixed_report", mixed)
 
     ianalysis = tomography.analyze(protocol)
     rho_sym = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -431,17 +432,17 @@ def _run_tomography(params: dict, n: int, emit: _Emitter) -> dict:
     ireport = tomography.reconstruct(ianalysis, p_data)
     emit.protocol("interference_protocol", protocol)
     emit.json_file("interference_measurements", {"p": p_data})
-    emit.json_file("interference_report", vars(ireport))
+    emit.json_file("interference_report", ireport)
     return {
         "populations_rank": float(analysis.rank),
-        "pure_k_max": pure.k_max,
-        "pure_class": pure.completeness_class,
-        "mixed_k_max": mixed.k_max,
+        "pure_k_max": pure["k_max"],
+        "pure_class": pure["completeness_class"],
+        "mixed_k_max": mixed["k_max"],
         "scan_purity_min": purity_min,
         "scan_purity_max": purity_max,
         "interference_rank": float(ianalysis.rank),
-        "interference_k_max": ireport.k_max,
-        "interference_residual": ireport.residual,
+        "interference_k_max": ireport["k_max"],
+        "interference_residual": ireport["residual"],
     }
 
 
@@ -451,7 +452,7 @@ def _run_tomography(params: dict, n: int, emit: _Emitter) -> dict:
 
 _SLIT_DEFAULTS = {"m": 2, "a": 5.0, "sigma_x": 0.5}
 _TWO_SLIT_DEFAULTS = {"m": 2, "a": 5.0, "b": 0.5, "sigma_x": 0.5, "sigma_xi": 0.5}
-_NH3_MASS = tunneling.AMMONIA_ISOTOPES["NH3"].mass
+_NH3_MASS = tunneling.AMMONIA_ISOTOPES["NH3"][0]
 
 # name -> (runner, defaults, `qmodes list` summary).  A computation with a
 # summary is a command: `qmodes <name>` runs it with one flag per default.

@@ -14,31 +14,33 @@ E diag(mu)^(-1/2), are the particle modes' coefficients in the slit basis,
 so the modes sampled on any grid are ``basis @ coefficients``.
 Eigenvalues of S_x below ``DEFAULT_TRUNCATION`` times the largest are
 dropped, which keeps overlapping slits well posed, and so are weights
-below ``DEFAULT_TRUNCATION``.  States of one slit geometry share S_x, so
-``schmidt_stack`` decomposes a sweep of them with one eigensolve of S_x and
-one stacked eigensolve of their reduced matrices.
+below ``DEFAULT_TRUNCATION``.  A decomposition is the pair (weights,
+coefficients): the r kept weights descending, and an (m, r) array whose
+column k holds the coefficients of mode k; where two weights coincide,
+their modes are fixed only up to a rotation in their subspace.  States of one slit geometry
+share S_x, so ``schmidt_stack`` decomposes a sweep of them with one
+eigensolve of S_x and one stacked eigensolve of their reduced matrices,
+and returns one pair per state.
 
 For two slits the weights have the closed form
 
     lambda_0 = (1 + e_a + e_b + e_a e_b) / (2 (1 + e_a e_b))
     lambda_1 = (1 - e_a - e_b + e_a e_b) / (2 (1 + e_a e_b))
 
-where e_a = exp(-a^2/2 sigma_x^2), e_b = exp(-b^2/2 sigma_xi^2).  Measures:
+where e_a = exp(-a^2/2 sigma_x^2) and e_b = exp(-b^2/2 sigma_xi^2) for spots
+of width sigma_xi at +/-b (``analytic_two_slit_weights``).  Measures:
 entropy S = -sum lambda log2 lambda, mode count K = 1/sum lambda^2,
 information I = log2 K.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .interference import DetectorParams, SlitParams, basis_density
+from .interference import SlitParams, basis_density, detector_overlap
 from .numerics import eigh
 
 __all__ = [
-    "SchmidtDecomposition",
     "InvalidWeightsError",
     "analytic_two_slit_weights",
     "schmidt_stack",
@@ -50,34 +52,12 @@ __all__ = [
 ]
 
 DEFAULT_TRUNCATION = 1e-12
-DEGENERACY_TOL = 1e-10
 # a weight vector must sum to 1 within this
 WEIGHT_SUM_TOL = 1e-6
 
 
 class InvalidWeightsError(ValueError):
     """Weight vector is not a probability distribution."""
-
-
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Weights, descending, and the particle modes in the slit basis.
-
-    Particle mode k is sum_j coefficients[j, k] u_j, and the modes are
-    orthonormal.  When two retained weights coincide within ~1e-10 the
-    individual modes are only defined up to rotations in the degenerate
-    subspace and the ``degenerate`` flag is set.
-    """
-
-    weights: np.ndarray
-    coefficients: np.ndarray
-    degenerate: bool = False
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if np.ndim(self.coefficients) != 2 or np.shape(self.coefficients)[1] != w.size:
-            raise ValueError("mode count does not match the number of weights")
-        object.__setattr__(self, "weights", w)
 
 
 def _validate_weights(weights) -> np.ndarray:
@@ -91,24 +71,26 @@ def _validate_weights(weights) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
-def analytic_two_slit_weights(slits: SlitParams, det: DetectorParams) -> tuple[float, float]:
-    """Closed-form (lambda_0, lambda_1) for the two-slit entangled state.
+def analytic_two_slit_weights(slits: SlitParams, b: float, sigma_xi: float) -> tuple[float, float]:
+    """Closed-form (lambda_0, lambda_1) for the two-slit entangled state with
+    detector spots of width sigma_xi at +/-b.
 
     lambda_1 = (1 - e_a)(1 - e_b) / 2(1 + e_a e_b) takes both factors from
     expm1, so it keeps its relative accuracy as either overlap nears 1.
     """
-    e_a, e_b = slits.overlap, det.overlap
+    e_a, e_b = slits.overlap, detector_overlap(b, sigma_xi)
     denom = 2.0 * (1.0 + e_a * e_b)
     lam0 = (1.0 + e_a + e_b + e_a * e_b) / denom
     gap_a = -np.expm1(-(slits.a**2) / (2.0 * slits.sigma_x**2))
-    gap_b = -np.expm1(-(det.b**2) / (2.0 * det.sigma_xi**2))
+    gap_b = -np.expm1(-(b**2) / (2.0 * sigma_xi**2))
     lam1 = gap_a * gap_b / denom
     return float(lam0), float(lam1)
 
 
-def schmidt_stack(slits: SlitParams, densities) -> list[SchmidtDecomposition]:
+def schmidt_stack(slits: SlitParams, densities) -> list[tuple[np.ndarray, np.ndarray]]:
     """Schmidt decompositions of k states of one slit geometry, from their
-    particle density matrices D, a (k, m, m) stack.
+    particle density matrices D, a (k, m, m) stack: one (weights,
+    coefficients) pair per state.
 
     One eigensolve of S_x serves the stack, and the k reduced matrices are
     solved in one stacked call.  LAPACK solves each matrix of a stack on its
@@ -125,14 +107,12 @@ def schmidt_stack(slits: SlitParams, densities) -> list[SchmidtDecomposition]:
     decompositions = []
     for lam, vec in zip(lams[:, ::-1], vecs[:, :, ::-1]):
         keep = max(int(np.sum(lam >= DEFAULT_TRUNCATION)), 1)
-        weights = lam[:keep]
-        degenerate = bool(np.any(np.abs(np.diff(weights)) < DEGENERACY_TOL))
-        decompositions.append(SchmidtDecomposition(weights, back @ vec[:, :keep], degenerate))
+        decompositions.append((lam[:keep], back @ vec[:, :keep]))
     return decompositions
 
 
-def schmidt(slits: SlitParams, density) -> SchmidtDecomposition:
-    """Schmidt decomposition of the slit state of density matrix D =
+def schmidt(slits: SlitParams, density) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, coefficients) of the slit state of density matrix D =
     ``density`` (``slit_state``): ``schmidt_stack`` of a stack of one."""
     return schmidt_stack(slits, density[None])[0]
 
@@ -156,12 +136,12 @@ def information(weights) -> float:
     return float(np.log2(schmidt_number(weights)))
 
 
-def reconstruct_marginal(decomp: SchmidtDecomposition, basis: np.ndarray) -> np.ndarray:
+def reconstruct_marginal(weights: np.ndarray, coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Particle marginal as the mode mixture sum_k lambda_k |psi_k|^2.
 
+    ``weights`` and ``coefficients`` are a decomposition of ``schmidt``, and
     ``basis`` is the slit basis sampled on a grid (``slit_basis``).  The
     mixture equals the marginal density of the decomposed state on that
     grid, point by point, up to the truncation threshold.
     """
-    c = decomp.coefficients
-    return basis_density(basis, (c * decomp.weights) @ c.T)
+    return basis_density(basis, (coefficients * weights) @ coefficients.T)

@@ -19,8 +19,9 @@ rho = (I + r.sigma)/2 the data fix r to an affine subspace, and the
 completions are its intersection with the unit Bloch ball
 (``completion_purity_range``).
 
-A ``ReconstructionReport``'s fields are plain values and numpy arrays; the
-scenario runner writes them, and this module knows no output format.
+``reconstruct`` returns its report as a dict of plain values and numpy
+arrays, which the scenario runner writes as it is; this module knows no
+output format.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "CONDITIONALLY_COMPLETE",
     "INCOMPLETE",
     "ProtocolAnalysis",
-    "ReconstructionReport",
     "InadequateDataError",
     "ZeroFactorsError",
     "QubitOnlyError",
@@ -92,18 +92,6 @@ class ProtocolAnalysis:
     @property
     def model_dim(self) -> int:
         return self.v.shape[0]
-
-
-@dataclass(frozen=True)
-class ReconstructionReport:
-    adequate: bool
-    residual: float
-    completeness_class: str
-    factors: np.ndarray
-    undefined_count: int
-    rho_regularized: np.ndarray
-    k_max: float
-    physical: bool
 
 
 def vectorize(rho) -> np.ndarray:
@@ -180,7 +168,7 @@ def _defined_factors(analysis: ProtocolAnalysis, p) -> tuple[np.ndarray, float]:
     return q / analysis.singular_values[:r], residual
 
 
-def reconstruct(analysis: ProtocolAnalysis, p) -> ReconstructionReport:
+def reconstruct(analysis: ProtocolAnalysis, p) -> dict:
     """Regularized linear inversion with completeness classification.
 
     Defined factors are Q_j / S_j for j <= rank; undefined factors are set
@@ -189,6 +177,10 @@ def reconstruct(analysis: ProtocolAnalysis, p) -> ReconstructionReport:
     consistent with the data.  Classes: rank = s^2 is unconditionally
     complete; otherwise |K_max - 1| <= ``DEFAULT_CONDITIONAL_TOL`` is
     conditionally complete, else incomplete.
+
+    The report is a dict: ``adequate`` (True: inadequate data raise),
+    ``residual``, ``completeness_class``, the defined ``factors``,
+    ``undefined_count``, ``rho_regularized``, ``k_max`` and ``physical``.
     """
     defined, residual = _defined_factors(analysis, p)
     r = analysis.rank
@@ -205,16 +197,16 @@ def reconstruct(analysis: ProtocolAnalysis, p) -> ReconstructionReport:
         completeness = CONDITIONALLY_COMPLETE
     else:
         completeness = INCOMPLETE
-    return ReconstructionReport(
-        adequate=True,
-        residual=residual,
-        completeness_class=completeness,
-        factors=f[:r],
-        undefined_count=analysis.model_dim - r,
-        rho_regularized=rho,
-        k_max=k_max,
-        physical=_physical(rho),
-    )
+    return {
+        "adequate": True,
+        "residual": residual,
+        "completeness_class": completeness,
+        "factors": f[:r],
+        "undefined_count": analysis.model_dim - r,
+        "rho_regularized": rho,
+        "k_max": k_max,
+        "physical": _physical(rho),
+    }
 
 
 # column-stacked (I + r.sigma)/2 = _BLOCH_OFFSET + _BLOCH_MAP @ (x, y, z)

@@ -17,10 +17,12 @@ compared.  The ammonia report keys ``fd_delta_e``/``fd_frequency_ghz_*``
 hold these grid levels; "fd" is kept from the finite-difference solver they
 once came from.
 
-Ammonia units: masses in atomic mass units (1.66e-27 kg), lengths in Bohr
-radii (0.529 Angstrom), so one model energy unit is hbar^2/(m0 a0^2) =
-2.39e-21 J and corresponds to 3607 GHz (4 significant figures; division by
-the Planck constant 6.62607015e-34 J s).
+``AMMONIA_ISOTOPES`` maps each isotope's name, NH3, ND3 or NT3, to the
+pair (reduced mass, measured inversion frequency in GHz).  Ammonia units:
+masses in atomic mass units (1.66e-27 kg), lengths in Bohr radii (0.529
+Angstrom), so one model energy unit is hbar^2/(m0 a0^2) = 2.39e-21 J and
+corresponds to 3607 GHz (4 significant figures; division by the Planck
+constant 6.62607015e-34 J s).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .numerics import Grid1D, eigh, make_grid
 __all__ = [
     "DoubleWell",
     "TwoLevelEnergies",
-    "Isotope",
     "AMMONIA_ISOTOPES",
     "AMMONIA_EQUILIBRIUM",
     "AMMONIA_SPLITTING",
@@ -154,19 +155,11 @@ class TwoLevelEnergies:
     splitting: float
 
 
-@dataclass(frozen=True)
-class Isotope:
-    """Named reduced mass, with the measured inversion frequency."""
-
-    name: str
-    mass: float
-    experimental_ghz: float
-
-
+# name -> (reduced mass, measured inversion frequency in GHz)
 AMMONIA_ISOTOPES = {
-    "NH3": Isotope("NH3", 3.0 * 14.0 / 17.0, 24.0),
-    "ND3": Isotope("ND3", 6.0 * 14.0 / 20.0, 1.6),
-    "NT3": Isotope("NT3", 9.0 * 14.0 / 23.0, 0.306),
+    "NH3": (3.0 * 14.0 / 17.0, 24.0),
+    "ND3": (6.0 * 14.0 / 20.0, 1.6),
+    "NT3": (9.0 * 14.0 / 23.0, 0.306),
 }
 
 

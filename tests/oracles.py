@@ -1,7 +1,8 @@
 """Independent references for the tests: sampled waves and an
-offset-corrected FFT, the two-slit closed forms, the multi-slit form factor, the uniform-source fringe
-pattern, a least-squares fit of a pattern's fringe visibility, the grid
-reference for slit states, and Python's text of data tables and protocols.
+offset-corrected FFT, a detector's two numbers, the two-slit closed forms,
+the multi-slit form factor, the uniform-source fringe pattern, a
+least-squares fit of a pattern's fringe visibility, the grid reference for
+slit states, and Python's text of data tables and protocols.
 
 The grid reference samples the joint state psi(x, xi) on a particle x
 detector grid as a factor pair psi = left @ right.T, normalizes it by
@@ -12,11 +13,12 @@ with the closed-form overlap path of ``qmodes.schmidt``.
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from qmodes.interference import slit_centers, two_slit_norm
+from qmodes.interference import slit_centers
 from qmodes.numerics import Grid1D, quadrature, trapezoid_weights
 from qmodes.schmidt import analytic_two_slit_weights
 
@@ -62,6 +64,16 @@ def form_factor(eta, m: int):
     eta_arr = np.asarray(eta, dtype=float)
     out = sum(np.cos((m - 1 - 2 * k) * eta_arr) for k in range(m))
     return out if out.ndim else float(out)
+
+
+# a which-way detector's spots, of width sigma_xi at +/-b: the two numbers
+# qmodes.interference.detector_overlap and the closed forms take
+Detector = namedtuple("Detector", "b sigma_xi")
+
+
+def two_slit_norm(a, sigma_x):
+    """Normalization C^2 = 1 / (1 + exp(-a^2 / 2 sigma_x^2)) of the symmetric pair."""
+    return 1.0 / (1.0 + np.exp(-(a**2) / (2.0 * sigma_x**2)))
 
 
 def single_slit_momentum_density(sigma_x, p_x):
@@ -123,7 +135,7 @@ def two_slit_schmidt(slits, det, particle_grid, detector_grid):
     """Closed-form two-slit (weights, particle modes, detector modes)."""
     modes_x = [cos_sin_mode(particle_grid, slits.sigma_x, slits.a, trig) for trig in (np.cos, np.sin)]
     modes_xi = [cos_sin_mode(detector_grid, det.sigma_xi, det.b, trig) for trig in (np.cos, np.sin)]
-    return np.array(analytic_two_slit_weights(slits, det)), modes_x, modes_xi
+    return np.array(analytic_two_slit_weights(slits, *det)), modes_x, modes_xi
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ def report(out_dir, name):
         (["figures", "fig3", "--format", "xml"], None),
         (["figures", "fig3", "--grid-points", "15"], None),
         (["figures", "fig3", "--config", "{config}"], "b = 0.3\nseed = 7\n"),
+        (["figures", "fig7", "--out", ""], None),
+        (["figures", "fig7", "--config", "{config}"], "out =\n"),
     ],
     ids=[
         "unknown-scenario",
@@ -42,19 +44,26 @@ def report(out_dir, name):
         "unknown-format",
         "too-few-grid-points",
         "unknown-config-key",
+        "empty-out-flag",
+        "empty-out-config",
     ],
 )
-def test_bad_input_exits_2_with_an_error_line(tmp_path, capsys, argv, config_text):
+def test_bad_input_exits_2_with_an_error_line(tmp_path, capsys, monkeypatch, argv, config_text):
     config = tmp_path / "run.cfg"
     if config_text is not None:
         config.write_text(config_text, encoding="utf-8")
     argv = [a.format(config=config, missing=tmp_path / "absent.cfg") for a in argv]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    # run from an empty directory: the default output directory, and an
+    # empty one, which would be the working directory itself, both lie there
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("qmodes: error: ")
     assert len(err.strip().splitlines()) == 1
     # every input is checked before the output directory is made
-    assert not (tmp_path / "out").exists()
+    assert list(cwd.iterdir()) == []
 
 
 def test_precedence_defaults_then_config_then_flags(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    Detector,
     SampledWave,
     conjugate_grid,
     form_factor,
@@ -13,18 +14,18 @@ from oracles import (
     grid_state_momentum,
     single_slit_momentum_density,
     two_slit_intensity,
+    two_slit_norm,
     visibility_from_intensity,
 )
 from qmodes.interference import (
     COORDINATE,
     MOMENTUM,
-    DetectorParams,
     SlitParams,
     basis_density,
+    detector_overlap,
     slit_basis,
     slit_centers,
     slit_state,
-    two_slit_norm,
 )
 from qmodes.numerics import MAX_SLITS, make_grid, quadrature
 from qmodes.schmidt import schmidt
@@ -38,8 +39,8 @@ def momentum_grid(n=512, half=10.0):
 
 def two_slit_state_pair(b):
     slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
-    det = DetectorParams(b=b, sigma_xi=0.5)
-    return slits, det, slit_state(slits, det.overlap)
+    det = Detector(b=b, sigma_xi=0.5)
+    return slits, det, slit_state(slits, detector_overlap(*det))
 
 
 def momentum_marginal(slits, density, grid):
@@ -147,12 +148,12 @@ class TestCenters:
 
     def test_spots_match_slit_layout(self):
         # the detector overlaps are those of Gaussians of width sigma_xi at slit_centers(m, b)
-        det = DetectorParams(b=0.5, sigma_xi=0.4)
+        det = Detector(b=0.5, sigma_xi=0.4)
         d = slit_centers(3, det.b)
         gaussian = np.exp(-np.subtract.outer(d, d) ** 2 / (8.0 * det.sigma_xi**2))
         slits = SlitParams(a=A, sigma_x=SIGMA, m=3)
         # D = S_xi / sum(S_x o S_xi)
-        s_xi = slit_state(slits, det.overlap) * np.sum(slits.overlaps * gaussian)
+        s_xi = slit_state(slits, detector_overlap(*det)) * np.sum(slits.overlaps * gaussian)
         assert np.allclose(s_xi, gaussian, rtol=1e-14, atol=0.0)
 
 
@@ -203,10 +204,10 @@ class TestJointStateMomentum:
     def test_no_coupling_factorizes(self):
         # b = 0: one Schmidt mode, the normalized sum of the slit functions
         slits, _, density = two_slit_state_pair(b=0.0)
-        dec = schmidt(slits, density)
-        assert dec.weights == pytest.approx([1.0], abs=1e-14)
+        weights, coefficients = schmidt(slits, density)
+        assert weights == pytest.approx([1.0], abs=1e-14)
         grid = momentum_grid()
-        mode = slit_basis(slits, grid.points, MOMENTUM) @ dec.coefficients[:, 0]
+        mode = slit_basis(slits, grid.points, MOMENTUM) @ coefficients[:, 0]
         marg = momentum_marginal(slits, density, grid)
         assert np.max(np.abs(np.abs(mode) ** 2 - marg.amplitudes)) < 1e-14
 
@@ -233,7 +234,7 @@ class TestJointStateMomentum:
         grid = momentum_grid()
         for m in (1, 2, 3, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            det = DetectorParams(b=0.5, sigma_xi=0.5)
+            det = Detector(b=0.5, sigma_xi=0.5)
             psi = sampled_state(slits, det, grid, grid, MOMENTUM)
             assert quadrature(quadrature(np.abs(psi) ** 2, grid), grid) == pytest.approx(1.0, abs=1e-12)
 
@@ -247,7 +248,7 @@ class TestJointStateCoordinate:
 
     def test_matches_closed_form(self):
         slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
-        det = DetectorParams(b=0.5, sigma_xi=0.5)
+        det = Detector(b=0.5, sigma_xi=0.5)
         xg, dg = self.grids()
         x = xg.points[:, None]
         xi = dg.points[None, :]
@@ -264,7 +265,7 @@ class TestJointStateCoordinate:
 
     def test_transform_matches_momentum_state(self):
         slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
-        det = DetectorParams(b=0.5, sigma_xi=0.5)
+        det = Detector(b=0.5, sigma_xi=0.5)
         xg, dg = self.grids(n=512)
         coord = sampled_state(slits, det, xg, dg, COORDINATE)
         # transform the detector axis, then the particle axis
@@ -280,9 +281,9 @@ class TestJointStateCoordinate:
     def test_zero_separation_is_product(self):
         # coincident slits: S_x is all ones, and its zero eigenvalue is dropped
         slits = SlitParams(a=1e-12, sigma_x=SIGMA, m=2)
-        dec = schmidt(slits, slit_state(slits, DetectorParams(b=0.5, sigma_xi=0.5).overlap))
-        assert dec.weights == pytest.approx([1.0], abs=1e-14)
-        assert dec.coefficients.shape == (2, 1)
+        weights, coefficients = schmidt(slits, slit_state(slits, detector_overlap(0.5, 0.5)))
+        assert weights == pytest.approx([1.0], abs=1e-14)
+        assert coefficients.shape == (2, 1)
 
 
 class TestMarginals:
@@ -314,8 +315,8 @@ class TestMarginals:
     def test_matches_the_grid_reference(self, m):
         # the detector axis integrated by quadrature on a sampled joint state
         slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-        det = DetectorParams(b=0.7, sigma_xi=0.5)
-        density = slit_state(slits, det.overlap)
+        det = Detector(b=0.7, sigma_xi=0.5)
+        density = slit_state(slits, detector_overlap(*det))
         pg, qg = make_grid(0.0, 9.0, 1024), make_grid(0.0, 9.0, 1024)
         mom = momentum_marginal(slits, density, pg).amplitudes
         ref = grid_marginal(grid_state_momentum(slits, det, pg, qg))
@@ -327,11 +328,11 @@ class TestMarginals:
         assert np.max(np.abs(coord - ref)) < 1e-12 * np.max(ref)
 
     def test_fig2_modulation_factor(self):
-        det = DetectorParams(b=0.7, sigma_xi=0.5)
-        assert det.overlap == pytest.approx(np.exp(-0.98), rel=1e-15)
+        det = Detector(b=0.7, sigma_xi=0.5)
+        assert detector_overlap(*det) == pytest.approx(np.exp(-0.98), rel=1e-15)
         slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
         grid = momentum_grid(1024)
-        marg = momentum_marginal(slits, slit_state(slits, det.overlap), grid)
+        marg = momentum_marginal(slits, slit_state(slits, detector_overlap(*det)), grid)
         flat = marg.amplitudes / np.exp(-2 * SIGMA**2 * grid.points**2)
         window = np.abs(grid.points) < 2.0
         contrast = (flat[window].max() - flat[window].min()) / (
@@ -375,14 +376,14 @@ class TestInvariants:
         for b in (0.0, 0.5, 1.0):
             slits, det, density = two_slit_state_pair(b)  # a / sigma_x = 10 >= 8
             v = visibility_from_intensity(momentum_marginal(slits, density, momentum_grid(2048)), A, SIGMA)
-            assert v == pytest.approx(det.overlap, abs=1e-4)
+            assert v == pytest.approx(detector_overlap(*det), abs=1e-4)
 
     def test_principal_maxima_scale_m_squared(self):
         # at b = 0 the peak at p = 0 carries F^2 = m^2 over the per-slit envelope
         grid = momentum_grid(4097)
         for m in (2, 3, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            marg = momentum_marginal(slits, slit_state(slits, DetectorParams(b=0.0, sigma_xi=0.5).overlap), grid)
+            marg = momentum_marginal(slits, slit_state(slits, detector_overlap(0.0, 0.5)), grid)
             peak = marg.amplitudes[np.argmin(np.abs(grid.points))]
             per_slit = single_slit_momentum_density(SIGMA, 0.0) / m
             assert peak / per_slit == pytest.approx(m**2, rel=1e-6)
@@ -395,7 +396,7 @@ class TestInvariants:
         with pytest.raises(ValueError):
             SlitParams(a=1.0, sigma_x=0.5, m=0)
         with pytest.raises(ValueError):
-            DetectorParams(b=-0.1, sigma_xi=0.5)
+            detector_overlap(-0.1, 0.5)
 
     @pytest.mark.parametrize("overlap", [1.5, -1.5, np.nan])
     def test_detector_overlap_outside_unit_interval_rejected(self, overlap):
@@ -420,9 +421,9 @@ class TestInvariants:
         "m, gammas",
         [
             (2, [1.0]),  # fig1
-            (2, [DetectorParams(b, 0.5).overlap for b in (0.5, 0.7)]),  # fig2, fig3
-            (4, [DetectorParams(b, 0.5).overlap for b in (0.0, 0.3, 0.7, 1.5)]),  # fig4
-            (5, [DetectorParams(0.5, 0.5).overlap]),  # fig5
+            (2, [detector_overlap(b, 0.5) for b in (0.5, 0.7)]),  # fig2, fig3
+            (4, [detector_overlap(b, 0.5) for b in (0.0, 0.3, 0.7, 1.5)]),  # fig4
+            (5, [detector_overlap(0.5, 0.5)]),  # fig5
             (2, [float(np.sinc(4.0 * y)) for y in (0.0, 0.0625, 0.125, 0.1875, 0.25)]),  # fig6-data
             (2, list(np.cos(2.0 * np.linspace(0.0, np.pi / 2.0, 17)))),  # coherence
         ],

@@ -4,7 +4,7 @@ that the interference tests cross-check joint states with."""
 import numpy as np
 import pytest
 
-from oracles import SampledWave, conjugate_grid, fourier_to_momentum, two_slit_intensity
+from oracles import SampledWave, conjugate_grid, fourier_to_momentum, two_slit_intensity, two_slit_norm
 from qmodes.numerics import (
     Grid1D,
     NonHermitianError,
@@ -99,8 +99,6 @@ class TestFourier:
 
     def test_two_slit_transform_matches_closed_form(self):
         # independent route to the cos^2 interference pattern
-        from qmodes.interference import two_slit_norm
-
         sigma, a = 0.5, 5.0
         grid = make_grid(0, 11, 2048)
         x = grid.points
@@ -134,7 +132,7 @@ class TestEigh:
     def test_uncoupled_two_qubit_spectrum(self):
         from qmodes.tunneling import AMMONIA_ISOTOPES, DoubleWell, build_two_qubit, two_level_energies
 
-        well = DoubleWell(69.29, 141.73, AMMONIA_ISOTOPES["NH3"].mass)
+        well = DoubleWell(69.29, 141.73, AMMONIA_ISOTOPES["NH3"][0])
         energies = two_level_energies(well)
         values, _ = eigh(build_two_qubit(energies, well, g0=0.0))
         e0, e1 = energies.e0, energies.e1

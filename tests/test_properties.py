@@ -9,8 +9,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from oracles import gram_weights_oracle, grid_schmidt, grid_state_momentum, python_text  # noqa: E402
-from qmodes.interference import DetectorParams, SlitParams, slit_state  # noqa: E402
+from oracles import Detector, gram_weights_oracle, grid_schmidt, grid_state_momentum, python_text  # noqa: E402
+from qmodes.interference import SlitParams, detector_overlap, slit_state  # noqa: E402
 from qmodes.numerics import MAX_SLITS, NonHermitianError, make_grid  # noqa: E402
 from qmodes.schmidt import (  # noqa: E402
     DEFAULT_TRUNCATION,
@@ -31,8 +31,8 @@ from qmodes.text import format_rows  # noqa: E402
 )
 def test_weights_are_the_oracle_distribution(m, a, b, sigma_xi):
     slits = SlitParams(a=a, sigma_x=0.5, m=m)
-    det = DetectorParams(b=b, sigma_xi=sigma_xi)
-    weights = schmidt(slits, slit_state(slits, det.overlap)).weights
+    det = Detector(b=b, sigma_xi=sigma_xi)
+    weights, _ = schmidt(slits, slit_state(slits, detector_overlap(*det)))
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert 1.0 - 1e-12 <= schmidt_number(weights) <= m + 1e-12
     oracle = gram_weights_oracle(m, a, 0.5, b, sigma_xi)
@@ -56,8 +56,8 @@ def test_overlapping_slits_match_the_grid_reference(m, a, b, sigma_xi):
     # a < 2 sigma_x: the slit overlap matrix is ill-conditioned and its small
     # eigenvalues are dropped
     slits = SlitParams(a=a, sigma_x=0.5, m=m)
-    det = DetectorParams(b=b, sigma_xi=sigma_xi)
-    weights = schmidt(slits, slit_state(slits, det.overlap)).weights
+    det = Detector(b=b, sigma_xi=sigma_xi)
+    weights, _ = schmidt(slits, slit_state(slits, detector_overlap(*det)))
     assert weights.sum() == pytest.approx(1.0, abs=1e-10)
     assert 1.0 - 1e-12 <= schmidt_number(weights) <= m + 1e-12
     oracle = gram_weights_oracle(m, a, 0.5, b, sigma_xi)
@@ -79,7 +79,7 @@ def test_overlapping_slits_match_the_grid_reference(m, a, b, sigma_xi):
 )
 def test_schmidt_number_grows_with_coupling(m, a, sigma_xi, bs):
     slits = SlitParams(a=a, sigma_x=0.5, m=m)
-    ks = [schmidt_number(schmidt(slits, slit_state(slits, DetectorParams(b, sigma_xi).overlap)).weights) for b in sorted(bs)]
+    ks = [schmidt_number(schmidt(slits, slit_state(slits, detector_overlap(b, sigma_xi)))[0]) for b in sorted(bs)]
     assert all(k2 >= k1 - 1e-9 for k1, k2 in zip(ks, ks[1:]))
     assert all(1.0 - 1e-12 <= k <= m + 1e-12 for k in ks)
 
@@ -95,9 +95,9 @@ def test_separated_slits_reach_m_modes(m, separation, sigma_xi, bs):
     # a >= 6 sigma_x: the slit overlaps are <= exp(-4.5), so the weights
     # approach 1/m once the detector states are orthogonal
     slits = SlitParams(a=separation * 0.5, sigma_x=0.5, m=m)
-    ks = [schmidt_number(schmidt(slits, slit_state(slits, DetectorParams(b, sigma_xi).overlap)).weights) for b in sorted(bs)]
+    ks = [schmidt_number(schmidt(slits, slit_state(slits, detector_overlap(b, sigma_xi)))[0]) for b in sorted(bs)]
     assert all(k2 >= k1 - 1e-9 for k1, k2 in zip(ks, ks[1:]))
-    k_far = schmidt_number(schmidt(slits, slit_state(slits, DetectorParams(20.0 * sigma_xi, sigma_xi).overlap)).weights)
+    k_far = schmidt_number(schmidt(slits, slit_state(slits, detector_overlap(20.0 * sigma_xi, sigma_xi)))[0])
     assert m * (1.0 - 1e-3) <= k_far <= m + 1e-12
 
 
@@ -144,14 +144,13 @@ def test_stacked_decompositions_are_each_states_bit_for_bit(m, ratio, gammas):
             schmidt_stack(slits, densities)
         return
     stacked = schmidt_stack(slits, densities)
-    for density, dec in zip(states, stacked):
-        single = schmidt(slits, density)
-        assert dec.weights.tobytes() == single.weights.tobytes() == one_state_weights(slits, density).tobytes()
-        assert dec.coefficients.tobytes() == single.coefficients.tobytes()
-        assert dec.degenerate == single.degenerate
-        assert number_or_invalid(dec.weights) == number_or_invalid(single.weights)
+    for density, (weights, coefficients) in zip(states, stacked):
+        single_weights, single_coefficients = schmidt(slits, density)
+        assert weights.tobytes() == single_weights.tobytes() == one_state_weights(slits, density).tobytes()
+        assert coefficients.tobytes() == single_coefficients.tobytes()
+        assert number_or_invalid(weights) == number_or_invalid(single_weights)
     with pytest.raises(InvalidWeightsError):
-        schmidt_number(stacked[-1].weights)
+        schmidt_number(stacked[-1][0])
 
 
 # every float64: random bit patterns reach every exponent, subnormals and

@@ -8,7 +8,7 @@ import pytest
 from oracles import SampledWave, form_factor, source_pattern, visibility_from_intensity
 from qmodes import scenarios
 from qmodes.coherence import entropy_from_v, source_coherence, source_visibility
-from qmodes.interference import MOMENTUM, DetectorParams, SlitParams, basis_density, slit_basis, slit_state
+from qmodes.interference import MOMENTUM, SlitParams, basis_density, detector_overlap, slit_basis, slit_state
 from qmodes.numerics import make_grid
 from qmodes.schmidt import schmidt, schmidt_number
 
@@ -155,7 +155,7 @@ def test_coherence_sweep_is_each_states_schmidt_number_and_visibility(tmp_path):
     rows = table_rows(tmp_path, "coherence_sweep")
     slits = SlitParams(a=5.0, sigma_x=0.5, m=2)
     gammas = np.cos(2.0 * rows[:, 0])
-    k = [schmidt_number(schmidt(slits, slit_state(slits, g)).weights) for g in gammas]
+    k = [schmidt_number(schmidt(slits, slit_state(slits, g))[0]) for g in gammas]
     assert rows[:, 2].tobytes() == np.array(k).tobytes()
     assert np.max(np.abs(rows[:, 1] - np.abs(gammas))) <= 2.3e-16
 
@@ -173,7 +173,7 @@ def test_written_patterns_fit_to_their_states_visibility(tmp_path, n):
     fig2 = scenarios.run("fig2", tmp_path, "json", n, {})[0]["scalars"]
     rows = table_rows(tmp_path, "fig2_marginal_momentum")
     assert np.array_equal(rows[:, 0], grid.points)
-    gamma = DetectorParams(0.7, 0.5).overlap
+    gamma = detector_overlap(0.7, 0.5)
     assert abs(fitted(rows[:, 1]) - gamma) <= 1e-4
     assert fig2["visibility"] == fig2["fringe_modulation"] == float(f"{gamma:.6g}")
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    Detector,
     GridState,
     SampledWave,
     gram_weights_oracle,
@@ -13,7 +14,7 @@ from oracles import (
     grid_state_momentum,
     two_slit_schmidt,
 )
-from qmodes.interference import MOMENTUM, DetectorParams, SlitParams, basis_density, slit_basis, slit_state
+from qmodes.interference import MOMENTUM, SlitParams, basis_density, detector_overlap, slit_basis, slit_state
 from qmodes.numerics import make_grid, quadrature, trapezoid_weights
 from qmodes.schmidt import (
     InvalidWeightsError,
@@ -27,15 +28,15 @@ from qmodes.schmidt import (
 
 A, SIGMA = 5.0, 0.5
 FIG3_SLITS = SlitParams(a=A, sigma_x=SIGMA, m=2)
-FIG3_DET = DetectorParams(b=0.5, sigma_xi=0.5)
+FIG3_DET = Detector(b=0.5, sigma_xi=0.5)
 
 
 def momentum_grids(n=512, half=10.0):
     return make_grid(0, half, n), make_grid(0, half, n)
 
 
-def modes_on(grid, slits, dec):
-    return slit_basis(slits, grid.points, MOMENTUM) @ dec.coefficients
+def modes_on(grid, slits, coefficients):
+    return slit_basis(slits, grid.points, MOMENTUM) @ coefficients
 
 
 def momentum_marginal(slits, density, grid):
@@ -45,28 +46,32 @@ def momentum_marginal(slits, density, grid):
 
 class TestAnalyticTwoSlit:
     def test_reference_weights(self):
-        lam0, lam1 = analytic_two_slit_weights(FIG3_SLITS, FIG3_DET)
+        lam0, lam1 = analytic_two_slit_weights(FIG3_SLITS, *FIG3_DET)
         assert lam0 == pytest.approx(0.8033, abs=5e-5)
         assert lam1 == pytest.approx(0.1967, abs=5e-5)
         assert lam0 + lam1 == pytest.approx(1.0, rel=1e-14)
 
     def test_uncoupled_detector_gives_pure_state(self):
-        lam0, lam1 = analytic_two_slit_weights(FIG3_SLITS, DetectorParams(0.0, 0.5))
+        lam0, lam1 = analytic_two_slit_weights(FIG3_SLITS, 0.0, 0.5)
         assert lam0 == pytest.approx(1.0, abs=1e-15)
         assert lam1 == pytest.approx(0.0, abs=1e-15)
 
     def test_strong_coupling_limit_is_uniform(self):
         lam0, lam1 = analytic_two_slit_weights(
-            SlitParams(a=50.0, sigma_x=0.5, m=2), DetectorParams(50.0, 0.5)
+            SlitParams(a=50.0, sigma_x=0.5, m=2), 50.0, 0.5
         )
         assert lam0 == pytest.approx(0.5, abs=1e-12)
         assert lam1 == pytest.approx(0.5, abs=1e-12)
+        # and so are the numerical weights, equal to 1e-10
+        slits = SlitParams(a=8.0, sigma_x=0.5, m=2)
+        weights, _ = schmidt(slits, slit_state(slits, detector_overlap(8.0, 0.5)))
+        assert np.allclose(weights, 0.5, atol=1e-10)
 
     def test_small_weight_keeps_its_relative_accuracy(self):
         # 1 - e_a - e_b + e_a e_b loses lambda_1 ~ 1e-14 to rounding in e_b
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
-        lam0, lam1 = analytic_two_slit_weights(FIG3_SLITS, DetectorParams(1e-7, 0.5))
+        lam0, lam1 = analytic_two_slit_weights(FIG3_SLITS, 1e-7, 0.5)
         e_a = mpmath.exp(-mpmath.mpf(A) ** 2 / (2 * mpmath.mpf(SIGMA) ** 2))
         e_b = mpmath.exp(-mpmath.mpf(1e-7) ** 2 / (2 * mpmath.mpf(0.5) ** 2))
         denom = 2 * (1 + e_a * e_b)
@@ -90,67 +95,66 @@ class TestNumericalSchmidt:
     and the grid reference's QR + SVD of a sampled joint state."""
 
     def test_two_slit_reference_case(self):
-        dec = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, FIG3_DET.overlap))
-        lam0, lam1 = analytic_two_slit_weights(FIG3_SLITS, FIG3_DET)
-        assert len(dec.weights) == 2
-        assert abs(dec.weights[0] - lam0) < 1e-14
-        assert abs(dec.weights[1] - lam1) < 1e-14
-        assert schmidt_number(dec.weights) == pytest.approx(1.4621, abs=5e-5)
-        assert entropy(dec.weights) == pytest.approx(0.7153, abs=5e-5)
+        weights, _ = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, detector_overlap(*FIG3_DET)))
+        lam0, lam1 = analytic_two_slit_weights(FIG3_SLITS, *FIG3_DET)
+        assert len(weights) == 2
+        assert abs(weights[0] - lam0) < 1e-14
+        assert abs(weights[1] - lam1) < 1e-14
+        assert schmidt_number(weights) == pytest.approx(1.4621, abs=5e-5)
+        assert entropy(weights) == pytest.approx(0.7153, abs=5e-5)
 
     def test_five_slit_reference_case(self):
         slits = SlitParams(a=A, sigma_x=SIGMA, m=5)
-        dec = schmidt(slits, slit_state(slits, FIG3_DET.overlap))
+        weights, _ = schmidt(slits, slit_state(slits, detector_overlap(*FIG3_DET)))
         oracle = gram_weights_oracle(5, A, SIGMA, 0.5, 0.5)
-        assert len(dec.weights) == 5
-        assert np.max(np.abs(dec.weights - oracle)) < 1e-14
+        assert len(weights) == 5
+        assert np.max(np.abs(weights - oracle)) < 1e-14
         grid, _, _ = grid_schmidt(grid_state_momentum(slits, FIG3_DET, *momentum_grids(512)))
-        assert np.max(np.abs(dec.weights - grid)) < 1e-8
+        assert np.max(np.abs(weights - grid)) < 1e-8
         reported = np.array([0.4434, 0.3063, 0.1640, 0.0666, 0.0197])
-        assert np.max(np.abs(dec.weights - reported)) < 1e-4
-        assert schmidt_number(dec.weights) == pytest.approx(3.1043, abs=2e-4)
-        assert entropy(dec.weights) == pytest.approx(1.8429, abs=2e-4)
+        assert np.max(np.abs(weights - reported)) < 1e-4
+        assert schmidt_number(weights) == pytest.approx(3.1043, abs=2e-4)
+        assert entropy(weights) == pytest.approx(1.8429, abs=2e-4)
 
     def test_gram_oracle_matches_svd_for_various_m(self):
         for m, b in ((2, 0.3), (3, 0.5), (4, 0.8), (6, 0.25)):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            det = DetectorParams(b=b, sigma_xi=0.5)
-            dec = schmidt(slits, slit_state(slits, det.overlap))
+            det = Detector(b=b, sigma_xi=0.5)
+            weights, _ = schmidt(slits, slit_state(slits, detector_overlap(*det)))
             grid, _, _ = grid_schmidt(grid_state_momentum(slits, det, *momentum_grids(384)))
             oracle = gram_weights_oracle(m, A, SIGMA, b, 0.5)
-            assert np.max(np.abs(dec.weights - oracle[: len(dec.weights)])) < 1e-14
-            assert np.max(np.abs(dec.weights - grid)) < 1e-8
+            assert np.max(np.abs(weights - oracle[: len(weights)])) < 1e-14
+            assert np.max(np.abs(weights - grid)) < 1e-8
 
     def test_uncoupled_state_single_weight(self):
         for m in (2, 3, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            dec = schmidt(slits, slit_state(slits, DetectorParams(0.0, 0.5).overlap))
-            assert len(dec.weights) == 1
-            assert dec.weights[0] == pytest.approx(1.0, abs=1e-10)
+            weights, _ = schmidt(slits, slit_state(slits, detector_overlap(0.0, 0.5)))
+            assert len(weights) == 1
+            assert weights[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_weight_count_is_m_for_coupled_states(self):
         for m in (2, 3, 4, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            dec = schmidt(slits, slit_state(slits, FIG3_DET.overlap))
-            assert len(dec.weights) == m
+            weights, _ = schmidt(slits, slit_state(slits, detector_overlap(*FIG3_DET)))
+            assert len(weights) == m
 
     def test_weights_sum_to_one_and_modes_orthonormal(self):
         for m in (2, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            dec = schmidt(slits, slit_state(slits, FIG3_DET.overlap))
-            assert dec.weights.sum() == pytest.approx(1.0, abs=1e-14)
-            c = dec.coefficients
+            weights, c = schmidt(slits, slit_state(slits, detector_overlap(*FIG3_DET)))
+            assert weights.sum() == pytest.approx(1.0, abs=1e-14)
             assert np.max(np.abs(c.T @ slits.overlaps @ c - np.eye(m))) < 1e-13
             pg, _ = momentum_grids()
-            modes = modes_on(pg, slits, dec)
+            modes = modes_on(pg, slits, c)
             overlaps = modes.conj().T @ (trapezoid_weights(pg)[:, None] * modes)
             assert np.max(np.abs(overlaps - np.eye(m))) < 1e-12
 
     def test_modes_match_analytic(self):
         pg, dg = momentum_grids()
-        dec = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, FIG3_DET.overlap))
+        _, coefficients = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, detector_overlap(*FIG3_DET)))
         _, modes_x, _ = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
-        modes = modes_on(pg, FIG3_SLITS, dec)
+        modes = modes_on(pg, FIG3_SLITS, coefficients)
         for k in range(2):
             overlap = quadrature(np.conj(modes[:, k]) * modes_x[k].amplitudes, pg)
             assert abs(overlap) > 1.0 - 1e-12
@@ -161,9 +165,9 @@ class TestNumericalSchmidt:
         for a in range(1, 9):
             for b in np.arange(0.0, 2.01, 0.25):
                 slits = SlitParams(a=float(a), sigma_x=0.5, m=2)
-                det = DetectorParams(b=float(b), sigma_xi=0.5)
-                weights = schmidt(slits, slit_state(slits, det.overlap)).weights
-                lam = np.array(analytic_two_slit_weights(slits, det))[: len(weights)]
+                det = Detector(b=float(b), sigma_xi=0.5)
+                weights, _ = schmidt(slits, slit_state(slits, detector_overlap(*det)))
+                lam = np.array(analytic_two_slit_weights(slits, *det))[: len(weights)]
                 grid, _, _ = grid_schmidt(grid_state_momentum(slits, det, pg, dg))
                 worst = max(worst, np.max(np.abs(weights - lam)))
                 worst_grid = max(worst_grid, np.max(np.abs(grid[:2] - lam[: len(grid)][:2])))
@@ -175,9 +179,9 @@ class TestNumericalSchmidt:
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
             previous_k, previous_s = None, None
             for b in np.arange(0.0, 3.01, 0.5):
-                dec = schmidt(slits, slit_state(slits, DetectorParams(b=float(b), sigma_xi=0.5).overlap))
-                k = schmidt_number(dec.weights)
-                s = entropy(dec.weights)
+                weights, _ = schmidt(slits, slit_state(slits, detector_overlap(float(b), 0.5)))
+                k = schmidt_number(weights)
+                s = entropy(weights)
                 assert k <= m + 1e-9
                 assert s <= np.log2(m) + 1e-9
                 if previous_k is not None:
@@ -187,20 +191,13 @@ class TestNumericalSchmidt:
 
     def test_representation_invariance(self):
         # the grid reference gives the same weights from either representation
-        dec = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, FIG3_DET.overlap))
+        lam, _ = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, detector_overlap(*FIG3_DET)))
         mom, _, _ = grid_schmidt(grid_state_momentum(FIG3_SLITS, FIG3_DET, *momentum_grids(512)))
         xg, dg = make_grid(0, 10, 512), make_grid(0, 5.5, 512)
         coord, _, _ = grid_schmidt(grid_state_coordinate(FIG3_SLITS, FIG3_DET, xg, dg))
         for weights in (mom, coord):
-            assert abs(schmidt_number(weights) - schmidt_number(dec.weights)) < 1e-6
-            assert abs(entropy(weights) - entropy(dec.weights)) < 1e-6
-
-    def test_degenerate_weights_flagged(self):
-        slits = SlitParams(a=8.0, sigma_x=0.5, m=2)
-        det = DetectorParams(b=8.0, sigma_xi=0.5)
-        dec = schmidt(slits, slit_state(slits, det.overlap))
-        assert dec.degenerate
-        assert np.allclose(dec.weights, 0.5, atol=1e-10)
+            assert abs(schmidt_number(weights) - schmidt_number(lam)) < 1e-6
+            assert abs(entropy(weights) - entropy(lam)) < 1e-6
 
     @pytest.mark.parametrize("n", (1024, 8192))
     @pytest.mark.parametrize("m", range(2, 9))
@@ -208,14 +205,14 @@ class TestNumericalSchmidt:
         pg, dg = momentum_grids(n)
         slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
         for b in (0.0, 0.3, 0.7, 1.5):
-            det = DetectorParams(b, 0.5)
-            dec = schmidt(slits, slit_state(slits, det.overlap))
+            det = Detector(b, 0.5)
+            weights, _ = schmidt(slits, slit_state(slits, detector_overlap(*det)))
             grid, _, _ = grid_schmidt(grid_state_momentum(slits, det, pg, dg))
             rank = m if b > 0 else 1
-            assert len(dec.weights) == len(grid) == rank
+            assert len(weights) == len(grid) == rank
             oracle = gram_weights_oracle(m, A, SIGMA, b, 0.5)
-            assert np.max(np.abs(dec.weights - oracle[:rank])) < 1e-12
-            assert np.max(np.abs(dec.weights - grid)) < 1e-12
+            assert np.max(np.abs(weights - oracle[:rank])) < 1e-12
+            assert np.max(np.abs(weights - grid)) < 1e-12
 
     @pytest.mark.parametrize("shape", [(40, 2, None), (40, 40, None), (40, 30, 3)])
     def test_generic_complex_state_matches_dense_svd(self, shape):
@@ -278,21 +275,21 @@ class TestMixtureAndDensity:
         pg, _ = momentum_grids()
         for m in (2, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
-            density = slit_state(slits, FIG3_DET.overlap)
-            mixture = reconstruct_marginal(schmidt(slits, density), slit_basis(slits, pg.points, MOMENTUM))
+            density = slit_state(slits, detector_overlap(*FIG3_DET))
+            mixture = reconstruct_marginal(*schmidt(slits, density), slit_basis(slits, pg.points, MOMENTUM))
             direct = momentum_marginal(slits, density, pg)
             assert np.max(np.abs(mixture - direct.amplitudes)) < 1e-14
 
     def test_single_mode_mixture(self):
         pg, _ = momentum_grids()
-        dec = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, DetectorParams(0.0, 0.5).overlap))
-        mixture = reconstruct_marginal(dec, slit_basis(FIG3_SLITS, pg.points, MOMENTUM))
-        mode_sq = np.abs(modes_on(pg, FIG3_SLITS, dec)[:, 0]) ** 2
-        assert np.max(np.abs(mixture - mode_sq * dec.weights[0])) < 1e-12
+        weights, coefficients = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, detector_overlap(0.0, 0.5)))
+        mixture = reconstruct_marginal(weights, coefficients, slit_basis(FIG3_SLITS, pg.points, MOMENTUM))
+        mode_sq = np.abs(modes_on(pg, FIG3_SLITS, coefficients)[:, 0]) ** 2
+        assert np.max(np.abs(mixture - mode_sq * weights[0])) < 1e-12
 
     def test_mixture_combines_cos_and_sin_densities(self):
         pg, dg = momentum_grids()
         weights, modes_x, _ = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
         mixture = sum(lam * np.abs(mode.amplitudes) ** 2 for lam, mode in zip(weights, modes_x))
-        direct = momentum_marginal(FIG3_SLITS, slit_state(FIG3_SLITS, FIG3_DET.overlap), pg)
+        direct = momentum_marginal(FIG3_SLITS, slit_state(FIG3_SLITS, detector_overlap(*FIG3_DET)), pg)
         assert np.max(np.abs(mixture - direct.amplitudes)) < 1e-8

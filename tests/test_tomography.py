@@ -24,15 +24,15 @@ def grid_scan(analysis, p, points=21):
     within the module's tolerances.  Returns (count, purity_min, purity_max).
     """
     report = reconstruct(analysis, p)
-    u_count = report.undefined_count
+    u_count = report["undefined_count"]
     if u_count == 0:
-        purity = float(np.sum(np.abs(report.rho_regularized) ** 2))
-        return (1, purity, purity) if report.physical else (0, np.nan, np.nan)
+        purity = float(np.sum(np.abs(report["rho_regularized"]) ** 2))
+        return (1, purity, purity) if report["physical"] else (0, np.nan, np.nan)
     axis = np.linspace(-1.0, 1.0, points)
     reals = np.stack(np.meshgrid(*[axis] * (2 * u_count), indexing="ij"), -1).reshape(-1, 2 * u_count)
     block = reals[:, :u_count] + 1j * reals[:, u_count:]
     block = block[np.linalg.norm(block, axis=1) <= 1.0 + 1e-12]
-    vecs = vectorize(report.rho_regularized)[None, :] + block @ analysis.v[:, analysis.rank :].T
+    vecs = vectorize(report["rho_regularized"])[None, :] + block @ analysis.v[:, analysis.rank :].T
     rhos = np.transpose(vecs.reshape(-1, 2, 2), (0, 2, 1))
     adjoint = np.conj(np.transpose(rhos, (0, 2, 1)))
     herm = np.max(np.abs(rhos - adjoint), axis=(1, 2))
