@@ -59,18 +59,14 @@ class Grid1D:
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
-    @property
-    def half_width(self) -> float:
-        return 0.5 * (self.x_max - self.x_min)
 
-
-def make_grid(center: float, half_width: float, n_points: int) -> Grid1D:
-    """Symmetric grid [center - half_width, center + half_width]."""
+def make_grid(edge: float, n_points: int) -> Grid1D:
+    """Grid [-edge, edge], symmetric about 0."""
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
-    if not half_width > 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    return Grid1D(n_points, center - half_width, center + half_width)
+    if not edge > 0:
+        raise ValueError(f"edge must be positive, got {edge}")
+    return Grid1D(n_points, -edge, edge)
 
 
 def trapezoid_weights(grid: Grid1D) -> np.ndarray:

@@ -73,14 +73,17 @@ def _save_json(path: Path, data: dict):
 def _save_values(path: Path, fmt: str, head: str, table: np.ndarray, seps: list[bytes], tail: str):
     """Write ``head``, then each value of the 2-D ``table`` as ``fmt`` writes
     it followed by its column's separator from ``seps``, with ``tail`` in
-    place of the last separator; streamed in blocks of rows.  An empty table
-    writes ``head`` alone."""
-    step = max(1, _BLOCK_VALUES[fmt] // table.shape[1])
+    place of the last separator; streamed in as few blocks of rows as hold
+    about ``_BLOCK_VALUES[fmt]`` values each, their row counts differing by
+    at most one.  An empty table writes ``head`` alone."""
+    rows, cols = table.shape
+    blocks = min(rows, -(-rows * cols // _BLOCK_VALUES[fmt]))
+    bounds = [rows * k // blocks for k in range(blocks + 1)] if blocks else []
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
-        for start in range(0, len(table), step):
-            text = format_rows(table[start : start + step], seps, fmt)
-            if start + step >= len(table):
+        for start, stop in zip(bounds, bounds[1:]):
+            text = format_rows(table[start:stop], seps, fmt)
+            if stop == rows:
                 text = text[: -len(seps[-1])] + tail.encode("ascii")
             fh.write(text)
 
@@ -154,12 +157,12 @@ class _Emitter:
 
 def _momentum_grid(sigma: float, n: int) -> Grid1D:
     # envelope exp(-sigma^2 p^2): 9 momentum sigmas leave amplitude < 1e-8
-    return make_grid(0.0, 9.0 / (2.0 * sigma), n)
+    return make_grid(9.0 / (2.0 * sigma), n)
 
 
 def _coordinate_grid(m: int, a: float, sigma: float, n: int) -> Grid1D:
     extent = (m - 1) * a
-    return make_grid(0.0, extent + 8.0 * sigma, n)
+    return make_grid(extent + 8.0 * sigma, n)
 
 
 def _marginal(
@@ -230,8 +233,11 @@ def _run_schmidt(params: dict, n: int, emit: _Emitter) -> dict:
     marg = interference.basis_density(basis, density)
     mixture = schmidt.reconstruct_marginal(weights, coefficients, basis)
     names = ["p_x"] + [f"mode{k}_density" for k in range(len(weights))]
-    modes = [interference.basis_density(basis, np.outer(c, c)) for c in coefficients.T]
-    emit.table("modes", names, [pgrid.points] + modes)
+    # mode k's amplitude is column k of basis @ coefficients, taken in its
+    # real and imaginary parts: one complex matmul raised the peak RSS of a
+    # fig3 or fig5 run by about 0.3 MB
+    modes = np.square(basis.real @ coefficients) + np.square(basis.imag @ coefficients)
+    emit.table("modes", names, [pgrid.points, *modes.T])
     emit.table(
         "marginal",
         ["p_x", "marginal", "mode_mixture"],
@@ -355,7 +361,7 @@ def _run_ammonia(params: dict, n: int, emit: _Emitter) -> dict:
         tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, fit_mass
     )
     wells = [tunneling.DoubleWell(well.alpha, well.beta, mass) for mass in masses]
-    delta_e = np.array([tunneling.two_level_energies(w).splitting for w in wells])
+    delta_e = np.array([splitting for _, _, splitting in map(tunneling.two_level_energies, wells)])
     fd_delta_e = np.array([e1 - e0 for e0, e1 in map(tunneling.grid_eigensolve, wells)])
     columns = {
         "mass": np.array(masses),
@@ -388,23 +394,21 @@ def _run_qubits(params: dict, n: int, emit: _Emitter) -> dict:
     well = tunneling.fit_potential(
         tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, params["mass"]
     )
-    energies = tunneling.two_level_energies(well)
+    e0, e1, splitting = tunneling.two_level_energies(well)
     contact = 4.0 * math.sqrt(math.pi) * well.sigma_x
-    g_max = g0_max or 300.0 * energies.splitting * contact
-    if not (math.isfinite(2.0 * g_max) and math.isfinite(g_max / contact / energies.splitting)):
+    g_max = g0_max or 300.0 * splitting * contact
+    if not (math.isfinite(2.0 * g_max) and math.isfinite(g_max / contact / splitting)):
         # the sweep spans 2 g0_max, and each g0 is also written as g0 / (contact * splitting)
         raise ValueError(f"g0_max {g0_max} overflows the coupling sweep; pick a smaller one")
     g_values = np.linspace(-g_max, g_max, n_sweep)
-    k_values, _ = tunneling.ground_state_entanglement(
-        tunneling.build_two_qubit(energies, well, g_values)
-    )
+    k_values = tunneling.ground_state_entanglement(tunneling.build_two_qubit(e0, e1, well, g_values))
     emit.table(
         "sweep",
         ["g0", "reduced_coupling", "schmidt_number"],
-        [g_values, g_values / contact / energies.splitting, k_values],
+        [g_values, g_values / contact / splitting, k_values],
     )
     return {
-        "delta_e": energies.splitting,
+        "delta_e": splitting,
         "sigma_x": well.sigma_x,
         "g0_max": g_max,
         "schmidt_number_g0_0": k_values[n_sweep // 2],
@@ -434,13 +438,13 @@ def _run_tomography(params: dict, n: int, emit: _Emitter) -> dict:
     emit.json_file("interference_measurements", {"p": p_data})
     emit.json_file("interference_report", ireport)
     return {
-        "populations_rank": float(analysis.rank),
+        "populations_rank": float(analysis[3]),
         "pure_k_max": pure["k_max"],
         "pure_class": pure["completeness_class"],
         "mixed_k_max": mixed["k_max"],
         "scan_purity_min": purity_min,
         "scan_purity_max": purity_max,
-        "interference_rank": float(ianalysis.rank),
+        "interference_rank": float(ianalysis[3]),
         "interference_k_max": ireport["k_max"],
         "interference_residual": ireport["residual"],
     }

@@ -19,15 +19,16 @@ rho = (I + r.sigma)/2 the data fix r to an affine subspace, and the
 completions are its intersection with the unit Bloch ball
 (``completion_purity_range``).
 
-``reconstruct`` returns its report as a dict of plain values and numpy
-arrays, which the scenario runner writes as it is; this module knows no
-output format.
+``analyze`` returns the SVD and the rank as the tuple (U, V, singular
+values, rank), which ``check_adequacy``, ``reconstruct`` and
+``completion_purity_range`` take as it is.  ``reconstruct`` returns its
+report as a dict of plain values and numpy arrays, which the scenario
+runner writes as it is; this module knows no output format.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "UNCONDITIONALLY_COMPLETE",
     "CONDITIONALLY_COMPLETE",
     "INCOMPLETE",
-    "ProtocolAnalysis",
     "InadequateDataError",
     "ZeroFactorsError",
     "QubitOnlyError",
@@ -80,20 +80,6 @@ class QubitOnlyError(ValueError):
     """The completion range is implemented for qubit protocols (s = 2) only."""
 
 
-@dataclass(frozen=True)
-class ProtocolAnalysis:
-    """SVD B = U diag(s) V+ with the numerical rank: V square, U with min(N, s^2) columns."""
-
-    u: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-    singular_values: np.ndarray
-    rank: int
-
-    @property
-    def model_dim(self) -> int:
-        return self.v.shape[0]
-
-
 def vectorize(rho) -> np.ndarray:
     """Column-stack a square matrix: second column under the first, and so on."""
     rho = np.asarray(rho)
@@ -111,25 +97,26 @@ def devectorize(vec) -> np.ndarray:
     return vec.reshape(s, s, order="F")
 
 
-def analyze(b) -> ProtocolAnalysis:
-    """SVD of the protocol matrix B, rank counted above ``DEFAULT_RANK_THRESHOLD`` x s_max.
+def analyze(b) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """SVD B = U diag(s) V+ of the protocol matrix and its numerical rank,
+    as (U, V, s, rank); the rank counts the s above ``DEFAULT_RANK_THRESHOLD`` x s_max.
 
     B has one row per measurement and s^2 columns, one per entry of the
     column-stacked s x s density matrix; raises ``ValueError`` unless it is
-    2-D with a perfect-square column count.
+    2-D with a perfect-square column count.  V is s^2 x s^2 and U has
+    min(N, s^2) columns.
     """
     b = np.asarray(b)
     if b.ndim != 2 or math.isqrt(b.shape[1]) ** 2 != b.shape[1]:
         raise ValueError(f"a protocol matrix has N rows and s^2 columns, got shape {b.shape}")
-    n, model_dim = b.shape
     # thin in U (N may be large); V stays square, its columns past the rank
     # span the undefined factors
-    u, s, vh = np.linalg.svd(b, full_matrices=n < model_dim)
+    u, s, vh = np.linalg.svd(b, full_matrices=b.shape[0] < b.shape[1])
     rank = int(np.sum(s > DEFAULT_RANK_THRESHOLD * s[0])) if s.size and s[0] > 0 else 0
-    return ProtocolAnalysis(u, vh.conj().T, s, rank)
+    return u, vh.conj().T, s, rank
 
 
-def check_adequacy(analysis: ProtocolAnalysis, p):
+def check_adequacy(analysis: tuple, p):
     """Relative norm of the data outside the protocol's column space.
 
     With U_r the first r = rank columns of U, the part P - U_r U_r+ P (the
@@ -137,15 +124,14 @@ def check_adequacy(analysis: ProtocolAnalysis, p):
     system to be consistent, within ``DEFAULT_ADEQUACY_TOL``.  Returns
     (adequate, residual).
     """
+    u, _, _, rank = analysis
     p = np.asarray(p)
-    if p.shape[0] != analysis.u.shape[0]:
-        raise ValueError(
-            f"data length {p.shape[0]} does not match {analysis.u.shape[0]} measurements"
-        )
+    if p.shape[0] != u.shape[0]:
+        raise ValueError(f"data length {p.shape[0]} does not match {u.shape[0]} measurements")
     total = float(np.linalg.norm(p))
     if total == 0.0:
         return True, 0.0
-    u_r = analysis.u[:, : analysis.rank]
+    u_r = u[:, :rank]
     residual = float(np.linalg.norm(p - u_r @ (u_r.conj().T @ p)) / total)
     return residual <= DEFAULT_ADEQUACY_TOL, residual
 
@@ -158,17 +144,17 @@ def _physical(rho: np.ndarray) -> bool:
     return bool(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) >= -EIGENVALUE_TOL)
 
 
-def _defined_factors(analysis: ProtocolAnalysis, p) -> tuple[np.ndarray, float]:
+def _defined_factors(analysis: tuple, p) -> tuple[np.ndarray, float]:
     """Defined factors Q_j / S_j, j <= rank, of adequate data, and the adequacy residual."""
     adequate, residual = check_adequacy(analysis, p)
     if not adequate:
         raise InadequateDataError(residual)
-    r = analysis.rank
-    q = analysis.u[:, :r].conj().T @ np.asarray(p)
-    return q / analysis.singular_values[:r], residual
+    u, _, s, r = analysis
+    q = u[:, :r].conj().T @ np.asarray(p)
+    return q / s[:r], residual
 
 
-def reconstruct(analysis: ProtocolAnalysis, p) -> dict:
+def reconstruct(analysis: tuple, p) -> dict:
     """Regularized linear inversion with completeness classification.
 
     Defined factors are Q_j / S_j for j <= rank; undefined factors are set
@@ -183,15 +169,15 @@ def reconstruct(analysis: ProtocolAnalysis, p) -> dict:
     ``undefined_count``, ``rho_regularized``, ``k_max`` and ``physical``.
     """
     defined, residual = _defined_factors(analysis, p)
-    r = analysis.rank
-    f = np.zeros(analysis.model_dim, dtype=complex)
+    _, v, _, r = analysis
+    f = np.zeros(v.shape[0], dtype=complex)
     f[:r] = defined
     ff = float(np.real(f.conj() @ f))
     if ff <= 0.0:
         raise ZeroFactorsError("defined factors all vanish; K_max undefined")
     k_max = 1.0 / ff
-    rho = devectorize(analysis.v @ f)
-    if r == analysis.model_dim:
+    rho = devectorize(v @ f)
+    if r == v.shape[0]:
         completeness = UNCONDITIONALLY_COMPLETE
     elif abs(k_max - 1.0) <= DEFAULT_CONDITIONAL_TOL:
         completeness = CONDITIONALLY_COMPLETE
@@ -202,7 +188,7 @@ def reconstruct(analysis: ProtocolAnalysis, p) -> dict:
         "residual": residual,
         "completeness_class": completeness,
         "factors": f[:r],
-        "undefined_count": analysis.model_dim - r,
+        "undefined_count": v.shape[0] - r,
         "rho_regularized": rho,
         "k_max": k_max,
         "physical": _physical(rho),
@@ -214,7 +200,7 @@ _BLOCH_OFFSET = np.array([0.5, 0.0, 0.0, 0.5])
 _BLOCH_MAP = 0.5 * np.array([[0, 0, 1], [1, 1j, 0], [1, -1j, 0], [0, 0, -1]])
 
 
-def completion_purity_range(analysis: ProtocolAnalysis, p) -> tuple[float, float]:
+def completion_purity_range(analysis: tuple, p) -> tuple[float, float]:
     """Least and greatest purity tr rho^2 of the physical qubit states fitting the data.
 
     With rho = (I + r.sigma)/2, every Hermitian unit-trace state, the
@@ -229,10 +215,11 @@ def completion_purity_range(analysis: ProtocolAnalysis, p) -> tuple[float, float
     unit-trace state fits within ``TRACE_TOL``, or the nearest one has an
     eigenvalue below -``EIGENVALUE_TOL``.
     """
-    if analysis.model_dim != 4:
-        raise QubitOnlyError(f"completion range needs s = 2, got s^2 = {analysis.model_dim}")
+    _, v, _, rank = analysis
+    if v.shape[0] != 4:
+        raise QubitOnlyError(f"completion range needs s = 2, got s^2 = {v.shape[0]}")
     factors, _ = _defined_factors(analysis, p)
-    defined = analysis.v[:, : analysis.rank].conj().T
+    defined = v[:, :rank].conj().T
     coeffs = defined @ _BLOCH_MAP
     rhs = factors - defined @ _BLOCH_OFFSET
     a = np.concatenate((coeffs.real, coeffs.imag))

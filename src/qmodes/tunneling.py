@@ -6,10 +6,12 @@ a = sqrt(alpha/beta); Gaussian states of width sigma_x^2 = 1/(2 m omega_0)
 sit in each, with omega_0 = sqrt(2 alpha / m).  ``DoubleWell`` holds
 (alpha, beta, m) and gives a, sigma_x and the inter-well overlap as
 properties.  Symmetric/antisymmetric combinations give ground and excited
-levels whose splitting E1 - E0 is the tunnel (inversion) frequency.  A pair
-of delta-coupled qubits is a (..., 4, 4) stack of Hamiltonians, one per
-coupling (``build_two_qubit``), and ``ground_state_entanglement`` reads the
-Schmidt number of each ground state from the stack.
+levels whose splitting E1 - E0 is the tunnel (inversion) frequency:
+``two_level_energies`` returns the triple (E0, E1, E1 - E0), the splitting
+in closed form.  A pair of delta-coupled qubits is a (..., 4, 4) stack of
+Hamiltonians, one per coupling (``build_two_qubit``, from E0, E1 and the
+well), and ``ground_state_entanglement`` returns the Schmidt number of each
+ground state of the stack, an array of the stack's shape.
 
 ``grid_eigensolve`` gives the exact levels of the same well, converged in a
 sinc discrete variable representation, against which the two-level ones are
@@ -37,7 +39,6 @@ from .numerics import Grid1D, eigh, make_grid
 
 __all__ = [
     "DoubleWell",
-    "TwoLevelEnergies",
     "AMMONIA_ISOTOPES",
     "AMMONIA_EQUILIBRIUM",
     "AMMONIA_SPLITTING",
@@ -65,9 +66,6 @@ AMMONIA_EQUILIBRIUM = 0.699
 AMMONIA_SPLITTING = 0.00665
 
 OVERLAP_VALIDITY = 0.01
-# two lowest two-qubit levels closer than this, relative to the largest
-# |level| (at least 1), leave the ground state and its K undetermined
-DEGENERACY_TOL = 1e-12
 
 # Sinc-DVR levels: the Hamiltonian is dense, so its size is capped.  The
 # grid grows from _DVR_START_POINTS in steps of _DVR_STEP_POINTS until two
@@ -96,6 +94,12 @@ class FitError(ValueError):
     """Potential-parameter fit failed or left the two-level validity regime."""
 
 
+def _require_finite_positive(**values: float):
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class DoubleWell:
     """Quartic double well -alpha x^2/2 + beta x^4/4 for a particle of given mass."""
@@ -105,9 +109,7 @@ class DoubleWell:
     mass: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "mass"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        _require_finite_positive(alpha=self.alpha, beta=self.beta, mass=self.mass)
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         return -self.alpha * x**2 / 2.0 + self.beta * x**4 / 4.0
@@ -133,28 +135,6 @@ class DoubleWell:
         return -(self.a**2) / (2.0 * self.sigma_x**2)
 
 
-@dataclass(frozen=True)
-class TwoLevelEnergies:
-    """Kinetic, potential and total energies of the symmetric/antisymmetric pair.
-
-    ``splitting`` is E1 - E0 from its closed form (see ``two_level_energies``),
-    not the float difference ``e1 - e0``: both energies are O(1) while the
-    splitting can be 1e-10 or smaller, so the difference keeps few correct
-    digits and rounds to 0 for well-separated wells.  ``u1 - u0`` and
-    ``t1 - t0`` cancel just as badly, so the field is stored.
-    """
-
-    c0_sq: float
-    c1_sq: float
-    t0: float
-    t1: float
-    u0: float
-    u1: float
-    e0: float
-    e1: float
-    splitting: float
-
-
 # name -> (reduced mass, measured inversion frequency in GHz)
 AMMONIA_ISOTOPES = {
     "NH3": (3.0 * 14.0 / 17.0, 24.0),
@@ -163,15 +143,20 @@ AMMONIA_ISOTOPES = {
 }
 
 
-def two_level_energies(well: DoubleWell) -> TwoLevelEnergies:
-    """Closed-form energies of the symmetric (0) and antisymmetric (1) states.
+def two_level_energies(well: DoubleWell) -> tuple[float, float, float]:
+    """Closed-form energies (E0, E1, E1 - E0) of the symmetric (0) and
+    antisymmetric (1) states.
 
     T0 = C0^2/(8 m sigma^2) [1 - (a^2/sigma^2 - 1) eps]  (eps = overlap),
     T1 with C1^2 and +, and the quartic-well potential expectations U0/U1
     evaluated over the same Gaussian pair.  E = U + T.  Warns when eps
     exceeds 0.01, outside two-level validity.
 
-    The splitting is taken in closed form, free of cancellation:
+    The splitting is not the float difference E1 - E0: both energies are
+    O(1) while the splitting can be 1e-10 or smaller, so the difference
+    keeps few correct digits and rounds to 0 for well-separated wells, and
+    U1 - U0 and T1 - T0 cancel just as badly.  It is taken in closed form,
+    free of cancellation:
 
         E1 - E0 = 2 eps/(1 - eps^2) [q T_kin + base - cross],  q = a^2/sigma^2,
 
@@ -206,7 +191,7 @@ def two_level_energies(well: DoubleWell) -> TwoLevelEnergies:
     u0 = c0_sq * (base + eps * cross)
     u1 = c1_sq * (base - eps * cross)
     splitting = math.exp(_log_splitting(well.alpha, a, sx**2, well.log_overlap))
-    return TwoLevelEnergies(c0_sq, c1_sq, t0, t1, u0, u1, u0 + t0, u1 + t1, splitting)
+    return u0 + t0, u1 + t1, splitting
 
 
 def _log_splitting(alpha: float, a: float, sigma_sq: float, log_eps: float) -> float:
@@ -231,8 +216,7 @@ def fit_potential(a_target: float, delta_e_target: float, mass: float) -> Double
     validity overlap < 0.01; a mass (or equilibrium) too small for any
     alpha of the search to meet it raises ``FitError`` before the search.
     """
-    if not (a_target > 0 and delta_e_target > 0 and mass > 0):
-        raise ValueError("targets and mass must be positive")
+    _require_finite_positive(a_target=a_target, delta_e_target=delta_e_target, mass=mass)
     # the overlap exp(-a^2 sqrt(2 alpha m)) falls as alpha grows: if it is
     # still past the validity limit at the last alpha the bracket search
     # tries, no alpha fits, and at smaller alphas it can round to 1
@@ -289,8 +273,8 @@ def splitting_to_frequency(delta_e: float) -> float:
     return delta_e * GHZ_PER_MODEL_UNIT
 
 
-def lowest_levels(potential_values, mass: float, grid: Grid1D, n_levels: int = 2) -> np.ndarray:
-    """Lowest eigenvalues of -(1/2m) d^2/dx^2 + U(x) in the sinc DVR of the grid.
+def lowest_levels(potential_values, mass: float, grid: Grid1D) -> np.ndarray:
+    """Eigenvalues of -(1/2m) d^2/dx^2 + U(x) in the sinc DVR of the grid, ascending.
 
     The Colbert-Miller sinc discrete variable representation (J. Chem. Phys.
     96, 1982 (1992)) on the uniform grid: U sampled on the diagonal and the
@@ -304,8 +288,6 @@ def lowest_levels(potential_values, mass: float, grid: Grid1D, n_levels: int = 2
     n = grid.n_points
     if u.shape[0] != n:
         raise ValueError("potential samples do not match the grid")
-    if not 1 <= n_levels <= n:
-        raise ValueError(f"n_levels must lie in [1, {n}], got {n_levels}")
     if n > MAX_DVR_POINTS:
         raise InsufficientGridError(f"the dense DVR takes at most {MAX_DVR_POINTS} points, got {n}")
     k = np.arange(1, n)
@@ -313,7 +295,7 @@ def lowest_levels(potential_values, mass: float, grid: Grid1D, n_levels: int = 2
     # window i of [row[n-1], ..., row[1], row[0], ..., row[n-1]] is H's row n-1-i
     h = np.lib.stride_tricks.sliding_window_view(np.concatenate((row[:0:-1], row)), n)[::-1].copy()
     h[np.diag_indices(n)] += u
-    return np.linalg.eigvalsh(h)[:n_levels]
+    return np.linalg.eigvalsh(h)
 
 
 def grid_eigensolve(well: DoubleWell) -> tuple[float, float]:
@@ -330,11 +312,11 @@ def grid_eigensolve(well: DoubleWell) -> tuple[float, float]:
     eigensolve's rounding swamps the splitting, and
     ``InsufficientGridError`` if ``MAX_DVR_POINTS`` do not converge.
     """
-    half_width = max(3.0 * well.a, well.a + 8.0 * well.sigma_x)
+    edge = max(3.0 * well.a, well.a + 8.0 * well.sigma_x)
     previous = None
     for n in range(_DVR_START_POINTS, MAX_DVR_POINTS + 1, _DVR_STEP_POINTS):
-        grid = make_grid(0.0, half_width, n)
-        e0, e1 = lowest_levels(well.potential(grid.points), well.mass, grid)
+        grid = make_grid(edge, n)
+        e0, e1 = lowest_levels(well.potential(grid.points), well.mass, grid)[:2]
         splitting = e1 - e0
         if splitting < _MIN_RELATIVE_SPLITTING * max(abs(e0), abs(e1)):
             raise UnresolvedSplittingError(
@@ -347,12 +329,12 @@ def grid_eigensolve(well: DoubleWell) -> tuple[float, float]:
     raise InsufficientGridError(f"splitting did not converge within {MAX_DVR_POINTS} points")
 
 
-def build_two_qubit(energies: TwoLevelEnergies, well: DoubleWell, g0: np.ndarray) -> np.ndarray:
+def build_two_qubit(e0: float, e1: float, well: DoubleWell, g0: np.ndarray) -> np.ndarray:
     """Hamiltonians of two double-well qubits with contact interaction -g0 delta(x - xi).
 
-    g0 > 0 is attraction, g0 < 0 repulsion.  An array of couplings gives a
-    (..., 4, 4) stack, one Hamiltonian per coupling, in the basis order
-    (00, 01, 10, 11):
+    E0 and E1 are the well's two levels (``two_level_energies``).  g0 > 0 is
+    attraction, g0 < 0 repulsion.  An array of couplings gives a (..., 4, 4)
+    stack, one Hamiltonian per coupling, in the basis order (00, 01, 10, 11):
 
         H = diag(2E0, E0+E1, E0+E1, 2E1) + h
 
@@ -363,17 +345,20 @@ def build_two_qubit(energies: TwoLevelEnergies, well: DoubleWell, g0: np.ndarray
         h2 = -C0^2 C1^2 g0/(4 sqrt(pi) sigma) (1 - e4)
         h3 = -C1^4 g0/(4 sqrt(pi) sigma) (1 - 4 e3 + 3 e4)
 
-    and e3 = exp(-3a^2/4 sigma^2), e4 = exp(-a^2/sigma^2).  As the overlap
+    with C0^2 = 1/(1 + eps), C1^2 = 1/(1 - eps) (eps = overlap) and
+    e3 = exp(-3a^2/4 sigma^2), e4 = exp(-a^2/sigma^2).  As the overlap
     vanishes all three tend to -g0/(4 sqrt(pi) sigma).
     """
     a, sx = well.a, well.sigma_x
+    eps = well.overlap
+    c0_sq = 1.0 / (1.0 + eps)
+    c1_sq = 1.0 / (1.0 - eps)
     e3 = np.exp(-3.0 * a**2 / (4.0 * sx**2))
     e4 = np.exp(-(a**2) / sx**2)
     scale = g0 / (4.0 * np.sqrt(np.pi) * sx)
-    h1 = -energies.c0_sq**2 * scale * (1.0 + 4.0 * e3 + 3.0 * e4)
-    h2 = -energies.c0_sq * energies.c1_sq * scale * (1.0 - e4)
-    h3 = -energies.c1_sq**2 * scale * (1.0 - 4.0 * e3 + 3.0 * e4)
-    e0, e1 = energies.e0, energies.e1
+    h1 = -c0_sq**2 * scale * (1.0 + 4.0 * e3 + 3.0 * e4)
+    h2 = -c0_sq * c1_sq * scale * (1.0 - e4)
+    h3 = -c1_sq**2 * scale * (1.0 - 4.0 * e3 + 3.0 * e4)
     h = np.zeros(np.shape(g0) + (4, 4))
     h[..., 0, 0] = 2.0 * e0 + h1
     h[..., 1, 1] = h[..., 2, 2] = e0 + e1 + h2
@@ -382,19 +367,16 @@ def build_two_qubit(energies: TwoLevelEnergies, well: DoubleWell, g0: np.ndarray
     return h
 
 
-def ground_state_entanglement(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Schmidt number K = 1/(1 - 2 Delta) of each two-qubit ground state, and
-    whether it is degenerate.
+def ground_state_entanglement(h: np.ndarray) -> np.ndarray:
+    """Schmidt number K = 1/(1 - 2 Delta) of each two-qubit ground state.
 
     Delta = |c00 c11 - c01 c10|^2 from the lowest eigenvector of H.  K runs
     from 1 (product state) to 2 (Bell-like state).  The (..., 4, 4) stack is
-    solved in one ``eigh`` call.  Where the two lowest levels lie within
-    ``DEGENERACY_TOL`` the ground vector, and so K, is not unique, and the
-    flag is set.
+    solved in one ``eigh`` call.  Where the two lowest levels coincide the
+    ground vector, and so K, is not unique: K is that of the vector ``eigh``
+    returns.
     """
-    values, vectors = eigh(h)
-    scale = np.maximum(1.0, np.max(np.abs(values), axis=-1))
-    degenerate = values[..., 1] - values[..., 0] < DEGENERACY_TOL * scale
+    _, vectors = eigh(h)
     c = vectors[..., :, 0].reshape(vectors.shape[:-2] + (2, 2))
     delta = np.square(np.abs(c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]))
-    return 1.0 / (1.0 - 2.0 * delta), degenerate
+    return 1.0 / (1.0 - 2.0 * delta)

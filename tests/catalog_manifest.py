@@ -12,8 +12,10 @@ rewrites the manifest with::
 
     PYTHONPATH=src python tests/catalog_manifest.py
 
-and names each moved file.  The bytes depend on numpy's and LAPACK's last
-bits, so the manifest's header records the numpy version it was written with.
+and names each moved file; the script prints each line that moved, was
+removed or is new against the manifest it replaces.  The bytes depend on
+numpy's and LAPACK's last bits, so the manifest's header records the numpy
+version it was written with.
 """
 
 import contextlib
@@ -69,8 +71,30 @@ def read_manifest(path: Path = MANIFEST) -> tuple[list[str], list[str]]:
     return [t for t in text if t.startswith("#")], [t for t in text if not t.startswith("#")]
 
 
+def keyed(lines: list[str]) -> dict[tuple, tuple]:
+    """(entry, format, n, file) -> (byte count, SHA-256)."""
+    return {tuple(line.split()[:4]): tuple(line.split()[4:]) for line in lines}
+
+
+def differences(old: list[str], new: list[str]) -> list[str]:
+    """One line for each output of ``new`` that moved from ``old``, then for
+    each that ``new`` lacks, then for each that ``old`` lacks."""
+    was, now = keyed(old), keyed(new)
+    out = [
+        f"moved: {' '.join(key)} ({was[key][0]} -> {now[key][0]} bytes)"
+        for key in was
+        if key in now and now[key] != was[key]
+    ]
+    out += [f"removed: {' '.join(key)}" for key in was if key not in now]
+    out += [f"new: {' '.join(key)}" for key in now if key not in was]
+    return out
+
+
 if __name__ == "__main__":
+    _, committed = read_manifest() if MANIFEST.exists() else ([], [])
     with tempfile.TemporaryDirectory() as scratch:
         lines = catalog_lines(Path(scratch))
     MANIFEST.write_text("\n".join([*HEADER, *lines]) + "\n", encoding="utf-8")
+    for change in differences(committed, lines):
+        print(change)
     print(f"wrote {len(lines)} lines to {MANIFEST}", file=sys.stderr)

@@ -111,7 +111,7 @@ def visibility_from_intensity(density, a, sigma_x):
     period = np.pi / a
     if grid.spacing > period / MIN_SAMPLES_PER_PERIOD:
         raise ValueError(f"grid spacing {grid.spacing:.4g}: need {MIN_SAMPLES_PER_PERIOD} samples per period pi/a")
-    if grid.half_width < 0.75 * period:
+    if 0.5 * (grid.x_max - grid.x_min) < 0.75 * period:
         raise ValueError("central fringe window not covered by the grid")
     p = grid.points
     window = np.abs(p) <= 0.75 * period

@@ -1,12 +1,7 @@
 """The catalog's bytes against the committed manifest ``tests/catalog.sha256``
 (see ``tests/catalog_manifest.py``, which rewrites it)."""
 
-from catalog_manifest import FORMATS, GRID_POINTS, HEADER, catalog_lines, read_manifest
-
-
-def keyed(lines):
-    """(entry, format, n, file) -> (byte count, SHA-256)."""
-    return {tuple(line.split()[:4]): tuple(line.split()[4:]) for line in lines}
+from catalog_manifest import FORMATS, GRID_POINTS, HEADER, catalog_lines, differences, keyed, read_manifest
 
 
 def test_manifest_covers_every_entry_in_both_formats_at_every_grid():
@@ -20,13 +15,6 @@ def test_manifest_covers_every_entry_in_both_formats_at_every_grid():
 
 def test_catalog_bytes_match_the_manifest(tmp_path):
     header, lines = read_manifest()
-    want, got = keyed(lines), keyed(catalog_lines(tmp_path))
-    problems = [
-        f"moved: {' '.join(key)} ({want[key][0]} -> {got[key][0]} bytes)"
-        for key in want
-        if key in got and got[key] != want[key]
-    ]
-    problems += [f"missing: {' '.join(key)}" for key in want if key not in got]
-    problems += [f"new: {' '.join(key)}" for key in got if key not in want]
+    problems = differences(lines, catalog_lines(tmp_path))
     versions = f"manifest written with {header[-1][2:]}, running {HEADER[-1][2:]}"
     assert not problems, "\n".join([versions, *problems])

@@ -317,6 +317,14 @@ def test_qubit_sweep_needs_an_odd_count_of_at_least_3(tmp_path, capsys, n_sweep)
     assert f"n_sweep must be odd and at least 3, got {n_sweep}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ammonia", "qubits"])
+def test_an_infinite_mass_is_named(tmp_path, capsys, command):
+    # the fit once searched for a bracket and blamed the splitting target
+    assert main([command, "--mass", "inf", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "qmodes: error: mass must be finite and positive, got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_g0_max_is_the_default_auto_range(tmp_path, capsys):
     assert main(["qubits", "--out", str(tmp_path / "default")]) == 0
     assert main(["qubits", "--g0-max", "0", "--out", str(tmp_path / "zero")]) == 0
@@ -542,8 +550,8 @@ def test_ammonia_dvr_splittings_are_converged_in_their_box(tmp_path, capsys):
     fitted = tunneling.fit_potential(tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, 14.0)
     for mass, delta_e, ghz in zip(columns["mass"], columns["fd_delta_e"], columns["fd_frequency_ghz"]):
         well = tunneling.DoubleWell(fitted.alpha, fitted.beta, mass)
-        grid = make_grid(0.0, max(3.0 * well.a, well.a + 8.0 * well.sigma_x), 512)
-        e0, e1 = tunneling.lowest_levels(well.potential(grid.points), mass, grid)
+        grid = make_grid(max(3.0 * well.a, well.a + 8.0 * well.sigma_x), 512)
+        e0, e1 = tunneling.lowest_levels(well.potential(grid.points), mass, grid)[:2]
         assert delta_e == pytest.approx(e1 - e0, rel=1e-9, abs=0.0)
         assert ghz == pytest.approx(tunneling.splitting_to_frequency(e1 - e0), rel=1e-9, abs=0.0)
 

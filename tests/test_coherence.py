@@ -19,7 +19,7 @@ from qmodes.interference import (
     slit_basis,
     slit_state,
 )
-from qmodes.numerics import make_grid, quadrature
+from qmodes.numerics import Grid1D, make_grid, quadrature
 from qmodes.schmidt import analytic_two_slit_weights, schmidt, schmidt_number
 
 A, SIGMA = 5.0, 0.5
@@ -29,7 +29,7 @@ CATALOG_Y = (0.0, 0.0625, 0.125, 0.1875, 0.25)
 
 
 def fine_momentum_grid(n=4001, half=10.0):
-    return make_grid(0.0, half, n)
+    return make_grid(half, n)
 
 
 def momentum_marginal(density, grid):
@@ -50,7 +50,7 @@ def qubit_grid_state(phi, grid):
     p = grid.points
     env = np.exp(-(SIGMA**2) * p**2)
     amp = np.stack([env * np.cos(p * A + phi), env * np.cos(p * A - phi)], axis=1)
-    qubit = make_grid(1.0, 1.0, 2)
+    qubit = Grid1D(2, 0.0, 2.0)
     state = GridState(grid, qubit, amp, np.eye(2))
     return GridState(grid, qubit, amp / state.norm(), np.eye(2))
 
@@ -79,7 +79,7 @@ class TestVisibilityExtraction:
     def test_least_squares_fit_recovers_exact_modulation(self, n, b):
         # the fig2 grids: the marginal is env * (1 + exp(-b^2/2 sigma_xi^2) cos 2ap)
         # exactly, so the fit leaves only round-off
-        grid = make_grid(0.0, 9.0, n)
+        grid = make_grid(9.0, n)
         v = visibility_from_intensity(momentum_marginal(slit_state(SLITS, detector_overlap(b, 0.5)), grid), A, SIGMA)
         assert v == pytest.approx(np.exp(-(b**2) / (2.0 * 0.5**2)), rel=0.0, abs=1e-12)
 
@@ -92,7 +92,7 @@ class TestVisibilityExtraction:
         assert v == pytest.approx(0.6, abs=1e-12)
 
     def test_coarse_grid_rejected(self):
-        g = make_grid(0.0, 10.0, 64)
+        g = make_grid(10.0, 64)
         wave = SampledWave(g, two_slit_intensity(A, SIGMA, g.points))
         with pytest.raises(ValueError, match="samples per period"):
             visibility_from_intensity(wave, A, SIGMA)

@@ -1,8 +1,8 @@
 """Every name a ``qmodes`` module exports in ``__all__`` exists on it,
 every exported function or class of a layer module is used by the package,
-every definition of the text kernel serves its one entry point, and every
+every definition of the text kernel serves its one entry point, every
 default of an exported function or dataclass is set by some call in the
-package."""
+package, and the only dataclasses are the three parameter types."""
 
 import ast
 import dataclasses
@@ -86,9 +86,8 @@ def test_every_definition_of_the_text_kernel_serves_format_rows():
     assert sorted(set(defs) - reachable(defs, ["format_rows"]) - {"__all__"}) == []
 
 
-# defaults no call in the package sets: the console entry point's argv, and
-# the level count that tests read beyond the two levels the package uses
-UNSET_DEFAULTS = {"cli.main(argv)", "tunneling.lowest_levels(n_levels)"}
+# the one default no call in the package sets: the console entry point's argv
+UNSET_DEFAULTS = {"cli.main(argv)"}
 
 
 def calls(node, forwarded=frozenset()):
@@ -137,3 +136,16 @@ def test_every_default_of_a_public_function_is_set_by_some_call_in_the_package()
                 ):
                     unset.add(f"{name.removeprefix('qmodes.')}.{function_name}({parameter.name})")
     assert sorted(unset - UNSET_DEFAULTS) == []
+
+
+def test_the_only_dataclasses_are_the_three_parameter_types():
+    # a result is its values: a function returns numbers, arrays, tuples or a
+    # dict, and only validated parameters are types
+    found = {
+        f"{module}.{node.name}"
+        for module, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in identifiers(decorator) for decorator in node.decorator_list)
+    }
+    assert found == {"interference.SlitParams", "numerics.Grid1D", "tunneling.DoubleWell"}

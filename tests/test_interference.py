@@ -34,7 +34,7 @@ A, SIGMA = 5.0, 0.5
 
 
 def momentum_grid(n=512, half=10.0):
-    return make_grid(0.0, half, n)
+    return make_grid(half, n)
 
 
 def two_slit_state_pair(b):
@@ -74,14 +74,14 @@ class TestSingleSlit:
         )
 
     def test_normalization(self):
-        g = make_grid(0, 20, 1024)
+        g = make_grid(20, 1024)
         assert quadrature(single_slit_momentum_density(0.5, g.points), g) == pytest.approx(
             1.0, abs=1e-8
         )
 
     def test_variance(self):
         for sigma in (0.3, 0.5, 1.1):
-            g = make_grid(0, 30, 4096)
+            g = make_grid(30, 4096)
             p = g.points
             var = quadrature(p**2 * single_slit_momentum_density(sigma, p), g)
             assert var == pytest.approx(1.0 / (4.0 * sigma**2), rel=1e-8)
@@ -97,7 +97,7 @@ class TestTwoSlitClosedForms:
     def test_norm_at_a_equal_sigma(self):
         # frozen from renormalizing the superposed Gaussians numerically
         assert two_slit_norm(1.0, 1.0) == pytest.approx(0.6224593312018546, rel=1e-12)
-        g = make_grid(0, 12, 4096)
+        g = make_grid(12, 4096)
         x = g.points
         pair = np.exp(-((x - 1.0) ** 2) / 4.0) + np.exp(-((x + 1.0) ** 2) / 4.0)
         raw = quadrature(pair**2 / (np.sqrt(2 * np.pi) * 2.0), g)
@@ -115,7 +115,7 @@ class TestTwoSlitClosedForms:
         assert np.max(np.abs(merged - single)) < 1e-14
 
     def test_matches_numerical_transform(self):
-        grid = make_grid(0, 11, 2048)
+        grid = make_grid(11, 2048)
         x = grid.points
         c = np.sqrt(two_slit_norm(A, SIGMA))
         amp = (
@@ -242,8 +242,8 @@ class TestJointStateMomentum:
 class TestJointStateCoordinate:
     def grids(self, m=2, n=512):
         return (
-            make_grid(0, (m - 1) * A + 10 * SIGMA, n),
-            make_grid(0, (m - 1) * 0.5 + 10 * 0.5, n),
+            make_grid((m - 1) * A + 10 * SIGMA, n),
+            make_grid((m - 1) * 0.5 + 10 * 0.5, n),
         )
 
     def test_matches_closed_form(self):
@@ -317,12 +317,12 @@ class TestMarginals:
         slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
         det = Detector(b=0.7, sigma_xi=0.5)
         density = slit_state(slits, detector_overlap(*det))
-        pg, qg = make_grid(0.0, 9.0, 1024), make_grid(0.0, 9.0, 1024)
+        pg, qg = make_grid(9.0, 1024), make_grid(9.0, 1024)
         mom = momentum_marginal(slits, density, pg).amplitudes
         ref = grid_marginal(grid_state_momentum(slits, det, pg, qg))
         assert np.max(np.abs(mom - ref)) < 1e-12 * np.max(ref)
-        xg = make_grid(0.0, (m - 1) * A + 8.0 * SIGMA, 1024)
-        dg = make_grid(0.0, (m - 1) * det.b + 8.0 * det.sigma_xi, 1024)
+        xg = make_grid((m - 1) * A + 8.0 * SIGMA, 1024)
+        dg = make_grid((m - 1) * det.b + 8.0 * det.sigma_xi, 1024)
         coord = coordinate_marginal(slits, density, xg).amplitudes
         ref = grid_marginal(grid_state_coordinate(slits, det, xg, dg))
         assert np.max(np.abs(coord - ref)) < 1e-12 * np.max(ref)
@@ -354,7 +354,7 @@ class TestMarginals:
 
     def test_coordinate_marginal_is_two_gaussians(self):
         slits, _, density = two_slit_state_pair(b=0.5)
-        xg = make_grid(0, 9, 1024)
+        xg = make_grid(9, 1024)
         marg = coordinate_marginal(slits, density, xg)
         x = xg.points
         halves = 0.5 * (
@@ -364,7 +364,7 @@ class TestMarginals:
         assert quadrature(marg.amplitudes, xg) == pytest.approx(1.0, abs=1e-8)
 
     def test_coordinate_marginal_insensitive_to_b(self):
-        xg = make_grid(0, 9, 512)
+        xg = make_grid(9, 512)
         slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
         small = coordinate_marginal(slits, two_slit_state_pair(0.0)[2], xg)
         large = coordinate_marginal(slits, two_slit_state_pair(2.5)[2], xg)

@@ -31,6 +31,21 @@ def test_fig5_schmidt_number(tmp_path):
     assert run("fig5", tmp_path)["schmidt_number"] == pytest.approx(3.10427, abs=1e-5)
 
 
+@pytest.mark.parametrize("m", [2, 5, 16])
+def test_mode_densities_are_the_densities_of_the_mode_projectors(tmp_path, m):
+    # the runner writes |basis @ coefficients|^2; the reference is the density
+    # of each mode's projector c c^T in the slit basis
+    run("schmidt", tmp_path, m=m)
+    rows = table_rows(tmp_path, "schmidt_modes")
+    slits = SlitParams(a=5.0, sigma_x=0.5, m=m)
+    _, coefficients = schmidt(slits, slit_state(slits, detector_overlap(0.5, 0.5)))
+    basis = slit_basis(slits, make_grid(9.0, N).points, MOMENTUM)
+    assert rows.shape == (N, 1 + coefficients.shape[1])
+    for column, c in zip(rows[:, 1:].T, coefficients.T):
+        reference = basis_density(basis, np.outer(c, c))
+        assert np.max(np.abs(column - reference)) <= 1e-15 * np.max(reference)
+
+
 def test_fig4_schmidt_number_grows_with_coupling(tmp_path):
     s = run("fig4", tmp_path)
     ks = [s[f"schmidt_number_b_{b:g}"] for b in (0.0, 0.3, 0.7, 1.5)]
@@ -137,7 +152,7 @@ def test_fig6_data_densities_are_the_normalized_fringe_pattern(tmp_path, n):
     scenarios.run("fig6-data", tmp_path, "json", n, {})
     table = json.loads((tmp_path / "fig6-data_intensity.json").read_text(encoding="utf-8"))
     rows = np.array(table["rows"])
-    grid = make_grid(0.0, 9.0, n)  # 9 momentum sigmas at sigma_x = 0.5
+    grid = make_grid(9.0, n)  # 9 momentum sigmas at sigma_x = 0.5
     assert np.array_equal(rows[:, 0], grid.points)
     y_values = (0.0, 0.0625, 0.125, 0.1875, 0.25)
     assert table["columns"] == ["p_x"] + [f"density_y_{y:g}" for y in y_values]
@@ -164,8 +179,8 @@ def test_coherence_sweep_is_each_states_schmidt_number_and_visibility(tmp_path):
 def test_written_patterns_fit_to_their_states_visibility(tmp_path, n):
     # the fit needs a grid that spans the central fringe period pi/a; the
     # catalog's momentum grid does at a = 5, sigma_x = 0.5
-    grid = make_grid(0.0, 9.0, n)
-    assert grid.half_width >= np.pi / 5.0
+    grid = make_grid(9.0, n)
+    assert 0.5 * (grid.x_max - grid.x_min) >= np.pi / 5.0
 
     def fitted(column):
         return visibility_from_intensity(SampledWave(grid, column), 5.0, 0.5)
