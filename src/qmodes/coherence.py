@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .interference import SlitParams
-from .schmidt import DEFAULT_TRUNCATION
+from .schmidt import DEFAULT_TRUNCATION, entropy
 
 __all__ = [
     "UnresolvedFringesError",
@@ -72,23 +72,22 @@ def visibility(density):
     return v if v.ndim else float(v)
 
 
-def k_from_v(v: float) -> float:
-    """Schmidt number of a two-mode state with visibility v: K = 2/(1 + v^2)."""
+def _clamped_visibility(v: float) -> float:
+    """v clamped to [0, 1]; more than 1e-12 outside raises ``ValueError``."""
     if not -1e-12 <= v <= 1.0 + 1e-12:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    return 2.0 / (1.0 + min(max(v, 0.0), 1.0) ** 2)
+    return min(max(v, 0.0), 1.0)
+
+
+def k_from_v(v: float) -> float:
+    """Schmidt number of a two-mode state with visibility v: K = 2/(1 + v^2)."""
+    return 2.0 / (1.0 + _clamped_visibility(v) ** 2)
 
 
 def entropy_from_v(v: float) -> float:
     """Entropy of the two-mode weights ((1+V)/2, (1-V)/2)."""
-    if not -1e-12 <= v <= 1.0 + 1e-12:
-        raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    v = min(max(v, 0.0), 1.0)
-    s = 0.0
-    for lam in ((1.0 + v) / 2.0, (1.0 - v) / 2.0):
-        if lam > 0.0:
-            s -= lam * np.log2(lam)
-    return float(s)
+    v = _clamped_visibility(v)
+    return entropy(((1.0 + v) / 2.0, (1.0 - v) / 2.0))
 
 
 def source_coherence(y):

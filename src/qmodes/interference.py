@@ -73,7 +73,7 @@ class SlitParams:
 
     a: float
     sigma_x: float
-    m: int = 2
+    m: int
 
     def __post_init__(self):
         if self.m < 1:

@@ -61,11 +61,8 @@ class Grid1D:
 
 
 def make_grid(edge: float, n_points: int) -> Grid1D:
-    """Grid [-edge, edge], symmetric about 0."""
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
-    if not edge > 0:
-        raise ValueError(f"edge must be positive, got {edge}")
+    """Grid [-edge, edge], symmetric about 0; ``Grid1D`` rejects an edge
+    that is not positive, NaN included."""
     return Grid1D(n_points, -edge, edge)
 
 

@@ -155,26 +155,48 @@ class _Emitter:
         return path.name
 
 
-def _momentum_grid(sigma: float, n: int) -> Grid1D:
+def _slits(params: dict, m: int) -> interference.SlitParams:
+    return interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=m)
+
+
+def _momentum_basis(slits: interference.SlitParams, n: int) -> tuple[Grid1D, np.ndarray]:
+    """The momentum grid of ``n`` points and the slit basis sampled on it."""
     # envelope exp(-sigma^2 p^2): 9 momentum sigmas leave amplitude < 1e-8
-    return make_grid(9.0 / (2.0 * sigma), n)
+    grid = make_grid(9.0 / (2.0 * slits.sigma_x), n)
+    return grid, interference.slit_basis(slits, grid.points, interference.MOMENTUM)
 
 
-def _coordinate_grid(m: int, a: float, sigma: float, n: int) -> Grid1D:
-    extent = (m - 1) * a
-    return make_grid(extent + 8.0 * sigma, n)
+def _write_marginals(
+    emit: _Emitter, slits: interference.SlitParams, density: np.ndarray, n: int, prefix: str
+) -> tuple[float, float]:
+    """Write the momentum and coordinate densities of the state D =
+    ``density`` as the tables ``<prefix>momentum`` and ``<prefix>coordinate``;
+    return their integrals."""
+    pgrid, basis = _momentum_basis(slits, n)
+    mom = interference.basis_density(basis, density)
+    xgrid = make_grid((slits.m - 1) * slits.a + 8.0 * slits.sigma_x, n)
+    basis = interference.slit_basis(slits, xgrid.points, interference.COORDINATE)
+    coord = interference.basis_density(basis, density)
+    emit.table(prefix + "momentum", ["p_x", "density"], [pgrid.points, mom])
+    emit.table(prefix + "coordinate", ["x", "density"], [xgrid.points, coord])
+    return quadrature(mom, pgrid), quadrature(coord, xgrid)
 
 
-def _marginal(
-    slits: interference.SlitParams, density: np.ndarray, grid: Grid1D, representation: str
-) -> np.ndarray:
-    basis = interference.slit_basis(slits, grid.points, representation)
-    return interference.basis_density(basis, density)
+def _write_intensity(
+    emit: _Emitter, slits: interference.SlitParams, n: int, label: str, values, overlaps
+):
+    """Write the momentum density of the slit state of each overlap in
+    ``overlaps`` as the table ``intensity``, one column per entry of
+    ``values``, named ``density_<label>_<value>``."""
+    pgrid, basis = _momentum_basis(slits, n)
+    names = ["p_x"] + [f"density_{label}_{v:g}" for v in values]
+    cols = [interference.basis_density(basis, interference.slit_state(slits, g)) for g in overlaps]
+    emit.table("intensity", names, [pgrid.points, *cols])
 
 
 def _entangled_state(params: dict):
     """The slits, the detector overlap gamma and the density matrix D of the state."""
-    slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
+    slits = _slits(params, params["m"])
     gamma = interference.detector_overlap(params["b"], params["sigma_xi"])
     return slits, gamma, interference.slit_state(slits, gamma)
 
@@ -184,18 +206,10 @@ def _entangled_state(params: dict):
 
 
 def _run_slits(params: dict, n: int, emit: _Emitter) -> dict:
-    slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
+    slits = _slits(params, params["m"])
     density = interference.slit_state(slits, 1.0)
-    pgrid = _momentum_grid(slits.sigma_x, n)
-    xgrid = _coordinate_grid(slits.m, slits.a, slits.sigma_x, n)
-    mom = _marginal(slits, density, pgrid, interference.MOMENTUM)
-    coord = _marginal(slits, density, xgrid, interference.COORDINATE)
-    emit.table("momentum", ["p_x", "density"], [pgrid.points, mom])
-    emit.table("coordinate", ["x", "density"], [xgrid.points, coord])
-    scalars = {
-        "momentum_integral": quadrature(mom, pgrid),
-        "coordinate_integral": quadrature(coord, xgrid),
-    }
+    p_integral, x_integral = _write_marginals(emit, slits, density, n, "")
+    scalars = {"momentum_integral": p_integral, "coordinate_integral": x_integral}
     if slits.m == 2:
         # C^2 = 1 / (1 + q) normalizes the symmetric pair C (u_0 + u_1) / sqrt 2
         scalars["c_squared"] = 1.0 / (1.0 + slits.overlap)
@@ -209,18 +223,13 @@ def _run_entangled(params: dict, n: int, emit: _Emitter) -> dict:
     weights, _ = schmidt.schmidt(slits, density)
     if slits.m == 2:
         coherence.check_fringes(slits)
-    pgrid = _momentum_grid(slits.sigma_x, n)
-    marg = _marginal(slits, density, pgrid, interference.MOMENTUM)
-    emit.table("marginal_momentum", ["p_x", "density"], [pgrid.points, marg])
-    xgrid = _coordinate_grid(slits.m, slits.a, slits.sigma_x, n)
-    coord = _marginal(slits, density, xgrid, interference.COORDINATE)
-    emit.table("marginal_coordinate", ["x", "density"], [xgrid.points, coord])
+    marginal_integral, _ = _write_marginals(emit, slits, density, n, "marginal_")
     scalars = {
         "schmidt_number": schmidt.schmidt_number(weights),
         "entropy": schmidt.entropy(weights),
         "fringe_modulation": gamma,
         "visibility": coherence.visibility(density) if slits.m == 2 else None,
-        "marginal_integral": quadrature(marg, pgrid),
+        "marginal_integral": marginal_integral,
     }
     return {k: v for k, v in scalars.items() if v is not None}
 
@@ -228,8 +237,7 @@ def _run_entangled(params: dict, n: int, emit: _Emitter) -> dict:
 def _run_schmidt(params: dict, n: int, emit: _Emitter) -> dict:
     slits, _, density = _entangled_state(params)
     weights, coefficients = schmidt.schmidt(slits, density)
-    pgrid = _momentum_grid(slits.sigma_x, n)
-    basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
+    pgrid, basis = _momentum_basis(slits, n)
     marg = interference.basis_density(basis, density)
     mixture = schmidt.reconstruct_marginal(weights, coefficients, basis)
     names = ["p_x"] + [f"mode{k}_density" for k in range(len(weights))]
@@ -269,37 +277,25 @@ def _run_schmidt(params: dict, n: int, emit: _Emitter) -> dict:
 def _run_detector_sweep(params: dict, n: int, emit: _Emitter) -> dict:
     """Momentum marginals at four detector offsets b, decomposed in one stack."""
     b_values = (0.0, 0.3, 0.7, 1.5)
-    slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=params["m"])
-    pgrid = _momentum_grid(slits.sigma_x, n)
-    basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
+    slits = _slits(params, params["m"])
     overlaps = [interference.detector_overlap(b, params["sigma_xi"]) for b in b_values]
     densities = np.stack([interference.slit_state(slits, g) for g in overlaps])
-    names = ["p_x"]
-    cols = [pgrid.points]
-    scalars = {}
-    for b, density, (weights, _) in zip(b_values, densities, schmidt.schmidt_stack(slits, densities)):
-        names.append(f"density_b_{b:g}")
-        cols.append(interference.basis_density(basis, density))
-        scalars[f"schmidt_number_b_{b:g}"] = schmidt.schmidt_number(weights)
-    emit.table("intensity", names, cols)
-    return scalars
+    decompositions = schmidt.schmidt_stack(slits, densities)
+    _write_intensity(emit, slits, n, "b", b_values, overlaps)
+    return {
+        f"schmidt_number_b_{b:g}": schmidt.schmidt_number(weights)
+        for b, (weights, _) in zip(b_values, decompositions)
+    }
 
 
 def _run_source(params: dict, n: int, emit: _Emitter) -> dict:
-    slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=2)
-    pgrid = _momentum_grid(slits.sigma_x, n)
-    basis = interference.slit_basis(slits, pgrid.points, interference.MOMENTUM)
     y_values = (0.0, 0.0625, 0.125, 0.1875, 0.25)
-    names = ["p_x"]
-    cols = [pgrid.points]
+    overlaps = [coherence.source_coherence(y) for y in y_values]
+    _write_intensity(emit, _slits(params, 2), n, "y", y_values, overlaps)
     scalars = {}
     for y in y_values:
-        density = interference.slit_state(slits, coherence.source_coherence(y))
-        names.append(f"density_y_{y:g}")
-        cols.append(interference.basis_density(basis, density))
         scalars[f"visibility_y_{y:g}"] = coherence.source_visibility(y)
         scalars[f"schmidt_number_y_{y:g}"] = coherence.source_schmidt(y)
-    emit.table("intensity", names, cols)
     return scalars
 
 
@@ -324,11 +320,11 @@ def _run_coherence(params: dict, n: int, emit: _Emitter) -> dict:
     if not math.isfinite(2.0 * phi):
         # the qubit overlap is cos 2 phi
         raise ValueError(f"phi must be finite, and so must 2 phi, got {phi}")
-    slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=2)
+    slits = _slits(params, 2)
     # before any state: coincident slits have no norm at gamma = -1
     coherence.check_fringes(slits)
     phis = np.linspace(0.0, np.pi / 2.0, 17)
-    densities = np.stack([interference.slit_state(slits, np.cos(2.0 * p)) for p in phis])
+    densities = np.stack([interference.slit_state(slits, g) for g in np.cos(2.0 * phis)])
     visibility = coherence.visibility(densities)
     k = [schmidt.schmidt_number(w) for w, _ in schmidt.schmidt_stack(slits, densities)]
     k_v = [coherence.k_from_v(v) for v in visibility]
@@ -418,7 +414,7 @@ def _run_qubits(params: dict, n: int, emit: _Emitter) -> dict:
 
 
 def _run_tomography(params: dict, n: int, emit: _Emitter) -> dict:
-    slits = interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=2)
+    slits = _slits(params, 2)
     # built first, so that a geometry it rejects leaves no file behind
     protocol = tomography.interference_protocol(slits, params["n_points"])
     populations = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], dtype=complex)

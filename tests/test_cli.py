@@ -168,6 +168,28 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_import_adds_only_the_standard_library_numpy_and_qmodes():
+    # the baseline is the fresh interpreter's own modules, which include
+    # whatever its site-packages' .pth files load; every module qmodes adds
+    # to a fresh run is set-up that each run pays for
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import qmodes.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    added = set(json.loads(result.stdout.splitlines()[-1]))
+    package = {"qmodes"} | {f"qmodes.{p.stem}" for p in (SRC / "qmodes").glob("*.py") if p.stem != "__init__"}
+    assert len(package) == 10
+    allowed_roots = sys.stdlib_module_names | {"numpy"}
+    assert sorted(m for m in added - package if m.split(".")[0] not in allowed_roots) == []
+    assert package <= added
+
+
 def test_seed_flag_is_an_unknown_flag(tmp_path, capsys):
     assert main(["figures", "fig3", "--seed", "1", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

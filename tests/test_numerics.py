@@ -41,8 +41,9 @@ class TestGrid:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             make_grid(1, 1)
-        with pytest.raises(ValueError):
-            make_grid(-1, 16)
+        for edge in (-1, 0, np.nan):
+            with pytest.raises(ValueError):
+                make_grid(edge, 16)
         with pytest.raises(ValueError):
             Grid1D(8, 2.0, 1.0)
 
