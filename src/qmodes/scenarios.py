@@ -5,13 +5,18 @@ The catalog is two tables.  ``COMPUTATIONS`` holds the ten computations,
 each with its runner and defaults; the seven with a ``qmodes list`` summary
 are commands, run under their own name.  ``FIGURES`` holds the figure
 presets, each a computation with overrides of its defaults (``fig5`` is
-``schmidt`` with ``m = 5``).  :func:`run` takes a preset's or a command's
-name and writes plot-ready two-column (or multi-column) CSV/JSON data files
-plus a JSON run report with the computed scalars, all named after it: the
-runner names each file by its stem, and ``momentum`` in a ``fig1`` run is
-``fig1_momentum.csv``.  Output is byte-identical across repeated runs with
-the same configuration; the wall time is returned to the caller but kept
-out of the serialized report.
+``schmidt`` with ``m = 5``).
+
+A runner computes and writes nothing: ``runner(params, n)`` returns its
+scalars and an ordered list of files ``(stem, kind, payload)``, where
+``kind`` is ``table`` (names, columns), ``protocol`` (a matrix B) or
+``json`` (a dict).  :func:`run` takes a preset's or a command's name, calls
+its runner, writes the files in order, then a JSON run report of the
+scalars, all named after it: ``momentum`` in a ``fig1`` run is
+``fig1_momentum.csv``.  Every table is checked before the output directory
+is made, so a run that raises writes nothing.  Output is byte-identical
+across repeated runs with the same configuration; the wall time is
+returned to the caller but kept out of the serialized report.
 
 This module alone knows the output formats.  Data tables are float64
 columns of equal length.  A CSV table is the comma-joined header line
@@ -88,71 +93,69 @@ def _save_values(path: Path, fmt: str, head: str, table: np.ndarray, seps: list[
             fh.write(text)
 
 
-class _Emitter:
-    """Writes a run's files, each named ``<name>_<stem>.<ext>`` in
-    ``out_dir``, and lists the names of its data files."""
+def _check_table(stem: str, names: list[str], columns: list[np.ndarray]):
+    """Refuse ``columns`` that are not equal-length real 1-D arrays, one per name."""
+    if len(names) != len(columns):
+        raise ValueError(f"table {stem!r}: {len(names)} names for {len(columns)} columns")
+    arrays = [np.asarray(c) for c in columns]
+    for label, col in zip(names, arrays):
+        if col.ndim != 1 or col.dtype.kind not in "biuf" or len(col) != len(arrays[0]):
+            raise ValueError(
+                f"table {stem!r}: column {label!r} (shape {col.shape}, dtype {col.dtype}) "
+                f"is not real, 1-D and as long as the first column {arrays[0].shape}"
+            )
 
-    def __init__(self, out_dir: Path, name: str, fmt: str):
-        self.out_dir = out_dir
-        self.name = name
-        self.fmt = fmt
-        self.files: list[str] = []
 
-    def _path(self, stem: str, ext: str) -> Path:
-        # the directory comes with the first file, so a run that fails before it leaves none
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        return self.out_dir / f"{self.name}_{stem}.{ext}"
+def _save_table(path: Path, fmt: str, names: list[str], columns: list[np.ndarray]):
+    """Write the checked ``columns`` under ``names`` as one table."""
+    table = np.column_stack(columns).astype(np.float64, copy=False)
+    if fmt == "json" and not len(table):
+        # json.dumps spells the empty row list
+        _save_json(path, {"columns": names, "rows": []})
+    elif fmt == "csv":
+        seps = [b","] * (len(names) - 1) + [b"\n"]
+        _save_values(path, fmt, ",".join(names) + "\n", table, seps, "\n")
+    else:
+        head = '{\n  "columns": ' + json.dumps(names, indent=2).replace("\n", "\n  ")
+        head += ',\n  "rows": [\n    [\n      '
+        seps = [b",\n      "] * (len(names) - 1) + [b"\n    ],\n    [\n      "]
+        _save_values(path, fmt, head, table, seps, "\n    ]\n  ]\n}\n")
 
-    def table(self, stem: str, names: list[str], columns: list[np.ndarray]) -> str:
-        """Write equal-length real 1-D ``columns`` under ``names`` as one table."""
-        if len(names) != len(columns):
-            raise ValueError(f"table {stem!r}: {len(names)} names for {len(columns)} columns")
-        arrays = [np.asarray(c) for c in columns]
-        for label, col in zip(names, arrays):
-            if col.ndim != 1 or col.dtype.kind not in "biuf" or len(col) != len(arrays[0]):
-                raise ValueError(
-                    f"table {stem!r}: column {label!r} (shape {col.shape}, dtype {col.dtype}) "
-                    f"is not real, 1-D and as long as the first column {arrays[0].shape}"
-                )
-        table = np.column_stack(arrays).astype(np.float64, copy=False)
-        fmt = self.fmt
-        path = self._path(stem, fmt)
-        if fmt == "json" and not len(table):
-            # json.dumps spells the empty row list
-            _save_json(path, {"columns": names, "rows": []})
-        elif fmt == "csv":
-            seps = [b","] * (len(names) - 1) + [b"\n"]
-            _save_values(path, fmt, ",".join(names) + "\n", table, seps, "\n")
+
+def _save_protocol(path: Path, b: np.ndarray):
+    """Write the (N, s^2) protocol matrix B as the JSON ``{"b": B as
+    [real, imaginary] pairs, "n_measurements": N, "s": s}``, streamed
+    from the matrix without nested lists."""
+    s = math.isqrt(b.shape[1])
+    # each row of B as its entries' (real, imaginary) pairs
+    table = np.ascontiguousarray(b, dtype=complex).view(np.float64)
+    # json.dumps indents the rows of B by 4, the pairs by 6 and the numbers by 8
+    pair = [b",\n        ", b"\n      ],\n      [\n        "]
+    row_end = b"\n      ]\n    ],\n    [\n      [\n        "
+    seps = pair * (s**2 - 1) + [pair[0], row_end]
+    tail = f'\n      ]\n    ]\n  ],\n  "n_measurements": {len(table)},\n  "s": {s}\n}}\n'
+    _save_values(path, "json", '{\n  "b": [\n    [\n      [\n        ', table, seps, tail)
+
+
+def _write(out_dir: Path, name: str, fmt: str, files: list[tuple[str, str, object]]) -> list[str]:
+    """Write a runner's ``files`` into ``out_dir`` in their order, each as
+    ``<name>_<stem>.<ext>``, and return the file names.  Every table is
+    checked before the directory is made, so a malformed one writes nothing."""
+    for stem, kind, payload in files:
+        if kind == "table":
+            _check_table(stem, *payload)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for stem, kind, payload in files:
+        path = out_dir / f"{name}_{stem}.{fmt if kind == 'table' else 'json'}"
+        if kind == "table":
+            _save_table(path, fmt, *payload)
+        elif kind == "protocol":
+            _save_protocol(path, payload)
         else:
-            head = '{\n  "columns": ' + json.dumps(names, indent=2).replace("\n", "\n  ")
-            head += ',\n  "rows": [\n    [\n      '
-            seps = [b",\n      "] * (len(names) - 1) + [b"\n    ],\n    [\n      "]
-            _save_values(path, fmt, head, table, seps, "\n    ]\n  ]\n}\n")
-        self.files.append(path.name)
-        return path.name
-
-    def protocol(self, stem: str, b: np.ndarray) -> str:
-        """Write the (N, s^2) protocol matrix B as the JSON ``{"b": B as
-        [real, imaginary] pairs, "n_measurements": N, "s": s}``, streamed
-        from the matrix without nested lists."""
-        path = self._path(stem, "json")
-        s = math.isqrt(b.shape[1])
-        # each row of B as its entries' (real, imaginary) pairs
-        table = np.ascontiguousarray(b, dtype=complex).view(np.float64)
-        # json.dumps indents the rows of B by 4, the pairs by 6 and the numbers by 8
-        pair = [b",\n        ", b"\n      ],\n      [\n        "]
-        row_end = b"\n      ]\n    ],\n    [\n      [\n        "
-        seps = pair * (s**2 - 1) + [pair[0], row_end]
-        tail = f'\n      ]\n    ]\n  ],\n  "n_measurements": {len(table)},\n  "s": {s}\n}}\n'
-        _save_values(path, "json", '{\n  "b": [\n    [\n      [\n        ', table, seps, tail)
-        self.files.append(path.name)
-        return path.name
-
-    def json_file(self, stem: str, data: dict) -> str:
-        path = self._path(stem, "json")
-        _save_json(path, data)
-        self.files.append(path.name)
-        return path.name
+            _save_json(path, payload)
+        written.append(path.name)
+    return written
 
 
 def _slits(params: dict, m: int) -> interference.SlitParams:
@@ -166,32 +169,32 @@ def _momentum_basis(slits: interference.SlitParams, n: int) -> tuple[Grid1D, np.
     return grid, interference.slit_basis(slits, grid.points, interference.MOMENTUM)
 
 
-def _write_marginals(
-    emit: _Emitter, slits: interference.SlitParams, density: np.ndarray, n: int, prefix: str
-) -> tuple[float, float]:
-    """Write the momentum and coordinate densities of the state D =
-    ``density`` as the tables ``<prefix>momentum`` and ``<prefix>coordinate``;
-    return their integrals."""
+def _marginals(
+    slits: interference.SlitParams, density: np.ndarray, n: int, prefix: str
+) -> tuple[list, float, float]:
+    """The momentum and coordinate densities of the state D = ``density`` as
+    the tables ``<prefix>momentum`` and ``<prefix>coordinate``, and their
+    integrals."""
     pgrid, basis = _momentum_basis(slits, n)
     mom = interference.basis_density(basis, density)
     xgrid = make_grid((slits.m - 1) * slits.a + 8.0 * slits.sigma_x, n)
     basis = interference.slit_basis(slits, xgrid.points, interference.COORDINATE)
     coord = interference.basis_density(basis, density)
-    emit.table(prefix + "momentum", ["p_x", "density"], [pgrid.points, mom])
-    emit.table(prefix + "coordinate", ["x", "density"], [xgrid.points, coord])
-    return quadrature(mom, pgrid), quadrature(coord, xgrid)
+    files = [
+        (prefix + "momentum", "table", (["p_x", "density"], [pgrid.points, mom])),
+        (prefix + "coordinate", "table", (["x", "density"], [xgrid.points, coord])),
+    ]
+    return files, quadrature(mom, pgrid), quadrature(coord, xgrid)
 
 
-def _write_intensity(
-    emit: _Emitter, slits: interference.SlitParams, n: int, label: str, values, overlaps
-):
-    """Write the momentum density of the slit state of each overlap in
+def _intensity(slits: interference.SlitParams, n: int, label: str, values, overlaps) -> tuple:
+    """The momentum density of the slit state of each overlap in
     ``overlaps`` as the table ``intensity``, one column per entry of
     ``values``, named ``density_<label>_<value>``."""
     pgrid, basis = _momentum_basis(slits, n)
     names = ["p_x"] + [f"density_{label}_{v:g}" for v in values]
     cols = [interference.basis_density(basis, interference.slit_state(slits, g)) for g in overlaps]
-    emit.table("intensity", names, [pgrid.points, *cols])
+    return ("intensity", "table", (names, [pgrid.points, *cols]))
 
 
 def _entangled_state(params: dict):
@@ -205,25 +208,25 @@ def _entangled_state(params: dict):
 # runners
 
 
-def _run_slits(params: dict, n: int, emit: _Emitter) -> dict:
+def _run_slits(params: dict, n: int) -> tuple[dict, list]:
     slits = _slits(params, params["m"])
     density = interference.slit_state(slits, 1.0)
-    p_integral, x_integral = _write_marginals(emit, slits, density, n, "")
+    files, p_integral, x_integral = _marginals(slits, density, n, "")
     scalars = {"momentum_integral": p_integral, "coordinate_integral": x_integral}
     if slits.m == 2:
         # C^2 = 1 / (1 + q) normalizes the symmetric pair C (u_0 + u_1) / sqrt 2
         scalars["c_squared"] = 1.0 / (1.0 + slits.overlap)
-    return scalars
+    return scalars, files
 
 
-def _run_entangled(params: dict, n: int, emit: _Emitter) -> dict:
+def _run_entangled(params: dict, n: int) -> tuple[dict, list]:
     """Momentum and coordinate marginals of the entangled state; for two
     slits the fringe visibility is read from its density matrix."""
     slits, gamma, density = _entangled_state(params)
     weights, _ = schmidt.schmidt(slits, density)
     if slits.m == 2:
         coherence.check_fringes(slits)
-    marginal_integral, _ = _write_marginals(emit, slits, density, n, "marginal_")
+    files, marginal_integral, _ = _marginals(slits, density, n, "marginal_")
     scalars = {
         "schmidt_number": schmidt.schmidt_number(weights),
         "entropy": schmidt.entropy(weights),
@@ -231,10 +234,10 @@ def _run_entangled(params: dict, n: int, emit: _Emitter) -> dict:
         "visibility": coherence.visibility(density) if slits.m == 2 else None,
         "marginal_integral": marginal_integral,
     }
-    return {k: v for k, v in scalars.items() if v is not None}
+    return {k: v for k, v in scalars.items() if v is not None}, files
 
 
-def _run_schmidt(params: dict, n: int, emit: _Emitter) -> dict:
+def _run_schmidt(params: dict, n: int) -> tuple[dict, list]:
     slits, _, density = _entangled_state(params)
     weights, coefficients = schmidt.schmidt(slits, density)
     pgrid, basis = _momentum_basis(slits, n)
@@ -245,17 +248,11 @@ def _run_schmidt(params: dict, n: int, emit: _Emitter) -> dict:
     # real and imaginary parts: one complex matmul raised the peak RSS of a
     # fig3 or fig5 run by about 0.3 MB
     modes = np.square(basis.real @ coefficients) + np.square(basis.imag @ coefficients)
-    emit.table("modes", names, [pgrid.points, *modes.T])
-    emit.table(
-        "marginal",
-        ["p_x", "marginal", "mode_mixture"],
-        [pgrid.points, marg, mixture],
-    )
-    emit.table(
-        "weights",
-        ["k", "weight"],
-        [np.arange(len(weights), dtype=float), weights],
-    )
+    files = [
+        ("modes", "table", (names, [pgrid.points, *modes.T])),
+        ("marginal", "table", (["p_x", "marginal", "mode_mixture"], [pgrid.points, marg, mixture])),
+        ("weights", "table", (["k", "weight"], [np.arange(len(weights), dtype=float), weights])),
+    ]
     scalars = {
         "schmidt_number": schmidt.schmidt_number(weights),
         "entropy": schmidt.entropy(weights),
@@ -271,48 +268,47 @@ def _run_schmidt(params: dict, n: int, emit: _Emitter) -> dict:
         # a weight below the truncation is dropped, so compare it as 0
         kept0, kept1 = np.append(weights, 0.0)[:2]
         scalars["analytic_numeric_gap"] = max(abs(lam0 - kept0), abs(lam1 - kept1))
-    return scalars
+    return scalars, files
 
 
-def _run_detector_sweep(params: dict, n: int, emit: _Emitter) -> dict:
+def _run_detector_sweep(params: dict, n: int) -> tuple[dict, list]:
     """Momentum marginals at four detector offsets b, decomposed in one stack."""
     b_values = (0.0, 0.3, 0.7, 1.5)
     slits = _slits(params, params["m"])
     overlaps = [interference.detector_overlap(b, params["sigma_xi"]) for b in b_values]
     densities = np.stack([interference.slit_state(slits, g) for g in overlaps])
     decompositions = schmidt.schmidt_stack(slits, densities)
-    _write_intensity(emit, slits, n, "b", b_values, overlaps)
-    return {
+    scalars = {
         f"schmidt_number_b_{b:g}": schmidt.schmidt_number(weights)
         for b, (weights, _) in zip(b_values, decompositions)
     }
+    return scalars, [_intensity(slits, n, "b", b_values, overlaps)]
 
 
-def _run_source(params: dict, n: int, emit: _Emitter) -> dict:
+def _run_source(params: dict, n: int) -> tuple[dict, list]:
     y_values = (0.0, 0.0625, 0.125, 0.1875, 0.25)
     overlaps = [coherence.source_coherence(y) for y in y_values]
-    _write_intensity(emit, _slits(params, 2), n, "y", y_values, overlaps)
     scalars = {}
     for y in y_values:
         scalars[f"visibility_y_{y:g}"] = coherence.source_visibility(y)
         scalars[f"schmidt_number_y_{y:g}"] = coherence.source_schmidt(y)
-    return scalars
+    return scalars, [_intensity(_slits(params, 2), n, "y", y_values, overlaps)]
 
 
-def _run_coupling_curve(params: dict, n: int, emit: _Emitter) -> dict:
+def _run_coupling_curve(params: dict, n: int) -> tuple[dict, list]:
     y = np.linspace(0.0, 0.5, 257)
     v = coherence.source_visibility(y)
     k = coherence.source_schmidt(y)
-    emit.table("curve", ["y", "visibility", "schmidt_number"], [y, v, k])
-    return {
+    scalars = {
         "visibility_y0": v[0],
         "schmidt_number_y0": k[0],
         "visibility_y025": coherence.source_visibility(0.25),
         "schmidt_number_y025": coherence.source_schmidt(0.25),
     }
+    return scalars, [("curve", "table", (["y", "visibility", "schmidt_number"], [y, v, k]))]
 
 
-def _run_coherence(params: dict, n: int, emit: _Emitter) -> dict:
+def _run_coherence(params: dict, n: int) -> tuple[dict, list]:
     """The coherence qubit swept over 17 phases in [0, pi/2], and its scalars
     at ``phi``: each visibility is read from the state's density matrix, and
     the sweep's Schmidt numbers come from one stacked decomposition."""
@@ -328,13 +324,8 @@ def _run_coherence(params: dict, n: int, emit: _Emitter) -> dict:
     visibility = coherence.visibility(densities)
     k = [schmidt.schmidt_number(w) for w, _ in schmidt.schmidt_stack(slits, densities)]
     k_v = [coherence.k_from_v(v) for v in visibility]
-    emit.table(
-        "sweep",
-        ["phi", "visibility", "schmidt_number", "schmidt_from_v"],
-        [phis, visibility, k, k_v],
-    )
     v = coherence.visibility(interference.slit_state(slits, np.cos(2.0 * phi)))
-    return {
+    scalars = {
         "phi": phi,
         "visibility": v,
         "schmidt_number": coherence.k_from_v(v),
@@ -343,9 +334,11 @@ def _run_coherence(params: dict, n: int, emit: _Emitter) -> dict:
         "entropy": coherence.entropy_from_v(v),
         "max_coupling_gap": max(abs(a - b) for a, b in zip(k, k_v)),
     }
+    names = ["phi", "visibility", "schmidt_number", "schmidt_from_v"]
+    return scalars, [("sweep", "table", (names, [phis, visibility, k, k_v]))]
 
 
-def _run_ammonia(params: dict, n: int, emit: _Emitter) -> dict:
+def _run_ammonia(params: dict, n: int) -> tuple[dict, list]:
     choice = params["isotope"]
     table = tunneling.AMMONIA_ISOTOPES
     if choice != "all" and choice not in table:
@@ -368,15 +361,14 @@ def _run_ammonia(params: dict, n: int, emit: _Emitter) -> dict:
         "fd_frequency_ghz": tunneling.splitting_to_frequency(fd_delta_e),
         "experimental_ghz": np.array(measured),
     }
-    emit.table("splittings", list(columns), list(columns.values()))
     scalars = {"alpha": well.alpha, "beta": well.beta, "fit_mass": fit_mass}
     for i, name in enumerate(isotopes):
         for key in ("frequency_ghz", "overlap", "fd_frequency_ghz", "experimental_ghz"):
             scalars[f"{key}_{name}"] = columns[key][i]
-    return scalars
+    return scalars, [("splittings", "table", (list(columns), list(columns.values())))]
 
 
-def _run_qubits(params: dict, n: int, emit: _Emitter) -> dict:
+def _run_qubits(params: dict, n: int) -> tuple[dict, list]:
     n_sweep = params["n_sweep"]
     if n_sweep < 3 or n_sweep % 2 == 0:
         # the middle sample is the uncoupled point g0 = 0
@@ -398,12 +390,7 @@ def _run_qubits(params: dict, n: int, emit: _Emitter) -> dict:
         raise ValueError(f"g0_max {g0_max} overflows the coupling sweep; pick a smaller one")
     g_values = np.linspace(-g_max, g_max, n_sweep)
     k_values = tunneling.ground_state_entanglement(tunneling.build_two_qubit(e0, e1, well, g_values))
-    emit.table(
-        "sweep",
-        ["g0", "reduced_coupling", "schmidt_number"],
-        [g_values, g_values / contact / splitting, k_values],
-    )
-    return {
+    scalars = {
         "delta_e": splitting,
         "sigma_x": well.sigma_x,
         "g0_max": g_max,
@@ -411,29 +398,23 @@ def _run_qubits(params: dict, n: int, emit: _Emitter) -> dict:
         "schmidt_number_attraction_max": k_values[-1],
         "schmidt_number_repulsion_max": k_values[0],
     }
+    columns = [g_values, g_values / contact / splitting, k_values]
+    return scalars, [("sweep", "table", (["g0", "reduced_coupling", "schmidt_number"], columns))]
 
 
-def _run_tomography(params: dict, n: int, emit: _Emitter) -> dict:
-    slits = _slits(params, 2)
-    # built first, so that a geometry it rejects leaves no file behind
-    protocol = tomography.interference_protocol(slits, params["n_points"])
+def _run_tomography(params: dict, n: int) -> tuple[dict, list]:
     populations = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], dtype=complex)
     analysis = tomography.analyze(populations)
     pure = tomography.reconstruct(analysis, np.array([1.0, 0.0]))
     mixed = tomography.reconstruct(analysis, np.array([0.5, 0.5]))
     purity_min, purity_max = tomography.completion_purity_range(analysis, np.array([0.5, 0.5]))
-    emit.protocol("populations_protocol", populations)
-    emit.json_file("populations_pure_report", pure)
-    emit.json_file("populations_mixed_report", mixed)
 
+    protocol = tomography.interference_protocol(_slits(params, 2), params["n_points"])
     ianalysis = tomography.analyze(protocol)
     rho_sym = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     p_data = np.real(protocol @ tomography.vectorize(rho_sym))
     ireport = tomography.reconstruct(ianalysis, p_data)
-    emit.protocol("interference_protocol", protocol)
-    emit.json_file("interference_measurements", {"p": p_data})
-    emit.json_file("interference_report", ireport)
-    return {
+    scalars = {
         "populations_rank": float(analysis[3]),
         "pure_k_max": pure["k_max"],
         "pure_class": pure["completeness_class"],
@@ -444,6 +425,15 @@ def _run_tomography(params: dict, n: int, emit: _Emitter) -> dict:
         "interference_k_max": ireport["k_max"],
         "interference_residual": ireport["residual"],
     }
+    files = [
+        ("populations_protocol", "protocol", populations),
+        ("populations_pure_report", "json", pure),
+        ("populations_mixed_report", "json", mixed),
+        ("interference_protocol", "protocol", protocol),
+        ("interference_measurements", "json", {"p": p_data}),
+        ("interference_report", "json", ireport),
+    ]
+    return scalars, files
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +542,9 @@ def run(name: str, out_dir: Path, fmt: str, grid_points: int, params: dict) -> t
     run report into ``out_dir``, each named after ``name``, and return the
     report and the run's wall time in seconds.
 
-    ``fmt`` (csv or json), ``grid_points`` and ``params`` are all checked
-    before any file or directory is made.  Parameters are the computation's
+    ``fmt`` (csv or json), ``grid_points`` and ``params`` are all checked,
+    and the runner's computation done, before any file or directory is
+    made.  Parameters are the computation's
     defaults, then a preset's overrides, then ``params``, each converted to
     the type of the default it replaces; an integer parameter, and
     ``grid_points``, take only integral values.
@@ -576,8 +567,8 @@ def run(name: str, out_dir: Path, fmt: str, grid_points: int, params: dict) -> t
     params = {**defaults, **{k: _convert(k, v, defaults[k]) for k, v in params.items()}}
 
     start = time.perf_counter()
-    emit = _Emitter(out_dir, name, fmt)
-    scalars = runner(params, grid_points, emit)
+    scalars, files = runner(params, grid_points)
+    written = _write(out_dir, name, fmt, files)
     wall = time.perf_counter() - start
 
     # the wall time stays out: reports are byte-stable
@@ -585,7 +576,7 @@ def run(name: str, out_dir: Path, fmt: str, grid_points: int, params: dict) -> t
         "scenario": name,
         "parameters": {k: (v if isinstance(v, str) else _sig6(v)) for k, v in params.items()},
         "scalars": {k: (v if isinstance(v, str) else _sig6(v)) for k, v in scalars.items()},
-        "files": emit.files,
+        "files": written,
     }
-    _save_json(emit._path("report", "json"), report)
+    _save_json(out_dir / f"{name}_report.json", report)
     return report, wall

@@ -69,13 +69,12 @@ OVERLAP_VALIDITY = 0.01
 
 # Sinc-DVR levels: the Hamiltonian is dense, so its size is capped.  The
 # grid grows from _DVR_START_POINTS in steps of _DVR_STEP_POINTS until two
-# successive splittings agree to _DVR_CONVERGENCE (relative); a splitting
-# below _MIN_RELATIVE_SPLITTING of the levels is rounding noise.
+# successive splittings agree to _DVR_CONVERGENCE (relative).
 MAX_DVR_POINTS = 2048
 _DVR_START_POINTS = 64
 _DVR_STEP_POINTS = 32
 _DVR_CONVERGENCE = 1e-9
-_MIN_RELATIVE_SPLITTING = 1e-10
+_EPS = np.finfo(float).eps
 
 
 class DegenerateWellError(ValueError):
@@ -307,21 +306,25 @@ def grid_eigensolve(well: DoubleWell) -> tuple[float, float]:
     still holds amplitude 1e-2 at 3a, where its splitting converges only
     algebraically in the grid.  The grid grows from 64 points in steps of
     32 until the splittings at n and n + 32 agree to 1e-9 relative, and the
-    finer pair is returned.  Raises ``UnresolvedSplittingError`` once
-    E1 - E0 falls below 1e-10 of the larger |E|, where the dense
-    eigensolve's rounding swamps the splitting, and
-    ``InsufficientGridError`` if ``MAX_DVR_POINTS`` do not converge.
+    finer pair is returned.  Each level carries a rounding error of order
+    eps ||H||, with ||H|| ~ pi^2/(6 m dx^2) + max|U| growing as n^2; once
+    that floor exceeds 1e-9 of E1 - E0, no two splittings can be told to
+    agree, and ``UnresolvedSplittingError`` is raised at once, naming the
+    floor.  ``InsufficientGridError`` is raised if ``MAX_DVR_POINTS`` do
+    not converge.
     """
     edge = max(3.0 * well.a, well.a + 8.0 * well.sigma_x)
     previous = None
     for n in range(_DVR_START_POINTS, MAX_DVR_POINTS + 1, _DVR_STEP_POINTS):
         grid = make_grid(edge, n)
-        e0, e1 = lowest_levels(well.potential(grid.points), well.mass, grid)[:2]
+        u = well.potential(grid.points)
+        e0, e1 = lowest_levels(u, well.mass, grid)[:2]
         splitting = e1 - e0
-        if splitting < _MIN_RELATIVE_SPLITTING * max(abs(e0), abs(e1)):
+        floor = _EPS * (np.pi**2 / (6.0 * well.mass * grid.spacing**2) + np.max(np.abs(u)))
+        if floor > _DVR_CONVERGENCE * splitting:
             raise UnresolvedSplittingError(
-                f"splitting {splitting:.3g} is below {_MIN_RELATIVE_SPLITTING:g} of the "
-                f"levels {e0:.6g}, {e1:.6g}: a dense eigensolve cannot resolve it"
+                f"rounding floor {floor:.3g} of a {n}-point solve exceeds {_DVR_CONVERGENCE:g} "
+                f"of the splitting {splitting:.3g}: a dense eigensolve cannot resolve it"
             )
         if previous is not None and abs(splitting - previous) <= _DVR_CONVERGENCE * splitting:
             return float(e0), float(e1)

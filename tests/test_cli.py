@@ -563,6 +563,15 @@ def test_light_ammonia_fit_converges_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize("mass", ["0.5", "0.7"])
+def test_ammonia_splitting_below_the_rounding_floor_exits_2_at_once(tmp_path, capsys, mass):
+    # these fits once ran every DVR solve up to 2048 points, about 17 s, before exiting 2
+    start = time.perf_counter()
+    err = exits_2_with_one_error_line(["ammonia", "--mass", mass], tmp_path / "out", capsys)
+    assert time.perf_counter() - start < 1.0
+    assert "rounding floor" in err and "cannot resolve it" in err
+
+
 @pytest.mark.filterwarnings("always::UserWarning")
 def test_ammonia_dvr_splittings_are_converged_in_their_box(tmp_path, capsys):
     # the box [-H, H], H = max(3a, a + 8 sigma_x), solved once on 512 points

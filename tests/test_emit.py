@@ -1,4 +1,4 @@
-"""Scenario data tables: exact output bytes, input validation and loadable files."""
+"""The write step of a run: exact output bytes, input validation and loadable files."""
 
 import json
 import sys
@@ -30,9 +30,9 @@ def reference_json(names, columns):
 REFERENCE = {"csv": reference_csv, "json": reference_json}
 
 
-def emitter(out_dir, fmt):
-    """The emitter of a run called ``r``."""
-    return scenarios._Emitter(out_dir, "r", fmt)
+def write(out_dir, fmt, files):
+    """Write ``files`` as a run called ``r`` does, and return their names."""
+    return scenarios._write(out_dir, "r", fmt, files)
 
 
 rng = np.random.default_rng(7)
@@ -59,10 +59,9 @@ TABLES = {
 @pytest.mark.parametrize("case", list(TABLES))
 def test_table_bytes_match_the_reference_writer(tmp_path, fmt, case):
     names, columns = TABLES[case]
-    name = emitter(tmp_path, fmt).table("t", names, columns)
-    assert name == f"r_t.{fmt}"
+    assert write(tmp_path, fmt, [("t", "table", (names, columns))]) == [f"r_t.{fmt}"]
     expected = REFERENCE[fmt](names, columns).encode("utf-8")
-    assert (tmp_path / name).read_bytes() == expected
+    assert (tmp_path / f"r_t.{fmt}").read_bytes() == expected
 
 
 BAD_TABLES = {
@@ -80,11 +79,36 @@ BAD_TABLES = {
 @pytest.mark.parametrize("case", list(BAD_TABLES))
 def test_malformed_tables_raise_and_write_nothing(tmp_path, fmt, case):
     names, columns = BAD_TABLES[case]
-    emit = emitter(tmp_path / "out", fmt)
     with pytest.raises(ValueError, match="table 't'"):
-        emit.table("t", names, columns)
-    assert emit.files == []
+        write(tmp_path / "out", fmt, [("t", "table", (names, columns))])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exists", [False, True])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_malformed_table_after_valid_files_writes_no_file(tmp_path, fmt, exists):
+    out = tmp_path / "out"
+    if exists:
+        out.mkdir()
+    files = [
+        ("good", "table", TABLES["one-row"]),
+        ("p", "protocol", protocol(2, 2)),
+        ("j", "json", {"x": 1.0}),
+        ("t", "table", BAD_TABLES["unequal-lengths"]),
+    ]
+    with pytest.raises(ValueError, match="table 't': column 'b'"):
+        write(out, fmt, files)
+    if exists:
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.exists()
+
+
+def test_files_are_written_in_their_order_and_named_by_kind(tmp_path):
+    # a protocol and a JSON file are JSON in a CSV run too
+    files = [("z", "json", {"x": 1.0}), ("a", "table", TABLES["one-row"]), ("p", "protocol", protocol(1, 1))]
+    assert write(tmp_path, "csv", files) == ["r_z.json", "r_a.csv", "r_p.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r_a.csv", "r_p.json", "r_z.json"]
 
 
 N = 256
@@ -234,7 +258,7 @@ def protocol(rows, s, seed=0):
 @pytest.mark.parametrize("rows, s", [(1, 1), (2, 2), (3, 3), (700, 2)])
 def test_protocol_file_is_json_dumps_of_the_protocol(tmp_path, rows, s):
     matrix = protocol(rows, s)
-    name = emitter(tmp_path, "json").protocol("p", matrix)
+    (name,) = write(tmp_path, "json", [("p", "protocol", matrix)])
     expected = json.dumps(protocol_to_dict(matrix), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / name).read_text(encoding="utf-8") == expected
 
@@ -242,7 +266,7 @@ def test_protocol_file_is_json_dumps_of_the_protocol(tmp_path, rows, s):
 def test_protocol_with_non_finite_entries_is_written_by_json(tmp_path):
     matrix = protocol(2, 2)
     matrix[1, 2] = complex(np.nan, np.inf)
-    name = emitter(tmp_path, "json").protocol("p", matrix)
+    (name,) = write(tmp_path, "json", [("p", "protocol", matrix)])
     expected = json.dumps(protocol_to_dict(matrix), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / name).read_text(encoding="utf-8") == expected
 

@@ -206,3 +206,50 @@ def test_written_patterns_fit_to_their_states_visibility(tmp_path, n):
     for phi, v in rows[:, :2]:
         pattern = basis_density(basis, slit_state(slits, np.cos(2.0 * phi)))
         assert abs(fitted(pattern) - v) <= 1e-4, phi
+
+
+# the runner contract: runner(params, n) -> (scalars, files), and run writes
+KINDS = {"table", "protocol", "json"}
+
+
+@pytest.mark.parametrize("computation", list(scenarios.COMPUTATIONS))
+def test_each_runner_returns_scalars_and_uniquely_named_files(computation):
+    runner, defaults, _ = scenarios.COMPUTATIONS[computation]
+    scalars, files = runner(dict(defaults), 64)
+    assert isinstance(scalars, dict) and scalars
+    stems = [stem for stem, _, _ in files]
+    assert stems and len(set(stems)) == len(stems)
+    assert {kind for _, kind, _ in files} <= KINDS
+    for stem, kind, payload in files:
+        if kind == "table":
+            scenarios._check_table(stem, *payload)
+
+
+@pytest.mark.parametrize("computation", list(scenarios.COMPUTATIONS))
+def test_a_runner_that_raises_after_building_its_files_writes_nothing(tmp_path, monkeypatch, computation):
+    runner, defaults, summary = scenarios.COMPUTATIONS[computation]
+    built = []
+
+    def failing(params, n):
+        built.append(runner(params, n))
+        raise RuntimeError("raised after building its files")
+
+    monkeypatch.setitem(scenarios.COMPUTATIONS, computation, (failing, defaults, summary))
+    name = next((f for f, (_, c, _) in scenarios.FIGURES.items() if c == computation), computation)
+    with pytest.raises(RuntimeError, match="after building"):
+        scenarios.run(name, tmp_path / "out", "csv", 64, {})
+    assert built[0][1]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("figure", ["fig3", "fig5"])
+def test_far_field_marginal_is_the_mixture_of_its_mode_densities(figure, n):
+    # the paper's first claim, read from the runner's table without a file
+    _, computation, overrides = scenarios.FIGURES[figure]
+    runner, defaults, _ = scenarios.COMPUTATIONS[computation]
+    _, files = runner({**defaults, **overrides}, n)
+    ((names, columns),) = [payload for stem, _, payload in files if stem == "marginal"]
+    table = dict(zip(names, columns))
+    gap = np.max(np.abs(table["marginal"] - table["mode_mixture"]))
+    assert gap <= 1e-13 * np.max(table["marginal"])

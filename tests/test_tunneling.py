@@ -1,5 +1,6 @@
 """Double-well two-level model, the coupled-qubit system and the ammonia fit."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -460,10 +461,39 @@ class TestLowestLevels:
         assert np.array_equal(first, lowest_levels(u, PAPER_WELL.mass, grid))
 
     def test_non_convergence_raises(self, monkeypatch):
-        monkeypatch.setattr(tunneling, "_DVR_CONVERGENCE", 0.0)
+        # a splitting that grows by 3.2e-5 a step, far above its rounding floor, never settles
+        solve = tunneling.lowest_levels
+
+        def drifting(u, mass, grid):
+            return solve(u, mass, grid)[:2] + [0.0, 1e-6 * grid.n_points]
+
+        monkeypatch.setattr(tunneling, "lowest_levels", drifting)
         monkeypatch.setattr(tunneling, "MAX_DVR_POINTS", 160)
-        with pytest.raises(InsufficientGridError, match="did not converge"):
+        with pytest.raises(InsufficientGridError, match="did not converge within 160 points"):
             grid_eigensolve(PAPER_WELL)
+
+    def test_splitting_just_above_the_rounding_floor_converges(self):
+        # NT3 in the well fitted at mass 1.5: its 64- and 96-point splittings
+        # agree, and the 96-point floor is 0.94 of the tolerance
+        fitted = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, 1.5)
+        well = DoubleWell(fitted.alpha, fitted.beta, AMMONIA_ISOTOPES["NT3"][0])
+        e0, e1 = grid_eigensolve(well)
+        grid = make_grid(max(3.0 * well.a, well.a + 8.0 * well.sigma_x), 96)
+        u = well.potential(grid.points)
+        assert (e0, e1) == tuple(lowest_levels(u, well.mass, grid)[:2])
+        floor = np.finfo(float).eps * (np.pi**2 / (6.0 * well.mass * grid.spacing**2) + np.max(np.abs(u)))
+        assert 0.9 < floor / (1e-9 * (e1 - e0)) < 1.0
+
+    @pytest.mark.parametrize("fit_mass, isotope", [(1.0, "NT3"), (0.8, "ND3"), (0.5, "NT3")])
+    def test_splitting_below_the_rounding_floor_raises_at_once(self, fit_mass, isotope):
+        # floors of 33 to 1.8e5 times the tolerance: without the floor, each
+        # well ran every solve up to 2048 points, over 10 s, before giving up
+        fitted = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, fit_mass)
+        well = DoubleWell(fitted.alpha, fitted.beta, AMMONIA_ISOTOPES[isotope][0])
+        start = time.perf_counter()
+        with pytest.raises(UnresolvedSplittingError, match="rounding floor .* of a 64-point solve"):
+            grid_eigensolve(well)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestUnderflowingOverlap:
