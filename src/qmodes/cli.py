@@ -75,7 +75,7 @@ def _value(text: str):
 def parse_config(path: Path) -> dict:
     """Flat key = value file: key -> the value's text."""
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -19,10 +19,16 @@ A uniform source of dimensionless size y is the same two-slit state with
 the overlap gamma(y) = sinc(4 y) of van Cittert-Zernike (Born & Wolf,
 Principles of Optics, ch. 10), in the normalized convention
 sinc(x) = sin(pi x)/(pi x) of numpy.  gamma is signed: for y in
-(1/4, 1/2) it is negative and the fringes reverse their contrast.  For any
-two-mode decomposition with visibility V = |gamma|,
+(1/4, 1/2) it is negative and the fringes reverse their contrast.  When the
+two slit states are orthogonal, the state's Schmidt weights follow from its
+visibility V = |gamma|,
 
-    K = 2 / (1 + V^2),   lambda_0 = (1 + V)/2,   lambda_1 = (1 - V)/2.
+    K = 2 / (1 + V^2),   lambda_0 = (1 + V)/2,   lambda_1 = (1 - V)/2,
+
+which ``k_from_v`` gives.  Overlapping slits break this relation: the state
+of ``a = 0.5``, ``sigma_x = 0.5`` and gamma = cos(pi/4) has V = 0.707 but
+weights 0.960 and 0.040 (K = 1.084, not 1.333), which only its Schmidt
+decomposition (:mod:`qmodes.schmidt`) gives.
 """
 
 from __future__ import annotations
@@ -30,14 +36,13 @@ from __future__ import annotations
 import numpy as np
 
 from .interference import SlitParams
-from .schmidt import DEFAULT_TRUNCATION, entropy
+from .schmidt import DEFAULT_TRUNCATION
 
 __all__ = [
     "UnresolvedFringesError",
     "check_fringes",
     "visibility",
     "k_from_v",
-    "entropy_from_v",
     "source_coherence",
     "source_visibility",
     "source_schmidt",
@@ -80,14 +85,9 @@ def _clamped_visibility(v: float) -> float:
 
 
 def k_from_v(v: float) -> float:
-    """Schmidt number of a two-mode state with visibility v: K = 2/(1 + v^2)."""
+    """K = 2/(1 + v^2): the Schmidt number of a state of visibility v whose
+    two slit states are orthogonal."""
     return 2.0 / (1.0 + _clamped_visibility(v) ** 2)
-
-
-def entropy_from_v(v: float) -> float:
-    """Entropy of the two-mode weights ((1+V)/2, (1-V)/2)."""
-    v = _clamped_visibility(v)
-    return entropy(((1.0 + v) / 2.0, (1.0 - v) / 2.0))
 
 
 def source_coherence(y):

@@ -36,6 +36,7 @@ envelopes and the slit form factor
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,8 @@ class SlitParams:
     m: int
 
     def __post_init__(self):
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"slit count m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"slit count m must be >= 1, got {self.m}")
         if self.m > MAX_SLITS:

@@ -9,6 +9,7 @@ follow the unitary convention
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ class Grid1D:
     x_max: float
 
     def __post_init__(self):
+        if not isinstance(self.n_points, numbers.Integral):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.n_points}")
         if not self.x_max > self.x_min:

@@ -310,8 +310,9 @@ def _run_coupling_curve(params: dict, n: int) -> tuple[dict, list]:
 
 def _run_coherence(params: dict, n: int) -> tuple[dict, list]:
     """The coherence qubit swept over 17 phases in [0, pi/2], and its scalars
-    at ``phi``: each visibility is read from the state's density matrix, and
-    the sweep's Schmidt numbers come from one stacked decomposition."""
+    at ``phi``: each visibility is read from the state's density matrix, the
+    weights, Schmidt number and entropy at ``phi`` from its decomposition,
+    and the sweep's Schmidt numbers from one stacked decomposition."""
     phi = params["phi"]
     if not math.isfinite(2.0 * phi):
         # the qubit overlap is cos 2 phi
@@ -324,14 +325,16 @@ def _run_coherence(params: dict, n: int) -> tuple[dict, list]:
     visibility = coherence.visibility(densities)
     k = [schmidt.schmidt_number(w) for w, _ in schmidt.schmidt_stack(slits, densities)]
     k_v = [coherence.k_from_v(v) for v in visibility]
-    v = coherence.visibility(interference.slit_state(slits, np.cos(2.0 * phi)))
+    density = interference.slit_state(slits, np.cos(2.0 * phi))
+    weights, _ = schmidt.schmidt(slits, density)
     scalars = {
         "phi": phi,
-        "visibility": v,
-        "schmidt_number": coherence.k_from_v(v),
-        "lambda0": (1.0 + v) / 2.0,
-        "lambda1": (1.0 - v) / 2.0,
-        "entropy": coherence.entropy_from_v(v),
+        "visibility": coherence.visibility(density),
+        "schmidt_number": schmidt.schmidt_number(weights),
+        "lambda0": weights[0],
+        # a truncated second weight is 0
+        "lambda1": weights[1] if weights.size > 1 else 0.0,
+        "entropy": schmidt.entropy(weights),
         "max_coupling_gap": max(abs(a - b) for a, b in zip(k, k_v)),
     }
     names = ["phi", "visibility", "schmidt_number", "schmidt_from_v"]
@@ -350,7 +353,7 @@ def _run_ammonia(params: dict, n: int) -> tuple[dict, list]:
         tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, fit_mass
     )
     wells = [tunneling.DoubleWell(well.alpha, well.beta, mass) for mass in masses]
-    delta_e = np.array([splitting for _, _, splitting in map(tunneling.two_level_energies, wells)])
+    delta_e = np.array([tunneling.two_level_splitting(w) for w in wells])
     fd_delta_e = np.array([e1 - e0 for e0, e1 in map(tunneling.grid_eigensolve, wells)])
     columns = {
         "mass": np.array(masses),
@@ -382,14 +385,14 @@ def _run_qubits(params: dict, n: int) -> tuple[dict, list]:
     well = tunneling.fit_potential(
         tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, params["mass"]
     )
-    e0, e1, splitting = tunneling.two_level_energies(well)
+    splitting = tunneling.two_level_splitting(well)
     contact = 4.0 * math.sqrt(math.pi) * well.sigma_x
     g_max = g0_max or 300.0 * splitting * contact
     if not (math.isfinite(2.0 * g_max) and math.isfinite(g_max / contact / splitting)):
         # the sweep spans 2 g0_max, and each g0 is also written as g0 / (contact * splitting)
         raise ValueError(f"g0_max {g0_max} overflows the coupling sweep; pick a smaller one")
     g_values = np.linspace(-g_max, g_max, n_sweep)
-    k_values = tunneling.ground_state_entanglement(tunneling.build_two_qubit(e0, e1, well, g_values))
+    k_values = tunneling.two_qubit_schmidt_number(well, splitting, g_values)
     scalars = {
         "delta_e": splitting,
         "sigma_x": well.sigma_x,

@@ -64,9 +64,10 @@ def _validate_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InvalidWeightsError(f"expected a non-empty 1-D weight vector, got shape {w.shape}")
-    if np.any(w < -1e-12):
-        raise InvalidWeightsError(f"negative weight {w.min():.3e}")
-    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
+    # written so that a NaN fails each check
+    if not np.all(w >= -1e-12):
+        raise InvalidWeightsError(f"weights must be non-negative numbers, got {w.min():.3e}")
+    if not abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
         raise InvalidWeightsError(f"weights sum to {w.sum():.8f}, expected 1")
     return np.clip(w, 0.0, None)
 

@@ -6,18 +6,18 @@ a = sqrt(alpha/beta); Gaussian states of width sigma_x^2 = 1/(2 m omega_0)
 sit in each, with omega_0 = sqrt(2 alpha / m).  ``DoubleWell`` holds
 (alpha, beta, m) and gives a, sigma_x and the inter-well overlap as
 properties.  Symmetric/antisymmetric combinations give ground and excited
-levels whose splitting E1 - E0 is the tunnel (inversion) frequency:
-``two_level_energies`` returns the triple (E0, E1, E1 - E0), the splitting
-in closed form.  A pair of delta-coupled qubits is a (..., 4, 4) stack of
-Hamiltonians, one per coupling (``build_two_qubit``, from E0, E1 and the
-well), and ``ground_state_entanglement`` returns the Schmidt number of each
-ground state of the stack, an array of the stack's shape.
+levels whose splitting E1 - E0 is the tunnel (inversion) frequency, which
+``two_level_splitting`` returns in closed form.  A pair of delta-coupled
+qubits is block diagonal in the basis (00, 01, 10, 11), and its levels
+enter only through that splitting, so ``two_qubit_schmidt_number`` gives
+the Schmidt number of the pair's ground state in closed form, elementwise
+over an array of couplings.
 
 ``grid_eigensolve`` gives the exact levels of the same well, converged in a
-sinc discrete variable representation, against which the two-level ones are
-compared.  The ammonia report keys ``fd_delta_e``/``fd_frequency_ghz_*``
-hold these grid levels; "fd" is kept from the finite-difference solver they
-once came from.
+sinc discrete variable representation, against which the two-level
+splitting is compared.  The ammonia report keys
+``fd_delta_e``/``fd_frequency_ghz_*`` hold these grid levels; "fd" is kept
+from the finite-difference solver they once came from.
 
 ``AMMONIA_ISOTOPES`` maps each isotope's name, NH3, ND3 or NT3, to the
 pair (reduced mass, measured inversion frequency in GHz).  Ammonia units:
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Grid1D, eigh, make_grid
+from .numerics import Grid1D, make_grid
 
 __all__ = [
     "DoubleWell",
@@ -47,13 +47,12 @@ __all__ = [
     "InsufficientGridError",
     "UnresolvedSplittingError",
     "FitError",
-    "two_level_energies",
+    "two_level_splitting",
     "fit_potential",
     "splitting_to_frequency",
     "lowest_levels",
     "grid_eigensolve",
-    "build_two_qubit",
-    "ground_state_entanglement",
+    "two_qubit_schmidt_number",
 ]
 
 ENERGY_UNIT_J = 2.39e-21
@@ -142,22 +141,24 @@ AMMONIA_ISOTOPES = {
 }
 
 
-def two_level_energies(well: DoubleWell) -> tuple[float, float, float]:
-    """Closed-form energies (E0, E1, E1 - E0) of the symmetric (0) and
-    antisymmetric (1) states.
+def two_level_splitting(well: DoubleWell) -> float:
+    """Closed-form splitting E1 - E0 of the symmetric (0) and antisymmetric
+    (1) Gaussian-pair states.  Warns when the overlap eps exceeds 0.01,
+    outside two-level validity.
 
-    T0 = C0^2/(8 m sigma^2) [1 - (a^2/sigma^2 - 1) eps]  (eps = overlap),
-    T1 with C1^2 and +, and the quartic-well potential expectations U0/U1
-    evaluated over the same Gaussian pair.  E = U + T.  Warns when eps
-    exceeds 0.01, outside two-level validity.
+    With C0^2 = 1/(1 + eps), C1^2 = 1/(1 - eps), q = a^2/sigma^2 and
+    T_kin = 1/(8 m sigma^2), the levels are
 
-    The splitting is not the float difference E1 - E0: both energies are
-    O(1) while the splitting can be 1e-10 or smaller, so the difference
-    keeps few correct digits and rounds to 0 for well-separated wells, and
-    U1 - U0 and T1 - T0 cancel just as badly.  It is taken in closed form,
-    free of cancellation:
+        E0 = C0^2 [T_kin (1 - (q - 1) eps) + base + eps cross]
+        E1 = C1^2 [T_kin (1 + (q - 1) eps) + base - eps cross]
 
-        E1 - E0 = 2 eps/(1 - eps^2) [q T_kin + base - cross],  q = a^2/sigma^2,
+    with base = -alpha (a^2 + sigma^2)/2 + beta (a^4 + 6 sigma^2 a^2 +
+    3 sigma^4)/4 and cross = -alpha sigma^2/2 + 3 beta sigma^4/4.  E0 and
+    E1 are O(1) while the splitting can be 1e-10 or smaller, so their float
+    difference keeps few correct digits and rounds to 0 for well-separated
+    wells.  Subtracted in closed form, free of cancellation,
+
+        E1 - E0 = 2 eps/(1 - eps^2) [q T_kin + base - cross],
 
     and since a = sqrt(alpha/beta) gives beta a^2 = alpha (and q T_kin =
     alpha a^2 for sigma^2 = 1/(2 m omega0)), the bracket is
@@ -168,34 +169,20 @@ def two_level_energies(well: DoubleWell) -> tuple[float, float, float]:
     evaluated in log space from ``well.log_overlap``, so a splitting in
     the subnormal range keeps its value where eps itself underflows.
     """
-    a, sx, m = well.a, well.sigma_x, well.mass
     eps = well.overlap
-    if eps >= 1.0 or a == 0.0:
+    if eps >= 1.0 or well.a == 0.0:
         raise DegenerateWellError("wells coincide; antisymmetric state undefined")
     if eps > OVERLAP_VALIDITY:
         warnings.warn(
             f"inter-well overlap {eps:.3g} > {OVERLAP_VALIDITY}; two-level results are unreliable",
             stacklevel=2,
         )
-    c0_sq = 1.0 / (1.0 + eps)
-    c1_sq = 1.0 / (1.0 - eps)
-    q = a**2 / sx**2
-    kin = 1.0 / (8.0 * m * sx**2)
-    t0 = c0_sq * kin * (1.0 - (q - 1.0) * eps)
-    t1 = c1_sq * kin * (1.0 + (q - 1.0) * eps)
-    base = -well.alpha / 2.0 * (a**2 + sx**2) + well.beta / 4.0 * (
-        a**4 + 6.0 * sx**2 * a**2 + 3.0 * sx**4
-    )
-    cross = -well.alpha * sx**2 / 2.0 + 3.0 * well.beta * sx**4 / 4.0
-    u0 = c0_sq * (base + eps * cross)
-    u1 = c1_sq * (base - eps * cross)
-    splitting = math.exp(_log_splitting(well.alpha, a, sx**2, well.log_overlap))
-    return u0 + t0, u1 + t1, splitting
+    return math.exp(_log_splitting(well.alpha, well.a, well.sigma_x**2, well.log_overlap))
 
 
 def _log_splitting(alpha: float, a: float, sigma_sq: float, log_eps: float) -> float:
     """log(E1 - E0) = log eps + log(1.5 alpha (a^2 + 2 sigma^2)) - log1p(-eps^2),
-    the closed form of ``two_level_energies``, finite where eps underflows."""
+    the closed form of ``two_level_splitting``, finite where eps underflows."""
     return (
         log_eps
         + math.log(1.5 * alpha * (a**2 + 2.0 * sigma_sq))
@@ -210,7 +197,7 @@ def fit_potential(a_target: float, delta_e_target: float, mass: float) -> Double
     splitting is solved by bisection in alpha (the splitting decreases
     monotonically with alpha at fixed a) down to adjacent floats.  The
     objective is log(E1 - E0) - log(target), from the closed-form splitting
-    of ``two_level_energies``: it has no cancellation and stays finite where
+    of ``two_level_splitting``: it has no cancellation and stays finite where
     the overlap underflows.  The fitted well must satisfy the two-level
     validity overlap < 0.01; a mass (or equilibrium) too small for any
     alpha of the search to meet it raises ``FitError`` before the search.
@@ -332,54 +319,47 @@ def grid_eigensolve(well: DoubleWell) -> tuple[float, float]:
     raise InsufficientGridError(f"splitting did not converge within {MAX_DVR_POINTS} points")
 
 
-def build_two_qubit(e0: float, e1: float, well: DoubleWell, g0: np.ndarray) -> np.ndarray:
-    """Hamiltonians of two double-well qubits with contact interaction -g0 delta(x - xi).
+def two_qubit_schmidt_number(well: DoubleWell, splitting: float, g0):
+    """Schmidt number K of the ground state of two double-well qubits with
+    contact interaction -g0 delta(x - xi), elementwise over the couplings g0.
 
-    E0 and E1 are the well's two levels (``two_level_energies``).  g0 > 0 is
-    attraction, g0 < 0 repulsion.  An array of couplings gives a (..., 4, 4)
-    stack, one Hamiltonian per coupling, in the basis order (00, 01, 10, 11):
+    ``splitting`` is the well's E1 - E0 (``two_level_splitting``), and must
+    be positive.  g0 > 0 is attraction, g0 < 0 repulsion.  In the basis
+    (00, 01, 10, 11) the Hamiltonian is
 
-        H = diag(2E0, E0+E1, E0+E1, 2E1) + h
+        H = diag(2E0 + h1, E0+E1 + h2, E0+E1 + h2, 2E1 + h3)
 
-    where h has h1 at [0, 0], h3 at [3, 3], and h2 at [1, 1], [2, 2] and on
-    the anti-diagonal ([0, 3], [1, 2], [2, 1], [3, 0]), with
+    plus h2 at [0, 3], [1, 2], [2, 1] and [3, 0], where, with s =
+    g0/(4 sqrt(pi) sigma), C0^2 = 1/(1 + eps), C1^2 = 1/(1 - eps) and
+    e = sqrt(eps) (eps = overlap),
 
-        h1 = -C0^4 g0/(4 sqrt(pi) sigma) (1 + 4 e3 + 3 e4)
-        h2 = -C0^2 C1^2 g0/(4 sqrt(pi) sigma) (1 - e4)
-        h3 = -C1^4 g0/(4 sqrt(pi) sigma) (1 - 4 e3 + 3 e4)
+        h1 = -C0^4 s (1 + 4 e^3 + 3 e^4)
+        h2 = -C0^2 C1^2 s (1 - e^4) = -s
+        h3 = -C1^4 s (1 - 4 e^3 + 3 e^4).
 
-    with C0^2 = 1/(1 + eps), C1^2 = 1/(1 - eps) (eps = overlap) and
-    e3 = exp(-3a^2/4 sigma^2), e4 = exp(-a^2/sigma^2).  As the overlap
-    vanishes all three tend to -g0/(4 sqrt(pi) sigma).
+    H splits into the blocks {00, 11} and {01, 10}, and the levels enter
+    only through d = h1 - h3 - 2 (E1 - E0):
+
+    - the lowest {00, 11} vector has K = 2/(1 + t^2), t = |d|/hypot(d, 2 h2)
+      <= 1, so K = 1 at g0 = 0 and K lies in [1, 2];
+    - the {01, 10} block's vectors (|01> -/+ |10>)/sqrt 2 have K = 2.  Its
+      lowest level is the lower where h2 > 0 and
+      d^2 < (h1 + h3 - 2 h2)(h1 + h3 + 2 h2), which strong repulsion
+      reaches.  Where the two blocks' lowest levels tie, the ground state
+      is not unique, and K is the {00, 11} value.
+
+    h1 - h3 and h1 + h3 - 2 h2 are O(eps) and O(eps^2) of s, so both are
+    taken in closed form, free of cancellation:
+
+        h1 - h3 = 4 s eps (1 - 2e + 3e^4 - 2e^5) / (1 - eps^2)^2
+        h1 + h3 - 2 h2 = -4 s eps^2 (1 - e)^2 (3 + 2e + eps) / (1 - eps^2)^2.
     """
-    a, sx = well.a, well.sigma_x
     eps = well.overlap
-    c0_sq = 1.0 / (1.0 + eps)
-    c1_sq = 1.0 / (1.0 - eps)
-    e3 = np.exp(-3.0 * a**2 / (4.0 * sx**2))
-    e4 = np.exp(-(a**2) / sx**2)
-    scale = g0 / (4.0 * np.sqrt(np.pi) * sx)
-    h1 = -c0_sq**2 * scale * (1.0 + 4.0 * e3 + 3.0 * e4)
-    h2 = -c0_sq * c1_sq * scale * (1.0 - e4)
-    h3 = -c1_sq**2 * scale * (1.0 - 4.0 * e3 + 3.0 * e4)
-    h = np.zeros(np.shape(g0) + (4, 4))
-    h[..., 0, 0] = 2.0 * e0 + h1
-    h[..., 1, 1] = h[..., 2, 2] = e0 + e1 + h2
-    h[..., 3, 3] = 2.0 * e1 + h3
-    h[..., 0, 3] = h[..., 3, 0] = h[..., 1, 2] = h[..., 2, 1] = h2
-    return h
-
-
-def ground_state_entanglement(h: np.ndarray) -> np.ndarray:
-    """Schmidt number K = 1/(1 - 2 Delta) of each two-qubit ground state.
-
-    Delta = |c00 c11 - c01 c10|^2 from the lowest eigenvector of H.  K runs
-    from 1 (product state) to 2 (Bell-like state).  The (..., 4, 4) stack is
-    solved in one ``eigh`` call.  Where the two lowest levels coincide the
-    ground vector, and so K, is not unique: K is that of the vector ``eigh``
-    returns.
-    """
-    _, vectors = eigh(h)
-    c = vectors[..., :, 0].reshape(vectors.shape[:-2] + (2, 2))
-    delta = np.square(np.abs(c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]))
-    return 1.0 / (1.0 - 2.0 * delta)
+    e = math.sqrt(eps)
+    den = (1.0 - eps**2) ** 2
+    scale = np.asarray(g0, dtype=float) / (4.0 * math.sqrt(math.pi) * well.sigma_x)
+    d = 4.0 * eps * (1.0 - 2.0 * e + 3.0 * e**4 - 2.0 * e**5) / den * scale - 2.0 * splitting
+    q = 4.0 * eps**2 * (1.0 - e) ** 2 * (3.0 + 2.0 * e + eps) / den
+    # h2 = -scale, so (h1 + h3 - 2 h2)(h1 + h3 + 2 h2) = scale^2 q (q + 4)
+    bell = (scale < 0.0) & (np.abs(d) < -scale * math.sqrt(q * (q + 4.0)))
+    return np.where(bell, 2.0, 2.0 / (1.0 + np.square(np.abs(d) / np.hypot(d, 2.0 * scale))))

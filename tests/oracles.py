@@ -2,7 +2,9 @@
 offset-corrected FFT, a detector's two numbers, the two-slit closed forms,
 the multi-slit form factor, the uniform-source fringe pattern, a
 least-squares fit of a pattern's fringe visibility, the grid reference for
-slit states, and Python's text of data tables and protocols.
+slit states, the double well's two-level energies and the coupled-qubit
+Hamiltonian solved by ``eigh``, and Python's text of data tables and
+protocols.
 
 The grid reference samples the joint state psi(x, xi) on a particle x
 detector grid as a factor pair psi = left @ right.T, normalizes it by
@@ -237,6 +239,69 @@ def gram_weights_oracle(m, a, sigma_x, b, sigma_xi):
     norm_sq = 1.0 / np.sum(s_x * s_xi)
     lam = np.linalg.eigvalsh(norm_sq * w_half @ s_xi @ w_half)
     return np.sort(lam)[::-1]
+
+
+# ---------------------------------------------------------------------------
+# double-well levels and the coupled-qubit Hamiltonian
+
+
+def energy_terms(a, sx, eps, alpha, beta, m):
+    """Kinetic T0, T1 and potential U0, U1 of a double well's Gaussian pair
+    (eps the overlap), in the arithmetic of the arguments (float64, or
+    mpmath's mpf)."""
+    c0_sq, c1_sq = 1.0 / (1.0 + eps), 1.0 / (1.0 - eps)
+    q = a**2 / sx**2
+    kin = 1.0 / (8.0 * m * sx**2)
+    t0 = c0_sq * kin * (1.0 - (q - 1.0) * eps)
+    t1 = c1_sq * kin * (1.0 + (q - 1.0) * eps)
+    base = -alpha / 2.0 * (a**2 + sx**2) + beta / 4.0 * (a**4 + 6.0 * sx**2 * a**2 + 3.0 * sx**4)
+    cross = -alpha * sx**2 / 2.0 + 3.0 * beta * sx**4 / 4.0
+    return t0, t1, c0_sq * (base + eps * cross), c1_sq * (base - eps * cross)
+
+
+def two_level_energies(well):
+    """(E0, E1) = (U0 + T0, U1 + T1) of the well's Gaussian pair, each O(1):
+    their float difference loses the splitting's digits."""
+    t0, t1, u0, u1 = energy_terms(well.a, well.sigma_x, well.overlap, well.alpha, well.beta, well.mass)
+    return u0 + t0, u1 + t1
+
+
+def coupling_terms(eps, scale):
+    """(h1, h2, h3) of the contact coupling -g0 delta(x - xi) between two
+    Gaussian pairs of overlap eps, with scale = g0 / (4 sqrt(pi) sigma_x),
+    in the arithmetic of the arguments; e3 = eps^(3/2), e4 = eps^2."""
+    c0_sq, c1_sq = 1.0 / (1.0 + eps), 1.0 / (1.0 - eps)
+    e3, e4 = eps**1.5, eps**2
+    h1 = -(c0_sq**2) * scale * (1.0 + 4.0 * e3 + 3.0 * e4)
+    h2 = -c0_sq * c1_sq * scale * (1.0 - e4)
+    h3 = -(c1_sq**2) * scale * (1.0 - 4.0 * e3 + 3.0 * e4)
+    return h1, h2, h3
+
+
+def build_two_qubit(e0, e1, well, g0):
+    """Hamiltonians of two double-well qubits, a (..., 4, 4) stack over the
+    couplings g0, in the basis order (00, 01, 10, 11):
+    diag(2E0 + h1, E0+E1 + h2, E0+E1 + h2, 2E1 + h3) with h2 on the
+    anti-diagonal."""
+    scale = np.asarray(g0, dtype=float) / (4.0 * np.sqrt(np.pi) * well.sigma_x)
+    h1, h2, h3 = coupling_terms(well.overlap, scale)
+    h = np.zeros(np.shape(g0) + (4, 4))
+    h[..., 0, 0] = 2.0 * e0 + h1
+    h[..., 1, 1] = h[..., 2, 2] = e0 + e1 + h2
+    h[..., 3, 3] = 2.0 * e1 + h3
+    h[..., 0, 3] = h[..., 3, 0] = h[..., 1, 2] = h[..., 2, 1] = h2
+    return h
+
+
+def ground_state_entanglement(h):
+    """Schmidt number K = 1/(1 - 2 Delta), Delta = |c00 c11 - c01 c10|^2, of
+    the lowest eigenvector of each matrix of a (..., 4, 4) stack, solved in
+    one ``eigh`` call.  Where the two lowest levels coincide, K is that of
+    the vector ``eigh`` returns."""
+    _, vectors = np.linalg.eigh(h)
+    c = vectors[..., :, 0].reshape(vectors.shape[:-2] + (2, 2))
+    delta = np.square(np.abs(c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]))
+    return 1.0 / (1.0 - 2.0 * delta)
 
 
 def python_text(block, seps, fmt):

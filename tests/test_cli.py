@@ -204,6 +204,18 @@ def test_seed_config_line_is_an_unknown_parameter(tmp_path, capsys):
     assert "unknown parameters for 'fig3': ['seed']" in capsys.readouterr().err
 
 
+def test_a_config_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    # editors that save "UTF-8 with BOM" prefix the file with EF BB BF; read
+    # as plain UTF-8 it made the first key '\ufeffm', an unknown parameter
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"\xef\xbb\xbfm = 3\na = 4.5\n")
+    out = tmp_path / "out"
+    assert main(["schmidt", "--grid-points", "256", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    parameters = report(out, "schmidt")["parameters"]
+    assert (parameters["m"], parameters["a"]) == (3, 4.5)
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [

@@ -5,7 +5,6 @@ import pytest
 
 from oracles import GridState, SampledWave, grid_schmidt, two_slit_intensity, visibility_from_intensity
 from qmodes.coherence import (
-    entropy_from_v,
     k_from_v,
     source_coherence,
     source_schmidt,
@@ -20,7 +19,7 @@ from qmodes.interference import (
     slit_state,
 )
 from qmodes.numerics import Grid1D, make_grid, quadrature
-from qmodes.schmidt import analytic_two_slit_weights, schmidt, schmidt_number
+from qmodes.schmidt import analytic_two_slit_weights, entropy, schmidt, schmidt_number
 
 A, SIGMA = 5.0, 0.5
 SLITS = SlitParams(a=A, sigma_x=SIGMA, m=2)
@@ -166,11 +165,13 @@ class TestCouplingFormulas:
             k_from_v(1.5)
 
     def test_entropy_endpoints(self):
-        assert entropy_from_v(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert entropy_from_v(0.0) == pytest.approx(1.0, rel=1e-15)
+        # the two-mode weights ((1 + V)/2, (1 - V)/2) of orthogonal slit states
+        assert entropy((1.0, 0.0)) == 0.0
+        assert entropy((0.5, 0.5)) == pytest.approx(1.0, rel=1e-15)
 
     def test_entropy_reference(self):
-        assert entropy_from_v(np.exp(-0.5)) == pytest.approx(0.7153, abs=5e-5)
+        v = np.exp(-0.5)
+        assert entropy(((1.0 + v) / 2.0, (1.0 - v) / 2.0)) == pytest.approx(0.7153, abs=5e-5)
 
     def test_weight_matches_slit_model(self):
         # lambda_0 = (1 + V)/2 with V = exp(-b^2/2 sigma_xi^2) for separated slits

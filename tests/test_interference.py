@@ -436,6 +436,13 @@ class TestInvariants:
             expected = s_xi / np.sum(slits.overlaps * s_xi)
             assert slit_state(slits, gamma).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, np.nan, "2"])
+    def test_a_slit_count_that_is_not_an_integer_is_named(self, m):
+        # m = 2.5 once built three slits at (-7.5, 2.5, 12.5), not symmetric about 0
+        with pytest.raises(ValueError, match=f"^slit count m must be an integer, got {m!r}$"):
+            SlitParams(a=5.0, sigma_x=0.5, m=m)
+        assert SlitParams(a=5.0, sigma_x=0.5, m=np.int64(3)).overlaps.shape == (3, 3)
+
     def test_slit_count_is_capped(self):
         assert SlitParams(a=1.0, sigma_x=0.5, m=MAX_SLITS).m == 64
         with pytest.raises(ValueError, match=r"slit count m must be at most 64, got 65\b"):

@@ -47,6 +47,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid1D(8, 2.0, 1.0)
 
+    @pytest.mark.parametrize("n_points", [2.5, 3.0, np.nan])
+    def test_a_point_count_that_is_not_an_integer_is_named(self, n_points):
+        # Grid1D(2.5, 0, 1) once reported a spacing of 0.667, and only its points raised
+        with pytest.raises(ValueError, match=f"^n_points must be an integer, got {n_points!r}$"):
+            Grid1D(n_points, 0.0, 1.0)
+        assert Grid1D(np.int32(3), 0.0, 1.0).points.tolist() == [0.0, 0.5, 1.0]
+
 
 class TestQuadrature:
     def test_constant_exact(self):
@@ -131,10 +138,11 @@ class TestEigh:
         assert np.allclose(np.abs(vectors), np.full((2, 2), 1 / np.sqrt(2)))
 
     def test_uncoupled_two_qubit_spectrum(self):
-        from qmodes.tunneling import AMMONIA_ISOTOPES, DoubleWell, build_two_qubit, two_level_energies
+        from oracles import build_two_qubit, two_level_energies
+        from qmodes.tunneling import AMMONIA_ISOTOPES, DoubleWell
 
         well = DoubleWell(69.29, 141.73, AMMONIA_ISOTOPES["NH3"][0])
-        e0, e1, _ = two_level_energies(well)
+        e0, e1 = two_level_energies(well)
         values, _ = eigh(build_two_qubit(e0, e1, well, g0=0.0))
         assert np.allclose(np.sort(values), np.sort([2 * e0, e0 + e1, e0 + e1, 2 * e1]), atol=1e-12)
 

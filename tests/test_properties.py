@@ -1,6 +1,7 @@
 """Property tests over random inputs: the m x m Schmidt path over slit
-states, its stacked form against one state at a time, and the CSV and JSON
-text of the value kernel over float64 bit patterns."""
+states, its stacked form against one state at a time, the closed-form
+two-qubit Schmidt number against the eigensolved Hamiltonian, and the CSV
+and JSON text of the value kernel over float64 bit patterns."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from oracles import Detector, gram_weights_oracle, grid_schmidt, grid_state_momentum, python_text  # noqa: E402
+from oracles import (  # noqa: E402
+    Detector,
+    build_two_qubit,
+    gram_weights_oracle,
+    grid_schmidt,
+    grid_state_momentum,
+    ground_state_entanglement,
+    python_text,
+    two_level_energies,
+)
 from qmodes.interference import SlitParams, detector_overlap, slit_state  # noqa: E402
 from qmodes.numerics import MAX_SLITS, NonHermitianError, make_grid  # noqa: E402
 from qmodes.schmidt import (  # noqa: E402
@@ -20,6 +30,13 @@ from qmodes.schmidt import (  # noqa: E402
     schmidt_stack,
 )
 from qmodes.text import format_rows  # noqa: E402
+from qmodes.tunneling import (  # noqa: E402
+    AMMONIA_EQUILIBRIUM,
+    AMMONIA_SPLITTING,
+    fit_potential,
+    two_level_splitting,
+    two_qubit_schmidt_number,
+)
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,3 +198,20 @@ def test_g12_rows_is_pythons_formatting_of_any_float64(block):
 @given(block=BLOCKS)
 def test_repr_rows_is_pythons_repr_of_any_float64(block):
     check_text(block, "json", b";\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fit_mass=st.floats(1.0, 20.0),
+    reduced=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8),
+)
+def test_two_qubit_closed_form_is_the_eigensolved_hamiltonian(fit_mass, reduced):
+    # couplings in reduced units g0 / (4 sqrt(pi) sigma_x (E1 - E0)); the
+    # blocks' crossing lies below -341 for every fit mass up to 20
+    well = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, fit_mass)
+    splitting = two_level_splitting(well)
+    g0 = np.array(reduced) * splitting * 4.0 * np.sqrt(np.pi) * well.sigma_x
+    k = two_qubit_schmidt_number(well, splitting, g0)
+    oracle = ground_state_entanglement(build_two_qubit(*two_level_energies(well), well, g0))
+    np.testing.assert_allclose(k, oracle, rtol=1e-12, atol=0.0)
+    assert np.all((1.0 <= k) & (k <= 2.0))

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from oracles import SampledWave, form_factor, source_pattern, visibility_from_intensity
-from qmodes import scenarios
-from qmodes.coherence import entropy_from_v, source_coherence, source_visibility
+from qmodes import cli, scenarios
+from qmodes.coherence import source_coherence, source_visibility
 from qmodes.interference import MOMENTUM, SlitParams, basis_density, detector_overlap, slit_basis, slit_state
 from qmodes.numerics import make_grid
-from qmodes.schmidt import schmidt, schmidt_number
+from qmodes.schmidt import entropy, schmidt, schmidt_number
 
 N = 2048
 
@@ -117,6 +117,15 @@ def test_fig10_uncoupled_qubits_are_a_product_state(tmp_path):
     assert run_1024("fig10", tmp_path)["schmidt_number_g0_0"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_fig10_and_qubits_need_no_eigensolve(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert cli.main(["figures", "fig10", "--out", str(tmp_path / "fig10")]) == 0
+    assert cli.main(["qubits", "--g0-max", "1e300", "--out", str(tmp_path / "qubits")]) == 0
+
+
 def test_tomography_demo_completeness(tmp_path):
     s = run_1024("tomography-demo", tmp_path)
     assert s["pure_k_max"] == 1.0
@@ -136,7 +145,26 @@ def test_coherence_two_mode_scalars(tmp_path):
     assert s["lambda0"] + s["lambda1"] == pytest.approx(1.0, abs=1e-6)
     assert s["lambda0"] == pytest.approx((1.0 + v) / 2.0, abs=1e-6)
     assert s["schmidt_number"] == pytest.approx(2.0 / (1.0 + v**2), abs=1e-5)
-    assert s["entropy"] == pytest.approx(entropy_from_v(v), abs=1e-5)
+    assert s["entropy"] == pytest.approx(entropy(((1.0 + v) / 2.0, (1.0 - v) / 2.0)), abs=1e-5)
+
+
+def test_coherence_scalars_are_the_decomposition_of_overlapping_slits(tmp_path):
+    # at a = 0.5 the slit states overlap: the visibility cos(pi/4) would give
+    # K = 2/(1 + V^2) = 4/3, but the state's weights are 0.960 and 0.040
+    s = run("coherence", tmp_path, a=0.5)
+    slits = SlitParams(a=0.5, sigma_x=0.5, m=2)
+    weights, _ = schmidt(slits, slit_state(slits, np.cos(np.pi / 4.0)))
+    assert s["visibility"] == pytest.approx(np.cos(np.pi / 4.0), abs=1e-6)
+    assert s["lambda0"] == pytest.approx(weights[0], abs=1e-6)
+    assert s["lambda1"] == pytest.approx(weights[1], rel=1e-5)
+    assert s["schmidt_number"] == pytest.approx(schmidt_number(weights), abs=1e-5)
+    assert s["entropy"] == pytest.approx(entropy(weights), abs=1e-6)
+
+
+def test_coherence_second_weight_is_zero_once_truncated(tmp_path):
+    # phi = 0: the qubit states coincide, the particle is in one mode
+    s = run("coherence", tmp_path, phi=0.0)
+    assert (s["lambda0"], s["lambda1"], s["schmidt_number"], s["entropy"]) == (1.0, 0.0, 1.0, 0.0)
 
 
 def test_fig6_data_source_scalars(tmp_path):

@@ -268,6 +268,13 @@ class TestMeasures:
             schmidt_number([1.2, -0.2])
         with pytest.raises(InvalidWeightsError):
             entropy(np.empty(0))
+        # a NaN fails a comparison without raising, so each check is written to fail on it
+        with pytest.raises(InvalidWeightsError):
+            schmidt_number([np.nan])
+        with pytest.raises(InvalidWeightsError):
+            entropy([0.5, np.nan, 0.5])
+        with pytest.raises(InvalidWeightsError):
+            schmidt_number([1.0, np.inf])
 
 
 class TestMixtureAndDensity:

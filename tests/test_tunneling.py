@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import build_two_qubit, coupling_terms, energy_terms, ground_state_entanglement, two_level_energies
 from qmodes import tunneling
 from qmodes.numerics import make_grid
 from qmodes.tunneling import (
@@ -18,35 +19,21 @@ from qmodes.tunneling import (
     FitError,
     InsufficientGridError,
     UnresolvedSplittingError,
-    build_two_qubit,
     fit_potential,
     grid_eigensolve,
-    ground_state_entanglement,
     lowest_levels,
     splitting_to_frequency,
-    two_level_energies,
+    two_level_splitting,
+    two_qubit_schmidt_number,
 )
 
 PAPER_WELL = DoubleWell(69.29, 141.73, 2.47)
 
 
 def paper_energies(mass):
+    """The paper's well at ``mass``, with the oracle's (E0, E1) and the closed-form splitting."""
     well = DoubleWell(69.29, 141.73, mass)
-    return well, two_level_energies(well)
-
-
-def energy_terms(a, sx, eps, alpha, beta, m):
-    """Kinetic T0, T1 and potential U0, U1 of the Gaussian pair, in the order
-    two_level_energies evaluates them, in the arithmetic of the arguments
-    (float64, or mpmath's mpf)."""
-    c0_sq, c1_sq = 1.0 / (1.0 + eps), 1.0 / (1.0 - eps)
-    q = a**2 / sx**2
-    kin = 1.0 / (8.0 * m * sx**2)
-    t0 = c0_sq * kin * (1.0 - (q - 1.0) * eps)
-    t1 = c1_sq * kin * (1.0 + (q - 1.0) * eps)
-    base = -alpha / 2.0 * (a**2 + sx**2) + beta / 4.0 * (a**4 + 6.0 * sx**2 * a**2 + 3.0 * sx**4)
-    cross = -alpha * sx**2 / 2.0 + 3.0 * beta * sx**4 / 4.0
-    return t0, t1, c0_sq * (base + eps * cross), c1_sq * (base - eps * cross)
+    return well, (*two_level_energies(well), two_level_splitting(well))
 
 
 def well_terms(well):
@@ -54,7 +41,7 @@ def well_terms(well):
 
 
 def high_precision_splitting(well, digits=60):
-    """E1 - E0 from the U + T expressions of two_level_energies, in mpmath."""
+    """E1 - E0 from the oracle's U + T expressions, in mpmath."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(digits):
         values = (well.a, well.sigma_x, well.overlap, well.alpha, well.beta, well.mass)
@@ -86,7 +73,7 @@ class TestDeriveWell:
         # a shallow well: its overlap 0.135 is past the two-level regime
         well = DoubleWell(2.0, 2.0, 1.0)
         with pytest.warns(UserWarning, match="overlap 0.135"):
-            two_level_energies(well)
+            two_level_splitting(well)
         assert well.a == pytest.approx(1.0, rel=1e-12)
         # sigma_x^2 = 1/(2 m omega0) with omega0 = sqrt(2 alpha/m) = 2
         assert well.sigma_x**2 == pytest.approx(0.25, rel=1e-12)
@@ -96,7 +83,7 @@ class TestDeriveWell:
 
     def test_validity_warning(self):
         with pytest.warns(UserWarning):
-            two_level_energies(DoubleWell(1.0, 10.0, 1.0))
+            two_level_splitting(DoubleWell(1.0, 10.0, 1.0))
 
     @pytest.mark.parametrize("isotope", [None, "NH3", "ND3", "NT3"])
     def test_geometry_is_the_step_by_step_formula_bitwise(self, isotope):
@@ -120,6 +107,8 @@ class TestDeriveWell:
 
 
 class TestTwoLevelEnergies:
+    """The closed-form splitting, against the oracle's two-level energies."""
+
     def test_coincident_well_kinetic_limit(self):
         # a -> 0: T0 tends to the single-Gaussian kinetic energy 1/(8 m sigma^2).
         # sigma_x = 1 at alpha = 1/8, m = 1, and beta puts a at 1e-7
@@ -127,24 +116,20 @@ class TestTwoLevelEnergies:
         assert well.sigma_x == 1.0 and well.a == pytest.approx(1e-7, rel=1e-12)
         assert 1.0 - 1e-14 < well.overlap < 1.0
         with pytest.warns(UserWarning, match="overlap 1 > 0.01"):
-            e0, _, _ = two_level_energies(well)
-        t0, _, u0, _ = well_terms(well)
+            two_level_splitting(well)
+        t0, _, _, _ = well_terms(well)
         assert t0 == pytest.approx(1.0 / 8.0, rel=1e-6)
-        assert e0 == u0 + t0
 
     def test_degenerate_well_rejected(self):
         # alpha/beta underflows to a = 0; a/sigma_x = 5e-15 rounds the overlap to 1
         for well in (DoubleWell(1e-200, 1e200, 1.0), DoubleWell(1e-30, 1e-16, 1.0)):
             assert well.overlap == 1.0
             with pytest.raises(DegenerateWellError):
-                two_level_energies(well)
+                two_level_splitting(well)
 
     def test_nh3_splitting(self):
-        well, (e0, e1, splitting) = paper_energies(2.47)
-        t0, t1, u0, u1 = well_terms(well)
+        _, (e0, e1, splitting) = paper_energies(2.47)
         assert splitting == pytest.approx(0.00665, rel=0.02)
-        assert e0 == u0 + t0
-        assert e1 == u1 + t1
         assert e1 > e0
         # nothing cancels here, so the closed form must equal the difference
         assert splitting == pytest.approx(e1 - e0, rel=1e-12, abs=0.0)
@@ -157,7 +142,7 @@ class TestTwoLevelEnergies:
         ],
     )
     def test_splitting_matches_high_precision_difference(self, well):
-        _, _, splitting = two_level_energies(well)
+        splitting = two_level_splitting(well)
         exact = high_precision_splitting(well)
         assert exact > 0.0
         assert splitting == pytest.approx(exact, rel=1e-13, abs=0.0)
@@ -171,7 +156,7 @@ class TestTwoLevelEnergies:
         previous = None
         for beta in (80.0, 120.0, 160.0, 240.0):
             well = DoubleWell(69.29, beta, 2.47)
-            _, _, splitting = two_level_energies(well)
+            splitting = two_level_splitting(well)
             if previous is not None:
                 assert splitting > previous  # larger beta => smaller a => more tunneling
             previous = splitting
@@ -186,20 +171,18 @@ class TestFit:
     def test_round_trip(self):
         well = fit_potential(0.8, 0.003, 3.0)
         assert well.a == pytest.approx(0.8, rel=1e-12)
-        _, _, splitting = two_level_energies(well)
-        assert splitting == pytest.approx(0.003, rel=1e-8)
+        assert two_level_splitting(well) == pytest.approx(0.003, rel=1e-8)
 
     @pytest.mark.parametrize("target", [1e-6, 1e-10, 1e-14])
     def test_round_trip_small_splittings(self, target):
         well = fit_potential(5.0, target, 1.0)
-        _, _, splitting = two_level_energies(well)
-        assert splitting == pytest.approx(target, rel=1e-10, abs=0.0)
+        assert two_level_splitting(well) == pytest.approx(target, rel=1e-10, abs=0.0)
 
     def test_forward_map_monotone(self):
         # larger alpha at fixed a gives a smaller splitting
         def splitting(alpha):
             well = DoubleWell(alpha, alpha / 0.699**2, 2.47)
-            return two_level_energies(well)[2]
+            return two_level_splitting(well)
 
         values = [splitting(alpha) for alpha in (40.0, 60.0, 80.0, 120.0, 200.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -308,7 +291,7 @@ class TestTwoQubit:
 
     def test_separated_limit_of_matrix_elements(self):
         well = fit_potential(5.0, 1e-10, 1.0)  # very separated wells
-        e0, e1, _ = two_level_energies(well)
+        e0, e1 = two_level_energies(well)
         h = build_two_qubit(e0, e1, well, g0=0.3)
         limit = -0.3 / (4.0 * np.sqrt(np.pi) * well.sigma_x)
         h1 = h[0, 0] - 2.0 * e0
@@ -325,9 +308,9 @@ class TestTwoQubit:
         assert np.max(np.abs(h - h.T)) == 0.0
 
     def test_product_ground_state(self):
-        well, (e0, e1, _) = paper_energies(2.47)
-        k = ground_state_entanglement(build_two_qubit(e0, e1, well, 0.0))
-        assert k == pytest.approx(1.0, abs=1e-10)
+        well, (e0, e1, splitting) = paper_energies(2.47)
+        assert two_qubit_schmidt_number(well, splitting, 0.0) == 1.0
+        assert ground_state_entanglement(build_two_qubit(e0, e1, well, 0.0)) == pytest.approx(1.0, abs=1e-10)
 
     def test_bell_like_state(self):
         h = np.zeros((4, 4))
@@ -336,34 +319,24 @@ class TestTwoQubit:
         assert k == pytest.approx(2.0, rel=1e-12)
 
     def test_entanglement_monotone_and_saturating(self):
-        well, (e0, e1, splitting) = paper_energies(2.47)
+        well, (_, _, splitting) = paper_energies(2.47)
         contact = 4.0 * np.sqrt(np.pi) * well.sigma_x
-        g_values = np.linspace(0.0, 120.0 * splitting * contact, 50)
-        k_values = [ground_state_entanglement(build_two_qubit(e0, e1, well, g)) for g in g_values]
-        assert all(b >= a - 1e-9 for a, b in zip(k_values, k_values[1:]))
-        assert all(1.0 - 1e-12 <= k <= 2.0 + 1e-12 for k in k_values)
-        strong = ground_state_entanglement(build_two_qubit(e0, e1, well, 100.0 * splitting * contact))
-        assert strong > 1.9
+        k_values = two_qubit_schmidt_number(well, splitting, np.linspace(0.0, 120.0 * splitting * contact, 50))
+        assert np.all(np.diff(k_values) >= 0.0)
+        assert np.all((1.0 <= k_values) & (k_values <= 2.0))
+        assert two_qubit_schmidt_number(well, splitting, 100.0 * splitting * contact) > 1.9
 
     def test_repulsion_also_entangles(self):
-        well, (e0, e1, splitting) = paper_energies(2.47)
+        well, (_, _, splitting) = paper_energies(2.47)
         contact = 4.0 * np.sqrt(np.pi) * well.sigma_x
-        k = ground_state_entanglement(build_two_qubit(e0, e1, well, -100.0 * splitting * contact))
-        assert k > 1.9
+        assert two_qubit_schmidt_number(well, splitting, -100.0 * splitting * contact) > 1.9
 
     def test_stacked_sweep_is_the_scalar_loop_bitwise(self):
-        well = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, AMMONIA_ISOTOPES["NH3"][0])
-        e0, e1, splitting = two_level_energies(well)
-        g_max = 300.0 * splitting * 4.0 * np.sqrt(np.pi) * well.sigma_x
-        g_values = np.linspace(-g_max, g_max, 101)  # the fig10 sweep
-        stack = build_two_qubit(e0, e1, well, g_values)
-        matrices = [build_two_qubit(e0, e1, well, g) for g in g_values]
-        assert stack.shape == (101, 4, 4) and matrices[0].shape == (4, 4)
-        assert stack.tobytes() == np.stack(matrices).tobytes()
-        k = ground_state_entanglement(stack)
-        loop = [ground_state_entanglement(h) for h in matrices]
+        well, splitting, g_values = fig10_sweep()
+        k = two_qubit_schmidt_number(well, splitting, g_values)
+        loop = [two_qubit_schmidt_number(well, splitting, g) for g in g_values]
+        assert k.shape == (101,) and loop[0].shape == ()
         assert k.tobytes() == np.array(loop).tobytes()
-        assert k.shape == (101,)
 
     def test_stack_with_a_degenerate_ground_level_is_each_matrix(self):
         h = np.stack([np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([1.0, 1.0, 2.0, 3.0])])
@@ -377,6 +350,80 @@ class TestTwoQubit:
             _, (_, _, splitting) = paper_energies(AMMONIA_ISOTOPES[name][0])
             splittings.append(splitting)
         assert splittings[0] > splittings[1] > splittings[2]
+
+
+def fig10_sweep(g0_max=None):
+    """The NH3-fitted well, its splitting and the qubits sweep of 101 couplings
+    up to ``g0_max`` (default: fig10's 300 reduced units)."""
+    well = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, AMMONIA_ISOTOPES["NH3"][0])
+    splitting = two_level_splitting(well)
+    g_max = g0_max or 300.0 * splitting * 4.0 * np.sqrt(np.pi) * well.sigma_x
+    return well, splitting, np.linspace(-g_max, g_max, 101)
+
+
+def high_precision_schmidt_number(well, g0, digits=60):
+    """K of the ground state of the oracle's 4 x 4 two-qubit Hamiltonian,
+    with a, sigma_x, the overlap, E0, E1 and the couplings derived from the
+    well's (alpha, beta, mass) and g0 in mpmath, and the matrix solved there."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        alpha, beta, m, g = (mpmath.mpf(v) for v in (well.alpha, well.beta, well.mass, g0))
+        a = mpmath.sqrt(alpha / beta)
+        sx = mpmath.sqrt(1 / (2 * m * mpmath.sqrt(2 * alpha / m)))
+        eps = mpmath.exp(-(a**2) / (2 * sx**2))
+        t0, t1, u0, u1 = energy_terms(a, sx, eps, alpha, beta, m)
+        e0, e1 = u0 + t0, u1 + t1
+        h1, h2, h3 = coupling_terms(eps, g / (4 * mpmath.sqrt(mpmath.pi) * sx))
+        h = mpmath.matrix(
+            [
+                [2 * e0 + h1, 0, 0, h2],
+                [0, e0 + e1 + h2, h2, 0],
+                [0, h2, e0 + e1 + h2, 0],
+                [h2, 0, 0, 2 * e1 + h3],
+            ]
+        )
+        values, vectors = mpmath.eigsy(h)
+        low = min(range(4), key=lambda k: values[k])
+        c00, c01, c10, c11 = (vectors[i, low] for i in range(4))
+        return float(1 / (1 - 2 * (c00 * c11 - c01 * c10) ** 2))
+
+
+def relative_errors(well, splitting, g_values):
+    k = two_qubit_schmidt_number(well, splitting, g_values)
+    exact = np.array([high_precision_schmidt_number(well, g) for g in g_values])
+    return np.abs(k / exact - 1.0)
+
+
+class TestTwoQubitClosedForm:
+    """``two_qubit_schmidt_number`` against a 60-digit solve of the same
+    model and against the oracle's float ``eigh``."""
+
+    def test_catalog_sweep_matches_high_precision(self):
+        # the oracle's eigh is off by up to 6e-15 here, from cancellation in 2 E0 - 2 E1
+        assert np.max(relative_errors(*fig10_sweep())) <= 4e-15
+
+    @pytest.mark.parametrize("g0_max", [1e300, 1e306])
+    def test_largest_couplings_match_high_precision(self, g0_max):
+        well, splitting, g_values = fig10_sweep(g0_max)
+        assert np.max(relative_errors(well, splitting, g_values)) <= 4e-15
+        k = two_qubit_schmidt_number(well, splitting, g_values)
+        assert k[50] == 1.0 and np.all((1.0 <= k) & (k <= 2.0))
+
+    @pytest.mark.parametrize(
+        "fit_mass, crossing",
+        [(2.47, -5730.539036751731), (1.0, -17801.15843395478), (20.0, -341.7684419521033)],
+    )
+    def test_both_sides_of_the_block_crossing_match_high_precision(self, fit_mass, crossing):
+        # beyond the crossing (in reduced coupling) strong repulsion puts the
+        # ground state in the {01, 10} block, whose Bell states have K = 2;
+        # one part in 1e12 from it the levels of the blocks still part
+        well = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, fit_mass)
+        splitting = two_level_splitting(well)
+        reduced = np.array([1.001, 1.0 + 1e-12, 1.0 - 1e-12, 0.999]) * crossing
+        g_values = reduced * splitting * 4.0 * np.sqrt(np.pi) * well.sigma_x
+        k = two_qubit_schmidt_number(well, splitting, g_values)
+        assert k[0] == k[1] == 2.0 and k[2] < 2.0 and k[3] < 2.0
+        assert np.max(relative_errors(well, splitting, g_values)) <= 4e-15
 
 
 # converged sinc-DVR inversion frequencies of the ammonia wells, in GHz
@@ -508,7 +555,7 @@ class TestUnderflowingOverlap:
         assert well.overlap == 0.0
         assert well.log_overlap == pytest.approx(-(well.a**2) / (2.0 * well.sigma_x**2))
         assert np.isfinite(well.log_overlap)
-        assert two_level_energies(well)[2] == 0.0
+        assert two_level_splitting(well) == 0.0
 
     def test_log_overlap_matches_overlap(self):
         assert np.exp(PAPER_WELL.log_overlap) == pytest.approx(PAPER_WELL.overlap, rel=1e-15)
