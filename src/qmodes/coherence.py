@@ -25,10 +25,12 @@ visibility V = |gamma|,
 
     K = 2 / (1 + V^2),   lambda_0 = (1 + V)/2,   lambda_1 = (1 - V)/2,
 
-which ``k_from_v`` gives.  Overlapping slits break this relation: the state
-of ``a = 0.5``, ``sigma_x = 0.5`` and gamma = cos(pi/4) has V = 0.707 but
-weights 0.960 and 0.040 (K = 1.084, not 1.333), which only its Schmidt
-decomposition (:mod:`qmodes.schmidt`) gives.
+and ``k_from_v`` gives that K for the fig7 curve and the coherence sweep's
+``schmidt_from_v`` column.  Overlapping slits break this relation
+(Englert, PRL 77, 2154 (1996)): the state of ``a = 0.5``, ``sigma_x = 0.5``
+and gamma = cos(pi/4) has V = 0.707 but weights 0.960 and 0.040 (K = 1.084,
+not 1.333).  So every other K in a report, fig6-data's included, comes from
+the state's Schmidt decomposition (:mod:`qmodes.schmidt`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "k_from_v",
     "source_coherence",
     "source_visibility",
-    "source_schmidt",
 ]
 
 
@@ -77,17 +78,21 @@ def visibility(density):
     return v if v.ndim else float(v)
 
 
-def _clamped_visibility(v: float) -> float:
-    """v clamped to [0, 1]; more than 1e-12 outside raises ``ValueError``."""
-    if not -1e-12 <= v <= 1.0 + 1e-12:
-        raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    return min(max(v, 0.0), 1.0)
-
-
-def k_from_v(v: float) -> float:
+def k_from_v(v):
     """K = 2/(1 + v^2): the Schmidt number of a state of visibility v whose
-    two slit states are orthogonal."""
-    return 2.0 / (1.0 + _clamped_visibility(v) ** 2)
+    two slit states are orthogonal.
+
+    Elementwise over an array of visibilities; a scalar v gives a float.
+    A v within 1e-12 of [0, 1] is clamped to it; any other, or a NaN,
+    raises ``ValueError``.
+    """
+    v = np.asarray(v, dtype=float)
+    # written so that a NaN is bad
+    bad = ~((v >= -1e-12) & (v <= 1.0 + 1e-12))
+    if np.any(bad):
+        raise ValueError(f"visibility must lie in [0, 1], got {v[bad][0]}")
+    k = 2.0 / (1.0 + np.square(np.clip(v, 0.0, 1.0)))
+    return k if k.ndim else float(k)
 
 
 def source_coherence(y):
@@ -108,12 +113,3 @@ def source_visibility(y):
     """Visibility |sinc(4 y)| from a uniform source of size y, like ``source_coherence``."""
     v = np.abs(source_coherence(y))
     return v if v.ndim else float(v)
-
-
-def source_schmidt(y):
-    """Schmidt number from a uniform source of size y: 2 / (1 + sinc^2(4 y)).
-
-    Elementwise over an array of sizes, like ``source_visibility``.
-    """
-    k = 2.0 / (1.0 + np.square(source_visibility(y)))
-    return k if k.ndim else float(k)

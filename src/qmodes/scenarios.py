@@ -187,14 +187,22 @@ def _marginals(
     return files, quadrature(mom, pgrid), quadrature(coord, xgrid)
 
 
-def _intensity(slits: interference.SlitParams, n: int, label: str, values, overlaps) -> tuple:
-    """The momentum density of the slit state of each overlap in
-    ``overlaps`` as the table ``intensity``, one column per entry of
-    ``values``, named ``density_<label>_<value>``."""
+def _sweep(slits: interference.SlitParams, n: int, label: str, values, overlaps) -> tuple[dict, list]:
+    """The slit state of each overlap in ``overlaps``, built once: its
+    Schmidt number from one stacked decomposition, as the scalar
+    ``schmidt_number_<label>_<value>``, and its momentum density, as the
+    column ``density_<label>_<value>`` of the table ``intensity``, for each
+    entry of ``values``."""
+    densities = np.stack([interference.slit_state(slits, g) for g in overlaps])
+    decompositions = schmidt.schmidt_stack(slits, densities)
+    scalars = {
+        f"schmidt_number_{label}_{v:g}": schmidt.schmidt_number(weights)
+        for v, (weights, _) in zip(values, decompositions)
+    }
     pgrid, basis = _momentum_basis(slits, n)
     names = ["p_x"] + [f"density_{label}_{v:g}" for v in values]
-    cols = [interference.basis_density(basis, interference.slit_state(slits, g)) for g in overlaps]
-    return ("intensity", "table", (names, [pgrid.points, *cols]))
+    cols = [interference.basis_density(basis, d) for d in densities]
+    return scalars, [("intensity", "table", (names, [pgrid.points, *cols]))]
 
 
 def _entangled_state(params: dict):
@@ -242,12 +250,13 @@ def _run_schmidt(params: dict, n: int) -> tuple[dict, list]:
     weights, coefficients = schmidt.schmidt(slits, density)
     pgrid, basis = _momentum_basis(slits, n)
     marg = interference.basis_density(basis, density)
-    mixture = schmidt.reconstruct_marginal(weights, coefficients, basis)
     names = ["p_x"] + [f"mode{k}_density" for k in range(len(weights))]
     # mode k's amplitude is column k of basis @ coefficients, taken in its
     # real and imaginary parts: one complex matmul raised the peak RSS of a
     # fig3 or fig5 run by about 0.3 MB
     modes = np.square(basis.real @ coefficients) + np.square(basis.imag @ coefficients)
+    # the far field as the mixture sum_k lambda_k |psi_k|^2 of the modes written
+    mixture = modes @ weights
     files = [
         ("modes", "table", (names, [pgrid.points, *modes.T])),
         ("marginal", "table", (["p_x", "marginal", "mode_mixture"], [pgrid.points, marg, mixture])),
@@ -272,38 +281,31 @@ def _run_schmidt(params: dict, n: int) -> tuple[dict, list]:
 
 
 def _run_detector_sweep(params: dict, n: int) -> tuple[dict, list]:
-    """Momentum marginals at four detector offsets b, decomposed in one stack."""
+    """Momentum marginals and Schmidt numbers at four detector offsets b."""
     b_values = (0.0, 0.3, 0.7, 1.5)
-    slits = _slits(params, params["m"])
     overlaps = [interference.detector_overlap(b, params["sigma_xi"]) for b in b_values]
-    densities = np.stack([interference.slit_state(slits, g) for g in overlaps])
-    decompositions = schmidt.schmidt_stack(slits, densities)
-    scalars = {
-        f"schmidt_number_b_{b:g}": schmidt.schmidt_number(weights)
-        for b, (weights, _) in zip(b_values, decompositions)
-    }
-    return scalars, [_intensity(slits, n, "b", b_values, overlaps)]
+    return _sweep(_slits(params, params["m"]), n, "b", b_values, overlaps)
 
 
 def _run_source(params: dict, n: int) -> tuple[dict, list]:
+    """Fringe patterns, visibilities and Schmidt numbers at five source sizes y."""
     y_values = (0.0, 0.0625, 0.125, 0.1875, 0.25)
     overlaps = [coherence.source_coherence(y) for y in y_values]
-    scalars = {}
+    scalars, files = _sweep(_slits(params, 2), n, "y", y_values, overlaps)
     for y in y_values:
         scalars[f"visibility_y_{y:g}"] = coherence.source_visibility(y)
-        scalars[f"schmidt_number_y_{y:g}"] = coherence.source_schmidt(y)
-    return scalars, [_intensity(_slits(params, 2), n, "y", y_values, overlaps)]
+    return scalars, files
 
 
 def _run_coupling_curve(params: dict, n: int) -> tuple[dict, list]:
     y = np.linspace(0.0, 0.5, 257)
     v = coherence.source_visibility(y)
-    k = coherence.source_schmidt(y)
+    k = coherence.k_from_v(v)
     scalars = {
         "visibility_y0": v[0],
         "schmidt_number_y0": k[0],
         "visibility_y025": coherence.source_visibility(0.25),
-        "schmidt_number_y025": coherence.source_schmidt(0.25),
+        "schmidt_number_y025": coherence.k_from_v(coherence.source_visibility(0.25)),
     }
     return scalars, [("curve", "table", (["y", "visibility", "schmidt_number"], [y, v, k]))]
 
@@ -324,7 +326,7 @@ def _run_coherence(params: dict, n: int) -> tuple[dict, list]:
     densities = np.stack([interference.slit_state(slits, g) for g in np.cos(2.0 * phis)])
     visibility = coherence.visibility(densities)
     k = [schmidt.schmidt_number(w) for w, _ in schmidt.schmidt_stack(slits, densities)]
-    k_v = [coherence.k_from_v(v) for v in visibility]
+    k_v = coherence.k_from_v(visibility)
     density = interference.slit_state(slits, np.cos(2.0 * phi))
     weights, _ = schmidt.schmidt(slits, density)
     scalars = {

@@ -20,7 +20,10 @@ column k holds the coefficients of mode k; where two weights coincide,
 their modes are fixed only up to a rotation in their subspace.  States of one slit geometry
 share S_x, so ``schmidt_stack`` decomposes a sweep of them with one
 eigensolve of S_x and one stacked eigensolve of their reduced matrices,
-and returns one pair per state.
+and returns one pair per state: fig4's and fig6-data's K come from it.
+Only the fig7 curve and the coherence sweep's ``schmidt_from_v`` column
+take K from the visibility instead, by ``coherence.k_from_v``, a closed
+form that holds for orthogonal slit states alone.
 
 For two slits the weights have the closed form
 
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .interference import SlitParams, basis_density, detector_overlap
+from .interference import SlitParams, detector_overlap
 from .numerics import eigh
 
 __all__ = [
@@ -48,7 +51,6 @@ __all__ = [
     "entropy",
     "schmidt_number",
     "information",
-    "reconstruct_marginal",
 ]
 
 DEFAULT_TRUNCATION = 1e-12
@@ -135,14 +137,3 @@ def schmidt_number(weights) -> float:
 def information(weights) -> float:
     """Schmidt information I = log2 K."""
     return float(np.log2(schmidt_number(weights)))
-
-
-def reconstruct_marginal(weights: np.ndarray, coefficients: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Particle marginal as the mode mixture sum_k lambda_k |psi_k|^2.
-
-    ``weights`` and ``coefficients`` are a decomposition of ``schmidt``, and
-    ``basis`` is the slit basis sampled on a grid (``slit_basis``).  The
-    mixture equals the marginal density of the decomposed state on that
-    grid, point by point, up to the truncation threshold.
-    """
-    return basis_density(basis, (coefficients * weights) @ coefficients.T)

@@ -2,9 +2,9 @@
 offset-corrected FFT, a detector's two numbers, the two-slit closed forms,
 the multi-slit form factor, the uniform-source fringe pattern, a
 least-squares fit of a pattern's fringe visibility, the grid reference for
-slit states, the double well's two-level energies and the coupled-qubit
-Hamiltonian solved by ``eigh``, and Python's text of data tables and
-protocols.
+slit states, the mode mixture of a decomposition, the double well's
+two-level energies and the coupled-qubit Hamiltonian solved by ``eigh``,
+and Python's text of data tables and protocols.
 
 The grid reference samples the joint state psi(x, xi) on a particle x
 detector grid as a factor pair psi = left @ right.T, normalizes it by
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qmodes.interference import slit_centers
+from qmodes.interference import basis_density, slit_centers
 from qmodes.numerics import Grid1D, quadrature, trapezoid_weights
 from qmodes.schmidt import analytic_two_slit_weights
 
@@ -219,6 +219,18 @@ def grid_schmidt(state, threshold=1e-12):
     u, s, vh = np.linalg.svd(t @ (state.right * sqrt_wxi[:, None]).T, full_matrices=False)
     keep = max(int(np.sum(s**2 >= threshold)), 1)
     return s[:keep] ** 2, (q_x @ u[:, :keep]) / sqrt_wx[:, None], vh[:keep].T / sqrt_wxi[:, None]
+
+
+def reconstruct_marginal(weights, coefficients, basis):
+    """Particle marginal as the mode mixture sum_k lambda_k |psi_k|^2.
+
+    ``weights`` and ``coefficients`` are a decomposition of ``schmidt``, and
+    ``basis`` is the slit basis sampled on a grid (``slit_basis``): the
+    density of the matrix sum_k lambda_k c_k c_k^T in the slit basis, which
+    equals the decomposed state's marginal density on that grid up to the
+    truncation threshold.
+    """
+    return basis_density(basis, (coefficients * weights) @ coefficients.T)
 
 
 def gram_weights_oracle(m, a, sigma_x, b, sigma_xi):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import GridState, SampledWave, grid_schmidt, two_slit_intensity, visibility_from_intensity
-from qmodes.coherence import (
-    k_from_v,
-    source_coherence,
-    source_schmidt,
-    source_visibility,
-)
+from qmodes.coherence import k_from_v, source_coherence, source_visibility, visibility
 from qmodes.interference import (
     MOMENTUM,
     SlitParams,
@@ -164,6 +159,24 @@ class TestCouplingFormulas:
         with pytest.raises(ValueError):
             k_from_v(1.5)
 
+    def test_array_form_is_the_scalar_form_bitwise(self):
+        fig7 = source_visibility(np.linspace(0.0, 0.5, 257))
+        # the coherence scenario's 17 visibilities, read from its states
+        phis = np.linspace(0.0, np.pi / 2.0, 17)
+        sweep = visibility(np.stack([qubit_state(phi) for phi in phis]))
+        for v in (fig7, sweep):
+            k = k_from_v(v)
+            assert k.shape == v.shape
+            assert k.tobytes() == np.array([k_from_v(float(t)) for t in v]).tobytes()
+        assert isinstance(k_from_v(0.3), float) and isinstance(k_from_v(np.float64(0.3)), float)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5])
+    def test_bad_entry_in_array_rejected(self, bad):
+        v = source_visibility(np.linspace(0.0, 0.5, 257))
+        v[100] = bad
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            k_from_v(v)
+
     def test_entropy_endpoints(self):
         # the two-mode weights ((1 + V)/2, (1 - V)/2) of orthogonal slit states
         assert entropy((1.0, 0.0)) == 0.0
@@ -184,27 +197,26 @@ class TestCouplingFormulas:
 class TestSourceModel:
     def test_point_source(self):
         assert source_visibility(0.0) == 1.0
-        assert source_schmidt(0.0) == 1.0
+        assert k_from_v(source_visibility(0.0)) == 1.0
 
     def test_first_zero(self):
         assert source_visibility(0.25) == pytest.approx(0.0, abs=1e-15)
-        assert source_schmidt(0.25) == pytest.approx(2.0, abs=1e-15)
+        assert k_from_v(source_visibility(0.25)) == pytest.approx(2.0, abs=1e-15)
 
     def test_half_lobe_value(self):
         # sinc(0.5) = 2/pi with the normalized convention
         assert source_visibility(0.125) == pytest.approx(2.0 / np.pi, rel=1e-12)
-        assert source_schmidt(0.125) == pytest.approx(
-            2.0 / (1.0 + 4.0 / np.pi**2), rel=1e-12
-        )
-        assert source_schmidt(0.125) == pytest.approx(1.423199, abs=1e-6)
+        k = k_from_v(source_visibility(0.125))
+        assert k == pytest.approx(2.0 / (1.0 + 4.0 / np.pi**2), rel=1e-12)
+        assert k == pytest.approx(1.423199, abs=1e-6)
 
     def test_schmidt_number_bounds(self):
         y = np.linspace(0.0, 3.0, 601)
-        k = np.array([source_schmidt(float(t)) for t in y])
+        k = np.array([k_from_v(source_visibility(float(t))) for t in y])
         assert np.all(k >= 1.0 - 1e-12)
         assert np.all(k <= 2.0 + 1e-12)
         for zero in (0.25, 0.5, 0.75):
-            assert source_schmidt(zero) == pytest.approx(2.0, abs=1e-12)
+            assert k_from_v(source_visibility(zero)) == pytest.approx(2.0, abs=1e-12)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
@@ -212,15 +224,16 @@ class TestSourceModel:
         with pytest.raises(ValueError):
             source_visibility(-0.1)
         with pytest.raises(ValueError):
-            source_schmidt(-1.0)
+            k_from_v(source_visibility(-1.0))
 
     def test_array_form_is_the_scalar_form_bitwise(self):
         y = np.linspace(0.0, 0.5, 257)  # the fig7 grid
-        v, k = source_visibility(y), source_schmidt(y)
+        v = source_visibility(y)
+        k = k_from_v(v)
         assert v.shape == k.shape == y.shape
         assert v.tobytes() == np.array([source_visibility(float(t)) for t in y]).tobytes()
-        assert k.tobytes() == np.array([source_schmidt(float(t)) for t in y]).tobytes()
-        assert isinstance(source_visibility(0.1), float) and isinstance(source_schmidt(0.1), float)
+        assert k.tobytes() == np.array([k_from_v(source_visibility(float(t))) for t in y]).tobytes()
+        assert isinstance(source_visibility(0.1), float) and isinstance(k_from_v(source_visibility(0.1)), float)
 
     def test_negative_entry_in_array_rejected(self):
         y = np.linspace(0.0, 0.5, 257)
@@ -228,12 +241,14 @@ class TestSourceModel:
         with pytest.raises(ValueError, match="-1e-09"):
             source_visibility(y)
         with pytest.raises(ValueError):
-            source_schmidt(y.reshape(1, -1))
+            k_from_v(source_visibility(y.reshape(1, -1)))
 
     def test_consistency_with_coupling(self):
+        # separated slits: the closed form is the state's decomposition,
+        # through the contrast reversals of y in (1/4, 1/2) and (3/4, 1)
         for y in np.linspace(0.0, 1.0, 41):
-            v = source_visibility(float(y))
-            assert source_schmidt(float(y)) == pytest.approx(k_from_v(v), rel=1e-12)
+            k = schmidt_number(schmidt(SLITS, slit_state(SLITS, source_coherence(float(y))))[0])
+            assert k_from_v(source_visibility(float(y))) == pytest.approx(k, rel=1e-12)
 
 
 class TestSourceState:
@@ -248,7 +263,7 @@ class TestSourceState:
     @pytest.mark.parametrize("y", CATALOG_Y)
     def test_schmidt_number_is_the_closed_form(self, y):
         k = schmidt_number(schmidt(SLITS, slit_state(SLITS, source_coherence(y)))[0])
-        assert k == pytest.approx(source_schmidt(y), rel=0.0, abs=1e-12)
+        assert k == pytest.approx(k_from_v(source_visibility(y)), rel=0.0, abs=1e-12)
 
     def test_contrast_reversal_puts_a_minimum_at_the_centre(self):
         # gamma < 0 for y in (1/4, 1/2): the central fringe turns dark

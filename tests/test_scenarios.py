@@ -170,9 +170,25 @@ def test_coherence_second_weight_is_zero_once_truncated(tmp_path):
 def test_fig6_data_source_scalars(tmp_path):
     s = run_1024("fig6-data", tmp_path)
     assert s["visibility_y_0"] == 1.0
+    assert s["schmidt_number_y_0"] == 1.0
     assert s["schmidt_number_y_0.25"] == pytest.approx(2.0, abs=1e-12)
     # 2 / (1 + 4/pi^2) = 1.423199..., which the report keeps to six significant figures
     assert s["schmidt_number_y_0.125"] == 1.4232
+
+
+def test_fig6_data_schmidt_numbers_are_its_states_at_overlapping_slits(tmp_path):
+    # at a = 0.5 the slit states overlap and K is not 2/(1 + V^2): at
+    # y = 1/4 the visibility is 0, but the state's decomposition gives 1.46212
+    config = tmp_path / "run.cfg"
+    config.write_text("a = 0.5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["figures", "fig6-data", "--config", str(config), "--out", str(out)]) == 0
+    s = json.loads((out / "fig6-data_report.json").read_text(encoding="utf-8"))["scalars"]
+    slits = SlitParams(a=0.5, sigma_x=0.5, m=2)
+    for y in (0.0, 0.0625, 0.125, 0.1875, 0.25):
+        k = schmidt_number(schmidt(slits, slit_state(slits, source_coherence(y)))[0])
+        assert s[f"schmidt_number_y_{y:g}"] == float(f"{k:.6g}"), y
+    assert s["schmidt_number_y_0.25"] == 1.46212
 
 
 @pytest.mark.parametrize("n", [1024, 8192])

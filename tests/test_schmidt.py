@@ -12,6 +12,7 @@ from oracles import (
     grid_schmidt,
     grid_state_coordinate,
     grid_state_momentum,
+    reconstruct_marginal,
     two_slit_schmidt,
 )
 from qmodes.interference import MOMENTUM, SlitParams, basis_density, detector_overlap, slit_basis, slit_state
@@ -21,7 +22,6 @@ from qmodes.schmidt import (
     analytic_two_slit_weights,
     entropy,
     information,
-    reconstruct_marginal,
     schmidt,
     schmidt_number,
 )
