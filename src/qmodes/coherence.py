@@ -30,7 +30,9 @@ and ``k_from_v`` gives that K for the fig7 curve and the coherence sweep's
 (Englert, PRL 77, 2154 (1996)): the state of ``a = 0.5``, ``sigma_x = 0.5``
 and gamma = cos(pi/4) has V = 0.707 but weights 0.960 and 0.040 (K = 1.084,
 not 1.333).  So every other K in a report, fig6-data's included, comes from
-the state's Schmidt decomposition (:mod:`qmodes.schmidt`).
+the state's Schmidt decomposition (:mod:`qmodes.schmidt`), and every V of
+a state from its density matrix by ``visibility``.  The fig7 curve builds
+no state: its V = |sinc 4y| is written out where it is used.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "visibility",
     "k_from_v",
     "source_coherence",
-    "source_visibility",
 ]
 
 
@@ -107,9 +108,3 @@ def source_coherence(y):
         raise ValueError(f"source size must be non-negative, got {np.min(y[y < 0])}")
     gamma = np.sinc(4.0 * y)
     return gamma if gamma.ndim else float(gamma)
-
-
-def source_visibility(y):
-    """Visibility |sinc(4 y)| from a uniform source of size y, like ``source_coherence``."""
-    v = np.abs(source_coherence(y))
-    return v if v.ndim else float(v)

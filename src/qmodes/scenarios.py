@@ -26,12 +26,13 @@ in ``\\n``.  A JSON table is byte-equal to ``json.dumps({"columns": names,
 ``Infinity`` and ``-Infinity`` for non-finite values.  Reports and the
 other JSON files are written the same way, with an array as its nested
 lists and a complex entry as its ``[re, im]`` pair.  Every data table, and
-a measurement protocol's matrix, is streamed in blocks of rows through one
-kernel, :func:`qmodes.text.format_rows`, which writes each value as Python
-does (``%.12g``, or the token ``json.dumps`` writes) and hands the rare
-value float64 arithmetic cannot settle to Python; the separators between
-values spell out the CSV commas and newlines or ``json.dumps``'
-indentation.  Only an empty JSON table goes through ``json.dump``.
+a measurement protocol's matrix, is streamed in blocks of rows of about
+2048 values, in either format, through one kernel,
+:func:`qmodes.text.format_rows`, which writes each value as Python does
+(``%.12g``, or the token ``json.dumps`` writes) and hands the rare value
+float64 arithmetic cannot settle to Python; the separators between values
+spell out the CSV commas and newlines or ``json.dumps``' indentation.
+Only an empty JSON table goes through ``json.dump``.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ from .text import format_rows
 
 __all__ = ["run", "list_scenarios", "COMPUTATIONS", "FIGURES"]
 
-# values formatted per write: bounds the kernel's temporaries, about 150
-# bytes a value for CSV and 300 for JSON
-_BLOCK_VALUES = {"csv": 2048, "json": 1024}
+# values formatted per kernel call, in either format: bounds the kernel's
+# temporaries, about 150 bytes a value for CSV and 300 for JSON
+_BLOCK_VALUES = 2048
 
 
 def _sig6(value: float) -> float:
@@ -79,10 +80,10 @@ def _save_values(path: Path, fmt: str, head: str, table: np.ndarray, seps: list[
     """Write ``head``, then each value of the 2-D ``table`` as ``fmt`` writes
     it followed by its column's separator from ``seps``, with ``tail`` in
     place of the last separator; streamed in as few blocks of rows as hold
-    about ``_BLOCK_VALUES[fmt]`` values each, their row counts differing by
+    about ``_BLOCK_VALUES`` values each, their row counts differing by
     at most one.  An empty table writes ``head`` alone."""
     rows, cols = table.shape
-    blocks = min(rows, -(-rows * cols // _BLOCK_VALUES[fmt]))
+    blocks = min(rows, -(-rows * cols // _BLOCK_VALUES))
     bounds = [rows * k // blocks for k in range(blocks + 1)] if blocks else []
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
@@ -187,12 +188,12 @@ def _marginals(
     return files, quadrature(mom, pgrid), quadrature(coord, xgrid)
 
 
-def _sweep(slits: interference.SlitParams, n: int, label: str, values, overlaps) -> tuple[dict, list]:
+def _sweep(slits: interference.SlitParams, n: int, label: str, values, overlaps):
     """The slit state of each overlap in ``overlaps``, built once: its
     Schmidt number from one stacked decomposition, as the scalar
     ``schmidt_number_<label>_<value>``, and its momentum density, as the
     column ``density_<label>_<value>`` of the table ``intensity``, for each
-    entry of ``values``."""
+    entry of ``values``; with the (k, m, m) stack of the states."""
     densities = np.stack([interference.slit_state(slits, g) for g in overlaps])
     decompositions = schmidt.schmidt_stack(slits, densities)
     scalars = {
@@ -202,7 +203,7 @@ def _sweep(slits: interference.SlitParams, n: int, label: str, values, overlaps)
     pgrid, basis = _momentum_basis(slits, n)
     names = ["p_x"] + [f"density_{label}_{v:g}" for v in values]
     cols = [interference.basis_density(basis, d) for d in densities]
-    return scalars, [("intensity", "table", (names, [pgrid.points, *cols]))]
+    return scalars, [("intensity", "table", (names, [pgrid.points, *cols]))], densities
 
 
 def _entangled_state(params: dict):
@@ -284,37 +285,38 @@ def _run_detector_sweep(params: dict, n: int) -> tuple[dict, list]:
     """Momentum marginals and Schmidt numbers at four detector offsets b."""
     b_values = (0.0, 0.3, 0.7, 1.5)
     overlaps = [interference.detector_overlap(b, params["sigma_xi"]) for b in b_values]
-    return _sweep(_slits(params, params["m"]), n, "b", b_values, overlaps)
+    return _sweep(_slits(params, params["m"]), n, "b", b_values, overlaps)[:2]
 
 
 def _run_source(params: dict, n: int) -> tuple[dict, list]:
     """Fringe patterns, visibilities and Schmidt numbers at five source sizes y."""
     y_values = (0.0, 0.0625, 0.125, 0.1875, 0.25)
     overlaps = [coherence.source_coherence(y) for y in y_values]
-    scalars, files = _sweep(_slits(params, 2), n, "y", y_values, overlaps)
-    for y in y_values:
-        scalars[f"visibility_y_{y:g}"] = coherence.source_visibility(y)
+    scalars, files, densities = _sweep(_slits(params, 2), n, "y", y_values, overlaps)
+    for y, v in zip(y_values, coherence.visibility(densities)):
+        scalars[f"visibility_y_{y:g}"] = v
     return scalars, files
 
 
 def _run_coupling_curve(params: dict, n: int) -> tuple[dict, list]:
+    # the step is 2^-9, so sample 128 is y = 1/4 exactly
     y = np.linspace(0.0, 0.5, 257)
-    v = coherence.source_visibility(y)
+    v = np.abs(coherence.source_coherence(y))
     k = coherence.k_from_v(v)
     scalars = {
         "visibility_y0": v[0],
         "schmidt_number_y0": k[0],
-        "visibility_y025": coherence.source_visibility(0.25),
-        "schmidt_number_y025": coherence.k_from_v(coherence.source_visibility(0.25)),
+        "visibility_y025": v[128],
+        "schmidt_number_y025": k[128],
     }
     return scalars, [("curve", "table", (["y", "visibility", "schmidt_number"], [y, v, k]))]
 
 
 def _run_coherence(params: dict, n: int) -> tuple[dict, list]:
     """The coherence qubit swept over 17 phases in [0, pi/2], and its scalars
-    at ``phi``: each visibility is read from the state's density matrix, the
-    weights, Schmidt number and entropy at ``phi`` from its decomposition,
-    and the sweep's Schmidt numbers from one stacked decomposition."""
+    at ``phi``, from one stack of the 18 states: each visibility is read
+    from the state's density matrix, and each Schmidt number, and the
+    weights and entropy at ``phi``, from one stacked decomposition."""
     phi = params["phi"]
     if not math.isfinite(2.0 * phi):
         # the qubit overlap is cos 2 phi
@@ -322,25 +324,26 @@ def _run_coherence(params: dict, n: int) -> tuple[dict, list]:
     slits = _slits(params, 2)
     # before any state: coincident slits have no norm at gamma = -1
     coherence.check_fringes(slits)
-    phis = np.linspace(0.0, np.pi / 2.0, 17)
+    # rows 0-16 are the sweep's states, row 17 the state at phi
+    phis = np.append(np.linspace(0.0, np.pi / 2.0, 17), phi)
     densities = np.stack([interference.slit_state(slits, g) for g in np.cos(2.0 * phis)])
     visibility = coherence.visibility(densities)
-    k = [schmidt.schmidt_number(w) for w, _ in schmidt.schmidt_stack(slits, densities)]
-    k_v = coherence.k_from_v(visibility)
-    density = interference.slit_state(slits, np.cos(2.0 * phi))
-    weights, _ = schmidt.schmidt(slits, density)
+    decompositions = schmidt.schmidt_stack(slits, densities)
+    k = [schmidt.schmidt_number(w) for w, _ in decompositions]
+    weights, _ = decompositions[-1]
+    k_v = coherence.k_from_v(visibility[:-1])
     scalars = {
         "phi": phi,
-        "visibility": coherence.visibility(density),
-        "schmidt_number": schmidt.schmidt_number(weights),
+        "visibility": visibility[-1],
+        "schmidt_number": k[-1],
         "lambda0": weights[0],
         # a truncated second weight is 0
         "lambda1": weights[1] if weights.size > 1 else 0.0,
         "entropy": schmidt.entropy(weights),
-        "max_coupling_gap": max(abs(a - b) for a, b in zip(k, k_v)),
+        "max_coupling_gap": max(abs(a - b) for a, b in zip(k[:-1], k_v)),
     }
     names = ["phi", "visibility", "schmidt_number", "schmidt_from_v"]
-    return scalars, [("sweep", "table", (names, [phis, visibility, k, k_v]))]
+    return scalars, [("sweep", "table", (names, [phis[:-1], visibility[:-1], k[:-1], k_v]))]
 
 
 def _run_ammonia(params: dict, n: int) -> tuple[dict, list]:

@@ -17,13 +17,14 @@ dropped, which keeps overlapping slits well posed, and so are weights
 below ``DEFAULT_TRUNCATION``.  A decomposition is the pair (weights,
 coefficients): the r kept weights descending, and an (m, r) array whose
 column k holds the coefficients of mode k; where two weights coincide,
-their modes are fixed only up to a rotation in their subspace.  States of one slit geometry
-share S_x, so ``schmidt_stack`` decomposes a sweep of them with one
-eigensolve of S_x and one stacked eigensolve of their reduced matrices,
-and returns one pair per state: fig4's and fig6-data's K come from it.
-Only the fig7 curve and the coherence sweep's ``schmidt_from_v`` column
-take K from the visibility instead, by ``coherence.k_from_v``, a closed
-form that holds for orthogonal slit states alone.
+their modes are fixed only up to a rotation in their subspace.  States of
+one slit geometry share S_x, so ``schmidt_stack`` decomposes a sweep of
+them with one eigensolve of S_x and one stacked eigensolve of their
+reduced matrices, and returns one pair per state: fig4's, fig6-data's and
+coherence's K come from it.  Only the fig7 curve and the coherence
+sweep's ``schmidt_from_v`` column take K from the visibility instead, by
+``coherence.k_from_v``, a closed form that holds for orthogonal slit
+states alone.
 
 For two slits the weights have the closed form
 

@@ -48,6 +48,14 @@ def _line(entry: str, fmt: str, n: str, name: str, data: bytes) -> str:
     return f"{entry} {fmt} {n} {name} {len(data)} {hashlib.sha256(data).hexdigest()}"
 
 
+def run_lines(out_dir: Path, name: str, fmt: str, n: int) -> list[str]:
+    """The manifest lines of ``qmodes figures NAME`` in ``fmt`` at ``n``
+    points, written under ``out_dir``."""
+    out = out_dir / name / fmt / str(n)
+    _stdout(["figures", name, "--format", fmt, "--grid-points", str(n), "--out", str(out)])
+    return [_line(name, fmt, str(n), p.name, p.read_bytes()) for p in sorted(out.iterdir())]
+
+
 def catalog_lines(out_dir: Path) -> list[str]:
     """The manifest lines of this tree's catalog, written under ``out_dir``."""
     listing = _stdout(["list"])
@@ -59,9 +67,7 @@ def catalog_lines(out_dir: Path) -> list[str]:
     for name in (line.split()[0] for line in listing.decode("utf-8").splitlines()):
         for fmt in FORMATS:
             for n in GRID_POINTS:
-                out = out_dir / name / fmt / str(n)
-                _stdout(["figures", name, "--format", fmt, "--grid-points", str(n), "--out", str(out)])
-                lines += [_line(name, fmt, str(n), p.name, p.read_bytes()) for p in sorted(out.iterdir())]
+                lines += run_lines(out_dir, name, fmt, n)
     return lines
 
 

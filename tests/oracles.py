@@ -1,10 +1,10 @@
 """Independent references for the tests: sampled waves and an
 offset-corrected FFT, a detector's two numbers, the two-slit closed forms,
-the multi-slit form factor, the uniform-source fringe pattern, a
-least-squares fit of a pattern's fringe visibility, the grid reference for
-slit states, the mode mixture of a decomposition, the double well's
-two-level energies and the coupled-qubit Hamiltonian solved by ``eigh``,
-and Python's text of data tables and protocols.
+the multi-slit form factor, the uniform-source visibility and fringe
+pattern, a least-squares fit of a pattern's fringe visibility, the grid
+reference for slit states, the mode mixture of a decomposition, the double
+well's two-level energies and the coupled-qubit Hamiltonian solved by
+``eigh``, and Python's text of data tables and protocols.
 
 The grid reference samples the joint state psi(x, xi) on a particle x
 detector grid as a factor pair psi = left @ right.T, normalizes it by
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qmodes.coherence import source_coherence
 from qmodes.interference import basis_density, slit_centers
 from qmodes.numerics import Grid1D, quadrature, trapezoid_weights
 from qmodes.schmidt import analytic_two_slit_weights
@@ -87,6 +88,13 @@ def two_slit_intensity(a, sigma_x, p_x):
     p = np.asarray(p_x)
     envelope = np.sqrt(1.0 / (2.0 * np.pi)) * sigma_x * np.exp(-2.0 * sigma_x**2 * p**2)
     return 4.0 * c2 * envelope * np.cos(p * a) ** 2
+
+
+def source_visibility(y):
+    """Visibility |sinc(4 y)| from a uniform source of size y, elementwise like
+    ``qmodes.coherence.source_coherence``."""
+    v = np.abs(source_coherence(y))
+    return v if v.ndim else float(v)
 
 
 def source_pattern(a, sigma_x, grid, v):

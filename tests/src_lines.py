@@ -4,7 +4,8 @@
 
 counts the lines of ``src/qmodes/*.py`` at REV (default HEAD) and in the
 working tree, in total and code-only (without blank, comment and
-docstring lines), and prints both counts and their change.
+docstring lines), and prints both counts and their change; then one row
+per module with the same six counts, so a change shows where its lines went.
 """
 
 import ast
@@ -48,11 +49,18 @@ def git(*args: str) -> str:
 def main(argv: list[str]) -> int:
     rev = argv[0] if argv else "HEAD"
     paths = [p for p in git("ls-tree", "--name-only", f"{rev}:{PACKAGE}").split() if p.endswith(".py")]
-    before = counts(git("show", f"{rev}:{PACKAGE}/{p}") for p in paths)
-    after = counts(p.read_text(encoding="utf-8") for p in sorted((ROOT / PACKAGE).glob("*.py")))
+    old = {p: git("show", f"{rev}:{PACKAGE}/{p}") for p in paths}
+    new = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / PACKAGE).glob("*.py"))}
+    before, after = counts(old.values()), counts(new.values())
     print(f"{PACKAGE} at {rev}: {before[0]} lines, {before[1]} code")
     print(f"{PACKAGE} in the working tree: {after[0]} lines, {after[1]} code")
     print(f"change: {after[0] - before[0]:+d} lines, {after[1] - before[1]:+d} code")
+    print(f"{'module':<16}{'lines at REV':>14}{'code':>6}{'in the tree':>13}{'code':>6}{'change':>8}{'code':>6}")
+    for name in sorted(old.keys() | new.keys()):
+        b_lines, b_code = counts([old[name]] if name in old else [])
+        a_lines, a_code = counts([new[name]] if name in new else [])
+        row = f"{name:<16}{b_lines:>14}{b_code:>6}{a_lines:>13}{a_code:>6}"
+        print(row + f"{a_lines - b_lines:>+8d}{a_code - b_code:>+6d}")
     return 0
 
 

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from oracles import GridState, SampledWave, grid_schmidt, two_slit_intensity, visibility_from_intensity
-from qmodes.coherence import k_from_v, source_coherence, source_visibility, visibility
+from oracles import (
+    GridState,
+    SampledWave,
+    grid_schmidt,
+    source_visibility,
+    two_slit_intensity,
+    visibility_from_intensity,
+)
+from qmodes.coherence import k_from_v, source_coherence, visibility
 from qmodes.interference import (
     MOMENTUM,
     SlitParams,

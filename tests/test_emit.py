@@ -50,7 +50,7 @@ TABLES = {
     "non-finite": (["x", "y"], [np.array([np.nan, 1.0, np.inf]), np.array([-np.inf, 0.0, 2.0])]),
     # every notation repr and %.12g switch between, both signs
     "decades": (["x", "neg"], [1.2345678901234567 * 10.0 ** np.arange(-30, 31), -(10.0 ** np.arange(-30, 31))]),
-    # more values than one JSON write block, ending inside a block
+    # more values than one write block, ending inside a block
     "long": (["p", "q", "r"], [np.linspace(0.0, 7.0, 700), rng.random(700), rng.standard_normal(700) * 1e-7]),
 }
 
@@ -269,6 +269,30 @@ def test_protocol_with_non_finite_entries_is_written_by_json(tmp_path):
     (name,) = write(tmp_path, "json", [("p", "protocol", matrix)])
     expected = json.dumps(protocol_to_dict(matrix), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / name).read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("block", [1, 7, 2048])
+def test_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, block):
+    # one block size serves both formats: each table of 700 rows x 3 values
+    # is written in min(700, ceil(2100 / block)) kernel calls
+    names, columns = TABLES["long"]
+    matrix = protocol(700, 2)
+    calls = []
+
+    def counted(rows, seps, fmt):
+        calls.append(fmt)
+        return format_rows(rows, seps, fmt)
+
+    monkeypatch.setattr(scenarios, "_BLOCK_VALUES", block)
+    monkeypatch.setattr(scenarios, "format_rows", counted)
+    for fmt in FORMATS:
+        calls.clear()
+        write(tmp_path, fmt, [("t", "table", (names, columns))])
+        assert len(calls) == min(700, -(-2100 // block))
+        assert (tmp_path / f"r_t.{fmt}").read_bytes() == REFERENCE[fmt](names, columns).encode("utf-8")
+    write(tmp_path, "json", [("p", "protocol", matrix)])
+    expected = json.dumps(protocol_to_dict(matrix), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "r_p.json").read_text(encoding="utf-8") == expected
 
 
 @pytest.mark.parametrize("scenario", list(scenarios.list_scenarios()))

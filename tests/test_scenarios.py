@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from oracles import SampledWave, form_factor, source_pattern, visibility_from_intensity
+from oracles import SampledWave, form_factor, source_pattern, source_visibility, visibility_from_intensity
 from qmodes import cli, scenarios
-from qmodes.coherence import source_coherence, source_visibility
+from qmodes.coherence import k_from_v, source_coherence, visibility
 from qmodes.interference import MOMENTUM, SlitParams, basis_density, detector_overlap, slit_basis, slit_state
 from qmodes.numerics import make_grid
 from qmodes.schmidt import entropy, schmidt, schmidt_number
@@ -217,6 +217,58 @@ def test_coherence_sweep_is_each_states_schmidt_number_and_visibility(tmp_path):
     k = [schmidt_number(schmidt(slits, slit_state(slits, g))[0]) for g in gammas]
     assert rows[:, 2].tobytes() == np.array(k).tobytes()
     assert np.max(np.abs(rows[:, 1] - np.abs(gammas))) <= 2.3e-16
+
+
+def runner_output(name, **params):
+    """A preset's or a command's scalars and files at 1024 points, as its
+    runner returns them: unrounded, and with no file written."""
+    _, computation, overrides = scenarios.FIGURES.get(name, (None, name, {}))
+    runner, defaults, _ = scenarios.COMPUTATIONS[computation]
+    return runner({**defaults, **overrides, **params}, 1024)
+
+
+@pytest.mark.parametrize("a", [5.0, 0.5])
+def test_fig6_data_visibilities_are_its_states(a):
+    s, _ = runner_output("fig6-data", a=a)
+    slits = SlitParams(a=a, sigma_x=0.5, m=2)
+    for y in (0.0, 0.0625, 0.125, 0.1875, 0.25):
+        v = s[f"visibility_y_{y:g}"]
+        assert v == visibility(slit_state(slits, source_coherence(y))), y
+        # |sinc 4y|, which the states' overlaps are
+        assert abs(v - source_visibility(y)) <= 2.0 * np.spacing(source_visibility(y)), y
+
+
+def test_coherence_scalars_at_a_sweep_phase_are_its_row():
+    # the default phi = pi/8 is the sweep's fifth phase
+    s, files = runner_output("coherence")
+    ((names, columns),) = [payload for stem, _, payload in files if stem == "sweep"]
+    row = {name: column[4] for name, column in zip(names, columns)}
+    assert s["phi"] == row["phi"] == np.pi / 8.0
+    assert s["visibility"] == row["visibility"]
+    assert s["schmidt_number"] == row["schmidt_number"]
+
+
+def test_coherence_scalars_off_the_sweep_are_its_states():
+    s, files = runner_output("coherence", phi=0.3)
+    ((names, columns),) = [payload for stem, _, payload in files if stem == "sweep"]
+    assert len(columns[0]) == 17 and 0.3 not in columns[0]
+    slits = SlitParams(a=5.0, sigma_x=0.5, m=2)
+    density = slit_state(slits, np.cos(2.0 * 0.3))
+    weights, _ = schmidt(slits, density)
+    assert s["visibility"] == visibility(density)
+    assert s["schmidt_number"] == schmidt_number(weights)
+    assert [s["lambda0"], s["lambda1"]] == list(weights)
+    assert s["entropy"] == entropy(weights)
+
+
+def test_fig7_quarter_source_scalars_are_samples_of_its_curve():
+    s, files = runner_output("fig7")
+    ((names, columns),) = [payload for stem, _, payload in files if stem == "curve"]
+    curve = dict(zip(names, columns))
+    assert curve["y"][128] == 0.25
+    v = abs(source_coherence(0.25))
+    assert s["visibility_y025"] == curve["visibility"][128] == v
+    assert s["schmidt_number_y025"] == curve["schmidt_number"][128] == k_from_v(v)
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
