@@ -1,5 +1,5 @@
-"""Uniform grids, trapezoid quadrature and a checked Hermitian eigensolver
-shared by every other module.
+"""Uniform grids, trapezoid quadrature, the caps on user counts and the
+checked Hermitian eigensolver of ``schmidt.schmidt_stack``.
 
 All quantities are dimensionless (hbar = 1).  Momentum-space amplitudes
 follow the unitary convention

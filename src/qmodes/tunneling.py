@@ -200,7 +200,8 @@ def fit_potential(a_target: float, delta_e_target: float, mass: float) -> Double
     of ``two_level_splitting``: it has no cancellation and stays finite where
     the overlap underflows.  The fitted well must satisfy the two-level
     validity overlap < 0.01; a mass (or equilibrium) too small for any
-    alpha of the search to meet it raises ``FitError`` before the search.
+    alpha of the search to meet it raises ``FitError`` before the search, and
+    a mass too large for the splitting target raises it as well.
     """
     _require_finite_positive(a_target=a_target, delta_e_target=delta_e_target, mass=mass)
     # the overlap exp(-a^2 sqrt(2 alpha m)) falls as alpha grows: if it is
@@ -224,7 +225,10 @@ def fit_potential(a_target: float, delta_e_target: float, mass: float) -> Double
     lo = 1e-4
     f_lo = objective(lo)
     if f_lo < 0:
-        raise FitError(f"splitting target {delta_e_target} unreachable: too large at alpha={lo}")
+        raise FitError(
+            f"mass {mass} too large for equilibrium {a_target}: splitting target {delta_e_target} "
+            f"unreachable, the splitting is below it at every alpha the fit tries (from {lo})"
+        )
     hi = 1.0
     for _ in range(80):
         f_hi = objective(hi)
@@ -243,8 +247,9 @@ def fit_potential(a_target: float, delta_e_target: float, mass: float) -> Double
     well = DoubleWell(alpha, alpha / a_target**2, mass)
     if well.overlap >= OVERLAP_VALIDITY:
         raise FitError(
-            f"fitted well has overlap {well.overlap:.3g} >= {OVERLAP_VALIDITY}; "
-            "two-level model invalid"
+            f"mass {mass} too large for equilibrium {a_target} and splitting target "
+            f"{delta_e_target}: the fitted well's inter-well overlap {well.overlap:.3g} is not "
+            f"below {OVERLAP_VALIDITY}, so the two-level model is invalid"
         )
     achieved = _log_splitting(alpha, well.a, well.sigma_x**2, well.log_overlap)
     if abs(achieved - log_target) > 1e-10:

@@ -168,26 +168,46 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
-def test_cli_import_adds_only_the_standard_library_numpy_and_qmodes():
-    # the baseline is the fresh interpreter's own modules, which include
-    # whatever its site-packages' .pth files load; every module qmodes adds
-    # to a fresh run is set-up that each run pays for
+def modules_added_by(statement):
+    """The modules ``statement`` adds to a fresh interpreter's; the
+    baseline is that interpreter's own modules, which include whatever its
+    site-packages' .pth files load."""
     code = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
-        "import qmodes.cli\n"
+        f"{statement}\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    added = set(json.loads(result.stdout.splitlines()[-1]))
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def test_cli_import_adds_only_the_standard_library_numpy_and_qmodes():
+    # every module qmodes adds to a fresh run is set-up that each run pays for
+    added = modules_added_by("import qmodes.cli")
     package = {"qmodes"} | {f"qmodes.{p.stem}" for p in (SRC / "qmodes").glob("*.py") if p.stem != "__init__"}
     assert len(package) == 10
     allowed_roots = sys.stdlib_module_names | {"numpy"}
     assert sorted(m for m in added - package if m.split(".")[0] not in allowed_roots) == []
     assert package <= added
+
+
+# the package file is its docstring: a module is imported by name, and
+# loads only itself and what it imports
+@pytest.mark.parametrize(
+    "statement, expected, loads_numpy",
+    [
+        ("import qmodes", {"qmodes"}, False),
+        ("from qmodes import schmidt", {"qmodes", "qmodes.schmidt", "qmodes.interference", "qmodes.numerics"}, True),
+    ],
+)
+def test_a_package_or_module_import_loads_only_what_it_names(statement, expected, loads_numpy):
+    added = modules_added_by(statement)
+    assert {m for m in added if m.split(".")[0] == "qmodes"} == expected
+    assert ("numpy" in added) == loads_numpy
 
 
 def test_seed_flag_is_an_unknown_flag(tmp_path, capsys):
@@ -417,6 +437,20 @@ def test_g0_max_that_overflows_the_sweep_exits_2(tmp_path, capsys, g0_max):
 def test_tiny_mass_exits_2_naming_it(tmp_path, capsys, command):
     err = exits_2_with_one_error_line([command, "--mass", "1e-30"], tmp_path / "out", capsys)
     assert "mass 1e-30 too small" in err
+
+
+@pytest.mark.parametrize(
+    "command, mass, fails",
+    [
+        ("ammonia", "1000", "splitting target 0.00665 unreachable"),
+        ("qubits", "1e300", "splitting target 0.00665 unreachable"),
+        ("ammonia", "100", "overlap 0.0251 is not below 0.01"),
+    ],
+)
+def test_heavy_mass_exits_2_naming_it(tmp_path, capsys, command, mass, fails):
+    # these fits once named only the splitting target or the fitted overlap
+    err = exits_2_with_one_error_line([command, "--mass", mass], tmp_path / "out", capsys)
+    assert f"mass {float(mass)} too large" in err and fails in err
 
 
 # a value other than the default for every key of a parametric command

@@ -1,5 +1,6 @@
 """Every name a ``qmodes`` module exports in ``__all__`` exists on it,
 every exported function or class of a layer module is used by the package,
+every module-level name a module defines is read somewhere in the package,
 every definition of the text kernel serves its one entry point, every
 default of an exported function or dataclass is set by some call in the
 package, and the only dataclasses are the three parameter types."""
@@ -48,8 +49,8 @@ def definitions(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out[node.name] = identifiers(node)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         out[name.id] = identifiers(node.value)
@@ -79,6 +80,27 @@ def test_every_exported_function_and_class_is_used_by_the_package(layer):
     objects = {n: getattr(module, n) for n in module.__all__}
     exported = {n for n, obj in objects.items() if inspect.isfunction(obj) or inspect.isclass(obj)}
     assert sorted(exported - used) == []
+
+
+def reads(tree):
+    """Names ``tree`` reads: loaded names and attributes, and imported names."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_every_module_level_name_is_read_in_the_package(module):
+    # a name that nothing in src/ reads is code that runs for no one: a
+    # package version kept in a second place, say, or a constant left behind
+    read = set().union(*map(reads, SOURCES.values()))
+    assert sorted(set(definitions(SOURCES[module])) - read - {"__all__"}) == []
 
 
 def test_every_definition_of_the_text_kernel_serves_format_rows():
