@@ -115,8 +115,6 @@ def slit_centers(m: int, a: float) -> np.ndarray:
 
     Odd m: 0, +/-2a, ..., +/-(m-1)a.  Even m: +/-a, +/-3a, ..., +/-(m-1)a.
     """
-    if m < 1:
-        raise ValueError(f"slit count must be >= 1, got {m}")
     return (2.0 * np.arange(m) - (m - 1)) * a
 
 

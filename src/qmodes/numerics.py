@@ -1,6 +1,11 @@
 """Uniform grids, trapezoid quadrature, the caps on user counts and the
 checked Hermitian eigensolver of ``schmidt.schmidt_stack``.
 
+A grid is its points and their spacing, on [-edge, edge].  ``grid``
+checks neither: every edge comes from a checked parameter (``SlitParams``,
+``DoubleWell``), and every count from ``scenarios.run``'s ``grid_points``
+check or the DVR's constants.
+
 All quantities are dimensionless (hbar = 1).  Momentum-space amplitudes
 follow the unitary convention
 
@@ -9,16 +14,11 @@ follow the unitary convention
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Grid1D",
     "NonHermitianError",
-    "make_grid",
-    "trapezoid_weights",
+    "grid",
     "quadrature",
     "eigh",
 ]
@@ -38,54 +38,16 @@ class NonHermitianError(ValueError):
     """Matrix handed to a Hermitian eigensolver is not Hermitian."""
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform 1-D grid with n_points samples on [x_min, x_max] inclusive."""
-
-    n_points: int
-    x_min: float
-    x_max: float
-
-    def __post_init__(self):
-        if not isinstance(self.n_points, numbers.Integral):
-            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < 2:
-            raise ValueError(f"grid needs at least 2 points, got {self.n_points}")
-        if not self.x_max > self.x_min:
-            raise ValueError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
-
-    @property
-    def spacing(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_points - 1)
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+def grid(edge: float, n: int) -> tuple[np.ndarray, float]:
+    """The n points of the uniform grid [-edge, edge] and their spacing."""
+    return np.linspace(-edge, edge, n), 2.0 * edge / (n - 1)
 
 
-def make_grid(edge: float, n_points: int) -> Grid1D:
-    """Grid [-edge, edge], symmetric about 0; ``Grid1D`` rejects an edge
-    that is not positive, NaN included."""
-    return Grid1D(n_points, -edge, edge)
-
-
-def trapezoid_weights(grid: Grid1D) -> np.ndarray:
-    """Quadrature weight per sample: spacing everywhere, halved at the ends."""
-    w = np.full(grid.n_points, grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
-def quadrature(values, grid: Grid1D):
-    """Trapezoid-rule integral of sampled values over the grid."""
-    values = np.asarray(values)
-    if values.shape[0] != grid.n_points:
-        raise ValueError(
-            f"integrand length {values.shape[0]} does not match grid with "
-            f"{grid.n_points} points"
-        )
-    return trapezoid_weights(grid) @ values
+def quadrature(values, spacing: float):
+    """Trapezoid-rule integral of values sampled ``spacing`` apart."""
+    weights = np.full(len(values), spacing)
+    weights[[0, -1]] *= 0.5
+    return weights @ values
 
 
 def eigh(matrix):

@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coherence, interference, schmidt, tomography, tunneling
-from .numerics import MAX_COUNT, Grid1D, make_grid, quadrature
+from .numerics import MAX_COUNT, grid, quadrature
 from .text import format_rows
 
 __all__ = ["run", "list_scenarios", "COMPUTATIONS", "FIGURES"]
@@ -163,11 +163,12 @@ def _slits(params: dict, m: int) -> interference.SlitParams:
     return interference.SlitParams(a=params["a"], sigma_x=params["sigma_x"], m=m)
 
 
-def _momentum_basis(slits: interference.SlitParams, n: int) -> tuple[Grid1D, np.ndarray]:
-    """The momentum grid of ``n`` points and the slit basis sampled on it."""
+def _momentum_basis(slits: interference.SlitParams, n: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """The ``n`` momenta of the grid, their spacing and the slit basis
+    sampled on them."""
     # envelope exp(-sigma^2 p^2): 9 momentum sigmas leave amplitude < 1e-8
-    grid = make_grid(9.0 / (2.0 * slits.sigma_x), n)
-    return grid, interference.slit_basis(slits, grid.points, interference.MOMENTUM)
+    p, dp = grid(9.0 / (2.0 * slits.sigma_x), n)
+    return p, dp, interference.slit_basis(slits, p, interference.MOMENTUM)
 
 
 def _marginals(
@@ -176,16 +177,16 @@ def _marginals(
     """The momentum and coordinate densities of the state D = ``density`` as
     the tables ``<prefix>momentum`` and ``<prefix>coordinate``, and their
     integrals."""
-    pgrid, basis = _momentum_basis(slits, n)
+    p, dp, basis = _momentum_basis(slits, n)
     mom = interference.basis_density(basis, density)
-    xgrid = make_grid((slits.m - 1) * slits.a + 8.0 * slits.sigma_x, n)
-    basis = interference.slit_basis(slits, xgrid.points, interference.COORDINATE)
+    x, dx = grid((slits.m - 1) * slits.a + 8.0 * slits.sigma_x, n)
+    basis = interference.slit_basis(slits, x, interference.COORDINATE)
     coord = interference.basis_density(basis, density)
     files = [
-        (prefix + "momentum", "table", (["p_x", "density"], [pgrid.points, mom])),
-        (prefix + "coordinate", "table", (["x", "density"], [xgrid.points, coord])),
+        (prefix + "momentum", "table", (["p_x", "density"], [p, mom])),
+        (prefix + "coordinate", "table", (["x", "density"], [x, coord])),
     ]
-    return files, quadrature(mom, pgrid), quadrature(coord, xgrid)
+    return files, quadrature(mom, dp), quadrature(coord, dx)
 
 
 def _sweep(slits: interference.SlitParams, n: int, label: str, values, overlaps):
@@ -200,10 +201,10 @@ def _sweep(slits: interference.SlitParams, n: int, label: str, values, overlaps)
         f"schmidt_number_{label}_{v:g}": schmidt.schmidt_number(weights)
         for v, (weights, _) in zip(values, decompositions)
     }
-    pgrid, basis = _momentum_basis(slits, n)
+    p, _, basis = _momentum_basis(slits, n)
     names = ["p_x"] + [f"density_{label}_{v:g}" for v in values]
     cols = [interference.basis_density(basis, d) for d in densities]
-    return scalars, [("intensity", "table", (names, [pgrid.points, *cols]))], densities
+    return scalars, [("intensity", "table", (names, [p, *cols]))], densities
 
 
 def _entangled_state(params: dict):
@@ -249,7 +250,7 @@ def _run_entangled(params: dict, n: int) -> tuple[dict, list]:
 def _run_schmidt(params: dict, n: int) -> tuple[dict, list]:
     slits, _, density = _entangled_state(params)
     weights, coefficients = schmidt.schmidt(slits, density)
-    pgrid, basis = _momentum_basis(slits, n)
+    p, _, basis = _momentum_basis(slits, n)
     marg = interference.basis_density(basis, density)
     names = ["p_x"] + [f"mode{k}_density" for k in range(len(weights))]
     # mode k's amplitude is column k of basis @ coefficients, taken in its
@@ -259,8 +260,8 @@ def _run_schmidt(params: dict, n: int) -> tuple[dict, list]:
     # the far field as the mixture sum_k lambda_k |psi_k|^2 of the modes written
     mixture = modes @ weights
     files = [
-        ("modes", "table", (names, [pgrid.points, *modes.T])),
-        ("marginal", "table", (["p_x", "marginal", "mode_mixture"], [pgrid.points, marg, mixture])),
+        ("modes", "table", (names, [p, *modes.T])),
+        ("marginal", "table", (["p_x", "marginal", "mode_mixture"], [p, marg, mixture])),
         ("weights", "table", (["k", "weight"], [np.arange(len(weights), dtype=float), weights])),
     ]
     scalars = {

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Grid1D, make_grid
+from .numerics import grid
 
 __all__ = [
     "DoubleWell",
@@ -264,11 +264,12 @@ def splitting_to_frequency(delta_e: float) -> float:
     return delta_e * GHZ_PER_MODEL_UNIT
 
 
-def lowest_levels(potential_values, mass: float, grid: Grid1D) -> np.ndarray:
-    """Eigenvalues of -(1/2m) d^2/dx^2 + U(x) in the sinc DVR of the grid, ascending.
+def lowest_levels(potential_values, mass: float, spacing: float) -> np.ndarray:
+    """Eigenvalues of -(1/2m) d^2/dx^2 + U(x) in the sinc DVR, ascending.
 
     The Colbert-Miller sinc discrete variable representation (J. Chem. Phys.
-    96, 1982 (1992)) on the uniform grid: U sampled on the diagonal and the
+    96, 1982 (1992)) on a uniform grid of n points ``spacing`` apart, n
+    the number of potential samples: U sampled on the diagonal and the
     Toeplitz kinetic row pi^2/3 at k = 0, 2(-1)^k/k^2 at k != 0, over
     2 m dx^2.  It converges exponentially in the spacing while the wave
     functions vanish at the grid ends.  The dense Hamiltonian is n x n, so
@@ -276,13 +277,11 @@ def lowest_levels(potential_values, mass: float, grid: Grid1D) -> np.ndarray:
     ``InsufficientGridError``.
     """
     u = np.asarray(potential_values, dtype=float)
-    n = grid.n_points
-    if u.shape[0] != n:
-        raise ValueError("potential samples do not match the grid")
+    n = u.shape[0]
     if n > MAX_DVR_POINTS:
         raise InsufficientGridError(f"the dense DVR takes at most {MAX_DVR_POINTS} points, got {n}")
     k = np.arange(1, n)
-    row = np.concatenate(([np.pi**2 / 3.0], 2.0 * (-1.0) ** k / k**2)) / (2.0 * mass * grid.spacing**2)
+    row = np.concatenate(([np.pi**2 / 3.0], 2.0 * (-1.0) ** k / k**2)) / (2.0 * mass * spacing**2)
     # window i of [row[n-1], ..., row[1], row[0], ..., row[n-1]] is H's row n-1-i
     h = np.lib.stride_tricks.sliding_window_view(np.concatenate((row[:0:-1], row)), n)[::-1].copy()
     h[np.diag_indices(n)] += u
@@ -292,7 +291,8 @@ def lowest_levels(potential_values, mass: float, grid: Grid1D) -> np.ndarray:
 def grid_eigensolve(well: DoubleWell) -> tuple[float, float]:
     """Two lowest double-well levels from the sinc DVR, converged in the grid.
 
-    Independent of the two-level closed forms.  The box is [-H, H] with
+    Independent of the two-level closed forms.  The n-point grid is
+    ``numerics.grid(H, n)``, on the box [-H, H] with
     H = max(3a, a + 8 sigma_x): the DVR converges exponentially only while
     the wave functions vanish at the box edges, and a light, shallow well
     still holds amplitude 1e-2 at 3a, where its splitting converges only
@@ -308,11 +308,11 @@ def grid_eigensolve(well: DoubleWell) -> tuple[float, float]:
     edge = max(3.0 * well.a, well.a + 8.0 * well.sigma_x)
     previous = None
     for n in range(_DVR_START_POINTS, MAX_DVR_POINTS + 1, _DVR_STEP_POINTS):
-        grid = make_grid(edge, n)
-        u = well.potential(grid.points)
-        e0, e1 = lowest_levels(u, well.mass, grid)[:2]
+        x, dx = grid(edge, n)
+        u = well.potential(x)
+        e0, e1 = lowest_levels(u, well.mass, dx)[:2]
         splitting = e1 - e0
-        floor = _EPS * (np.pi**2 / (6.0 * well.mass * grid.spacing**2) + np.max(np.abs(u)))
+        floor = _EPS * (np.pi**2 / (6.0 * well.mass * dx**2) + np.max(np.abs(u)))
         if floor > _DVR_CONVERGENCE * splitting:
             raise UnresolvedSplittingError(
                 f"rounding floor {floor:.3g} of a {n}-point solve exceeds {_DVR_CONVERGENCE:g} "

@@ -1,4 +1,4 @@
-"""Independent references for the tests: sampled waves and an
+"""Independent references for the tests: named grids, sampled waves and an
 offset-corrected FFT, a detector's two numbers, the two-slit closed forms,
 the multi-slit form factor, the uniform-source visibility and fringe
 pattern, a least-squares fit of a pattern's fringe visibility, the grid
@@ -17,41 +17,67 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from qmodes.coherence import source_coherence
 from qmodes.interference import basis_density, slit_centers
-from qmodes.numerics import Grid1D, quadrature, trapezoid_weights
+from qmodes.numerics import grid, quadrature
 from qmodes.schmidt import analytic_two_slit_weights
+
+
+class Grid(NamedTuple):
+    """A uniform grid as its points and their spacing, the pair that
+    ``qmodes.numerics.grid`` returns."""
+
+    points: np.ndarray
+    spacing: float
+
+
+def symmetric(edge, n):
+    """The grid ``qmodes.numerics.grid(edge, n)`` on [-edge, edge]."""
+    return Grid(*grid(edge, n))
+
+
+def span(lo, hi, n):
+    """n points on [lo, hi], lo < hi: the grids that qmodes never samples."""
+    return Grid(np.linspace(lo, hi, n), (hi - lo) / (n - 1))
+
+
+def trapezoid_weights(grid):
+    """Quadrature weight per sample: the spacing, halved at the two ends."""
+    weights = np.full(grid.points.size, grid.spacing)
+    weights[[0, -1]] *= 0.5
+    return weights
 
 
 @dataclass(frozen=True)
 class SampledWave:
     """Amplitudes sampled on a 1-D grid: a complex wavefunction or a real density."""
 
-    grid: Grid1D
+    grid: Grid
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes)
-        if amp.shape != (self.grid.n_points,):
-            raise ValueError(f"amplitude shape {amp.shape} does not match {self.grid.n_points} grid points")
+        if amp.shape != self.grid.points.shape:
+            raise ValueError(f"amplitude shape {amp.shape} does not match {self.grid.points.size} grid points")
         object.__setattr__(self, "amplitudes", amp)
 
 
 def conjugate_grid(grid):
-    n = grid.n_points
+    n = grid.points.size
     dp = 2.0 * np.pi / (n * grid.spacing)
-    return Grid1D(n, -(n // 2) * dp, (n - 1 - n // 2) * dp)
+    return span(-(n // 2) * dp, (n - 1 - n // 2) * dp, n)
 
 
 def fourier_to_momentum(psi):
     grid = psi.grid
-    n = grid.n_points
+    n = grid.points.size
     pgrid = conjugate_grid(grid)
     spectrum = np.fft.fft(psi.amplitudes * np.exp(2j * np.pi * (n // 2) * np.arange(n) / n))
-    phases = np.exp(-1j * pgrid.points * grid.x_min)
+    phases = np.exp(-1j * pgrid.points * grid.points[0])
     return SampledWave(pgrid, (grid.spacing / np.sqrt(2.0 * np.pi)) * phases * spectrum)
 
 
@@ -102,7 +128,7 @@ def source_pattern(a, sigma_x, grid, v):
     normalized by trapezoid quadrature on ``grid``."""
     p = grid.points
     pattern = np.exp(-2.0 * sigma_x**2 * p**2) * (1.0 + v * np.cos(2.0 * p * a))
-    return pattern / quadrature(pattern, grid)
+    return pattern / quadrature(pattern, grid.spacing)
 
 
 MIN_SAMPLES_PER_PERIOD = 16
@@ -121,7 +147,7 @@ def visibility_from_intensity(density, a, sigma_x):
     period = np.pi / a
     if grid.spacing > period / MIN_SAMPLES_PER_PERIOD:
         raise ValueError(f"grid spacing {grid.spacing:.4g}: need {MIN_SAMPLES_PER_PERIOD} samples per period pi/a")
-    if 0.5 * (grid.x_max - grid.x_min) < 0.75 * period:
+    if 0.5 * (grid.points[-1] - grid.points[0]) < 0.75 * period:
         raise ValueError("central fringe window not covered by the grid")
     p = grid.points
     window = np.abs(p) <= 0.75 * period
@@ -156,8 +182,8 @@ def two_slit_schmidt(slits, det, particle_grid, detector_grid):
 class GridState:
     """Sampled joint amplitude ``left @ right.T`` on a particle x detector grid."""
 
-    particle_grid: Grid1D
-    detector_grid: Grid1D
+    particle_grid: Grid
+    detector_grid: Grid
     left: np.ndarray
     right: np.ndarray
 

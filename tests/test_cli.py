@@ -13,7 +13,7 @@ import pytest
 
 from qmodes import cli, scenarios, tunneling
 from qmodes.cli import _parse, main
-from qmodes.numerics import MAX_COUNT, MAX_SLITS, make_grid
+from qmodes.numerics import MAX_COUNT, MAX_SLITS, grid
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = ["slits", "entangled", "schmidt", "coherence", "ammonia", "qubits", "tomography"]
@@ -627,8 +627,8 @@ def test_ammonia_dvr_splittings_are_converged_in_their_box(tmp_path, capsys):
     fitted = tunneling.fit_potential(tunneling.AMMONIA_EQUILIBRIUM, tunneling.AMMONIA_SPLITTING, 14.0)
     for mass, delta_e, ghz in zip(columns["mass"], columns["fd_delta_e"], columns["fd_frequency_ghz"]):
         well = tunneling.DoubleWell(fitted.alpha, fitted.beta, mass)
-        grid = make_grid(max(3.0 * well.a, well.a + 8.0 * well.sigma_x), 512)
-        e0, e1 = tunneling.lowest_levels(well.potential(grid.points), mass, grid)[:2]
+        x, dx = grid(max(3.0 * well.a, well.a + 8.0 * well.sigma_x), 512)
+        e0, e1 = tunneling.lowest_levels(well.potential(x), mass, dx)[:2]
         assert delta_e == pytest.approx(e1 - e0, rel=1e-9, abs=0.0)
         assert ghz == pytest.approx(tunneling.splitting_to_frequency(e1 - e0), rel=1e-9, abs=0.0)
 
@@ -703,6 +703,37 @@ def test_extreme_geometry_writes_finite_data_or_exits_2(tmp_path, capsys, argv):
         assert not out.exists() or not any(out.iterdir())
     else:
         assert code == 0 and err == []
+        files = sorted(out.iterdir())
+        assert files
+        for path in files:
+            assert np.isfinite(data_values(path)).all(), path.name
+
+
+# each grid edge at the extremes of the parameters that set it: the momentum
+# edge 9 / (2 sigma_x), the coordinate edge (m - 1) a + 8 sigma_x, and the
+# DVR box max(3a, a + 8 sigma_x) of wells fitted at masses on either side of
+# the fit's limits (7.3e-23 and 1.23e-20 below, 59.59 above)
+GRID_EDGE_EXTREMES = [
+    *[[command, "--sigma-x", s] for command in ("slits", "entangled", "schmidt") for s in ("1e-150", "1e150")],
+    *[[command, "--a", "1e150", "--m", "64"] for command in ("slits", "entangled", "schmidt")],
+    ["slits", "--m", "1", "--a", "0"],
+    *[["ammonia", "--mass", mass] for mass in ("7e-23", "1.2e-20", "1.3e-20", "59.5", "59.6")],
+]
+
+
+@pytest.mark.filterwarnings("always::UserWarning")
+@pytest.mark.parametrize("argv", GRID_EDGE_EXTREMES, ids=" ".join)
+def test_grid_edges_at_their_extremes_write_finite_tables_or_exit_2(tmp_path, capsys, argv):
+    # numerics.grid checks nothing: the parameters that set an edge are all
+    # checked before it is built
+    out = tmp_path / "out"
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith("qmodes: error: ")
+        assert not out.exists() or not any(out.iterdir())
+    else:
+        assert code == 0 and all(line.startswith("qmodes: warning: ") for line in err), err
         files = sorted(out.iterdir())
         assert files
         for path in files:

@@ -8,6 +8,8 @@ from oracles import (
     SampledWave,
     grid_schmidt,
     source_visibility,
+    span,
+    symmetric,
     two_slit_intensity,
     visibility_from_intensity,
 )
@@ -20,7 +22,7 @@ from qmodes.interference import (
     slit_basis,
     slit_state,
 )
-from qmodes.numerics import Grid1D, make_grid, quadrature
+from qmodes.numerics import quadrature
 from qmodes.schmidt import analytic_two_slit_weights, entropy, schmidt, schmidt_number
 
 A, SIGMA = 5.0, 0.5
@@ -30,7 +32,7 @@ CATALOG_Y = (0.0, 0.0625, 0.125, 0.1875, 0.25)
 
 
 def fine_momentum_grid(n=4001, half=10.0):
-    return make_grid(half, n)
+    return symmetric(half, n)
 
 
 def momentum_marginal(density, grid):
@@ -51,7 +53,7 @@ def qubit_grid_state(phi, grid):
     p = grid.points
     env = np.exp(-(SIGMA**2) * p**2)
     amp = np.stack([env * np.cos(p * A + phi), env * np.cos(p * A - phi)], axis=1)
-    qubit = Grid1D(2, 0.0, 2.0)
+    qubit = span(0.0, 2.0, 2)
     state = GridState(grid, qubit, amp, np.eye(2))
     return GridState(grid, qubit, amp / state.norm(), np.eye(2))
 
@@ -80,7 +82,7 @@ class TestVisibilityExtraction:
     def test_least_squares_fit_recovers_exact_modulation(self, n, b):
         # the fig2 grids: the marginal is env * (1 + exp(-b^2/2 sigma_xi^2) cos 2ap)
         # exactly, so the fit leaves only round-off
-        grid = make_grid(9.0, n)
+        grid = symmetric(9.0, n)
         v = visibility_from_intensity(momentum_marginal(slit_state(SLITS, detector_overlap(b, 0.5)), grid), A, SIGMA)
         assert v == pytest.approx(np.exp(-(b**2) / (2.0 * 0.5**2)), rel=0.0, abs=1e-12)
 
@@ -93,7 +95,7 @@ class TestVisibilityExtraction:
         assert v == pytest.approx(0.6, abs=1e-12)
 
     def test_coarse_grid_rejected(self):
-        g = make_grid(10.0, 64)
+        g = symmetric(10.0, 64)
         wave = SampledWave(g, two_slit_intensity(A, SIGMA, g.points))
         with pytest.raises(ValueError, match="samples per period"):
             visibility_from_intensity(wave, A, SIGMA)
@@ -120,7 +122,7 @@ class TestQubitCoherenceState:
         qubit = np.stack([v0, v0.conj()])
         norm_sq = 1.0 / (2.0 + 2.0 * SLITS.overlap * np.cos(2.0 * phi))
         amp = np.sqrt(norm_sq) * slit_basis(SLITS, grid.points, MOMENTUM) @ qubit
-        assert quadrature(np.sum(np.abs(amp) ** 2, axis=1), grid) == pytest.approx(1.0, abs=1e-12)
+        assert quadrature(np.sum(np.abs(amp) ** 2, axis=1), grid.spacing) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(amp - qubit_grid_state(phi, grid).amplitudes)) < 1e-12
 
     def test_universal_coupling_sweep(self):
@@ -145,7 +147,7 @@ class TestQubitCoherenceState:
     def test_marginal_normalized_over_qubit_axis(self):
         state = qubit_state(0.7)
         marg = momentum_marginal(state, fine_momentum_grid())
-        assert quadrature(marg.amplitudes, marg.grid) == pytest.approx(1.0, abs=1e-12)
+        assert quadrature(marg.amplitudes, marg.grid.spacing) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCouplingFormulas:
@@ -276,7 +278,7 @@ class TestSourceState:
         # gamma < 0 for y in (1/4, 1/2): the central fringe turns dark
         grid = fine_momentum_grid(8193)
         density = momentum_marginal(slit_state(SLITS, source_coherence(0.375)), grid).amplitudes
-        centre = grid.n_points // 2
+        centre = grid.points.size // 2
         assert grid.points[centre] == 0.0
         assert density[centre] < min(density[centre - 1], density[centre + 1])
         bright = np.abs(np.abs(grid.points) - np.pi / (2.0 * A)).argsort()[:2]

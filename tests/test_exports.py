@@ -3,7 +3,7 @@ every exported function or class of a layer module is used by the package,
 every module-level name a module defines is read somewhere in the package,
 every definition of the text kernel serves its one entry point, every
 default of an exported function or dataclass is set by some call in the
-package, and the only dataclasses are the three parameter types."""
+package, and the only dataclasses are the two parameter types."""
 
 import ast
 import dataclasses
@@ -160,7 +160,7 @@ def test_every_default_of_a_public_function_is_set_by_some_call_in_the_package()
     assert sorted(unset - UNSET_DEFAULTS) == []
 
 
-def test_the_only_dataclasses_are_the_three_parameter_types():
+def test_the_only_dataclasses_are_the_two_parameter_types():
     # a result is its values: a function returns numbers, arrays, tuples or a
     # dict, and only validated parameters are types
     found = {
@@ -170,4 +170,4 @@ def test_the_only_dataclasses_are_the_three_parameter_types():
         if isinstance(node, ast.ClassDef)
         and any("dataclass" in identifiers(decorator) for decorator in node.decorator_list)
     }
-    assert found == {"interference.SlitParams", "numerics.Grid1D", "tunneling.DoubleWell"}
+    assert found == {"interference.SlitParams", "tunneling.DoubleWell"}

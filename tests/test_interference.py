@@ -13,6 +13,7 @@ from oracles import (
     grid_state_coordinate,
     grid_state_momentum,
     single_slit_momentum_density,
+    symmetric,
     two_slit_intensity,
     two_slit_norm,
     visibility_from_intensity,
@@ -27,14 +28,14 @@ from qmodes.interference import (
     slit_centers,
     slit_state,
 )
-from qmodes.numerics import MAX_SLITS, make_grid, quadrature
+from qmodes.numerics import MAX_SLITS, grid, quadrature
 from qmodes.schmidt import schmidt
 
 A, SIGMA = 5.0, 0.5
 
 
 def momentum_grid(n=512, half=10.0):
-    return make_grid(half, n)
+    return symmetric(half, n)
 
 
 def two_slit_state_pair(b):
@@ -74,16 +75,15 @@ class TestSingleSlit:
         )
 
     def test_normalization(self):
-        g = make_grid(20, 1024)
-        assert quadrature(single_slit_momentum_density(0.5, g.points), g) == pytest.approx(
+        p, dp = grid(20, 1024)
+        assert quadrature(single_slit_momentum_density(0.5, p), dp) == pytest.approx(
             1.0, abs=1e-8
         )
 
     def test_variance(self):
         for sigma in (0.3, 0.5, 1.1):
-            g = make_grid(30, 4096)
-            p = g.points
-            var = quadrature(p**2 * single_slit_momentum_density(sigma, p), g)
+            p, dp = grid(30, 4096)
+            var = quadrature(p**2 * single_slit_momentum_density(sigma, p), dp)
             assert var == pytest.approx(1.0 / (4.0 * sigma**2), rel=1e-8)
 
 
@@ -97,10 +97,9 @@ class TestTwoSlitClosedForms:
     def test_norm_at_a_equal_sigma(self):
         # frozen from renormalizing the superposed Gaussians numerically
         assert two_slit_norm(1.0, 1.0) == pytest.approx(0.6224593312018546, rel=1e-12)
-        g = make_grid(12, 4096)
-        x = g.points
+        x, dx = grid(12, 4096)
         pair = np.exp(-((x - 1.0) ** 2) / 4.0) + np.exp(-((x + 1.0) ** 2) / 4.0)
-        raw = quadrature(pair**2 / (np.sqrt(2 * np.pi) * 2.0), g)
+        raw = quadrature(pair**2 / (np.sqrt(2 * np.pi) * 2.0), dx)
         assert two_slit_norm(1.0, 1.0) == pytest.approx(1.0 / raw, rel=1e-10)
 
     def test_intensity_zeros(self):
@@ -115,7 +114,7 @@ class TestTwoSlitClosedForms:
         assert np.max(np.abs(merged - single)) < 1e-14
 
     def test_matches_numerical_transform(self):
-        grid = make_grid(11, 2048)
+        grid = symmetric(11, 2048)
         x = grid.points
         c = np.sqrt(two_slit_norm(A, SIGMA))
         amp = (
@@ -236,14 +235,15 @@ class TestJointStateMomentum:
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
             det = Detector(b=0.5, sigma_xi=0.5)
             psi = sampled_state(slits, det, grid, grid, MOMENTUM)
-            assert quadrature(quadrature(np.abs(psi) ** 2, grid), grid) == pytest.approx(1.0, abs=1e-12)
+            total = quadrature(quadrature(np.abs(psi) ** 2, grid.spacing), grid.spacing)
+            assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestJointStateCoordinate:
     def grids(self, m=2, n=512):
         return (
-            make_grid((m - 1) * A + 10 * SIGMA, n),
-            make_grid((m - 1) * 0.5 + 10 * 0.5, n),
+            symmetric((m - 1) * A + 10 * SIGMA, n),
+            symmetric((m - 1) * 0.5 + 10 * 0.5, n),
         )
 
     def test_matches_closed_form(self):
@@ -270,10 +270,10 @@ class TestJointStateCoordinate:
         coord = sampled_state(slits, det, xg, dg, COORDINATE)
         # transform the detector axis, then the particle axis
         half = np.empty(coord.shape, dtype=complex)
-        for i in range(xg.n_points):
+        for i in range(xg.points.size):
             half[i] = fourier_to_momentum(SampledWave(dg, coord[i].astype(complex))).amplitudes
         full = np.empty_like(half)
-        for j in range(dg.n_points):
+        for j in range(dg.points.size):
             full[:, j] = fourier_to_momentum(SampledWave(xg, half[:, j])).amplitudes
         mom = sampled_state(slits, det, conjugate_grid(xg), conjugate_grid(dg), MOMENTUM)
         assert np.max(np.abs(full - mom)) < 1e-6
@@ -317,12 +317,12 @@ class TestMarginals:
         slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
         det = Detector(b=0.7, sigma_xi=0.5)
         density = slit_state(slits, detector_overlap(*det))
-        pg, qg = make_grid(9.0, 1024), make_grid(9.0, 1024)
+        pg, qg = symmetric(9.0, 1024), symmetric(9.0, 1024)
         mom = momentum_marginal(slits, density, pg).amplitudes
         ref = grid_marginal(grid_state_momentum(slits, det, pg, qg))
         assert np.max(np.abs(mom - ref)) < 1e-12 * np.max(ref)
-        xg = make_grid((m - 1) * A + 8.0 * SIGMA, 1024)
-        dg = make_grid((m - 1) * det.b + 8.0 * det.sigma_xi, 1024)
+        xg = symmetric((m - 1) * A + 8.0 * SIGMA, 1024)
+        dg = symmetric((m - 1) * det.b + 8.0 * det.sigma_xi, 1024)
         coord = coordinate_marginal(slits, density, xg).amplitudes
         ref = grid_marginal(grid_state_coordinate(slits, det, xg, dg))
         assert np.max(np.abs(coord - ref)) < 1e-12 * np.max(ref)
@@ -344,7 +344,7 @@ class TestMarginals:
         for b in (0.0, 0.5, 1.5):
             slits, _, density = two_slit_state_pair(b=b)
             marg = momentum_marginal(slits, density, momentum_grid())
-            assert quadrature(marg.amplitudes, marg.grid) == pytest.approx(1.0, abs=1e-12)
+            assert quadrature(marg.amplitudes, marg.grid.spacing) == pytest.approx(1.0, abs=1e-12)
             assert np.all(marg.amplitudes >= -1e-15)
 
     def test_representation_enforced(self):
@@ -354,17 +354,17 @@ class TestMarginals:
 
     def test_coordinate_marginal_is_two_gaussians(self):
         slits, _, density = two_slit_state_pair(b=0.5)
-        xg = make_grid(9, 1024)
+        xg = symmetric(9, 1024)
         marg = coordinate_marginal(slits, density, xg)
         x = xg.points
         halves = 0.5 * (
             np.exp(-((x - A) ** 2) / (2 * SIGMA**2)) + np.exp(-((x + A) ** 2) / (2 * SIGMA**2))
         ) / (np.sqrt(2 * np.pi) * SIGMA)
         assert np.max(np.abs(marg.amplitudes - halves)) < 1e-6
-        assert quadrature(marg.amplitudes, xg) == pytest.approx(1.0, abs=1e-8)
+        assert quadrature(marg.amplitudes, xg.spacing) == pytest.approx(1.0, abs=1e-8)
 
     def test_coordinate_marginal_insensitive_to_b(self):
-        xg = make_grid(9, 512)
+        xg = symmetric(9, 512)
         slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
         small = coordinate_marginal(slits, two_slit_state_pair(0.0)[2], xg)
         large = coordinate_marginal(slits, two_slit_state_pair(2.5)[2], xg)

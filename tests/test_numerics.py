@@ -4,15 +4,17 @@ that the interference tests cross-check joint states with."""
 import numpy as np
 import pytest
 
-from oracles import SampledWave, conjugate_grid, fourier_to_momentum, two_slit_intensity, two_slit_norm
-from qmodes.numerics import (
-    Grid1D,
-    NonHermitianError,
-    eigh,
-    make_grid,
-    quadrature,
-    trapezoid_weights,
+from oracles import (
+    SampledWave,
+    conjugate_grid,
+    fourier_to_momentum,
+    span,
+    symmetric,
+    two_slit_intensity,
+    two_slit_norm,
 )
+from qmodes.numerics import NonHermitianError, eigh, grid, quadrature
+from qmodes.tunneling import AMMONIA_EQUILIBRIUM, AMMONIA_ISOTOPES, AMMONIA_SPLITTING, DoubleWell, fit_potential
 
 
 def gaussian_wave(grid, sigma, center=0.0):
@@ -23,61 +25,62 @@ def gaussian_wave(grid, sigma, center=0.0):
     return SampledWave(grid, amp.astype(complex))
 
 
+def catalog_edges():
+    """The edges of the catalog's grids: the momentum edge 9 / (2 sigma_x),
+    the coordinate edge (m - 1) a + 8 sigma_x at each slit count, and the
+    DVR box max(3a, a + 8 sigma_x) of each isotope's well."""
+    a, sigma_x = 5.0, 0.5
+    fitted = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, AMMONIA_ISOTOPES["NH3"][0])
+    wells = [DoubleWell(fitted.alpha, fitted.beta, mass) for mass, _ in AMMONIA_ISOTOPES.values()]
+    return [
+        9.0 / (2.0 * sigma_x),
+        *((m - 1) * a + 8.0 * sigma_x for m in (2, 4, 5)),
+        *(max(3.0 * w.a, w.a + 8.0 * w.sigma_x) for w in wells),
+    ]
+
+
 class TestGrid:
+    @pytest.mark.parametrize("n", [16, 17, 1024, 4096, 65536])
+    def test_catalog_grids_are_the_linspace_and_its_end_to_end_spacing(self, n):
+        # bit for bit: the catalog's bytes were written from these grids
+        for edge in catalog_edges():
+            points, spacing = grid(edge, n)
+            assert np.array_equal(points, np.linspace(-edge, edge, n)), edge
+            assert spacing == (edge - (-edge)) / (n - 1), edge
+
     def test_symmetric_three_points(self):
-        assert np.allclose(make_grid(1, 3).points, [-1.0, 0.0, 1.0])
+        assert np.allclose(grid(1, 3)[0], [-1.0, 0.0, 1.0])
 
     def test_spacing_definition(self):
-        assert make_grid(20, 1024).spacing == pytest.approx(40.0 / 1023.0, rel=1e-15)
+        assert grid(20, 1024)[1] == pytest.approx(40.0 / 1023.0, rel=1e-15)
 
     def test_offset_grid(self):
-        assert np.allclose(Grid1D(5, 3.0, 7.0).points, [3, 4, 5, 6, 7])
+        assert np.allclose(span(3.0, 7.0, 5).points, [3, 4, 5, 6, 7])
 
     def test_spacing_matches_endpoints(self):
-        g = Grid1D(777, 1.7 - 3.3, 1.7 + 3.3)
-        reconstructed = g.x_min + g.spacing * (g.n_points - 1)
-        assert reconstructed == pytest.approx(g.x_max, rel=1e-12)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            make_grid(1, 1)
-        for edge in (-1, 0, np.nan):
-            with pytest.raises(ValueError):
-                make_grid(edge, 16)
-        with pytest.raises(ValueError):
-            Grid1D(8, 2.0, 1.0)
-
-    @pytest.mark.parametrize("n_points", [2.5, 3.0, np.nan])
-    def test_a_point_count_that_is_not_an_integer_is_named(self, n_points):
-        # Grid1D(2.5, 0, 1) once reported a spacing of 0.667, and only its points raised
-        with pytest.raises(ValueError, match=f"^n_points must be an integer, got {n_points!r}$"):
-            Grid1D(n_points, 0.0, 1.0)
-        assert Grid1D(np.int32(3), 0.0, 1.0).points.tolist() == [0.0, 0.5, 1.0]
+        g = span(1.7 - 3.3, 1.7 + 3.3, 777)
+        reconstructed = g.points[0] + g.spacing * (g.points.size - 1)
+        assert reconstructed == pytest.approx(g.points[-1], rel=1e-12)
 
 
 class TestQuadrature:
     def test_constant_exact(self):
         for n in (2, 17, 128):
-            g = Grid1D(n, 0.0, 1.0)
-            assert quadrature(np.ones(n), g) == pytest.approx(1.0, abs=1e-14)
+            g = span(0.0, 1.0, n)
+            assert quadrature(np.ones(n), g.spacing) == pytest.approx(1.0, abs=1e-14)
 
     def test_gaussian_normalization(self):
-        g = make_grid(10, 1024)
-        x = g.points
+        x, dx = grid(10, 1024)
         density = np.exp(-(x**2) / 2.0) / np.sqrt(2.0 * np.pi)
-        assert quadrature(density, g) == pytest.approx(1.0, abs=1e-10)
+        assert quadrature(density, dx) == pytest.approx(1.0, abs=1e-10)
 
     def test_odd_function_cancels(self):
-        g = make_grid(1, 201)
-        assert abs(quadrature(g.points, g)) < 1e-14
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            quadrature(np.ones(5), make_grid(1, 6))
+        x, dx = grid(1, 201)
+        assert abs(quadrature(x, dx)) < 1e-14
 
     def test_weights_sum_to_length(self):
-        g = make_grid(2, 57)
-        assert trapezoid_weights(g).sum() == pytest.approx(4.0, rel=1e-14)
+        _, dx = grid(2, 57)
+        assert quadrature(np.ones(57), dx) == pytest.approx(4.0, rel=1e-14)
 
 
 class TestFourier:
@@ -85,18 +88,18 @@ class TestFourier:
     def test_gaussian_matches_momentum_envelope(self):
         # centered slit: |psi~|^2 is Gaussian with variance 1/(4 sigma_x^2)
         sigma = 0.5
-        wave = gaussian_wave(make_grid(10, 1024), sigma)
+        wave = gaussian_wave(symmetric(10, 1024), sigma)
         tilde = fourier_to_momentum(wave)
         p = tilde.grid.points
         expected = (1.0 / (2.0 * np.pi)) ** 0.25 * np.sqrt(2.0 * sigma) * np.exp(-(sigma**2) * p**2)
         assert np.max(np.abs(np.abs(tilde.amplitudes) - expected)) < 1e-8
         density = np.abs(tilde.amplitudes) ** 2
-        variance = quadrature(p**2 * density, tilde.grid).real
+        variance = quadrature(p**2 * density, tilde.grid.spacing).real
         assert variance == pytest.approx(1.0 / (4.0 * sigma**2), rel=1e-8)
 
     def test_shift_theorem(self):
         sigma, a = 0.5, 5.0
-        grid = make_grid(11, 2048)
+        grid = symmetric(11, 2048)
         tilde0 = fourier_to_momentum(gaussian_wave(grid, sigma, 0.0))
         tilde_a = fourier_to_momentum(gaussian_wave(grid, sigma, a))
         assert np.max(np.abs(np.abs(tilde_a.amplitudes) - np.abs(tilde0.amplitudes))) < 1e-10
@@ -108,7 +111,7 @@ class TestFourier:
     def test_two_slit_transform_matches_closed_form(self):
         # independent route to the cos^2 interference pattern
         sigma, a = 0.5, 5.0
-        grid = make_grid(11, 2048)
+        grid = symmetric(11, 2048)
         x = grid.points
         c = np.sqrt(two_slit_norm(a, sigma))
         amp = (
@@ -122,7 +125,7 @@ class TestFourier:
         assert np.max(np.abs(numeric - expected)) < 1e-6
 
     def test_conjugate_grid_contains_zero(self):
-        g = conjugate_grid(make_grid(10, 1024))
+        g = conjugate_grid(symmetric(10, 1024))
         assert np.min(np.abs(g.points)) == 0.0
         assert g.spacing == pytest.approx(2 * np.pi / (1024 * (20 / 1023)), rel=1e-12)
 

@@ -18,10 +18,11 @@ from oracles import (  # noqa: E402
     grid_state_momentum,
     ground_state_entanglement,
     python_text,
+    symmetric,
     two_level_energies,
 )
 from qmodes.interference import SlitParams, detector_overlap, slit_state  # noqa: E402
-from qmodes.numerics import MAX_SLITS, NonHermitianError, make_grid  # noqa: E402
+from qmodes.numerics import MAX_SLITS, NonHermitianError  # noqa: E402
 from qmodes.schmidt import (  # noqa: E402
     DEFAULT_TRUNCATION,
     InvalidWeightsError,
@@ -55,8 +56,8 @@ def test_weights_are_the_oracle_distribution(m, a, b, sigma_xi):
     oracle = gram_weights_oracle(m, a, 0.5, b, sigma_xi)
     assert np.max(np.abs(weights - oracle[: weights.size])) < 1e-10
     assert np.all(oracle[weights.size :] < 1e-12)
-    pg = make_grid(9.0, 512)
-    dg = make_grid(9.0 / (2.0 * sigma_xi), 512)
+    pg = symmetric(9.0, 512)
+    dg = symmetric(9.0 / (2.0 * sigma_xi), 512)
     grid, _, _ = grid_schmidt(grid_state_momentum(slits, det, pg, dg))
     assert grid.size == weights.size
     assert np.max(np.abs(weights - grid)) < 1e-10
@@ -79,8 +80,8 @@ def test_overlapping_slits_match_the_grid_reference(m, a, b, sigma_xi):
     assert 1.0 - 1e-12 <= schmidt_number(weights) <= m + 1e-12
     oracle = gram_weights_oracle(m, a, 0.5, b, sigma_xi)
     assert np.max(np.abs(weights - oracle[: weights.size])) < 1e-10
-    pg = make_grid(9.0, 2048)
-    dg = make_grid(9.0 / (2.0 * sigma_xi), 2048)
+    pg = symmetric(9.0, 2048)
+    dg = symmetric(9.0 / (2.0 * sigma_xi), 2048)
     grid, _, _ = grid_schmidt(grid_state_momentum(slits, det, pg, dg))
     common = min(grid.size, weights.size)
     assert np.max(np.abs(weights[:common] - grid[:common])) < 1e-10

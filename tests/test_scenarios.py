@@ -5,11 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from oracles import SampledWave, form_factor, source_pattern, source_visibility, visibility_from_intensity
+from oracles import (
+    SampledWave,
+    form_factor,
+    source_pattern,
+    source_visibility,
+    symmetric,
+    visibility_from_intensity,
+)
 from qmodes import cli, scenarios
 from qmodes.coherence import k_from_v, source_coherence, visibility
 from qmodes.interference import MOMENTUM, SlitParams, basis_density, detector_overlap, slit_basis, slit_state
-from qmodes.numerics import make_grid
 from qmodes.schmidt import entropy, schmidt, schmidt_number
 
 N = 2048
@@ -39,7 +45,7 @@ def test_mode_densities_are_the_densities_of_the_mode_projectors(tmp_path, m):
     rows = table_rows(tmp_path, "schmidt_modes")
     slits = SlitParams(a=5.0, sigma_x=0.5, m=m)
     _, coefficients = schmidt(slits, slit_state(slits, detector_overlap(0.5, 0.5)))
-    basis = slit_basis(slits, make_grid(9.0, N).points, MOMENTUM)
+    basis = slit_basis(slits, symmetric(9.0, N).points, MOMENTUM)
     assert rows.shape == (N, 1 + coefficients.shape[1])
     for column, c in zip(rows[:, 1:].T, coefficients.T):
         reference = basis_density(basis, np.outer(c, c))
@@ -196,7 +202,7 @@ def test_fig6_data_densities_are_the_normalized_fringe_pattern(tmp_path, n):
     scenarios.run("fig6-data", tmp_path, "json", n, {})
     table = json.loads((tmp_path / "fig6-data_intensity.json").read_text(encoding="utf-8"))
     rows = np.array(table["rows"])
-    grid = make_grid(9.0, n)  # 9 momentum sigmas at sigma_x = 0.5
+    grid = symmetric(9.0, n)  # 9 momentum sigmas at sigma_x = 0.5
     assert np.array_equal(rows[:, 0], grid.points)
     y_values = (0.0, 0.0625, 0.125, 0.1875, 0.25)
     assert table["columns"] == ["p_x"] + [f"density_y_{y:g}" for y in y_values]
@@ -275,8 +281,8 @@ def test_fig7_quarter_source_scalars_are_samples_of_its_curve():
 def test_written_patterns_fit_to_their_states_visibility(tmp_path, n):
     # the fit needs a grid that spans the central fringe period pi/a; the
     # catalog's momentum grid does at a = 5, sigma_x = 0.5
-    grid = make_grid(9.0, n)
-    assert 0.5 * (grid.x_max - grid.x_min) >= np.pi / 5.0
+    grid = symmetric(9.0, n)
+    assert 0.5 * (grid.points[-1] - grid.points[0]) >= np.pi / 5.0
 
     def fitted(column):
         return visibility_from_intensity(SampledWave(grid, column), 5.0, 0.5)

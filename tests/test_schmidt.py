@@ -13,10 +13,13 @@ from oracles import (
     grid_state_coordinate,
     grid_state_momentum,
     reconstruct_marginal,
+    span,
+    symmetric,
+    trapezoid_weights,
     two_slit_schmidt,
 )
 from qmodes.interference import MOMENTUM, SlitParams, basis_density, detector_overlap, slit_basis, slit_state
-from qmodes.numerics import Grid1D, make_grid, quadrature, trapezoid_weights
+from qmodes.numerics import quadrature
 from qmodes.schmidt import (
     InvalidWeightsError,
     analytic_two_slit_weights,
@@ -32,7 +35,7 @@ FIG3_DET = Detector(b=0.5, sigma_xi=0.5)
 
 
 def momentum_grids(n=512, half=10.0):
-    return make_grid(half, n), make_grid(half, n)
+    return symmetric(half, n), symmetric(half, n)
 
 
 def modes_on(grid, slits, coefficients):
@@ -85,7 +88,7 @@ class TestAnalyticTwoSlit:
             for i in range(2):
                 for j in range(2):
                     inner = quadrature(
-                        modes[i].amplitudes.conj() * modes[j].amplitudes, modes[i].grid
+                        modes[i].amplitudes.conj() * modes[j].amplitudes, modes[i].grid.spacing
                     )
                     assert abs(inner - (1.0 if i == j else 0.0)) < 1e-6
 
@@ -156,7 +159,7 @@ class TestNumericalSchmidt:
         _, modes_x, _ = two_slit_schmidt(FIG3_SLITS, FIG3_DET, pg, dg)
         modes = modes_on(pg, FIG3_SLITS, coefficients)
         for k in range(2):
-            overlap = quadrature(np.conj(modes[:, k]) * modes_x[k].amplitudes, pg)
+            overlap = quadrature(np.conj(modes[:, k]) * modes_x[k].amplitudes, pg.spacing)
             assert abs(overlap) > 1.0 - 1e-12
 
     def test_analytic_agreement_sweep(self):
@@ -193,7 +196,7 @@ class TestNumericalSchmidt:
         # the grid reference gives the same weights from either representation
         lam, _ = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, detector_overlap(*FIG3_DET)))
         mom, _, _ = grid_schmidt(grid_state_momentum(FIG3_SLITS, FIG3_DET, *momentum_grids(512)))
-        xg, dg = make_grid(10, 512), make_grid(5.5, 512)
+        xg, dg = symmetric(10, 512), symmetric(5.5, 512)
         coord, _, _ = grid_schmidt(grid_state_coordinate(FIG3_SLITS, FIG3_DET, xg, dg))
         for weights in (mom, coord):
             assert abs(schmidt_number(weights) - schmidt_number(lam)) < 1e-6
@@ -219,7 +222,7 @@ class TestNumericalSchmidt:
         """The grid reference on dense states (identity right factor) and a complex factor pair."""
         n_x, n_xi, rank = shape
         rng = np.random.default_rng(n_xi)
-        pg, dg = make_grid(3.0, n_x), Grid1D(n_xi, -1.0, 3.0)
+        pg, dg = symmetric(3.0, n_x), span(-1.0, 3.0, n_xi)
         cols = n_xi if rank is None else rank
         left = rng.normal(size=(n_x, cols)) + 1j * rng.normal(size=(n_x, cols))
         if rank is None:

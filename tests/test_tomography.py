@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import SampledWave, conjugate_grid, fourier_to_momentum
+from oracles import SampledWave, conjugate_grid, fourier_to_momentum, span, symmetric
 from qmodes import tomography
 from qmodes.interference import COORDINATE, MOMENTUM, SlitParams, slit_basis
-from qmodes.numerics import Grid1D, make_grid
 from qmodes.tomography import (
     QubitOnlyError,
     analyze,
@@ -83,7 +82,7 @@ def test_interference_protocol_fixes_a_single_point():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_momentum_basis_is_the_fft_of_the_coordinate_basis(m):
     slits = SlitParams(a=1.0, sigma_x=0.5, m=m)
-    grid = make_grid(20.0, 1024)
+    grid = symmetric(20.0, 1024)
     coordinate = slit_basis(slits, grid.points, COORDINATE)
     momentum = slit_basis(slits, conjugate_grid(grid).points, MOMENTUM)
     for j in range(m):
@@ -106,7 +105,7 @@ def test_protocol_rows_give_the_densities_of_a_complex_superposition():
     # p_i = (2i - (n - 1)) dp/2 with dp the protocol's momentum step
     big = 1024
     length = 4.0 * np.pi / (p[1] - p[0])
-    grid = Grid1D(big, -length / 2.0, -length / 2.0 + (big - 1) * length / big)
+    grid = span(-length / 2.0, -length / 2.0 + (big - 1) * length / big, big)
 
     def psi(t):
         g = lambda c: (2.0 * np.pi * sigma**2) ** -0.25 * np.exp(-((t - c) ** 2) / (4.0 * sigma**2))

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import build_two_qubit, coupling_terms, energy_terms, ground_state_entanglement, two_level_energies
 from qmodes import tunneling
-from qmodes.numerics import make_grid
+from qmodes.numerics import grid
 from qmodes.tunneling import (
     AMMONIA_EQUILIBRIUM,
     AMMONIA_ISOTOPES,
@@ -233,10 +233,10 @@ class TestUnits:
 
 class TestGridEigensolve:
     def test_harmonic_oscillator_levels(self):
-        grid = make_grid(12.0, 128)
+        x, dx = grid(12.0, 128)
         omega = np.sqrt(2.0)
-        potential = 0.5 * 2.0 * grid.points**2  # alpha x^2 / 2 with alpha = 2, m = 1
-        levels = lowest_levels(potential, 1.0, grid)[:4]
+        potential = 0.5 * 2.0 * x**2  # alpha x^2 / 2 with alpha = 2, m = 1
+        levels = lowest_levels(potential, 1.0, dx)[:4]
         for n, level in enumerate(levels):
             assert level == pytest.approx(omega * (n + 0.5), abs=1e-4)
 
@@ -271,11 +271,11 @@ class TestGridEigensolve:
 
     def test_grid_preconditions(self):
         # the dense Hamiltonian is n x n: a larger grid is refused before it is built
-        grid = make_grid(2.5, tunneling.MAX_DVR_POINTS + 1)
+        x, dx = grid(2.5, tunneling.MAX_DVR_POINTS + 1)
         tracemalloc.start()
         try:
             with pytest.raises(InsufficientGridError, match="at most"):
-                lowest_levels(PAPER_WELL.potential(grid.points), PAPER_WELL.mass, grid)
+                lowest_levels(PAPER_WELL.potential(x), PAPER_WELL.mass, dx)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -435,15 +435,21 @@ def ammonia_well(isotope):
     return DoubleWell(fitted.alpha, fitted.beta, AMMONIA_ISOTOPES[isotope][0])
 
 
-def lapack_levels(u, mass, grid, n_levels):
-    """Reference: the sinc-DVR matrix written out entry by entry, solved by LAPACK's dsyevr."""
-    from scipy.linalg import eigh
-
-    j = np.arange(grid.n_points)
+def dvr_matrix(u, mass, spacing):
+    """The sinc-DVR Hamiltonian of the samples ``u``, written out entry by entry."""
+    j = np.arange(len(u))
     k = j[:, None] - j[None, :]
     off_diagonal = 2.0 * (-1.0) ** k / np.where(k == 0, 1, k) ** 2
-    kinetic = np.where(k == 0, np.pi**2 / 3.0, off_diagonal) / (2.0 * mass * grid.spacing**2)
-    return eigh(kinetic + np.diag(u), eigvals_only=True, subset_by_index=[0, n_levels - 1], driver="evr")
+    kinetic = np.where(k == 0, np.pi**2 / 3.0, off_diagonal) / (2.0 * mass * spacing**2)
+    return kinetic + np.diag(u)
+
+
+def lapack_levels(u, mass, spacing, n_levels):
+    """Reference: ``dvr_matrix`` solved by LAPACK's dsyevr."""
+    from scipy.linalg import eigh
+
+    h = dvr_matrix(u, mass, spacing)
+    return eigh(h, eigvals_only=True, subset_by_index=[0, n_levels - 1], driver="evr")
 
 
 class TestLowestLevels:
@@ -451,22 +457,22 @@ class TestLowestLevels:
     @pytest.mark.parametrize("isotope", ["NH3", "ND3", "NT3"])
     def test_ammonia_wells_match_lapack(self, isotope, n):
         well = ammonia_well(isotope)
-        grid = make_grid(3.0 * well.a, n)
-        u = well.potential(grid.points)
-        levels = lowest_levels(u, well.mass, grid)[:2]
-        np.testing.assert_allclose(levels, lapack_levels(u, well.mass, grid, 2), rtol=0, atol=1e-10)
+        x, dx = grid(3.0 * well.a, n)
+        u = well.potential(x)
+        levels = lowest_levels(u, well.mass, dx)[:2]
+        np.testing.assert_allclose(levels, lapack_levels(u, well.mass, dx, 2), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("half_width, n", [(12.0, 512)])
     def test_harmonic_levels_match_lapack(self, half_width, n):
-        grid = make_grid(half_width, n)
-        u = 0.5 * 2.0 * grid.points**2
-        levels = lowest_levels(u, 1.0, grid)[:4]
-        np.testing.assert_allclose(levels, lapack_levels(u, 1.0, grid, 4), rtol=0, atol=1e-10)
+        x, dx = grid(half_width, n)
+        u = 0.5 * 2.0 * x**2
+        levels = lowest_levels(u, 1.0, dx)[:4]
+        np.testing.assert_allclose(levels, lapack_levels(u, 1.0, dx, 4), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("n", [64, 96, 128])
     def test_harmonic_levels_exact(self, n):
-        grid = make_grid(12.0, n)
-        levels = lowest_levels(0.5 * 2.0 * grid.points**2, 1.0, grid)
+        x, dx = grid(12.0, n)
+        levels = lowest_levels(0.5 * 2.0 * x**2, 1.0, dx)
         # every level of the n-point DVR, ascending
         assert levels.shape == (n,) and np.all(np.diff(levels) >= 0.0)
         exact = np.sqrt(2.0) * (np.arange(4) + 0.5)
@@ -484,8 +490,8 @@ class TestLowestLevels:
         box = 3.0 * well.a
 
         def splitting(n):
-            grid = make_grid(box, n)
-            e0, e1 = lowest_levels(well.potential(grid.points), well.mass, grid)[:2]
+            x, dx = grid(box, n)
+            e0, e1 = lowest_levels(well.potential(x), well.mass, dx)[:2]
             return e1 - e0
 
         for n in (64, 128, 256):
@@ -495,24 +501,41 @@ class TestLowestLevels:
         # splitting far below the float spacing of the levels: both copies
         # are found, and the converged solve refuses to report it
         well = DoubleWell(30.0, 10.0 / 3.0, 1.0)
-        grid = make_grid(8.0, 256)
-        levels = lowest_levels(well.potential(grid.points), 1.0, grid)
+        x, dx = grid(8.0, 256)
+        levels = lowest_levels(well.potential(x), 1.0, dx)
         assert levels[1] - levels[0] < 1e-12
         with pytest.raises(UnresolvedSplittingError, match="cannot resolve"):
             grid_eigensolve(well)
 
+    @pytest.mark.parametrize("n", [64, 96, 256])
+    @pytest.mark.parametrize(
+        "well, edge",
+        [
+            (ammonia_well("NH3"), None),
+            (DoubleWell(30.0, 10.0 / 3.0, 1.0), 8.0),
+            (PAPER_WELL, 2.5),
+        ],
+    )
+    def test_levels_are_those_of_the_matrix_written_out(self, well, edge, n):
+        # bit for bit, on the DVR box and on the grids of the tests below
+        edge = edge or max(3.0 * well.a, well.a + 8.0 * well.sigma_x)
+        x, dx = grid(edge, n)
+        u = well.potential(x)
+        expected = np.linalg.eigvalsh(dvr_matrix(u, well.mass, dx))
+        assert np.array_equal(lowest_levels(u, well.mass, dx), expected)
+
     def test_reruns_are_identical(self):
-        grid = make_grid(2.5, 256)
-        u = PAPER_WELL.potential(grid.points)
-        first = lowest_levels(u, PAPER_WELL.mass, grid)
-        assert np.array_equal(first, lowest_levels(u, PAPER_WELL.mass, grid))
+        x, dx = grid(2.5, 256)
+        u = PAPER_WELL.potential(x)
+        first = lowest_levels(u, PAPER_WELL.mass, dx)
+        assert np.array_equal(first, lowest_levels(u, PAPER_WELL.mass, dx))
 
     def test_non_convergence_raises(self, monkeypatch):
         # a splitting that grows by 3.2e-5 a step, far above its rounding floor, never settles
         solve = tunneling.lowest_levels
 
-        def drifting(u, mass, grid):
-            return solve(u, mass, grid)[:2] + [0.0, 1e-6 * grid.n_points]
+        def drifting(u, mass, spacing):
+            return solve(u, mass, spacing)[:2] + [0.0, 1e-6 * len(u)]
 
         monkeypatch.setattr(tunneling, "lowest_levels", drifting)
         monkeypatch.setattr(tunneling, "MAX_DVR_POINTS", 160)
@@ -525,10 +548,10 @@ class TestLowestLevels:
         fitted = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, 1.5)
         well = DoubleWell(fitted.alpha, fitted.beta, AMMONIA_ISOTOPES["NT3"][0])
         e0, e1 = grid_eigensolve(well)
-        grid = make_grid(max(3.0 * well.a, well.a + 8.0 * well.sigma_x), 96)
-        u = well.potential(grid.points)
-        assert (e0, e1) == tuple(lowest_levels(u, well.mass, grid)[:2])
-        floor = np.finfo(float).eps * (np.pi**2 / (6.0 * well.mass * grid.spacing**2) + np.max(np.abs(u)))
+        x, dx = grid(max(3.0 * well.a, well.a + 8.0 * well.sigma_x), 96)
+        u = well.potential(x)
+        assert (e0, e1) == tuple(lowest_levels(u, well.mass, dx)[:2])
+        floor = np.finfo(float).eps * (np.pi**2 / (6.0 * well.mass * dx**2) + np.max(np.abs(u)))
         assert 0.9 < floor / (1e-9 * (e1 - e0)) < 1.0
 
     @pytest.mark.parametrize("fit_mass, isotope", [(1.0, "NT3"), (0.8, "ND3"), (0.5, "NT3")])
