@@ -1,6 +1,6 @@
 """Schmidt-mode analysis of interfering quantum states.
 
-The modules cover shared numerics (grids, quadrature, Hermitian eigh),
+The modules cover shared numerics (grids, quadrature, the caps on counts),
 multi-slit interference with a which-way detector, Schmidt
 decomposition and information measures, visibility/coherence coupling,
 double-well tunneling with the ammonia application (two-level closed forms

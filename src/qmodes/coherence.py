@@ -62,6 +62,9 @@ def check_fringes(slits: SlitParams) -> None:
     S_x has the eigenvalues 1 -/+ q, q = exp(-a^2 / 2 sigma_x^2), and the
     Schmidt truncation drops the smaller once their ratio
     (1 - q)/(1 + q) = tanh(a^2 / 4 sigma_x^2) falls to ``DEFAULT_TRUNCATION``.
+    The state of gamma = -1 lies wholly in its odd eigenvector: past the
+    bound its reduced matrix is rounding noise, which ``schmidt_stack``
+    would normalize into weight 1 on the even mode.
     """
     if np.tanh(slits.a**2 / (4.0 * slits.sigma_x**2)) <= DEFAULT_TRUNCATION:
         raise UnresolvedFringesError(

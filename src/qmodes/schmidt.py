@@ -4,27 +4,29 @@ measures.
 A slit state N sum_j u_j(x) v_j(xi), given by its slit geometry and its
 particle density matrix D = N^2 S_xi in the slit basis
 (:func:`qmodes.interference.slit_state`), has rank at most m, and every
-inner product it needs is a closed-form overlap, so its decomposition is
-an m x m eigenproblem with the quadrature done exactly (the known-range
-case of Halko, Martinsson & Tropp 2011).  With S_x = E diag(mu) E^T, the
+inner product it needs is a closed-form overlap, so its decomposition is an
+m x m eigenproblem with the quadrature done exactly (the known-range case
+of Halko, Martinsson & Tropp 2011).  With S_x = E diag(mu) E^T, the
 functions U E diag(mu)^(-1/2) are orthonormal, and in them the particle
-density operator is the matrix W^T D W, W = E diag(mu)^(1/2).  Its
-eigenvalues are the Schmidt weights; its eigenvectors, mapped back through
-E diag(mu)^(-1/2), are the particle modes' coefficients in the slit basis,
-so the modes sampled on any grid are ``basis @ coefficients``.
+density operator is the matrix W^T D W, W = E diag(mu)^(1/2).  The Schmidt
+weights are its eigenvalues over their sum, so no rounding of N^2 reaches
+them (for two slits N^2 = 1/(2 + 2 q gamma) cancels as the slits close at
+gamma = -1); its eigenvectors, mapped back through E diag(mu)^(-1/2), are
+the particle modes' coefficients in the slit basis, so the modes sampled on
+any grid are ``basis @ coefficients``.  S_x and W^T D W are symmetric by
+construction, and LAPACK reads one triangle of each, so neither is checked.
 Eigenvalues of S_x below ``DEFAULT_TRUNCATION`` times the largest are
-dropped, which keeps overlapping slits well posed, and so are weights
-below ``DEFAULT_TRUNCATION``.  A decomposition is the pair (weights,
-coefficients): the r kept weights descending, and an (m, r) array whose
-column k holds the coefficients of mode k; where two weights coincide,
-their modes are fixed only up to a rotation in their subspace.  States of
-one slit geometry share S_x, so ``schmidt_stack`` decomposes a sweep of
-them with one eigensolve of S_x and one stacked eigensolve of their
-reduced matrices, and returns one pair per state: fig4's, fig6-data's and
-coherence's K come from it.  Only the fig7 curve and the coherence
-sweep's ``schmidt_from_v`` column take K from the visibility instead, by
-``coherence.k_from_v``, a closed form that holds for orthogonal slit
-states alone.
+dropped, which keeps overlapping slits well posed, and so are weights below
+it.  A decomposition is the pair (weights, coefficients): the r kept weights
+descending, and an (m, r) array whose column k holds the coefficients of
+mode k; where two weights coincide, their modes are fixed only up to a
+rotation in their subspace.  States of one slit geometry share S_x, so
+``schmidt_stack`` decomposes a sweep of them with one eigensolve of S_x and
+one stacked eigensolve of their reduced matrices, and returns one pair per
+state: fig4's, fig6-data's and coherence's K come from it.  Only the fig7
+curve and the coherence sweep's ``schmidt_from_v`` column take K from the
+visibility instead, by ``coherence.k_from_v``, a closed form that holds for
+orthogonal slit states alone.
 
 For two slits the weights have the closed form
 
@@ -42,7 +44,6 @@ from __future__ import annotations
 import numpy as np
 
 from .interference import SlitParams, detector_overlap
-from .numerics import eigh
 
 __all__ = [
     "InvalidWeightsError",
@@ -99,14 +100,15 @@ def schmidt_stack(slits: SlitParams, densities) -> list[tuple[np.ndarray, np.nda
     One eigensolve of S_x serves the stack, and the k reduced matrices are
     solved in one stacked call.  LAPACK solves each matrix of a stack on its
     own, so a state's decomposition does not depend on the others in the
-    stack.  Per state, weights below ``DEFAULT_TRUNCATION`` are dropped, but
-    the largest is always kept.
+    stack.  Per state, the weights are the eigenvalues over their sum, and
+    those below ``DEFAULT_TRUNCATION`` are dropped but for the largest.
     """
-    mu, e = eigh(slits.overlaps)
+    mu, e = np.linalg.eigh(slits.overlaps)
     kept = mu > DEFAULT_TRUNCATION * mu[-1]
     mu, e = mu[kept], e[:, kept]
     half = e * np.sqrt(mu)
-    lams, vecs = eigh(half.T @ np.asarray(densities) @ half)
+    lams, vecs = np.linalg.eigh(half.T @ np.asarray(densities) @ half)
+    lams /= lams.sum(axis=-1, keepdims=True)
     back = e / np.sqrt(mu)
     decompositions = []
     for lam, vec in zip(lams[:, ::-1], vecs[:, :, ::-1]):

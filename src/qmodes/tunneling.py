@@ -201,7 +201,7 @@ def fit_potential(a_target: float, delta_e_target: float, mass: float) -> Double
     the overlap underflows.  The fitted well must satisfy the two-level
     validity overlap < 0.01; a mass (or equilibrium) too small for any
     alpha of the search to meet it raises ``FitError`` before the search, and
-    a mass too large for the splitting target raises it as well.
+    a mass too small or too large for the splitting target raises it too.
     """
     _require_finite_positive(a_target=a_target, delta_e_target=delta_e_target, mass=mass)
     # the overlap exp(-a^2 sqrt(2 alpha m)) falls as alpha grows: if it is
@@ -236,7 +236,10 @@ def fit_potential(a_target: float, delta_e_target: float, mass: float) -> Double
             break
         hi *= 2.0
     else:
-        raise FitError(f"no bracket found for splitting target {delta_e_target}")
+        raise FitError(
+            f"mass {mass} too small for equilibrium {a_target} and splitting target "
+            f"{delta_e_target}: the splitting is above it at every alpha up to {alpha_max:g}"
+        )
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         f_mid = objective(mid)
         if f_mid < 0:

@@ -1,10 +1,11 @@
 """Independent references for the tests: named grids, sampled waves and an
-offset-corrected FFT, a detector's two numbers, the two-slit closed forms,
-the multi-slit form factor, the uniform-source visibility and fringe
-pattern, a least-squares fit of a pattern's fringe visibility, the grid
-reference for slit states, the mode mixture of a decomposition, the double
-well's two-level energies and the coupled-qubit Hamiltonian solved by
-``eigh``, and Python's text of data tables and protocols.
+offset-corrected FFT, a detector's two numbers, the two-slit closed forms
+(for a detector and at any detector overlap), the multi-slit form factor,
+the uniform-source visibility and fringe pattern, a least-squares fit of a
+pattern's fringe visibility, the grid reference for slit states, the mode
+mixture of a decomposition, the double well's two-level energies and the
+coupled-qubit Hamiltonian solved by ``eigh``, and Python's text of data
+tables and protocols.
 
 The grid reference samples the joint state psi(x, xi) on a particle x
 detector grid as a factor pair psi = left @ right.T, normalizes it by
@@ -172,6 +173,17 @@ def two_slit_schmidt(slits, det, particle_grid, detector_grid):
     modes_x = [cos_sin_mode(particle_grid, slits.sigma_x, slits.a, trig) for trig in (np.cos, np.sin)]
     modes_xi = [cos_sin_mode(detector_grid, det.sigma_xi, det.b, trig) for trig in (np.cos, np.sin)]
     return np.array(analytic_two_slit_weights(slits, *det)), modes_x, modes_xi
+
+
+def two_slit_gamma_weights(a, sigma_x, gamma):
+    """Closed-form two-slit weights (lambda_+, lambda_-) at detector overlap
+    gamma, lambda_+/- = (1 +/- q)(1 +/- gamma) / 2(1 + q gamma) with q the
+    slit overlap, not sorted.  Free of cancellation: 1 - q is taken from
+    expm1, and for gamma < 0, 1 + q gamma = (1 + gamma) - gamma (1 - q)."""
+    exponent = -(a**2) / (2.0 * sigma_x**2)
+    q, gap = np.exp(exponent), -np.expm1(exponent)
+    denom = 2.0 * ((1.0 + gamma) - gamma * gap if gamma < 0 else 1.0 + q * gamma)
+    return (1.0 + q) * (1.0 + gamma) / denom, gap * (1.0 - gamma) / denom
 
 
 # ---------------------------------------------------------------------------

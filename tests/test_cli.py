@@ -442,6 +442,21 @@ def test_tiny_mass_exits_2_naming_it(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "command, mass, fails",
     [
+        ("ammonia", "5e-23", "overlap exceeds 0.01 at every alpha"),
+        ("ammonia", "1e-21", "splitting target 0.00665: the splitting is above it at every alpha"),
+        ("qubits", "1e-21", "splitting target 0.00665: the splitting is above it at every alpha"),
+        ("ammonia", "1e-20", "splitting target 0.00665: the splitting is above it at every alpha"),
+    ],
+)
+def test_light_mass_exits_2_naming_it(tmp_path, capsys, command, mass, fails):
+    # from about 7.3e-23 to 1.23e-20 the fit once named only the splitting target
+    err = exits_2_with_one_error_line([command, "--mass", mass], tmp_path / "out", capsys)
+    assert f"mass {float(mass)} too small for equilibrium 0.699" in err and fails in err
+
+
+@pytest.mark.parametrize(
+    "command, mass, fails",
+    [
         ("ammonia", "1000", "splitting target 0.00665 unreachable"),
         ("qubits", "1e300", "splitting target 0.00665 unreachable"),
         ("ammonia", "100", "overlap 0.0251 is not below 0.01"),
@@ -785,8 +800,19 @@ def test_slits_within_the_schmidt_truncation_exit_2_naming_a_and_sigma_x(tmp_pat
         code = main([command, "--a", a, "--out", str(out)])
     err = capsys.readouterr().err.splitlines()
     assert code == 2 and len(err) == 1 and err[0].startswith("qmodes: error: ")
-    assert f"a={float(a):g}" in err[0] and "sigma_x=0.5" in err[0]
+    assert "no fringes" in err[0] and f"a={float(a):g}" in err[0] and "sigma_x=0.5" in err[0]
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("a", ["1.5e-6", "2e-6", "1e-5", "3e-5", "1e-4"])
+def test_closing_slits_above_the_truncation_give_k_1_at_phi_pi_over_2(tmp_path, capsys, a):
+    # phi = pi/2: the qubit overlap is -1, a product state of K = 1.  Its norm
+    # N^2 = 1/(2 - 2q) cancels as the slits close, and no weight depends on it
+    assert main(["coherence", "--a", a, "--format", "json", "--out", str(tmp_path)]) == 0
+    assert "error" not in capsys.readouterr().err
+    table = json.loads((tmp_path / "coherence_sweep.json").read_text(encoding="utf-8"))
+    phi, _, k, _ = table["rows"][-1]
+    assert phi == np.pi / 2.0 and k == 1.0
 
 
 ENTANGLED_REPORT = """{

@@ -1,5 +1,6 @@
-"""Grid, quadrature and linear-algebra contracts, and the FFT reference
-that the interference tests cross-check joint states with."""
+"""Grid and quadrature contracts, the two-qubit oracle's uncoupled
+spectrum, and the FFT reference that the interference tests cross-check
+joint states with."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from oracles import (
     two_slit_intensity,
     two_slit_norm,
 )
-from qmodes.numerics import NonHermitianError, eigh, grid, quadrature
+from qmodes.numerics import grid, quadrature
 from qmodes.tunneling import AMMONIA_EQUILIBRIUM, AMMONIA_ISOTOPES, AMMONIA_SPLITTING, DoubleWell, fit_potential
 
 
@@ -131,44 +132,11 @@ class TestFourier:
 
 
 class TestEigh:
-    def test_diagonal(self):
-        values, _ = eigh(np.diag([1.0, 2.0]))
-        assert np.allclose(values, [1.0, 2.0])
-
-    def test_pauli_x(self):
-        values, vectors = eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(values, [-1.0, 1.0])
-        assert np.allclose(np.abs(vectors), np.full((2, 2), 1 / np.sqrt(2)))
-
     def test_uncoupled_two_qubit_spectrum(self):
         from oracles import build_two_qubit, two_level_energies
         from qmodes.tunneling import AMMONIA_ISOTOPES, DoubleWell
 
         well = DoubleWell(69.29, 141.73, AMMONIA_ISOTOPES["NH3"][0])
         e0, e1 = two_level_energies(well)
-        values, _ = eigh(build_two_qubit(e0, e1, well, g0=0.0))
+        values, _ = np.linalg.eigh(build_two_qubit(e0, e1, well, g0=0.0))
         assert np.allclose(np.sort(values), np.sort([2 * e0, e0 + e1, e0 + e1, 2 * e1]), atol=1e-12)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(NonHermitianError):
-            eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_non_hermitian_matrix_in_a_stack_rejected(self):
-        stack = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]), np.eye(3)])
-        values, vectors = eigh(stack)
-        assert values.shape == (3, 3) and vectors.shape == (3, 3, 3)
-        stack[1, 0, 2] = 1e-6
-        with pytest.raises(NonHermitianError, match="matrix 1 "):
-            eigh(stack)
-
-    def test_residuals_property(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            n = int(rng.integers(2, 65))
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            h = 0.5 * (a + a.conj().T)
-            values, vectors = eigh(h)
-            residual = np.max(np.abs(h @ vectors - vectors * values))
-            assert residual < 1e-10 * max(1.0, np.max(np.abs(values)))
-            gram = vectors.conj().T @ vectors
-            assert np.max(np.abs(gram - np.eye(n))) < 1e-10

@@ -22,10 +22,9 @@ from oracles import (  # noqa: E402
     two_level_energies,
 )
 from qmodes.interference import SlitParams, detector_overlap, slit_state  # noqa: E402
-from qmodes.numerics import MAX_SLITS, NonHermitianError  # noqa: E402
+from qmodes.numerics import MAX_SLITS  # noqa: E402
 from qmodes.schmidt import (  # noqa: E402
     DEFAULT_TRUNCATION,
-    InvalidWeightsError,
     schmidt,
     schmidt_number,
     schmidt_stack,
@@ -120,27 +119,14 @@ def test_separated_slits_reach_m_modes(m, separation, sigma_xi, bs):
 
 
 def one_state_weights(slits, density):
-    """Schmidt weights of one state from 2-D products and eigensolves only."""
+    """Schmidt weights of one state from 2-D products and eigensolves only:
+    the eigenvalues over their sum, then truncated."""
     mu, e = np.linalg.eigh(slits.overlaps)
     kept = mu > DEFAULT_TRUNCATION * mu[-1]
     half = e[:, kept] * np.sqrt(mu[kept])
-    lam = np.linalg.eigh(half.T @ density @ half)[0][::-1]
+    lam = np.linalg.eigh(half.T @ density @ half)[0]
+    lam = (lam / lam.sum())[::-1]
     return lam[: max(int(np.sum(lam >= DEFAULT_TRUNCATION)), 1)]
-
-
-def decomposes(slits, density):
-    try:
-        schmidt(slits, density)
-    except NonHermitianError:
-        return False
-    return True
-
-
-def number_or_invalid(weights):
-    try:
-        return schmidt_number(weights)
-    except InvalidWeightsError:
-        return "invalid"
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,22 +139,20 @@ def number_or_invalid(weights):
 def test_stacked_decompositions_are_each_states_bit_for_bit(m, ratio, gammas):
     slits = SlitParams(a=0.5 * ratio, sigma_x=0.5, m=m)
     states = np.stack([slit_state(slits, g) for g in gammas])
-    # twice a density matrix has weights that sum to 2: invalid in the stack too
     densities = np.concatenate([states, 2.0 * states[:1]])
-    if not all(decomposes(slits, density) for density in states):
-        # near gamma = -1 overlapping slits leave a state of tiny norm, whose
-        # reduced matrix rounds too far from symmetric; the stack says so too
-        with pytest.raises(NonHermitianError):
-            schmidt_stack(slits, densities)
-        return
     stacked = schmidt_stack(slits, densities)
-    for density, (weights, coefficients) in zip(states, stacked):
+    for density, (weights, coefficients) in zip(densities, stacked):
         single_weights, single_coefficients = schmidt(slits, density)
         assert weights.tobytes() == single_weights.tobytes() == one_state_weights(slits, density).tobytes()
         assert coefficients.tobytes() == single_coefficients.tobytes()
-        assert number_or_invalid(weights) == number_or_invalid(single_weights)
-    with pytest.raises(InvalidWeightsError):
-        schmidt_number(stacked[-1][0])
+        assert schmidt_number(weights) == schmidt_number(single_weights)
+    # twice a density matrix decomposes like D, as the weights are the
+    # eigenvalues over their sum.  Bit for bit but where every weight is
+    # about 1/m (gamma = 0, a / sigma_x above about 9): there LAPACK rounds the
+    # doubled matrix's degenerate spectrum differently, by up to 2e-17
+    (weights, _), (doubled, _) = stacked[0], stacked[-1]
+    assert doubled.size == weights.size
+    assert np.max(np.abs(doubled - weights)) < 1e-16
 
 
 # every float64: random bit patterns reach every exponent, subnormals and

@@ -16,6 +16,7 @@ from oracles import (
     span,
     symmetric,
     trapezoid_weights,
+    two_slit_gamma_weights,
     two_slit_schmidt,
 )
 from qmodes.interference import MOMENTUM, SlitParams, basis_density, detector_overlap, slit_basis, slit_state
@@ -118,6 +119,21 @@ class TestNumericalSchmidt:
         assert np.max(np.abs(weights - reported)) < 1e-4
         assert schmidt_number(weights) == pytest.approx(3.1043, abs=2e-4)
         assert entropy(weights) == pytest.approx(1.8429, abs=2e-4)
+
+    @pytest.mark.parametrize(
+        "gamma, rel",
+        [(-1.0, 0.0), (-(1.0 - 1e-6), 1e-9), (-0.9, 1e-14), (-0.5, 1e-14), (0.0, 1e-14), (0.5, 1e-14), (1.0, 0.0)],
+    )
+    def test_two_slit_schmidt_number_at_any_overlap_down_to_closing_slits(self, gamma, rel):
+        # the weights are the eigenvalues over their sum, so no rounding of
+        # N^2 = 1/(2 + 2 q gamma) reaches them, which cancels as q -> 1 at
+        # gamma = -1.  From a just above the ``check_fringes`` bound 1e-6
+        for a in np.geomspace(1.1e-6, 5.0, 40):
+            slits = SlitParams(a=float(a), sigma_x=0.5, m=2)
+            k = schmidt_number(schmidt(slits, slit_state(slits, gamma))[0])
+            lam_plus, lam_minus = two_slit_gamma_weights(a, 0.5, gamma)
+            expected = 1.0 / (lam_plus**2 + lam_minus**2)
+            assert abs(k - expected) <= rel * expected, a
 
     def test_gram_oracle_matches_svd_for_various_m(self):
         for m, b in ((2, 0.3), (3, 0.5), (4, 0.8), (6, 0.25)):
