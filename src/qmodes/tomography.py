@@ -41,7 +41,6 @@ __all__ = [
     "INCOMPLETE",
     "InadequateDataError",
     "ZeroFactorsError",
-    "QubitOnlyError",
     "vectorize",
     "devectorize",
     "analyze",
@@ -76,24 +75,15 @@ class ZeroFactorsError(ValueError):
     """All defined factors vanish; K_max = 1/(f+ f) is undefined."""
 
 
-class QubitOnlyError(ValueError):
-    """The completion range is implemented for qubit protocols (s = 2) only."""
-
-
 def vectorize(rho) -> np.ndarray:
     """Column-stack a square matrix: second column under the first, and so on."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    return rho.ravel(order="F")
+    return np.asarray(rho).ravel(order="F")
 
 
 def devectorize(vec) -> np.ndarray:
     """Inverse of :func:`vectorize`."""
     vec = np.asarray(vec)
-    s = int(round(np.sqrt(vec.size)))
-    if s * s != vec.size:
-        raise ValueError(f"length {vec.size} is not a perfect square")
+    s = math.isqrt(vec.size)
     return vec.reshape(s, s, order="F")
 
 
@@ -102,13 +92,10 @@ def analyze(b) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     as (U, V, s, rank); the rank counts the s above ``DEFAULT_RANK_THRESHOLD`` x s_max.
 
     B has one row per measurement and s^2 columns, one per entry of the
-    column-stacked s x s density matrix; raises ``ValueError`` unless it is
-    2-D with a perfect-square column count.  V is s^2 x s^2 and U has
+    column-stacked s x s density matrix.  V is s^2 x s^2 and U has
     min(N, s^2) columns.
     """
     b = np.asarray(b)
-    if b.ndim != 2 or math.isqrt(b.shape[1]) ** 2 != b.shape[1]:
-        raise ValueError(f"a protocol matrix has N rows and s^2 columns, got shape {b.shape}")
     # thin in U (N may be large); V stays square, its columns past the rank
     # span the undefined factors
     u, s, vh = np.linalg.svd(b, full_matrices=b.shape[0] < b.shape[1])
@@ -126,8 +113,6 @@ def check_adequacy(analysis: tuple, p):
     """
     u, _, _, rank = analysis
     p = np.asarray(p)
-    if p.shape[0] != u.shape[0]:
-        raise ValueError(f"data length {p.shape[0]} does not match {u.shape[0]} measurements")
     total = float(np.linalg.norm(p))
     if total == 0.0:
         return True, 0.0
@@ -216,8 +201,6 @@ def completion_purity_range(analysis: tuple, p) -> tuple[float, float]:
     eigenvalue below -``EIGENVALUE_TOL``.
     """
     _, v, _, rank = analysis
-    if v.shape[0] != 4:
-        raise QubitOnlyError(f"completion range needs s = 2, got s^2 = {v.shape[0]}")
     factors, _ = _defined_factors(analysis, p)
     defined = v[:, :rank].conj().T
     coeffs = defined @ _BLOCH_MAP
@@ -253,8 +236,6 @@ def interference_protocol(slits: SlitParams, n_points: int) -> np.ndarray:
     = -2i env(p) sin(p a), and 1 - q = -expm1(-a^2 / 2 sigma^2).  Raises
     ``ValueError`` unless a and a / sigma_x lie within [1e-152, 1e152].
     """
-    if slits.m != 2:
-        raise ValueError(f"protocol is defined on the two-slit space, got m={slits.m}")
     if n_points < 2:
         raise ValueError(f"need at least 2 sample points per space, got {n_points}")
     if n_points > MAX_COUNT:

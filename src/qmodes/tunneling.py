@@ -43,7 +43,6 @@ __all__ = [
     "AMMONIA_EQUILIBRIUM",
     "AMMONIA_SPLITTING",
     "GHZ_PER_MODEL_UNIT",
-    "DegenerateWellError",
     "InsufficientGridError",
     "UnresolvedSplittingError",
     "FitError",
@@ -74,10 +73,6 @@ _DVR_START_POINTS = 64
 _DVR_STEP_POINTS = 32
 _DVR_CONVERGENCE = 1e-9
 _EPS = np.finfo(float).eps
-
-
-class DegenerateWellError(ValueError):
-    """Wells coincide (a = 0): the antisymmetric combination is singular."""
 
 
 class InsufficientGridError(ValueError):
@@ -170,8 +165,6 @@ def two_level_splitting(well: DoubleWell) -> float:
     the subnormal range keeps its value where eps itself underflows.
     """
     eps = well.overlap
-    if eps >= 1.0 or well.a == 0.0:
-        raise DegenerateWellError("wells coincide; antisymmetric state undefined")
     if eps > OVERLAP_VALIDITY:
         warnings.warn(
             f"inter-well overlap {eps:.3g} > {OVERLAP_VALIDITY}; two-level results are unreliable",

@@ -876,3 +876,73 @@ FIG3_REPORT = """{
 def test_fig3_report_bytes(tmp_path):
     assert main(["figures", "fig3", "--format", "json", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "fig3_report.json").read_text(encoding="utf-8") == FIG3_REPORT
+
+
+# the robustness probe: every numeric flag of every command, and the grid
+# size, at values that break a careless parser or model, and the slit
+# spacings just above the two-slit fringe bound (1e-6 at sigma_x = 0.5)
+PROBE_VALUES = ["0", "-1", "nan", "inf", "-inf", "5e-324", "1e300", "x", "65537"]
+PROBE_SPACINGS = ["1e-6", "1e-5", "3e-5", "1e-4"]
+# messages of checks on values the package computes for itself; those
+# checks are gone, and no flag may reach a message like theirs
+INTERNAL_MESSAGES = [
+    "weight vector",
+    "weights must be non-negative",
+    "weights sum to",
+    "deviates from Hermitian",
+    "visibility must lie in",
+    "source size must be",
+    "completion range needs s = 2",
+    "two-slit space",
+    "square matrix",
+    "perfect square",
+    "s^2 columns",
+    "does not match",
+    "wells coincide",
+]
+
+
+def probe_runs(command):
+    defaults = scenarios.COMPUTATIONS[command][1]
+    keys = [key for key, default in defaults.items() if isinstance(default, (int, float))]
+    for key in ["grid_points", *keys]:
+        flag = "--" + key.replace("_", "-")
+        for value in PROBE_VALUES + (PROBE_SPACINGS if key in ("a", "b") else []):
+            yield [command, flag, value] + ([] if key == "grid_points" else ["--grid-points", "64"])
+
+
+def test_probe_covers_every_numeric_flag_of_every_command():
+    runs = [argv for command in COMMANDS for argv in probe_runs(command)]
+    assert len(runs) >= 250
+    flags = {(argv[0], argv[1]) for argv in runs}
+    for command in COMMANDS:
+        assert (command, "--grid-points") in flags
+        for key, default in scenarios.COMPUTATIONS[command][1].items():
+            if isinstance(default, (int, float)):
+                assert (command, "--" + key.replace("_", "-")) in flags
+    spacings = {argv[2] for argv in runs if argv[1] in ("--a", "--b")}
+    assert spacings >= set(PROBE_VALUES + PROBE_SPACINGS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_probe_every_run_exits_0_or_2_with_its_error_line(command, tmp_path, capsys):
+    runs = list(probe_runs(command))
+    flagged = []
+    # a warning prints as the line a user sees, not as the test's exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        for i, argv in enumerate(runs):
+            out = tmp_path / str(i)
+            try:
+                code = main([*argv, "--out", str(out)])
+            except Exception as exc:  # a user would see a traceback
+                code = f"Traceback: {type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            lines = err.splitlines()
+            errors = [line for line in lines if line.startswith("qmodes: error: ")]
+            others = [line for line in lines if line not in errors and not line.startswith("qmodes: warning: ")]
+            ok = (code == 0 and not errors) or (code == 2 and len(errors) == 1 and not out.exists())
+            internal = [m for m in ["Traceback", *INTERNAL_MESSAGES] if m in err]
+            if not ok or others or internal:
+                flagged.append((" ".join(argv), code, err))
+    assert flagged == []

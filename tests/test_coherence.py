@@ -164,10 +164,6 @@ class TestCouplingFormulas:
             k = k_from_v(float(v))
             assert np.sqrt((2.0 - k) / k) == pytest.approx(v, abs=1e-12)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            k_from_v(1.5)
-
     def test_array_form_is_the_scalar_form_bitwise(self):
         fig7 = source_visibility(np.linspace(0.0, 0.5, 257))
         # the coherence scenario's 17 visibilities, read from its states
@@ -179,12 +175,21 @@ class TestCouplingFormulas:
             assert k.tobytes() == np.array([k_from_v(float(t)) for t in v]).tobytes()
         assert isinstance(k_from_v(0.3), float) and isinstance(k_from_v(np.float64(0.3)), float)
 
-    @pytest.mark.parametrize("bad", [np.nan, 1.5])
-    def test_bad_entry_in_array_rejected(self, bad):
-        v = source_visibility(np.linspace(0.0, 0.5, 257))
-        v[100] = bad
-        with pytest.raises(ValueError, match=f"got {bad}"):
-            k_from_v(v)
+    def test_every_visibility_k_from_v_receives_lies_in_0_1(self):
+        # k_from_v checks no range: it receives |sinc 4y| or a two-slit
+        # state's visibility fl(|gamma/t|)/fl(1/t), and monotone rounding keeps
+        # both in [0, 1] exactly, also for slits closing just past the fringe
+        # bound and at every phase of the qubit
+        phis = np.linspace(0.0, np.pi / 2.0, 1025)
+        received = [np.abs(source_coherence(np.linspace(0.0, 0.5, 257)))]
+        for a in (A, 1e-4, 3e-5, 1e-5):
+            slits = SlitParams(a=a, sigma_x=SIGMA, m=2)
+            received.append(visibility(np.stack([slit_state(slits, g) for g in np.cos(2.0 * phis)])))
+            received.append(visibility(np.stack([slit_state(slits, source_coherence(y)) for y in CATALOG_Y])))
+        for v in received:
+            assert np.all((0.0 <= v) & (v <= 1.0))
+            k = k_from_v(v)
+            assert np.all((1.0 <= k) & (k <= 2.0))
 
     def test_entropy_endpoints(self):
         # the two-mode weights ((1 + V)/2, (1 - V)/2) of orthogonal slit states
@@ -227,14 +232,6 @@ class TestSourceModel:
         for zero in (0.25, 0.5, 0.75):
             assert k_from_v(source_visibility(zero)) == pytest.approx(2.0, abs=1e-12)
 
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            source_coherence(-0.1)
-        with pytest.raises(ValueError):
-            source_visibility(-0.1)
-        with pytest.raises(ValueError):
-            k_from_v(source_visibility(-1.0))
-
     def test_array_form_is_the_scalar_form_bitwise(self):
         y = np.linspace(0.0, 0.5, 257)  # the fig7 grid
         v = source_visibility(y)
@@ -243,14 +240,6 @@ class TestSourceModel:
         assert v.tobytes() == np.array([source_visibility(float(t)) for t in y]).tobytes()
         assert k.tobytes() == np.array([k_from_v(source_visibility(float(t))) for t in y]).tobytes()
         assert isinstance(source_visibility(0.1), float) and isinstance(k_from_v(source_visibility(0.1)), float)
-
-    def test_negative_entry_in_array_rejected(self):
-        y = np.linspace(0.0, 0.5, 257)
-        y[100] = -1e-9
-        with pytest.raises(ValueError, match="-1e-09"):
-            source_visibility(y)
-        with pytest.raises(ValueError):
-            k_from_v(source_visibility(y.reshape(1, -1)))
 
     def test_consistency_with_coupling(self):
         # separated slits: the closed form is the state's decomposition,

@@ -3,7 +3,8 @@ every exported function or class of a layer module is used by the package,
 every module-level name a module defines is read somewhere in the package,
 every definition of the text kernel serves its one entry point, every
 default of an exported function or dataclass is set by some call in the
-package, and the only dataclasses are the two parameter types."""
+package, the only dataclasses are the two parameter types, and every
+exception class is a ``ValueError`` that some ``raise`` raises."""
 
 import ast
 import dataclasses
@@ -171,3 +172,35 @@ def test_the_only_dataclasses_are_the_two_parameter_types():
         and any("dataclass" in identifiers(decorator) for decorator in node.decorator_list)
     }
     assert found == {"interference.SlitParams", "tunneling.DoubleWell"}
+
+
+# the limits only a computation can detect; every other bad value is
+# rejected where it enters, by a plain ValueError
+EXCEPTIONS = {
+    "UnresolvedFringesError",
+    "InadequateDataError",
+    "ZeroFactorsError",
+    "InsufficientGridError",
+    "UnresolvedSplittingError",
+    "FitError",
+}
+
+
+def test_every_exception_class_is_a_value_error_that_some_raise_raises():
+    # cli.main turns a ValueError into one error line and exit 2; any other
+    # exception would end a run in a traceback
+    defined = {
+        name: obj
+        for module in MODULES
+        for name, obj in vars(importlib.import_module(module)).items()
+        if inspect.isclass(obj) and issubclass(obj, BaseException) and obj.__module__ == module
+    }
+    assert set(defined) == EXCEPTIONS
+    assert [name for name, obj in defined.items() if not issubclass(obj, ValueError)] == []
+    raised = {
+        called_name(node.exc) if isinstance(node.exc, ast.Call) else getattr(node.exc, "id", None)
+        for tree in SOURCES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+    assert sorted(EXCEPTIONS - raised) == []

@@ -22,7 +22,6 @@ from oracles import (
 from qmodes.interference import MOMENTUM, SlitParams, basis_density, detector_overlap, slit_basis, slit_state
 from qmodes.numerics import quadrature
 from qmodes.schmidt import (
-    InvalidWeightsError,
     analytic_two_slit_weights,
     entropy,
     information,
@@ -279,21 +278,6 @@ class TestMeasures:
         w = (0.8033, 0.1967)
         assert entropy(w) == pytest.approx(0.7153, abs=1e-4)
         assert schmidt_number(w) == pytest.approx(1.4621, abs=1e-4)
-
-    def test_invalid_weights(self):
-        with pytest.raises(InvalidWeightsError):
-            entropy([0.5, 0.4])
-        with pytest.raises(InvalidWeightsError):
-            schmidt_number([1.2, -0.2])
-        with pytest.raises(InvalidWeightsError):
-            entropy(np.empty(0))
-        # a NaN fails a comparison without raising, so each check is written to fail on it
-        with pytest.raises(InvalidWeightsError):
-            schmidt_number([np.nan])
-        with pytest.raises(InvalidWeightsError):
-            entropy([0.5, np.nan, 0.5])
-        with pytest.raises(InvalidWeightsError):
-            schmidt_number([1.0, np.inf])
 
 
 class TestMixtureAndDensity:

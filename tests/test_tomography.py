@@ -7,7 +7,6 @@ from oracles import SampledWave, conjugate_grid, fourier_to_momentum, span, symm
 from qmodes import tomography
 from qmodes.interference import COORDINATE, MOMENTUM, SlitParams, slit_basis
 from qmodes.tomography import (
-    QubitOnlyError,
     analyze,
     completion_purity_range,
     reconstruct,
@@ -142,16 +141,12 @@ def test_no_completion_gives_nan(p):
     assert np.isnan(lo) and np.isnan(hi)
 
 
-def test_non_qubit_protocol_rejected():
-    analysis = analyze(np.eye(9, dtype=complex)[:2])
-    with pytest.raises(QubitOnlyError, match="s = 2"):
-        completion_purity_range(analysis, np.array([0.5, 0.5]))
-
-
-@pytest.mark.parametrize("b", [np.ones(4), np.ones((3, 5))], ids=["1-D", "3x5"])
-def test_protocol_matrix_must_be_2d_with_square_column_count(b):
-    with pytest.raises(ValueError, match="s\\^2 columns"):
-        analyze(b)
+def test_vanishing_data_raise_zero_factors_error():
+    # zero data are adequate and all their defined factors vanish; K_max =
+    # 1/(f+ f) would raise ZeroDivisionError, which is no ValueError, so a CLI
+    # run would end in a traceback
+    with pytest.raises(tomography.ZeroFactorsError, match="K_max undefined"):
+        reconstruct(populations(), np.zeros(2))
 
 
 def test_inadequate_data_still_raises():

@@ -14,7 +14,6 @@ from qmodes.tunneling import (
     AMMONIA_ISOTOPES,
     AMMONIA_SPLITTING,
     GHZ_PER_MODEL_UNIT,
-    DegenerateWellError,
     DoubleWell,
     FitError,
     InsufficientGridError,
@@ -119,13 +118,10 @@ class TestTwoLevelEnergies:
             two_level_splitting(well)
         t0, _, _, _ = well_terms(well)
         assert t0 == pytest.approx(1.0 / 8.0, rel=1e-6)
-
-    def test_degenerate_well_rejected(self):
-        # alpha/beta underflows to a = 0; a/sigma_x = 5e-15 rounds the overlap to 1
-        for well in (DoubleWell(1e-200, 1e200, 1.0), DoubleWell(1e-30, 1e-16, 1.0)):
-            assert well.overlap == 1.0
-            with pytest.raises(DegenerateWellError):
-                two_level_splitting(well)
+        # closer still the overlap rounds to 1: alpha/beta underflows to a = 0,
+        # or a/sigma_x = 5e-15
+        for coincident in (DoubleWell(1e-200, 1e200, 1.0), DoubleWell(1e-30, 1e-16, 1.0)):
+            assert coincident.overlap == 1.0
 
     def test_nh3_splitting(self):
         _, (e0, e1, splitting) = paper_energies(2.47)
@@ -186,6 +182,19 @@ class TestFit:
 
         values = [splitting(alpha) for alpha in (40.0, 60.0, 80.0, 120.0, 200.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("mass", [*(mass for mass, _ in AMMONIA_ISOTOPES.values()), 1e-3, 0.1, 10.0, 30.0, 100.0])
+    def test_a_fitted_well_is_valid_or_the_fit_fails(self, mass):
+        # two_level_splitting checks no overlap: every well it receives comes
+        # from this fit, which returns none at or past the validity limit
+        try:
+            well = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, mass)
+        except FitError as exc:
+            assert f"mass {mass} too" in str(exc)
+            return
+        assert well.a == pytest.approx(AMMONIA_EQUILIBRIUM, rel=1e-12)
+        assert well.overlap < tunneling.OVERLAP_VALIDITY
+        assert two_level_splitting(well) == pytest.approx(AMMONIA_SPLITTING, rel=1e-8)
 
     def test_validity_violation_rejected(self):
         with pytest.raises(FitError):
