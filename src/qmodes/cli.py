@@ -41,8 +41,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from .scenarios import COMPUTATIONS, list_scenarios, run
 
 __all__ = ["main", "parse_config"]
@@ -182,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
             grid_points = params.pop("grid_points", _COMMON["grid_points"][0])
             # through this module's `run`, which a tracer may wrap
             report, wall = run(scenario_name, out, fmt, grid_points, params)
-        except (ValueError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             print(f"qmodes: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return 2
 

@@ -75,28 +75,24 @@ def check_fringes(slits: SlitParams) -> None:
 def visibility(density):
     """Fringe visibility 2|D_01| / (D_00 + D_11) of a two-slit density matrix D.
 
-    Elementwise over a stack of matrices; one matrix gives a float.
+    Elementwise over a stack of matrices.
     """
-    d = np.asarray(density)
-    v = 2.0 * np.abs(d[..., 0, 1]) / (d[..., 0, 0] + d[..., 1, 1])
-    return v if v.ndim else float(v)
+    return 2.0 * np.abs(density[..., 0, 1]) / (density[..., 0, 0] + density[..., 1, 1])
 
 
 def k_from_v(v):
     """K = 2/(1 + v^2): the Schmidt number of a state of visibility v whose
     two slit states are orthogonal.
 
-    Elementwise over an array of visibilities; a scalar v gives a float.
+    Elementwise over an array of visibilities.
     """
-    k = 2.0 / (1.0 + np.square(v))
-    return k if np.ndim(k) else float(k)
+    return 2.0 / (1.0 + np.square(v))
 
 
 def source_coherence(y):
     """Overlap gamma = sinc(4 y) of a uniform source of dimensionless size y.
 
     Signed: negative for y in (1/4, 1/2), where the fringes reverse their
-    contrast.  Elementwise over an array of sizes; a scalar y gives a float.
+    contrast.  Elementwise over an array of sizes.
     """
-    gamma = np.sinc(4.0 * np.asarray(y, dtype=float))
-    return gamma if gamma.ndim else float(gamma)
+    return np.sinc(4.0 * y)

@@ -134,11 +134,10 @@ def slit_state(slits: SlitParams, overlap: float) -> np.ndarray:
     rho_x = sum_jk D[j, k] |u_j><u_k|.  gamma is ``detector_overlap(b, sigma_xi)``
     for a which-way detector, cos 2 phi for the coherence qubit and the
     signed ``coherence.source_coherence(y)`` for a uniform source; gamma = 1
-    leaves the particle unentangled.  Raises ``ValueError`` unless
-    -1 <= gamma <= 1, and when the joint amplitude vanishes.
+    leaves the particle unentangled.  Every such gamma lies in [-1, 1], so
+    it is taken as given; raises ``ValueError`` when the joint amplitude
+    vanishes.
     """
-    if not -1.0 <= overlap <= 1.0:
-        raise ValueError(f"detector overlap must lie in [-1, 1], got {overlap}")
     s_xi = _overlap_matrix(overlap, slits.m)
     total = float(np.sum(slits.overlaps * s_xi))
     if not total > 0:

@@ -19,20 +19,20 @@ across repeated runs with the same configuration; the wall time is
 returned to the caller but kept out of the serialized report.
 
 This module alone knows the output formats.  Data tables are float64
-columns of equal length.  A CSV table is the comma-joined header line
-followed by one ``%.12g`` comma-separated line per row, every line ending
-in ``\\n``.  A JSON table is byte-equal to ``json.dumps({"columns": names,
-"rows": rows}, indent=2, sort_keys=True)`` plus ``\\n``, with ``NaN``,
-``Infinity`` and ``-Infinity`` for non-finite values.  Reports and the
-other JSON files are written the same way, with an array as its nested
-lists and a complex entry as its ``[re, im]`` pair.  Every data table, and
-a measurement protocol's matrix, is streamed in blocks of rows of about
-2048 values, in either format, through one kernel,
-:func:`qmodes.text.format_rows`, which writes each value as Python does
-(``%.12g``, or the token ``json.dumps`` writes) and hands the rare value
-float64 arithmetic cannot settle to Python; the separators between values
-spell out the CSV commas and newlines or ``json.dumps``' indentation.
-Only an empty JSON table goes through ``json.dump``.
+columns of equal length, at least one row long.  A CSV table is the
+comma-joined header line followed by one ``%.12g`` comma-separated line
+per row, every line ending in ``\\n``.  A JSON table is byte-equal to
+``json.dumps({"columns": names, "rows": rows}, indent=2, sort_keys=True)``
+plus ``\\n``, with ``NaN``, ``Infinity`` and ``-Infinity`` for non-finite
+values.  Reports and the other JSON files are written the same way, with
+an array as its nested lists and a complex entry as its ``[re, im]`` pair.
+Every data table, and a measurement protocol's matrix, is streamed in
+blocks of rows of about 2048 values, in either format, through one
+kernel, :func:`qmodes.text.format_rows`, which writes each value as
+Python does (``%.12g``, or the token ``json.dumps`` writes) and hands the
+rare value float64 arithmetic cannot settle to Python; the separators
+between values spell out the CSV commas and newlines or ``json.dumps``'
+indentation.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ def _save_values(path: Path, fmt: str, head: str, table: np.ndarray, seps: list[
     it followed by its column's separator from ``seps``, with ``tail`` in
     place of the last separator; streamed in as few blocks of rows as hold
     about ``_BLOCK_VALUES`` values each, their row counts differing by
-    at most one.  An empty table writes ``head`` alone."""
+    at most one."""
     rows, cols = table.shape
     blocks = min(rows, -(-rows * cols // _BLOCK_VALUES))
-    bounds = [rows * k // blocks for k in range(blocks + 1)] if blocks else []
+    bounds = [rows * k // blocks for k in range(blocks + 1)]
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
         for start, stop in zip(bounds, bounds[1:]):
@@ -110,10 +110,7 @@ def _check_table(stem: str, names: list[str], columns: list[np.ndarray]):
 def _save_table(path: Path, fmt: str, names: list[str], columns: list[np.ndarray]):
     """Write the checked ``columns`` under ``names`` as one table."""
     table = np.column_stack(columns).astype(np.float64, copy=False)
-    if fmt == "json" and not len(table):
-        # json.dumps spells the empty row list
-        _save_json(path, {"columns": names, "rows": []})
-    elif fmt == "csv":
+    if fmt == "csv":
         seps = [b","] * (len(names) - 1) + [b"\n"]
         _save_values(path, fmt, ",".join(names) + "\n", table, seps, "\n")
     else:
@@ -291,8 +288,8 @@ def _run_detector_sweep(params: dict, n: int) -> tuple[dict, list]:
 
 def _run_source(params: dict, n: int) -> tuple[dict, list]:
     """Fringe patterns, visibilities and Schmidt numbers at five source sizes y."""
-    y_values = (0.0, 0.0625, 0.125, 0.1875, 0.25)
-    overlaps = [coherence.source_coherence(y) for y in y_values]
+    y_values = np.array([0.0, 0.0625, 0.125, 0.1875, 0.25])
+    overlaps = coherence.source_coherence(y_values)
     scalars, files, densities = _sweep(_slits(params, 2), n, "y", y_values, overlaps)
     for y, v in zip(y_values, coherence.visibility(densities)):
         scalars[f"visibility_y_{y:g}"] = v

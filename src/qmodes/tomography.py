@@ -20,10 +20,11 @@ completions are its intersection with the unit Bloch ball
 (``completion_purity_range``).
 
 ``analyze`` returns the SVD and the rank as the tuple (U, V, singular
-values, rank), which ``check_adequacy``, ``reconstruct`` and
-``completion_purity_range`` take as it is.  ``reconstruct`` returns its
-report as a dict of plain values and numpy arrays, which the scenario
-runner writes as it is; this module knows no output format.
+values, rank), which ``reconstruct`` and ``completion_purity_range`` take
+as it is; both refuse inadequate data with ``InadequateDataError``.
+``reconstruct`` returns its report as a dict of plain values and numpy
+arrays, which the scenario runner writes as it is; this module knows no
+output format.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "vectorize",
     "devectorize",
     "analyze",
-    "check_adequacy",
     "reconstruct",
     "completion_purity_range",
     "interference_protocol",
@@ -99,26 +99,8 @@ def analyze(b) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     # thin in U (N may be large); V stays square, its columns past the rank
     # span the undefined factors
     u, s, vh = np.linalg.svd(b, full_matrices=b.shape[0] < b.shape[1])
-    rank = int(np.sum(s > DEFAULT_RANK_THRESHOLD * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.sum(s > DEFAULT_RANK_THRESHOLD * s[0]))
     return u, vh.conj().T, s, rank
-
-
-def check_adequacy(analysis: tuple, p):
-    """Relative norm of the data outside the protocol's column space.
-
-    With U_r the first r = rank columns of U, the part P - U_r U_r+ P (the
-    rotated data Q = U+ P beyond component r) must vanish for the linear
-    system to be consistent, within ``DEFAULT_ADEQUACY_TOL``.  Returns
-    (adequate, residual).
-    """
-    u, _, _, rank = analysis
-    p = np.asarray(p)
-    total = float(np.linalg.norm(p))
-    if total == 0.0:
-        return True, 0.0
-    u_r = u[:, :rank]
-    residual = float(np.linalg.norm(p - u_r @ (u_r.conj().T @ p)) / total)
-    return residual <= DEFAULT_ADEQUACY_TOL, residual
 
 
 def _physical(rho: np.ndarray) -> bool:
@@ -130,12 +112,21 @@ def _physical(rho: np.ndarray) -> bool:
 
 
 def _defined_factors(analysis: tuple, p) -> tuple[np.ndarray, float]:
-    """Defined factors Q_j / S_j, j <= rank, of adequate data, and the adequacy residual."""
-    adequate, residual = check_adequacy(analysis, p)
-    if not adequate:
-        raise InadequateDataError(residual)
+    """Defined factors Q_j / S_j, j <= rank, of adequate data, and the adequacy residual.
+
+    With U_r the first r = rank columns of U, the part P - U_r Q_r of the
+    data outside the protocol's column space (the rotated data Q = U+ P
+    beyond component r) must vanish for the linear system to be consistent:
+    its norm relative to |P|, the residual, above ``DEFAULT_ADEQUACY_TOL``
+    raises ``InadequateDataError``.  Zero data have residual 0.
+    """
     u, _, s, r = analysis
-    q = u[:, :r].conj().T @ np.asarray(p)
+    p = np.asarray(p)
+    q = u[:, :r].conj().T @ p
+    total = float(np.linalg.norm(p))
+    residual = float(np.linalg.norm(p - u[:, :r] @ q) / total) if total else 0.0
+    if not residual <= DEFAULT_ADEQUACY_TOL:
+        raise InadequateDataError(residual)
     return q / s[:r], residual
 
 

@@ -95,7 +95,11 @@ def _require_finite_positive(**values: float):
 
 @dataclass(frozen=True)
 class DoubleWell:
-    """Quartic double well -alpha x^2/2 + beta x^4/4 for a particle of given mass."""
+    """Quartic double well -alpha x^2/2 + beta x^4/4 for a particle of given mass.
+
+    The fields must be finite and positive, and the wells apart: a well
+    whose inter-well overlap rounds to 1 has no splitting and is refused.
+    """
 
     alpha: float
     beta: float
@@ -103,6 +107,8 @@ class DoubleWell:
 
     def __post_init__(self):
         _require_finite_positive(alpha=self.alpha, beta=self.beta, mass=self.mass)
+        if self.overlap == 1.0:
+            raise ValueError(f"wells coincide: the inter-well overlap of {self} rounds to 1")
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         return -self.alpha * x**2 / 2.0 + self.beta * x**4 / 4.0
@@ -268,14 +274,11 @@ def lowest_levels(potential_values, mass: float, spacing: float) -> np.ndarray:
     the number of potential samples: U sampled on the diagonal and the
     Toeplitz kinetic row pi^2/3 at k = 0, 2(-1)^k/k^2 at k != 0, over
     2 m dx^2.  It converges exponentially in the spacing while the wave
-    functions vanish at the grid ends.  The dense Hamiltonian is n x n, so
-    grids of more than ``MAX_DVR_POINTS`` points raise
-    ``InsufficientGridError``.
+    functions vanish at the grid ends.  The dense Hamiltonian is n x n;
+    ``grid_eigensolve`` keeps n within ``MAX_DVR_POINTS``.
     """
     u = np.asarray(potential_values, dtype=float)
     n = u.shape[0]
-    if n > MAX_DVR_POINTS:
-        raise InsufficientGridError(f"the dense DVR takes at most {MAX_DVR_POINTS} points, got {n}")
     k = np.arange(1, n)
     row = np.concatenate(([np.pi**2 / 3.0], 2.0 * (-1.0) ** k / k**2)) / (2.0 * mass * spacing**2)
     # window i of [row[n-1], ..., row[1], row[0], ..., row[n-1]] is H's row n-1-i

@@ -658,6 +658,16 @@ def test_memory_error_exits_2_with_an_error_line(tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr().err == f"qmodes: error: {message or 'MemoryError'}\n"
 
 
+def test_linear_algebra_error_exits_2_with_an_error_line(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError, so main's except clause catches it
+    def unconverged(name, out_dir, fmt, grid_points, params):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "run", unconverged)
+    assert main(["tomography", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "qmodes: error: SVD did not converge\n"
+
+
 def test_tiny_slit_spacing_runs_without_warnings(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

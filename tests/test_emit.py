@@ -43,7 +43,6 @@ TABLES = {
     "integer-only": (["k"], [np.arange(-3, 4, dtype=np.int32)]),
     "one-column": (["x"], [rng.standard_normal(10)]),
     "one-row": (["a", "b", "c"], [np.array([0.5]), np.array([-1.0]), np.array([2.0])]),
-    "zero-rows": (["a", "b"], [np.zeros(0), np.zeros(0)]),
     "eight-columns": ([f"c{i}" for i in range(8)], list(rng.standard_normal((8, 37)))),
     # more rows than one write block, so block boundaries are crossed
     "multi-block": (["p", "q"], [np.linspace(-3.0, 3.0, 1500), rng.random(1500)]),

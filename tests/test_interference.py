@@ -18,6 +18,7 @@ from oracles import (
     two_slit_norm,
     visibility_from_intensity,
 )
+from qmodes import coherence
 from qmodes.interference import (
     COORDINATE,
     MOMENTUM,
@@ -398,10 +399,23 @@ class TestInvariants:
         with pytest.raises(ValueError):
             detector_overlap(-0.1, 0.5)
 
-    @pytest.mark.parametrize("overlap", [1.5, -1.5, np.nan])
-    def test_detector_overlap_outside_unit_interval_rejected(self, overlap):
-        with pytest.raises(ValueError, match="detector overlap must lie in"):
-            slit_state(SlitParams(a=A, sigma_x=SIGMA, m=2), overlap)
+    @pytest.mark.parametrize("source", ["detector", "qubit-phase", "source-size"])
+    def test_every_overlap_slit_state_receives_lies_in_unit_interval(self, source):
+        # slit_state checks no range: its gamma is detector_overlap of checked
+        # flags, cos 2 phi of a finite 2 phi or sinc 4y of a source size, and
+        # each lies in [-1, 1], at the ends of their ranges too
+        if source == "detector":
+            # Python floats, as the CLI parses them
+            spots = [0.0, *np.geomspace(1e-150, 1e150, 61).tolist()]
+            gammas = np.array([detector_overlap(b, s) for b in spots for s in spots[1:]])
+        elif source == "qubit-phase":
+            gammas = np.cos(2.0 * np.concatenate((np.linspace(0.0, np.pi / 2.0, 1025), np.geomspace(1e-300, 1e300, 121))))
+        else:
+            gammas = coherence.source_coherence(np.linspace(0.0, 0.5, 4097))
+        assert np.all((-1.0 <= gammas) & (gammas <= 1.0))
+        slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
+        for gamma in (gammas.min(), gammas.max()):
+            assert np.all(np.isfinite(slit_state(slits, gamma)))
 
     def test_detector_overlap_sets_the_overlap_matrix(self):
         # S_xi[j, k] = gamma^((j - k)^2), a signed gamma included, read from

@@ -149,6 +149,19 @@ def test_vanishing_data_raise_zero_factors_error():
         reconstruct(populations(), np.zeros(2))
 
 
+def test_zero_protocol_has_rank_zero():
+    # a protocol B of zeros has no leading singular value to scale by, and
+    # still gives rank 0: zero data leave every factor undefined, and other
+    # data lie wholly outside its column space
+    analysis = analyze(np.zeros((3, 4)))
+    assert analysis[3] == 0
+    with pytest.raises(tomography.ZeroFactorsError):
+        reconstruct(analysis, np.zeros(3))
+    with pytest.raises(tomography.InadequateDataError) as error:
+        reconstruct(analysis, np.ones(3))
+    assert error.value.residual == 1.0
+
+
 def test_inadequate_data_still_raises():
     with pytest.raises(tomography.InadequateDataError):
         completion_purity_range(observable_protocol([np.eye(2), np.eye(2)]), np.array([1.0, 0.5]))
@@ -235,4 +248,7 @@ def test_analysis_keeps_u_thin_and_the_residual_of_the_full_svd():
     p = np.random.default_rng(3).standard_normal(128)
     q = u_full.conj().T @ p
     full_residual = np.linalg.norm(q[rank:]) / np.linalg.norm(q)
-    assert tomography.check_adequacy(analysis, p)[1] == pytest.approx(full_residual, rel=1e-12)
+    # the random data are inadequate, and the error carries their residual
+    with pytest.raises(tomography.InadequateDataError) as error:
+        reconstruct(analysis, p)
+    assert error.value.residual == pytest.approx(full_residual, rel=1e-12)
