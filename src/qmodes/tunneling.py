@@ -7,7 +7,10 @@ sit in each, with omega_0 = sqrt(2 alpha / m).  ``DoubleWell`` holds
 (alpha, beta, m) and gives a, sigma_x and the inter-well overlap as
 properties.  Symmetric/antisymmetric combinations give ground and excited
 levels whose splitting E1 - E0 is the tunnel (inversion) frequency, which
-``two_level_splitting`` returns in closed form.  A pair of delta-coupled
+``two_level_splitting`` returns in closed form.  At fixed a and m it
+depends on alpha only through the overlap exponent t = a^2/(2 sigma_x^2)
+= a^2 sqrt(2 alpha m) = -log(overlap), as 3 t (t + 1)/(8 m a^2 sinh t),
+so ``fit_potential`` solves for t.  A pair of delta-coupled
 qubits is block diagonal in the basis (00, 01, 10, 11), and its levels
 enter only through that splitting, so ``two_qubit_schmidt_number`` gives
 the Schmidt number of the pair's ground state in closed form, elementwise
@@ -98,7 +101,9 @@ class DoubleWell:
     """Quartic double well -alpha x^2/2 + beta x^4/4 for a particle of given mass.
 
     The fields must be finite and positive, and the wells apart: a well
-    whose inter-well overlap rounds to 1 has no splitting and is refused.
+    whose inter-well overlap rounds to 1 has no splitting and is refused,
+    and so is one whose overlap exponent t = a^2 sqrt(2 alpha m) is not
+    finite.
     """
 
     alpha: float
@@ -107,6 +112,8 @@ class DoubleWell:
 
     def __post_init__(self):
         _require_finite_positive(alpha=self.alpha, beta=self.beta, mass=self.mass)
+        if not -self.log_overlap < math.inf:
+            raise ValueError(f"well out of range: the overlap exponent of {self} is not finite")
         if self.overlap == 1.0:
             raise ValueError(f"wells coincide: the inter-well overlap of {self} rounds to 1")
 
@@ -116,12 +123,12 @@ class DoubleWell:
     @property
     def a(self) -> float:
         """Equilibrium position of either minimum, sqrt(alpha/beta)."""
-        return float(np.sqrt(self.alpha / self.beta))
+        return math.sqrt(self.alpha / self.beta)
 
     @property
     def sigma_x(self) -> float:
-        """Gaussian width, sigma_x^2 = 1/(2 m omega0) with omega0 = sqrt(2 alpha/m)."""
-        return float(np.sqrt(1.0 / (2.0 * self.mass * np.sqrt(2.0 * self.alpha / self.mass))))
+        """Gaussian width: sigma_x^2 = 1/(2 m omega0) = 1/(2 sqrt(2 alpha m))."""
+        return math.sqrt(1.0 / (2.0 * math.sqrt(2.0 * self.alpha * self.mass)))
 
     @property
     def overlap(self) -> float:
@@ -130,8 +137,9 @@ class DoubleWell:
 
     @property
     def log_overlap(self) -> float:
-        """log of the overlap, -a^2/(2 sigma_x^2): finite where ``overlap`` underflows to 0."""
-        return -(self.a**2) / (2.0 * self.sigma_x**2)
+        """log of the overlap, -t = -a^2/(2 sigma_x^2) = -(alpha/beta) sqrt(2 alpha m):
+        finite where ``overlap`` underflows to 0."""
+        return -(self.alpha / self.beta) * math.sqrt(2.0 * self.alpha * self.mass)
 
 
 # name -> (reduced mass, measured inversion frequency in GHz)
@@ -165,7 +173,13 @@ def two_level_splitting(well: DoubleWell) -> float:
     alpha a^2 for sigma^2 = 1/(2 m omega0)), the bracket is
     alpha (3a^2/4 + 3 sigma^2/2), so
 
-        E1 - E0 = (3 alpha/2) eps (a^2 + 2 sigma^2) / (1 - eps^2) > 0,
+        E1 - E0 = (3 alpha/2) eps (a^2 + 2 sigma^2) / (1 - eps^2) > 0.
+
+    At fixed a and m this depends on alpha only through the overlap
+    exponent t = a^2/(2 sigma^2) = a^2 sqrt(2 alpha m) = -log eps: with
+    alpha = (t/a^2)^2/(2m) and sigma^2 = a^2/(2t),
+
+        E1 - E0 = 3 t (t + 1) / (8 m a^2 sinh t),
 
     evaluated in log space from ``well.log_overlap``, so a splitting in
     the subnormal range keeps its value where eps itself underflows.
@@ -176,89 +190,60 @@ def two_level_splitting(well: DoubleWell) -> float:
             f"inter-well overlap {eps:.3g} > {OVERLAP_VALIDITY}; two-level results are unreliable",
             stacklevel=2,
         )
-    return math.exp(_log_splitting(well.alpha, well.a, well.sigma_x**2, well.log_overlap))
+    log_scale = math.log(8.0 / 3.0) + math.log(well.mass) + math.log(well.alpha / well.beta)
+    return math.exp(_log_shape(-well.log_overlap) - log_scale)
 
 
-def _log_splitting(alpha: float, a: float, sigma_sq: float, log_eps: float) -> float:
-    """log(E1 - E0) = log eps + log(1.5 alpha (a^2 + 2 sigma^2)) - log1p(-eps^2),
-    the closed form of ``two_level_splitting``, finite where eps underflows."""
-    return (
-        log_eps
-        + math.log(1.5 * alpha * (a**2 + 2.0 * sigma_sq))
-        - math.log1p(-math.exp(2.0 * log_eps))
-    )
+def _log_shape(t: float) -> float:
+    """log(t (t + 1) / sinh t), the splitting's shape in t = -log eps, with
+    log sinh t = t - log 2 + log(1 - e^(-2t)): finite for every t > 0."""
+    return math.log(t) + math.log1p(t) - t + math.log(2.0) - math.log(-math.expm1(-2.0 * t))
 
 
 def fit_potential(a_target: float, delta_e_target: float, mass: float) -> DoubleWell:
     """Well parameters (alpha, beta) reproducing equilibrium a and splitting E1 - E0.
 
-    The constraint beta = alpha / a^2 pins the equilibrium exactly and the
-    splitting is solved by bisection in alpha (the splitting decreases
-    monotonically with alpha at fixed a) down to adjacent floats.  The
-    objective is log(E1 - E0) - log(target), from the closed-form splitting
-    of ``two_level_splitting``: it has no cancellation and stays finite where
-    the overlap underflows.  The fitted well must satisfy the two-level
-    validity overlap < 0.01; a mass (or equilibrium) too small for any
-    alpha of the search to meet it raises ``FitError`` before the search, and
-    a mass too small or too large for the splitting target raises it too.
+    The constraint beta = alpha / a^2 pins the equilibrium exactly, and
+    the splitting 3 t (t + 1)/(8 m a^2 sinh t) of ``two_level_splitting``
+    then depends on the overlap exponent t = -log eps = a^2 sqrt(2 alpha m)
+    alone.  Its shape log(t (t + 1)/sinh t) falls monotonically on the
+    bracket [log 100, 1e4]: the low end is the two-level validity limit
+    eps = 0.01, and at the high end the shape lies below every finite
+    target.  So t is bisected there down to adjacent floats, free of
+    cancellation and of eps's underflow, and alpha = (t/a^2)^2/(2m).
+    ``FitError`` is raised when the target lies above the splitting at
+    the validity limit (mass, equilibrium or target too large), or when
+    alpha or beta overflows (mass or equilibrium too small).
     """
     _require_finite_positive(a_target=a_target, delta_e_target=delta_e_target, mass=mass)
-    # the overlap exp(-a^2 sqrt(2 alpha m)) falls as alpha grows: if it is
-    # still past the validity limit at the last alpha the bracket search
-    # tries, no alpha fits, and at smaller alphas it can round to 1
-    alpha_max = 2.0**79
-    if a_target**2 * math.sqrt(2.0 * alpha_max * mass) <= -math.log(OVERLAP_VALIDITY):
-        raise FitError(
-            f"mass {mass} too small for equilibrium {a_target}: the inter-well overlap "
-            f"exceeds {OVERLAP_VALIDITY} at every alpha the fit tries"
-        )
-    log_target = math.log(delta_e_target)
-
-    def objective(alpha: float) -> float:
-        sigma_sq = 1.0 / (2.0 * mass * math.sqrt(2.0 * alpha / mass))
-        if sigma_sq == 0.0:
-            return -math.inf  # a mass so large that the Gaussians are points: no splitting
-        log_eps = -(a_target**2) / (2.0 * sigma_sq)
-        return _log_splitting(alpha, a_target, sigma_sq, log_eps) - log_target
-
-    lo = 1e-4
-    f_lo = objective(lo)
+    log_target = math.log(8.0 / 3.0 * delta_e_target) + math.log(mass) + 2.0 * math.log(a_target)
+    # alpha and beta carry t to the well within 10 roundings, 5e-15 at the
+    # low end, which sits 1e-14 past log 100 so that every fitted overlap
+    # stays below 0.01
+    lo, hi = -math.log(OVERLAP_VALIDITY) + 1e-14, 1e4
+    f_lo, f_hi = _log_shape(lo) - log_target, _log_shape(hi) - log_target
     if f_lo < 0:
         raise FitError(
-            f"mass {mass} too large for equilibrium {a_target}: splitting target {delta_e_target} "
-            f"unreachable, the splitting is below it at every alpha the fit tries (from {lo})"
-        )
-    hi = 1.0
-    for _ in range(80):
-        f_hi = objective(hi)
-        if f_hi < 0:
-            break
-        hi *= 2.0
-    else:
-        raise FitError(
-            f"mass {mass} too small for equilibrium {a_target} and splitting target "
-            f"{delta_e_target}: the splitting is above it at every alpha up to {alpha_max:g}"
+            f"mass {mass} too large for equilibrium {a_target} and splitting target "
+            f"{delta_e_target}: the splitting is below it wherever the inter-well overlap "
+            f"is below {OVERLAP_VALIDITY}"
         )
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        f_mid = objective(mid)
+        f_mid = _log_shape(mid) - log_target
         if f_mid < 0:
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    alpha = lo if f_lo <= -f_hi else hi
-    well = DoubleWell(alpha, alpha / a_target**2, mass)
-    if well.overlap >= OVERLAP_VALIDITY:
+    t = lo if f_lo <= -f_hi else hi
+    root = t / a_target / a_target  # sqrt(2 alpha m)
+    alpha = root * root / (2.0 * mass)
+    beta = alpha / a_target / a_target
+    if alpha == math.inf or beta == math.inf:
         raise FitError(
-            f"mass {mass} too large for equilibrium {a_target} and splitting target "
-            f"{delta_e_target}: the fitted well's inter-well overlap {well.overlap:.3g} is not "
-            f"below {OVERLAP_VALIDITY}, so the two-level model is invalid"
+            f"mass {mass} too small for equilibrium {a_target} and splitting target "
+            f"{delta_e_target}: the fitted alpha {alpha:g} or beta {beta:g} overflows"
         )
-    achieved = _log_splitting(alpha, well.a, well.sigma_x**2, well.log_overlap)
-    if abs(achieved - log_target) > 1e-10:
-        raise FitError(
-            f"bisection stalled: achieved {math.exp(achieved)}, wanted {delta_e_target}"
-        )
-    return well
+    return DoubleWell(alpha, beta, mass)
 
 
 def splitting_to_frequency(delta_e: float) -> float:

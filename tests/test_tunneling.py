@@ -1,6 +1,7 @@
 """Double-well two-level model, the coupled-qubit system and the ammonia fit."""
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -51,13 +52,32 @@ def high_precision_splitting(well, digits=60):
         return float((u1 + t1) - (u0 + t0))
 
 
+def ammonia_well(isotope):
+    fitted = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, AMMONIA_ISOTOPES["NH3"][0])
+    return DoubleWell(fitted.alpha, fitted.beta, AMMONIA_ISOTOPES[isotope][0])
+
+
+def alpha_form_splitting(well, digits=50):
+    """(3 alpha/2) eps (a^2 + 2 sigma^2)/(1 - eps^2), the closed form in alpha
+    that the t form rewrites, in mpmath from the well's fields: a^2 =
+    alpha/beta, sigma^2 = 1/(2 m omega0) and eps = exp(-a^2/(2 sigma^2))."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        alpha, beta, m = (mpmath.mpf(v) for v in (well.alpha, well.beta, well.mass))
+        a_sq = alpha / beta
+        sigma_sq = 1 / (2 * m * mpmath.sqrt(2 * alpha / m))
+        eps = mpmath.exp(-a_sq / (2 * sigma_sq))
+        return float(1.5 * alpha * eps * (a_sq + 2 * sigma_sq) / (1 - eps**2))
+
+
 def step_by_step_geometry(well):
-    """a, sigma_x (through omega0), overlap and log_overlap, one numpy float64 step at a time."""
+    """a, sigma_x and overlap through m omega0 = sqrt(2 alpha m), and log_overlap
+    = -(alpha/beta) m omega0, one numpy float64 step at a time."""
     a = np.sqrt(well.alpha / well.beta)
-    omega0 = np.sqrt(2.0 * well.alpha / well.mass)
-    sigma_x = np.sqrt(1.0 / (2.0 * well.mass * omega0))
-    overlap = np.exp(-(a**2) / (2.0 * sigma_x**2))
-    return float(a), float(sigma_x), float(overlap), -(float(a) ** 2) / (2.0 * float(sigma_x) ** 2)
+    m_omega0 = np.sqrt(2.0 * well.alpha * well.mass)
+    sigma_x = np.sqrt(1.0 / (2.0 * m_omega0))
+    log_overlap = -(well.alpha / well.beta) * m_omega0
+    return float(a), float(sigma_x), float(np.exp(log_overlap)), float(log_overlap)
 
 
 class TestDeriveWell:
@@ -93,6 +113,17 @@ class TestDeriveWell:
         got = (well.a, well.sigma_x, well.overlap, well.log_overlap)
         assert [v.hex() for v in got] == [v.hex() for v in step_by_step_geometry(well)]
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (1.0, 1.0, 1e308),  # 2 alpha m overflows, so t = inf
+            (1e-15, 5e-324, 5e-324),  # alpha/beta overflows and 2 alpha m underflows: t = inf * 0
+        ],
+    )
+    def test_a_well_whose_overlap_exponent_is_not_finite_is_refused(self, fields):
+        with pytest.raises(ValueError, match=r"^well out of range: the overlap exponent .* is not finite$"):
+            DoubleWell(*fields)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             DoubleWell(0.0, 1.0, 1.0)
@@ -122,8 +153,9 @@ class TestTwoLevelEnergies:
         t0, _, _, _ = well_terms(well)
         assert t0 == pytest.approx(1.0 / 8.0, rel=1e-6)
         # closer still the overlap rounds to 1, where alpha/beta underflows to
-        # a = 0 or a/sigma_x = 5e-15: no splitting is defined, so the well is refused
-        for fields in ((1e-200, 1e200, 1.0), (1e-30, 1e-16, 1.0)):
+        # a = 0 (however heavy the particle) or a/sigma_x = 5e-15: no splitting
+        # is defined, so the well is refused
+        for fields in ((1e-200, 1e200, 1.0), (1e-300, 1e300, 1e308), (1e-30, 1e-16, 1.0)):
             with pytest.raises(ValueError, match=r"^wells coincide: .*alpha=.*beta=.*mass=.* rounds to 1$"):
                 DoubleWell(*fields)
 
@@ -146,6 +178,23 @@ class TestTwoLevelEnergies:
         exact = high_precision_splitting(well)
         assert exact > 0.0
         assert splitting == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "well",
+        [
+            *(ammonia_well(isotope) for isotope in AMMONIA_ISOTOPES),  # ammonia, and fig10's NH3
+            *(fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, mass) for mass in (1e-300, 1e-30, 1e-21)),
+            fit_potential(5.0, 1e-320, 1.0),  # a subnormal splitting
+        ],
+        ids=["NH3", "ND3", "NT3", "fit-1e-300", "fit-1e-30", "fit-1e-21", "subnormal"],
+    )
+    def test_t_form_is_the_alpha_form(self, well):
+        # t = -log eps carries a few roundings of the fields, each moving the
+        # splitting by t ulps relative; a subnormal one is also quantized
+        t = -well.log_overlap
+        bound = 4.0 * np.finfo(float).eps * (t + 1.0)
+        exact = alpha_form_splitting(well)
+        assert two_level_splitting(well) == pytest.approx(exact, rel=bound, abs=5e-324)
 
     def test_nd3_splitting(self):
         _, (_, _, splitting) = paper_energies(4.2)
@@ -216,18 +265,43 @@ class TestFit:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value}$"):
             fit_potential(**{**values, name: value})
 
-    @pytest.mark.parametrize("mass", [1e-23, 1e-30, 1e-300, 5e-324])
-    def test_too_light_a_mass_is_named(self, mass):
-        # the overlap rounds to 1 at alpha = 1e-4 from m = 1e-29 down, and the
-        # fit's 2 alpha/m overflows for the lightest masses
-        with pytest.raises(FitError, match=f"mass {mass} too small"):
+    def test_the_heavy_boundary_is_the_validity_limit(self):
+        # the splitting at overlap 0.01, 3t(t + 1)/(8 m a^2 sinh t) at t =
+        # log 100, equals the NH3 target at m = 59.58860052911
+        well = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, 59.58860052)
+        assert 0.0099 < well.overlap < tunneling.OVERLAP_VALIDITY
+        with pytest.raises(FitError, match="^mass 59.58860053 too large for equilibrium 0.699 "):
+            fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, 59.58860053)
+
+    @pytest.mark.parametrize("mass", [100.0, 1e305, 1e308])
+    def test_too_heavy_a_mass_is_named(self, mass):
+        with pytest.raises(FitError, match=rf"^mass {re.escape(str(mass))} too large .* the splitting is below it wherever"):
             fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, mass)
 
-    @pytest.mark.parametrize("mass", [1e305, 1e308])
-    def test_too_heavy_a_mass_leaves_the_target_unreachable(self, mass):
-        # at m = 1e308 the Gaussian width 1/(2 m omega0) rounds to 0
-        with pytest.raises(FitError, match=f"target {AMMONIA_SPLITTING} unreachable"):
-            fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, mass)
+    @pytest.mark.parametrize("mass", [1e-300, 1e-30, 1e-21])
+    def test_light_masses_fit(self, mass):
+        # t = -log eps grows to 709 at m = 1e-300, and alpha to 1e306
+        well = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, mass)
+        assert well.a == pytest.approx(AMMONIA_EQUILIBRIUM, rel=1e-15)
+        assert well.overlap < tunneling.OVERLAP_VALIDITY
+        assert two_level_splitting(well) == pytest.approx(AMMONIA_SPLITTING, rel=1e-13, abs=0.0)
+
+    def test_a_mass_whose_alpha_overflows_is_too_small(self):
+        # alpha = (t/a^2)^2/(2m) overflows below m = 1.2148e-302
+        with pytest.raises(FitError, match="^mass 5e-324 too small .* alpha inf or beta inf overflows$"):
+            fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, 5e-324)
+
+    def test_every_fit_near_the_validity_limit_is_valid(self):
+        # alpha and beta carry t to the well with a few roundings; a well
+        # fitted at the limit must not round past it
+        edge = np.log(100.0)
+        boundary = 3.0 * edge * (edge + 1.0) / (8.0 * AMMONIA_EQUILIBRIUM**2 * np.sinh(edge) * AMMONIA_SPLITTING)
+        for mass in boundary * (1.0 + 1e-15 * np.arange(-50, 50)):
+            try:
+                well = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, mass)
+            except FitError:
+                continue
+            assert well.overlap < tunneling.OVERLAP_VALIDITY
 
 
 class TestUnits:
@@ -444,11 +518,6 @@ class TestTwoQubitClosedForm:
 
 # converged sinc-DVR inversion frequencies of the ammonia wells, in GHz
 DVR_FREQUENCIES_GHZ = {"NH3": 356.384073, "ND3": 53.1651335, "NT3": 16.6446212}
-
-
-def ammonia_well(isotope):
-    fitted = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, AMMONIA_ISOTOPES["NH3"][0])
-    return DoubleWell(fitted.alpha, fitted.beta, AMMONIA_ISOTOPES[isotope][0])
 
 
 def dvr_matrix(u, mass, spacing):
