@@ -6,14 +6,14 @@ Grammar::
     qmodes figures NAME [--key value | --key=value]...
     qmodes <command> [--key value | --key=value]...
 
-``list`` prints the catalog: the figure presets, then the commands.
-``figures NAME`` runs the preset or command NAME, and each other command
-runs the computation of that name (``scenarios.FIGURES`` and
-``scenarios.COMPUTATIONS``).  Every run takes the flags ``--config``,
+``list`` prints the catalog, ``scenarios.SCENARIOS``: the figure presets,
+then the commands that are not one.  ``figures NAME`` runs the entry NAME,
+preset or command.  The commands, ``_COMMANDS``, are the entries that also
+run under their own name.  Every run takes the flags ``--config``,
 ``--out``, ``--format`` and ``--grid-points``, whose defaults live in
-``_COMMON`` alone; a command also takes one flag per key of its
-computation's defaults.  A flag is its key's exact long name with ``-`` for
-``_`` (``--sigma-x`` sets ``sigma_x``; abbreviations are not accepted), and
+``_COMMON`` alone; a command also takes one flag per key of its entry's
+defaults.  A flag is its key's exact long name with ``-`` for ``_``
+(``--sigma-x`` sets ``sigma_x``; abbreviations are not accepted), and
 the token after it is always its value, so ``--phi -1e-3`` works.  NAME may
 stand before or after the flags; ``-h`` or ``--help`` anywhere prints help.
 ``--g0-max 0``, the qubits default, means auto, the coupling range derived
@@ -21,15 +21,15 @@ from the fitted well.
 
 The config file is flat ``key = value`` text with ``#`` comments.  Its
 lines set what the flags set: ``out``, ``format``, ``grid_points`` and the
-computation's keys, and a flag wins over a line.  The output directory is
+entry's keys, and a flag wins over a line.  The output directory is
 taken as text; every other value, from a line or a flag, is read as an
 int, else a float, else text, and is then checked by ``scenarios.run``
 against the type of the default it replaces, so ``--m 5`` and the line
-``m = 5`` take one path.  Parameter precedence is computation defaults < a
-preset's overrides < config file < flags.  The output formats are
-``scenarios``' alone.  ``main`` returns 0 on success and on help, and 2
-after printing one ``qmodes: error: ...`` line for a usage error or bad
-input; a run that fails before its first file makes no output directory.
+``m = 5`` take one path.  Parameter precedence is the entry's defaults <
+config file < flags.  The output formats are ``scenarios``' alone.
+``main`` returns 0 on success and on help, and 2 after printing one
+``qmodes: error: ...`` line for a usage error or bad input; a run that
+fails before its first file makes no output directory.
 A warning the run raises, such as the two-level model's overlap warning,
 is printed as one ``qmodes: warning: ...`` line and leaves the exit code
 as it is.
@@ -41,15 +41,16 @@ import sys
 import warnings
 from pathlib import Path
 
-from .scenarios import COMPUTATIONS, list_scenarios, run
+from .scenarios import SCENARIOS, run
 
 __all__ = ["main", "parse_config"]
 
+# the catalog entries that run under their own name, in `--help` order
+_COMMANDS = ("slits", "entangled", "schmidt", "coherence", "ammonia", "qubits", "tomography")
 _SUMMARIES = {
     "list": "print the scenario catalog",
     "figures": "run a named figure-data scenario",
-    # the commands: the computations with a `qmodes list` summary
-    **{name: f"run the {name} scenario" for name, (*_, summary) in COMPUTATIONS.items() if summary},
+    **{name: f"run the {name} scenario" for name in _COMMANDS},
 }
 # flags every run takes: key -> (default, help)
 _COMMON = {
@@ -90,8 +91,8 @@ def parse_config(path: Path) -> dict:
 def _flags(command: str) -> dict:
     """Flag name -> (key, default, help) of the flags ``command`` takes."""
     table = {} if command == "list" else dict(_COMMON)
-    if command in COMPUTATIONS:
-        table.update({key: (default, "") for key, default in COMPUTATIONS[command][1].items()})
+    if command in _COMMANDS:
+        table.update({key: (default, "") for key, default in SCENARIOS[command][2].items()})
     return {"--" + key.replace("_", "-"): (key, *entry) for key, entry in table.items()}
 
 
@@ -164,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             command, scenario_name, flags = _parse(argv)
             if command == "list":
-                for name, summary in list_scenarios().items():
+                for name, (summary, _, _) in SCENARIOS.items():
                     print(f"{name:16s} {summary}")
                 return 0
             config_path = flags.pop("config", None)

@@ -1,20 +1,22 @@
 """Scenario catalog: deterministic reproduction of the reference figure
 data and parametric runs of every subsystem.
 
-The catalog is two tables.  ``COMPUTATIONS`` holds the ten computations,
-each with its runner and defaults; the seven with a ``qmodes list`` summary
-are commands, run under their own name.  ``FIGURES`` holds the figure
-presets, each a computation with overrides of its defaults (``fig5`` is
-``schmidt`` with ``m = 5``).
+The catalog is one table, ``SCENARIOS``: each name maps to its ``qmodes
+list`` summary, its runner and its full defaults, in ``qmodes list``
+order.  The ten figure presets come first, then the six commands that are
+not one.  A preset that shares a command's runner differs from it in its
+defaults alone (``fig5`` is ``schmidt`` with ``m = 5``).  Which entries
+are commands, run under their own name with one flag per default, is the
+CLI's grammar (``cli._COMMANDS``).
 
 A runner computes and writes nothing: ``runner(params, n)`` returns its
 scalars and an ordered list of files ``(stem, kind, payload)``, where
 ``kind`` is ``table`` (names, columns), ``protocol`` (a matrix B) or
-``json`` (a dict).  :func:`run` takes a preset's or a command's name, calls
-its runner, writes the files in order, then a JSON run report of the
-scalars, all named after it: ``momentum`` in a ``fig1`` run is
-``fig1_momentum.csv``.  Every table is checked before the output directory
-is made, so a run that raises writes nothing.  Output is byte-identical
+``json`` (a dict).  :func:`run` takes an entry's name, calls its runner,
+writes the files in order, then a JSON run report of the scalars, all
+named after it: ``momentum`` in a ``fig1`` run is ``fig1_momentum.csv``.
+The directory is made only once the runner has returned, so a run that
+raises writes nothing.  Output is byte-identical
 across repeated runs with the same configuration; the wall time is
 returned to the caller but kept out of the serialized report.
 
@@ -49,7 +51,7 @@ from . import coherence, interference, schmidt, tomography, tunneling
 from .numerics import MAX_COUNT, grid, quadrature
 from .text import format_rows
 
-__all__ = ["run", "list_scenarios", "COMPUTATIONS", "FIGURES"]
+__all__ = ["run", "SCENARIOS"]
 
 # values formatted per kernel call, in either format: bounds the kernel's
 # temporaries, about 150 bytes a value for CSV and 300 for JSON
@@ -94,21 +96,8 @@ def _save_values(path: Path, fmt: str, head: str, table: np.ndarray, seps: list[
             fh.write(text)
 
 
-def _check_table(stem: str, names: list[str], columns: list[np.ndarray]):
-    """Refuse ``columns`` that are not equal-length real 1-D arrays, one per name."""
-    if len(names) != len(columns):
-        raise ValueError(f"table {stem!r}: {len(names)} names for {len(columns)} columns")
-    arrays = [np.asarray(c) for c in columns]
-    for label, col in zip(names, arrays):
-        if col.ndim != 1 or col.dtype.kind not in "biuf" or len(col) != len(arrays[0]):
-            raise ValueError(
-                f"table {stem!r}: column {label!r} (shape {col.shape}, dtype {col.dtype}) "
-                f"is not real, 1-D and as long as the first column {arrays[0].shape}"
-            )
-
-
 def _save_table(path: Path, fmt: str, names: list[str], columns: list[np.ndarray]):
-    """Write the checked ``columns`` under ``names`` as one table."""
+    """Write ``columns`` under ``names`` as one table."""
     table = np.column_stack(columns).astype(np.float64, copy=False)
     if fmt == "csv":
         seps = [b","] * (len(names) - 1) + [b"\n"]
@@ -137,11 +126,7 @@ def _save_protocol(path: Path, b: np.ndarray):
 
 def _write(out_dir: Path, name: str, fmt: str, files: list[tuple[str, str, object]]) -> list[str]:
     """Write a runner's ``files`` into ``out_dir`` in their order, each as
-    ``<name>_<stem>.<ext>``, and return the file names.  Every table is
-    checked before the directory is made, so a malformed one writes nothing."""
-    for stem, kind, payload in files:
-        if kind == "table":
-            _check_table(stem, *payload)
+    ``<name>_<stem>.<ext>``, and return the file names."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for stem, kind, payload in files:
@@ -443,93 +428,86 @@ def _run_tomography(params: dict, n: int) -> tuple[dict, list]:
 
 
 # ---------------------------------------------------------------------------
-# catalog: each computation's defaults name every parameter it takes, and a
+# catalog: each entry's defaults name every parameter it takes, and a
 # default's type is the parameter's type (flags and config values included)
 
 _SLIT_DEFAULTS = {"m": 2, "a": 5.0, "sigma_x": 0.5}
 _TWO_SLIT_DEFAULTS = {"m": 2, "a": 5.0, "b": 0.5, "sigma_x": 0.5, "sigma_xi": 0.5}
 _NH3_MASS = tunneling.AMMONIA_ISOTOPES["NH3"][0]
+# g0_max = 0 (auto) sweeps the reduced coupling g0 / (contact * splitting) over +/-300
+_QUBIT_DEFAULTS = {"mass": _NH3_MASS, "g0_max": 0.0, "n_sweep": 101}
+_TOMOGRAPHY_DEFAULTS = {"a": 5.0, "sigma_x": 0.5, "n_points": 32}
 
-# name -> (runner, defaults, `qmodes list` summary).  A computation with a
-# summary is a command: `qmodes <name>` runs it with one flag per default.
-COMPUTATIONS: dict[str, tuple[Callable, dict, str | None]] = {
-    "slits": (
-        _run_slits,
-        _SLIT_DEFAULTS,
-        "m-slit densities without which-way coupling (parametric)",
+# name -> (`qmodes list` summary, runner, defaults), in `qmodes list` order:
+# the figure presets, then the commands that are not one
+SCENARIOS: dict[str, tuple[str, Callable, dict]] = {
+    "fig1": (
+        "two-slit coordinate and momentum densities (a=5, sigma_x=0.5)", _run_slits, _SLIT_DEFAULTS
     ),
-    "entangled": (
+    "fig2": (
+        "which-way damping of the two-slit fringes (b=0.7 marginal)",
         _run_entangled,
-        _TWO_SLIT_DEFAULTS,
-        "entangled particle-detector marginals (parametric)",
+        {**_TWO_SLIT_DEFAULTS, "b": 0.7},
     ),
-    "schmidt": (
+    "fig3": (
+        "two-slit Schmidt modes and weights (a=5, b=0.5 reference case)",
         _run_schmidt,
         _TWO_SLIT_DEFAULTS,
-        "Schmidt decomposition of the m-slit state (parametric)",
     ),
-    "detector-sweep": (_run_detector_sweep, {**_SLIT_DEFAULTS, "m": 4, "sigma_xi": 0.5}, None),
-    "source-sweep": (_run_source, {"a": 5.0, "sigma_x": 0.5}, None),
-    "coupling-curve": (_run_coupling_curve, {}, None),
-    "coherence": (
-        _run_coherence,
-        {"a": 5.0, "sigma_x": 0.5, "phi": np.pi / 8.0},
-        "qubit coherence model: visibility-Schmidt coupling sweep",
+    "fig4": (
+        "four-slit fringes at several particle-detector couplings",
+        _run_detector_sweep,
+        {**_SLIT_DEFAULTS, "m": 4, "sigma_xi": 0.5},
     ),
-    "ammonia": (
-        _run_ammonia,
-        {"isotope": "all", "mass": _NH3_MASS},
-        "inversion splittings of NH3/ND3/NT3 from the fitted double well",
+    "fig5": (
+        "five-slit Schmidt modes and weights (a=5, b=0.5 reference case)",
+        _run_schmidt,
+        {**_TWO_SLIT_DEFAULTS, "m": 5},
     ),
-    "qubits": (
-        _run_qubits,
-        # g0_max = 0 (auto) sweeps the reduced coupling g0 / (contact * splitting) over +/-300
-        {"mass": _NH3_MASS, "g0_max": 0.0, "n_sweep": 101},
-        "two-qubit ground-state entanglement sweep (parametric)",
-    ),
-    "tomography": (
-        _run_tomography,
-        {"a": 5.0, "sigma_x": 0.5, "n_points": 32},
-        "measurement-protocol adequacy/completeness demo (parametric)",
-    ),
-}
-
-# name -> (`qmodes list` summary, computation, overrides of its defaults).
-# ammonia is a command and a figure, listed among the figures.
-FIGURES: dict[str, tuple[str, str, dict]] = {
-    "fig1": ("two-slit coordinate and momentum densities (a=5, sigma_x=0.5)", "slits", {}),
-    "fig2": ("which-way damping of the two-slit fringes (b=0.7 marginal)", "entangled", {"b": 0.7}),
-    "fig3": ("two-slit Schmidt modes and weights (a=5, b=0.5 reference case)", "schmidt", {}),
-    "fig4": ("four-slit fringes at several particle-detector couplings", "detector-sweep", {}),
-    "fig5": ("five-slit Schmidt modes and weights (a=5, b=0.5 reference case)", "schmidt", {"m": 5}),
     "fig6-data": (
         "fringe patterns for finite source sizes y (uniform-source model)",
-        "source-sweep",
-        {},
+        _run_source,
+        {"a": 5.0, "sigma_x": 0.5},
     ),
-    "fig7": ("visibility and Schmidt number versus source size y", "coupling-curve", {}),
+    "fig7": ("visibility and Schmidt number versus source size y", _run_coupling_curve, {}),
     "fig10": (
         "ground-state entanglement versus contact coupling g0 (ammonia qubits)",
-        "qubits",
-        {},
+        _run_qubits,
+        _QUBIT_DEFAULTS,
     ),
-    "ammonia": (COMPUTATIONS["ammonia"][2], "ammonia", {}),
+    "ammonia": (
+        "inversion splittings of NH3/ND3/NT3 from the fitted double well",
+        _run_ammonia,
+        {"isotope": "all", "mass": _NH3_MASS},
+    ),
     "tomography-demo": (
         "population-only and coordinate+momentum protocols with K_max bounds",
-        "tomography",
-        {},
+        _run_tomography,
+        _TOMOGRAPHY_DEFAULTS,
+    ),
+    "slits": (
+        "m-slit densities without which-way coupling (parametric)", _run_slits, _SLIT_DEFAULTS
+    ),
+    "entangled": (
+        "entangled particle-detector marginals (parametric)", _run_entangled, _TWO_SLIT_DEFAULTS
+    ),
+    "schmidt": (
+        "Schmidt decomposition of the m-slit state (parametric)", _run_schmidt, _TWO_SLIT_DEFAULTS
+    ),
+    "coherence": (
+        "qubit coherence model: visibility-Schmidt coupling sweep",
+        _run_coherence,
+        {"a": 5.0, "sigma_x": 0.5, "phi": np.pi / 8.0},
+    ),
+    "qubits": (
+        "two-qubit ground-state entanglement sweep (parametric)", _run_qubits, _QUBIT_DEFAULTS
+    ),
+    "tomography": (
+        "measurement-protocol adequacy/completeness demo (parametric)",
+        _run_tomography,
+        _TOMOGRAPHY_DEFAULTS,
     ),
 }
-
-
-def list_scenarios() -> dict[str, str]:
-    """Every name :func:`run` takes, with its one-line summary: the figure
-    presets, then the commands that are not one."""
-    names = {name: summary for name, (summary, _, _) in FIGURES.items()}
-    for name, (_, _, summary) in COMPUTATIONS.items():
-        if summary:
-            names.setdefault(name, summary)
-    return names
 
 
 def _convert(key: str, value, default):
@@ -544,16 +522,15 @@ def _convert(key: str, value, default):
 
 
 def run(name: str, out_dir: Path, fmt: str, grid_points: int, params: dict) -> tuple[dict, float]:
-    """Run a figure preset or a command: write its data files and the JSON
+    """Run the catalog entry ``name``: write its data files and the JSON
     run report into ``out_dir``, each named after ``name``, and return the
     report and the run's wall time in seconds.
 
     ``fmt`` (csv or json), ``grid_points`` and ``params`` are all checked,
     and the runner's computation done, before any file or directory is
-    made.  Parameters are the computation's
-    defaults, then a preset's overrides, then ``params``, each converted to
-    the type of the default it replaces; an integer parameter, and
-    ``grid_points``, take only integral values.
+    made.  Parameters are the entry's defaults, then ``params``, each
+    converted to the type of the default it replaces; an integer
+    parameter, and ``grid_points``, take only integral values.
     """
     grid_points = _convert("grid_points", grid_points, 0)
     if fmt not in ("csv", "json"):
@@ -562,11 +539,9 @@ def run(name: str, out_dir: Path, fmt: str, grid_points: int, params: dict) -> t
         raise ValueError(f"grid_points too small: {grid_points}")
     if grid_points > MAX_COUNT:
         raise ValueError(f"grid_points must be at most {MAX_COUNT}, got {grid_points}")
-    if name not in list_scenarios():
+    if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; see 'qmodes list'")
-    _, computation, overrides = FIGURES.get(name, (None, name, {}))
-    runner, defaults, _ = COMPUTATIONS[computation]
-    defaults = {**defaults, **overrides}
+    _, runner, defaults = SCENARIOS[name]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown parameters for {name!r}: {unknown}")

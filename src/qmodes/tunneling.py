@@ -69,7 +69,8 @@ AMMONIA_SPLITTING = 0.00665
 OVERLAP_VALIDITY = 0.01
 
 # Sinc-DVR levels: the Hamiltonian is dense, so its size is capped.  The
-# grid grows from _DVR_START_POINTS in steps of _DVR_STEP_POINTS until two
+# grid grows from the first of _DVR_START_POINTS + k _DVR_STEP_POINTS
+# points that resolves sigma_x, in steps of _DVR_STEP_POINTS, until two
 # successive splittings agree to _DVR_CONVERGENCE (relative).
 MAX_DVR_POINTS = 2048
 _DVR_START_POINTS = 64
@@ -212,8 +213,9 @@ def fit_potential(a_target: float, delta_e_target: float, mass: float) -> Double
     target.  So t is bisected there down to adjacent floats, free of
     cancellation and of eps's underflow, and alpha = (t/a^2)^2/(2m).
     ``FitError`` is raised when the target lies above the splitting at
-    the validity limit (mass, equilibrium or target too large), or when
-    alpha or beta overflows (mass or equilibrium too small).
+    the validity limit (mass, equilibrium or target too large), when
+    alpha or beta overflows (mass or equilibrium too small), or when either
+    underflows to 0 (equilibrium large against a tiny target).
     """
     _require_finite_positive(a_target=a_target, delta_e_target=delta_e_target, mass=mass)
     log_target = math.log(8.0 / 3.0 * delta_e_target) + math.log(mass) + 2.0 * math.log(a_target)
@@ -242,6 +244,11 @@ def fit_potential(a_target: float, delta_e_target: float, mass: float) -> Double
         raise FitError(
             f"mass {mass} too small for equilibrium {a_target} and splitting target "
             f"{delta_e_target}: the fitted alpha {alpha:g} or beta {beta:g} overflows"
+        )
+    if alpha == 0.0 or beta == 0.0:
+        raise FitError(
+            f"equilibrium {a_target}, splitting target {delta_e_target} and mass {mass} "
+            f"out of range: the fitted alpha {alpha:g} or beta {beta:g} underflows"
         )
     return DoubleWell(alpha, beta, mass)
 
@@ -280,18 +287,30 @@ def grid_eigensolve(well: DoubleWell) -> tuple[float, float]:
     H = max(3a, a + 8 sigma_x): the DVR converges exponentially only while
     the wave functions vanish at the box edges, and a light, shallow well
     still holds amplitude 1e-2 at 3a, where its splitting converges only
-    algebraically in the grid.  The grid grows from 64 points in steps of
-    32 until the splittings at n and n + 32 agree to 1e-9 relative, and the
-    finer pair is returned.  Each level carries a rounding error of order
-    eps ||H||, with ||H|| ~ pi^2/(6 m dx^2) + max|U| growing as n^2; once
-    that floor exceeds 1e-9 of E1 - E0, no two splittings can be told to
-    agree, and ``UnresolvedSplittingError`` is raised at once, naming the
-    floor.  ``InsufficientGridError`` is raised if ``MAX_DVR_POINTS`` do
-    not converge.
+    algebraically in the grid.  The grid starts at the coarsest of 64, 96,
+    128, ... points whose spacing is at most sigma_x, so that it resolves
+    each well's state, and grows in steps of 32 until the splittings at n
+    and n + 32 agree to 1e-9 relative; the finer pair is returned.  If no
+    grid within ``MAX_DVR_POINTS`` resolves sigma_x,
+    ``InsufficientGridError`` is raised before any solve.  Each level
+    carries a rounding error of order eps ||H||, with ||H|| ~ pi^2/(6 m
+    dx^2) + max|U| growing as n^2; once that floor exceeds 1e-9 of
+    E1 - E0, no two splittings can be told to agree, and
+    ``UnresolvedSplittingError`` is raised at once, naming the floor.
+    ``InsufficientGridError`` is raised if ``MAX_DVR_POINTS`` do not
+    converge.
     """
     edge = max(3.0 * well.a, well.a + 8.0 * well.sigma_x)
+    ladder = range(_DVR_START_POINTS, MAX_DVR_POINTS + 1, _DVR_STEP_POINTS)
+    # the grids whose spacing, 2 edge / (n - 1) as numerics.grid takes it, is at most sigma_x
+    sizes = [n for n in ladder if 2.0 * edge / (n - 1) <= well.sigma_x]
+    if not sizes:
+        raise InsufficientGridError(
+            f"no grid within {MAX_DVR_POINTS} points resolves the wells: sigma_x {well.sigma_x:.3g} "
+            f"is below the spacing {2.0 * edge / (MAX_DVR_POINTS - 1):.3g} of a {MAX_DVR_POINTS}-point grid"
+        )
     previous = None
-    for n in range(_DVR_START_POINTS, MAX_DVR_POINTS + 1, _DVR_STEP_POINTS):
+    for n in sizes:
         x, dx = grid(edge, n)
         u = well.potential(x)
         e0, e1 = lowest_levels(u, well.mass, dx)[:2]

@@ -17,6 +17,12 @@ from qmodes.numerics import MAX_COUNT, MAX_SLITS, grid
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = ["slits", "entangled", "schmidt", "coherence", "ammonia", "qubits", "tomography"]
+# `qmodes list`: the ten figure presets, then the commands that are not one
+CATALOG = [
+    *["fig1", "fig2", "fig3", "fig4", "fig5", "fig6-data", "fig7", "fig10", "ammonia", "tomography-demo"],
+    *["slits", "entangled", "schmidt", "coherence", "qubits", "tomography"],
+]
+FIGURES = CATALOG[:10]
 
 
 def report(out_dir, name):
@@ -92,27 +98,43 @@ def test_precedence_defaults_then_config_then_flags(tmp_path, capsys, monkeypatc
 def test_list_prints_every_scenario(capsys):
     assert main(["list"]) == 0
     names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    # the figure presets, then the commands that are not one
-    commands = [name for name, (*_, summary) in scenarios.COMPUTATIONS.items() if summary]
-    assert commands == COMMANDS
-    assert names == [*scenarios.FIGURES, *(c for c in commands if c not in scenarios.FIGURES)]
-    assert len(names) == 16
+    assert names == list(scenarios.SCENARIOS) == CATALOG
+    assert names[10:] == [c for c in COMMANDS if c not in FIGURES]
 
 
-@pytest.mark.parametrize("name", ["nope", "detector-sweep"])
+def test_help_lists_the_commands_in_order_and_each_is_a_catalog_entry(capsys):
+    assert main(["--help"]) == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage == "usage: qmodes {" + ",".join(["list", "figures", *cli._COMMANDS]) + "} ..."
+    assert list(cli._COMMANDS) == COMMANDS
+    assert set(COMMANDS) <= set(scenarios.SCENARIOS)
+
+
+@pytest.mark.parametrize("name", ["nope", "detector-sweep", "source-sweep", "coupling-curve"])
 def test_unknown_figure_name_points_at_qmodes_list(tmp_path, capsys, name):
-    # a computation that is not a command has no name of its own
+    # the names of fig4's, fig6-data's and fig7's computations are no catalog entries
     out = tmp_path / "out"
     assert main(["figures", name, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"qmodes: error: unknown scenario {name!r}; see 'qmodes list'\n"
     assert not out.exists()
 
 
-PRESETS_OF_COMMANDS = [
-    (preset, computation, overrides)
-    for preset, (_, computation, overrides) in scenarios.FIGURES.items()
-    if scenarios.COMPUTATIONS[computation][2]
+# (preset, command) of each figure preset that runs a command's runner
+PRESET_COMMAND_PAIRS = [
+    (preset, command)
+    for preset in FIGURES
+    for command in COMMANDS
+    if scenarios.SCENARIOS[preset][1] is scenarios.SCENARIOS[command][1]
 ]
+
+
+def overrides_of(preset, command):
+    """The keys of ``preset``'s defaults that differ from ``command``'s, with their values."""
+    theirs = scenarios.SCENARIOS[command][2]
+    return {k: v for k, v in scenarios.SCENARIOS[preset][2].items() if v != theirs.get(k)}
+
+
+PRESETS_OF_COMMANDS = [(p, c, overrides_of(p, c)) for p, c in PRESET_COMMAND_PAIRS]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -132,12 +154,24 @@ def test_a_preset_is_its_command_with_its_overrides_as_flags(tmp_path, capsys, p
     assert {**mine, "scenario": command, "files": theirs["files"]} == theirs
 
 
-def test_every_preset_runs_a_computation_with_defaults_it_overrides():
-    for summary, computation, overrides in scenarios.FIGURES.values():
-        assert summary
-        assert set(overrides) <= set(scenarios.COMPUTATIONS[computation][1])
-    # each computation is run by a command or a preset
-    assert {*COMMANDS, *(c for _, c, _ in scenarios.FIGURES.values())} == set(scenarios.COMPUTATIONS)
+def test_each_preset_of_a_command_differs_from_it_in_its_overrides_alone():
+    for preset, command in PRESET_COMMAND_PAIRS:
+        assert set(scenarios.SCENARIOS[preset][2]) == set(scenarios.SCENARIOS[command][2]), preset
+    assert PRESET_COMMAND_PAIRS == [
+        ("fig1", "slits"),
+        ("fig2", "entangled"),
+        ("fig3", "schmidt"),
+        ("fig5", "schmidt"),
+        ("fig10", "qubits"),
+        ("ammonia", "ammonia"),
+        ("tomography-demo", "tomography"),
+    ]
+    assert {p: o for p, _, o in PRESETS_OF_COMMANDS if o} == {"fig2": {"b": 0.7}, "fig5": {"m": 5}}
+    # every entry has a summary; a preset that no command runs has a runner of its own
+    assert all(summary for summary, _, _ in scenarios.SCENARIOS.values())
+    runners = [scenarios.SCENARIOS[name][1] for name in ("fig4", "fig6-data", "fig7")]
+    assert len(set(runners)) == 3
+    assert set(runners).isdisjoint(scenarios.SCENARIOS[name][1] for name in COMMANDS)
 
 
 def test_json_format_writes_json_tables(tmp_path, capsys):
@@ -301,7 +335,7 @@ def test_single_command_parser_help_is_the_full_parsers(capsys, command):
     out = capsys.readouterr().out
     defaults = {"config": None, "out": "qmodes-out", "format": "csv", "grid_points": 1024}
     if command != "figures":
-        defaults.update(scenarios.COMPUTATIONS[command][1])
+        defaults.update(scenarios.SCENARIOS[command][2])
     rows = [line.split() for line in out.splitlines() if line.startswith("  --")]
     assert {row[0]: " ".join(row[-2:]) for row in rows} == {
         "--" + key.replace("_", "-"): f"(default: {value})" for key, value in defaults.items()
@@ -310,7 +344,7 @@ def test_single_command_parser_help_is_the_full_parsers(capsys, command):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_subcommand_flags_are_its_defaults_with_their_types(tmp_path, capsys, command):
-    defaults = scenarios.COMPUTATIONS[command][1]
+    defaults = scenarios.SCENARIOS[command][2]
     config = tmp_path / "empty.cfg"
     config.write_text("", encoding="utf-8")
     # every flag the command takes, each given its default's text
@@ -328,7 +362,7 @@ def test_subcommand_flags_are_its_defaults_with_their_types(tmp_path, capsys, co
             assert main([command, "--" + key.replace("_", "-"), "wide", "--out", str(tmp_path / "x")]) == 2
             assert f"parameter {key!r} takes a {type(value).__name__}" in capsys.readouterr().err
     # no other flag: an unknown key, a prefix, the key's own spelling, another command's key
-    foreign = sorted({k for c in COMMANDS for k in scenarios.COMPUTATIONS[c][1]} - set(defaults))
+    foreign = sorted({k for c in COMMANDS for k in scenarios.SCENARIOS[c][2]} - set(defaults))
     for flag in ["--seed", "--grid", "--grid_points", "--" + foreign[0].replace("_", "-")]:
         assert main([command, flag, "1", "--out", str(tmp_path / "x")]) == 2, flag
         err = capsys.readouterr().err
@@ -471,6 +505,25 @@ def test_mass_sweep_runs_or_exits_2_with_one_error_line(tmp_path, capsys, comman
         assert refused == fit_refused
 
 
+@pytest.mark.parametrize(
+    "mass, error",
+    [
+        ("1e-30", "no grid within 2048 points resolves the wells: sigma_x 1.37e-09 is below the spacing 0.00205 "),
+        ("1e-10", "no grid within 2048 points resolves the wells: sigma_x 0.000209 is below the spacing 0.00205 "),
+        ("1e-3", "rounding floor 1.19e-09 of a 288-point solve exceeds 1e-09 of the splitting "),
+    ],
+    ids=["1e-30", "1e-10", "1e-3"],
+)
+def test_a_light_ammonia_fit_names_what_stops_its_eigensolve(tmp_path, capsys, mass, error):
+    # the NH3 well of a light fit is narrow: a grid coarser than its sigma_x
+    # cannot hold its states, so the solve starts where the grid resolves
+    # sigma_x, or is refused if no grid within the cap does
+    assert main(["ammonia", "--mass", mass, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qmodes: error: " + error) and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 # a value other than the default for every key of a parametric command
 FLAG_VALUES = {
     "m": "3",
@@ -488,7 +541,7 @@ FLAG_VALUES = {
 
 
 @pytest.mark.parametrize(
-    "command, key", [(c, k) for c in COMMANDS for k in scenarios.COMPUTATIONS[c][1]]
+    "command, key", [(c, k) for c in COMMANDS for k in scenarios.SCENARIOS[c][2]]
 )
 def test_flag_and_config_line_give_the_same_parameters(tmp_path, capsys, command, key):
     value = FLAG_VALUES[key]
@@ -500,7 +553,7 @@ def test_flag_and_config_line_give_the_same_parameters(tmp_path, capsys, command
     capsys.readouterr()
     parameters = report(tmp_path / "flag", command)["parameters"]
     assert parameters == report(tmp_path / "config", command)["parameters"]
-    assert parameters[key] != scenarios.COMPUTATIONS[command][1][key]
+    assert parameters[key] != scenarios.SCENARIOS[command][2][key]
 
 
 def test_negative_exponent_flag_values_are_values(tmp_path, capsys):
@@ -916,7 +969,7 @@ INTERNAL_MESSAGES = [
 
 
 def probe_runs(command):
-    defaults = scenarios.COMPUTATIONS[command][1]
+    defaults = scenarios.SCENARIOS[command][2]
     keys = [key for key, default in defaults.items() if isinstance(default, (int, float))]
     for key in ["grid_points", *keys]:
         flag = "--" + key.replace("_", "-")
@@ -930,7 +983,7 @@ def test_probe_covers_every_numeric_flag_of_every_command():
     flags = {(argv[0], argv[1]) for argv in runs}
     for command in COMMANDS:
         assert (command, "--grid-points") in flags
-        for key, default in scenarios.COMPUTATIONS[command][1].items():
+        for key, default in scenarios.SCENARIOS[command][2].items():
             if isinstance(default, (int, float)):
                 assert (command, "--" + key.replace("_", "-")) in flags
     spacings = {argv[2] for argv in runs if argv[1] in ("--a", "--b")}

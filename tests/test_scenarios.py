@@ -57,8 +57,7 @@ def test_fig4_schmidt_number_grows_with_coupling(tmp_path):
     ks = [s[f"schmidt_number_b_{b:g}"] for b in (0.0, 0.3, 0.7, 1.5)]
     assert ks[0] == pytest.approx(1.0, abs=1e-5)
     assert all(k1 <= k2 for k1, k2 in zip(ks, ks[1:]))
-    _, computation, overrides = scenarios.FIGURES["fig4"]
-    assert max(ks) <= {**scenarios.COMPUTATIONS[computation][1], **overrides}["m"]
+    assert max(ks) <= scenarios.SCENARIOS["fig4"][2]["m"]
 
 
 @pytest.mark.parametrize("n", [1024, 2048, 4096])
@@ -226,11 +225,10 @@ def test_coherence_sweep_is_each_states_schmidt_number_and_visibility(tmp_path):
 
 
 def runner_output(name, **params):
-    """A preset's or a command's scalars and files at 1024 points, as its
-    runner returns them: unrounded, and with no file written."""
-    _, computation, overrides = scenarios.FIGURES.get(name, (None, name, {}))
-    runner, defaults, _ = scenarios.COMPUTATIONS[computation]
-    return runner({**defaults, **overrides, **params}, 1024)
+    """A catalog entry's scalars and files at 1024 points, as its runner
+    returns them: unrounded, and with no file written."""
+    _, runner, defaults = scenarios.SCENARIOS[name]
+    return runner({**defaults, **params}, 1024)
 
 
 @pytest.mark.parametrize("a", [5.0, 0.5])
@@ -314,30 +312,34 @@ def test_written_patterns_fit_to_their_states_visibility(tmp_path, n):
 KINDS = {"table", "protocol", "json"}
 
 
-@pytest.mark.parametrize("computation", list(scenarios.COMPUTATIONS))
-def test_each_runner_returns_scalars_and_uniquely_named_files(computation):
-    runner, defaults, _ = scenarios.COMPUTATIONS[computation]
+@pytest.mark.parametrize("name", list(scenarios.SCENARIOS))
+def test_each_runner_returns_scalars_and_uniquely_named_files(name):
+    _, runner, defaults = scenarios.SCENARIOS[name]
     scalars, files = runner(dict(defaults), 64)
     assert isinstance(scalars, dict) and scalars
     stems = [stem for stem, _, _ in files]
     assert stems and len(set(stems)) == len(stems)
     assert {kind for _, kind, _ in files} <= KINDS
+    # a table is one name per column, and its columns are real, 1-D and equally long
     for stem, kind, payload in files:
         if kind == "table":
-            scenarios._check_table(stem, *payload)
+            names, columns = payload
+            assert len(names) == len(set(names)) == len(columns), stem
+            arrays = [np.asarray(column) for column in columns]
+            assert all(a.ndim == 1 and a.dtype.kind in "biuf" for a in arrays), stem
+            assert len({len(a) for a in arrays}) == 1 and len(arrays[0]) >= 1, stem
 
 
-@pytest.mark.parametrize("computation", list(scenarios.COMPUTATIONS))
-def test_a_runner_that_raises_after_building_its_files_writes_nothing(tmp_path, monkeypatch, computation):
-    runner, defaults, summary = scenarios.COMPUTATIONS[computation]
+@pytest.mark.parametrize("name", list(scenarios.SCENARIOS))
+def test_a_runner_that_raises_after_building_its_files_writes_nothing(tmp_path, monkeypatch, name):
+    summary, runner, defaults = scenarios.SCENARIOS[name]
     built = []
 
     def failing(params, n):
         built.append(runner(params, n))
         raise RuntimeError("raised after building its files")
 
-    monkeypatch.setitem(scenarios.COMPUTATIONS, computation, (failing, defaults, summary))
-    name = next((f for f, (_, c, _) in scenarios.FIGURES.items() if c == computation), computation)
+    monkeypatch.setitem(scenarios.SCENARIOS, name, (summary, failing, defaults))
     with pytest.raises(RuntimeError, match="after building"):
         scenarios.run(name, tmp_path / "out", "csv", 64, {})
     assert built[0][1]
@@ -348,9 +350,8 @@ def test_a_runner_that_raises_after_building_its_files_writes_nothing(tmp_path, 
 @pytest.mark.parametrize("figure", ["fig3", "fig5"])
 def test_far_field_marginal_is_the_mixture_of_its_mode_densities(figure, n):
     # the paper's first claim, read from the runner's table without a file
-    _, computation, overrides = scenarios.FIGURES[figure]
-    runner, defaults, _ = scenarios.COMPUTATIONS[computation]
-    _, files = runner({**defaults, **overrides}, n)
+    _, runner, defaults = scenarios.SCENARIOS[figure]
+    _, files = runner(dict(defaults), n)
     ((names, columns),) = [payload for stem, _, payload in files if stem == "marginal"]
     table = dict(zip(names, columns))
     gap = np.max(np.abs(table["marginal"] - table["mode_mixture"]))

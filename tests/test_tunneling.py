@@ -291,6 +291,17 @@ class TestFit:
         with pytest.raises(FitError, match="^mass 5e-324 too small .* alpha inf or beta inf overflows$"):
             fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, 5e-324)
 
+    @pytest.mark.parametrize(
+        "a_target, delta_e_target, mass, alpha",
+        [(1e100, 1e-320, 1e-100, "0"), (1e13, 1e-300, 1e249, "2.15569e-298")],
+    )
+    def test_a_fit_whose_alpha_or_beta_underflows_is_named(self, a_target, delta_e_target, mass, alpha):
+        # alpha = (t/a^2)^2/(2m) and beta = alpha/a^2 underflow for a large
+        # equilibrium with a tiny target, where DoubleWell would refuse the 0
+        message = rf"^equilibrium {re.escape(str(a_target))}, .* out of range: the fitted alpha {alpha} or beta 0 underflows$"
+        with pytest.raises(FitError, match=message):
+            fit_potential(a_target, delta_e_target, mass)
+
     def test_every_fit_near_the_validity_limit_is_valid(self):
         # alpha and beta carry t to the well with a few roundings; a well
         # fitted at the limit must not round past it
@@ -370,6 +381,47 @@ class TestGridEigensolve:
         with pytest.raises(InsufficientGridError, match="did not converge"):
             grid_eigensolve(PAPER_WELL)
         assert max(sizes) == sizes[-1] == tunneling.MAX_DVR_POINTS
+
+    @pytest.mark.parametrize("isotope", ["NH3", "ND3", "NT3"])
+    def test_the_catalog_wells_start_at_64_points(self, monkeypatch, isotope):
+        sizes = []
+        solve = tunneling.lowest_levels
+
+        def recorded(u, mass, spacing):
+            sizes.append(len(u))
+            return solve(u, mass, spacing)
+
+        monkeypatch.setattr(tunneling, "lowest_levels", recorded)
+        grid_eigensolve(ammonia_well(isotope))
+        assert sizes == list(range(64, 64 + 32 * len(sizes), 32))
+
+    def test_the_first_solve_is_on_the_coarsest_grid_that_resolves_sigma_x(self):
+        # NH3 in the well fitted at mass 1e-3: 256 points are coarser than
+        # sigma_x, and the 288-point floor already exceeds the tolerance
+        fitted = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, 1e-3)
+        well = DoubleWell(fitted.alpha, fitted.beta, AMMONIA_ISOTOPES["NH3"][0])
+        edge = max(3.0 * well.a, well.a + 8.0 * well.sigma_x)
+        assert grid(edge, 256)[1] > well.sigma_x >= grid(edge, 288)[1]
+        with pytest.raises(UnresolvedSplittingError, match="rounding floor .* of a 288-point solve"):
+            grid_eigensolve(well)
+
+    @pytest.mark.parametrize("fit_mass", [1e-30, 1e-10])
+    def test_wells_no_grid_resolves_are_refused_before_any_solve(self, monkeypatch, fit_mass):
+        fitted = fit_potential(AMMONIA_EQUILIBRIUM, AMMONIA_SPLITTING, fit_mass)
+        well = DoubleWell(fitted.alpha, fitted.beta, AMMONIA_ISOTOPES["NH3"][0])
+
+        def refuse(*args):
+            raise AssertionError("lowest_levels called")
+
+        monkeypatch.setattr(tunneling, "lowest_levels", refuse)
+        spacing = grid(max(3.0 * well.a, well.a + 8.0 * well.sigma_x), 2048)[1]
+        assert well.sigma_x < spacing
+        message = (
+            f"^no grid within 2048 points resolves the wells: sigma_x {well.sigma_x:.3g} "
+            f"is below the spacing {spacing:.3g} of a 2048-point grid$"
+        )
+        with pytest.raises(InsufficientGridError, match=message):
+            grid_eigensolve(well)
 
 
 class TestTwoQubit:
