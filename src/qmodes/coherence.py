@@ -31,45 +31,21 @@ and ``k_from_v`` gives that K for the fig7 curve and the coherence sweep's
 and gamma = cos(pi/4) has V = 0.707 but weights 0.960 and 0.040 (K = 1.084,
 not 1.333).  So every other K in a report, fig6-data's included, comes from
 the state's Schmidt decomposition (:mod:`qmodes.schmidt`), and every V of
-a state from its density matrix by ``visibility``.  The fig7 curve builds
-no state: its V = |sinc 4y| is written out where it is used.
+a state from its density matrix by ``visibility``.  Two slits that
+coincide within the Schmidt truncation have no fringes to read, and the
+runners refuse them (``schmidt.check_fringes``) before reading one.  The
+fig7 curve builds no state: its V = |sinc 4y| is written out where it is used.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .interference import SlitParams
-from .schmidt import DEFAULT_TRUNCATION
-
 __all__ = [
-    "UnresolvedFringesError",
-    "check_fringes",
     "visibility",
     "k_from_v",
     "source_coherence",
 ]
-
-
-class UnresolvedFringesError(ValueError):
-    """Two slits coincide within the Schmidt truncation: S_x has lost an
-    eigenvalue, so the state has no two orthonormal paths to interfere."""
-
-
-def check_fringes(slits: SlitParams) -> None:
-    """Raise :class:`UnresolvedFringesError` when two slits are unresolved in S_x.
-
-    S_x has the eigenvalues 1 -/+ q, q = exp(-a^2 / 2 sigma_x^2), and the
-    Schmidt truncation drops the smaller once their ratio
-    (1 - q)/(1 + q) = tanh(a^2 / 4 sigma_x^2) falls to ``DEFAULT_TRUNCATION``.
-    The state of gamma = -1 lies wholly in its odd eigenvector: past the
-    bound its reduced matrix is rounding noise, which ``schmidt_stack``
-    would normalize into weight 1 on the even mode.
-    """
-    if np.tanh(slits.a**2 / (4.0 * slits.sigma_x**2)) <= DEFAULT_TRUNCATION:
-        raise UnresolvedFringesError(
-            f"no fringes: slits a={slits.a:g} apart coincide at width sigma_x={slits.sigma_x:g}"
-        )
 
 
 def visibility(density):

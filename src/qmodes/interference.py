@@ -26,7 +26,8 @@ gamma = exp(-b^2 / 2 sigma_xi^2) (:func:`detector_overlap`), the coherence
 qubit gamma = cos 2 phi, and a uniform source of size y gamma = sinc(4 y)
 (:mod:`qmodes.coherence`).  The particle marginal in either
 representation is the diagonal of U D U^H, with U the slit basis
-sampled on the particle grid, so no detector axis is ever sampled.  In
+sampled on the particle grid, by :func:`coordinate_basis` at positions or
+:func:`momentum_basis` at momenta, so no detector axis is ever sampled.  In
 momentum space the joint amplitude is the product of the two Gaussian
 envelopes and the slit form factor
 
@@ -44,18 +45,14 @@ import numpy as np
 from .numerics import MAX_SLITS
 
 __all__ = [
-    "COORDINATE",
-    "MOMENTUM",
     "SlitParams",
     "detector_overlap",
     "slit_centers",
     "slit_state",
-    "slit_basis",
+    "coordinate_basis",
+    "momentum_basis",
     "basis_density",
 ]
-
-COORDINATE = "coordinate"
-MOMENTUM = "momentum"
 
 # lengths up to this and widths down to its reciprocal keep every square
 # and every grid a width sets in the float64 range, so an overlap such as
@@ -145,19 +142,21 @@ def slit_state(slits: SlitParams, overlap: float) -> np.ndarray:
     return s_xi / total
 
 
-def slit_basis(slits: SlitParams, points, representation: str) -> np.ndarray:
-    """The unit slit functions at ``points``, one column each: u_j(x) or u~_j(p)."""
-    t = np.asarray(points, dtype=float)[:, None]
-    c = slit_centers(slits.m, slits.a)
+def coordinate_basis(slits: SlitParams, x) -> np.ndarray:
+    """The unit slit functions u_j(x) at the points ``x``, one column each."""
     s = slits.sigma_x
-    if representation == COORDINATE:
-        # far from every slit the exponent may overflow to -inf: the value is 0
-        with np.errstate(over="ignore"):
-            return (2.0 * np.pi * s**2) ** -0.25 * np.exp(-((t - c) ** 2) / (4.0 * s**2))
-    if representation == MOMENTUM:
-        tc = t * c
-        return (2.0 * s**2 / np.pi) ** 0.25 * np.exp(-(s**2) * t**2) * (np.cos(tc) - 1j * np.sin(tc))
-    raise ValueError(f"unknown representation {representation!r}")
+    t = np.asarray(x, dtype=float)[:, None] - slit_centers(slits.m, slits.a)
+    # far from every slit the exponent may overflow to -inf: the value is 0
+    with np.errstate(over="ignore"):
+        return (2.0 * np.pi * s**2) ** -0.25 * np.exp(-(t**2) / (4.0 * s**2))
+
+
+def momentum_basis(slits: SlitParams, p) -> np.ndarray:
+    """The unit slit functions u~_j(p) at the momenta ``p``, one column each."""
+    s = slits.sigma_x
+    t = np.asarray(p, dtype=float)[:, None]
+    tc = t * slit_centers(slits.m, slits.a)
+    return (2.0 * s**2 / np.pi) ** 0.25 * np.exp(-(s**2) * t**2) * (np.cos(tc) - 1j * np.sin(tc))
 
 
 def basis_density(basis: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -166,10 +165,10 @@ def basis_density(basis: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     With A a density matrix in the slit basis this is the density of that
     state where U was sampled: ``basis_density(basis, slit_state(slits, gamma))``
     is the particle marginal P_x(x) = Integral |psi(x, xi)|^2 dxi for a
-    coordinate basis and P~_x(p_x) for a momentum one.  A is real symmetric,
-    so the density is the sum over the real and the imaginary part V of U of
-    the row sums of (V A) o V, all in real arithmetic; the row sums go
-    through a matmul, as np.sum over a short axis is slow.
+    ``coordinate_basis`` and P~_x(p_x) for a ``momentum_basis``.  A is real
+    symmetric, so the density is the sum over the real and the imaginary
+    part V of U of the row sums of (V A) o V, all in real arithmetic; the
+    row sums go through a matmul, as np.sum over a short axis is slow.
     """
     parts = (basis.real, basis.imag) if np.iscomplexobj(basis) else (basis,)
     return sum((part @ matrix) * part for part in parts) @ np.ones(basis.shape[1])

@@ -63,10 +63,9 @@ def _sig6(value: float) -> float:
 
 
 def _array_lists(value):
-    """``json.dump``'s ``default``: an ndarray as its nested lists, each
-    complex entry as its [re, im] pair."""
-    if not isinstance(value, np.ndarray):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    """``json.dump``'s ``default``: a numpy array as its nested lists, or a
+    numpy scalar as its Python value, each complex entry as its [re, im]
+    pair.  The runners build every payload, so none is checked here."""
     if np.iscomplexobj(value):
         value = np.stack([value.real, value.imag], axis=-1)
     return value.tolist()
@@ -150,7 +149,7 @@ def _momentum_basis(slits: interference.SlitParams, n: int) -> tuple[np.ndarray,
     sampled on them."""
     # envelope exp(-sigma^2 p^2): 9 momentum sigmas leave amplitude < 1e-8
     p, dp = grid(9.0 / (2.0 * slits.sigma_x), n)
-    return p, dp, interference.slit_basis(slits, p, interference.MOMENTUM)
+    return p, dp, interference.momentum_basis(slits, p)
 
 
 def _marginals(
@@ -162,7 +161,7 @@ def _marginals(
     p, dp, basis = _momentum_basis(slits, n)
     mom = interference.basis_density(basis, density)
     x, dx = grid((slits.m - 1) * slits.a + 8.0 * slits.sigma_x, n)
-    basis = interference.slit_basis(slits, x, interference.COORDINATE)
+    basis = interference.coordinate_basis(slits, x)
     coord = interference.basis_density(basis, density)
     files = [
         (prefix + "momentum", "table", (["p_x", "density"], [p, mom])),
@@ -217,7 +216,7 @@ def _run_entangled(params: dict, n: int) -> tuple[dict, list]:
     slits, gamma, density = _entangled_state(params)
     weights, _ = schmidt.schmidt(slits, density)
     if slits.m == 2:
-        coherence.check_fringes(slits)
+        schmidt.check_fringes(slits)
     files, marginal_integral, _ = _marginals(slits, density, n, "marginal_")
     scalars = {
         "schmidt_number": schmidt.schmidt_number(weights),
@@ -275,7 +274,10 @@ def _run_source(params: dict, n: int) -> tuple[dict, list]:
     """Fringe patterns, visibilities and Schmidt numbers at five source sizes y."""
     y_values = np.array([0.0, 0.0625, 0.125, 0.1875, 0.25])
     overlaps = coherence.source_coherence(y_values)
-    scalars, files, densities = _sweep(_slits(params, 2), n, "y", y_values, overlaps)
+    slits = _slits(params, 2)
+    # before any state, as for the other two-slit visibilities
+    schmidt.check_fringes(slits)
+    scalars, files, densities = _sweep(slits, n, "y", y_values, overlaps)
     for y, v in zip(y_values, coherence.visibility(densities)):
         scalars[f"visibility_y_{y:g}"] = v
     return scalars, files
@@ -306,7 +308,7 @@ def _run_coherence(params: dict, n: int) -> tuple[dict, list]:
         raise ValueError(f"phi must be finite, and so must 2 phi, got {phi}")
     slits = _slits(params, 2)
     # before any state: coincident slits have no norm at gamma = -1
-    coherence.check_fringes(slits)
+    schmidt.check_fringes(slits)
     # rows 0-16 are the sweep's states, row 17 the state at phi
     phis = np.append(np.linspace(0.0, np.pi / 2.0, 17), phi)
     densities = np.stack([interference.slit_state(slits, g) for g in np.cos(2.0 * phis)])
@@ -342,7 +344,14 @@ def _run_ammonia(params: dict, n: int) -> tuple[dict, list]:
     )
     wells = [tunneling.DoubleWell(well.alpha, well.beta, mass) for mass in masses]
     delta_e = np.array([tunneling.two_level_splitting(w) for w in wells])
-    fd_delta_e = np.array([e1 - e0 for e0, e1 in map(tunneling.grid_eigensolve, wells)])
+    levels = []
+    for name, w in zip(isotopes, wells):
+        try:
+            levels.append(tunneling.grid_eigensolve(w))
+        except ValueError as exc:
+            # under isotope "all" the line names whose well failed
+            raise type(exc)(f"{name} well: {exc}") from exc
+    fd_delta_e = np.array([e1 - e0 for e0, e1 in levels])
     columns = {
         "mass": np.array(masses),
         "overlap": np.array([w.overlap for w in wells]),

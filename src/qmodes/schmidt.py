@@ -17,10 +17,14 @@ any grid are ``basis @ coefficients``.  S_x and W^T D W are symmetric by
 construction, and LAPACK reads one triangle of each, so neither is checked.
 Eigenvalues of S_x below ``DEFAULT_TRUNCATION`` times the largest are
 dropped, which keeps overlapping slits well posed, and so are weights below
-it.  A decomposition is the pair (weights, coefficients): the r kept weights
-descending, and an (m, r) array whose column k holds the coefficients of
-mode k; where two weights coincide, their modes are fixed only up to a
-rotation in their subspace.  States of one slit geometry share S_x, so
+it.  For two slits that truncation bounds their spacing: S_x has the
+eigenvalues 1 -/+ q, and once their ratio tanh(a^2 / 4 sigma_x^2) falls to
+it the slits coincide, and ``check_fringes`` refuses them before a
+visibility or fringe pattern is read from the state.  A decomposition is
+the pair (weights, coefficients): the r kept weights descending, and an
+(m, r) array whose column k holds the coefficients of mode k; where two
+weights coincide, their modes are fixed only up to a rotation in their
+subspace.  States of one slit geometry share S_x, so
 ``schmidt_stack`` decomposes a sweep of them with one eigensolve of S_x and
 one stacked eigensolve of their reduced matrices, and returns one pair per
 state: fig4's, fig6-data's and coherence's K come from it.  Only the fig7
@@ -46,6 +50,8 @@ import numpy as np
 from .interference import SlitParams, detector_overlap
 
 __all__ = [
+    "UnresolvedFringesError",
+    "check_fringes",
     "analytic_two_slit_weights",
     "schmidt_stack",
     "schmidt",
@@ -55,6 +61,27 @@ __all__ = [
 ]
 
 DEFAULT_TRUNCATION = 1e-12
+
+
+class UnresolvedFringesError(ValueError):
+    """Two slits coincide within the Schmidt truncation: S_x has lost an
+    eigenvalue, so the state has no two orthonormal paths to interfere."""
+
+
+def check_fringes(slits: SlitParams) -> None:
+    """Raise :class:`UnresolvedFringesError` when two slits are unresolved in S_x.
+
+    S_x has the eigenvalues 1 -/+ q, q = exp(-a^2 / 2 sigma_x^2), and the
+    Schmidt truncation drops the smaller once their ratio
+    (1 - q)/(1 + q) = tanh(a^2 / 4 sigma_x^2) falls to ``DEFAULT_TRUNCATION``.
+    The state of gamma = -1 lies wholly in its odd eigenvector: past the
+    bound its reduced matrix is rounding noise, which ``schmidt_stack``
+    would normalize into weight 1 on the even mode.
+    """
+    if np.tanh(slits.a**2 / (4.0 * slits.sigma_x**2)) <= DEFAULT_TRUNCATION:
+        raise UnresolvedFringesError(
+            f"no fringes: slits a={slits.a:g} apart coincide at width sigma_x={slits.sigma_x:g}"
+        )
 
 
 def analytic_two_slit_weights(slits: SlitParams, b: float, sigma_xi: float) -> tuple[float, float]:

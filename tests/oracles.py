@@ -271,10 +271,10 @@ def reconstruct_marginal(weights, coefficients, basis):
     """Particle marginal as the mode mixture sum_k lambda_k |psi_k|^2.
 
     ``weights`` and ``coefficients`` are a decomposition of ``schmidt``, and
-    ``basis`` is the slit basis sampled on a grid (``slit_basis``): the
-    density of the matrix sum_k lambda_k c_k c_k^T in the slit basis, which
-    equals the decomposed state's marginal density on that grid up to the
-    truncation threshold.
+    ``basis`` is the slit basis sampled on a grid (``coordinate_basis`` or
+    ``momentum_basis``): the density of the matrix sum_k lambda_k c_k c_k^T
+    in the slit basis, which equals the decomposed state's marginal density
+    on that grid up to the truncation threshold.
     """
     return basis_density(basis, (coefficients * weights) @ coefficients.T)
 

@@ -236,6 +236,7 @@ def test_cli_import_adds_only_the_standard_library_numpy_and_qmodes():
     [
         ("import qmodes", {"qmodes"}, False),
         ("from qmodes import schmidt", {"qmodes", "qmodes.schmidt", "qmodes.interference", "qmodes.numerics"}, True),
+        ("from qmodes import coherence", {"qmodes", "qmodes.coherence"}, True),
     ],
 )
 def test_a_package_or_module_import_loads_only_what_it_names(statement, expected, loads_numpy):
@@ -506,19 +507,24 @@ def test_mass_sweep_runs_or_exits_2_with_one_error_line(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize(
-    "mass, error",
+    "mass, isotope, error",
     [
-        ("1e-30", "no grid within 2048 points resolves the wells: sigma_x 1.37e-09 is below the spacing 0.00205 "),
-        ("1e-10", "no grid within 2048 points resolves the wells: sigma_x 0.000209 is below the spacing 0.00205 "),
-        ("1e-3", "rounding floor 1.19e-09 of a 288-point solve exceeds 1e-09 of the splitting "),
+        ("1e-30", "all", "NH3 well: no grid within 2048 points resolves the wells: sigma_x 1.37e-09 is below the spacing 0.00205 "),
+        ("1e-10", "all", "NH3 well: no grid within 2048 points resolves the wells: sigma_x 0.000209 is below the spacing 0.00205 "),
+        ("1e-3", "all", "NH3 well: rounding floor 1.19e-09 of a 288-point solve exceeds 1e-09 of the splitting "),
+        # the splitting itself is below the floor, so its digits vary with the BLAS thread count
+        ("1e-6", "all", "NH3 well: rounding floor 2.38e-06 of a 1728-point solve exceeds 1e-09 of the splitting "),
+        ("1e-6", "NT3", "NT3 well: no grid within 2048 points resolves the wells: sigma_x 0.00201 "),
     ],
-    ids=["1e-30", "1e-10", "1e-3"],
+    ids=["1e-30", "1e-10", "1e-3", "1e-6", "1e-6-NT3"],
 )
-def test_a_light_ammonia_fit_names_what_stops_its_eigensolve(tmp_path, capsys, mass, error):
+def test_a_light_ammonia_fit_names_what_stops_its_eigensolve(tmp_path, capsys, mass, isotope, error):
     # the NH3 well of a light fit is narrow: a grid coarser than its sigma_x
     # cannot hold its states, so the solve starts where the grid resolves
-    # sigma_x, or is refused if no grid within the cap does
-    assert main(["ammonia", "--mass", mass, "--out", str(tmp_path / "out")]) == 2
+    # sigma_x, or is refused if no grid within the cap does.  One fit sets
+    # every isotope's well, so the line names the one that stopped the run
+    argv = ["ammonia", "--mass", mass, "--isotope", isotope, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("qmodes: error: " + error) and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
@@ -856,14 +862,20 @@ def test_near_coincident_slits_read_the_visibility_from_the_state(tmp_path):
     assert scalars["visibility"] == scalars["fringe_modulation"] == 0.606531
 
 
-@pytest.mark.parametrize("command", ["entangled", "coherence"])
+@pytest.mark.parametrize("command", ["entangled", "coherence", "fig6-data"])
 @pytest.mark.parametrize("a", ["1e-6", "1e-8"])
 def test_slits_within_the_schmidt_truncation_exit_2_naming_a_and_sigma_x(tmp_path, capsys, command, a):
     # (1 - q)/(1 + q) <= 1e-12: S_x loses an eigenvalue, and no file is written
     out = tmp_path / "out"
+    argv = [command, "--a", a]
+    if command == "fig6-data":
+        # a figure takes its parameters from a config file
+        config = tmp_path / "run.cfg"
+        config.write_text(f"a = {a}\n", encoding="utf-8")
+        argv = ["figures", command, "--config", str(config)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main([command, "--a", a, "--out", str(out)])
+        code = main([*argv, "--out", str(out)])
     err = capsys.readouterr().err.splitlines()
     assert code == 2 and len(err) == 1 and err[0].startswith("qmodes: error: ")
     assert "no fringes" in err[0] and f"a={float(a):g}" in err[0] and "sigma_x=0.5" in err[0]

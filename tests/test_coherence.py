@@ -14,14 +14,7 @@ from oracles import (
     visibility_from_intensity,
 )
 from qmodes.coherence import k_from_v, source_coherence, visibility
-from qmodes.interference import (
-    MOMENTUM,
-    SlitParams,
-    basis_density,
-    detector_overlap,
-    slit_basis,
-    slit_state,
-)
+from qmodes.interference import SlitParams, basis_density, detector_overlap, momentum_basis, slit_state
 from qmodes.numerics import quadrature
 from qmodes.schmidt import analytic_two_slit_weights, entropy, schmidt, schmidt_number
 
@@ -37,7 +30,7 @@ def fine_momentum_grid(n=4001, half=10.0):
 
 def momentum_marginal(density, grid):
     """The momentum marginal of the two-slit state of density matrix D = ``density``."""
-    basis = slit_basis(SLITS, grid.points, MOMENTUM)
+    basis = momentum_basis(SLITS, grid.points)
     return SampledWave(grid, basis_density(basis, density))
 
 
@@ -121,7 +114,7 @@ class TestQubitCoherenceState:
         v0 = np.array([np.exp(1j * phi), np.exp(-1j * phi)]) / np.sqrt(2.0)
         qubit = np.stack([v0, v0.conj()])
         norm_sq = 1.0 / (2.0 + 2.0 * SLITS.overlap * np.cos(2.0 * phi))
-        amp = np.sqrt(norm_sq) * slit_basis(SLITS, grid.points, MOMENTUM) @ qubit
+        amp = np.sqrt(norm_sq) * momentum_basis(SLITS, grid.points) @ qubit
         assert quadrature(np.sum(np.abs(amp) ** 2, axis=1), grid.spacing) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(amp - qubit_grid_state(phi, grid).amplitudes)) < 1e-12
 

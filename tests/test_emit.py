@@ -183,7 +183,7 @@ def test_repr_rows_is_pythons_repr(case, cols):
     check_kernel("json", case, cols)
 
 
-# an ndarray in a JSON file, and the lists json.dumps writes for it
+# a numpy array or scalar in a JSON file, and what json.dumps writes for it
 SAVED_ARRAYS = {
     "real-1d": (np.array([1.0, -2.5, 1e-300]), [1.0, -2.5, 1e-300]),
     "real-2d": (np.array([[0.5, np.nan], [-0.0, np.inf]]), [[0.5, float("nan")], [-0.0, float("inf")]]),
@@ -193,6 +193,9 @@ SAVED_ARRAYS = {
         np.array([[complex(3.0, 0.0), complex(-1e-7, np.inf)]]),
         [[[3.0, 0.0], [-1e-7, float("inf")]]],
     ),
+    "integer-scalar": (np.int64(7), 7),
+    "float32-scalar": (np.float32(0.5), 0.5),
+    "complex-scalar": (np.complex128(complex(1.0, -2.0)), [1.0, -2.0]),
 }
 
 
@@ -202,11 +205,6 @@ def test_save_json_writes_an_array_as_lists_and_a_complex_entry_as_its_pair(tmp_
     scenarios._save_json(tmp_path / "a.json", {"x": array, "n": 2})
     expected = json.dumps({"x": lists, "n": 2}, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "a.json").read_text(encoding="utf-8") == expected
-
-
-def test_save_json_refuses_what_is_neither_json_nor_an_array(tmp_path):
-    with pytest.raises(TypeError, match="set is not JSON serializable"):
-        scenarios._save_json(tmp_path / "a.json", {"x": {1, 2}})
 
 
 def protocol(rows, s, seed=0):

@@ -20,12 +20,11 @@ from oracles import (
 )
 from qmodes import coherence
 from qmodes.interference import (
-    COORDINATE,
-    MOMENTUM,
     SlitParams,
     basis_density,
+    coordinate_basis,
     detector_overlap,
-    slit_basis,
+    momentum_basis,
     slit_centers,
     slit_state,
 )
@@ -46,23 +45,23 @@ def two_slit_state_pair(b):
 
 
 def momentum_marginal(slits, density, grid):
-    basis = slit_basis(slits, grid.points, MOMENTUM)
+    basis = momentum_basis(slits, grid.points)
     return SampledWave(grid, basis_density(basis, density))
 
 
 def coordinate_marginal(slits, density, grid):
-    basis = slit_basis(slits, grid.points, COORDINATE)
+    basis = coordinate_basis(slits, grid.points)
     return SampledWave(grid, basis_density(basis, density))
 
 
-def sampled_state(slits, det, particle_grid, detector_grid, representation):
+def sampled_state(slits, det, particle_grid, detector_grid, basis):
     """N sum_j u_j(x) v_j(xi) sampled on both axes from the slit basis.
 
     The spots are slit functions too: centers slit_centers(m, b), width sigma_xi.
     """
     spots = SlitParams(a=det.b, sigma_x=det.sigma_xi, m=slits.m)
-    u = slit_basis(slits, particle_grid.points, representation)
-    v = slit_basis(spots, detector_grid.points, representation)
+    u = basis(slits, particle_grid.points)
+    v = basis(spots, detector_grid.points)
     # N^2 = 1 / sum_jk <u_j|u_k> <v_j|v_k>, the overlaps of the Gaussians
     d = np.subtract.outer(slit_centers(slits.m, 1.0), slit_centers(slits.m, 1.0)) ** 2
     overlaps = np.exp(-d * (slits.a**2 / slits.sigma_x**2 + det.b**2 / det.sigma_xi**2) / 8.0)
@@ -157,6 +156,44 @@ class TestCenters:
         assert np.allclose(s_xi, gaussian, rtol=1e-14, atol=0.0)
 
 
+# slit counts up to the cap, at spacings from nearly coincident to the
+# largest a SlitParams takes; at sigma_x = 0.5 the Gaussian's 4 sigma^2 is 1,
+# so a second width makes every division round
+BASIS_SLITS = [(m, a, s) for m in (1, 2, 5, 64) for a in (1e-7, 0.5, 5.0, 1e150) for s in (SIGMA, 0.37)]
+
+
+class TestSlitBasis:
+    """Each basis function is its closed form, bit for bit."""
+
+    @pytest.mark.parametrize("m, a, s", BASIS_SLITS)
+    def test_coordinate_basis_is_the_unit_gaussians_at_the_centers(self, m, a, s):
+        slits = SlitParams(a=a, sigma_x=s, m=m)
+        c = (2.0 * np.arange(m) - (m - 1)) * a
+        # past 1e154 from every center the squared offset overflows to inf and
+        # the slit function is 0; the basis raises no overflow warning there
+        x = np.concatenate([np.linspace(-(m * a + 5.0), m * a + 5.0, 33), [-1e300, -1e200, 1e155, 1e300]])
+        with np.errstate(over="ignore"):
+            expected = (2.0 * np.pi * s**2) ** -0.25 * np.exp(-((x[:, None] - c) ** 2) / (4.0 * s**2))
+        basis = coordinate_basis(slits, x)
+        assert basis.dtype == np.float64 and basis.shape == (len(x), m)
+        assert basis.tobytes() == expected.tobytes()
+        assert np.all(basis[-4:] == 0.0)
+
+    @pytest.mark.parametrize("m, a, s", BASIS_SLITS)
+    def test_momentum_basis_is_the_transformed_gaussians_at_the_centers(self, m, a, s):
+        slits = SlitParams(a=a, sigma_x=s, m=m)
+        c = (2.0 * np.arange(m) - (m - 1)) * a
+        # across twice the catalog grid's edge 9 / (2 sigma_x), and far past it, where the envelope underflows
+        p = np.concatenate([np.linspace(-9.0 / s, 9.0 / s, 33), [-1e150, -1e10, 1e3, 1e150]])
+        phase = p[:, None] * c
+        envelope = (2.0 * s**2 / np.pi) ** 0.25 * np.exp(-(s**2) * p[:, None] ** 2)
+        expected = envelope * (np.cos(phase) - 1j * np.sin(phase))
+        basis = momentum_basis(slits, p)
+        assert basis.dtype == np.complex128 and basis.shape == (len(p), m)
+        assert basis.tobytes() == expected.tobytes()
+        assert np.all(basis[-4:] == 0.0)
+
+
 class TestFormFactor:
     def test_limit_at_zero(self):
         for m in (1, 2, 5, 8):
@@ -207,7 +244,7 @@ class TestJointStateMomentum:
         weights, coefficients = schmidt(slits, density)
         assert weights == pytest.approx([1.0], abs=1e-14)
         grid = momentum_grid()
-        mode = slit_basis(slits, grid.points, MOMENTUM) @ coefficients[:, 0]
+        mode = momentum_basis(slits, grid.points) @ coefficients[:, 0]
         marg = momentum_marginal(slits, density, grid)
         assert np.max(np.abs(np.abs(mode) ** 2 - marg.amplitudes)) < 1e-14
 
@@ -228,14 +265,14 @@ class TestJointStateMomentum:
             * np.exp(-(det.sigma_xi**2) * q**2)
             * np.cos(p * A + q * det.b)
         )
-        assert np.max(np.abs(sampled_state(slits, det, pg, qg, MOMENTUM) - closed)) < 1e-12
+        assert np.max(np.abs(sampled_state(slits, det, pg, qg, momentum_basis) - closed)) < 1e-12
 
     def test_normalized(self):
         grid = momentum_grid()
         for m in (1, 2, 3, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
             det = Detector(b=0.5, sigma_xi=0.5)
-            psi = sampled_state(slits, det, grid, grid, MOMENTUM)
+            psi = sampled_state(slits, det, grid, grid, momentum_basis)
             total = quadrature(quadrature(np.abs(psi) ** 2, grid.spacing), grid.spacing)
             assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -262,13 +299,13 @@ class TestJointStateCoordinate:
                 + np.exp(-((x + A) ** 2) / (4 * SIGMA**2) - (xi + det.b) ** 2 / (4 * det.sigma_xi**2))
             )
         )
-        assert np.max(np.abs(sampled_state(slits, det, xg, dg, COORDINATE) - closed)) < 1e-12
+        assert np.max(np.abs(sampled_state(slits, det, xg, dg, coordinate_basis) - closed)) < 1e-12
 
     def test_transform_matches_momentum_state(self):
         slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
         det = Detector(b=0.5, sigma_xi=0.5)
         xg, dg = self.grids(n=512)
-        coord = sampled_state(slits, det, xg, dg, COORDINATE)
+        coord = sampled_state(slits, det, xg, dg, coordinate_basis)
         # transform the detector axis, then the particle axis
         half = np.empty(coord.shape, dtype=complex)
         for i in range(xg.points.size):
@@ -276,7 +313,7 @@ class TestJointStateCoordinate:
         full = np.empty_like(half)
         for j in range(dg.points.size):
             full[:, j] = fourier_to_momentum(SampledWave(xg, half[:, j])).amplitudes
-        mom = sampled_state(slits, det, conjugate_grid(xg), conjugate_grid(dg), MOMENTUM)
+        mom = sampled_state(slits, det, conjugate_grid(xg), conjugate_grid(dg), momentum_basis)
         assert np.max(np.abs(full - mom)) < 1e-6
 
     def test_zero_separation_is_product(self):
@@ -347,11 +384,6 @@ class TestMarginals:
             marg = momentum_marginal(slits, density, momentum_grid())
             assert quadrature(marg.amplitudes, marg.grid.spacing) == pytest.approx(1.0, abs=1e-12)
             assert np.all(marg.amplitudes >= -1e-15)
-
-    def test_representation_enforced(self):
-        slits = SlitParams(a=A, sigma_x=SIGMA, m=2)
-        with pytest.raises(ValueError, match="fourier"):
-            slit_basis(slits, np.zeros(3), "fourier")
 
     def test_coordinate_marginal_is_two_gaussians(self):
         slits, _, density = two_slit_state_pair(b=0.5)

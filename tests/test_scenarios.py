@@ -15,7 +15,7 @@ from oracles import (
 )
 from qmodes import cli, scenarios
 from qmodes.coherence import k_from_v, source_coherence, visibility
-from qmodes.interference import MOMENTUM, SlitParams, basis_density, detector_overlap, slit_basis, slit_state
+from qmodes.interference import SlitParams, basis_density, detector_overlap, momentum_basis, slit_state
 from qmodes.schmidt import entropy, schmidt, schmidt_number
 
 N = 2048
@@ -45,7 +45,7 @@ def test_mode_densities_are_the_densities_of_the_mode_projectors(tmp_path, m):
     rows = table_rows(tmp_path, "schmidt_modes")
     slits = SlitParams(a=5.0, sigma_x=0.5, m=m)
     _, coefficients = schmidt(slits, slit_state(slits, detector_overlap(0.5, 0.5)))
-    basis = slit_basis(slits, symmetric(9.0, N).points, MOMENTUM)
+    basis = momentum_basis(slits, symmetric(9.0, N).points)
     assert rows.shape == (N, 1 + coefficients.shape[1])
     for column, c in zip(rows[:, 1:].T, coefficients.T):
         reference = basis_density(basis, np.outer(c, c))
@@ -302,7 +302,7 @@ def test_written_patterns_fit_to_their_states_visibility(tmp_path, n):
     scenarios.run("coherence", tmp_path, "json", n, {})
     rows = table_rows(tmp_path, "coherence_sweep")
     slits = SlitParams(a=5.0, sigma_x=0.5, m=2)
-    basis = slit_basis(slits, grid.points, MOMENTUM)
+    basis = momentum_basis(slits, grid.points)
     for phi, v in rows[:, :2]:
         pattern = basis_density(basis, slit_state(slits, np.cos(2.0 * phi)))
         assert abs(fitted(pattern) - v) <= 1e-4, phi

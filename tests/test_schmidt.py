@@ -19,7 +19,7 @@ from oracles import (
     two_slit_gamma_weights,
     two_slit_schmidt,
 )
-from qmodes.interference import MOMENTUM, SlitParams, basis_density, detector_overlap, slit_basis, slit_state
+from qmodes.interference import SlitParams, basis_density, detector_overlap, momentum_basis, slit_state
 from qmodes.numerics import quadrature
 from qmodes.schmidt import (
     analytic_two_slit_weights,
@@ -39,11 +39,11 @@ def momentum_grids(n=512, half=10.0):
 
 
 def modes_on(grid, slits, coefficients):
-    return slit_basis(slits, grid.points, MOMENTUM) @ coefficients
+    return momentum_basis(slits, grid.points) @ coefficients
 
 
 def momentum_marginal(slits, density, grid):
-    basis = slit_basis(slits, grid.points, MOMENTUM)
+    basis = momentum_basis(slits, grid.points)
     return SampledWave(grid, basis_density(basis, density))
 
 
@@ -126,7 +126,8 @@ class TestNumericalSchmidt:
     def test_two_slit_schmidt_number_at_any_overlap_down_to_closing_slits(self, gamma, rel):
         # the weights are the eigenvalues over their sum, so no rounding of
         # N^2 = 1/(2 + 2 q gamma) reaches them, which cancels as q -> 1 at
-        # gamma = -1.  From a just above the ``check_fringes`` bound 1e-6
+        # gamma = -1.  From a just above 1e-6, where ``check_fringes``, the
+        # truncation's bound for two slits, refuses them
         for a in np.geomspace(1.1e-6, 5.0, 40):
             slits = SlitParams(a=float(a), sigma_x=0.5, m=2)
             k = schmidt_number(schmidt(slits, slit_state(slits, gamma))[0])
@@ -286,14 +287,14 @@ class TestMixtureAndDensity:
         for m in (2, 5):
             slits = SlitParams(a=A, sigma_x=SIGMA, m=m)
             density = slit_state(slits, detector_overlap(*FIG3_DET))
-            mixture = reconstruct_marginal(*schmidt(slits, density), slit_basis(slits, pg.points, MOMENTUM))
+            mixture = reconstruct_marginal(*schmidt(slits, density), momentum_basis(slits, pg.points))
             direct = momentum_marginal(slits, density, pg)
             assert np.max(np.abs(mixture - direct.amplitudes)) < 1e-14
 
     def test_single_mode_mixture(self):
         pg, _ = momentum_grids()
         weights, coefficients = schmidt(FIG3_SLITS, slit_state(FIG3_SLITS, detector_overlap(0.0, 0.5)))
-        mixture = reconstruct_marginal(weights, coefficients, slit_basis(FIG3_SLITS, pg.points, MOMENTUM))
+        mixture = reconstruct_marginal(weights, coefficients, momentum_basis(FIG3_SLITS, pg.points))
         mode_sq = np.abs(modes_on(pg, FIG3_SLITS, coefficients)[:, 0]) ** 2
         assert np.max(np.abs(mixture - mode_sq * weights[0])) < 1e-12
 

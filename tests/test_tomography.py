@@ -5,7 +5,7 @@ import pytest
 
 from oracles import SampledWave, conjugate_grid, fourier_to_momentum, span, symmetric
 from qmodes import tomography
-from qmodes.interference import COORDINATE, MOMENTUM, SlitParams, slit_basis
+from qmodes.interference import SlitParams, coordinate_basis, momentum_basis
 from qmodes.tomography import (
     analyze,
     completion_purity_range,
@@ -82,8 +82,8 @@ def test_interference_protocol_fixes_a_single_point():
 def test_momentum_basis_is_the_fft_of_the_coordinate_basis(m):
     slits = SlitParams(a=1.0, sigma_x=0.5, m=m)
     grid = symmetric(20.0, 1024)
-    coordinate = slit_basis(slits, grid.points, COORDINATE)
-    momentum = slit_basis(slits, conjugate_grid(grid).points, MOMENTUM)
+    coordinate = coordinate_basis(slits, grid.points)
+    momentum = momentum_basis(slits, conjugate_grid(grid).points)
     for j in range(m):
         transformed = fourier_to_momentum(SampledWave(grid, coordinate[:, j].astype(complex)))
         assert np.max(np.abs(transformed.amplitudes - momentum[:, j])) < 1e-12
